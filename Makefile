@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test bench microbench ci lint fuzz-smoke e2e soak-smoke
+.PHONY: build test bench bench-test microbench ci lint fuzz-smoke e2e soak-smoke
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,13 @@ test:
 # compares a fresh run against them instead of rewriting.
 bench:
 	$(GO) run ./cmd/wsansim bench -out .
+
+# bench-test runs the end-to-end benchmark harness's own tests. bench/ is a
+# nested module, so the root `go test ./...` never reaches it; these tests
+# drive every workload at test size, including the churn workload's
+# repair-ladder rung counts.
+bench-test:
+	cd bench && $(GO) test ./...
 
 microbench:
 	$(GO) test -bench=. -benchmem ./...
@@ -43,12 +50,14 @@ lint:
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
-# ci is the tier-1+ gate: formatting, lint, and the short test set under the
-# race detector. Run it before sending changes.
+# ci is the tier-1+ gate: formatting, lint, the short test set under the
+# race detector, and the benchmark harness's tests. Run it before sending
+# changes.
 ci: lint
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) test -race -short ./...
+	$(MAKE) bench-test
 
 # e2e starts a real daemon and drives it over the wire with the wsanclient
 # SDK. Phase 1 (examples/stream): register a network, run a schedule job,

@@ -1,7 +1,8 @@
-// Batched delta application: N flow mutations per journal commit with one
-// rollback point. A sustained-churn manager rarely sees deltas one at a
-// time — a link fault reroutes every flow crossing it, an admission burst
-// adds a batch of control loops — and applying them as one operation
+// The delta engine's op vocabulary: add, remove, and reroute, applied N per
+// journal commit with one rollback point (the single-op entry points in
+// delta.go are batches of one). A sustained-churn manager rarely sees deltas
+// one at a time — a link fault reroutes every flow crossing it, an admission
+// burst adds a batch of control loops — and applying them as one operation
 // amortizes the per-op engine setup, disseminates one net diff, and keeps
 // the all-or-nothing guarantee: if any mutation is infeasible even at the
 // bottom of the repair ladder, the whole batch rolls back.
@@ -10,8 +11,6 @@ package scheduler
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"wsan/internal/flow"
 	"wsan/internal/schedule"
@@ -69,114 +68,15 @@ type BatchResult struct {
 }
 
 // ApplyDeltaBatch applies ops to a live schedule as one atomic operation:
-// a single journal with a single rollback point. Each op still descends the
-// per-op repair ladder (direct → evict → full reschedule), but a rung-3
-// repair rolls back only that op's mutations and rebuilds on top of the
-// batch's earlier ops. If any op fails terminally the entire batch is rolled
-// back and Schedulable is false. flows is the current workload in priority
-// order; it is not mutated — the updated workload is returned in
-// BatchResult.Flows (reroutes replace the flow with a copy carrying the new
-// route, mirroring RerouteFlowDelta's caller-updates contract).
+// a single journal with a single rollback point, through the same engine as
+// the single-op entry points. Each op descends the repair ladder on its own
+// (direct → cascade → full reschedule); a full-rung repair rolls back only
+// that op's mutations and rebuilds on top of the batch's earlier ops. If any
+// op fails validation or is terminally infeasible the entire batch is rolled
+// back. flows is the current workload in priority order; it is not mutated —
+// the updated workload is returned in BatchResult.Flows (reroutes replace
+// the flow with a copy carrying the new route, mirroring RerouteFlowDelta's
+// caller-updates contract).
 func ApplyDeltaBatch(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg Config) (*BatchResult, error) {
-	start := time.Now()
-	if err := validateDeltaConfig(sched, cfg); err != nil {
-		return nil, err
-	}
-	if len(ops) == 0 {
-		return nil, fmt.Errorf("scheduler: empty delta batch")
-	}
-	work := append([]*flow.Flow(nil), flows...)
-	find := func(id int) int {
-		for i, g := range work {
-			if g.ID == id {
-				return i
-			}
-		}
-		return -1
-	}
-	d := newDeltaOp(sched, cfg)
-	out := &BatchResult{DeltaResult: DeltaResult{FailedFlow: -1}}
-	fail := func(flowID int) (*BatchResult, error) {
-		d.rollback()
-		out.Schedulable = false
-		out.FailedFlow = flowID
-		out.Flows = flows
-		out.Elapsed = time.Since(start)
-		flushDeltaMetrics(cfg.Metrics, "batch", &out.DeltaResult)
-		return out, nil
-	}
-	for i, op := range ops {
-		mark := len(d.ops)
-		switch op.Kind {
-		case BatchAdd:
-			f := op.Flow
-			if f == nil {
-				return nil, fmt.Errorf("scheduler: batch op %d: add without a flow", i)
-			}
-			if err := validateDeltaFlow(sched, f); err != nil {
-				return nil, fmt.Errorf("scheduler: batch op %d: %w", i, err)
-			}
-			if find(f.ID) >= 0 {
-				return nil, fmt.Errorf("scheduler: batch op %d: flow %d already in the workload", i, f.ID)
-			}
-			res, err := d.place(f, work, mark)
-			if err != nil {
-				return nil, fmt.Errorf("scheduler: batch op %d: %w", i, err)
-			}
-			if !res.Schedulable {
-				return fail(f.ID)
-			}
-			out.Fallbacks = append(out.Fallbacks, res.Fallback)
-			work = append(work, f)
-		case BatchRemove:
-			idx := find(op.FlowID)
-			if idx < 0 {
-				return nil, fmt.Errorf("scheduler: batch op %d: flow %d not in the workload", i, op.FlowID)
-			}
-			if d.removeFlow(op.FlowID) == 0 {
-				return nil, fmt.Errorf("scheduler: batch op %d: flow %d has no scheduled transmissions", i, op.FlowID)
-			}
-			out.Fallbacks = append(out.Fallbacks, FallbackNone)
-			work = append(work[:idx], work[idx+1:]...)
-		case BatchReroute:
-			idx := find(op.FlowID)
-			if idx < 0 {
-				return nil, fmt.Errorf("scheduler: batch op %d: flow %d not in the workload", i, op.FlowID)
-			}
-			orig := work[idx]
-			moved := *orig
-			moved.Route = append([]flow.Link(nil), op.Route...)
-			moved.TxBudget = flow.AdaptBudget(orig.TxBudget, len(op.Route))
-			if err := validateDeltaFlow(sched, &moved); err != nil {
-				return nil, fmt.Errorf("scheduler: batch op %d: %w", i, err)
-			}
-			others := make([]*flow.Flow, 0, len(work)-1)
-			for _, g := range work {
-				if g.ID != op.FlowID {
-					others = append(others, g)
-				}
-			}
-			d.removeFlow(op.FlowID)
-			res, err := d.place(&moved, others, mark)
-			if err != nil {
-				return nil, fmt.Errorf("scheduler: batch op %d: %w", i, err)
-			}
-			if !res.Schedulable {
-				return fail(op.FlowID)
-			}
-			out.Fallbacks = append(out.Fallbacks, res.Fallback)
-			work[idx] = &moved
-		default:
-			return nil, fmt.Errorf("scheduler: batch op %d: unknown kind %v", i, op.Kind)
-		}
-		if f := out.Fallbacks[len(out.Fallbacks)-1]; f > out.Fallback {
-			out.Fallback = f
-		}
-	}
-	d.finish(&out.DeltaResult)
-	sort.Slice(work, func(i, j int) bool { return work[i].ID < work[j].ID })
-	out.Flows = work
-	out.Elapsed = time.Since(start)
-	flushDeltaMetrics(cfg.Metrics, "batch", &out.DeltaResult)
-	return out, nil
+	return applyDelta(sched, flows, ops, cfg, true)
 }

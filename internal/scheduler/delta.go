@@ -1,36 +1,41 @@
-// Delta scheduling for flow churn. AddFlowDelta, RemoveFlowDelta, and
-// RerouteFlowDelta mutate a live schedule in place, pinning every unaffected
-// flow's transmissions and placing only the delta against the existing grid.
+// Delta scheduling for flow churn. Every live-schedule mutation runs through
+// one journaled engine: ApplyDeltaBatch applies a list of add / remove /
+// reroute ops as one atomic operation, and AddFlowDelta, RemoveFlowDelta, and
+// RerouteFlowDelta are batches of one. Each op pins every unaffected flow's
+// transmissions and places only the delta against the existing grid.
 // Placement runs through the same engine as a full run, so it is served by
 // the index layer (busy-bitset word scans, occupancy rows, prefix-popcount
 // conflict counters) and costs O(affected cells), not O(network).
 //
-// When direct placement is infeasible the operation descends a repair
+// An op that places a flow first tries it directly against the pinned grid
+// (FallbackNone). When that is infeasible it descends a two-rung repair
 // ladder:
 //
-//  1. direct — place the delta against the pinned grid (FallbackNone);
-//  2. scoped eviction — evict lower-criticality flows colliding with the
-//     delta's instance windows one at a time, retry, then re-place the
-//     evicted flows against the updated grid (FallbackEvict);
-//  3. cascade — like rung 2, but a re-placement failure evicts further
-//     strictly-lower-criticality colliders instead of aborting, bounded by
-//     a total eviction budget so the tail stays amortized (FallbackCascade);
-//  4. full reschedule — rebuild the whole mutated workload from scratch
-//     into a fresh grid of the same dimensions and apply the net difference
-//     (FallbackFull).
+//  1. cascade — starting from the grid the failed direct attempt left,
+//     evict strictly-lower-criticality flows colliding with the delta's
+//     instance windows one at a time until it fits, then re-place the
+//     evicted flows highest-criticality (lowest ID) first; a re-placement
+//     that fails evicts its own lower-criticality colliders in turn, bounded
+//     by cascadeBudget evictions in total. The rung is labelled
+//     FallbackEvict when every eviction was made for the delta flow itself
+//     and FallbackCascade when any was transitive;
+//  2. full reschedule — roll the op back, rebuild the whole mutated workload
+//     from scratch into a fresh grid of the same dimensions, and apply the
+//     net difference (FallbackFull).
 //
 // The last rung is the from-scratch scheduler itself, so whenever a full
-// reschedule of the mutated workload is feasible the delta operation
-// succeeds too — feasibility parity holds by construction. Every mutation
-// is journaled; on total infeasibility the journal is replayed in reverse
-// and the schedule is left exactly as it was. The returned Changes is the
-// net schedule.Diff actually applied; schedule.Invert(Changes) rolls it
-// back.
+// reschedule of the mutated workload is feasible the op succeeds too —
+// feasibility parity holds by construction. Every mutation is journaled; if
+// any op is infeasible even at the bottom rung the journal is replayed in
+// reverse and the schedule is left exactly as it was before the batch. The
+// returned Changes is the net schedule.Diff actually applied;
+// schedule.Invert(Changes) rolls it back.
 
 package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -47,12 +52,11 @@ type Fallback int
 const (
 	// FallbackNone: direct pinned placement succeeded.
 	FallbackNone Fallback = iota
-	// FallbackEvict: lower-criticality colliding flows were evicted and
-	// re-placed around the delta.
+	// FallbackEvict: lower-criticality flows colliding with the delta were
+	// evicted and re-placed around it, none of them transitively.
 	FallbackEvict
-	// FallbackCascade: the bounded cascade rung — evictions were allowed to
-	// trigger further evictions while re-placing, up to cascadeBudget
-	// removals, before resorting to a full reschedule.
+	// FallbackCascade: re-placing an evicted flow evicted further
+	// lower-criticality colliders, within cascadeBudget evictions in total.
 	FallbackCascade
 	// FallbackFull: the whole mutated workload was rescheduled from
 	// scratch.
@@ -89,7 +93,7 @@ type DeltaResult struct {
 	// Fallback is the deepest repair-ladder rung the operation used.
 	Fallback Fallback
 	// Evicted lists, in priority order, the lower-criticality flows that
-	// were evicted and re-placed (FallbackEvict only).
+	// the cascade rung evicted and re-placed, across every op of a batch.
 	Evicted []int
 	// PlacementOps counts successful transmission placements performed,
 	// including evicted-flow re-placements and full-reschedule replays.
@@ -103,6 +107,112 @@ type DeltaResult struct {
 	Elapsed time.Duration
 }
 
+// AddFlowDelta admits flow f into a live schedule holding flows, descending
+// the repair ladder on infeasibility. Unlike AddFlow it accepts any priority
+// (ID) — an admission that preempts lower-criticality flows is resolved by
+// eviction or full reschedule rather than rejected. flows must be the
+// currently scheduled workload in priority order; it is not mutated.
+func AddFlowDelta(sched *schedule.Schedule, flows []*flow.Flow, f *flow.Flow, cfg Config) (*DeltaResult, error) {
+	return applyOne(sched, flows, BatchOp{Kind: BatchAdd, Flow: f}, cfg)
+}
+
+// RemoveFlowDelta retires a flow from a live schedule, removing its
+// transmissions. Removal frees capacity, so it always succeeds; the result's
+// Changes is the pure-removal delta to disseminate. mets may be nil.
+func RemoveFlowDelta(sched *schedule.Schedule, flowID int, mets obs.Sink) (*DeltaResult, error) {
+	return applyOne(sched, nil, BatchOp{Kind: BatchRemove, FlowID: flowID}, Config{Metrics: mets})
+}
+
+// RerouteFlowDelta moves flow flowID onto newRoute, re-placing only that
+// flow's transmissions and descending the repair ladder on infeasibility.
+// The flow's TxBudget rides along, refitted to the new route by
+// flow.AdaptBudget, so a re-budgeted (or shed) flow keeps its concession
+// through a detour of any length. flows must be the currently scheduled
+// workload in priority order and contain the flow; neither it nor the flow
+// is mutated — on success the caller updates the flow's Route (and TxBudget,
+// via flow.AdaptBudget, when one is installed).
+func RerouteFlowDelta(sched *schedule.Schedule, flows []*flow.Flow, flowID int, newRoute []flow.Link, cfg Config) (*DeltaResult, error) {
+	return applyOne(sched, flows, BatchOp{Kind: BatchReroute, FlowID: flowID, Route: newRoute}, cfg)
+}
+
+// applyOne runs op as a batch of one, reporting under the op kind's metric
+// label.
+func applyOne(sched *schedule.Schedule, flows []*flow.Flow, op BatchOp, cfg Config) (*DeltaResult, error) {
+	res, err := applyDelta(sched, flows, []BatchOp{op}, cfg, false)
+	if err != nil {
+		return nil, err
+	}
+	return &res.DeltaResult, nil
+}
+
+// applyDelta is the engine behind every delta entry point: it runs ops in
+// order against one journal and flushes one set of metrics. A batch (as
+// opposed to a single op) reports under the "batch" label, tags errors with
+// the failing op's index, and returns the post-batch workload; a single op
+// skips that workload bookkeeping entirely. On a validation error or
+// terminal infeasibility the whole journal is rolled back.
+func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg Config, batch bool) (*BatchResult, error) {
+	start := time.Now()
+	if sched == nil {
+		return nil, fmt.Errorf("scheduler: nil schedule")
+	}
+	if len(ops) == 0 {
+		return nil, fmt.Errorf("scheduler: empty delta batch")
+	}
+	// Removals never place, so a removal-only operation needs no placement
+	// config (RemoveFlowDelta has none).
+	for _, op := range ops {
+		if op.Kind != BatchRemove {
+			if err := validateDeltaConfig(sched, cfg); err != nil {
+				return nil, err
+			}
+			break
+		}
+	}
+	label, work := ops[0].Kind.String(), flows
+	if batch {
+		label, work = "batch", slices.Clone(flows)
+	}
+	d := newDeltaOp(sched, cfg, work)
+	out := &BatchResult{DeltaResult: DeltaResult{FailedFlow: -1}, Flows: flows}
+	for i, op := range ops {
+		mark := len(d.ops)
+		f, err := d.begin(op)
+		fb, failed := FallbackNone, -1
+		if err == nil && f != nil {
+			fb, failed, err = d.place(f, mark)
+		}
+		if err != nil {
+			d.rollbackTo(0)
+			if batch {
+				err = fmt.Errorf("%w (batch op %d)", err, i)
+			}
+			return nil, err
+		}
+		out.Fallback = max(out.Fallback, fb)
+		if failed >= 0 {
+			d.rollbackTo(0)
+			out.FailedFlow = failed
+			break
+		}
+		if batch {
+			out.Fallbacks = append(out.Fallbacks, fb)
+			id := op.FlowID // an add names its flow in op.Flow only
+			if f != nil {
+				id = f.ID
+			}
+			d.work = setFlow(d.work, id, f)
+		}
+	}
+	if out.FailedFlow < 0 {
+		d.finish(&out.DeltaResult)
+		out.Flows = d.work
+	}
+	out.Elapsed = time.Since(start)
+	flushDeltaMetrics(cfg.Metrics, label, &out.DeltaResult)
+	return out, nil
+}
+
 // deltaJournalEntry records one schedule mutation so the operation can be
 // rolled back (reverse replay) and its net diff computed.
 type deltaJournalEntry struct {
@@ -111,23 +221,95 @@ type deltaJournalEntry struct {
 }
 
 // deltaOp carries one operation's state: the live schedule, a placement
-// engine bound to it, and the mutation journal.
+// engine bound to it, the workload as of the current op, and the mutation
+// journal.
 type deltaOp struct {
 	sched *schedule.Schedule
 	cfg   Config
 	eng   engine
-	ops   []deltaJournalEntry
+	// work is the workload in priority order before the current op. A
+	// single op reads the caller's slice; a batch owns a copy it updates
+	// after each op.
+	work []*flow.Flow
+	ops  []deltaJournalEntry
 
-	placeOps  int
-	removeOps int
+	// evicted accumulates the cascade rung's evictions across ops.
+	evicted []int
+	// replays counts full-rung placements into scratch grids, which the
+	// journal does not see.
+	replays int
 }
 
-func newDeltaOp(sched *schedule.Schedule, cfg Config) *deltaOp {
+func newDeltaOp(sched *schedule.Schedule, cfg Config, work []*flow.Flow) *deltaOp {
 	lambdaR := 0
 	if cfg.Algorithm == RC {
 		lambdaR = cfg.HopGR.Diameter()
 	}
-	return &deltaOp{sched: sched, cfg: cfg, eng: newEngine(cfg, sched, lambdaR)}
+	return &deltaOp{sched: sched, cfg: cfg, eng: newEngine(cfg, sched, lambdaR), work: work}
+}
+
+// begin validates op against the grid and the workload and performs its
+// removal half. It returns the flow the op must place: the new flow of an
+// add, a moved copy for a reroute, nil for a removal.
+func (d *deltaOp) begin(op BatchOp) (*flow.Flow, error) {
+	switch op.Kind {
+	case BatchAdd:
+		f := op.Flow
+		if f == nil {
+			return nil, fmt.Errorf("scheduler: add without a flow")
+		}
+		if err := validateDeltaFlow(d.sched, f); err != nil {
+			return nil, err
+		}
+		if findFlow(d.work, f.ID) >= 0 {
+			return nil, fmt.Errorf("scheduler: flow %d already in the workload", f.ID)
+		}
+		for _, tx := range d.sched.Txs() {
+			if tx.FlowID == f.ID {
+				return nil, fmt.Errorf("scheduler: flow %d already scheduled", f.ID)
+			}
+		}
+		return f, nil
+	case BatchRemove:
+		if d.removeFlow(op.FlowID) == 0 {
+			return nil, fmt.Errorf("scheduler: flow %d has no scheduled transmissions", op.FlowID)
+		}
+		return nil, nil
+	case BatchReroute:
+		i := findFlow(d.work, op.FlowID)
+		if i < 0 {
+			return nil, fmt.Errorf("scheduler: flow %d not in the workload", op.FlowID)
+		}
+		moved := *d.work[i]
+		moved.Route = append([]flow.Link(nil), op.Route...)
+		moved.TxBudget = flow.AdaptBudget(moved.TxBudget, len(op.Route))
+		if err := validateDeltaFlow(d.sched, &moved); err != nil {
+			return nil, err
+		}
+		d.removeFlow(op.FlowID)
+		return &moved, nil
+	default:
+		return nil, fmt.Errorf("scheduler: unknown op kind %v", op.Kind)
+	}
+}
+
+// place runs the repair ladder for f against the grid, whose workload is
+// d.work with f added (or replacing its same-ID entry, for a reroute). mark
+// is the journal length at the op's start, before any of its mutations — a
+// reroute's removal of the old route included. Only the full rung rolls back
+// to it, so it rebuilds from the pre-op grid; the cascade rung continues from
+// whatever the failed direct attempt left, which placeFlow has already
+// cleaned up. Returns the rung used and, when even the full rung fails, the
+// flow it could not place (-1 on success).
+func (d *deltaOp) place(f *flow.Flow, mark int) (Fallback, int, error) {
+	if d.placeFlow(f) {
+		return FallbackNone, -1, nil
+	}
+	if fb, ok := d.evictCascade(f); ok {
+		return fb, -1, nil
+	}
+	d.rollbackTo(mark)
+	return d.fullReschedule(withFlow(d.work, f))
 }
 
 // placeFlow places every instance of f against the current grid (everything
@@ -147,9 +329,10 @@ func (d *deltaOp) placeFlow(f *flow.Flow) bool {
 			return false
 		}
 	}
-	for _, tx := range d.sched.Txs()[base:] {
+	placed := d.sched.Txs()[base:]
+	d.ops = slices.Grow(d.ops, len(placed))
+	for _, tx := range placed {
 		d.ops = append(d.ops, deltaJournalEntry{place: true, tx: tx})
-		d.placeOps++
 	}
 	return true
 }
@@ -168,18 +351,12 @@ func (d *deltaOp) removeFlow(flowID int) int {
 		// fail.
 		_ = d.sched.Remove(tx)
 		d.ops = append(d.ops, deltaJournalEntry{tx: tx})
-		d.removeOps++
 	}
 	return len(txs)
 }
 
-// rollback replays the journal in reverse, restoring the schedule to its
-// pre-operation state.
-func (d *deltaOp) rollback() { d.rollbackTo(0) }
-
 // rollbackTo replays the journal suffix past mark in reverse, restoring the
-// schedule to its state when the journal held mark entries — the rollback
-// point of one operation inside a batch.
+// schedule to its state when the journal held mark entries.
 func (d *deltaOp) rollbackTo(mark int) {
 	for i := len(d.ops) - 1; i >= mark; i-- {
 		e := d.ops[i]
@@ -192,38 +369,37 @@ func (d *deltaOp) rollbackTo(mark int) {
 	d.ops = d.ops[:mark]
 }
 
-// changes nets the journal into a canonical delta: a transmission removed
-// and later re-placed in the same cell cancels out, so the diff is exactly
-// what the manager must disseminate.
-func (d *deltaOp) changes() []schedule.Change {
+// finish fills a successful result from the journal: the net diff — a
+// transmission removed and later re-placed in the same cell cancels out, so
+// it is exactly what the manager must disseminate — and the work counters.
+// Work an inner rollback undid is not counted.
+func (d *deltaOp) finish(res *DeltaResult) {
 	net := make(map[schedule.Tx]int, len(d.ops))
+	res.PlacementOps = d.replays
 	for _, e := range d.ops {
 		if e.place {
 			net[e.tx]++
+			res.PlacementOps++
 		} else {
 			net[e.tx]--
+			res.RemovalOps++
 		}
 	}
-	out := make([]schedule.Change, 0, len(net))
+	res.Changes = make([]schedule.Change, 0, len(net))
 	for tx, n := range net {
 		switch {
 		case n > 0:
-			out = append(out, schedule.Change{Kind: schedule.Added, Tx: tx})
+			res.Changes = append(res.Changes, schedule.Change{Kind: schedule.Added, Tx: tx})
 		case n < 0:
-			out = append(out, schedule.Change{Kind: schedule.Removed, Tx: tx})
+			res.Changes = append(res.Changes, schedule.Change{Kind: schedule.Removed, Tx: tx})
 		}
 	}
-	schedule.SortChanges(out)
-	return out
-}
-
-// finish fills the result's bookkeeping fields from the journal state.
-func (d *deltaOp) finish(res *DeltaResult) *DeltaResult {
+	schedule.SortChanges(res.Changes)
+	if len(d.evicted) > 0 {
+		slices.Sort(d.evicted)
+		res.Evicted = slices.Compact(d.evicted)
+	}
 	res.Schedulable = true
-	res.Changes = d.changes()
-	res.PlacementOps = d.placeOps
-	res.RemovalOps = d.removeOps
-	return res
 }
 
 // validateDeltaConfig checks the parts of cfg a delta operation relies on
@@ -272,131 +448,38 @@ func validateDeltaFlow(sched *schedule.Schedule, f *flow.Flow) error {
 	return nil
 }
 
-// AddFlowDelta admits flow f into a live schedule holding flows, descending
-// the repair ladder on infeasibility. Unlike AddFlow it accepts any priority
-// (ID) — an admission that preempts lower-criticality flows is resolved by
-// eviction or full reschedule rather than rejected. flows must be the
-// currently scheduled workload in priority order; it is not mutated.
-func AddFlowDelta(sched *schedule.Schedule, flows []*flow.Flow, f *flow.Flow, cfg Config) (*DeltaResult, error) {
-	start := time.Now()
-	if err := validateDeltaConfig(sched, cfg); err != nil {
-		return nil, err
-	}
-	if err := validateDeltaFlow(sched, f); err != nil {
-		return nil, err
-	}
-	for _, g := range flows {
-		if g.ID == f.ID {
-			return nil, fmt.Errorf("scheduler: flow %d already in the workload", f.ID)
+// findFlow returns the index of flow id in work, or -1.
+func findFlow(work []*flow.Flow, id int) int {
+	for i, g := range work {
+		if g.ID == id {
+			return i
 		}
 	}
-	for _, tx := range sched.Txs() {
-		if tx.FlowID == f.ID {
-			return nil, fmt.Errorf("scheduler: flow %d already scheduled", f.ID)
-		}
-	}
-	d := newDeltaOp(sched, cfg)
-	res, err := d.place(f, flows, 0)
-	if err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	flushDeltaMetrics(cfg.Metrics, "add", res)
-	return res, nil
+	return -1
 }
 
-// RemoveFlowDelta retires a flow from a live schedule, removing its
-// transmissions. Removal frees capacity, so it always succeeds; the result's
-// Changes is the pure-removal delta to disseminate. mets may be nil.
-func RemoveFlowDelta(sched *schedule.Schedule, flowID int, mets obs.Sink) (*DeltaResult, error) {
-	start := time.Now()
-	if sched == nil {
-		return nil, fmt.Errorf("scheduler: nil schedule")
-	}
-	d := &deltaOp{sched: sched}
-	if d.removeFlow(flowID) == 0 {
-		return nil, fmt.Errorf("scheduler: flow %d has no scheduled transmissions", flowID)
-	}
-	res := d.finish(&DeltaResult{FailedFlow: -1})
-	res.Elapsed = time.Since(start)
-	flushDeltaMetrics(mets, "remove", res)
-	return res, nil
+// withFlow returns a copy of the priority-ordered workload with f in it,
+// replacing any flow with f's ID.
+func withFlow(work []*flow.Flow, f *flow.Flow) []*flow.Flow {
+	return setFlow(append(make([]*flow.Flow, 0, len(work)+1), work...), f.ID, f)
 }
 
-// RerouteFlowDelta moves flow flowID onto newRoute, re-placing only that
-// flow's transmissions and descending the repair ladder on infeasibility.
-// The flow's TxBudget rides along, refitted to the new route by
-// flow.AdaptBudget, so a re-budgeted (or shed) flow keeps its concession
-// through a detour of any length. flows must be the currently scheduled
-// workload in priority order and contain the flow; neither it nor the flow
-// is mutated — on success the caller updates the flow's Route (and TxBudget,
-// via flow.AdaptBudget, when one is installed).
-func RerouteFlowDelta(sched *schedule.Schedule, flows []*flow.Flow, flowID int, newRoute []flow.Link, cfg Config) (*DeltaResult, error) {
-	start := time.Now()
-	if err := validateDeltaConfig(sched, cfg); err != nil {
-		return nil, err
+// setFlow updates the priority-ordered workload in place: flow id is
+// replaced by f, or removed when f is nil; an f not yet present is inserted
+// at its priority position.
+func setFlow(work []*flow.Flow, id int, f *flow.Flow) []*flow.Flow {
+	i := findFlow(work, id)
+	switch {
+	case f == nil && i >= 0:
+		return slices.Delete(work, i, i+1)
+	case f == nil:
+		return work
+	case i >= 0:
+		work[i] = f
+		return work
 	}
-	var orig *flow.Flow
-	for _, g := range flows {
-		if g.ID == flowID {
-			orig = g
-			break
-		}
-	}
-	if orig == nil {
-		return nil, fmt.Errorf("scheduler: flow %d not in the workload", flowID)
-	}
-	moved := *orig
-	moved.Route = append([]flow.Link(nil), newRoute...)
-	moved.TxBudget = flow.AdaptBudget(orig.TxBudget, len(newRoute))
-	if err := validateDeltaFlow(sched, &moved); err != nil {
-		return nil, err
-	}
-	others := make([]*flow.Flow, 0, len(flows)-1)
-	for _, g := range flows {
-		if g.ID != flowID {
-			others = append(others, g)
-		}
-	}
-	d := newDeltaOp(sched, cfg)
-	d.removeFlow(flowID)
-	res, err := d.place(&moved, others, 0)
-	if err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	flushDeltaMetrics(cfg.Metrics, "reroute", res)
-	return res, nil
-}
-
-// place runs the repair ladder for flow f against a grid holding others
-// (plus any journaled mutations already performed, e.g. a reroute's
-// removal). mark is the journal length at the operation's start: rung 3
-// rolls back to it before rescheduling from scratch, so inside a batch only
-// this operation's mutations are undone. On total infeasibility the journal
-// is rolled back to mark and the schedule is left as it was at mark.
-func (d *deltaOp) place(f *flow.Flow, others []*flow.Flow, mark int) (*DeltaResult, error) {
-	res := &DeltaResult{FailedFlow: -1}
-	if d.placeFlow(f) {
-		return d.finish(res), nil
-	}
-	if evicted, ok := d.evictAndPlace(f, others); ok {
-		res.Fallback = FallbackEvict
-		res.Evicted = evicted
-		return d.finish(res), nil
-	}
-	// Budgeted cascade rung: restart from the operation's mark and let
-	// re-placement failures evict further colliders within the budget.
-	d.rollbackTo(mark)
-	if evicted, ok := d.evictCascade(f, others); ok {
-		res.Fallback = FallbackCascade
-		res.Evicted = evicted
-		return d.finish(res), nil
-	}
-	// Last rung: reschedule the whole mutated workload from scratch.
-	d.rollbackTo(mark)
-	res.Fallback = FallbackFull
-	return d.fullReschedule(mutatedWorkload(others, f), res)
+	i = sort.Search(len(work), func(k int) bool { return work[k].ID > f.ID })
+	return slices.Insert(work, i, f)
 }
 
 // evictCand is one eviction candidate: a lower-criticality flow with
@@ -450,91 +533,47 @@ func (d *deltaOp) evictionCandidates(f *flow.Flow, byID map[int]*flow.Flow) []ev
 	return cands
 }
 
-// evictAndPlace is the scoped-repair rung: evict colliding
-// lower-criticality flows one at a time, retrying f's placement after each,
-// then re-place every evicted flow in priority order against the updated
-// grid. The set grows greedily from the most-blocking candidate, so the
-// eviction set stays near-minimal. Returns the evicted flow IDs in priority
-// order; ok=false leaves the journal un-rolled-back for the caller.
-func (d *deltaOp) evictAndPlace(f *flow.Flow, others []*flow.Flow) (evicted []int, ok bool) {
-	byID := make(map[int]*flow.Flow, len(others))
-	for _, g := range others {
-		byID[g.ID] = g
-	}
-	cands := d.evictionCandidates(f, byID)
-	if len(cands) == 0 {
-		return nil, false
-	}
-	var out []*flow.Flow
-	placed := false
-	for _, c := range cands {
-		g := byID[c.id]
-		d.removeFlow(g.ID)
-		out = append(out, g)
-		if d.placeFlow(f) {
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		return nil, false
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	ids := make([]int, 0, len(out))
-	for _, g := range out {
-		if !d.placeFlow(g) {
-			return nil, false
-		}
-		ids = append(ids, g.ID)
-	}
-	return ids, true
-}
-
 // cascadeBudget bounds the total number of evictions one cascade descent may
 // perform. The bound is what keeps the rung cheaper than a full reschedule:
 // each eviction costs one removal plus one bounded re-placement attempt, so
 // the rung's work stays O(budget · flow), independent of network size.
 const cascadeBudget = 16
 
-// evictCascade is the budgeted middle rung between scoped eviction and full
-// reschedule. It generalizes evictAndPlace: pending flows are re-placed
-// highest-criticality (lowest ID) first, and when a re-placement fails its
-// own strictly-lower-criticality colliders are evicted in turn — rung 2
-// aborts there — until everything is placed or the eviction budget is spent.
-// Every evicted flow has a strictly higher ID than the flow it was evicted
-// for, so transitively no eviction ever outranks the delta flow itself.
-// Termination: each loop iteration either places a pending flow or consumes
-// budget; ok=false leaves the journal for the caller to roll back.
-func (d *deltaOp) evictCascade(f *flow.Flow, others []*flow.Flow) (evicted []int, ok bool) {
-	byID := make(map[int]*flow.Flow, len(others))
-	for _, g := range others {
+// evictCascade is the middle rung, entered after f's direct placement
+// failed. It evicts f's colliders one at a time (most blocking first),
+// retrying f after each, so the eviction set grows greedily and stays
+// near-minimal. The evicted flows are then re-placed highest-criticality
+// (lowest ID) first; a re-placement that fails evicts its own colliders the
+// same way. Every evicted flow has a strictly higher ID than the flow it was
+// evicted for, so transitively no eviction ever outranks f. Termination:
+// each iteration either places a pending flow or consumes budget. Returns
+// FallbackCascade when any eviction was transitive, FallbackEvict otherwise;
+// ok=false leaves the journal for the caller to roll back.
+func (d *deltaOp) evictCascade(f *flow.Flow) (fb Fallback, ok bool) {
+	byID := make(map[int]*flow.Flow, len(d.work))
+	for _, g := range d.work {
 		byID[g.ID] = g
 	}
-	pending := []*flow.Flow{f}
 	budget := cascadeBudget
-	evictedSet := make(map[int]bool)
-	for len(pending) > 0 {
-		// Pop the highest-criticality pending flow.
-		best := 0
-		for i, g := range pending {
-			if g.ID < pending[best].ID {
-				best = i
+	fb = FallbackEvict
+	var pending []*flow.Flow
+	evictedBefore := len(d.evicted)
+	for g := f; g != nil; g = popHighest(&pending) {
+		if g != f {
+			if d.placeFlow(g) {
+				continue
 			}
-		}
-		g := pending[best]
-		pending = append(pending[:best], pending[best+1:]...)
-		if d.placeFlow(g) {
-			continue
+			fb = FallbackCascade
 		}
 		placed := false
 		for _, c := range d.evictionCandidates(g, byID) {
-			if budget <= 0 {
+			if budget == 0 {
 				break
 			}
+			budget--
 			h := byID[c.id]
 			d.removeFlow(h.ID)
-			budget--
-			evictedSet[h.ID] = true
+			d.evicted = append(d.evicted, h.ID)
 			pending = append(pending, h)
 			if d.placeFlow(g) {
 				placed = true
@@ -542,31 +581,36 @@ func (d *deltaOp) evictCascade(f *flow.Flow, others []*flow.Flow) (evicted []int
 			}
 		}
 		if !placed {
-			return nil, false
+			d.evicted = d.evicted[:evictedBefore]
+			return fb, false
 		}
 	}
-	ids := make([]int, 0, len(evictedSet))
-	for id := range evictedSet {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids, true
+	return fb, true
 }
 
-// mutatedWorkload is the post-operation flow set in priority order: others
-// plus f.
-func mutatedWorkload(others []*flow.Flow, f *flow.Flow) []*flow.Flow {
-	out := make([]*flow.Flow, 0, len(others)+1)
-	out = append(out, others...)
-	out = append(out, f)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// popHighest removes and returns the highest-criticality (lowest ID) flow of
+// pending, or nil when it is empty.
+func popHighest(pending *[]*flow.Flow) *flow.Flow {
+	p := *pending
+	if len(p) == 0 {
+		return nil
+	}
+	best := 0
+	for i, g := range p {
+		if g.ID < p[best].ID {
+			best = i
+		}
+	}
+	g := p[best]
+	*pending = append(p[:best], p[best+1:]...)
+	return g
 }
 
 // scratchPool recycles full-reschedule scratch grids across delta
-// operations. Rung 3 used to allocate a fresh grid per descent — the delta
-// path's single largest allocation under sustained churn; recycling one
-// scratch per P (GOMAXPROCS) keeps steady-state soak runs allocation-flat.
+// operations. The full rung used to allocate a fresh grid per descent — the
+// delta path's single largest allocation under sustained churn; recycling
+// one scratch per P (GOMAXPROCS) keeps steady-state soak runs
+// allocation-flat.
 var scratchPool sync.Pool
 
 // fullReschedule is the ladder's last rung: run the configured algorithm
@@ -575,10 +619,11 @@ var scratchPool sync.Pool
 // windows repeat exactly), then apply the net difference to the live
 // schedule. Because this rung is the from-scratch scheduler itself,
 // feasibility parity with a full reschedule holds by construction. The
-// caller must have rolled the journal back to this operation's starting
-// point first; the applied net is journaled so a batched operation can keep
-// building on top of a rung-3 repair and still roll the whole batch back.
-func (d *deltaOp) fullReschedule(mutated []*flow.Flow, res *DeltaResult) (*DeltaResult, error) {
+// caller must have rolled the journal back to this op's starting point
+// first; the applied net is journaled so a batch can keep building on top of
+// a full-rung repair and still roll the whole batch back. Returns the flow
+// the scratch run could not place, or -1.
+func (d *deltaOp) fullReschedule(mutated []*flow.Flow) (Fallback, int, error) {
 	fresh, _ := scratchPool.Get().(*schedule.Schedule)
 	var err error
 	if fresh != nil {
@@ -587,7 +632,7 @@ func (d *deltaOp) fullReschedule(mutated []*flow.Flow, res *DeltaResult) (*Delta
 		fresh, err = schedule.New(d.sched.NumSlots(), d.sched.NumOffsets(), d.sched.NumNodes())
 	}
 	if err != nil {
-		return nil, fmt.Errorf("scheduler: full reschedule: %w", err)
+		return FallbackFull, -1, fmt.Errorf("scheduler: full reschedule: %w", err)
 	}
 	defer scratchPool.Put(fresh)
 	hyper := d.sched.NumSlots()
@@ -600,47 +645,24 @@ func (d *deltaOp) fullReschedule(mutated []*flow.Flow, res *DeltaResult) (*Delta
 	for _, g := range mutated {
 		for inst := 0; inst < hyper/g.Period; inst++ {
 			if !eng.scheduleInstance(g, inst) {
-				res.Schedulable = false
-				res.FailedFlow = g.ID
-				return res, nil
+				return FallbackFull, g.ID, nil
 			}
 		}
 	}
 	changes, err := schedule.Diff(d.sched, fresh)
 	if err != nil {
-		return nil, fmt.Errorf("scheduler: full reschedule: %w", err)
+		return FallbackFull, -1, fmt.Errorf("scheduler: full reschedule: %w", err)
 	}
 	if err := schedule.Apply(d.sched, changes); err != nil {
-		return nil, fmt.Errorf("scheduler: full reschedule: %w", err)
+		return FallbackFull, -1, fmt.Errorf("scheduler: full reschedule: %w", err)
 	}
-	// Journal in Apply's execution order (removals before additions) so a
-	// reverse replay undoes the rung cleanly.
+	// Journal in Apply's execution order (the canonical order puts removals
+	// before additions) so a reverse replay undoes the rung cleanly.
 	for _, c := range changes {
-		if c.Kind == schedule.Removed {
-			d.ops = append(d.ops, deltaJournalEntry{tx: c.Tx})
-			d.removeOps++
-		}
+		d.ops = append(d.ops, deltaJournalEntry{place: c.Kind == schedule.Added, tx: c.Tx})
 	}
-	for _, c := range changes {
-		if c.Kind == schedule.Added {
-			d.ops = append(d.ops, deltaJournalEntry{place: true, tx: c.Tx})
-			d.placeOps++
-		}
-	}
-	res.Schedulable = true
-	res.FailedFlow = -1
-	res.Changes = changes
-	res.PlacementOps = fresh.Len()
-	res.RemovalOps = 0
-	for _, c := range changes {
-		switch c.Kind {
-		case schedule.Added:
-			res.PlacementOps++
-		case schedule.Removed:
-			res.RemovalOps++
-		}
-	}
-	return res, nil
+	d.replays += fresh.Len()
+	return FallbackFull, -1, nil
 }
 
 // flushDeltaMetrics pushes one operation's counters under the
@@ -659,6 +681,8 @@ func flushDeltaMetrics(m obs.Sink, op string, res *DeltaResult) {
 	switch res.Fallback {
 	case FallbackEvict:
 		m.Count(p+"fallback_evict", 1)
+	case FallbackCascade:
+		m.Count(p+"fallback_cascade", 1)
 	case FallbackFull:
 		m.Count(p+"fallback_full", 1)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"wsan/internal/flow"
 	"wsan/internal/graph"
+	"wsan/internal/obs"
 	"wsan/internal/routing"
 	"wsan/internal/schedule"
 	"wsan/internal/topology"
@@ -184,13 +185,27 @@ func TestRerouteFlowDeltaDirect(t *testing.T) {
 	}
 }
 
+// wantCounters checks the registry's counters against want.
+func wantCounters(t *testing.T, reg *obs.Registry, want map[string]int64) {
+	t.Helper()
+	for name, n := range want {
+		if got := reg.CounterValue(name); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
+		}
+	}
+}
+
+// TestAddFlowDeltaEviction pins the evict half of the label rule: the
+// cascade rung evicted only for the delta flow itself, so it reports
+// FallbackEvict and counts under fallback_evict.
 func TestAddFlowDeltaEviction(t *testing.T) {
 	_, hop := threeIslands()
 	// A lone low-criticality flow hogs island 0's early slots.
 	low := &flow.Flow{ID: 10, Src: 0, Dst: 2, Period: 100, Deadline: 100}
 	routeThrough(low, 0, 1, 2)
 	flows := []*flow.Flow{low}
-	cfg := Config{Algorithm: RC, NumChannels: 1, RhoT: 2, HopGR: hop}
+	reg := obs.NewRegistry()
+	cfg := Config{Algorithm: RC, NumChannels: 1, RhoT: 2, HopGR: hop, Metrics: reg}
 	sched := deltaBase(t, flows, cfg)
 	before := sched.Clone()
 
@@ -217,6 +232,11 @@ func TestAddFlowDeltaEviction(t *testing.T) {
 			t.Fatalf("high-criticality tx %+v past its deadline window", tx)
 		}
 	}
+	wantCounters(t, reg, map[string]int64{
+		"sched.incremental.fallback_evict":   1,
+		"sched.incremental.fallback_cascade": 0,
+		"sched.incremental.evictions":        1,
+	})
 }
 
 func TestAddFlowDeltaFullFallback(t *testing.T) {
@@ -251,11 +271,12 @@ func TestAddFlowDeltaFullFallback(t *testing.T) {
 	checkDelta(t, before, sched, res, mutated, cfg)
 }
 
-// TestAddFlowDeltaCascade exercises the budgeted middle rung: rung 2 evicts
-// flow B to admit the new flow, but B's own re-placement window is blocked by
-// flow C — which sits outside the new flow's instance window, so rung 2 can
-// never evict it and aborts. The cascade rung lets B's re-placement evict C
-// in turn, and C re-places in the free tail, so no full reschedule runs.
+// TestAddFlowDeltaCascade pins the cascade half of the label rule: evicting
+// flow B admits the new flow, but B's own re-placement window is blocked by
+// flow C — which sits outside the new flow's instance window, so only B's
+// re-placement can evict it. That transitive eviction labels the op
+// FallbackCascade, and C re-places in the free tail, so no full reschedule
+// runs.
 func TestAddFlowDeltaCascade(t *testing.T) {
 	// One link, one channel, four slots: b holds slot 0 (window [0,2)),
 	// c holds slot 1 (window [0,4)).
@@ -264,13 +285,20 @@ func TestAddFlowDeltaCascade(t *testing.T) {
 	c := &flow.Flow{ID: 20, Src: 0, Dst: 1, Period: 4, Deadline: 4}
 	routeThrough(c, 0, 1)
 	flows := []*flow.Flow{b, c}
-	cfg := Config{Algorithm: NR, NumChannels: 1}
+	reg := obs.NewRegistry()
+	cfg := Config{Algorithm: NR, NumChannels: 1, Metrics: reg}
 	sched := deltaBase(t, flows, cfg)
 	before := sched.Clone()
 
-	// The new top-criticality flow needs exactly slot 0.
+	// The new top-criticality flow needs exactly slot 0; c is outside that
+	// window, so it cannot be one of a's own eviction candidates.
 	a := &flow.Flow{ID: 0, Src: 0, Dst: 1, Period: 4, Deadline: 1}
 	routeThrough(a, 0, 1)
+	for _, tx := range before.Txs() {
+		if tx.FlowID == c.ID && tx.Slot < a.Deadline {
+			t.Fatalf("base put c in a's window (slot %d)", tx.Slot)
+		}
+	}
 	res, err := AddFlowDelta(sched, flows, a, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -290,6 +318,110 @@ func TestAddFlowDeltaCascade(t *testing.T) {
 			t.Fatalf("flow %d landed in slot %d, want %d", tx.FlowID, tx.Slot, wantSlots[tx.FlowID])
 		}
 	}
+	wantCounters(t, reg, map[string]int64{
+		"sched.incremental.fallback_evict":   0,
+		"sched.incremental.fallback_cascade": 1,
+		"sched.incremental.evictions":        2,
+	})
+}
+
+// rerouteCascadeBase builds the workload the reroute regression tests share.
+// Flow x (top criticality) moves from the one-hop 0→1 onto 0→3→1, whose
+// relay 3 is held across x's window [0,4) by b's three-attempt budget, so
+// direct placement fails. Evicting b admits x, but b's re-placement window
+// [0,5) then lacks a slot: node 4 is held at slot 3 by c, which only b's
+// re-placement can evict (x fits before its candidate list reaches c). The
+// op therefore lands on the cascade rung with a transitive eviction, and c
+// re-places in the free tail.
+//
+// The old route's transmission sits in slot 0, exactly where the new route
+// wants to start: a cascade that ran with the old route restored would
+// commit x on both routes at once.
+func rerouteCascadeBase(t *testing.T, reg *obs.Registry) (*schedule.Schedule, []*flow.Flow, Config) {
+	t.Helper()
+	x := &flow.Flow{ID: 0, Src: 0, Dst: 1, Period: 8, Deadline: 4}
+	routeThrough(x, 0, 1)
+	b := &flow.Flow{ID: 10, Src: 3, Dst: 4, Period: 8, Deadline: 5, TxBudget: []int{3}}
+	routeThrough(b, 3, 4)
+	c := &flow.Flow{ID: 20, Src: 4, Dst: 5, Period: 8, Deadline: 8}
+	routeThrough(c, 4, 5)
+	flows := []*flow.Flow{x, b, c}
+	cfg := Config{Algorithm: NR, NumChannels: 4, Metrics: reg}
+	return deltaBase(t, flows, cfg), flows, cfg
+}
+
+// moved returns a copy of f on route, as a successful reroute leaves it.
+func moved(f *flow.Flow, route []flow.Link) *flow.Flow {
+	m := *f
+	m.Route = route
+	m.TxBudget = flow.AdaptBudget(f.TxBudget, len(route))
+	return &m
+}
+
+// TestRerouteFlowDeltaCascade is the stale-cell regression: a reroute that
+// reaches the cascade rung must leave the flow with exactly its budgeted
+// transmissions, all on the new route (checkDelta's timing check), rather
+// than the old and new routes side by side.
+func TestRerouteFlowDeltaCascade(t *testing.T) {
+	sched, flows, cfg := rerouteCascadeBase(t, nil)
+	before := sched.Clone()
+	x := flows[0]
+	route := []flow.Link{{From: 0, To: 3}, {From: 3, To: 1}}
+	res, err := RerouteFlowDelta(sched, flows, x.ID, route, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fallback != FallbackCascade {
+		t.Fatalf("fallback = %v, want cascade", res.Fallback)
+	}
+	if want := []int{10, 20}; !reflect.DeepEqual(res.Evicted, want) {
+		t.Fatalf("evicted = %v, want %v", res.Evicted, want)
+	}
+	checkDelta(t, before, sched, res, []*flow.Flow{moved(x, route), flows[1], flows[2]}, cfg)
+}
+
+// TestApplyDeltaBatchRerouteCascade runs the same reroute as the second op
+// of a batch, so the op's journal mark is not the batch start. It also pins
+// that the batch result accumulates Evicted and reports it to the metrics.
+func TestApplyDeltaBatchRerouteCascade(t *testing.T) {
+	reg := obs.NewRegistry()
+	sched, flows, cfg := rerouteCascadeBase(t, reg)
+	before := sched.Clone()
+	x := flows[0]
+	z := &flow.Flow{ID: 30, Src: 2, Dst: 5, Period: 8, Deadline: 8}
+	routeThrough(z, 2, 5)
+	route := []flow.Link{{From: 0, To: 3}, {From: 3, To: 1}}
+	res, err := ApplyDeltaBatch(sched, flows, []BatchOp{
+		{Kind: BatchAdd, Flow: z},
+		{Kind: BatchReroute, FlowID: x.ID, Route: route},
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Fallback{FallbackNone, FallbackCascade}; !reflect.DeepEqual(res.Fallbacks, want) {
+		t.Fatalf("fallbacks = %v, want %v", res.Fallbacks, want)
+	}
+	if res.Fallback != FallbackCascade {
+		t.Fatalf("fallback = %v, want cascade", res.Fallback)
+	}
+	want := []*flow.Flow{moved(x, route), flows[1], flows[2], z}
+	checkDelta(t, before, sched, &res.DeltaResult, want, cfg)
+	if want := []int{10, 20}; !reflect.DeepEqual(res.Evicted, want) {
+		t.Fatalf("evicted = %v, want %v", res.Evicted, want)
+	}
+	if len(res.Flows) != len(want) {
+		t.Fatalf("post-batch workload has %d flows, want %d", len(res.Flows), len(want))
+	}
+	for i, g := range res.Flows {
+		if g.ID != want[i].ID || !reflect.DeepEqual(g.Route, want[i].Route) {
+			t.Fatalf("post-batch flow %d = %d on %v, want %d on %v", i, g.ID, g.Route, want[i].ID, want[i].Route)
+		}
+	}
+	wantCounters(t, reg, map[string]int64{
+		"sched.incremental.batch_ops":        1,
+		"sched.incremental.fallback_cascade": 1,
+		"sched.incremental.evictions":        2,
+	})
 }
 
 // TestAddFlowDeltaCascadeBudget builds an eviction chain longer than
@@ -550,7 +682,7 @@ func TestDeltaPropertyRandomChurn(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d step %d: add: %v", seed, step, err)
 				}
-				mutated := mutatedWorkload(workload, f)
+				mutated := withFlow(workload, f)
 				if res.Schedulable {
 					workload = mutated
 					checkDelta(t, before, sched, res, workload, cfg)
@@ -709,7 +841,7 @@ func TestEvictionCandidatesDeterministic(t *testing.T) {
 	}
 	want := []int{22, 21, 20, 14, 13, 12, 11, 10, 33, 32, 31, 30}
 	for iter := 0; iter < 50; iter++ {
-		d := newDeltaOp(sched, cfg)
+		d := newDeltaOp(sched, cfg, flows)
 		cands := d.evictionCandidates(f, byID)
 		got := make([]int, len(cands))
 		for i, c := range cands {
@@ -724,5 +856,23 @@ func TestEvictionCandidatesDeterministic(t *testing.T) {
 				t.Fatalf("iter %d: ranking invariant broken at %d: %+v before %+v", iter, i, a, b)
 			}
 		}
+	}
+}
+
+// TestApplyDeltaBatchErrorRollsBack: an op that fails validation after
+// earlier ops of its batch have mutated the grid must leave the schedule
+// exactly as the batch found it.
+func TestApplyDeltaBatchErrorRollsBack(t *testing.T) {
+	sched, flows, cfg := rerouteCascadeBase(t, nil)
+	before := sched.Clone()
+	_, err := ApplyDeltaBatch(sched, flows, []BatchOp{
+		{Kind: BatchRemove, FlowID: flows[1].ID},
+		{Kind: BatchReroute, FlowID: 42, Route: flows[0].Route},
+	}, cfg)
+	if err == nil {
+		t.Fatal("reroute of an unknown flow accepted")
+	}
+	if !reflect.DeepEqual(txSet(sched), txSet(before)) {
+		t.Fatal("failed batch left the earlier op's mutations in the schedule")
 	}
 }

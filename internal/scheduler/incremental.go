@@ -20,37 +20,14 @@ import (
 // is a full reschedule, not an incremental add.
 //
 // On success the schedule is mutated and the result reports the placement;
-// on a deadline miss the schedule is left exactly as it was.
+// on a deadline miss the schedule is left exactly as it was. Unlike
+// AddFlowDelta there is no repair ladder.
 func AddFlow(sched *schedule.Schedule, f *flow.Flow, cfg Config) (*Result, error) {
-	if sched == nil {
-		return nil, fmt.Errorf("scheduler: nil schedule")
+	if err := validateDeltaConfig(sched, cfg); err != nil {
+		return nil, err
 	}
-	if err := f.Validate(); err != nil {
-		return nil, fmt.Errorf("scheduler: %w", err)
-	}
-	if len(f.Route) == 0 {
-		return nil, fmt.Errorf("scheduler: flow %d has no route", f.ID)
-	}
-	if cfg.NumChannels != sched.NumOffsets() {
-		return nil, fmt.Errorf("scheduler: config has %d channels but schedule has %d offsets",
-			cfg.NumChannels, sched.NumOffsets())
-	}
-	switch cfg.Algorithm {
-	case NR:
-	case RA, RC:
-		if cfg.HopGR == nil {
-			return nil, fmt.Errorf("scheduler: %v requires the G_R hop matrix", cfg.Algorithm)
-		}
-		if cfg.RhoT < 1 {
-			return nil, fmt.Errorf("scheduler: %v requires RhoT ≥ 1, have %d", cfg.Algorithm, cfg.RhoT)
-		}
-	default:
-		return nil, fmt.Errorf("scheduler: unknown algorithm %v", cfg.Algorithm)
-	}
-	hyper := sched.NumSlots()
-	if f.Period <= 0 || hyper%f.Period != 0 {
-		return nil, fmt.Errorf("scheduler: flow period %d does not divide the slotframe %d",
-			f.Period, hyper)
+	if err := validateDeltaFlow(sched, f); err != nil {
+		return nil, err
 	}
 	for _, tx := range sched.Txs() {
 		if tx.FlowID == f.ID {
@@ -61,34 +38,14 @@ func AddFlow(sched *schedule.Schedule, f *flow.Flow, cfg Config) (*Result, error
 				f.ID, tx.FlowID)
 		}
 	}
-	for _, l := range f.Route {
-		if l.From >= sched.NumNodes() || l.To >= sched.NumNodes() {
-			return nil, fmt.Errorf("scheduler: flow %d route node outside schedule's node space", f.ID)
-		}
-	}
 
-	res := &Result{Schedule: sched, FailedFlow: -1}
-	if cfg.Algorithm == RC {
-		res.LambdaR = cfg.HopGR.Diameter()
-	}
-	eng := newEngine(cfg, sched, res.LambdaR)
+	d := newDeltaOp(sched, cfg, nil)
 	start := time.Now()
-	defer func() { eng.flushMetrics(time.Since(start)) }()
-	// Remember everything we place so a failure can roll back.
-	placedBefore := sched.Len()
-	for inst := 0; inst < hyper/f.Period; inst++ {
-		if !eng.scheduleInstance(f, inst) {
-			// Roll back this flow's placements.
-			txs := append([]schedule.Tx(nil), sched.Txs()[placedBefore:]...)
-			for _, tx := range txs {
-				if err := sched.Remove(tx); err != nil {
-					return nil, fmt.Errorf("scheduler: rollback: %w", err)
-				}
-			}
-			res.Schedulable = false
-			res.FailedFlow = f.ID
-			return res, nil
-		}
+	defer func() { d.eng.flushMetrics(time.Since(start)) }()
+	res := &Result{Schedule: sched, FailedFlow: -1, LambdaR: d.eng.lambdaR}
+	if !d.placeFlow(f) {
+		res.FailedFlow = f.ID
+		return res, nil
 	}
 	res.Schedulable = true
 	return res, nil

@@ -42,7 +42,8 @@ func routeThrough(f *flow.Flow, nodes ...int) {
 }
 
 // checkTiming verifies release, deadline, and sequencing invariants for all
-// transmissions of a schedulable result.
+// transmissions of a schedulable result, and that every instance holds
+// exactly its budgeted transmissions, each on the flow's route.
 func checkTiming(t *testing.T, flows []*flow.Flow, res *Result, attempts int) {
 	t.Helper()
 	byID := make(map[int]*flow.Flow, len(flows))
@@ -59,7 +60,7 @@ func checkTiming(t *testing.T, flows []*flow.Flow, res *Result, attempts int) {
 		if f == nil {
 			t.Fatalf("unknown flow %d in schedule", k.flowID)
 		}
-		want := len(f.Route) * attempts
+		want := f.TotalAttempts(attempts)
 		if len(txs) != want {
 			t.Fatalf("flow %d inst %d: %d transmissions, want %d", k.flowID, k.inst, len(txs), want)
 		}
@@ -73,6 +74,9 @@ func checkTiming(t *testing.T, flows []*flow.Flow, res *Result, attempts int) {
 		deadline := release + f.Deadline - 1
 		prev := release - 1
 		for _, tx := range txs {
+			if tx.Hop >= len(f.Route) || tx.Link != f.Route[tx.Hop] {
+				t.Fatalf("flow %d inst %d: tx %+v is off the flow's route", k.flowID, k.inst, tx)
+			}
 			if tx.Slot <= prev {
 				t.Fatalf("flow %d inst %d: slot %d not after predecessor %d", k.flowID, k.inst, tx.Slot, prev)
 			}

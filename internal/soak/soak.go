@@ -19,8 +19,11 @@
 // the oracle grid replays the pending log suffix through the same delta
 // APIs and the two schedules' canonical digests must match exactly. Any
 // divergence — a stale index, a leaked arena cell, a journal that rolled
-// back incompletely — fails the run. Progress and counters are emitted
-// under the "sched.churn." metric prefix.
+// back incompletely — fails the run. Because both grids run the same
+// scheduler, each checkpoint also audits the live grid against the
+// harness's own workload record with code that shares nothing with the
+// scheduler (see audit). Progress and counters are emitted under the
+// "sched.churn." metric prefix.
 package soak
 
 import (
@@ -686,9 +689,53 @@ func (s *state) oracleCheck() error {
 	if err := s.sched.Validate(s.pcfg.HopGR, RhoT); err != nil {
 		return fmt.Errorf("soak oracle: live schedule invalid: %w", err)
 	}
+	if err := audit(s.sched, s.active); err != nil {
+		return fmt.Errorf("soak audit after %d applied deltas: %w", s.res.Applied, err)
+	}
 	s.res.OracleChecks++
 	if s.cfg.Metrics != nil {
 		s.cfg.Metrics.Count("sched.churn.oracle_checks", 1)
+	}
+	return nil
+}
+
+// audit checks the raw transmission list against the harness's own record
+// of the active workload, sharing no code with the scheduler (the replay
+// oracle cannot catch a bug both grids share): every transmission belongs
+// to an active flow and sits on that flow's current route at its hop index,
+// and every hop of every active flow holds exactly one transmission per
+// instance and budgeted attempt (one attempt when no budget is installed —
+// the harness schedules without retransmission).
+func audit(sched *schedule.Schedule, active []*flow.Flow) error {
+	perHop := make(map[int][]int, len(active))
+	byID := make(map[int]*flow.Flow, len(active))
+	for _, f := range active {
+		if len(f.TxBudget) > 0 && len(f.TxBudget) != len(f.Route) {
+			return fmt.Errorf("flow %d has a %d-hop budget on a %d-hop route", f.ID, len(f.TxBudget), len(f.Route))
+		}
+		byID[f.ID] = f
+		perHop[f.ID] = make([]int, len(f.Route))
+	}
+	for _, tx := range sched.Txs() {
+		f := byID[tx.FlowID]
+		if f == nil {
+			return fmt.Errorf("transmission %+v belongs to inactive flow %d", tx, tx.FlowID)
+		}
+		if tx.Hop < 0 || tx.Hop >= len(f.Route) || tx.Link != f.Route[tx.Hop] {
+			return fmt.Errorf("flow %d transmission %+v is off its current route %v", f.ID, tx, f.Route)
+		}
+		perHop[f.ID][tx.Hop]++
+	}
+	for _, f := range active {
+		for h, n := range perHop[f.ID] {
+			want := sched.NumSlots() / f.Period
+			if len(f.TxBudget) > 0 {
+				want *= f.TxBudget[h]
+			}
+			if n != want {
+				return fmt.Errorf("flow %d hop %d holds %d transmissions, want %d", f.ID, h, n, want)
+			}
+		}
 	}
 	return nil
 }

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"wsan/internal/flow"
 	"wsan/internal/obs"
+	"wsan/internal/schedule"
 )
 
 // smokeConfig is a scaled-down operating point that still exercises every
@@ -238,5 +240,56 @@ func TestPercentileDoesNotMutateSamples(t *testing.T) {
 	// Interleaved progress/report reads over the permuted buffer agree.
 	if p1, p2 := percentile(samples, 99), percentile(samples, 99); p1 != p2 {
 		t.Fatalf("repeated percentile(99) disagree: %v vs %v", p1, p2)
+	}
+}
+
+// TestAuditCatchesLeaks checks the checkpoint audit on a hand-built grid:
+// it passes a consistent schedule and rejects each kind of leak it exists
+// to catch — a cell left on an old route, a missing or extra budgeted
+// attempt, and a transmission of a flow no longer active.
+func TestAuditCatchesLeaks(t *testing.T) {
+	f := &flow.Flow{ID: 3, Src: 0, Dst: 2, Period: 4, Deadline: 4,
+		Route: []flow.Link{{From: 0, To: 1}, {From: 1, To: 2}}, TxBudget: []int{2, 1}}
+	build := func(extra ...schedule.Tx) *schedule.Schedule {
+		t.Helper()
+		s, err := schedule.New(8, 2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs := []schedule.Tx{}
+		for inst := 0; inst < 2; inst++ {
+			base := 4 * inst
+			txs = append(txs,
+				schedule.Tx{FlowID: 3, Instance: inst, Hop: 0, Attempt: 0, Link: f.Route[0], Slot: base},
+				schedule.Tx{FlowID: 3, Instance: inst, Hop: 0, Attempt: 1, Link: f.Route[0], Slot: base + 1},
+				schedule.Tx{FlowID: 3, Instance: inst, Hop: 1, Attempt: 0, Link: f.Route[1], Slot: base + 2})
+		}
+		for _, tx := range append(txs, extra...) {
+			if err := s.Place(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	active := []*flow.Flow{f}
+	if err := audit(build(), active); err != nil {
+		t.Fatalf("consistent grid rejected: %v", err)
+	}
+	leaks := map[string]schedule.Tx{
+		"old route":     {FlowID: 3, Instance: 0, Hop: 0, Attempt: 2, Link: flow.Link{From: 0, To: 3}, Slot: 3},
+		"extra attempt": {FlowID: 3, Instance: 0, Hop: 1, Attempt: 1, Link: f.Route[1], Slot: 3},
+		"inactive flow": {FlowID: 9, Instance: 0, Hop: 0, Link: flow.Link{From: 3, To: 0}, Slot: 3},
+	}
+	for name, tx := range leaks {
+		if err := audit(build(tx), active); err == nil {
+			t.Errorf("%s: leak not caught", name)
+		}
+	}
+	missing := build()
+	if err := missing.Remove(missing.Txs()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := audit(missing, active); err == nil {
+		t.Error("missing attempt not caught")
 	}
 }

@@ -228,12 +228,14 @@ type DeltaResult = scheduler.DeltaResult
 // DeltaFallback names the repair rung an incremental operation descended to.
 type DeltaFallback = scheduler.Fallback
 
-// Delta-scheduler repair rungs, mildest first.
+// Delta-scheduler repair outcomes, mildest first. Evict and Cascade label
+// the same budgeted eviction rung: Evict when every evicted flow made room
+// for the delta flow itself, Cascade when a re-placement evicted further.
 const (
 	// DeltaFallbackNone: the delta placed directly against the pinned grid.
 	DeltaFallbackNone = scheduler.FallbackNone
 	// DeltaFallbackEvict: lower-criticality colliding flows were evicted and
-	// re-placed to make room.
+	// re-placed to make room, none of them transitively.
 	DeltaFallbackEvict = scheduler.FallbackEvict
 	// DeltaFallbackCascade: evictions cascaded within a bounded budget while
 	// re-placing, before any full reschedule.

@@ -42,9 +42,16 @@ soak-smoke:
 
 # lint runs go vet always and staticcheck when it is on PATH. Locally the
 # staticcheck half degrades to a notice so a bare toolchain still passes;
-# the GitHub workflow installs staticcheck, making it blocking there.
+# the GitHub workflow installs staticcheck, making it blocking there. It
+# also enforces that wsanclient imports no other package of this module:
+# the daemon encodes the client's wire types, so the dependency must only
+# ever point from the server to the client.
 lint:
 	$(GO) vet ./...
+	@deps=$$($(GO) list -deps ./wsanclient | grep -E '^wsan(/|$$)' | grep -vx 'wsan/wsanclient'); \
+	if [ -n "$$deps" ]; then \
+		echo "wsanclient must depend on the standard library only; it pulls in:"; \
+		echo "$$deps"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -42,7 +42,6 @@ import (
 	"wsan/internal/experiment"
 	"wsan/internal/obs"
 	"wsan/internal/scheduler"
-	"wsan/internal/topology"
 )
 
 func main() {
@@ -308,16 +307,7 @@ func render(t *experiment.Table, format string) error {
 }
 
 func runTopo(name string, seed int64, asJSON bool, opt experiment.Options, mets obs.Sink) error {
-	var tb *topology.Testbed
-	var err error
-	switch name {
-	case "indriya":
-		tb, err = topology.Indriya(seed)
-	case "wustl":
-		tb, err = topology.WUSTL(seed)
-	default:
-		return fmt.Errorf("unknown testbed %q (want indriya or wustl)", name)
-	}
+	tb, err := makeTestbed(name, seed)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+
+	"wsan"
 )
 
 func TestRunErrors(t *testing.T) {
@@ -101,9 +103,14 @@ func TestRenderFormats(t *testing.T) {
 
 func TestParseAlgorithmAll(t *testing.T) {
 	for _, s := range []string{"nr", "ra", "rc"} {
-		if _, err := parseAlgorithm(s); err != nil {
-			t.Errorf("parseAlgorithm(%q): %v", s, err)
+		if _, err := wsan.ParseAlgorithm(s); err != nil {
+			t.Errorf("ParseAlgorithm(%q): %v", s, err)
 		}
+	}
+	// The CLI quotes the parser's message verbatim.
+	err := run([]string{"gen-schedule", "-alg", "xx", "-out", t.TempDir()})
+	if err == nil || err.Error() != `unknown algorithm "xx" (want nr, ra, or rc)` {
+		t.Errorf("unknown -alg: %v", err)
 	}
 }
 

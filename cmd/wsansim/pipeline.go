@@ -54,11 +54,11 @@ func runGenSchedule(args []string, mets obs.Sink) error {
 	if err != nil {
 		return err
 	}
-	tr, err := parseTraffic(*traffic)
+	tr, err := wsan.ParseTraffic(*traffic)
 	if err != nil {
 		return err
 	}
-	algorithm, err := parseAlgorithm(*alg)
+	algorithm, err := wsan.ParseAlgorithm(*alg)
 	if err != nil {
 		return err
 	}
@@ -222,39 +222,13 @@ func loadFaults(path string) (*wsan.FaultScenario, error) {
 	return sc, nil
 }
 
+// makeTestbed generates the named preset testbed (the -testbed flag).
 func makeTestbed(name string, seed int64) (*wsan.Testbed, error) {
-	switch name {
-	case "indriya":
-		return wsan.GenerateIndriya(seed)
-	case "wustl":
-		return wsan.GenerateWUSTL(seed)
-	default:
+	generate, ok := wsan.TestbedPreset(name)
+	if !ok {
 		return nil, fmt.Errorf("unknown testbed %q (want indriya or wustl)", name)
 	}
-}
-
-func parseTraffic(s string) (wsan.Traffic, error) {
-	switch s {
-	case "p2p":
-		return wsan.PeerToPeer, nil
-	case "centralized":
-		return wsan.Centralized, nil
-	default:
-		return 0, fmt.Errorf("unknown traffic %q (want p2p or centralized)", s)
-	}
-}
-
-func parseAlgorithm(s string) (wsan.Algorithm, error) {
-	switch s {
-	case "nr":
-		return wsan.NR, nil
-	case "ra":
-		return wsan.RA, nil
-	case "rc":
-		return wsan.RC, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want nr, ra, or rc)", s)
-	}
+	return generate(seed)
 }
 
 func writeArtifact(dir, name string, encode func(io.Writer) error) error {

@@ -35,7 +35,7 @@ func runReschedule(args []string, mets obs.Sink) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	algorithm, err := parseAlgorithm(*alg)
+	algorithm, err := wsan.ParseAlgorithm(*alg)
 	if err != nil {
 		return err
 	}

@@ -13,111 +13,17 @@ import (
 	"time"
 
 	"wsan/internal/obs"
+	"wsan/wsanclient"
 )
 
-// Event is one entry of the daemon's telemetry stream: a job lifecycle
-// transition, a per-iteration manage health verdict, an applied fault batch,
-// or a periodic metrics delta. Events carry a strictly increasing sequence
-// number per daemon; a subscriber that reconnects resumes after the last
-// sequence it saw (SSE Last-Event-ID). A gap between consecutive sequence
-// numbers observed on one subscription means events were dropped for that
-// subscriber (slow consumer) or evicted from the replay ring between
-// reconnects.
-type Event struct {
-	// Seq is the daemon-wide sequence number (1-based, strictly increasing).
-	Seq uint64 `json:"seq"`
-	// Type names the event ("job.running", "manage.health", ...).
-	Type string `json:"type"`
-	// Time is when the event was published.
-	Time time.Time `json:"time"`
-	// Network and Job scope the event to its producer where applicable.
-	Network string `json:"network,omitempty"`
-	Job     string `json:"job,omitempty"`
-	// Data is the type-specific payload document.
-	Data json.RawMessage `json:"data,omitempty"`
-}
-
-// Event types of the v1 stream. Job lifecycle events carry a JobView as
-// Data; their names are "job." + the wire job state.
-const (
-	// EventJobQueued .. EventJobCancelled mirror the job lifecycle states.
-	EventJobQueued    = "job.queued"
-	EventJobRunning   = "job.running"
-	EventJobDone      = "job.done"
-	EventJobFailed    = "job.failed"
-	EventJobCancelled = "job.cancelled"
-	// EventJobSnapshot primes a per-job subscription with the job's current
-	// view before live events follow. It is synthesized per subscriber and
-	// carries no sequence number (it is not resumable state).
-	EventJobSnapshot = "job.snapshot"
-	// EventManageHealth is one manage-loop iteration's health verdict plus
-	// the recovery actions taken (ManageHealth payload).
-	EventManageHealth = "manage.health"
-	// EventFaultCounts reports fault events a simulation applied, flushed
-	// once per observation run (FaultCountsDelta payload).
-	EventFaultCounts = "faults.applied"
-	// EventSoakProgress is a live throughput snapshot of a running soak job
-	// (wsan.SoakProgress payload).
-	EventSoakProgress = "soak.progress"
-	// EventMetricsDelta is the periodic counter delta since the previous
-	// delta (MetricsDelta payload). Published on the firehose only.
-	EventMetricsDelta = "metrics.delta"
-	// EventCacheEvict reports one artifact evicted from the store — by the
-	// byte budget ("capacity") or by expiry ("ttl") — with a
-	// storage.Eviction payload. Published on the firehose only.
-	EventCacheEvict = "cache.evicted"
-)
-
-// TerminalEvent reports whether typ marks the end of a job's lifecycle —
-// the event after which a per-job stream closes.
-func TerminalEvent(typ string) bool {
-	return typ == EventJobDone || typ == EventJobFailed || typ == EventJobCancelled
-}
-
-// ManageHealth is the Data payload of an EventManageHealth event: one
-// observe→classify→repair cycle's verdict and recovery actions.
-type ManageHealth struct {
-	Iteration       int     `json:"iteration"`
-	Health          string  `json:"health"` // "healthy", "degraded", "recovered"
-	MinPDR          float64 `json:"minPDR"`
-	MeanPDR         float64 `json:"meanPDR"`
-	DegradedLinks   int     `json:"degradedLinks"`
-	DegradedFlows   []int   `json:"degradedFlows,omitempty"`
-	Moved           int     `json:"moved"`
-	Unmovable       int     `json:"unmovable"`
-	Rerouted        int     `json:"rerouted"`
-	SuspectNodes    []int   `json:"suspectNodes,omitempty"`
-	Blacklisted     []int   `json:"blacklisted,omitempty"`
-	Rehabilitated   []int   `json:"rehabilitated,omitempty"`
-	Channels        []int   `json:"channels"`
-	DeltaChanges    int     `json:"deltaChanges"`
-	AffectedDevices int     `json:"affectedDevices"`
-
-	// Reliability re-budgeting outcome of the iteration (zero values when
-	// the workload carries no delivery-probability targets).
-	Rebudgeted  int              `json:"rebudgeted,omitempty"`
-	RetriesShed int              `json:"retriesShed,omitempty"`
-	ShedFlows   []int            `json:"shedFlows,omitempty"`
-	Shortfalls  []ShortfallEvent `json:"shortfalls,omitempty"`
-}
-
-// ShortfallEvent is the wire form of one reliability shortfall: a targeted
-// flow whose best-effort retransmission budget cannot reach its TargetPDR
-// under the observed link PRRs.
-type ShortfallEvent struct {
-	Flow      int     `json:"flow"`
-	Target    float64 `json:"target"`
-	Predicted float64 `json:"predicted"`
-}
-
-// FaultCountsDelta is the Data payload of an EventFaultCounts event: one
+// FaultCountsDelta is the Data payload of a faults.applied event: one
 // "faults.*" counter flush from a simulation run under a fault scenario.
 type FaultCountsDelta struct {
 	Counter string `json:"counter"`
 	Delta   int64  `json:"delta"`
 }
 
-// MetricsDelta is the Data payload of an EventMetricsDelta event: the
+// MetricsDelta is the Data payload of a metrics.delta event: the
 // counters that changed since the previous delta (the first delta after a
 // subscriber attaches reports absolute values), plus the current gauges.
 type MetricsDelta struct {
@@ -135,7 +41,7 @@ var ErrBusClosed = errors.New("server: event bus closed")
 // the consumer as gaps in the sequence numbers.
 type Subscriber struct {
 	bus     *Bus
-	ch      chan Event
+	ch      chan wsanclient.Event
 	job     string // "" subscribes to everything (firehose)
 	dropped int64  // guarded by bus.mu
 	closed  bool   // guarded by bus.mu
@@ -143,7 +49,7 @@ type Subscriber struct {
 
 // Events returns the subscriber's delivery channel. The channel is closed
 // when the subscriber or the bus closes.
-func (s *Subscriber) Events() <-chan Event { return s.ch }
+func (s *Subscriber) Events() <-chan wsanclient.Event { return s.ch }
 
 // Dropped returns how many events were dropped for this subscriber.
 func (s *Subscriber) Dropped() int64 {
@@ -200,7 +106,7 @@ type Bus struct {
 	mu     sync.Mutex
 	seq    uint64
 	subs   map[*Subscriber]struct{}
-	ring   []Event // bounded history, oldest first
+	ring   []wsanclient.Event // bounded history, oldest first
 	closed bool
 }
 
@@ -253,7 +159,7 @@ func (b *Bus) Subscribe(opts SubscribeOptions) (*Subscriber, error) {
 	if buf <= 0 {
 		buf = b.bufCap
 	}
-	var replay []Event
+	var replay []wsanclient.Event
 	if opts.AfterSeq > 0 {
 		for _, e := range b.ring {
 			if e.Seq > opts.AfterSeq && (opts.Job == "" || opts.Job == e.Job) {
@@ -264,7 +170,7 @@ func (b *Bus) Subscribe(opts SubscribeOptions) (*Subscriber, error) {
 	if buf < len(replay) {
 		buf = len(replay)
 	}
-	sub := &Subscriber{bus: b, ch: make(chan Event, buf), job: opts.Job}
+	sub := &Subscriber{bus: b, ch: make(chan wsanclient.Event, buf), job: opts.Job}
 	for _, e := range replay {
 		sub.ch <- e
 	}
@@ -296,7 +202,7 @@ func (b *Bus) Publish(typ, network, job string, payload any) {
 		}
 		data = d
 	}
-	e := Event{Type: typ, Time: time.Now(), Network: network, Job: job, Data: data}
+	e := wsanclient.Event{Type: typ, Time: time.Now(), Network: network, Job: job, Data: data}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -362,7 +268,7 @@ type faultsTap struct {
 
 func (t *faultsTap) Count(name string, delta int64) {
 	if delta != 0 && strings.HasPrefix(name, "faults.") {
-		t.bus.Publish(EventFaultCounts, t.network, t.job, FaultCountsDelta{Counter: name, Delta: delta})
+		t.bus.Publish(wsanclient.EventFaultCounts, t.network, t.job, FaultCountsDelta{Counter: name, Delta: delta})
 	}
 }
 
@@ -378,7 +284,7 @@ func (s *Server) jobTransition(j *Job) {
 		return
 	}
 	v := j.View()
-	s.bus.Publish("job."+v.State.String(), v.Network, v.ID, v)
+	s.bus.Publish("job."+string(v.State), v.Network, v.ID, v)
 }
 
 // metricsLoop periodically publishes counter deltas to firehose
@@ -412,7 +318,7 @@ func (s *Server) metricsLoop(interval time.Duration) {
 			if len(delta) == 0 {
 				continue
 			}
-			s.bus.Publish(EventMetricsDelta, "", "", MetricsDelta{Counters: delta, Gauges: snap.Gauges})
+			s.bus.Publish(wsanclient.EventMetricsDelta, "", "", MetricsDelta{Counters: delta, Gauges: snap.Gauges})
 		}
 	}
 }
@@ -499,8 +405,8 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, jobID string) 
 			return
 		}
 		v := j.View()
-		terminal = v.State != StateQueued && v.State != StateRunning
-		writeSSE(w, Event{Type: EventJobSnapshot, Time: time.Now(), Network: v.Network, Job: v.ID,
+		terminal = v.State.Terminal()
+		writeSSE(w, wsanclient.Event{Type: wsanclient.EventJobSnapshot, Time: time.Now(), Network: v.Network, Job: v.ID,
 			Data: mustMarshal(v)})
 		flusher.Flush()
 	}
@@ -534,7 +440,7 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, jobID string) 
 			}
 			writeSSE(w, ev)
 			flusher.Flush()
-			if jobID != "" && TerminalEvent(ev.Type) {
+			if jobID != "" && wsanclient.TerminalEvent(ev.Type) {
 				return
 			}
 		case <-heartbeat.C:
@@ -548,7 +454,7 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, jobID string) 
 // (driving Last-Event-ID resume), the event type, and the full event
 // document as data. Synthetic events (Seq 0, e.g. job.snapshot) carry no id
 // line so they never regress a client's resume cursor.
-func writeSSE(w io.Writer, ev Event) {
+func writeSSE(w io.Writer, ev wsanclient.Event) {
 	if ev.Seq > 0 {
 		fmt.Fprintf(w, "id: %d\n", ev.Seq)
 	}

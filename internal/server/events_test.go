@@ -1,9 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,9 +13,9 @@ import (
 )
 
 // collectN drains exactly n events from a subscriber or fails the test.
-func collectN(t *testing.T, sub *Subscriber, n int, timeout time.Duration) []Event {
+func collectN(t *testing.T, sub *Subscriber, n int, timeout time.Duration) []wsanclient.Event {
 	t.Helper()
-	out := make([]Event, 0, n)
+	out := make([]wsanclient.Event, 0, n)
 	deadline := time.After(timeout)
 	for len(out) < n {
 		select {
@@ -55,13 +55,13 @@ func TestBusFanOutOrdered(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < nEvents/nPublishers; i++ {
-				bus.Publish(EventJobQueued, "net", fmt.Sprintf("j%d-%d", p, i), nil)
+				bus.Publish(wsanclient.EventJobQueued, "net", fmt.Sprintf("j%d-%d", p, i), nil)
 			}
 		}(p)
 	}
 	wg.Wait()
 
-	var reference []Event
+	var reference []wsanclient.Event
 	for i, sub := range subs {
 		got := collectN(t, sub, nEvents, 5*time.Second)
 		for j := 1; j < len(got); j++ {
@@ -109,7 +109,7 @@ func TestBusSlowConsumerDropsWithoutBlocking(t *testing.T) {
 	const nEvents = 50
 	start := time.Now()
 	for i := 0; i < nEvents; i++ {
-		bus.Publish(EventJobQueued, "net", fmt.Sprintf("j%d", i), nil)
+		bus.Publish(wsanclient.EventJobQueued, "net", fmt.Sprintf("j%d", i), nil)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("publishing %d events past a stuck subscriber took %v", nEvents, elapsed)
@@ -140,7 +140,7 @@ func TestBusReplayAndResume(t *testing.T) {
 	primer.Close()
 
 	for i := 1; i <= 10; i++ {
-		bus.Publish(EventJobQueued, "net", fmt.Sprintf("j%d", i), nil)
+		bus.Publish(wsanclient.EventJobQueued, "net", fmt.Sprintf("j%d", i), nil)
 	}
 
 	// AfterSeq past the ring start: exact resume.
@@ -190,9 +190,9 @@ func TestBusReplayAndResume(t *testing.T) {
 func TestPublishInactiveAllocFree(t *testing.T) {
 	bus := NewBus(0, 0, obs.NewRegistry())
 	defer bus.Close()
-	var payload any = &ManageHealth{Iteration: 1, Health: "healthy"}
+	var payload any = &wsanclient.ManageHealth{Iteration: 1, Health: "healthy"}
 	allocs := testing.AllocsPerRun(1000, func() {
-		bus.Publish(EventManageHealth, "net", "j1", payload)
+		bus.Publish(wsanclient.EventManageHealth, "net", "j1", payload)
 	})
 	if allocs != 0 {
 		t.Fatalf("inactive Publish allocates %.1f per call, want 0", allocs)
@@ -209,7 +209,7 @@ func TestJobsPagination(t *testing.T) {
 	const nJobs = 5
 	ids := make([]string, 0, nJobs)
 	for i := 0; i < nJobs; i++ {
-		v, code := submit(t, ts, "plant", KindSchedule, map[string]any{
+		v, code := submit(t, ts, "plant", wsanclient.KindSchedule, map[string]any{
 			"flows": 3 + i, "alg": "rc", "seed": 100 + i,
 		})
 		if code != http.StatusAccepted {
@@ -223,8 +223,8 @@ func TestJobsPagination(t *testing.T) {
 	after := ""
 	for {
 		var page struct {
-			Jobs      []JobView `json:"jobs"`
-			NextAfter string    `json:"nextAfter"`
+			Jobs      []wsanclient.Job `json:"jobs"`
+			NextAfter string           `json:"nextAfter"`
 		}
 		url := ts.URL + "/v1/jobs?limit=2"
 		if after != "" {
@@ -261,8 +261,8 @@ func TestJobsPagination(t *testing.T) {
 
 	// limit=0 keeps the pre-pagination behavior: everything, no cursor.
 	var all struct {
-		Jobs      []JobView `json:"jobs"`
-		NextAfter string    `json:"nextAfter"`
+		Jobs      []wsanclient.Job `json:"jobs"`
+		NextAfter string           `json:"nextAfter"`
 	}
 	doJSON(t, http.MethodGet, ts.URL+"/v1/jobs", nil, &all)
 	if len(all.Jobs) != nJobs || all.NextAfter != "" {
@@ -289,8 +289,8 @@ func TestJobsPagination(t *testing.T) {
 	after = ""
 	for {
 		var page struct {
-			Artifacts []ArtifactView `json:"artifacts"`
-			NextAfter string         `json:"nextAfter"`
+			Artifacts []wsanclient.ArtifactInfo `json:"artifacts"`
+			NextAfter string                    `json:"nextAfter"`
 		}
 		url := ts.URL + "/v1/artifacts?limit=2"
 		if after != "" {
@@ -318,45 +318,39 @@ func TestJobsPagination(t *testing.T) {
 	}
 }
 
-func TestV1AliasesAndDeprecationHeaders(t *testing.T) {
+// TestUnversionedPathsNotFound: only /v1 is served. A former unversioned
+// alias falls through to the catch-all and answers the not_found envelope,
+// and no response advertises a deprecation.
+func TestUnversionedPathsNotFound(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
 
-	get := func(path string) *http.Response {
+	get := func(path string) (*http.Response, errorBody) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp
+		defer resp.Body.Close()
+		var env errorBody
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatalf("GET %s: status %d body is not the error envelope: %v", path, resp.StatusCode, err)
+			}
+		}
+		return resp, env
 	}
 
-	v1 := get("/v1/healthz")
-	if v1.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/healthz: status %d", v1.StatusCode)
+	if v1, _ := get("/v1/healthz"); v1.StatusCode != http.StatusOK || v1.Header.Get("Deprecation") != "" {
+		t.Fatalf("GET /v1/healthz: status %d, Deprecation %q", v1.StatusCode, v1.Header.Get("Deprecation"))
 	}
-	if d := v1.Header.Get("Deprecation"); d != "" {
-		t.Fatalf("/v1/healthz carries Deprecation: %q", d)
-	}
-
-	bare := get("/healthz")
-	if bare.StatusCode != http.StatusOK {
-		t.Fatalf("GET /healthz: status %d", bare.StatusCode)
-	}
-	if d := bare.Header.Get("Deprecation"); d != "true" {
-		t.Fatalf("unversioned alias Deprecation = %q, want \"true\"", d)
-	}
-	if l := bare.Header.Get("Link"); !strings.Contains(l, "/v1/healthz") || !strings.Contains(l, "successor-version") {
-		t.Fatalf("unversioned alias Link = %q, want successor-version pointer", l)
-	}
-
-	// Unknown paths get the JSON envelope, not the mux's plain-text 404.
-	var env errorBody
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/nope", nil, &env); code != http.StatusNotFound {
-		t.Fatalf("GET /v1/nope: status %d", code)
-	}
-	if env.Error.Code != codeNotFound {
-		t.Fatalf("GET /v1/nope: code %q, want %q", env.Error.Code, codeNotFound)
+	for _, path := range []string{"/healthz", "/jobs", "/networks", "/v1/nope"} {
+		resp, env := get(path)
+		if resp.StatusCode != http.StatusNotFound || env.Error.Code != codeNotFound {
+			t.Errorf("GET %s: status %d code %q, want 404 %q", path, resp.StatusCode, env.Error.Code, codeNotFound)
+		}
+		if d := resp.Header.Get("Deprecation"); d != "" {
+			t.Errorf("GET %s carries Deprecation: %q", path, d)
+		}
 	}
 }
 
@@ -380,6 +374,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"bad network body", http.MethodPost, "/v1/networks", map[string]any{"name": ""}, 400, codeInvalidRequest},
 		{"duplicate network", http.MethodPost, "/v1/networks", map[string]any{"name": "plant", "preset": "wustl", "channels": 4}, 409, codeConflict},
 		{"bad resume cursor", http.MethodGet, "/v1/events?lastEventID=bogus", nil, 400, codeInvalidRequest},
+		{"bad jobs cursor", http.MethodGet, "/v1/jobs?after=garbage", nil, 400, codeInvalidRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -425,7 +420,7 @@ func TestStreamedManageJob(t *testing.T) {
 	// AfterSeq=1 below replays the manage job's stream from its first event.
 	art := mustSchedule(t, ts, "plant")
 
-	mv, code := submit(t, ts, "plant", KindManage, map[string]any{
+	mv, code := submit(t, ts, "plant", wsanclient.KindManage, map[string]any{
 		"artifact": art, "maxIterations": 2, "epochSlots": 3000,
 	})
 	if code != http.StatusAccepted {
@@ -525,7 +520,7 @@ func TestSlowSubscriberDoesNotDelayJobs(t *testing.T) {
 	defer stuck.Close()
 	// Never read stuck.Events().
 
-	mv, code := submit(t, ts, "plant", KindManage, map[string]any{
+	mv, code := submit(t, ts, "plant", wsanclient.KindManage, map[string]any{
 		"artifact": art, "maxIterations": 2, "epochSlots": 3000,
 	})
 	if code != http.StatusAccepted {
@@ -534,7 +529,7 @@ func TestSlowSubscriberDoesNotDelayJobs(t *testing.T) {
 	start := time.Now()
 	done := poll(t, ts, mv.ID, 60*time.Second)
 	elapsed := time.Since(start)
-	if done.State != StateDone {
+	if done.State != wsanclient.StateDone {
 		t.Fatalf("manage finished %v (%s)", done.State, done.Error)
 	}
 	// The same job shape completes in a few seconds in TestConvergeAndManage
@@ -574,7 +569,7 @@ func TestFirehoseMetricsAndFaultEvents(t *testing.T) {
 
 	// A fault scenario makes the simulator flush faults.* counters, which
 	// the job's sink tap turns into faults.applied stream events.
-	mv, code := submit(t, ts, "plant", KindManage, map[string]any{
+	mv, code := submit(t, ts, "plant", wsanclient.KindManage, map[string]any{
 		"artifact": art, "maxIterations": 1, "epochSlots": 3000,
 		"faults": map[string]any{
 			"seed": 1,
@@ -586,13 +581,13 @@ func TestFirehoseMetricsAndFaultEvents(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("manage submit: status %d", code)
 	}
-	if done := poll(t, ts, mv.ID, 60*time.Second); done.State != StateDone {
+	if done := poll(t, ts, mv.ID, 60*time.Second); done.State != wsanclient.StateDone {
 		t.Fatalf("manage finished %v (%s)", done.State, done.Error)
 	}
 
 	seen := map[string]bool{}
 	deadline := time.After(10 * time.Second)
-	for !(seen[EventMetricsDelta] && seen[EventFaultCounts] && seen[EventJobDone]) {
+	for !(seen[wsanclient.EventMetricsDelta] && seen[wsanclient.EventFaultCounts] && seen[wsanclient.EventJobDone]) {
 		select {
 		case ev, ok := <-st.Events():
 			if !ok {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+
+	"wsan/wsanclient"
 )
 
 // handleHealthz reports liveness.
@@ -36,7 +38,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleCreateNetwork registers a network from a preset or an uploaded
 // topology document.
 func (s *Server) handleCreateNetwork(w http.ResponseWriter, r *http.Request) {
-	var req CreateNetworkRequest
+	var req wsanclient.CreateNetworkRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -144,10 +146,15 @@ func parsePage(w http.ResponseWriter, r *http.Request) (after string, limit int,
 // handleListJobs lists jobs in submission order (stable: job IDs are
 // assigned from a strictly increasing sequence and jobs are never removed).
 // ?limit= caps the page; ?after=<job-id> resumes past that job; a truncated
-// response carries nextAfter as the next page's cursor.
+// response carries nextAfter as the next page's cursor; a cursor that is no
+// job ID is a 400, not a silent restart from the first job.
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	after, limit, ok := parsePage(w, r)
 	if !ok {
+		return
+	}
+	if _, valid := jobSeqNum(after); after != "" && !valid {
+		writeErr(w, http.StatusBadRequest, codeInvalidRequest, "invalid after cursor %q", after)
 		return
 	}
 	views, next := s.JobViews(after, limit)

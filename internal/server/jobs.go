@@ -7,125 +7,119 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"wsan"
 	"wsan/internal/obs"
+	"wsan/wsanclient"
 )
 
-// Job kinds. Each kind maps to one expensive pipeline operation; the
-// parameter documents below are their canonical encodings (and hence the
-// cache-key material).
-const (
-	// KindSchedule generates a workload and schedules it (NR/RA/RC) — the
-	// async equivalent of `wsansim gen-schedule`.
-	KindSchedule = "schedule"
-	// KindSimulate executes a schedule artifact on the TSCH simulator — the
-	// async equivalent of `wsansim simulate`.
-	KindSimulate = "simulate"
-	// KindConverge runs the sequential-stopping simulation until every
-	// flow's PDR estimate reaches the target precision.
-	KindConverge = "converge"
-	// KindManage runs observe→classify→repair management iterations over a
-	// schedule artifact — the async equivalent of `wsansim manage`.
-	KindManage = "manage"
-	// KindReschedule applies one incremental flow-delta (add, remove, or
-	// reroute) to a schedule artifact through the delta scheduler — the
-	// async equivalent of `wsansim reschedule`.
-	KindReschedule = "reschedule"
-	// KindSoak drives the sustained-churn soak harness over the hosted
-	// network's topology — a seeded add/remove/reroute/re-budget delta
-	// stream with replay-oracle drift checks — the async equivalent of
-	// `wsansim soak`.
-	KindSoak = "soak"
-)
+// Job kinds. Each kind maps to one expensive pipeline operation and is
+// defined by its parameter document below: the document's canonical
+// encoding is the kind's cache-key material, and its run method is the
+// operation.
+//
+//   - schedule generates a workload and schedules it (NR/RA/RC) — the async
+//     equivalent of `wsansim gen-schedule`;
+//   - simulate executes a schedule artifact on the TSCH simulator — `wsansim
+//     simulate`;
+//   - converge runs the sequential-stopping simulation until every flow's
+//     PDR estimate reaches the target precision;
+//   - manage runs observe→classify→repair iterations over a schedule
+//     artifact — `wsansim manage`;
+//   - reschedule applies one incremental flow-delta (add, remove, or
+//     reroute) through the delta scheduler — `wsansim reschedule`;
+//   - soak drives the sustained-churn soak harness over the hosted
+//     network's topology — `wsansim soak`.
 
-// scheduleParams is the canonical KindSchedule parameter document.
-type scheduleParams struct {
-	Flows             int    `json:"flows"`
-	MinPeriodExp      int    `json:"minPeriodExp"`
-	MaxPeriodExp      int    `json:"maxPeriodExp"`
-	Traffic           string `json:"traffic"`
-	Alg               string `json:"alg"`
-	Seed              int64  `json:"seed"`
-	RhoT              int    `json:"rhoT"`
-	DisableRetransmit bool   `json:"disableRetransmit,omitempty"`
-	// TargetPDR, when positive, sets a per-flow delivery-probability target
-	// and plans per-hop retransmission budgets from the survey PRRs before
-	// scheduling.
-	TargetPDR float64 `json:"targetPDR,omitempty"`
+// jobParams is one job kind's parameter document.
+type jobParams interface {
+	// canonicalize validates a freshly decoded request and applies the
+	// kind's defaults, so two equivalent requests marshal to identical
+	// bytes — and therefore the same artifact key. Errors map to HTTP 400.
+	canonicalize(s *Server, nw *netEntry) error
+	// run executes a canonical document and returns the artifact's parts.
+	run(ctx context.Context, s *Server, nw *netEntry, j *Job) (map[string][]byte, error)
 }
 
-// simulateParams is the canonical KindSimulate parameter document.
-// Artifact references the schedule bundle to execute.
-type simulateParams struct {
-	Artifact     string              `json:"artifact"`
-	Hyperperiods int                 `json:"hyperperiods"`
-	Seed         int64               `json:"seed"`
-	Fading       *float64            `json:"fading,omitempty"`
-	Drift        *float64            `json:"drift,omitempty"`
-	Faults       *wsan.FaultScenario `json:"faults,omitempty"`
+// jobKind makes an empty parameter document of one kind to decode into.
+type jobKind func() jobParams
+
+// jobKinds is the job-kind table: adding a kind means adding one parameter
+// type and one entry here.
+var jobKinds = map[string]jobKind{
+	wsanclient.KindSchedule:   func() jobParams { return new(scheduleParams) },
+	wsanclient.KindSimulate:   func() jobParams { return new(simulateParams) },
+	wsanclient.KindConverge:   func() jobParams { return new(convergeParams) },
+	wsanclient.KindManage:     func() jobParams { return new(manageParams) },
+	wsanclient.KindReschedule: func() jobParams { return new(rescheduleParams) },
+	wsanclient.KindSoak:       func() jobParams { return new(soakParams) },
 }
 
-// convergeParams is the canonical KindConverge parameter document.
-type convergeParams struct {
-	Artifact          string   `json:"artifact"`
-	Seed              int64    `json:"seed"`
-	Fading            *float64 `json:"fading,omitempty"`
-	Drift             *float64 `json:"drift,omitempty"`
-	ChunkHyperperiods int      `json:"chunkHyperperiods"`
-	MaxChunks         int      `json:"maxChunks"`
-	HalfWidth         float64  `json:"halfWidth"`
+// canonicalParams validates and canonicalizes a raw parameter document for
+// one job kind: decode (unknown fields rejected), apply the kind's defaults,
+// and re-marshal with the document's fixed field order.
+func (s *Server) canonicalParams(nw *netEntry, kind string, raw json.RawMessage) ([]byte, error) {
+	newParams, ok := jobKinds[kind]
+	if !ok {
+		names := make([]string, 0, len(jobKinds))
+		for name := range jobKinds {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return nil, fmt.Errorf("unknown job kind %q (want %s, or %s)",
+			kind, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
+	}
+	if len(raw) == 0 {
+		raw = json.RawMessage("{}")
+	}
+	p := newParams()
+	d := json.NewDecoder(bytes.NewReader(raw))
+	d.DisallowUnknownFields()
+	if err := d.Decode(p); err != nil {
+		return nil, err
+	}
+	if err := p.canonicalize(s, nw); err != nil {
+		return nil, err
+	}
+	return json.Marshal(p)
 }
 
-// manageParams is the canonical KindManage parameter document.
-type manageParams struct {
-	Artifact      string              `json:"artifact"`
-	MaxIterations int                 `json:"maxIterations"`
-	EpochSlots    int                 `json:"epochSlots"`
-	Seed          int64               `json:"seed"`
-	Faults        *wsan.FaultScenario `json:"faults,omitempty"`
-	// TargetPDR, when positive, overrides every flow's delivery-probability
-	// target so the loop re-budgets retransmissions at runtime. Zero keeps
-	// whatever targets the workload artifact already carries.
-	TargetPDR float64 `json:"targetPDR,omitempty"`
-	// ParoleCleanIterations, when positive, rehabilitates blacklisted
-	// channels after that many consecutive clean iterations.
-	ParoleCleanIterations int `json:"paroleCleanIterations,omitempty"`
-}
-
-// rescheduleParams is the canonical KindReschedule parameter document.
-// Artifact references the schedule bundle the delta applies to; Op selects
-// the operation ("add", "remove", or "reroute"). Flow is the target flow ID
-// for every op — for "add" it is the NEW flow's ID and must not collide
-// with an existing flow. Src/Dst/Period/Deadline/Phase describe the added
-// flow (slots; Deadline defaults to Period); Avoid lists nodes a reroute
-// detours around.
-type rescheduleParams struct {
-	Artifact string `json:"artifact"`
-	Op       string `json:"op"`
-	Flow     int    `json:"flow"`
-	Src      int    `json:"src,omitempty"`
-	Dst      int    `json:"dst,omitempty"`
-	Period   int    `json:"period,omitempty"`
-	Deadline int    `json:"deadline,omitempty"`
-	Phase    int    `json:"phase,omitempty"`
-	Avoid    []int  `json:"avoid,omitempty"`
-	Alg      string `json:"alg,omitempty"`
-	RhoT     int    `json:"rhoT,omitempty"`
-}
-
-// soakParams is the canonical KindSoak parameter document. The soak churns
-// the hosted network's surveyed topology; Channels defaults to the network's
-// channel count. Defaults are scaled down from the CLI's evaluation
-// operating point so a default job stays short.
-type soakParams struct {
-	Flows       int   `json:"flows"`
-	Channels    int   `json:"channels"`
-	Ops         int   `json:"ops"`
-	Seed        int64 `json:"seed"`
-	BatchEvery  int   `json:"batchEvery"`
-	BatchSize   int   `json:"batchSize"`
-	OracleEvery int   `json:"oracleEvery"`
+// runJob executes one dequeued job and stores its artifact under the job's
+// content address. The worker pool calls it with the job's context; every
+// long-running wsan operation underneath checks that context.
+func (s *Server) runJob(ctx context.Context, j *Job) (string, error) {
+	// Idempotency probe: a retried attempt can land after a prior attempt
+	// already stored the artifact (a transient failure between the store
+	// write and the worker's ack). The store is content-addressed, so an
+	// existing entry for this key IS this job's output — return it rather
+	// than recomputing and re-writing.
+	if a, ok := s.store.Get(j.Key); ok {
+		return a.ID, nil
+	}
+	nw, ok := s.nets.get(j.Network)
+	if !ok {
+		return "", fmt.Errorf("network %q was removed", j.Network)
+	}
+	newParams, ok := jobKinds[j.Kind]
+	if !ok {
+		return "", fmt.Errorf("unknown job kind %q", j.Kind)
+	}
+	p := newParams()
+	if err := json.Unmarshal(j.Params, p); err != nil {
+		return "", err
+	}
+	parts, err := p.run(ctx, s, nw, j)
+	if err != nil {
+		return "", err
+	}
+	if _, err := s.store.Put(j.Key, j.Kind, parts); err != nil {
+		// The computation succeeded but the artifact cannot be persisted
+		// (e.g. the store directory's filesystem failed): the job fails
+		// rather than claiming an artifact that is not servable.
+		return "", fmt.Errorf("storing artifact: %w", err)
+	}
+	return j.Key, nil
 }
 
 // defaultSigma is the CLI's fading / survey-drift default (dB).
@@ -137,224 +131,6 @@ func sigma(p *float64) float64 {
 		return defaultSigma
 	}
 	return *p
-}
-
-// canonicalParams validates and canonicalizes a raw parameter document for
-// one job kind: defaults are applied and the document re-marshalled with a
-// fixed field order, so two equivalent requests produce identical bytes —
-// and therefore the same artifact key. Validation errors map to HTTP 400.
-func (s *Server) canonicalParams(nw *netEntry, kind string, raw json.RawMessage) ([]byte, error) {
-	if len(raw) == 0 {
-		raw = json.RawMessage("{}")
-	}
-	dec := func(v any) error {
-		d := json.NewDecoder(bytes.NewReader(raw))
-		d.DisallowUnknownFields()
-		return d.Decode(v)
-	}
-	switch kind {
-	case KindSchedule:
-		var p scheduleParams
-		if err := dec(&p); err != nil {
-			return nil, err
-		}
-		if p.Flows == 0 {
-			p.Flows = 30
-		}
-		if p.Flows < 1 {
-			return nil, fmt.Errorf("flows must be positive")
-		}
-		if p.MaxPeriodExp == 0 && p.MinPeriodExp == 0 {
-			p.MaxPeriodExp = 2
-		}
-		if p.MaxPeriodExp < p.MinPeriodExp {
-			return nil, fmt.Errorf("maxPeriodExp %d < minPeriodExp %d", p.MaxPeriodExp, p.MinPeriodExp)
-		}
-		if p.Traffic == "" {
-			p.Traffic = "p2p"
-		}
-		if _, err := parseTraffic(p.Traffic); err != nil {
-			return nil, err
-		}
-		if p.Alg == "" {
-			p.Alg = "rc"
-		}
-		if _, err := parseAlgorithm(p.Alg); err != nil {
-			return nil, err
-		}
-		if p.Seed == 0 {
-			p.Seed = 1
-		}
-		if p.RhoT == 0 {
-			p.RhoT = 2
-		}
-		if p.TargetPDR < 0 || p.TargetPDR >= 1 {
-			return nil, fmt.Errorf("targetPDR must be in [0, 1)")
-		}
-		return json.Marshal(p)
-	case KindSimulate:
-		var p simulateParams
-		if err := dec(&p); err != nil {
-			return nil, err
-		}
-		if err := s.checkScheduleArtifact(p.Artifact); err != nil {
-			return nil, err
-		}
-		if p.Hyperperiods == 0 {
-			p.Hyperperiods = 100
-		}
-		if p.Hyperperiods < 1 {
-			return nil, fmt.Errorf("hyperperiods must be positive")
-		}
-		if p.Seed == 0 {
-			p.Seed = 1
-		}
-		if err := p.Faults.Validate(0); err != nil {
-			return nil, err
-		}
-		return json.Marshal(p)
-	case KindConverge:
-		var p convergeParams
-		if err := dec(&p); err != nil {
-			return nil, err
-		}
-		if err := s.checkScheduleArtifact(p.Artifact); err != nil {
-			return nil, err
-		}
-		if p.Seed == 0 {
-			p.Seed = 1
-		}
-		if p.ChunkHyperperiods == 0 {
-			p.ChunkHyperperiods = 20
-		}
-		if p.MaxChunks == 0 {
-			p.MaxChunks = 50
-		}
-		if p.HalfWidth == 0 {
-			p.HalfWidth = 0.01
-		}
-		return json.Marshal(p)
-	case KindManage:
-		var p manageParams
-		if err := dec(&p); err != nil {
-			return nil, err
-		}
-		if err := s.checkScheduleArtifact(p.Artifact); err != nil {
-			return nil, err
-		}
-		if p.MaxIterations == 0 {
-			p.MaxIterations = 3
-		}
-		if p.EpochSlots == 0 {
-			p.EpochSlots = 90_000
-		}
-		if p.Seed == 0 {
-			p.Seed = 1
-		}
-		if p.TargetPDR < 0 || p.TargetPDR >= 1 {
-			return nil, fmt.Errorf("targetPDR must be in [0, 1)")
-		}
-		if p.ParoleCleanIterations < 0 {
-			return nil, fmt.Errorf("paroleCleanIterations must be non-negative")
-		}
-		if err := p.Faults.Validate(0); err != nil {
-			return nil, err
-		}
-		return json.Marshal(p)
-	case KindReschedule:
-		var p rescheduleParams
-		if err := dec(&p); err != nil {
-			return nil, err
-		}
-		if err := s.checkScheduleArtifact(p.Artifact); err != nil {
-			return nil, err
-		}
-		if p.Flow < 0 {
-			return nil, fmt.Errorf("flow must be non-negative")
-		}
-		if p.Alg == "" {
-			p.Alg = "rc"
-		}
-		if _, err := parseAlgorithm(p.Alg); err != nil {
-			return nil, err
-		}
-		if p.RhoT == 0 {
-			p.RhoT = 2
-		}
-		switch p.Op {
-		case "add":
-			if p.Period <= 0 {
-				return nil, fmt.Errorf("add requires a positive period")
-			}
-			if p.Deadline == 0 {
-				p.Deadline = p.Period
-			}
-			if p.Src < 0 || p.Dst < 0 || p.Src == p.Dst {
-				return nil, fmt.Errorf("add requires distinct non-negative src and dst")
-			}
-			if len(p.Avoid) != 0 {
-				return nil, fmt.Errorf("avoid applies only to op reroute")
-			}
-		case "remove", "reroute":
-			if p.Src != 0 || p.Dst != 0 || p.Period != 0 || p.Deadline != 0 || p.Phase != 0 {
-				return nil, fmt.Errorf("src/dst/period/deadline/phase apply only to op add")
-			}
-			if p.Op == "remove" && len(p.Avoid) != 0 {
-				return nil, fmt.Errorf("avoid applies only to op reroute")
-			}
-			// Canonicalize the avoid set so equivalent requests share one
-			// artifact key.
-			if len(p.Avoid) > 0 {
-				sort.Ints(p.Avoid)
-				p.Avoid = slices.Compact(p.Avoid)
-			}
-		default:
-			return nil, fmt.Errorf("unknown op %q (want add, remove, or reroute)", p.Op)
-		}
-		return json.Marshal(p)
-	case KindSoak:
-		var p soakParams
-		if err := dec(&p); err != nil {
-			return nil, err
-		}
-		if p.Flows == 0 {
-			p.Flows = 100
-		}
-		if p.Flows < 1 {
-			return nil, fmt.Errorf("flows must be positive")
-		}
-		if p.Channels == 0 {
-			p.Channels = len(nw.Channels)
-		}
-		if p.Channels < 1 || p.Channels > len(nw.Channels) {
-			return nil, fmt.Errorf("channels must be in [1, %d]", len(nw.Channels))
-		}
-		if p.Ops == 0 {
-			p.Ops = 1_000
-		}
-		if p.Ops < 1 {
-			return nil, fmt.Errorf("ops must be positive")
-		}
-		if p.Seed == 0 {
-			p.Seed = 1
-		}
-		if p.BatchEvery < 0 || p.BatchSize < 0 || p.OracleEvery < 0 {
-			return nil, fmt.Errorf("batchEvery, batchSize, and oracleEvery must be non-negative")
-		}
-		if p.BatchEvery == 0 {
-			p.BatchEvery = 50
-		}
-		if p.BatchSize == 0 {
-			p.BatchSize = 8
-		}
-		if p.OracleEvery == 0 {
-			p.OracleEvery = 500
-		}
-		return json.Marshal(p)
-	default:
-		return nil, fmt.Errorf("unknown job kind %q (want %s, %s, %s, %s, %s, or %s)",
-			kind, KindSchedule, KindSimulate, KindConverge, KindManage, KindReschedule, KindSoak)
-	}
 }
 
 // checkScheduleArtifact verifies that a referenced artifact exists and
@@ -375,64 +151,102 @@ func (s *Server) checkScheduleArtifact(id string) error {
 	return nil
 }
 
-// runJob executes one dequeued job and stores its artifact under the job's
-// content address. The worker pool calls it with the job's context; every
-// long-running wsan operation underneath checks that context.
-func (s *Server) runJob(ctx context.Context, j *Job) (string, error) {
-	// Idempotency probe: a retried attempt can land after a prior attempt
-	// already stored the artifact (a transient failure between the store
-	// write and the worker's ack). The store is content-addressed, so an
-	// existing entry for this key IS this job's output — return it rather
-	// than recomputing and re-writing.
-	if a, ok := s.store.Get(j.Key); ok {
-		return a.ID, nil
-	}
-	nw, ok := s.nets.get(j.Network)
+// loadBundle decodes the testbed, workload, and schedule of a schedule
+// bundle artifact into fresh instances — each job works on its own copies,
+// so concurrent jobs over one artifact never share mutable state.
+func (s *Server) loadBundle(id string) (*wsan.Testbed, []*wsan.Flow, *wsan.ScheduleResult, error) {
+	a, ok := s.store.Get(id)
 	if !ok {
-		return "", fmt.Errorf("network %q was removed", j.Network)
+		return nil, nil, nil, fmt.Errorf("artifact %q not found", id)
 	}
-	var parts map[string][]byte
-	var err error
-	switch j.Kind {
-	case KindSchedule:
-		parts, err = s.runSchedule(ctx, nw, j.Params)
-	case KindSimulate:
-		parts, err = s.runSimulate(ctx, nw, j)
-	case KindConverge:
-		parts, err = s.runConverge(ctx, nw, j.Params)
-	case KindManage:
-		parts, err = s.runManage(ctx, nw, j)
-	case KindReschedule:
-		parts, err = s.runReschedule(ctx, nw, j.Params)
-	case KindSoak:
-		parts, err = s.runSoak(ctx, nw, j)
-	default:
-		err = fmt.Errorf("unknown job kind %q", j.Kind)
-	}
+	tb, err := wsan.LoadTestbed(bytes.NewReader(a.Part("survey.json")))
 	if err != nil {
-		return "", err
+		return nil, nil, nil, fmt.Errorf("artifact %q: %w", id, err)
 	}
-	if _, err := s.store.Put(j.Key, j.Kind, parts); err != nil {
-		// The computation succeeded but the artifact cannot be persisted
-		// (e.g. the store directory's filesystem failed): the job fails
-		// rather than claiming an artifact that is not servable.
-		return "", fmt.Errorf("storing artifact: %w", err)
+	flows, err := wsan.LoadWorkload(bytes.NewReader(a.Part("workload.json")))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("artifact %q: %w", id, err)
 	}
-	return j.Key, nil
+	sched, err := wsan.LoadSchedule(bytes.NewReader(a.Part("schedule.json")))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("artifact %q: %w", id, err)
+	}
+	return tb, flows, sched, nil
 }
 
-// runSchedule generates and schedules a workload, producing the same three
-// JSON documents `wsansim gen-schedule` writes plus a summary.
-func (s *Server) runSchedule(ctx context.Context, nw *netEntry, raw json.RawMessage) (map[string][]byte, error) {
-	var p scheduleParams
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, err
+// jobSink builds the observability sink for one job run: the server's
+// registry, plus — only while the event bus has ever had a subscriber — a
+// tap forwarding faults.* counter flushes to the stream as events. The gate
+// keeps the subscriber-free job path allocation-free; a consumer attaching
+// mid-job picks up fault events from the next job, not this one.
+func (s *Server) jobSink(j *Job) obs.Sink {
+	if !s.bus.Enabled() {
+		return s.mets
 	}
-	traffic, err := parseTraffic(p.Traffic)
+	return obs.MultiSink(s.mets, &faultsTap{bus: s.bus, network: j.Network, job: j.ID})
+}
+
+// scheduleParams is the canonical schedule parameter document.
+type scheduleParams struct {
+	Flows             int    `json:"flows"`
+	MinPeriodExp      int    `json:"minPeriodExp"`
+	MaxPeriodExp      int    `json:"maxPeriodExp"`
+	Traffic           string `json:"traffic"`
+	Alg               string `json:"alg"`
+	Seed              int64  `json:"seed"`
+	RhoT              int    `json:"rhoT"`
+	DisableRetransmit bool   `json:"disableRetransmit,omitempty"`
+	// TargetPDR, when positive, sets a per-flow delivery-probability target
+	// and plans per-hop retransmission budgets from the survey PRRs before
+	// scheduling.
+	TargetPDR float64 `json:"targetPDR,omitempty"`
+}
+
+func (p *scheduleParams) canonicalize(*Server, *netEntry) error {
+	if p.Flows == 0 {
+		p.Flows = 30
+	}
+	if p.Flows < 1 {
+		return fmt.Errorf("flows must be positive")
+	}
+	if p.MaxPeriodExp == 0 && p.MinPeriodExp == 0 {
+		p.MaxPeriodExp = 2
+	}
+	if p.MaxPeriodExp < p.MinPeriodExp {
+		return fmt.Errorf("maxPeriodExp %d < minPeriodExp %d", p.MaxPeriodExp, p.MinPeriodExp)
+	}
+	if p.Traffic == "" {
+		p.Traffic = "p2p"
+	}
+	if _, err := wsan.ParseTraffic(p.Traffic); err != nil {
+		return err
+	}
+	if p.Alg == "" {
+		p.Alg = "rc"
+	}
+	if _, err := wsan.ParseAlgorithm(p.Alg); err != nil {
+		return err
+	}
+	if p.Seed == 0 {
+		p.Seed = 1
+	}
+	if p.RhoT == 0 {
+		p.RhoT = 2
+	}
+	if p.TargetPDR < 0 || p.TargetPDR >= 1 {
+		return fmt.Errorf("targetPDR must be in [0, 1)")
+	}
+	return nil
+}
+
+// run generates and schedules a workload, producing the same three JSON
+// documents `wsansim gen-schedule` writes plus a summary.
+func (p *scheduleParams) run(ctx context.Context, s *Server, nw *netEntry, _ *Job) (map[string][]byte, error) {
+	traffic, err := wsan.ParseTraffic(p.Traffic)
 	if err != nil {
 		return nil, err
 	}
-	alg, err := parseAlgorithm(p.Alg)
+	alg, err := wsan.ParseAlgorithm(p.Alg)
 	if err != nil {
 		return nil, err
 	}
@@ -509,29 +323,6 @@ func (s *Server) runSchedule(ctx context.Context, nw *netEntry, raw json.RawMess
 	}, nil
 }
 
-// loadBundle decodes the testbed, workload, and schedule of a schedule
-// bundle artifact into fresh instances — each job works on its own copies,
-// so concurrent jobs over one artifact never share mutable state.
-func (s *Server) loadBundle(id string) (*wsan.Testbed, []*wsan.Flow, *wsan.ScheduleResult, error) {
-	a, ok := s.store.Get(id)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("artifact %q not found", id)
-	}
-	tb, err := wsan.LoadTestbed(bytes.NewReader(a.Part("survey.json")))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("artifact %q: %w", id, err)
-	}
-	flows, err := wsan.LoadWorkload(bytes.NewReader(a.Part("workload.json")))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("artifact %q: %w", id, err)
-	}
-	sched, err := wsan.LoadSchedule(bytes.NewReader(a.Part("schedule.json")))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("artifact %q: %w", id, err)
-	}
-	return tb, flows, sched, nil
-}
-
 // flowReport is the per-flow entry of a simulation report.
 type flowReport struct {
 	Flow      int     `json:"flow"`
@@ -570,24 +361,35 @@ func buildReport(res *wsan.SimResult, flows []*wsan.Flow, hyperperiods int) (*si
 	return rep, nil
 }
 
-// jobSink builds the observability sink for one job run: the server's
-// registry, plus — only while the event bus has ever had a subscriber — a
-// tap forwarding faults.* counter flushes to the stream as events. The gate
-// keeps the subscriber-free job path allocation-free; a consumer attaching
-// mid-job picks up fault events from the next job, not this one.
-func (s *Server) jobSink(j *Job) obs.Sink {
-	if !s.bus.Enabled() {
-		return s.mets
-	}
-	return obs.MultiSink(s.mets, &faultsTap{bus: s.bus, network: j.Network, job: j.ID})
+// simulateParams is the canonical simulate parameter document. Artifact
+// references the schedule bundle to execute.
+type simulateParams struct {
+	Artifact     string              `json:"artifact"`
+	Hyperperiods int                 `json:"hyperperiods"`
+	Seed         int64               `json:"seed"`
+	Fading       *float64            `json:"fading,omitempty"`
+	Drift        *float64            `json:"drift,omitempty"`
+	Faults       *wsan.FaultScenario `json:"faults,omitempty"`
 }
 
-// runSimulate executes a schedule bundle on the TSCH simulator.
-func (s *Server) runSimulate(ctx context.Context, nw *netEntry, j *Job) (map[string][]byte, error) {
-	var p simulateParams
-	if err := json.Unmarshal(j.Params, &p); err != nil {
-		return nil, err
+func (p *simulateParams) canonicalize(s *Server, _ *netEntry) error {
+	if err := s.checkScheduleArtifact(p.Artifact); err != nil {
+		return err
 	}
+	if p.Hyperperiods == 0 {
+		p.Hyperperiods = 100
+	}
+	if p.Hyperperiods < 1 {
+		return fmt.Errorf("hyperperiods must be positive")
+	}
+	if p.Seed == 0 {
+		p.Seed = 1
+	}
+	return p.Faults.Validate(0)
+}
+
+// run executes a schedule bundle on the TSCH simulator.
+func (p *simulateParams) run(ctx context.Context, s *Server, nw *netEntry, j *Job) (map[string][]byte, error) {
 	tb, flows, sched, err := s.loadBundle(p.Artifact)
 	if err != nil {
 		return nil, err
@@ -619,12 +421,43 @@ func (s *Server) runSimulate(ctx context.Context, nw *netEntry, j *Job) (map[str
 	return map[string][]byte{"report.json": out}, nil
 }
 
-// runConverge runs the sequential-stopping simulation over a bundle.
-func (s *Server) runConverge(ctx context.Context, nw *netEntry, raw json.RawMessage) (map[string][]byte, error) {
-	var p convergeParams
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, err
+// convergeParams is the canonical converge parameter document.
+type convergeParams struct {
+	Artifact          string   `json:"artifact"`
+	Seed              int64    `json:"seed"`
+	Fading            *float64 `json:"fading,omitempty"`
+	Drift             *float64 `json:"drift,omitempty"`
+	ChunkHyperperiods int      `json:"chunkHyperperiods"`
+	MaxChunks         int      `json:"maxChunks"`
+	HalfWidth         float64  `json:"halfWidth"`
+}
+
+func (p *convergeParams) canonicalize(s *Server, _ *netEntry) error {
+	if err := s.checkScheduleArtifact(p.Artifact); err != nil {
+		return err
 	}
+	// The simulator would silently replace a negative value with its own
+	// default, so the request would run something other than it names.
+	if p.ChunkHyperperiods < 0 || p.MaxChunks < 0 || p.HalfWidth < 0 {
+		return fmt.Errorf("chunkHyperperiods, maxChunks, and halfWidth must be non-negative")
+	}
+	if p.Seed == 0 {
+		p.Seed = 1
+	}
+	if p.ChunkHyperperiods == 0 {
+		p.ChunkHyperperiods = 20
+	}
+	if p.MaxChunks == 0 {
+		p.MaxChunks = 50
+	}
+	if p.HalfWidth == 0 {
+		p.HalfWidth = 0.01
+	}
+	return nil
+}
+
+// run runs the sequential-stopping simulation over a bundle.
+func (p *convergeParams) run(ctx context.Context, s *Server, nw *netEntry, _ *Job) (map[string][]byte, error) {
 	tb, flows, sched, err := s.loadBundle(p.Artifact)
 	if err != nil {
 		return nil, err
@@ -661,14 +494,59 @@ func (s *Server) runConverge(ctx context.Context, nw *netEntry, raw json.RawMess
 	return map[string][]byte{"report.json": out}, nil
 }
 
-// runManage runs management iterations over a bundle, producing the
-// iteration log and the repaired schedule. While the event bus is enabled,
-// each completed iteration is also published live as a manage.health event.
-func (s *Server) runManage(ctx context.Context, nw *netEntry, j *Job) (map[string][]byte, error) {
-	var p manageParams
-	if err := json.Unmarshal(j.Params, &p); err != nil {
-		return nil, err
+// manageSampleWindows is how many detection sample windows a manage epoch
+// is cut into.
+const manageSampleWindows = 18
+
+// manageParams is the canonical manage parameter document.
+type manageParams struct {
+	Artifact      string              `json:"artifact"`
+	MaxIterations int                 `json:"maxIterations"`
+	EpochSlots    int                 `json:"epochSlots"`
+	Seed          int64               `json:"seed"`
+	Faults        *wsan.FaultScenario `json:"faults,omitempty"`
+	// TargetPDR, when positive, overrides every flow's delivery-probability
+	// target so the loop re-budgets retransmissions at runtime. Zero keeps
+	// whatever targets the workload artifact already carries.
+	TargetPDR float64 `json:"targetPDR,omitempty"`
+	// ParoleCleanIterations, when positive, rehabilitates blacklisted
+	// channels after that many consecutive clean iterations.
+	ParoleCleanIterations int `json:"paroleCleanIterations,omitempty"`
+}
+
+func (p *manageParams) canonicalize(s *Server, _ *netEntry) error {
+	if err := s.checkScheduleArtifact(p.Artifact); err != nil {
+		return err
 	}
+	if p.MaxIterations < 0 {
+		// The loop would silently run its own default instead.
+		return fmt.Errorf("maxIterations must be non-negative")
+	}
+	if p.MaxIterations == 0 {
+		p.MaxIterations = 3
+	}
+	if p.EpochSlots == 0 {
+		p.EpochSlots = 90_000
+	}
+	if p.EpochSlots < manageSampleWindows {
+		return fmt.Errorf("epochSlots must be at least %d (one slot per sample window)", manageSampleWindows)
+	}
+	if p.Seed == 0 {
+		p.Seed = 1
+	}
+	if p.TargetPDR < 0 || p.TargetPDR >= 1 {
+		return fmt.Errorf("targetPDR must be in [0, 1)")
+	}
+	if p.ParoleCleanIterations < 0 {
+		return fmt.Errorf("paroleCleanIterations must be non-negative")
+	}
+	return p.Faults.Validate(0)
+}
+
+// run runs management iterations over a bundle, producing the iteration log
+// and the repaired schedule. While the event bus is enabled, each completed
+// iteration is also published live as a manage.health event.
+func (p *manageParams) run(ctx context.Context, s *Server, nw *netEntry, j *Job) (map[string][]byte, error) {
 	tb, flows, sched, err := s.loadBundle(p.Artifact)
 	if err != nil {
 		return nil, err
@@ -684,7 +562,7 @@ func (s *Server) runManage(ctx context.Context, nw *netEntry, j *Job) (map[strin
 		Schedule:           sched.Schedule,
 		Channels:           nw.Channels,
 		EpochSlots:         p.EpochSlots,
-		SampleWindowSlots:  p.EpochSlots / 18,
+		SampleWindowSlots:  p.EpochSlots / manageSampleWindows,
 		ProbeEverySlots:    250,
 		FadingSigmaDB:      defaultSigma,
 		SurveyDriftSigmaDB: defaultSigma,
@@ -700,33 +578,7 @@ func (s *Server) runManage(ctx context.Context, nw *netEntry, j *Job) (map[strin
 	if s.bus.Enabled() {
 		network, jobID := j.Network, j.ID
 		cfg.OnIteration = func(it wsan.ManageIteration) {
-			var shortfalls []ShortfallEvent
-			for _, sf := range it.Shortfalls {
-				shortfalls = append(shortfalls, ShortfallEvent{
-					Flow: sf.FlowID, Target: sf.Target, Predicted: sf.Predicted,
-				})
-			}
-			s.bus.Publish(EventManageHealth, network, jobID, ManageHealth{
-				Iteration:       it.Index,
-				Health:          it.Health.String(),
-				MinPDR:          it.MinPDR,
-				MeanPDR:         it.MeanPDR,
-				DegradedLinks:   it.Degraded,
-				DegradedFlows:   it.DegradedFlows,
-				Moved:           it.Moved,
-				Unmovable:       it.Unmovable,
-				Rerouted:        it.Rerouted,
-				SuspectNodes:    it.SuspectNodes,
-				Blacklisted:     it.Blacklisted,
-				Rehabilitated:   it.Rehabilitated,
-				Channels:        it.Channels,
-				DeltaChanges:    it.DeltaChanges,
-				AffectedDevices: it.AffectedDevices,
-				Rebudgeted:      it.Rebudgeted,
-				RetriesShed:     it.RetriesShed,
-				ShedFlows:       it.ShedFlows,
-				Shortfalls:      shortfalls,
-			})
+			s.bus.Publish(wsanclient.EventManageHealth, network, jobID, manageHealth(it))
 		}
 	}
 	iters, err := wsan.ManageCtx(ctx, cfg)
@@ -753,17 +605,114 @@ func (s *Server) runManage(ctx context.Context, nw *netEntry, j *Job) (map[strin
 	}, nil
 }
 
-// runReschedule applies one incremental flow-delta to a schedule bundle
-// through the delta scheduler and emits an updated bundle: the same
+// manageHealth is the manage.health event payload of one loop iteration.
+func manageHealth(it wsan.ManageIteration) wsanclient.ManageHealth {
+	var shortfalls []wsanclient.FlowShortfall
+	for _, sf := range it.Shortfalls {
+		shortfalls = append(shortfalls, wsanclient.FlowShortfall{
+			Flow: sf.FlowID, Target: sf.Target, Predicted: sf.Predicted,
+		})
+	}
+	return wsanclient.ManageHealth{
+		Iteration:       it.Index,
+		Health:          it.Health.String(),
+		MinPDR:          it.MinPDR,
+		MeanPDR:         it.MeanPDR,
+		DegradedLinks:   it.Degraded,
+		DegradedFlows:   it.DegradedFlows,
+		Moved:           it.Moved,
+		Unmovable:       it.Unmovable,
+		Rerouted:        it.Rerouted,
+		SuspectNodes:    it.SuspectNodes,
+		Blacklisted:     it.Blacklisted,
+		Rehabilitated:   it.Rehabilitated,
+		Channels:        it.Channels,
+		DeltaChanges:    it.DeltaChanges,
+		AffectedDevices: it.AffectedDevices,
+		Rebudgeted:      it.Rebudgeted,
+		RetriesShed:     it.RetriesShed,
+		ShedFlows:       it.ShedFlows,
+		Shortfalls:      shortfalls,
+	}
+}
+
+// rescheduleParams is the canonical reschedule parameter document.
+// Artifact references the schedule bundle the delta applies to; Op selects
+// the operation ("add", "remove", or "reroute"). Flow is the target flow ID
+// for every op — for "add" it is the NEW flow's ID and must not collide
+// with an existing flow. Src/Dst/Period/Deadline/Phase describe the added
+// flow (slots; Deadline defaults to Period); Avoid lists nodes a reroute
+// detours around.
+type rescheduleParams struct {
+	Artifact string `json:"artifact"`
+	Op       string `json:"op"`
+	Flow     int    `json:"flow"`
+	Src      int    `json:"src,omitempty"`
+	Dst      int    `json:"dst,omitempty"`
+	Period   int    `json:"period,omitempty"`
+	Deadline int    `json:"deadline,omitempty"`
+	Phase    int    `json:"phase,omitempty"`
+	Avoid    []int  `json:"avoid,omitempty"`
+	Alg      string `json:"alg,omitempty"`
+	RhoT     int    `json:"rhoT,omitempty"`
+}
+
+func (p *rescheduleParams) canonicalize(s *Server, _ *netEntry) error {
+	if err := s.checkScheduleArtifact(p.Artifact); err != nil {
+		return err
+	}
+	if p.Flow < 0 {
+		return fmt.Errorf("flow must be non-negative")
+	}
+	if p.Alg == "" {
+		p.Alg = "rc"
+	}
+	if _, err := wsan.ParseAlgorithm(p.Alg); err != nil {
+		return err
+	}
+	if p.RhoT == 0 {
+		p.RhoT = 2
+	}
+	switch p.Op {
+	case "add":
+		if p.Period <= 0 {
+			return fmt.Errorf("add requires a positive period")
+		}
+		if p.Deadline == 0 {
+			p.Deadline = p.Period
+		}
+		if p.Src < 0 || p.Dst < 0 || p.Src == p.Dst {
+			return fmt.Errorf("add requires distinct non-negative src and dst")
+		}
+		if len(p.Avoid) != 0 {
+			return fmt.Errorf("avoid applies only to op reroute")
+		}
+	case "remove", "reroute":
+		if p.Src != 0 || p.Dst != 0 || p.Period != 0 || p.Deadline != 0 || p.Phase != 0 {
+			return fmt.Errorf("src/dst/period/deadline/phase apply only to op add")
+		}
+		if p.Op == "remove" && len(p.Avoid) != 0 {
+			return fmt.Errorf("avoid applies only to op reroute")
+		}
+		// Canonicalize the avoid set so equivalent requests share one
+		// artifact key.
+		if len(p.Avoid) > 0 {
+			sort.Ints(p.Avoid)
+			p.Avoid = slices.Compact(p.Avoid)
+		}
+	default:
+		return fmt.Errorf("unknown op %q (want add, remove, or reroute)", p.Op)
+	}
+	return nil
+}
+
+// run applies one incremental flow-delta to a schedule bundle through the
+// delta scheduler and emits an updated bundle: the same
 // survey/workload/schedule triple a schedule job produces (so every
 // downstream job kind accepts the result), plus delta.json recording the
 // net schedule changes and which repair rung produced them.
-func (s *Server) runReschedule(ctx context.Context, nw *netEntry, raw json.RawMessage) (map[string][]byte, error) {
-	var p rescheduleParams
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, err
-	}
-	alg, err := parseAlgorithm(p.Alg)
+func (p *rescheduleParams) run(ctx context.Context, s *Server, nw *netEntry, _ *Job) (map[string][]byte, error) {
+	alg, err := wsan.ParseAlgorithm(p.Alg)
 	if err != nil {
 		return nil, err
 	}
@@ -884,17 +833,64 @@ func (s *Server) runReschedule(ctx context.Context, nw *netEntry, raw json.RawMe
 	}, nil
 }
 
-// runSoak drives the sustained-churn soak harness over the hosted network's
+// soakParams is the canonical soak parameter document. The soak churns the
+// hosted network's surveyed topology; Channels defaults to the network's
+// channel count. Defaults are scaled down from the CLI's evaluation
+// operating point so a default job stays short.
+type soakParams struct {
+	Flows       int   `json:"flows"`
+	Channels    int   `json:"channels"`
+	Ops         int   `json:"ops"`
+	Seed        int64 `json:"seed"`
+	BatchEvery  int   `json:"batchEvery"`
+	BatchSize   int   `json:"batchSize"`
+	OracleEvery int   `json:"oracleEvery"`
+}
+
+func (p *soakParams) canonicalize(_ *Server, nw *netEntry) error {
+	if p.Flows == 0 {
+		p.Flows = 100
+	}
+	if p.Flows < 1 {
+		return fmt.Errorf("flows must be positive")
+	}
+	if p.Channels == 0 {
+		p.Channels = len(nw.Channels)
+	}
+	if p.Channels < 1 || p.Channels > len(nw.Channels) {
+		return fmt.Errorf("channels must be in [1, %d]", len(nw.Channels))
+	}
+	if p.Ops == 0 {
+		p.Ops = 1_000
+	}
+	if p.Ops < 1 {
+		return fmt.Errorf("ops must be positive")
+	}
+	if p.Seed == 0 {
+		p.Seed = 1
+	}
+	if p.BatchEvery < 0 || p.BatchSize < 0 || p.OracleEvery < 0 {
+		return fmt.Errorf("batchEvery, batchSize, and oracleEvery must be non-negative")
+	}
+	if p.BatchEvery == 0 {
+		p.BatchEvery = 50
+	}
+	if p.BatchSize == 0 {
+		p.BatchSize = 8
+	}
+	if p.OracleEvery == 0 {
+		p.OracleEvery = 500
+	}
+	return nil
+}
+
+// run drives the sustained-churn soak harness over the hosted network's
 // topology, producing result.json: churn throughput, apply-latency
 // percentiles, repair-ladder fallback counts, replay-oracle checkpoints, and
 // the canonical schedule digest (an oracle divergence fails the job). While
 // the event bus is enabled, live throughput snapshots are also published as
 // soak.progress events.
-func (s *Server) runSoak(ctx context.Context, nw *netEntry, j *Job) (map[string][]byte, error) {
-	var p soakParams
-	if err := json.Unmarshal(j.Params, &p); err != nil {
-		return nil, err
-	}
+func (p *soakParams) run(ctx context.Context, s *Server, nw *netEntry, j *Job) (map[string][]byte, error) {
 	cfg := wsan.SoakConfig{
 		Flows:       p.Flows,
 		Channels:    p.Channels,
@@ -911,7 +907,7 @@ func (s *Server) runSoak(ctx context.Context, nw *netEntry, j *Job) (map[string]
 		// Ten snapshots per run, however long it is.
 		cfg.ProgressEvery = max(p.Ops/10, 1)
 		cfg.OnProgress = func(pr wsan.SoakProgress) {
-			s.bus.Publish(EventSoakProgress, network, jobID, pr)
+			s.bus.Publish(wsanclient.EventSoakProgress, network, jobID, pr)
 		}
 	}
 	res, err := wsan.Soak(ctx, cfg)
@@ -923,30 +919,4 @@ func (s *Server) runSoak(ctx context.Context, nw *netEntry, j *Job) (map[string]
 		return nil, err
 	}
 	return map[string][]byte{"result.json": out}, nil
-}
-
-// parseTraffic maps the wire traffic name to the routing pattern.
-func parseTraffic(s string) (wsan.Traffic, error) {
-	switch s {
-	case "p2p":
-		return wsan.PeerToPeer, nil
-	case "centralized":
-		return wsan.Centralized, nil
-	default:
-		return 0, fmt.Errorf("unknown traffic %q (want p2p or centralized)", s)
-	}
-}
-
-// parseAlgorithm maps the wire algorithm name to the scheduler selection.
-func parseAlgorithm(s string) (wsan.Algorithm, error) {
-	switch s {
-	case "nr":
-		return wsan.NR, nil
-	case "ra":
-		return wsan.RA, nil
-	case "rc":
-		return wsan.RC, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want nr, ra, or rc)", s)
-	}
 }

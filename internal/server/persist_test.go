@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"wsan/internal/obs"
+	"wsan/wsanclient"
 )
 
 // startPersistent starts a daemon over a store directory without the
@@ -65,12 +66,12 @@ func TestRestartServesFromDisk(t *testing.T) {
 
 	srv1, ts1 := startPersistent(t, dir, nil)
 	createTestNetwork(t, ts1, "plant")
-	v, code := submit(t, ts1, "plant", KindSchedule, params)
+	v, code := submit(t, ts1, "plant", wsanclient.KindSchedule, params)
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit: status %d", code)
 	}
 	done := poll(t, ts1, v.ID, 30*time.Second)
-	if done.State != StateDone {
+	if done.State != wsanclient.StateDone {
 		t.Fatalf("schedule job finished %v (%s)", done.State, done.Error)
 	}
 	want := getPart(t, ts1, done.Artifact, "schedule.json")
@@ -90,7 +91,7 @@ func TestRestartServesFromDisk(t *testing.T) {
 	}
 
 	createTestNetwork(t, ts2, "plant")
-	again, code := submit(t, ts2, "plant", KindSchedule, params)
+	again, code := submit(t, ts2, "plant", wsanclient.KindSchedule, params)
 	if code != http.StatusOK {
 		t.Fatalf("resubmit after restart: status %d, want 200 (cache hit)", code)
 	}
@@ -117,9 +118,9 @@ func TestRestartQuarantinesCorruptedArtifact(t *testing.T) {
 
 	srv1, ts1 := startPersistent(t, dir, nil)
 	createTestNetwork(t, ts1, "plant")
-	v, _ := submit(t, ts1, "plant", KindSchedule, params)
+	v, _ := submit(t, ts1, "plant", wsanclient.KindSchedule, params)
 	done := poll(t, ts1, v.ID, 30*time.Second)
-	if done.State != StateDone {
+	if done.State != wsanclient.StateDone {
 		t.Fatalf("schedule job finished %v (%s)", done.State, done.Error)
 	}
 	stopPersistent(t, srv1, ts1)
@@ -141,12 +142,12 @@ func TestRestartQuarantinesCorruptedArtifact(t *testing.T) {
 	// The resubmission is a miss: the daemon recomputes rather than
 	// serving the quarantined entry.
 	createTestNetwork(t, ts2, "plant")
-	again, code := submit(t, ts2, "plant", KindSchedule, params)
+	again, code := submit(t, ts2, "plant", wsanclient.KindSchedule, params)
 	if code != http.StatusAccepted {
 		t.Fatalf("resubmit of quarantined request: status %d, want 202", code)
 	}
 	redone := poll(t, ts2, again.ID, 30*time.Second)
-	if redone.State != StateDone || redone.Artifact != done.Artifact {
+	if redone.State != wsanclient.StateDone || redone.Artifact != done.Artifact {
 		t.Fatalf("recompute finished %v, artifact %s", redone.State, redone.Artifact)
 	}
 }
@@ -178,8 +179,8 @@ func TestCacheEvictionEvent(t *testing.T) {
 	}
 	select {
 	case ev := <-sub.Events():
-		if ev.Type != EventCacheEvict {
-			t.Fatalf("event type %s, want %s", ev.Type, EventCacheEvict)
+		if ev.Type != wsanclient.EventCacheEvict {
+			t.Fatalf("event type %s, want %s", ev.Type, wsanclient.EventCacheEvict)
 		}
 		if !bytes.Contains(ev.Data, []byte(`"aa"`)) || !bytes.Contains(ev.Data, []byte(`"capacity"`)) {
 			t.Fatalf("eviction payload %s, want artifact aa for capacity", ev.Data)

@@ -10,62 +10,8 @@ import (
 	"time"
 
 	"wsan/internal/obs"
+	"wsan/wsanclient"
 )
-
-// JobState is one point of the job lifecycle.
-type JobState int
-
-const (
-	// StateQueued: accepted, waiting for a worker.
-	StateQueued JobState = iota + 1
-	// StateRunning: a worker is executing the job.
-	StateRunning
-	// StateDone: finished successfully; the artifact is in the store.
-	StateDone
-	// StateFailed: finished with an error.
-	StateFailed
-	// StateCancelled: cancelled while queued, or while running via its
-	// context.
-	StateCancelled
-)
-
-// String implements fmt.Stringer; the values are the wire states of the
-// jobs API.
-func (s JobState) String() string {
-	switch s {
-	case StateQueued:
-		return "queued"
-	case StateRunning:
-		return "running"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	case StateCancelled:
-		return "cancelled"
-	default:
-		return fmt.Sprintf("JobState(%d)", int(s))
-	}
-}
-
-// MarshalJSON serializes the state as its wire string.
-func (s JobState) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
-
-// UnmarshalJSON parses the wire string back into a state (clients decode
-// job views with the same type).
-func (s *JobState) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		return err
-	}
-	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
-		if st.String() == name {
-			*s = st
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown job state %q", name)
-}
 
 // Job is one asynchronous operation on a hosted network.
 type Job struct {
@@ -87,7 +33,7 @@ type Job struct {
 	onTransition func(*Job)
 
 	mu         sync.Mutex
-	state      JobState
+	state      wsanclient.JobState
 	err        string
 	artifactID string
 	cached     bool
@@ -97,26 +43,12 @@ type Job struct {
 	finished   time.Time
 }
 
-// JobView is the lock-free snapshot of a job the HTTP API serves.
-type JobView struct {
-	ID       string     `json:"id"`
-	Network  string     `json:"network"`
-	Kind     string     `json:"kind"`
-	State    JobState   `json:"state"`
-	Cached   bool       `json:"cached"`
-	Retries  int        `json:"retries,omitempty"`
-	Artifact string     `json:"artifact,omitempty"`
-	Error    string     `json:"error,omitempty"`
-	Created  time.Time  `json:"created"`
-	Started  *time.Time `json:"started,omitempty"`
-	Finished *time.Time `json:"finished,omitempty"`
-}
-
-// View snapshots the job under its lock.
-func (j *Job) View() JobView {
+// View snapshots the job under its lock: the job document the HTTP API
+// serves and lifecycle events carry.
+func (j *Job) View() wsanclient.Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	v := JobView{
+	v := wsanclient.Job{
 		ID:       j.ID,
 		Network:  j.Network,
 		Kind:     j.Kind,
@@ -147,7 +79,7 @@ func (j *Job) notifyTransition() {
 }
 
 // State returns the current lifecycle state.
-func (j *Job) State() JobState {
+func (j *Job) State() wsanclient.JobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
@@ -158,29 +90,29 @@ func (j *Job) State() JobState {
 func (j *Job) markRunning() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if j.state != wsanclient.StateQueued {
 		return false
 	}
-	j.state = StateRunning
+	j.state = wsanclient.StateRunning
 	j.started = time.Now()
 	return true
 }
 
 // finish records the execution outcome. A run aborted by the job's own
 // context reports cancelled, not failed.
-func (j *Job) finish(artifactID string, err error) JobState {
+func (j *Job) finish(artifactID string, err error) wsanclient.JobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = time.Now()
 	switch {
 	case err == nil:
-		j.state = StateDone
+		j.state = wsanclient.StateDone
 		j.artifactID = artifactID
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = StateCancelled
+		j.state = wsanclient.StateCancelled
 		j.err = err.Error()
 	default:
-		j.state = StateFailed
+		j.state = wsanclient.StateFailed
 		j.err = err.Error()
 	}
 	return j.state
@@ -192,15 +124,15 @@ func (j *Job) finish(artifactID string, err error) JobState {
 func (j *Job) Cancel() bool {
 	j.mu.Lock()
 	switch j.state {
-	case StateQueued:
-		j.state = StateCancelled
+	case wsanclient.StateQueued:
+		j.state = wsanclient.StateCancelled
 		j.err = context.Canceled.Error()
 		j.finished = time.Now()
 		j.mu.Unlock()
 		j.cancel()
 		j.notifyTransition()
 		return true
-	case StateRunning:
+	case wsanclient.StateRunning:
 		j.mu.Unlock()
 		j.cancel()
 		return true
@@ -384,11 +316,11 @@ func (p *Pool) worker() {
 		if p.mets != nil {
 			p.mets.Observe("server.jobs.run_seconds", time.Since(start).Seconds())
 			switch state {
-			case StateDone:
+			case wsanclient.StateDone:
 				p.mets.Count("server.jobs.completed", 1)
-			case StateFailed:
+			case wsanclient.StateFailed:
 				p.mets.Count("server.jobs.failed", 1)
-			case StateCancelled:
+			case wsanclient.StateCancelled:
 				p.mets.Count("server.jobs.cancelled", 1)
 			}
 		}

@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"wsan/internal/obs"
+	"wsan/wsanclient"
 )
 
 // newTestJob builds a bare job wired to a cancellable context.
 func newTestJob(id string) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Job{ID: id, Kind: "test", Key: "key-" + id, ctx: ctx, cancel: cancel,
-		state: StateQueued, created: time.Now()}
+		state: wsanclient.StateQueued, created: time.Now()}
 }
 
 func TestPoolRunsJobs(t *testing.T) {
@@ -44,7 +45,7 @@ func TestPoolRunsJobs(t *testing.T) {
 			t.Errorf("job %s never ran", j.ID)
 		}
 		v := j.View()
-		if v.State != StateDone || v.Artifact != "art-"+j.ID {
+		if v.State != wsanclient.StateDone || v.Artifact != "art-"+j.ID {
 			t.Errorf("job %s: %+v", j.ID, v)
 		}
 	}
@@ -114,7 +115,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	if !victim.Cancel() {
 		t.Fatal("cancel of a queued job should succeed")
 	}
-	if st := victim.State(); st != StateCancelled {
+	if st := victim.State(); st != wsanclient.StateCancelled {
 		t.Fatalf("victim state = %v, want cancelled", st)
 	}
 	close(block)
@@ -153,7 +154,7 @@ func TestRunningJobCancelReportsCancelled(t *testing.T) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := j.State(); st != StateCancelled {
+	if st := j.State(); st != wsanclient.StateCancelled {
 		t.Fatalf("state = %v, want cancelled", st)
 	}
 }
@@ -183,14 +184,14 @@ func TestPoolSurvivesPanickingJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := bomb.View()
-	if v.State != StateFailed {
+	if v.State != wsanclient.StateFailed {
 		t.Fatalf("panicking job state = %v, want failed", v.State)
 	}
 	if v.Error == "" || !strings.Contains(v.Error, "job panicked") {
 		t.Errorf("panicking job error = %q, want a 'job panicked' message", v.Error)
 	}
 	// The same worker that absorbed the panic must have run the next job.
-	if v := after.View(); v.State != StateDone || v.Artifact != "art-after" {
+	if v := after.View(); v.State != wsanclient.StateDone || v.Artifact != "art-after" {
 		t.Errorf("job after the panic: %+v, want done", v)
 	}
 	if got := reg.CounterValue("server.jobs.panics"); got != 1 {
@@ -228,7 +229,7 @@ func TestPoolRetriesTransientFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := j.View()
-	if v.State != StateDone || v.Artifact != "art" {
+	if v.State != wsanclient.StateDone || v.Artifact != "art" {
 		t.Fatalf("flaky job: %+v, want done after retries", v)
 	}
 	if v.Retries != 2 {
@@ -262,7 +263,7 @@ func TestPoolDoesNotRetryPermanentFailures(t *testing.T) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if v := j.View(); v.State != StateFailed || v.Retries != 0 {
+	if v := j.View(); v.State != wsanclient.StateFailed || v.Retries != 0 {
 		t.Fatalf("permanent failure: %+v, want failed with 0 retries", v)
 	}
 	mu.Lock()
@@ -294,7 +295,7 @@ func TestPoolWatchdogFailsStuckJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := j.View()
-	if v.State != StateFailed {
+	if v.State != wsanclient.StateFailed {
 		t.Fatalf("watchdog-killed job state = %v, want failed: %+v", v.State, v)
 	}
 	if !strings.Contains(v.Error, "watchdog") {
@@ -326,21 +327,25 @@ func TestTransientMarker(t *testing.T) {
 	}
 }
 
+// TestJobStateStrings pins the lifecycle event names: jobTransition
+// publishes "job." + the wire state, which must be the client's event
+// constant, and a state ends a job's stream exactly when it is terminal.
 func TestJobStateStrings(t *testing.T) {
-	want := map[JobState]string{
-		StateQueued:    "queued",
-		StateRunning:   "running",
-		StateDone:      "done",
-		StateFailed:    "failed",
-		StateCancelled: "cancelled",
+	want := map[wsanclient.JobState]string{
+		wsanclient.StateQueued:    wsanclient.EventJobQueued,
+		wsanclient.StateRunning:   wsanclient.EventJobRunning,
+		wsanclient.StateDone:      wsanclient.EventJobDone,
+		wsanclient.StateFailed:    wsanclient.EventJobFailed,
+		wsanclient.StateCancelled: wsanclient.EventJobCancelled,
 	}
-	for st, s := range want {
-		if st.String() != s {
-			t.Errorf("%d.String() = %q, want %q", int(st), st.String(), s)
+	for st, event := range want {
+		if got := "job." + string(st); got != event {
+			t.Errorf("state %q publishes %q, want %q", st, got, event)
 		}
-	}
-	if JobState(99).String() == "" {
-		t.Error("unknown state should still stringify")
+		if st.Terminal() != wsanclient.TerminalEvent(event) {
+			t.Errorf("state %q: Terminal() = %v but TerminalEvent(%q) = %v",
+				st, st.Terminal(), event, wsanclient.TerminalEvent(event))
+		}
 	}
 }
 

@@ -7,14 +7,14 @@
 //
 // The package sits entirely on the public wsan facade (plus the obs layer
 // it shares with the rest of the pipeline); it is the service skin of the
-// library, not a second implementation.
+// library, not a second implementation. Its wire format is wsanclient's:
+// the daemon encodes the client's types rather than declaring its own.
 package server
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"wsan"
+	"wsan/wsanclient"
 )
 
 // netEntry is one hosted network: the immutable wsan.Network plus the
@@ -45,41 +46,9 @@ type netEntry struct {
 	Created time.Time
 }
 
-// CreateNetworkRequest is the POST /networks body. Exactly one of Preset
-// and Testbed selects the topology source.
-type CreateNetworkRequest struct {
-	// Name is the handle jobs are submitted under. Required.
-	Name string `json:"name"`
-	// Preset generates a synthetic testbed ("indriya" or "wustl").
-	Preset string `json:"preset,omitempty"`
-	// TopoSeed drives preset generation (default 1).
-	TopoSeed int64 `json:"toposeed,omitempty"`
-	// Testbed is an uploaded topology JSON document (the wsan survey.json
-	// format), used instead of a preset.
-	Testbed json.RawMessage `json:"testbed,omitempty"`
-	// Channels is the number of channels to operate on (default 4).
-	Channels int `json:"channels,omitempty"`
-	// PRRThreshold overrides the link-selection threshold PRR_t (default 0.9).
-	PRRThreshold float64 `json:"prrThreshold,omitempty"`
-	// AccessPoints overrides how many access points are selected (default 2).
-	AccessPoints int `json:"accessPoints,omitempty"`
-}
-
-// NetworkView is the network description the HTTP API serves.
-type NetworkView struct {
-	Name          string    `json:"name"`
-	Hash          string    `json:"hash"`
-	Nodes         int       `json:"nodes"`
-	Channels      []int     `json:"channels"`
-	AccessPoints  []int     `json:"accessPoints"`
-	CommEdges     int       `json:"commEdges"`
-	ReuseDiameter int       `json:"reuseDiameter"`
-	Created       time.Time `json:"created"`
-}
-
 // view builds the API description of an entry.
-func (e *netEntry) view() NetworkView {
-	return NetworkView{
+func (e *netEntry) view() wsanclient.Network {
+	return wsanclient.Network{
 		Name:          e.Name,
 		Hash:          e.Hash,
 		Nodes:         len(e.Net.Testbed().Nodes),
@@ -102,8 +71,11 @@ type registry struct {
 
 func newRegistry() *registry { return &registry{nets: make(map[string]*netEntry)} }
 
-// create builds a network from the request and registers it under its name.
-func (r *registry) create(req CreateNetworkRequest) (*netEntry, error) {
+// create builds a network from the request and registers it under its
+// name. Preset and TopoSeed (default 1) select a synthetic testbed, Testbed
+// uploads a survey document instead; Channels defaults to 4, and
+// PRRThreshold and AccessPoints override the network options when set.
+func (r *registry) create(req wsanclient.CreateNetworkRequest) (*netEntry, error) {
 	if req.Name == "" {
 		return nil, fmt.Errorf("network name is required")
 	}
@@ -119,18 +91,15 @@ func (r *registry) create(req CreateNetworkRequest) (*netEntry, error) {
 	case req.Preset != "" && len(req.Testbed) > 0:
 		return nil, fmt.Errorf("preset and testbed are mutually exclusive")
 	case req.Preset != "":
+		generate, ok := wsan.TestbedPreset(req.Preset)
+		if !ok {
+			return nil, fmt.Errorf("unknown preset %q (want indriya or wustl)", req.Preset)
+		}
 		seed := req.TopoSeed
 		if seed == 0 {
 			seed = 1
 		}
-		switch req.Preset {
-		case "indriya":
-			tb, err = wsan.GenerateIndriya(seed)
-		case "wustl":
-			tb, err = wsan.GenerateWUSTL(seed)
-		default:
-			return nil, fmt.Errorf("unknown preset %q (want indriya or wustl)", req.Preset)
-		}
+		tb, err = generate(seed)
 	case len(req.Testbed) > 0:
 		tb, err = wsan.LoadTestbed(bytes.NewReader(req.Testbed))
 	default:
@@ -196,9 +165,9 @@ func (r *registry) remove(name string) bool {
 }
 
 // list returns every hosted network's view, sorted by name.
-func (r *registry) list() []NetworkView {
+func (r *registry) list() []wsanclient.Network {
 	r.mu.RLock()
-	views := make([]NetworkView, 0, len(r.nets))
+	views := make([]wsanclient.Network, 0, len(r.nets))
 	for _, e := range r.nets {
 		views = append(views, e.view())
 	}

@@ -13,12 +13,13 @@ import (
 
 	"wsan"
 	"wsan/internal/schedule"
+	"wsan/wsanclient"
 )
 
 // fetchPart downloads one artifact part's exact bytes.
 func fetchPart(t *testing.T, ts *httptest.Server, id, part string) []byte {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/artifacts/" + id + "/" + part)
+	resp, err := http.Get(ts.URL + "/v1/artifacts/" + id + "/" + part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +58,14 @@ func TestRescheduleJobs(t *testing.T) {
 	victim := baseFlows[2]
 
 	// Remove one flow.
-	v, code := submit(t, ts, "plant", KindReschedule, map[string]any{
+	v, code := submit(t, ts, "plant", wsanclient.KindReschedule, map[string]any{
 		"artifact": base, "op": "remove", "flow": victim.ID,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("remove submit: status %d", code)
 	}
 	done := poll(t, ts, v.ID, 30*time.Second)
-	if done.State != StateDone {
+	if done.State != wsanclient.StateDone {
 		t.Fatalf("remove job finished %v (%s)", done.State, done.Error)
 	}
 	removedArt := done.Artifact
@@ -94,7 +95,7 @@ func TestRescheduleJobs(t *testing.T) {
 	}
 
 	// Add the flow back under a fresh ID, on the removed bundle.
-	v, code = submit(t, ts, "plant", KindReschedule, map[string]any{
+	v, code = submit(t, ts, "plant", wsanclient.KindReschedule, map[string]any{
 		"artifact": removedArt, "op": "add", "flow": 99,
 		"src": victim.Src, "dst": victim.Dst,
 		"period": victim.Period, "deadline": victim.Deadline,
@@ -103,7 +104,7 @@ func TestRescheduleJobs(t *testing.T) {
 		t.Fatalf("add submit: status %d", code)
 	}
 	done = poll(t, ts, v.ID, 30*time.Second)
-	if done.State != StateDone {
+	if done.State != wsanclient.StateDone {
 		t.Fatalf("add job finished %v (%s)", done.State, done.Error)
 	}
 	addArt := done.Artifact
@@ -120,25 +121,25 @@ func TestRescheduleJobs(t *testing.T) {
 	}
 
 	// Reroute the new flow (no avoid set: the shortest route is re-derived).
-	v, code = submit(t, ts, "plant", KindReschedule, map[string]any{
+	v, code = submit(t, ts, "plant", wsanclient.KindReschedule, map[string]any{
 		"artifact": addArt, "op": "reroute", "flow": 99,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("reroute submit: status %d", code)
 	}
 	done = poll(t, ts, v.ID, 30*time.Second)
-	if done.State != StateDone {
+	if done.State != wsanclient.StateDone {
 		t.Fatalf("reroute job finished %v (%s)", done.State, done.Error)
 	}
 
 	// The rescheduled bundle must remain a valid input for simulation.
-	v, code = submit(t, ts, "plant", KindSimulate, map[string]any{
+	v, code = submit(t, ts, "plant", wsanclient.KindSimulate, map[string]any{
 		"artifact": done.Artifact, "hyperperiods": 1,
 	})
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("simulate submit: status %d", code)
 	}
-	if done = poll(t, ts, v.ID, 30*time.Second); done.State != StateDone {
+	if done = poll(t, ts, v.ID, 30*time.Second); done.State != wsanclient.StateDone {
 		t.Fatalf("simulate over rescheduled bundle finished %v (%s)", done.State, done.Error)
 	}
 }
@@ -159,7 +160,7 @@ func TestRescheduleValidation(t *testing.T) {
 		{"artifact": "nope", "op": "remove", "flow": 0},
 	}
 	for i, params := range bad {
-		if _, code := submit(t, ts, "plant", KindReschedule, params); code != http.StatusBadRequest {
+		if _, code := submit(t, ts, "plant", wsanclient.KindReschedule, params); code != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, want 400 (%v)", i, code, params)
 		}
 	}
@@ -184,18 +185,18 @@ func TestRetryIdempotentAfterStoreWrite(t *testing.T) {
 	if err := wsan.SaveTestbed(testTestbed(t), &buf); err != nil {
 		t.Fatal(err)
 	}
-	nw, err := srv.nets.create(CreateNetworkRequest{
+	nw, err := srv.nets.create(wsanclient.CreateNetworkRequest{
 		Name: "plant", Testbed: json.RawMessage(buf.Bytes()), Channels: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon, err := srv.canonicalParams(nw, KindSchedule,
+	canon, err := srv.canonicalParams(nw, wsanclient.KindSchedule,
 		json.RawMessage(`{"flows":3,"maxPeriodExp":1,"seed":3}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := ArtifactKey(nw.Hash, KindSchedule, canon)
+	key := ArtifactKey(nw.Hash, wsanclient.KindSchedule, canon)
 
 	attempts := 0
 	pool := NewPool(PoolConfig{
@@ -210,8 +211,8 @@ func TestRetryIdempotentAfterStoreWrite(t *testing.T) {
 		return art, runErr
 	})
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &Job{ID: "t1", Network: "plant", Kind: KindSchedule, Key: key,
-		Params: canon, ctx: ctx, cancel: cancel, state: StateQueued, created: time.Now()}
+	j := &Job{ID: "t1", Network: "plant", Kind: wsanclient.KindSchedule, Key: key,
+		Params: canon, ctx: ctx, cancel: cancel, state: wsanclient.StateQueued, created: time.Now()}
 	if err := pool.Submit(j); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestRetryIdempotentAfterStoreWrite(t *testing.T) {
 	}
 
 	v := j.View()
-	if v.State != StateDone || v.Artifact != key || v.Retries != 1 {
+	if v.State != wsanclient.StateDone || v.Artifact != key || v.Retries != 1 {
 		t.Fatalf("job after retry: %+v", v)
 	}
 	if attempts != 2 {
@@ -257,14 +258,14 @@ func TestQueueFullRetryAfter(t *testing.T) {
 		return map[string]any{"artifact": art, "hyperperiods": 2_000_000, "seed": seed}
 	}
 	// Occupy the single worker, then fill the two queue slots.
-	v1, code := submit(t, ts, "plant", KindSimulate, long(11))
+	v1, code := submit(t, ts, "plant", wsanclient.KindSimulate, long(11))
 	if code != http.StatusAccepted {
 		t.Fatalf("job 1: status %d", code)
 	}
-	waitState(t, ts, v1.ID, StateRunning, 10*time.Second)
-	var queued []JobView
+	waitState(t, ts, v1.ID, wsanclient.StateRunning, 10*time.Second)
+	var queued []wsanclient.Job
 	for seed := 12; seed <= 13; seed++ {
-		v, code := submit(t, ts, "plant", KindSimulate, long(seed))
+		v, code := submit(t, ts, "plant", wsanclient.KindSimulate, long(seed))
 		if code != http.StatusAccepted {
 			t.Fatalf("job seed %d: status %d", seed, code)
 		}
@@ -274,8 +275,8 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	// The overflow submission is rejected with the backlog-derived header:
 	// 1 running + 2 queued jobs on 1 worker → 3 seconds. (The running job
 	// counts: before the fix the estimate ignored busy workers and said 2.)
-	body, _ := json.Marshal(map[string]any{"kind": KindSimulate, "params": long(14)})
-	resp, err := http.Post(ts.URL+"/networks/plant/jobs", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(map[string]any{"kind": wsanclient.KindSimulate, "params": long(14)})
+	resp, err := http.Post(ts.URL+"/v1/networks/plant/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +293,8 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	}
 
 	for _, v := range queued {
-		doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v.ID, nil, nil)
+		doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil, nil)
 	}
-	doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v1.ID, nil, nil)
-	waitState(t, ts, v1.ID, StateCancelled, 10*time.Second)
+	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v1.ID, nil, nil)
+	waitState(t, ts, v1.ID, wsanclient.StateCancelled, 10*time.Second)
 }

@@ -14,6 +14,7 @@ import (
 
 	"wsan/internal/obs"
 	"wsan/internal/server/storage"
+	"wsan/wsanclient"
 )
 
 // Config parameterizes the daemon.
@@ -237,7 +238,7 @@ func (s *Server) SubmitJob(network, kind string, params json.RawMessage) (*Job, 
 		Params:       canon,
 		ctx:          ctx,
 		cancel:       cancel,
-		state:        StateQueued,
+		state:        wsanclient.StateQueued,
 		created:      time.Now(),
 		onTransition: s.jobTransition,
 	}
@@ -245,7 +246,7 @@ func (s *Server) SubmitJob(network, kind string, params json.RawMessage) (*Job, 
 		// Cache hit: the artifact for this exact request already exists;
 		// the job completes without touching the queue.
 		j.mu.Lock()
-		j.state = StateDone
+		j.state = wsanclient.StateDone
 		j.cached = true
 		j.artifactID = art.ID
 		j.started = j.created
@@ -300,7 +301,7 @@ func jobSeqNum(id string) (int, bool) {
 // ordering). after, when non-empty, skips every job at or before that ID
 // in submission order; limit > 0 caps the page size. The second return is
 // the cursor of the next page ("" when this page exhausts the list).
-func (s *Server) JobViews(after string, limit int) ([]JobView, string) {
+func (s *Server) JobViews(after string, limit int) ([]wsanclient.Job, string) {
 	s.mu.Lock()
 	order := s.jobOrder
 	start := 0
@@ -324,7 +325,7 @@ func (s *Server) JobViews(after string, limit int) ([]JobView, string) {
 	}
 	more := end < len(order)
 	s.mu.Unlock()
-	views := make([]JobView, 0, len(jobs))
+	views := make([]wsanclient.Job, 0, len(jobs))
 	for _, j := range jobs {
 		views = append(views, j.View())
 	}
@@ -335,26 +336,17 @@ func (s *Server) JobViews(after string, limit int) ([]JobView, string) {
 	return views, next
 }
 
-// ArtifactView is the artifact description the list endpoint serves (the
-// parts are listed by name; fetch them via /v1/artifacts/{id}/{part}).
-type ArtifactView struct {
-	ID      string    `json:"id"`
-	Kind    string    `json:"kind"`
-	Created time.Time `json:"created"`
-	Parts   []string  `json:"parts"`
-}
-
 // ArtifactViews lists stored artifacts sorted by ID (the artifacts list's
 // stable ordering — content addresses, so the order is arbitrary but
 // stable). after resumes strictly past that ID — the cursor itself need
 // not still exist, so a page boundary evicted between requests resumes
 // correctly; limit > 0 caps the page. The second return is the next page's
 // cursor ("" when exhausted).
-func (s *Server) ArtifactViews(after string, limit int) ([]ArtifactView, string) {
+func (s *Server) ArtifactViews(after string, limit int) ([]wsanclient.ArtifactInfo, string) {
 	infos, next := s.store.List(after, limit)
-	out := make([]ArtifactView, 0, len(infos))
+	out := make([]wsanclient.ArtifactInfo, 0, len(infos))
 	for _, info := range infos {
-		out = append(out, ArtifactView{ID: info.ID, Kind: info.Kind, Created: info.Created, Parts: info.Parts})
+		out = append(out, wsanclient.ArtifactInfo{ID: info.ID, Kind: info.Kind, Created: info.Created, Parts: info.Parts})
 	}
 	return out, next
 }
@@ -363,13 +355,11 @@ func (s *Server) ArtifactViews(after string, limit int) ([]ArtifactView, string)
 // counted by the store itself and announced on the event bus so `wsansim
 // watch` surfaces cache pressure live.
 func (s *Server) cacheEviction(ev storage.Eviction) {
-	s.bus.Publish(EventCacheEvict, "", "", ev)
+	s.bus.Publish(wsanclient.EventCacheEvict, "", "", ev)
 }
 
-// buildMux assembles the HTTP surface. Every route is mounted twice: under
-// /v1 (the versioned API clients should target) and at its original
-// unversioned path, kept as a deprecated alias that answers with a
-// "Deprecation: true" header.
+// buildMux assembles the HTTP surface: every route of the route table is
+// mounted once, under /v1.
 func (s *Server) buildMux(enablePprof bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	routes := []struct {
@@ -393,8 +383,7 @@ func (s *Server) buildMux(enablePprof bool) *http.ServeMux {
 		{"GET", "/artifacts/{id}/{part}", "artifacts_part", s.handleGetArtifactPart},
 	}
 	for _, rt := range routes {
-		s.handle(mux, rt.method+" /v1"+rt.path, rt.name, rt.h, false)
-		s.handle(mux, rt.method+" "+rt.path, rt.name, rt.h, true)
+		s.handle(mux, rt.method+" /v1"+rt.path, rt.name, rt.h)
 	}
 	if enablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -403,9 +392,9 @@ func (s *Server) buildMux(enablePprof bool) *http.ServeMux {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	// Catch-all: requests matching no route get the JSON error envelope
-	// instead of the mux's plain-text defaults, so every non-2xx response
-	// on the API surface has one shape.
+	// Catch-all: requests matching no route — unversioned paths included —
+	// get the JSON error envelope instead of the mux's plain-text defaults,
+	// so every non-2xx response on the API surface has one shape.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, codeNotFound, "no route for %s %s", r.Method, r.URL.Path)
 	})
@@ -414,16 +403,10 @@ func (s *Server) buildMux(enablePprof bool) *http.ServeMux {
 
 // handle registers a route with per-endpoint request counting and latency
 // histograms ("server.http.<name>.requests" / "server.http.<name>_seconds").
-// deprecated marks the unversioned alias of a /v1 route: it serves
-// identically but advertises the deprecation per draft-ietf-httpapi-deprecation.
-func (s *Server) handle(mux *http.ServeMux, pattern, name string, h http.HandlerFunc, deprecated bool) {
+func (s *Server) handle(mux *http.ServeMux, pattern, name string, h http.HandlerFunc) {
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		s.mets.Count("server.http."+name+".requests", 1)
 		defer obs.Timed(s.mets, "server.http."+name+"_seconds")()
-		if deprecated {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</v1`+r.URL.Path+`>; rel="successor-version"`)
-		}
 		h(w, r)
 	})
 }

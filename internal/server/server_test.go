@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wsan"
+	"wsan/wsanclient"
 )
 
 // contextWithTimeout is a shorthand for context.WithTimeout off Background.
@@ -103,8 +104,8 @@ func createTestNetwork(t *testing.T, ts *httptest.Server, name string) {
 	if err := wsan.SaveTestbed(testTestbed(t), &buf); err != nil {
 		t.Fatal(err)
 	}
-	var view NetworkView
-	code := doJSON(t, http.MethodPost, ts.URL+"/networks", map[string]any{
+	var view wsanclient.Network
+	code := doJSON(t, http.MethodPost, ts.URL+"/v1/networks", map[string]any{
 		"name":     name,
 		"testbed":  json.RawMessage(buf.Bytes()),
 		"channels": 4,
@@ -118,24 +119,24 @@ func createTestNetwork(t *testing.T, ts *httptest.Server, name string) {
 }
 
 // submit posts one job and returns its view and HTTP status.
-func submit(t *testing.T, ts *httptest.Server, network, kind string, params map[string]any) (JobView, int) {
+func submit(t *testing.T, ts *httptest.Server, network, kind string, params map[string]any) (wsanclient.Job, int) {
 	t.Helper()
-	var v JobView
-	code := doJSON(t, http.MethodPost, ts.URL+"/networks/"+network+"/jobs",
+	var v wsanclient.Job
+	code := doJSON(t, http.MethodPost, ts.URL+"/v1/networks/"+network+"/jobs",
 		map[string]any{"kind": kind, "params": params}, &v)
 	return v, code
 }
 
 // poll waits for a job to leave the queued/running states.
-func poll(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) JobView {
+func poll(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) wsanclient.Job {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		var v JobView
-		if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/"+id, nil, &v); code != http.StatusOK {
+		var v wsanclient.Job
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, nil, &v); code != http.StatusOK {
 			t.Fatalf("poll %s: status %d", id, code)
 		}
-		if v.State != StateQueued && v.State != StateRunning {
+		if v.State != wsanclient.StateQueued && v.State != wsanclient.StateRunning {
 			return v
 		}
 		if time.Now().After(deadline) {
@@ -146,12 +147,12 @@ func poll(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) J
 }
 
 // waitState waits for a job to reach one specific state.
-func waitState(t *testing.T, ts *httptest.Server, id string, want JobState, timeout time.Duration) JobView {
+func waitState(t *testing.T, ts *httptest.Server, id string, want wsanclient.JobState, timeout time.Duration) wsanclient.Job {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		var v JobView
-		doJSON(t, http.MethodGet, ts.URL+"/jobs/"+id, nil, &v)
+		var v wsanclient.Job
+		doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, nil, &v)
 		if v.State == want {
 			return v
 		}
@@ -170,7 +171,7 @@ func TestEndToEnd(t *testing.T) {
 	createTestNetwork(t, ts, "plant")
 
 	params := map[string]any{"flows": 5, "alg": "rc", "seed": 3, "maxPeriodExp": 1}
-	v, code := submit(t, ts, "plant", KindSchedule, params)
+	v, code := submit(t, ts, "plant", wsanclient.KindSchedule, params)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d (%+v)", code, v)
 	}
@@ -178,7 +179,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal("first submission should not be a cache hit")
 	}
 	done := poll(t, ts, v.ID, 30*time.Second)
-	if done.State != StateDone {
+	if done.State != wsanclient.StateDone {
 		t.Fatalf("job finished %v (%s)", done.State, done.Error)
 	}
 	if done.Artifact == "" {
@@ -190,7 +191,7 @@ func TestEndToEnd(t *testing.T) {
 		ID    string                     `json:"id"`
 		Parts map[string]json.RawMessage `json:"parts"`
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/artifacts/"+done.Artifact, nil, &bundle); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/artifacts/"+done.Artifact, nil, &bundle); code != http.StatusOK {
 		t.Fatalf("get artifact: status %d", code)
 	}
 	for _, part := range []string{"survey.json", "workload.json", "schedule.json", "summary.json"} {
@@ -214,7 +215,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 	// The raw part endpoint serves the stored bytes untouched — the same
 	// bytes `wsansim gen-schedule` would have written to schedule.json.
-	resp, err := http.Get(ts.URL + "/artifacts/" + done.Artifact + "/schedule.json")
+	resp, err := http.Get(ts.URL + "/v1/artifacts/" + done.Artifact + "/schedule.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +242,11 @@ func TestEndToEnd(t *testing.T) {
 
 	// Identical resubmission: cache hit, done instantly, same artifact.
 	hits := srv.Metrics().CounterValue("server.cache.hits")
-	v2, code := submit(t, ts, "plant", KindSchedule, params)
+	v2, code := submit(t, ts, "plant", wsanclient.KindSchedule, params)
 	if code != http.StatusOK {
 		t.Fatalf("resubmit: status %d, want 200 (cache hit)", code)
 	}
-	if !v2.Cached || v2.State != StateDone || v2.Artifact != done.Artifact {
+	if !v2.Cached || v2.State != wsanclient.StateDone || v2.Artifact != done.Artifact {
 		t.Fatalf("resubmit not a cache hit: %+v", v2)
 	}
 	if got := srv.Metrics().CounterValue("server.cache.hits"); got != hits+1 {
@@ -253,17 +254,17 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Chain a simulation over the artifact.
-	sv, code := submit(t, ts, "plant", KindSimulate, map[string]any{
+	sv, code := submit(t, ts, "plant", wsanclient.KindSimulate, map[string]any{
 		"artifact": done.Artifact, "hyperperiods": 5, "seed": 2,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit simulate: status %d (%+v)", code, sv)
 	}
 	sdone := poll(t, ts, sv.ID, 30*time.Second)
-	if sdone.State != StateDone {
+	if sdone.State != wsanclient.StateDone {
 		t.Fatalf("simulate finished %v (%s)", sdone.State, sdone.Error)
 	}
-	resp, err = http.Get(ts.URL + "/artifacts/" + sdone.Artifact + "/report.json")
+	resp, err = http.Get(ts.URL + "/v1/artifacts/" + sdone.Artifact + "/report.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestEndToEnd(t *testing.T) {
 	var snap struct {
 		Counters map[string]int64 `json:"counters"`
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &snap); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &snap); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
 	if snap.Counters["server.jobs.completed"] < 2 {
@@ -300,20 +301,20 @@ func TestCancelRunningJob(t *testing.T) {
 
 	// A simulation this long would take minutes; cancellation must cut it
 	// to well under the polling deadline.
-	v, code := submit(t, ts, "plant", KindSimulate, map[string]any{
+	v, code := submit(t, ts, "plant", wsanclient.KindSimulate, map[string]any{
 		"artifact": art, "hyperperiods": 2_000_000, "seed": 5,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	waitState(t, ts, v.ID, StateRunning, 10*time.Second)
+	waitState(t, ts, v.ID, wsanclient.StateRunning, 10*time.Second)
 
 	start := time.Now()
-	var cv JobView
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v.ID, nil, &cv); code != http.StatusOK {
+	var cv wsanclient.Job
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil, &cv); code != http.StatusOK {
 		t.Fatalf("cancel: status %d", code)
 	}
-	fin := waitState(t, ts, v.ID, StateCancelled, 10*time.Second)
+	fin := waitState(t, ts, v.ID, wsanclient.StateCancelled, 10*time.Second)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
@@ -321,7 +322,7 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal("cancelled job should carry the cancellation error")
 	}
 	// A finished job cannot be cancelled again.
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v.ID, nil, nil); code != http.StatusConflict {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil, nil); code != http.StatusConflict {
 		t.Fatalf("re-cancel: status %d, want 409", code)
 	}
 }
@@ -336,44 +337,44 @@ func TestBackpressure(t *testing.T) {
 		return map[string]any{"artifact": art, "hyperperiods": 2_000_000, "seed": seed}
 	}
 	// First long job occupies the single worker...
-	v1, code := submit(t, ts, "plant", KindSimulate, long(11))
+	v1, code := submit(t, ts, "plant", wsanclient.KindSimulate, long(11))
 	if code != http.StatusAccepted {
 		t.Fatalf("job 1: status %d", code)
 	}
-	waitState(t, ts, v1.ID, StateRunning, 10*time.Second)
+	waitState(t, ts, v1.ID, wsanclient.StateRunning, 10*time.Second)
 	// ...the second fills the queue...
-	v2, code := submit(t, ts, "plant", KindSimulate, long(12))
+	v2, code := submit(t, ts, "plant", wsanclient.KindSimulate, long(12))
 	if code != http.StatusAccepted {
 		t.Fatalf("job 2: status %d", code)
 	}
 	// ...and the third must be rejected with 429.
-	_, code = submit(t, ts, "plant", KindSimulate, long(13))
+	_, code = submit(t, ts, "plant", wsanclient.KindSimulate, long(13))
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("job 3: status %d, want 429", code)
 	}
 	// Cancel the queued job: it must finish without ever running.
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v2.ID, nil, nil); code != http.StatusOK {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v2.ID, nil, nil); code != http.StatusOK {
 		t.Fatalf("cancel queued: status %d", code)
 	}
-	if v := waitState(t, ts, v2.ID, StateCancelled, 5*time.Second); v.Started != nil {
+	if v := waitState(t, ts, v2.ID, wsanclient.StateCancelled, 5*time.Second); v.Started != nil {
 		t.Fatalf("queued job should never start, got %+v", v)
 	}
-	doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+v1.ID, nil, nil)
-	waitState(t, ts, v1.ID, StateCancelled, 10*time.Second)
+	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+v1.ID, nil, nil)
+	waitState(t, ts, v1.ID, wsanclient.StateCancelled, 10*time.Second)
 }
 
 // mustSchedule runs one small schedule job to completion and returns its
 // artifact ID.
 func mustSchedule(t *testing.T, ts *httptest.Server, network string) string {
 	t.Helper()
-	v, code := submit(t, ts, network, KindSchedule, map[string]any{
+	v, code := submit(t, ts, network, wsanclient.KindSchedule, map[string]any{
 		"flows": 5, "alg": "rc", "seed": 3, "maxPeriodExp": 1,
 	})
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("schedule submit: status %d", code)
 	}
 	done := poll(t, ts, v.ID, 30*time.Second)
-	if done.State != StateDone {
+	if done.State != wsanclient.StateDone {
 		t.Fatalf("schedule job finished %v (%s)", done.State, done.Error)
 	}
 	return done.Artifact
@@ -390,7 +391,7 @@ func TestValidationAndNotFound(t *testing.T) {
 		want int
 	}{
 		{"unknown network", func() int {
-			_, c := submit(t, ts, "ghost", KindSchedule, nil)
+			_, c := submit(t, ts, "ghost", wsanclient.KindSchedule, nil)
 			return c
 		}, http.StatusNotFound},
 		{"unknown kind", func() int {
@@ -398,43 +399,43 @@ func TestValidationAndNotFound(t *testing.T) {
 			return c
 		}, http.StatusBadRequest},
 		{"bad algorithm", func() int {
-			_, c := submit(t, ts, "plant", KindSchedule, map[string]any{"alg": "bogus"})
+			_, c := submit(t, ts, "plant", wsanclient.KindSchedule, map[string]any{"alg": "bogus"})
 			return c
 		}, http.StatusBadRequest},
 		{"unknown params field", func() int {
-			_, c := submit(t, ts, "plant", KindSchedule, map[string]any{"bogus": 1})
+			_, c := submit(t, ts, "plant", wsanclient.KindSchedule, map[string]any{"bogus": 1})
 			return c
 		}, http.StatusBadRequest},
 		{"simulate without artifact", func() int {
-			_, c := submit(t, ts, "plant", KindSimulate, nil)
+			_, c := submit(t, ts, "plant", wsanclient.KindSimulate, nil)
 			return c
 		}, http.StatusBadRequest},
 		{"simulate with unknown artifact", func() int {
-			_, c := submit(t, ts, "plant", KindSimulate, map[string]any{"artifact": "nope"})
+			_, c := submit(t, ts, "plant", wsanclient.KindSimulate, map[string]any{"artifact": "nope"})
 			return c
 		}, http.StatusBadRequest},
 		{"unknown job", func() int {
-			return doJSON(t, http.MethodGet, ts.URL+"/jobs/j999", nil, nil)
+			return doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/j999", nil, nil)
 		}, http.StatusNotFound},
 		{"unknown artifact", func() int {
-			return doJSON(t, http.MethodGet, ts.URL+"/artifacts/nope", nil, nil)
+			return doJSON(t, http.MethodGet, ts.URL+"/v1/artifacts/nope", nil, nil)
 		}, http.StatusNotFound},
 		{"duplicate network", func() int {
 			var buf bytes.Buffer
 			_ = wsan.SaveTestbed(testTestbed(t), &buf)
-			return doJSON(t, http.MethodPost, ts.URL+"/networks", map[string]any{
+			return doJSON(t, http.MethodPost, ts.URL+"/v1/networks", map[string]any{
 				"name": "plant", "testbed": json.RawMessage(buf.Bytes()),
 			}, nil)
 		}, http.StatusConflict},
 		{"network without topology", func() int {
-			return doJSON(t, http.MethodPost, ts.URL+"/networks", map[string]any{
+			return doJSON(t, http.MethodPost, ts.URL+"/v1/networks", map[string]any{
 				"name": "empty",
 			}, nil)
 		}, http.StatusBadRequest},
 		{"preset and testbed together", func() int {
 			var buf bytes.Buffer
 			_ = wsan.SaveTestbed(testTestbed(t), &buf)
-			return doJSON(t, http.MethodPost, ts.URL+"/networks", map[string]any{
+			return doJSON(t, http.MethodPost, ts.URL+"/v1/networks", map[string]any{
 				"name": "both", "preset": "wustl", "testbed": json.RawMessage(buf.Bytes()),
 			}, nil)
 		}, http.StatusBadRequest},
@@ -446,6 +447,53 @@ func TestValidationAndNotFound(t *testing.T) {
 	}
 }
 
+// TestJobParamsRejectedAtSubmit: parameters the pipeline would silently
+// replace with its own defaults (or divide down to zero) are a 400 at
+// submission, never a job that runs something other than it names or
+// fails later on the worker.
+func TestJobParamsRejectedAtSubmit(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	createTestNetwork(t, ts, "plant")
+	const art = "bundle"
+	if _, err := srv.store.Put(art, wsanclient.KindSchedule, map[string][]byte{
+		"survey.json": []byte(`{}`), "workload.json": []byte(`{}`), "schedule.json": []byte(`{}`),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		kind   string
+		params map[string]any
+	}{
+		{wsanclient.KindConverge, map[string]any{"artifact": art, "chunkHyperperiods": -5}},
+		{wsanclient.KindConverge, map[string]any{"artifact": art, "maxChunks": -1}},
+		{wsanclient.KindConverge, map[string]any{"artifact": art, "halfWidth": -0.01}},
+		{wsanclient.KindManage, map[string]any{"artifact": art, "maxIterations": -1}},
+		{wsanclient.KindManage, map[string]any{"artifact": art, "epochSlots": 17}},
+		{wsanclient.KindManage, map[string]any{"artifact": art, "epochSlots": 1}},
+		{wsanclient.KindManage, map[string]any{"artifact": art, "epochSlots": -3000}},
+	}
+	for _, c := range cases {
+		var env errorBody
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/networks/plant/jobs",
+			map[string]any{"kind": c.kind, "params": c.params}, &env)
+		if code != http.StatusBadRequest || env.Error.Code != codeInvalidRequest {
+			t.Errorf("%s %v: status %d code %q, want 400 %q", c.kind, c.params, code, env.Error.Code, codeInvalidRequest)
+		}
+	}
+	// The smallest epoch with a non-empty sample window is accepted.
+	nw, _ := srv.nets.get("plant")
+	if _, err := srv.canonicalParams(nw, wsanclient.KindManage, json.RawMessage(`{"artifact":"bundle","epochSlots":18}`)); err != nil {
+		t.Errorf("epochSlots 18: %v", err)
+	}
+	// An unknown kind names the kind table.
+	var env errorBody
+	doJSON(t, http.MethodPost, ts.URL+"/v1/networks/plant/jobs", map[string]any{"kind": "warp"}, &env)
+	const want = `invalid warp parameters: unknown job kind "warp" (want converge, manage, reschedule, schedule, simulate, or soak)`
+	if env.Error.Message != want {
+		t.Errorf("unknown kind message %q, want %q", env.Error.Message, want)
+	}
+}
+
 // TestNetworkLifecycle covers create/list/get/delete.
 func TestNetworkLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 2})
@@ -453,28 +501,28 @@ func TestNetworkLifecycle(t *testing.T) {
 	createTestNetwork(t, ts, "b")
 
 	var list struct {
-		Networks []NetworkView `json:"networks"`
+		Networks []wsanclient.Network `json:"networks"`
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/networks", nil, &list); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/networks", nil, &list); code != http.StatusOK {
 		t.Fatalf("list: status %d", code)
 	}
 	if len(list.Networks) != 2 || list.Networks[0].Name != "a" || list.Networks[1].Name != "b" {
 		t.Fatalf("list = %+v", list.Networks)
 	}
-	var view NetworkView
-	if code := doJSON(t, http.MethodGet, ts.URL+"/networks/a", nil, &view); code != http.StatusOK {
+	var view wsanclient.Network
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/networks/a", nil, &view); code != http.StatusOK {
 		t.Fatalf("get: status %d", code)
 	}
 	if view.ReuseDiameter < 1 || view.CommEdges == 0 || len(view.AccessPoints) != 2 {
 		t.Fatalf("view = %+v", view)
 	}
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/networks/a", nil, nil); code != http.StatusNoContent {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/networks/a", nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/networks/a", nil, nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/networks/a", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("get after delete: status %d", code)
 	}
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/networks/a", nil, nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/networks/a", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("double delete: status %d", code)
 	}
 }
@@ -490,13 +538,13 @@ func TestGracefulShutdown(t *testing.T) {
 	defer ts.Close()
 	createTestNetwork(t, ts, "plant")
 	art := mustSchedule(t, ts, "plant")
-	v, code := submit(t, ts, "plant", KindSimulate, map[string]any{
+	v, code := submit(t, ts, "plant", wsanclient.KindSimulate, map[string]any{
 		"artifact": art, "hyperperiods": 2_000_000, "seed": 9,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	waitState(t, ts, v.ID, StateRunning, 10*time.Second)
+	waitState(t, ts, v.ID, wsanclient.StateRunning, 10*time.Second)
 
 	ctx, cancel := contextWithTimeout(50 * time.Millisecond)
 	defer cancel()
@@ -508,15 +556,15 @@ func TestGracefulShutdown(t *testing.T) {
 	if !ok {
 		t.Fatal("job disappeared")
 	}
-	if st := j.State(); st != StateCancelled {
+	if st := j.State(); st != wsanclient.StateCancelled {
 		t.Fatalf("job state after forced shutdown = %v, want cancelled", st)
 	}
 	// Draining rejects new work with 503.
-	if _, code := submit(t, ts, "plant", KindSchedule, map[string]any{"flows": 3}); code != http.StatusServiceUnavailable {
+	if _, code := submit(t, ts, "plant", wsanclient.KindSchedule, map[string]any{"flows": 3}); code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: status %d, want 503", code)
 	}
 	var health map[string]any
-	if code := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, &health); code != http.StatusServiceUnavailable {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, &health); code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining: status %d, want 503", code)
 	}
 }
@@ -530,23 +578,23 @@ func TestConvergeAndManageJobs(t *testing.T) {
 	createTestNetwork(t, ts, "plant")
 	art := mustSchedule(t, ts, "plant")
 
-	cv, code := submit(t, ts, "plant", KindConverge, map[string]any{
+	cv, code := submit(t, ts, "plant", wsanclient.KindConverge, map[string]any{
 		"artifact": art, "chunkHyperperiods": 2, "maxChunks": 3, "halfWidth": 0.5,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("converge submit: status %d", code)
 	}
-	mv, code := submit(t, ts, "plant", KindManage, map[string]any{
+	mv, code := submit(t, ts, "plant", wsanclient.KindManage, map[string]any{
 		"artifact": art, "maxIterations": 1, "epochSlots": 3000,
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("manage submit: status %d", code)
 	}
 	cdone := poll(t, ts, cv.ID, 60*time.Second)
-	if cdone.State != StateDone {
+	if cdone.State != wsanclient.StateDone {
 		t.Fatalf("converge finished %v (%s)", cdone.State, cdone.Error)
 	}
-	resp, err := http.Get(ts.URL + "/artifacts/" + cdone.Artifact + "/report.json")
+	resp, err := http.Get(ts.URL + "/v1/artifacts/" + cdone.Artifact + "/report.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,10 +607,10 @@ func TestConvergeAndManageJobs(t *testing.T) {
 		t.Fatalf("converge report = %+v", rep)
 	}
 	mdone := poll(t, ts, mv.ID, 60*time.Second)
-	if mdone.State != StateDone {
+	if mdone.State != wsanclient.StateDone {
 		t.Fatalf("manage finished %v (%s)", mdone.State, mdone.Error)
 	}
-	resp, err = http.Get(ts.URL + "/artifacts/" + mdone.Artifact + "/schedule.json")
+	resp, err = http.Get(ts.URL + "/v1/artifacts/" + mdone.Artifact + "/schedule.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,12 +26,12 @@ func TestSoakJob(t *testing.T) {
 		"flows": 12, "ops": 80, "seed": 7,
 		"batchEvery": 20, "batchSize": 3, "oracleEvery": 40,
 	}
-	v, code := submit(t, ts, "plant", KindSoak, params)
+	v, code := submit(t, ts, "plant", wsanclient.KindSoak, params)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
 	done := poll(t, ts, v.ID, 60*time.Second)
-	if done.State != StateDone {
+	if done.State != wsanclient.StateDone {
 		t.Fatalf("soak job finished %v (%s)", done.State, done.Error)
 	}
 
@@ -54,12 +54,12 @@ func TestSoakJob(t *testing.T) {
 	}
 
 	// Identical parameters hash to the same artifact: a cache hit.
-	v2, code := submit(t, ts, "plant", KindSoak, params)
+	v2, code := submit(t, ts, "plant", wsanclient.KindSoak, params)
 	if code != http.StatusOK && code != http.StatusAccepted {
 		t.Fatalf("resubmit: status %d", code)
 	}
 	done2 := poll(t, ts, v2.ID, 60*time.Second)
-	if done2.State != StateDone || done2.Artifact != done.Artifact {
+	if done2.State != wsanclient.StateDone || done2.Artifact != done.Artifact {
 		t.Fatalf("resubmit produced a different artifact: %+v vs %+v", done2, done)
 	}
 }
@@ -85,7 +85,7 @@ func TestSoakSweepMultiWorker(t *testing.T) {
 	}
 	var soakIDs []string
 	for seed := 1; seed <= 4; seed++ {
-		v, code := submit(t, ts, "plant", KindSoak, soakParams(seed))
+		v, code := submit(t, ts, "plant", wsanclient.KindSoak, soakParams(seed))
 		if code != http.StatusAccepted {
 			t.Fatalf("soak seed %d: status %d", seed, code)
 		}
@@ -93,7 +93,7 @@ func TestSoakSweepMultiWorker(t *testing.T) {
 	}
 	var simIDs []string
 	for seed := 1; seed <= 2; seed++ {
-		v, code := submit(t, ts, "plant", KindSimulate, map[string]any{
+		v, code := submit(t, ts, "plant", wsanclient.KindSimulate, map[string]any{
 			"artifact": art, "hyperperiods": 3, "seed": seed,
 		})
 		if code != http.StatusAccepted {
@@ -110,7 +110,7 @@ func TestSoakSweepMultiWorker(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			done := poll(t, ts, id, 120*time.Second)
-			if done.State != StateDone {
+			if done.State != wsanclient.StateDone {
 				t.Errorf("soak %s finished %v (%s)", id, done.State, done.Error)
 				return
 			}
@@ -123,7 +123,7 @@ func TestSoakSweepMultiWorker(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if done := poll(t, ts, id, 120*time.Second); done.State != StateDone {
+			if done := poll(t, ts, id, 120*time.Second); done.State != wsanclient.StateDone {
 				t.Errorf("simulate %s finished %v (%s)", id, done.State, done.Error)
 			}
 		}()
@@ -172,7 +172,7 @@ func TestSoakJobValidation(t *testing.T) {
 		{"unknownField": true},
 	}
 	for i, params := range bad {
-		if _, code := submit(t, ts, "plant", KindSoak, params); code != http.StatusBadRequest {
+		if _, code := submit(t, ts, "plant", wsanclient.KindSoak, params); code != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, want 400 (%v)", i, code, params)
 		}
 	}

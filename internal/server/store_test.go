@@ -6,18 +6,19 @@ import (
 
 	"wsan"
 	"wsan/internal/server/storage"
+	"wsan/wsanclient"
 )
 
 func TestArtifactKeyDeterminism(t *testing.T) {
-	a := ArtifactKey("net1", KindSchedule, []byte(`{"flows":5,"seed":1}`))
-	b := ArtifactKey("net1", KindSchedule, []byte(`{"flows":5,"seed":1}`))
+	a := ArtifactKey("net1", wsanclient.KindSchedule, []byte(`{"flows":5,"seed":1}`))
+	b := ArtifactKey("net1", wsanclient.KindSchedule, []byte(`{"flows":5,"seed":1}`))
 	if a != b {
 		t.Fatal("identical requests must share a key")
 	}
 	variants := []string{
-		ArtifactKey("net2", KindSchedule, []byte(`{"flows":5,"seed":1}`)),
-		ArtifactKey("net1", KindSimulate, []byte(`{"flows":5,"seed":1}`)),
-		ArtifactKey("net1", KindSchedule, []byte(`{"flows":5,"seed":2}`)),
+		ArtifactKey("net2", wsanclient.KindSchedule, []byte(`{"flows":5,"seed":1}`)),
+		ArtifactKey("net1", wsanclient.KindSimulate, []byte(`{"flows":5,"seed":1}`)),
+		ArtifactKey("net1", wsanclient.KindSchedule, []byte(`{"flows":5,"seed":2}`)),
 	}
 	for i, v := range variants {
 		if v == a {
@@ -52,7 +53,7 @@ func TestTopologyRoundTripUnderStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := testStore(t)
-	mustPut(t, s, "6b", KindSchedule, map[string][]byte{"survey.json": buf.Bytes()})
+	mustPut(t, s, "6b", wsanclient.KindSchedule, map[string][]byte{"survey.json": buf.Bytes()})
 	a, ok := s.Get("6b")
 	if !ok {
 		t.Fatal("artifact missing")
@@ -96,7 +97,7 @@ func TestScheduleRoundTripUnderStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := testStore(t)
-	mustPut(t, s, "6b", KindSchedule, map[string][]byte{
+	mustPut(t, s, "6b", wsanclient.KindSchedule, map[string][]byte{
 		"workload.json": workload.Bytes(),
 		"schedule.json": sched.Bytes(),
 	})

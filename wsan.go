@@ -49,7 +49,9 @@ import (
 )
 
 // wrapErr guarantees the package's error contract: every error escaping the
-// public API carries the "wsan:" prefix exactly once. Errors already
+// public API carries the "wsan:" prefix exactly once — except the name
+// parsers' (ParseAlgorithm, ParseTraffic), which are usage messages about a
+// flag or request field and are shown to that user verbatim. Errors already
 // prefixed (e.g. produced by another public entry point on the same path)
 // pass through unchanged, and the underlying error remains available to
 // errors.Is/As via %w.
@@ -128,6 +130,46 @@ const (
 	// PeerToPeer routes flows directly between field devices.
 	PeerToPeer = routing.PeerToPeer
 )
+
+// ParseAlgorithm maps a scheduler name ("nr", "ra" or "rc") to its
+// Algorithm — the spelling of the wsansim -alg flag and the daemon's job
+// parameters.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	switch name {
+	case "nr":
+		return NR, nil
+	case "ra":
+		return RA, nil
+	case "rc":
+		return RC, nil
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (want nr, ra, or rc)", name)
+}
+
+// ParseTraffic maps a traffic name ("p2p" or "centralized") to its routing
+// pattern.
+func ParseTraffic(name string) (Traffic, error) {
+	switch name {
+	case "p2p":
+		return PeerToPeer, nil
+	case "centralized":
+		return Centralized, nil
+	}
+	return 0, fmt.Errorf("unknown traffic %q (want p2p or centralized)", name)
+}
+
+// TestbedPreset looks up a synthetic testbed generator by name: "indriya"
+// (GenerateIndriya) or "wustl" (GenerateWUSTL). ok is false for any other
+// name.
+func TestbedPreset(name string) (generate func(seed int64) (*Testbed, error), ok bool) {
+	switch name {
+	case "indriya":
+		return GenerateIndriya, true
+	case "wustl":
+		return GenerateWUSTL, true
+	}
+	return nil, false
+}
 
 // Fault-event kinds. The values are the wire strings of the scenario JSON
 // format.

@@ -8,9 +8,10 @@
 // Last-Event-ID resume. Transient failures — connection errors, 429 with
 // Retry-After, 502/503/504 — are retried with bounded exponential backoff.
 //
-// The wire types mirror the daemon's responses structurally but are
-// declared here, so importing the client never links the scheduling and
-// simulation pipeline into a consumer binary.
+// The wire types are declared here and nowhere else: the daemon encodes
+// these same types. The package imports only the standard library, so
+// importing the client never links the scheduling and simulation pipeline
+// into a consumer binary.
 package wsanclient
 
 import (
@@ -127,7 +128,11 @@ type Event struct {
 	Data    json.RawMessage `json:"data,omitempty"`
 }
 
-// Event types of the v1 stream.
+// Event types of the v1 stream. Lifecycle events carry a Job as Data and
+// are named "job." + its state. job.snapshot primes a per-job stream with
+// the job's current view; it is synthesized per subscriber and carries no
+// sequence number. metrics.delta and cache.evicted are published on the
+// firehose only.
 const (
 	EventJobQueued    = "job.queued"
 	EventJobRunning   = "job.running"

@@ -29,30 +29,21 @@ func DefaultEnergyModel() EnergyModel {
 	}
 }
 
-// chargeSlot accounts one scheduled transmission opportunity: fired
-// exchanges cost both endpoints; unfired ones cost the receiver an idle
-// listen (the sender checks its queue, finds nothing pending for this cell,
-// and keeps the radio off).
-func (s *simulator) chargeSlot(tx txRefLike, fired bool) {
+// chargeSlot accounts one scheduled transmission opportunity on the link
+// from→to: fired exchanges cost both endpoints; unfired ones cost the
+// receiver an idle listen (the sender checks its queue, finds nothing
+// pending for this cell, and keeps the radio off).
+func (s *simulator) chargeSlot(from, to int, fired bool) {
 	if s.energy == nil {
 		return
 	}
 	if fired {
-		s.res.EnergyMJ[tx.from()] += s.energy.TxFrameMJ
-		s.res.EnergyMJ[tx.to()] += s.energy.RxFrameMJ
+		s.res.EnergyMJ[from] += s.energy.TxFrameMJ
+		s.res.EnergyMJ[to] += s.energy.RxFrameMJ
 		return
 	}
-	s.res.EnergyMJ[tx.to()] += s.energy.IdleListenMJ
+	s.res.EnergyMJ[to] += s.energy.IdleListenMJ
 }
-
-// txRefLike decouples the energy accounting from the scheduling structs.
-type txRefLike interface {
-	from() int
-	to() int
-}
-
-func (r txRef) from() int { return r.tx.Link.From }
-func (r txRef) to() int   { return r.tx.Link.To }
 
 // LifetimeYears estimates how long a battery of the given capacity (in
 // joules) sustains a node consuming energyMJPerFrame millijoules per

@@ -300,7 +300,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		if driftSeed == 0 {
 			driftSeed = cfg.Seed
 		}
-		gain = driftedGain(gain, cfg.SurveyDriftSigmaDB, driftSeed)
+		gain = memoGain(driftedGain(gain, cfg.SurveyDriftSigmaDB, driftSeed), cfg.Schedule, cfg.Channels)
 	}
 	if cfg.Faults != nil {
 		gain = faultedGain(gain, overlay)
@@ -321,13 +321,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			LinkEpochs: make(map[flow.Link][]EpochStats),
 			EnergyMJ:   make(map[int]float64),
 		},
-		flows:      make(map[int]*flow.Flow, len(cfg.Flows)),
 		interfOn:   make([]bool, len(cfg.Interferers)),
 		overlay:    overlay,
 		haveFaults: cfg.Faults != nil,
-	}
-	for _, f := range cfg.Flows {
-		sim.flows[f.ID] = f
 	}
 	sim.trace = newTracer(cfg.Trace)
 	sim.energy = cfg.Energy

@@ -13,12 +13,26 @@ import (
 	"wsan/internal/topology"
 )
 
-// txRef is one schedule entry with its precomputed reuse condition.
+// txRef is one schedule entry with the indexes the slot loop needs,
+// precomputed once per run so that no slot looks anything up in a map.
 type txRef struct {
 	tx schedule.Tx
 	// reuse records whether the schedule assigns this transmission a cell
 	// shared with others — the condition label the detection policy uses.
 	reuse bool
+	// last records whether tx.Attempt is the highest attempt the schedule
+	// holds for its (flow, hop): the drop rule reads the retry depth from the
+	// schedule itself, so variable per-hop budgets (reliability-target
+	// scheduling) and the uniform Retransmit policy follow one code path.
+	last bool
+	// pkt indexes simulator.packets, or is -1 when the transmission can
+	// never fire: its flow is not in Config.Flows or its instance is not
+	// released within the hyperperiod.
+	pkt int
+	// link indexes simulator.links.
+	link int
+	// f is the transmission's flow (nil when pkt is -1).
+	f *flow.Flow
 }
 
 // packetState tracks one packet (one flow instance release) through its
@@ -38,6 +52,14 @@ const (
 	condCF    = 1
 )
 
+// simFlow is one distinct flow ID of Config.Flows with its packets' place
+// in simulator.packets. A repeated ID keeps the last flow given for it.
+type simFlow struct {
+	f         *flow.Flow
+	pkt       int // index of instance 0's packet
+	instances int // releases per hyperperiod
+}
+
 type simulator struct {
 	cfg Config
 	// rng is the run's private random stream, created by RunCtx from
@@ -49,19 +71,17 @@ type simulator struct {
 	rng   *rand.Rand
 	env   *radio.Env
 	res   *Result
-	flows map[int]*flow.Flow
+	flows []simFlow
 
 	bySlot [][]txRef
 
-	// lastAttempt maps (flowID, hop) to the highest Attempt index the
-	// schedule holds for that hop. The drop rule reads the retry depth from
-	// the schedule itself, so variable per-hop budgets (reliability-target
-	// scheduling) and the uniform Retransmit policy follow one code path.
-	lastAttempt map[[2]int]int
-
-	// interferer state and precomputed interferer→node gains (dBm).
-	interfOn   []bool
-	interfGain [][]float64
+	// interferer state, precomputed interferer→node powers (linear mW) and
+	// channel bitmasks; extra is the run's external-interference function
+	// (nil without interferers or faults).
+	interfOn []bool
+	interfMW [][]float64
+	interfCh []uint32
+	extra    radio.InterferenceFunc
 
 	// overlay is the fault-scenario state machine (never nil; empty for a
 	// run without faults). haveFaults gates the per-slot overlay work so
@@ -69,14 +89,28 @@ type simulator struct {
 	overlay    *faults.Overlay
 	haveFaults bool
 
-	// linkWins[link][window][cond] accumulates per-window outcomes.
-	linkWins map[flow.Link]map[int]*[2]condAcc
-
 	// links is the deterministic list of distinct scheduled links, used for
-	// neighbor-discovery probing.
+	// neighbor-discovery probing and as the first index of wins.
 	links []flow.Link
+	// wins[link*numWins+window][cond] accumulates per-window outcomes (nil
+	// unless EpochSlots > 0).
+	wins    [][2]condAcc
+	numWins int
 
-	packets map[[2]int]*packetState
+	// packets holds every flow instance's state for the current
+	// hyperperiod, flow by flow (see simFlow.pkt).
+	packets []packetState
+
+	// Per-slot scratch, sized by buildSlotIndex to the fullest slot so the
+	// slot loop never grows it.
+	fires  []firing
+	data   []radio.Transmission
+	acks   []radio.Transmission
+	ackIdx []int
+	dataOK []bool
+	ackRes []bool
+	ackOK  []bool
+	probe  [1]radio.Transmission
 
 	trace  *tracer
 	energy *EnergyModel
@@ -154,30 +188,37 @@ func (s *simulator) flushMetrics() {
 	}
 }
 
-// buildSlotIndex flattens the schedule into a per-slot transmission list and
-// labels each transmission with its reuse condition.
+// buildSlotIndex flattens the schedule into a per-slot transmission list,
+// labels each transmission with its reuse condition and precomputes its
+// packet, link and last-attempt indexes.
 func (s *simulator) buildSlotIndex() {
 	sched := s.cfg.Schedule
-	s.bySlot = make([][]txRef, sched.NumSlots())
-	for slot := 0; slot < sched.NumSlots(); slot++ {
-		for off := 0; off < sched.NumOffsets(); off++ {
-			cell := sched.Cell(slot, off)
-			for _, tx := range cell {
-				s.bySlot[slot] = append(s.bySlot[slot], txRef{tx: tx, reuse: len(cell) >= 2})
-			}
+	hyper := sched.NumSlots()
+	byID := make(map[int]int, len(s.cfg.Flows))
+	for _, f := range s.cfg.Flows {
+		if i, ok := byID[f.ID]; ok {
+			s.flows[i].f = f
+			continue
 		}
+		byID[f.ID] = len(s.flows)
+		s.flows = append(s.flows, simFlow{f: f})
 	}
-	if s.cfg.EpochSlots > 0 {
-		s.linkWins = make(map[flow.Link]map[int]*[2]condAcc)
+	npkt := 0
+	for i := range s.flows {
+		sf := &s.flows[i]
+		sf.pkt, sf.instances = npkt, hyper/sf.f.Period
+		npkt += sf.instances
 	}
-	s.lastAttempt = make(map[[2]int]int)
-	seen := make(map[flow.Link]bool)
+	s.packets = make([]packetState, npkt)
+
+	lastAttempt := make(map[[2]int]int)
+	linkIdx := make(map[flow.Link]int)
 	for _, tx := range sched.Txs() {
-		if k := [2]int{tx.FlowID, tx.Hop}; tx.Attempt > s.lastAttempt[k] {
-			s.lastAttempt[k] = tx.Attempt
+		if k := [2]int{tx.FlowID, tx.Hop}; tx.Attempt > lastAttempt[k] {
+			lastAttempt[k] = tx.Attempt
 		}
-		if !seen[tx.Link] {
-			seen[tx.Link] = true
+		if _, ok := linkIdx[tx.Link]; !ok {
+			linkIdx[tx.Link] = 0
 			s.links = append(s.links, tx.Link)
 		}
 	}
@@ -187,16 +228,57 @@ func (s *simulator) buildSlotIndex() {
 		}
 		return s.links[i].To < s.links[j].To
 	})
+	for i, l := range s.links {
+		linkIdx[l] = i
+	}
+
+	s.bySlot = make([][]txRef, hyper)
+	maxRefs := 0
+	for slot := 0; slot < hyper; slot++ {
+		for off := 0; off < sched.NumOffsets(); off++ {
+			cell := sched.Cell(slot, off)
+			for _, tx := range cell {
+				ref := txRef{
+					tx:    tx,
+					reuse: len(cell) >= 2,
+					last:  tx.Attempt == lastAttempt[[2]int{tx.FlowID, tx.Hop}],
+					pkt:   -1,
+					link:  linkIdx[tx.Link],
+				}
+				if i, ok := byID[tx.FlowID]; ok {
+					if sf := s.flows[i]; tx.Instance >= 0 && tx.Instance < sf.instances {
+						ref.pkt, ref.f = sf.pkt+tx.Instance, sf.f
+					}
+				}
+				s.bySlot[slot] = append(s.bySlot[slot], ref)
+			}
+		}
+		maxRefs = max(maxRefs, len(s.bySlot[slot]))
+	}
+	s.fires = make([]firing, 0, maxRefs)
+	s.data = make([]radio.Transmission, 0, maxRefs)
+	s.acks = make([]radio.Transmission, 0, maxRefs)
+	s.ackIdx = make([]int, 0, maxRefs)
+	s.dataOK = make([]bool, maxRefs)
+	s.ackRes = make([]bool, maxRefs)
+	s.ackOK = make([]bool, maxRefs)
+
+	if s.cfg.EpochSlots > 0 {
+		s.numWins = (hyper*s.cfg.Hyperperiods-1)/s.cfg.SampleWindowSlots + 1
+		s.wins = make([][2]condAcc, len(s.links)*s.numWins)
+	}
 }
 
-// initInterferers samples initial ON/OFF states and precomputes gains from
-// every interferer to every node.
+// initInterferers samples initial ON/OFF states, precomputes the power
+// (linear mW) every interferer delivers to every node and its channel mask,
+// and builds the run's external-interference function.
 func (s *simulator) initInterferers() {
 	nodes := s.cfg.Testbed.Nodes
-	s.interfGain = make([][]float64, len(s.cfg.Interferers))
+	s.interfMW = make([][]float64, len(s.cfg.Interferers))
+	s.interfCh = make([]uint32, len(s.cfg.Interferers))
 	for i, intf := range s.cfg.Interferers {
 		s.interfOn[i] = s.rng.Float64() < intf.DutyCycle
-		gains := make([]float64, len(nodes))
+		mw := make([]float64, len(nodes))
 		for j, nd := range nodes {
 			dx, dy, dz := nd.X-intf.X, nd.Y-intf.Y, nd.Z-intf.Z
 			dist := math.Sqrt(dx*dx + dy*dy + dz*dz)
@@ -204,10 +286,16 @@ func (s *simulator) initInterferers() {
 			if floors < 0 {
 				floors = -floors
 			}
-			gains[j] = intf.PowerDBm - s.cfg.PathLoss.LossDB(dist, floors)
+			mw[j] = radio.DBmToMilliwatts(intf.PowerDBm - s.cfg.PathLoss.LossDB(dist, floors))
 		}
-		s.interfGain[i] = gains
+		s.interfMW[i] = mw
+		for _, c := range intf.Channels {
+			if c >= 0 && c < topology.NumChannels {
+				s.interfCh[i] |= 1 << uint(c)
+			}
+		}
 	}
+	s.extra = s.externalInterference()
 }
 
 // stepInterferers advances each interferer's two-state Markov burst process
@@ -252,15 +340,9 @@ func (s *simulator) externalInterference() radio.InterferenceFunc {
 	}
 	return func(rx, ch int) float64 {
 		total := 0.0
-		for i, intf := range s.cfg.Interferers {
-			if !s.interfOn[i] {
-				continue
-			}
-			for _, c := range intf.Channels {
-				if c == ch {
-					total += radio.DBmToMilliwatts(s.interfGain[i][rx])
-					break
-				}
+		for i, mw := range s.interfMW {
+			if s.interfOn[i] && s.interfCh[i]&(1<<uint(ch)) != 0 {
+				total += mw[rx]
 			}
 		}
 		if s.haveFaults {
@@ -272,8 +354,7 @@ func (s *simulator) externalInterference() radio.InterferenceFunc {
 
 // firing is one transmission that actually goes on the air in a slot.
 type firing struct {
-	ref txRef
-	st  *packetState
+	ref *txRef
 	dup bool // duplicate retry caused by a lost ACK
 }
 
@@ -281,7 +362,7 @@ type firing struct {
 // co-channel exposure (and its split into collisions versus capture wins),
 // external-interference exposure, retransmissions per channel, and ACK
 // losses. Called only when a metrics sink is configured.
-func (s *simulator) account(fires []firing, data []radio.Transmission, dataOK, ackOK []bool, extra radio.InterferenceFunc) {
+func (s *simulator) account(fires []firing, data []radio.Transmission, dataOK, ackOK []bool) {
 	c := &s.mets
 	for i, f := range fires {
 		c.fired++
@@ -309,7 +390,7 @@ func (s *simulator) account(fires []firing, data []radio.Transmission, dataOK, a
 				c.collisions++
 			}
 		}
-		if extra != nil && extra(data[i].Receiver, data[i].Channel) > 0 {
+		if s.extra != nil && s.extra(data[i].Receiver, data[i].Channel) > 0 {
 			c.interfHits++
 		}
 		if !dataOK[i] {
@@ -323,15 +404,10 @@ func (s *simulator) account(fires []firing, data []radio.Transmission, dataOK, a
 // runHyperperiod executes one pass over the slotframe.
 func (s *simulator) runHyperperiod(rep int) {
 	hyper := s.cfg.Schedule.NumSlots()
-	s.packets = make(map[[2]int]*packetState, len(s.flows)*2)
-	for id, f := range s.flows {
-		instances := hyper / f.Period
-		s.res.Released[id] += instances
-		for inst := 0; inst < instances; inst++ {
-			s.packets[[2]int{id, inst}] = &packetState{}
-		}
+	clear(s.packets)
+	for _, sf := range s.flows {
+		s.res.Released[sf.f.ID] += sf.instances
 	}
-	extra := s.externalInterference()
 	for slot := 0; slot < hyper; slot++ {
 		asn := rep*hyper + slot
 		if s.haveFaults {
@@ -342,54 +418,54 @@ func (s *simulator) runHyperperiod(rep int) {
 		}
 		s.stepInterferers()
 		if s.cfg.ProbeEverySlots > 0 && asn%s.cfg.ProbeEverySlots == 0 {
-			s.runProbes(asn, extra)
+			s.runProbes(asn)
 		}
 		refs := s.bySlot[slot]
 		if len(refs) == 0 {
 			continue
 		}
 		// Decide which transmissions fire.
-		var fires []firing
-		for _, ref := range refs {
-			st := s.packets[[2]int{ref.tx.FlowID, ref.tx.Instance}]
+		fires := s.fires[:0]
+		for k := range refs {
+			ref := &refs[k]
 			willFire := false
 			// A crashed sender is silent: nothing goes on the air, so the
 			// packet stalls at this hop (a crashed receiver instead fails the
 			// frame through the -Inf gain path in faultedGain).
 			senderUp := !s.haveFaults || !s.overlay.NodeDown(ref.tx.Link.From)
-			if st != nil && !st.dropped && senderUp {
-				switch {
+			if ref.pkt >= 0 && senderUp {
+				switch st := &s.packets[ref.pkt]; {
+				case st.dropped: // a dropped packet never fires again
 				case !st.delivered && ref.tx.Hop == st.pos:
-					fires = append(fires, firing{ref: ref, st: st})
+					fires = append(fires, firing{ref: ref})
 					willFire = true
 				case ref.tx.Attempt > 0 && ref.tx.Hop == st.pos-1 && !st.ackOK:
 					// The previous hop's DATA got through but its ACK did
 					// not: the sender does not know (even if this was the
 					// final hop and the packet is already delivered), so the
 					// scheduled retry fires as a duplicate.
-					fires = append(fires, firing{ref: ref, st: st, dup: true})
+					fires = append(fires, firing{ref: ref, dup: true})
 					willFire = true
 				}
 			}
-			s.chargeSlot(ref, willFire)
+			s.chargeSlot(ref.tx.Link.From, ref.tx.Link.To, willFire)
 		}
 		if len(fires) == 0 {
 			continue
 		}
 		// Evaluate all concurrent DATA frames together.
-		data := make([]radio.Transmission, len(fires))
-		for i, f := range fires {
-			data[i] = radio.Transmission{
+		data := s.data[:0]
+		for _, f := range fires {
+			data = append(data, radio.Transmission{
 				Sender:   f.ref.tx.Link.From,
 				Receiver: f.ref.tx.Link.To,
 				Channel:  s.physChannel(asn, f.ref.tx.Offset),
 				Bits:     radio.DefaultPacketBits,
-			}
+			})
 		}
-		dataOK := s.env.Evaluate(s.rng, data, extra)
+		dataOK := s.env.Evaluate(s.rng, data, s.extra, s.dataOK)
 		// Evaluate the ACKs of the successful DATA frames together.
-		var acks []radio.Transmission
-		var ackIdx []int
+		acks, ackIdx := s.acks[:0], s.ackIdx[:0]
 		for i, ok := range dataOK {
 			if ok {
 				acks = append(acks, radio.Transmission{
@@ -401,41 +477,43 @@ func (s *simulator) runHyperperiod(rep int) {
 				ackIdx = append(ackIdx, i)
 			}
 		}
-		ackOK := make([]bool, len(fires))
+		ackOK := s.ackOK[:len(fires)]
+		clear(ackOK)
 		if len(acks) > 0 {
-			res := s.env.Evaluate(s.rng, acks, extra)
+			res := s.env.Evaluate(s.rng, acks, s.extra, s.ackRes)
 			for k, i := range ackIdx {
 				ackOK[i] = res[k]
 			}
 		}
 		if s.collect {
-			s.account(fires, data, dataOK, ackOK, extra)
+			s.account(fires, data, dataOK, ackOK)
 		}
 		// Record statistics and update packet states.
 		for i, f := range fires {
+			ref := f.ref
 			s.res.ChannelAttempts[data[i].Channel]++
 			if !dataOK[i] {
 				s.res.ChannelFailures[data[i].Channel]++
 			}
-			s.record(asn, f.ref, dataOK[i])
+			s.record(asn, ref.link, ref.reuse, dataOK[i])
 			if s.trace != nil {
 				s.trace.emit(TraceEvent{
 					ASN:       asn,
 					Slot:      slot,
-					Offset:    f.ref.tx.Offset,
+					Offset:    ref.tx.Offset,
 					Channel:   data[i].Channel,
-					FlowID:    f.ref.tx.FlowID,
-					Hop:       f.ref.tx.Hop,
-					Attempt:   f.ref.tx.Attempt,
-					From:      f.ref.tx.Link.From,
-					To:        f.ref.tx.Link.To,
-					Reuse:     f.ref.reuse,
+					FlowID:    ref.tx.FlowID,
+					Hop:       ref.tx.Hop,
+					Attempt:   ref.tx.Attempt,
+					From:      ref.tx.Link.From,
+					To:        ref.tx.Link.To,
+					Reuse:     ref.reuse,
 					Duplicate: f.dup,
 					DataOK:    dataOK[i],
 					AckOK:     ackOK[i],
 				})
 			}
-			st := f.st
+			st := &s.packets[ref.pkt]
 			if f.dup {
 				// Receiver already had the packet; the retry only refreshes
 				// the ACK state.
@@ -445,16 +523,16 @@ func (s *simulator) runHyperperiod(rep int) {
 			if dataOK[i] {
 				st.pos++
 				st.ackOK = ackOK[i]
-				if st.pos == len(s.flows[f.ref.tx.FlowID].Route) {
+				if st.pos == len(ref.f.Route) {
 					st.delivered = true
-					s.res.Delivered[f.ref.tx.FlowID]++
+					s.res.Delivered[ref.tx.FlowID]++
 					if s.cfg.TrackLatency {
-						release := s.flows[f.ref.tx.FlowID].Release(f.ref.tx.Instance)
-						s.res.Latencies[f.ref.tx.FlowID] = append(
-							s.res.Latencies[f.ref.tx.FlowID], slot-release+1)
+						release := ref.f.Release(ref.tx.Instance)
+						s.res.Latencies[ref.tx.FlowID] = append(
+							s.res.Latencies[ref.tx.FlowID], slot-release+1)
 					}
 				}
-			} else if f.ref.tx.Attempt == s.lastAttempt[[2]int{f.ref.tx.FlowID, f.ref.tx.Hop}] {
+			} else if ref.last {
 				// The hop's last scheduled attempt failed — read from the
 				// schedule, so k>1 retry budgets drop exactly after their
 				// final slot, not after the uniform policy's second.
@@ -467,30 +545,30 @@ func (s *simulator) runHyperperiod(rep int) {
 // runProbes exchanges one isolated neighbor-discovery probe per scheduled
 // link and records the outcomes as contention-free samples. Probes hop
 // channels with the ASN like regular traffic.
-func (s *simulator) runProbes(asn int, extra radio.InterferenceFunc) {
-	if s.linkWins == nil {
+func (s *simulator) runProbes(asn int) {
+	if s.wins == nil {
 		return
 	}
 	ch := s.cfg.Channels[asn%len(s.cfg.Channels)]
-	for _, link := range s.links {
+	for li, link := range s.links {
 		if s.haveFaults && s.overlay.NodeDown(link.From) {
 			continue // a crashed node sends no probes
 		}
-		tx := []radio.Transmission{{
+		s.probe[0] = radio.Transmission{
 			Sender:   link.From,
 			Receiver: link.To,
 			Channel:  ch,
 			Bits:     radio.DefaultPacketBits,
-		}}
-		ok := s.env.Evaluate(s.rng, tx, extra)
+		}
+		ok := s.env.Evaluate(s.rng, s.probe[:], s.extra, s.dataOK)[0]
 		if s.collect {
 			s.mets.probes++
 		}
 		s.res.ChannelAttempts[ch]++
-		if !ok[0] {
+		if !ok {
 			s.res.ChannelFailures[ch]++
 		}
-		s.record(asn, txRef{tx: schedule.Tx{Link: link}, reuse: false}, ok[0])
+		s.record(asn, li, false, ok)
 	}
 }
 
@@ -502,23 +580,13 @@ func (s *simulator) physChannel(asn, offset int) int {
 
 // record accumulates a fired transmission's outcome into its (link, window,
 // condition) bucket.
-func (s *simulator) record(asn int, ref txRef, ok bool) {
-	if s.linkWins == nil {
+func (s *simulator) record(asn, link int, reuse, ok bool) {
+	if s.wins == nil {
 		return
 	}
-	wins := s.linkWins[ref.tx.Link]
-	if wins == nil {
-		wins = make(map[int]*[2]condAcc)
-		s.linkWins[ref.tx.Link] = wins
-	}
-	win := asn / s.cfg.SampleWindowSlots
-	acc := wins[win]
-	if acc == nil {
-		acc = &[2]condAcc{}
-		wins[win] = acc
-	}
+	acc := &s.wins[link*s.numWins+asn/s.cfg.SampleWindowSlots]
 	cond := condCF
-	if ref.reuse {
+	if reuse {
 		cond = condReuse
 	}
 	acc[cond].att++
@@ -528,42 +596,56 @@ func (s *simulator) record(asn int, ref txRef, ok bool) {
 }
 
 // finishStats converts window accumulators into per-epoch statistics with
-// deterministic sample ordering.
+// deterministic sample ordering: each (epoch, condition) lists its windows'
+// PRR samples in window order. All samples share one backing array, carved
+// with capped slices, so the allocation count does not grow with the run.
 func (s *simulator) finishStats() {
-	if s.linkWins == nil {
+	if s.wins == nil {
 		return
 	}
 	totalSlots := s.cfg.Schedule.NumSlots() * s.cfg.Hyperperiods
 	numEpochs := (totalSlots + s.cfg.EpochSlots - 1) / s.cfg.EpochSlots
-	for link, wins := range s.linkWins {
-		epochs := make([]EpochStats, numEpochs)
-		winIDs := make([]int, 0, len(wins))
-		for w := range wins {
-			winIDs = append(winIDs, w)
-		}
-		sort.Ints(winIDs)
-		for _, w := range winIDs {
-			acc := wins[w]
-			ep := w * s.cfg.SampleWindowSlots / s.cfg.EpochSlots
-			if ep >= numEpochs {
-				ep = numEpochs - 1
+	n := 0
+	for _, acc := range s.wins {
+		for cond := range acc {
+			if acc[cond].att > 0 {
+				n++
 			}
-			for cond := 0; cond < 2; cond++ {
+		}
+	}
+	samples := make([]float64, 0, n)
+	for li, link := range s.links {
+		wins := s.wins[li*s.numWins : (li+1)*s.numWins]
+		var epochs []EpochStats
+		// Samples go in condition by condition, each in window order, and
+		// windows map to epochs monotonically, so each (epoch, condition)
+		// run of samples is contiguous in the backing array.
+		for cond := 0; cond < 2; cond++ {
+			for w, acc := range wins {
 				a := acc[cond]
 				if a.att == 0 {
 					continue
 				}
-				var cs *LinkCondStats
+				if epochs == nil {
+					epochs = make([]EpochStats, numEpochs)
+				}
+				ep := w * s.cfg.SampleWindowSlots / s.cfg.EpochSlots
+				if ep >= numEpochs {
+					ep = numEpochs - 1
+				}
+				cs := &epochs[ep].CF
 				if cond == condReuse {
 					cs = &epochs[ep].Reuse
-				} else {
-					cs = &epochs[ep].CF
 				}
 				cs.Attempts += a.att
 				cs.Successes += a.succ
-				cs.Samples = append(cs.Samples, float64(a.succ)/float64(a.att))
+				samples = append(samples, float64(a.succ)/float64(a.att))
+				end := len(samples)
+				cs.Samples = samples[end-len(cs.Samples)-1 : end : end]
 			}
 		}
-		s.res.LinkEpochs[link] = epochs
+		if epochs != nil {
+			s.res.LinkEpochs[link] = epochs
+		}
 	}
 }

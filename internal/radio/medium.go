@@ -36,6 +36,10 @@ type fadingState map[[2]int32]float64
 // channel interfere with each other; the capture effect — a frame decoded
 // successfully despite a concurrent sender — emerges naturally whenever the
 // desired signal sufficiently dominates the interference sum.
+//
+// An Env is not safe for concurrent use: Evaluate reuses a fading scratch
+// buffer and advances the AR(1) fading state held in the Env. Give each
+// goroutine its own.
 type Env struct {
 	// NoiseFloorDBm is the receiver noise floor; zero means
 	// DefaultNoiseFloorDBm.
@@ -62,7 +66,21 @@ type Env struct {
 
 	// fading holds AR(1) state, created lazily when FadingCorrelation > 0.
 	fading fadingState
+	// fade is Evaluate's per-slot path-fading scratch, n×n for n
+	// transmissions, kept between calls.
+	fade []float64
+	// noiseDBm caches the noise floor noiseMW and cleanDB were derived from.
+	noiseDBm, noiseMW float64
+	// cleanDB is the signal-to-noise margin (dB) from which a frame without
+	// interference is certain to decode; +Inf disables that shortcut.
+	cleanDB float64
 }
+
+// cleanMarginDB pads prrSaturationDB for the interference-free shortcut: the
+// dBm difference signal − noise and the SINR computed through
+// DBmToMilliwatts/MilliwattsToDBm differ only by rounding, a few ulps of
+// relative power (≈1e-14 dB), far below this margin.
+const cleanMarginDB = 1e-6
 
 // DefaultInterferenceFactor (≈8 dB) places the PRR-vs-SIR transition in the
 // 2–8 dB gray region that co-channel 802.15.4 interference measurements
@@ -84,6 +102,21 @@ func (e *Env) noiseFloor() float64 {
 		return DefaultNoiseFloorDBm
 	}
 	return e.NoiseFloorDBm
+}
+
+// noise returns the noise floor in dBm and milliwatts and the clean-frame
+// margin, recomputing them only when the configured floor changes. The
+// shortcut is sound only while the noise power is a normal, finite float64,
+// so that the signal power above it neither underflows nor loses precision.
+func (e *Env) noise() (dbm, mw, cleanDB float64) {
+	if nf := e.noiseFloor(); nf != e.noiseDBm {
+		e.noiseDBm, e.noiseMW = nf, DBmToMilliwatts(nf)
+		e.cleanDB = math.Inf(1)
+		if e.noiseMW >= 0x1p-1022 && e.noiseMW <= math.MaxFloat64 {
+			e.cleanDB = prrSaturationDB + cleanMarginDB
+		}
+	}
+	return e.noiseDBm, e.noiseMW, e.cleanDB
 }
 
 // samplePathFading draws the next fading value for one sender→receiver
@@ -111,43 +144,69 @@ func (e *Env) samplePathFading(rng *rand.Rand, tx, rx int) float64 {
 // external interference. The decision is stochastic: the per-frame success
 // probability is the 802.15.4 PRR at the realized SINR, sampled with rng.
 //
-// The returned slice is parallel to txs.
-func (e *Env) Evaluate(rng *rand.Rand, txs []Transmission, extra InterferenceFunc) []bool {
-	ok := make([]bool, len(txs))
-	if len(txs) == 0 {
+// The outcomes are written into ok, which is grown when shorter than txs,
+// and the result slice, parallel to txs, is returned: passing the previous
+// result back in makes repeated calls allocation-free.
+//
+// Every frame draws exactly one rng.Float64 after the slot's fading draws,
+// whatever its SINR, so the random stream does not depend on which frames
+// take the shortcuts: a frame with no interference whose signal clears the
+// noise floor by prrSaturationDB (plus cleanMarginDB) decodes without the
+// SINR round trip, and PRR802154 returns 1 without the BER series above
+// prrSaturationDB. Both give bit-identical outcomes to the full computation.
+func (e *Env) Evaluate(rng *rand.Rand, txs []Transmission, extra InterferenceFunc, ok []bool) []bool {
+	n := len(txs)
+	if cap(ok) < n {
+		ok = make([]bool, n)
+	}
+	ok = ok[:n]
+	if n == 0 {
 		return ok
 	}
-	// Realize per-path fading once per slot: fade[i][j] is the fading on the
-	// path from txs[i].Sender to txs[j].Receiver. Sampling every pairwise
-	// path keeps desired-signal and interference fading consistent.
-	fade := make([][]float64, len(txs))
-	for i := range txs {
-		fade[i] = make([]float64, len(txs))
-		for j := range txs {
-			if e.FadingSigmaDB > 0 {
-				fade[i][j] = e.samplePathFading(rng, txs[i].Sender, txs[j].Receiver)
+	// Realize per-path fading once per slot: fade[i*n+j] is the fading on
+	// the path from txs[i].Sender to txs[j].Receiver. Sampling every
+	// pairwise path keeps desired-signal and interference fading consistent.
+	if cap(e.fade) < n*n {
+		e.fade = make([]float64, n*n)
+	}
+	fade := e.fade[:n*n]
+	if e.FadingSigmaDB > 0 {
+		for i := range txs {
+			for j := range txs {
+				fade[i*n+j] = e.samplePathFading(rng, txs[i].Sender, txs[j].Receiver)
 			}
 		}
+	} else {
+		clear(fade)
 	}
+	noiseDBm, noiseMW, cleanDB := e.noise()
+	factor := e.interferenceFactor()
 	for j, tx := range txs {
-		signalDBm := e.Gain(tx.Sender, tx.Receiver, tx.Channel) + fade[j][j]
+		signalDBm := e.Gain(tx.Sender, tx.Receiver, tx.Channel) + fade[j*n+j]
 		interfMW := 0.0
 		for i, other := range txs {
 			if i == j || other.Channel != tx.Channel {
 				continue
 			}
-			p := e.Gain(other.Sender, tx.Receiver, tx.Channel) + fade[i][j]
+			p := e.Gain(other.Sender, tx.Receiver, tx.Channel) + fade[i*n+j]
 			interfMW += DBmToMilliwatts(p)
 		}
 		if extra != nil {
 			interfMW += extra(tx.Receiver, tx.Channel)
 		}
-		sinr := SINRdB(signalDBm, e.noiseFloor(), interfMW*e.interferenceFactor())
-		bits := tx.Bits
-		if bits == 0 {
-			bits = DefaultPacketBits
+		// den is SINRdB's denominator; when it equals the bare noise power
+		// the SINR is the signal-to-noise ratio, which the dBm difference
+		// bounds without a pow/log10 round trip.
+		den := noiseMW + interfMW*factor
+		prr := 1.0
+		if den != noiseMW || !(signalDBm-noiseDBm >= cleanDB) {
+			bits := tx.Bits
+			if bits == 0 {
+				bits = DefaultPacketBits
+			}
+			prr = PRR802154(MilliwattsToDBm(DBmToMilliwatts(signalDBm)/den), bits)
 		}
-		ok[j] = rng.Float64() < PRR802154(sinr, bits)
+		ok[j] = rng.Float64() < prr
 	}
 	return ok
 }

@@ -21,7 +21,7 @@ func TestEvaluateStrongLinkAlwaysSucceeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	txs := []Transmission{{Sender: 0, Receiver: 1, Channel: 0}}
 	for i := 0; i < 200; i++ {
-		ok := env.Evaluate(rng, txs, nil)
+		ok := env.Evaluate(rng, txs, nil, nil)
 		if !ok[0] {
 			t.Fatal("strong isolated link should never fail")
 		}
@@ -33,7 +33,7 @@ func TestEvaluateDeadLinkAlwaysFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	txs := []Transmission{{Sender: 0, Receiver: 1, Channel: 0}}
 	for i := 0; i < 200; i++ {
-		if ok := env.Evaluate(rng, txs, nil); ok[0] {
+		if ok := env.Evaluate(rng, txs, nil, nil); ok[0] {
 			t.Fatal("link 25 dB below noise floor should never succeed")
 		}
 	}
@@ -55,7 +55,7 @@ func TestEvaluateCoChannelInterferenceKills(t *testing.T) {
 	successes := 0
 	const trials = 500
 	for i := 0; i < trials; i++ {
-		ok := env.Evaluate(rng, txs, nil)
+		ok := env.Evaluate(rng, txs, nil, nil)
 		if ok[0] {
 			successes++
 		}
@@ -81,7 +81,7 @@ func TestEvaluateCaptureEffect(t *testing.T) {
 	successes := 0
 	const trials = 500
 	for i := 0; i < trials; i++ {
-		ok := env.Evaluate(rng, txs, nil)
+		ok := env.Evaluate(rng, txs, nil, nil)
 		if ok[0] && ok[1] {
 			successes++
 		}
@@ -103,7 +103,7 @@ func TestEvaluateDifferentChannelsDoNotInterfere(t *testing.T) {
 		{Sender: 2, Receiver: 3, Channel: 1},
 	}
 	for i := 0; i < 200; i++ {
-		ok := env.Evaluate(rng, txs, nil)
+		ok := env.Evaluate(rng, txs, nil, nil)
 		if !ok[0] || !ok[1] {
 			t.Fatal("cross-channel transmissions must not interfere")
 		}
@@ -118,7 +118,7 @@ func TestEvaluateExternalInterference(t *testing.T) {
 	fails := 0
 	const trials = 300
 	for i := 0; i < trials; i++ {
-		if ok := env.Evaluate(rng, txs, jam); !ok[0] {
+		if ok := env.Evaluate(rng, txs, jam, nil); !ok[0] {
 			fails++
 		}
 	}
@@ -133,7 +133,7 @@ func TestEvaluateExternalInterference(t *testing.T) {
 		return 0
 	}
 	for i := 0; i < 100; i++ {
-		if ok := env.Evaluate(rng, txs, jamOther); !ok[0] {
+		if ok := env.Evaluate(rng, txs, jamOther, nil); !ok[0] {
 			t.Fatal("interference on an unused channel must not affect the link")
 		}
 	}
@@ -151,7 +151,7 @@ func TestEvaluateFadingCausesIntermittentLoss(t *testing.T) {
 	succ := 0
 	const trials = 1000
 	for i := 0; i < trials; i++ {
-		if ok := env.Evaluate(rng, txs, nil); ok[0] {
+		if ok := env.Evaluate(rng, txs, nil, nil); ok[0] {
 			succ++
 		}
 	}
@@ -163,7 +163,7 @@ func TestEvaluateFadingCausesIntermittentLoss(t *testing.T) {
 func TestEvaluateEmpty(t *testing.T) {
 	env := &Env{Gain: fixedGain(nil)}
 	rng := rand.New(rand.NewSource(8))
-	if got := env.Evaluate(rng, nil, nil); len(got) != 0 {
+	if got := env.Evaluate(rng, nil, nil, nil); len(got) != 0 {
 		t.Errorf("Evaluate(nil) = %v, want empty", got)
 	}
 }
@@ -195,7 +195,7 @@ func BenchmarkEvaluate8Concurrent(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = env.Evaluate(rng, txs, nil)
+		_ = env.Evaluate(rng, txs, nil, nil)
 	}
 }
 
@@ -264,8 +264,8 @@ func TestCorrelatedFadingHurtsRetries(t *testing.T) {
 		success := 0
 		const trials = 4000
 		for i := 0; i < trials; i++ {
-			first := env.Evaluate(rng, txs, nil)
-			second := env.Evaluate(rng, txs, nil)
+			first := env.Evaluate(rng, txs, nil, nil)
+			second := env.Evaluate(rng, txs, nil, nil)
 			if first[0] || second[0] {
 				success++
 			}

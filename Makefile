@@ -84,9 +84,10 @@ e2e:
 	$(GO) run ./examples/persist -addr http://$(E2E_ADDR) -mode verify -state $$dir/state.json -timeout 60s
 
 # fuzz-smoke gives every fuzz target a short budget ($(FUZZTIME) each) —
-# enough to catch regressions in the decoder hardening, and in the PHY's
-# saturation shortcut (bit-identical to the full BER series), without
-# stalling CI.
+# enough to catch regressions in the decoder hardening, in the PHY's
+# saturation shortcut (bit-identical to the full BER series), and in job
+# parameter canonicalization (never panics; canonical forms are fixed
+# points), without stalling CI.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadTestbed -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzLoadWorkload -fuzztime=$(FUZZTIME) .
@@ -97,3 +98,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzKSTest -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzQuantile -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzPRR802154 -fuzztime=$(FUZZTIME) ./internal/radio
+	$(GO) test -run=^$$ -fuzz=FuzzCanonicalParams -fuzztime=$(FUZZTIME) ./internal/jobs

@@ -40,8 +40,10 @@ import (
 	"time"
 
 	"wsan/internal/experiment"
+	"wsan/internal/jobs"
 	"wsan/internal/obs"
 	"wsan/internal/scheduler"
+	"wsan/wsanclient"
 )
 
 func main() {
@@ -305,14 +307,15 @@ func render(t *experiment.Table, format string) error {
 }
 
 func runTopo(name string, seed int64, asJSON bool, opt experiment.Options, mets obs.Sink) error {
-	tb, err := makeTestbed(name, seed)
+	nw, err := jobs.NewNetwork(wsanclient.CreateNetworkRequest{Preset: name, TopoSeed: seed})
 	if err != nil {
 		return err
 	}
 	if asJSON {
-		return tb.Encode(os.Stdout)
+		_, err := os.Stdout.Write(nw.Survey)
+		return err
 	}
-	env := experiment.NewEnv(tb)
+	env := experiment.NewEnv(nw.Net.Testbed())
 	env.Metrics = mets
 	tables, err := experiment.Fig7(env, opt)
 	if err != nil {

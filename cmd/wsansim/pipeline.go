@@ -1,23 +1,24 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 
 	"wsan"
 	"wsan/internal/analysis"
-	"wsan/internal/flow"
-	"wsan/internal/manage"
+	"wsan/internal/jobs"
 	"wsan/internal/netsim"
 	"wsan/internal/obs"
 	"wsan/internal/routing"
 	"wsan/internal/schedule"
-	"wsan/internal/stats"
 	"wsan/internal/topology"
+	"wsan/wsanclient"
 )
 
 // The pipeline subcommands turn wsansim into a small toolchain around JSON
@@ -26,136 +27,128 @@ import (
 //	wsansim gen-schedule -testbed wustl -flows 30 -alg rc -out dir/
 //	wsansim simulate -dir dir/ -reps 100
 //
-// gen-schedule writes survey.json, workload.json, and schedule.json;
-// simulate loads them back and executes the schedule.
+// gen-schedule, simulate, manage and reschedule are adapters over the
+// daemon's job kinds (internal/jobs): flags → parameter document → run the
+// kind → write every part it returns into the directory → print a summary
+// read back from those parts. The artifacts are byte-identical to the
+// daemon's artifact parts of the same name.
 
-// runGenSchedule implements the gen-schedule subcommand.
+// dirEnv builds the job environment of an artifact directory: its schedule
+// bundle (the directory itself is the bundle reference) and the network its
+// survey.json describes on the given channel count.
+func dirEnv(dir string, channels int, mets obs.Sink) (*jobs.Env, error) {
+	parts := jobs.Parts{}
+	for _, name := range jobs.BundleParts {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, err
+		}
+		parts[name] = b
+	}
+	nw, err := jobs.NewNetwork(wsanclient.CreateNetworkRequest{
+		Testbed: parts["survey.json"], Channels: channels,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &jobs.Env{
+		Network: nw,
+		Lookup:  func(string) (jobs.Bundle, error) { return parts, nil },
+		Metrics: mets,
+	}, nil
+}
+
+// writeParts writes every part into dir and returns their paths in the
+// dir/{a,b}.json shorthand.
+func writeParts(dir string, parts jobs.Parts) (string, error) {
+	names := make([]string, 0, len(parts))
+	for name, b := range parts {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o666); err != nil {
+			return "", err
+		}
+		names = append(names, strings.TrimSuffix(name, ".json"))
+	}
+	sort.Strings(names)
+	if len(names) == 1 {
+		return filepath.Join(dir, names[0]+".json"), nil
+	}
+	return dir + string(os.PathSeparator) + "{" + strings.Join(names, ",") + "}.json", nil
+}
+
+// runGenSchedule implements the gen-schedule subcommand: the schedule job.
 func runGenSchedule(args []string, mets obs.Sink) error {
+	p := jobs.Defaults(&jobs.ScheduleParams{})
 	fs := flag.NewFlagSet("gen-schedule", flag.ContinueOnError)
 	testbed := fs.String("testbed", "wustl", "testbed to generate (indriya|wustl)")
-	topoSeed := fs.Int64("toposeed", 1, "testbed generation seed")
-	seed := fs.Int64("seed", 1, "workload seed")
-	numFlows := fs.Int("flows", 30, "number of flows")
-	channels := fs.Int("channels", 4, "number of channels")
-	traffic := fs.String("traffic", "p2p", "traffic pattern (p2p|centralized)")
-	alg := fs.String("alg", "rc", "scheduler (nr|ra|rc)")
-	minExp := fs.Int("minperiod", 0, "minimum period exponent (2^x s)")
-	maxExp := fs.Int("maxperiod", 2, "maximum period exponent (2^y s)")
-	targetPDR := fs.Float64("target-pdr", 0, "per-flow delivery-probability target; plans per-hop retransmission budgets (0 = uniform retries)")
+	topoSeed := fs.Int64("toposeed", jobs.DefaultTopoSeed, "testbed generation seed")
+	fs.Int64Var(&p.Seed, "seed", p.Seed, "workload seed")
+	fs.IntVar(&p.Flows, "flows", p.Flows, "number of flows")
+	channels := fs.Int("channels", jobs.DefaultChannels, "number of channels")
+	fs.StringVar(&p.Traffic, "traffic", p.Traffic, "traffic pattern (p2p|centralized)")
+	fs.StringVar(&p.Alg, "alg", p.Alg, "scheduler (nr|ra|rc)")
+	fs.IntVar(&p.MinPeriodExp, "minperiod", p.MinPeriodExp, "minimum period exponent (2^x s)")
+	fs.IntVar(p.MaxPeriodExp, "maxperiod", *p.MaxPeriodExp, "maximum period exponent (2^y s)")
+	fs.Float64Var(&p.TargetPDR, "target-pdr", 0, "per-flow delivery-probability target; plans per-hop retransmission budgets (0 = uniform retries)")
 	out := fs.String("out", ".", "output directory for the JSON artifacts")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tb, err := makeTestbed(*testbed, *topoSeed)
-	if err != nil {
-		return err
-	}
-	net, err := wsan.NewNetwork(tb, *channels)
-	if err != nil {
-		return err
-	}
-	tr, err := wsan.ParseTraffic(*traffic)
-	if err != nil {
-		return err
-	}
-	algorithm, err := wsan.ParseAlgorithm(*alg)
-	if err != nil {
-		return err
-	}
-	flows, err := net.GenerateWorkload(wsan.WorkloadConfig{
-		NumFlows:     *numFlows,
-		MinPeriodExp: *minExp,
-		MaxPeriodExp: *maxExp,
-		Traffic:      tr,
-		Seed:         *seed,
+	nw, err := jobs.NewNetwork(wsanclient.CreateNetworkRequest{
+		Preset: *testbed, TopoSeed: *topoSeed, Channels: *channels,
 	})
 	if err != nil {
 		return err
 	}
-	if *targetPDR > 0 {
-		assigns, err := net.ApplyReliabilityTargets(flows, *targetPDR, 0, mets)
-		if err != nil {
-			return err
-		}
-		slots, infeasible := 0, 0
-		for _, a := range assigns {
-			slots += a.Plan.TotalSlots
-			if !a.Plan.Feasible {
-				infeasible++
-			}
-		}
-		fmt.Printf("reliability target %.4f: budgeted %d flows over %d tx slots (%d infeasible, best-effort)\n",
-			*targetPDR, len(assigns), slots, infeasible)
-	}
-	res, err := net.Schedule(flows, algorithm, wsan.ScheduleConfig{Metrics: mets})
+	parts, err := jobs.Exec(context.Background(), &jobs.Env{Network: nw, Metrics: mets}, p)
 	if err != nil {
 		return err
 	}
-	if !res.Schedulable {
-		return fmt.Errorf("workload not schedulable under %v (flow %d missed its deadline)",
-			algorithm, res.FailedFlow)
-	}
-	if err := writeArtifact(*out, "survey.json", tb.Encode); err != nil {
+	written, err := writeParts(*out, parts)
+	if err != nil {
 		return err
 	}
-	if err := writeArtifact(*out, "workload.json", func(w io.Writer) error {
-		return flow.EncodeWorkload(w, flows)
-	}); err != nil {
+	var sum struct {
+		Algorithm                             string
+		Flows, Transmissions, Slots, Channels int
+		TargetPDR                             float64
+		BudgetSlots, BudgetInfeasible         int
+	}
+	if err := json.Unmarshal(parts["summary.json"], &sum); err != nil {
 		return err
 	}
-	if err := writeArtifact(*out, "schedule.json", res.Schedule.Encode); err != nil {
-		return err
+	if sum.TargetPDR > 0 {
+		fmt.Printf("reliability target %.4f: budgeted %d flows over %d tx slots (%d infeasible, best-effort)\n",
+			sum.TargetPDR, sum.Flows, sum.BudgetSlots, sum.BudgetInfeasible)
 	}
-	fmt.Printf("%v schedule: %d transmissions in %d slots on %d channels (took %v)\n",
-		algorithm, res.Schedule.Len(), res.Schedule.NumSlots(), *channels,
-		res.Elapsed.Round(10e3))
-	fmt.Printf("artifacts: %s/{survey,workload,schedule}.json\n", *out)
+	fmt.Printf("%s schedule: %d transmissions in %d slots on %d channels\n",
+		strings.ToUpper(sum.Algorithm), sum.Transmissions, sum.Slots, sum.Channels)
+	fmt.Printf("artifacts: %s\n", written)
 	return nil
 }
 
-// runSimulate implements the simulate subcommand.
+// runSimulate implements the simulate subcommand: the simulate job.
 func runSimulate(args []string, mets obs.Sink) error {
+	p := jobs.Defaults(&jobs.SimulateParams{Fading: new(float64), Drift: new(float64)})
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
-	dir := fs.String("dir", ".", "directory holding the gen-schedule artifacts")
-	reps := fs.Int("reps", 100, "hyperperiod executions")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	fading := fs.Float64("fading", 2.5, "per-slot fading σ (dB)")
-	drift := fs.Float64("drift", 2.5, "survey-to-runtime drift σ (dB)")
-	channels := fs.Int("channels", 4, "number of channels the schedule uses")
+	fs.StringVar(&p.Artifact, "dir", ".", "directory holding the gen-schedule artifacts")
+	fs.IntVar(&p.Hyperperiods, "reps", p.Hyperperiods, "hyperperiod executions")
+	fs.Int64Var(&p.Seed, "seed", p.Seed, "simulation seed")
+	fs.Float64Var(p.Fading, "fading", jobs.DefaultSigmaDB, "per-slot fading σ (dB)")
+	fs.Float64Var(p.Drift, "drift", jobs.DefaultSigmaDB, "survey-to-runtime drift σ (dB)")
+	channels := fs.Int("channels", jobs.DefaultChannels, "number of channels the schedule uses")
 	tracePath := fs.String("trace", "", "write a JSONL event trace to this file")
 	faultsPath := fs.String("faults", "", "fault-scenario JSON to inject during the run")
 	targetPDR := fs.Float64("target-pdr", 0, "report achieved PDR against this target (0 = use per-flow targets from workload.json)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	scenario, err := loadFaults(*faultsPath)
-	if err != nil {
+	var err error
+	if p.Faults, err = loadFaults(*faultsPath); err != nil {
 		return err
 	}
-	tb, err := readArtifact(*dir, "survey.json", topology.Decode)
+	env, err := dirEnv(p.Artifact, *channels, mets)
 	if err != nil {
 		return err
-	}
-	flows, err := readArtifact(*dir, "workload.json", flow.DecodeWorkload)
-	if err != nil {
-		return err
-	}
-	sched, err := readArtifact(*dir, "schedule.json", schedule.Decode)
-	if err != nil {
-		return err
-	}
-	simCfg := wsan.SimConfig{
-		Testbed:            tb,
-		Flows:              flows,
-		Schedule:           sched,
-		Channels:           topology.Channels(*channels),
-		Hyperperiods:       *reps,
-		FadingSigmaDB:      *fading,
-		SurveyDriftSigmaDB: *drift,
-		Retransmit:         true,
-		Metrics:            mets,
-		Seed:               *seed,
-		Faults:             scenario,
 	}
 	if *tracePath != "" {
 		tf, err := os.Create(*tracePath)
@@ -163,22 +156,34 @@ func runSimulate(args []string, mets obs.Sink) error {
 			return err
 		}
 		defer tf.Close()
-		simCfg.Trace = tf
+		env.Trace = tf
 	}
-	res, err := wsan.Simulate(simCfg)
+	parts, err := jobs.Exec(context.Background(), env, p)
 	if err != nil {
 		return err
 	}
-	fn, err := stats.Summary(res.PDRs())
+	if tf, ok := env.Trace.(*os.File); ok {
+		if err := tf.Close(); err != nil {
+			return err
+		}
+	}
+	written, err := writeParts(p.Artifact, parts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("executed %d hyperperiods over %d flows\n", *reps, len(flows))
-	fmt.Printf("per-flow PDR: %s\n", fn)
-	if scenario != nil {
-		fmt.Printf("fault events applied: %d\n", res.FaultEvents.Total())
+	var rep jobs.SimReport
+	if err := json.Unmarshal(parts["report.json"], &rep); err != nil {
+		return err
 	}
-	pdrs := res.PDRs()
+	_, flows, _, err := env.LoadBundle(p.Artifact)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("executed %d hyperperiods over %d flows\n", rep.Hyperperiods, rep.Flows)
+	fmt.Printf("per-flow PDR: %s\n", rep.PDRSummary)
+	if p.Faults != nil {
+		fmt.Printf("fault events applied: %d\n", rep.FaultEvents)
+	}
 	targeted, met := 0, 0
 	var misses []string
 	for i, f := range flows {
@@ -186,14 +191,14 @@ func runSimulate(args []string, mets obs.Sink) error {
 		if *targetPDR > 0 {
 			target = *targetPDR
 		}
-		if target <= 0 || i >= len(pdrs) {
+		if target <= 0 {
 			continue
 		}
 		targeted++
-		if pdrs[i] >= target {
+		if pdr := rep.PerFlow[i].PDR; pdr >= target {
 			met++
 		} else {
-			misses = append(misses, fmt.Sprintf("flow %d: %.4f < %.4f", f.ID, pdrs[i], target))
+			misses = append(misses, fmt.Sprintf("flow %d: %.4f < %.4f", f.ID, pdr, target))
 		}
 	}
 	if targeted > 0 {
@@ -202,6 +207,7 @@ func runSimulate(args []string, mets obs.Sink) error {
 			fmt.Printf("  miss  %s\n", m)
 		}
 	}
+	fmt.Printf("report: %s\n", written)
 	return nil
 }
 
@@ -222,44 +228,6 @@ func loadFaults(path string) (*wsan.FaultScenario, error) {
 	return sc, nil
 }
 
-// makeTestbed generates the named preset testbed (the -testbed flag).
-func makeTestbed(name string, seed int64) (*wsan.Testbed, error) {
-	generate, ok := wsan.TestbedPreset(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown testbed %q (want indriya or wustl)", name)
-	}
-	return generate(seed)
-}
-
-func writeArtifact(dir, name string, encode func(io.Writer) error) error {
-	path := dir + string(os.PathSeparator) + name
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := encode(f); err != nil {
-		f.Close()
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-func readArtifact[T any](dir, name string, decode func(io.Reader) (T, error)) (T, error) {
-	path := dir + string(os.PathSeparator) + name
-	f, err := os.Open(path)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	defer f.Close()
-	v, err := decode(f)
-	if err != nil {
-		var zero T
-		return zero, fmt.Errorf("read %s: %w", path, err)
-	}
-	return v, nil
-}
-
 // runDescribe implements the describe subcommand: it loads a gen-schedule
 // artifact directory and prints the slotframe matrix plus the per-device
 // link schedule of one node — the dissemination view.
@@ -272,7 +240,12 @@ func runDescribe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sched, err := readArtifact(*dir, "schedule.json", schedule.Decode)
+	f, err := os.Open(filepath.Join(*dir, "schedule.json"))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	sched, err := schedule.Decode(f)
 	if err != nil {
 		return err
 	}
@@ -366,70 +339,38 @@ func runAnalyzeTrace(args []string) error {
 	return nil
 }
 
-// runManage implements the manage subcommand: it loads gen-schedule
-// artifacts and runs the closed observe→classify→repair loop, printing one
-// line per iteration and writing the updated schedule back.
+// runManage implements the manage subcommand: the manage job. It runs the
+// closed observe→classify→repair loop over the directory's artifacts,
+// prints one line per iteration, and writes the managed schedule, the
+// (possibly re-budgeted) workload and the iteration log back.
 func runManage(args []string, mets obs.Sink) error {
+	p := jobs.Defaults(&jobs.ManageParams{})
 	fs := flag.NewFlagSet("manage", flag.ContinueOnError)
-	dir := fs.String("dir", ".", "directory holding the gen-schedule artifacts")
-	channels := fs.Int("channels", 4, "number of channels the schedule uses")
-	iterations := fs.Int("iterations", 3, "maximum management iterations")
-	epochSlots := fs.Int("epoch", 90_000, "observation slots per iteration")
-	seed := fs.Int64("seed", 1, "simulation seed")
+	fs.StringVar(&p.Artifact, "dir", ".", "directory holding the gen-schedule artifacts")
+	channels := fs.Int("channels", jobs.DefaultChannels, "number of channels the schedule uses")
+	fs.IntVar(&p.MaxIterations, "iterations", p.MaxIterations, "maximum management iterations")
+	fs.IntVar(&p.EpochSlots, "epoch", p.EpochSlots, "observation slots per iteration")
+	fs.Int64Var(&p.Seed, "seed", p.Seed, "simulation seed")
 	faultsPath := fs.String("faults", "", "fault-scenario JSON to inject during the loop")
-	targetPDR := fs.Float64("target-pdr", 0, "per-flow delivery-probability target driving runtime re-budgeting (0 = targets from workload.json)")
-	parole := fs.Int("parole", 0, "clean iterations before a blacklisted channel is rehabilitated (0 = permanent blacklist)")
+	fs.Float64Var(&p.TargetPDR, "target-pdr", 0, "per-flow delivery-probability target driving runtime re-budgeting (0 = targets from workload.json)")
+	fs.IntVar(&p.ParoleCleanIterations, "parole", 0, "clean iterations before a blacklisted channel is rehabilitated (0 = permanent blacklist)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	scenario, err := loadFaults(*faultsPath)
+	var err error
+	if p.Faults, err = loadFaults(*faultsPath); err != nil {
+		return err
+	}
+	env, err := dirEnv(p.Artifact, *channels, mets)
 	if err != nil {
 		return err
 	}
-	tb, err := readArtifact(*dir, "survey.json", topology.Decode)
+	parts, err := jobs.Exec(context.Background(), env, p)
 	if err != nil {
 		return err
 	}
-	flows, err := readArtifact(*dir, "workload.json", flow.DecodeWorkload)
-	if err != nil {
-		return err
-	}
-	sched, err := readArtifact(*dir, "schedule.json", schedule.Decode)
-	if err != nil {
-		return err
-	}
-	if *targetPDR > 0 {
-		for _, f := range flows {
-			f.TargetPDR = *targetPDR
-		}
-	}
-	chs := topology.Channels(*channels)
-	linkPRR := func(l flow.Link) float64 {
-		sum := 0.0
-		for _, ch := range chs {
-			sum += tb.PRR(l.From, l.To, ch)
-		}
-		return sum / float64(len(chs))
-	}
-	iters, err := manage.Loop(manage.Config{
-		Testbed:                        tb,
-		Flows:                          flows,
-		Schedule:                       sched,
-		Channels:                       chs,
-		EpochSlots:                     *epochSlots,
-		SampleWindowSlots:              *epochSlots / 18,
-		ProbeEverySlots:                250,
-		FadingSigmaDB:                  2.5,
-		SurveyDriftSigmaDB:             2.5,
-		MaxIterations:                  *iterations,
-		CompactAfterRepair:             true,
-		BlacklistParoleCleanIterations: *parole,
-		LinkPRR:                        linkPRR,
-		Metrics:                        mets,
-		Seed:                           *seed,
-		Faults:                         scenario,
-	})
-	if err != nil {
+	var iters []wsan.ManageIteration
+	if err := json.Unmarshal(parts["iterations.json"], &iters); err != nil {
 		return err
 	}
 	fmt.Println("iter  health     degraded  moved  rerouted  blacklist  rehab  rebudget  shed  shortfall  delta  devices  minPDR  meanPDR")
@@ -445,11 +386,11 @@ func runManage(args []string, mets obs.Sink) error {
 				it.Index+1, sf.FlowID, sf.Predicted, sf.Target)
 		}
 	}
-	// Persist the managed schedule.
-	if err := writeArtifact(*dir, "schedule.json", sched.Encode); err != nil {
+	written, err := writeParts(p.Artifact, parts)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("updated schedule written to %s/schedule.json\n", *dir)
+	fmt.Printf("updated artifacts written to %s\n", written)
 	return nil
 }
 
@@ -461,22 +402,19 @@ func runManage(args []string, mets obs.Sink) error {
 func runValidate(args []string) error {
 	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
 	dir := fs.String("dir", ".", "directory holding the gen-schedule artifacts")
-	channels := fs.Int("channels", 4, "number of channels the schedule uses")
+	channels := fs.Int("channels", jobs.DefaultChannels, "number of channels the schedule uses")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tb, err := readArtifact(*dir, "survey.json", topology.Decode)
+	env, err := dirEnv(*dir, *channels, nil)
 	if err != nil {
 		return err
 	}
-	flows, err := readArtifact(*dir, "workload.json", flow.DecodeWorkload)
+	tb, flows, res, err := env.LoadBundle(*dir)
 	if err != nil {
 		return err
 	}
-	sched, err := readArtifact(*dir, "schedule.json", schedule.Decode)
-	if err != nil {
-		return err
-	}
+	sched := res.Schedule
 	failures := 0
 	check := func(name string, err error) {
 		if err != nil {
@@ -495,19 +433,14 @@ func runValidate(args []string) error {
 	if err != nil {
 		return err
 	}
-	routeErr := func() error {
-		// Traffic type is not stored in the artifacts; accept a centralized
-		// wired break only when the plain validation fails both ways.
+	check("routes over communication graph", func() error {
 		for _, f := range flows {
-			p2p := routing.Validate(f, gc, routing.Config{Traffic: routing.PeerToPeer})
-			if p2p == nil {
-				continue
+			if err := routing.Validate(f, gc, routing.Config{Traffic: routing.PeerToPeer}); err != nil {
+				return fmt.Errorf("flow %d: %v", f.ID, err)
 			}
-			return fmt.Errorf("flow %d: %v", f.ID, p2p)
 		}
 		return nil
-	}()
-	check("routes over communication graph", routeErr)
+	}())
 	check("schedule constraints (ρ_t=2)", sched.Validate(gr.AllPairsHop(), 2))
 	check("deadlines and route order", func() error {
 		lats, err := analysis.Latencies(flows, sched)
@@ -521,6 +454,7 @@ func runValidate(args []string) error {
 		}
 		return nil
 	}())
+	check("retransmission budgets", checkBudgets(flows, res))
 	check("utilization within capacity", func() error {
 		u, err := analysis.ComputeUtilization(flows, *channels, 2)
 		if err != nil {
@@ -535,5 +469,38 @@ func runValidate(args []string) error {
 		return fmt.Errorf("%d validation checks failed", failures)
 	}
 	fmt.Println("all checks passed")
+	return nil
+}
+
+// checkBudgets verifies that every flow hop holds (slotframe / period) ×
+// HopAttempts(hop, fallback) transmissions, the fallback being the retry
+// depth the schedule was built with: a workload whose retransmission
+// budgets disagree with the schedule fails.
+func checkBudgets(flows []*wsan.Flow, res *wsan.ScheduleResult) error {
+	sched, fallback := res.Schedule, jobs.RetryAttempts(res)
+	held := make(map[[2]int]int)
+	for _, tx := range sched.Txs() {
+		held[[2]int{tx.FlowID, tx.Hop}]++
+	}
+	bad, hops := 0, 0
+	var first error
+	for _, f := range flows {
+		if len(f.TxBudget) > 0 && len(f.TxBudget) != len(f.Route) {
+			return fmt.Errorf("flow %d has a %d-hop budget on a %d-hop route", f.ID, len(f.TxBudget), len(f.Route))
+		}
+		for h := range f.Route {
+			hops++
+			want := sched.NumSlots() / f.Period * f.HopAttempts(h, fallback)
+			if n := held[[2]int{f.ID, h}]; n != want {
+				bad++
+				if first == nil {
+					first = fmt.Errorf("flow %d hop %d holds %d transmissions, want %d", f.ID, h, n, want)
+				}
+			}
+		}
+	}
+	if bad > 0 {
+		return fmt.Errorf("%d of %d flow hops off budget; %w", bad, hops, first)
+	}
 	return nil
 }

@@ -5,14 +5,14 @@
 // pool. Completed outputs land in a content-addressed artifact store keyed
 // by the producing request, so identical submissions are cache hits.
 //
-// The package sits entirely on the public wsan facade (plus the obs layer
-// it shares with the rest of the pipeline); it is the service skin of the
+// The package sits on the public wsan facade and runs the job kinds of
+// internal/jobs, which the wsansim CLI runs too (plus the obs layer it
+// shares with the rest of the pipeline); it is the service skin of the
 // library, not a second implementation. Its wire format is wsanclient's:
 // the daemon encodes the client's types rather than declaring its own.
 package server
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -21,27 +21,20 @@ import (
 	"sync"
 	"time"
 
-	"wsan"
+	"wsan/internal/jobs"
 	"wsan/wsanclient"
 )
 
-// netEntry is one hosted network: the immutable wsan.Network plus the
-// exact survey JSON its artifacts embed.
+// netEntry is one hosted network: the immutable jobs.Network (the
+// wsan.Network plus the exact survey JSON its artifacts embed) under its
+// tenant-chosen name.
 type netEntry struct {
+	*jobs.Network
 	// Name is the tenant-chosen handle.
 	Name string
 	// Hash identifies the network content (survey bytes + channel count +
 	// options) for artifact addressing.
 	Hash string
-	// Net is the derived operating network. wsan.Network is immutable after
-	// construction and safe for concurrent use, so every job on this entry
-	// shares it without locking.
-	Net *wsan.Network
-	// Survey is the canonical testbed JSON (what gen-schedule writes as
-	// survey.json).
-	Survey []byte
-	// Channels is the physical channel list the network operates on.
-	Channels []int
 	// Created is the registration time.
 	Created time.Time
 }
@@ -71,70 +64,24 @@ type registry struct {
 
 func newRegistry() *registry { return &registry{nets: make(map[string]*netEntry)} }
 
-// create builds a network from the request and registers it under its
-// name. Preset and TopoSeed (default 1) select a synthetic testbed, Testbed
-// uploads a survey document instead; Channels defaults to 4, and
-// PRRThreshold and AccessPoints override the network options when set.
+// create builds a network from the request (see jobs.NewNetwork) and
+// registers it under its name.
 func (r *registry) create(req wsanclient.CreateNetworkRequest) (*netEntry, error) {
 	if req.Name == "" {
 		return nil, fmt.Errorf("network name is required")
 	}
-	if req.Channels == 0 {
-		req.Channels = 4
-	}
-	if req.Channels < 1 || req.Channels > wsan.NumChannels {
-		return nil, fmt.Errorf("channels must be in [1, %d]", wsan.NumChannels)
-	}
-	var tb *wsan.Testbed
-	var err error
-	switch {
-	case req.Preset != "" && len(req.Testbed) > 0:
-		return nil, fmt.Errorf("preset and testbed are mutually exclusive")
-	case req.Preset != "":
-		generate, ok := wsan.TestbedPreset(req.Preset)
-		if !ok {
-			return nil, fmt.Errorf("unknown preset %q (want indriya or wustl)", req.Preset)
-		}
-		seed := req.TopoSeed
-		if seed == 0 {
-			seed = 1
-		}
-		tb, err = generate(seed)
-	case len(req.Testbed) > 0:
-		tb, err = wsan.LoadTestbed(bytes.NewReader(req.Testbed))
-	default:
-		return nil, fmt.Errorf("either preset or testbed is required")
-	}
+	nw, err := jobs.NewNetwork(req)
 	if err != nil {
-		return nil, err
-	}
-	var opts []wsan.NetworkOption
-	if req.PRRThreshold != 0 {
-		opts = append(opts, wsan.WithPRRThreshold(req.PRRThreshold))
-	}
-	if req.AccessPoints != 0 {
-		opts = append(opts, wsan.WithAccessPoints(req.AccessPoints))
-	}
-	net, err := wsan.NewNetwork(tb, req.Channels, opts...)
-	if err != nil {
-		return nil, err
-	}
-	// Canonical survey bytes: re-encode the testbed so uploaded and
-	// generated topologies address artifacts identically.
-	var survey bytes.Buffer
-	if err := wsan.SaveTestbed(tb, &survey); err != nil {
 		return nil, err
 	}
 	h := sha256.New()
-	h.Write(survey.Bytes())
-	fmt.Fprintf(h, "|ch=%d|prrt=%g|aps=%d", req.Channels, req.PRRThreshold, req.AccessPoints)
+	h.Write(nw.Survey)
+	fmt.Fprintf(h, "|ch=%d|prrt=%g|aps=%d", len(nw.Channels), req.PRRThreshold, req.AccessPoints)
 	e := &netEntry{
-		Name:     req.Name,
-		Hash:     hex.EncodeToString(h.Sum(nil)),
-		Net:      net,
-		Survey:   survey.Bytes(),
-		Channels: net.Channels(),
-		Created:  time.Now(),
+		Network: nw,
+		Name:    req.Name,
+		Hash:    hex.EncodeToString(h.Sum(nil)),
+		Created: time.Now(),
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wsan"
+	"wsan/internal/jobs"
 	"wsan/wsanclient"
 )
 
@@ -268,7 +269,7 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep simReport
+	var rep jobs.SimReport
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatalf("report does not decode: %v", err)
 	}
@@ -598,7 +599,7 @@ func TestConvergeAndManageJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep simReport
+	var rep jobs.SimReport
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}

@@ -728,11 +728,10 @@ func audit(sched *schedule.Schedule, active []*flow.Flow) error {
 	}
 	for _, f := range active {
 		for h, n := range perHop[f.ID] {
-			want := sched.NumSlots() / f.Period
-			if len(f.TxBudget) > 0 {
-				want *= f.TxBudget[h]
-			}
-			if n != want {
+			// The retransmission-budget rule `wsansim validate` checks: the
+			// soak schedules without uniform retries, so flows without a
+			// budget fall back to one attempt per hop.
+			if want := sched.NumSlots() / f.Period * f.HopAttempts(h, 1); n != want {
 				return fmt.Errorf("flow %d hop %d holds %d transmissions, want %d", f.ID, h, n, want)
 			}
 		}

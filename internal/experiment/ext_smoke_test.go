@@ -1,11 +1,22 @@
 package experiment
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 )
 
+// tableChecksum is the hex of the first 8 bytes of sha256(t.String()), the
+// pin format of the root golden_test.go. Only tables without a wall-time
+// column are pinned.
+func tableChecksum(t *Table) string {
+	h := sha256.Sum256([]byte(t.String()))
+	return fmt.Sprintf("%x", h[:8])
+}
+
 // TestExtensionsSmoke exercises each extension experiment at reduced scale.
+// An entry with a checksum pins its first table's rendering; the others
+// only log it.
 func TestExtensionsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extension smoke skipped in -short mode")
@@ -16,20 +27,21 @@ func TestExtensionsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fn := range []struct {
-		name string
-		f    func(*Env, Options) ([]*Table, error)
+		name     string
+		f        func(*Env, Options) ([]*Table, error)
+		checksum string
 	}{
-		{"ext-latency", ExtLatency},
-		{"ext-rho", ExtRhoSweep},
-		{"ext-priority", ExtPriority},
-		{"ext-fixedrho", ExtFixedRho},
-		{"ext-seeds", ExtSeeds},
-		{"ext-phases", ExtPhases},
-		{"ext-detector", ExtDetector},
-		{"ext-manage", ExtManage},
-		{"ext-diversity", ExtDiversity},
-		{"ext-bursty", ExtBursty},
-		{"ext-balance", ExtBalance},
+		{"ext-latency", ExtLatency, ""},
+		{"ext-rho", ExtRhoSweep, ""},
+		{"ext-priority", ExtPriority, ""},
+		{"ext-fixedrho", ExtFixedRho, ""},
+		{"ext-seeds", ExtSeeds, ""},
+		{"ext-phases", ExtPhases, ""},
+		{"ext-detector", ExtDetector, ""},
+		{"ext-manage", ExtManage, "96b64bab0b9f241e"},
+		{"ext-diversity", ExtDiversity, ""},
+		{"ext-bursty", ExtBursty, ""},
+		{"ext-balance", ExtBalance, ""},
 	} {
 		tables, err := fn.f(wustl, opt)
 		if err != nil {
@@ -38,12 +50,16 @@ func TestExtensionsSmoke(t *testing.T) {
 		if len(tables) == 0 || len(tables[0].Rows) == 0 {
 			t.Fatalf("%s: empty result", fn.name)
 		}
-		t.Log("\n" + tables[0].String())
+		if fn.checksum == "" {
+			t.Log("\n" + tables[0].String())
+		} else if got := tableChecksum(tables[0]); got != fn.checksum {
+			t.Errorf("%s table changed: checksum %s, want %s\n%s", fn.name, got, fn.checksum, tables[0])
+		}
 	}
 }
 
-// TestExtRepairSmoke exercises the detect→repair loop at reduced scale and
-// asserts it does not worsen worst-case delivery.
+// TestExtRepairSmoke exercises the detect→repair loop at reduced scale, pins
+// its table, and asserts it does not worsen worst-case delivery.
 func TestExtRepairSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repair smoke skipped in -short mode")
@@ -62,7 +78,10 @@ func TestExtRepairSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Log("\n" + tables[0].String())
+	const want = "735cb943309cd0d9"
+	if got := tableChecksum(tables[0]); got != want {
+		t.Errorf("ext-repair table changed: checksum %s, want %s\n%s", got, want, tables[0])
+	}
 	rows := tables[0].Rows
 	if len(rows) != 2 {
 		t.Fatalf("want before/after rows, got %d", len(rows))

@@ -397,7 +397,7 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 			it.Moved = rep.Moved
 			it.Unmovable = len(rep.Failed)
 			if cfg.CompactAfterRepair && rep.Moved > 0 {
-				if _, err := repair.Compact(cfg.Schedule, cfg.Flows, nil, 0); err != nil {
+				if _, err := repair.Compact(cfg.Schedule, cfg.Flows); err != nil {
 					return out, fmt.Errorf("manage: iteration %d: %w", iter, err)
 				}
 			}

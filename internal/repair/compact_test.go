@@ -29,7 +29,7 @@ func TestCompactMovesLatePlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	moved, err := Compact(s, []*flow.Flow{f}, nil, 0)
+	moved, err := Compact(s, []*flow.Flow{f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCompactRespectsPhaseAndOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Compact(s, []*flow.Flow{f}, nil, 0); err != nil {
+	if _, err := Compact(s, []*flow.Flow{f}); err != nil {
 		t.Fatal(err)
 	}
 	var hop0, hop1 int
@@ -83,8 +83,10 @@ func TestCompactRespectsPhaseAndOrder(t *testing.T) {
 	}
 }
 
-// TestCompactEndToEnd repairs a real RA schedule, compacts it, and checks
-// that every invariant holds and latency never worsens.
+// TestCompactEndToEnd repairs a real RA schedule, retires its two
+// highest-priority flows to open early exclusive cells, compacts it, and
+// checks that every invariant holds, no new channel sharing appears, and
+// latency never worsens.
 func TestCompactEndToEnd(t *testing.T) {
 	tb, err := topology.WUSTL(1)
 	if err != nil {
@@ -128,11 +130,18 @@ func TestCompactEndToEnd(t *testing.T) {
 	if _, err := Reschedule(sched, flows, degraded); err != nil {
 		t.Fatal(err)
 	}
+	for _, f := range flows[:2] {
+		if _, err := scheduler.RemoveFlowDelta(sched, f.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flows = flows[2:]
+	shared := sched.TxPerChannelHist()
 	before, err := analysis.Latencies(flows, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, err := Compact(sched, flows, hop, 2)
+	moved, err := Compact(sched, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +153,14 @@ func TestCompactEndToEnd(t *testing.T) {
 		t.Fatalf("compacted schedule invalid: %v", err)
 	}
 	checkFlows(t, flows, sched, -1)
+	for k, n := range sched.TxPerChannelHist() {
+		if k > 1 && n > shared[k] {
+			t.Errorf("compaction created sharing: %d cells hold %d transmissions, %d before", n, k, shared[k])
+		}
+	}
+	if moved == 0 {
+		t.Fatal("nothing moved into the freed cells")
+	}
 	improved := 0
 	for i := range after {
 		if after[i].WorstSlots > before[i].WorstSlots {
@@ -159,7 +176,7 @@ func TestCompactEndToEnd(t *testing.T) {
 }
 
 func TestCompactValidation(t *testing.T) {
-	if _, err := Compact(nil, nil, nil, 0); err == nil {
+	if _, err := Compact(nil, nil); err == nil {
 		t.Error("nil schedule should fail")
 	}
 	s, err := schedule.New(10, 1, 4)
@@ -170,7 +187,7 @@ func TestCompactValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compact(s, nil, nil, 0); err == nil {
+	if _, err := Compact(s, nil); err == nil {
 		t.Error("unknown flow should fail")
 	}
 }

@@ -1,26 +1,22 @@
 // Package repair closes the loop the paper's Sec. VI opens: once the
 // detection policy identifies links whose reliability channel reuse has
 // degraded, "these links can be reassigned to different channels or time
-// slots". The paper stops at detection; this package implements the
-// reassignment.
+// slots". The paper stops at detection; this package is the reassignment's
+// entry point from detection output.
 //
-// For every transmission of a degraded link that sits in a shared cell, the
-// repairer removes it from the schedule and re-places it in a contention-
-// free cell — the earliest slot with an empty channel offset that preserves
-// the transmission-conflict constraint, the flow's release/deadline window,
-// and its position in the route order. Transmissions of other flows are
-// left untouched, so the repair is an incremental schedule update the
-// network manager can disseminate as a delta, not a full reschedule.
+// Repair and compaction are ops of the scheduler's delta engine
+// (scheduler.BatchRepair and scheduler.BatchCompact): every other
+// transmission is pinned, the moves are journaled, and an error leaves the
+// schedule untouched — an incremental update the network manager can
+// disseminate as a delta, not a full reschedule.
 package repair
 
 import (
-	"fmt"
-	"sort"
-
 	"wsan/internal/detect"
 	"wsan/internal/flow"
 	"wsan/internal/obs"
 	"wsan/internal/schedule"
+	"wsan/internal/scheduler"
 )
 
 // Result reports what a repair pass did.
@@ -42,79 +38,21 @@ func Reschedule(sched *schedule.Schedule, flows []*flow.Flow, degraded []flow.Li
 }
 
 // RescheduleObserved is Reschedule with an observability sink: repair
-// counters (victims, moves, failures, slots scanned) are flushed under the
-// "repair." prefix. A nil sink makes it identical to Reschedule.
+// counters (victims, moves, failures) are flushed under the "repair."
+// prefix, next to the delta engine's "sched.incremental." counters. A nil
+// sink makes it identical to Reschedule.
 func RescheduleObserved(sched *schedule.Schedule, flows []*flow.Flow, degraded []flow.Link, m obs.Sink) (*Result, error) {
-	if sched == nil {
-		return nil, fmt.Errorf("repair: nil schedule")
+	d, err := scheduler.RepairDelta(sched, flows, degraded, m)
+	if err != nil {
+		return nil, err
 	}
-	byID := make(map[int]*flow.Flow, len(flows))
-	for _, f := range flows {
-		byID[f.ID] = f
-	}
-	degradedSet := make(map[flow.Link]bool, len(degraded))
-	for _, l := range degraded {
-		degradedSet[l] = true
-	}
-	res := &Result{DegradedLinks: len(degraded)}
-
-	// Collect the victims: transmissions of degraded links in shared cells.
-	var victims []schedule.Tx
-	for _, tx := range sched.Txs() {
-		if degradedSet[tx.Link] && len(sched.Cell(tx.Slot, tx.Offset)) > 1 {
-			victims = append(victims, tx)
-		}
-	}
-	// Deterministic order: by flow, instance, hop, attempt.
-	sort.Slice(victims, func(i, j int) bool {
-		a, b := victims[i], victims[j]
-		if a.FlowID != b.FlowID {
-			return a.FlowID < b.FlowID
-		}
-		if a.Instance != b.Instance {
-			return a.Instance < b.Instance
-		}
-		if a.Hop != b.Hop {
-			return a.Hop < b.Hop
-		}
-		return a.Attempt < b.Attempt
-	})
-
-	var slotsScanned int64
-	for _, tx := range victims {
-		f := byID[tx.FlowID]
-		if f == nil {
-			return nil, fmt.Errorf("repair: schedule references unknown flow %d", tx.FlowID)
-		}
-		lo, hi, err := window(sched, f, tx)
-		if err != nil {
-			return nil, err
-		}
-		if err := sched.Remove(tx); err != nil {
-			return nil, fmt.Errorf("repair: %w", err)
-		}
-		moved := tx
-		if slot, offset, ok := findExclusive(sched, tx.Link, lo, hi, &slotsScanned); ok {
-			moved.Slot, moved.Offset = slot, offset
-			if err := sched.Place(moved); err != nil {
-				return nil, fmt.Errorf("repair: %w", err)
-			}
-			res.Moved++
-			continue
-		}
-		// No exclusive cell available: restore the original placement.
-		if err := sched.Place(tx); err != nil {
-			return nil, fmt.Errorf("repair: restore: %w", err)
-		}
-		res.Failed = append(res.Failed, tx)
-	}
+	res := &Result{DegradedLinks: len(degraded), Moved: d.Moved, Failed: d.Unmovable}
 	if m != nil {
 		m.Count("repair.runs", 1)
 		m.Count("repair.degraded_links", int64(res.DegradedLinks))
-		m.Count("repair.victims", int64(len(victims)))
+		m.Count("repair.victims", int64(res.Moved+len(res.Failed)))
 		m.Count("repair.moved", int64(res.Moved))
 		m.Count("repair.unmovable", int64(len(res.Failed)))
-		m.Count("repair.slots_scanned", slotsScanned)
 	}
 	return res, nil
 }
@@ -125,57 +63,18 @@ func RescheduleFromReports(sched *schedule.Schedule, flows []*flow.Flow, reports
 	return Reschedule(sched, flows, detect.Links(reports, detect.ReuseDegraded))
 }
 
-// window computes the feasible slot range for tx: after the preceding
-// transmission of its instance and before the following one (or the
-// release/deadline bounds).
-func window(sched *schedule.Schedule, f *flow.Flow, tx schedule.Tx) (int, int, error) {
-	release := f.Release(tx.Instance)
-	lo := release
-	hi := release + f.Deadline - 1
-	for _, other := range sched.Txs() {
-		if other.FlowID != tx.FlowID || other.Instance != tx.Instance {
-			continue
-		}
-		if other == tx {
-			continue
-		}
-		before := other.Hop < tx.Hop ||
-			(other.Hop == tx.Hop && other.Attempt < tx.Attempt)
-		if before {
-			if other.Slot+1 > lo {
-				lo = other.Slot + 1
-			}
-		} else if other.Slot-1 < hi {
-			hi = other.Slot - 1
-		}
+// Compact shifts transmissions toward earlier slots without violating any
+// constraint: transmission conflicts, release times, and per-instance route
+// order all hold afterwards. Repairs and incremental admissions leave
+// schedules with late placements; compaction recovers the latency the
+// fixed-priority scheduler would have achieved. Moves target exclusive cells
+// only, so compaction never creates channel sharing the scheduler avoided,
+// and a fresh earliest-slot schedule is a fixed point. It returns the number
+// of transmissions moved.
+func Compact(sched *schedule.Schedule, flows []*flow.Flow) (int, error) {
+	d, err := scheduler.CompactDelta(sched, flows)
+	if err != nil {
+		return 0, err
 	}
-	if lo > hi {
-		return 0, 0, fmt.Errorf("repair: flow %d instance %d hop %d has empty feasible window",
-			tx.FlowID, tx.Instance, tx.Hop)
-	}
-	return lo, hi, nil
-}
-
-// findExclusive scans [lo, hi] for the earliest slot where the link's
-// endpoints are idle and some channel offset is completely unused. The scan
-// length is accumulated into *scanned for observability.
-func findExclusive(sched *schedule.Schedule, l flow.Link, lo, hi int, scanned *int64) (int, int, bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= sched.NumSlots() {
-		hi = sched.NumSlots() - 1
-	}
-	for s := lo; s <= hi; s++ {
-		*scanned++
-		if sched.NodeBusy(l.From, s) || sched.NodeBusy(l.To, s) {
-			continue
-		}
-		for c := 0; c < sched.NumOffsets(); c++ {
-			if sched.OffsetLoad(s, c) == 0 {
-				return s, c, true
-			}
-		}
-	}
-	return 0, 0, false
+	return d.Moved, nil
 }

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"bytes"
 	"testing"
 
 	"wsan/internal/detect"
@@ -200,5 +201,78 @@ func TestRescheduleUnknownFlow(t *testing.T) {
 	s, flows := twoFlowShared(t)
 	if _, err := Reschedule(s, flows[:1], []flow.Link{{From: 4, To: 5}}); err == nil {
 		t.Error("schedule referencing unknown flow should fail")
+	}
+}
+
+// TestErrorsLeaveScheduleUntouched checks that a repair or compaction that
+// fails on an unknown flow or a broken route order leaves no earlier move
+// behind: the schedule's encoding is byte-identical to the input.
+func TestErrorsLeaveScheduleUntouched(t *testing.T) {
+	encode := func(s *schedule.Schedule) []byte {
+		var buf bytes.Buffer
+		if err := s.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// Flow 0's victim comes first and has a free offset to move to; flow 1
+	// is unknown.
+	s, flows := twoFlowShared(t)
+	before := encode(s)
+	if _, err := Reschedule(s, flows[:1], []flow.Link{{From: 0, To: 1}, {From: 4, To: 5}}); err == nil {
+		t.Fatal("repair of a schedule referencing an unknown flow succeeded")
+	}
+	if !bytes.Equal(encode(s), before) {
+		t.Errorf("failed repair changed the schedule:\n got %s\nwant %s", encode(s), before)
+	}
+
+	// Flow 0's late transmission comes first in slot order and can move
+	// earlier; flow 7 is unknown.
+	f := &flow.Flow{ID: 0, Src: 0, Dst: 1, Period: 10, Deadline: 10,
+		Route: []flow.Link{{From: 0, To: 1}}}
+	s, err := schedule.New(10, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range []schedule.Tx{
+		{FlowID: 0, Link: f.Route[0], Slot: 5},
+		{FlowID: 7, Link: flow.Link{From: 2, To: 3}, Slot: 8},
+	} {
+		if err := s.Place(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = encode(s)
+	if moved, err := Compact(s, []*flow.Flow{f}); err == nil || moved != 0 {
+		t.Fatalf("compaction with an unknown flow = %d moved, err %v; want 0 and an error", moved, err)
+	}
+	if !bytes.Equal(encode(s), before) {
+		t.Errorf("failed compaction changed the schedule:\n got %s\nwant %s", encode(s), before)
+	}
+
+	// Flow 0's hop 1 runs before its hop 0: no slot keeps the route order.
+	two := &flow.Flow{ID: 0, Src: 0, Dst: 2, Period: 10, Deadline: 10,
+		Route: []flow.Link{{From: 0, To: 1}, {From: 1, To: 2}}}
+	other := &flow.Flow{ID: 1, Src: 4, Dst: 5, Period: 10, Deadline: 10,
+		Route: []flow.Link{{From: 4, To: 5}}}
+	s, err = schedule.New(10, 2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range []schedule.Tx{
+		{FlowID: 0, Hop: 1, Link: two.Route[1], Slot: 1},
+		{FlowID: 0, Hop: 0, Link: two.Route[0], Slot: 3},
+		{FlowID: 1, Link: other.Route[0], Slot: 1},
+	} {
+		if err := s.Place(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = encode(s)
+	if _, err := Reschedule(s, []*flow.Flow{two, other}, []flow.Link{{From: 1, To: 2}, {From: 4, To: 5}}); err == nil {
+		t.Fatal("repair of a schedule breaking its route order succeeded")
+	}
+	if !bytes.Equal(encode(s), before) {
+		t.Errorf("failed repair changed the schedule:\n got %s\nwant %s", encode(s), before)
 	}
 }

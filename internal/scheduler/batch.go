@@ -1,9 +1,9 @@
-// The delta engine's op vocabulary: add, remove, and reroute, applied N per
-// journal commit with one rollback point (the single-op entry points in
-// delta.go are batches of one). A sustained-churn manager rarely sees deltas
-// one at a time — a link fault reroutes every flow crossing it, an admission
-// burst adds a batch of control loops — and applying them as one operation
-// amortizes the per-op engine setup, disseminates one net diff, and keeps
+// The delta engine's op vocabulary: add, remove, reroute, repair, and
+// compact, applied N per journal commit with one rollback point (the
+// single-op entry points in delta.go are batches of one). A sustained-churn
+// manager rarely sees deltas one at a time — a link fault reroutes every
+// flow crossing it, an admission burst adds a batch of control loops — and
+// applying them as one operation amortizes the per-op engine setup, disseminates one net diff, and keeps
 // the all-or-nothing guarantee: if any mutation is infeasible even at the
 // bottom of the repair ladder, the whole batch rolls back.
 
@@ -29,6 +29,17 @@ const (
 	// count changes — so a re-budget is a same-route BatchReroute after
 	// updating the flow's budget.
 	BatchReroute
+	// BatchRepair moves each victim — a transmission of one of the op's
+	// reuse-degraded links in a shared cell, taken in flow, instance, hop,
+	// attempt order — to the earliest exclusive cell of its route-order
+	// window, or leaves it when there is none (the reassignment of the
+	// paper's Sec. VI).
+	BatchRepair
+	// BatchCompact moves every transmission, in slot order, to the
+	// earliest exclusive cell between its instance's release or preceding
+	// transmission and its current slot, recovering the latency repairs
+	// and admissions fragment.
+	BatchCompact
 )
 
 // String implements fmt.Stringer.
@@ -40,6 +51,10 @@ func (k BatchKind) String() string {
 		return "remove"
 	case BatchReroute:
 		return "reroute"
+	case BatchRepair:
+		return "repair"
+	case BatchCompact:
+		return "compact"
 	default:
 		return fmt.Sprintf("BatchKind(%d)", int(k))
 	}
@@ -54,6 +69,9 @@ type BatchOp struct {
 	FlowID int
 	// Route is the new route (BatchReroute only).
 	Route []flow.Link
+	// Links are the degraded links whose shared-cell transmissions move
+	// (BatchRepair only).
+	Links []flow.Link
 }
 
 // BatchResult reports one atomic batch.
@@ -69,9 +87,10 @@ type BatchResult struct {
 
 // ApplyDeltaBatch applies ops to a live schedule as one atomic operation:
 // a single journal with a single rollback point, through the same engine as
-// the single-op entry points. Each op descends the repair ladder on its own
-// (direct → cascade → full reschedule); a full-rung repair rolls back only
-// that op's mutations and rebuilds on top of the batch's earlier ops. If any
+// the single-op entry points. Each op that places a flow descends the repair
+// ladder on its own (direct → cascade → full reschedule); a full-rung repair
+// rolls back only that op's mutations and rebuilds on top of the batch's
+// earlier ops. If any
 // op fails validation or is terminally infeasible the entire batch is rolled
 // back. flows is the current workload in priority order; it is not mutated —
 // the updated workload is returned in BatchResult.Flows (reroutes replace

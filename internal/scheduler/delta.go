@@ -1,8 +1,9 @@
-// Delta scheduling for flow churn. Every live-schedule mutation runs through
-// one journaled engine: ApplyDeltaBatch applies a list of add / remove /
-// reroute ops as one atomic operation, and AddFlowDelta, RemoveFlowDelta, and
-// RerouteFlowDelta are batches of one. Each op pins every unaffected flow's
-// transmissions and places only the delta against the existing grid.
+// Delta scheduling for flow churn and repair. Every live-schedule mutation
+// runs through one journaled engine: ApplyDeltaBatch applies a list of add /
+// remove / reroute / repair / compact ops as one atomic operation, and
+// AddFlowDelta, RemoveFlowDelta, RerouteFlowDelta, RepairDelta, and
+// CompactDelta are batches of one. Each op pins every unaffected
+// transmission and places only the delta against the existing grid.
 // Placement runs through the same engine as a full run, so it is served by
 // the index layer (busy-bitset word scans, occupancy rows, prefix-popcount
 // conflict counters) and costs O(affected cells), not O(network).
@@ -22,6 +23,8 @@
 //  2. full reschedule — roll the op back, rebuild the whole mutated workload
 //     from scratch into a fresh grid of the same dimensions, and apply the
 //     net difference (FallbackFull).
+//
+// Repair and compact ops never descend the ladder (see relocate.go).
 //
 // The last rung is the from-scratch scheduler itself, so whenever a full
 // reschedule of the mutated workload is feasible the op succeeds too —
@@ -103,6 +106,13 @@ type DeltaResult struct {
 	PlacementOps int
 	// RemovalOps counts transmission removals performed.
 	RemovalOps int
+	// Moved counts the transmissions repair and compact ops re-placed. A
+	// repair victim re-placed into its own cell, left exclusive because its
+	// cell-mate moved away first, counts too.
+	Moved int
+	// Unmovable lists, in victim order, the repair victims that found no
+	// exclusive cell and stay in their shared cells.
+	Unmovable []schedule.Tx
 	// Elapsed is the wall-clock operation time.
 	Elapsed time.Duration
 }
@@ -135,6 +145,19 @@ func RerouteFlowDelta(sched *schedule.Schedule, flows []*flow.Flow, flowID int, 
 	return applyOne(sched, flows, BatchOp{Kind: BatchReroute, FlowID: flowID, Route: newRoute}, cfg)
 }
 
+// RepairDelta moves the shared-cell transmissions of the degraded links into
+// exclusive cells (see BatchRepair); Moved and Unmovable account for every
+// victim. flows is the scheduled workload. mets may be nil.
+func RepairDelta(sched *schedule.Schedule, flows []*flow.Flow, links []flow.Link, mets obs.Sink) (*DeltaResult, error) {
+	return applyOne(sched, flows, BatchOp{Kind: BatchRepair, Links: links}, Config{Metrics: mets})
+}
+
+// CompactDelta moves transmissions into earlier exclusive cells (see
+// BatchCompact) and counts them in Moved. flows is the scheduled workload.
+func CompactDelta(sched *schedule.Schedule, flows []*flow.Flow) (*DeltaResult, error) {
+	return applyOne(sched, flows, BatchOp{Kind: BatchCompact}, Config{})
+}
+
 // applyOne runs op as a batch of one, reporting under the op kind's metric
 // label.
 func applyOne(sched *schedule.Schedule, flows []*flow.Flow, op BatchOp, cfg Config) (*DeltaResult, error) {
@@ -159,10 +182,10 @@ func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("scheduler: empty delta batch")
 	}
-	// Removals never place, so a removal-only operation needs no placement
-	// config (RemoveFlowDelta has none).
+	// Only adds and reroutes place a flow; an operation without either
+	// needs no placement config (RemoveFlowDelta has none).
 	for _, op := range ops {
-		if op.Kind != BatchRemove {
+		if op.Kind == BatchAdd || op.Kind == BatchReroute {
 			if err := validateDeltaConfig(sched, cfg); err != nil {
 				return nil, err
 			}
@@ -197,11 +220,11 @@ func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg
 		}
 		if batch {
 			out.Fallbacks = append(out.Fallbacks, fb)
-			id := op.FlowID // an add names its flow in op.Flow only
 			if f != nil {
-				id = f.ID
+				d.work = setFlow(d.work, f.ID, f)
+			} else if op.Kind == BatchRemove {
+				d.work = setFlow(d.work, op.FlowID, nil)
 			}
-			d.work = setFlow(d.work, id, f)
 		}
 	}
 	if out.FailedFlow < 0 {
@@ -235,6 +258,9 @@ type deltaOp struct {
 
 	// evicted accumulates the cascade rung's evictions across ops.
 	evicted []int
+	// moved and unmovable accumulate repair and compact outcomes.
+	moved     int
+	unmovable []schedule.Tx
 	// replays counts full-rung placements into scratch grids, which the
 	// journal does not see.
 	replays int
@@ -249,8 +275,9 @@ func newDeltaOp(sched *schedule.Schedule, cfg Config, work []*flow.Flow) *deltaO
 }
 
 // begin validates op against the grid and the workload and performs its
-// removal half. It returns the flow the op must place: the new flow of an
-// add, a moved copy for a reroute, nil for a removal.
+// removal half — all of a removal, repair, or compaction. It returns the
+// flow the op must place: the new flow of an add, a moved copy for a
+// reroute, nil otherwise.
 func (d *deltaOp) begin(op BatchOp) (*flow.Flow, error) {
 	switch op.Kind {
 	case BatchAdd:
@@ -288,6 +315,10 @@ func (d *deltaOp) begin(op BatchOp) (*flow.Flow, error) {
 		}
 		d.removeFlow(op.FlowID)
 		return &moved, nil
+	case BatchRepair:
+		return nil, d.repair(op.Links)
+	case BatchCompact:
+		return nil, d.compact()
 	default:
 		return nil, fmt.Errorf("scheduler: unknown op kind %v", op.Kind)
 	}
@@ -399,6 +430,7 @@ func (d *deltaOp) finish(res *DeltaResult) {
 		slices.Sort(d.evicted)
 		res.Evicted = slices.Compact(d.evicted)
 	}
+	res.Moved, res.Unmovable = d.moved, d.unmovable
 	res.Schedulable = true
 }
 
@@ -550,10 +582,7 @@ const cascadeBudget = 16
 // FallbackCascade when any eviction was transitive, FallbackEvict otherwise;
 // ok=false leaves the journal for the caller to roll back.
 func (d *deltaOp) evictCascade(f *flow.Flow) (fb Fallback, ok bool) {
-	byID := make(map[int]*flow.Flow, len(d.work))
-	for _, g := range d.work {
-		byID[g.ID] = g
-	}
+	byID := flowsByID(d.work)
 	budget := cascadeBudget
 	fb = FallbackEvict
 	var pending []*flow.Flow

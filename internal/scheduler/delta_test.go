@@ -1,8 +1,11 @@
 package scheduler
 
 import (
+	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -875,4 +878,92 @@ func TestApplyDeltaBatchErrorRollsBack(t *testing.T) {
 	if !reflect.DeepEqual(txSet(sched), txSet(before)) {
 		t.Fatal("failed batch left the earlier op's mutations in the schedule")
 	}
+}
+
+// TestRepairCompactBatchRoundTrip applies a repair op and a compact op as
+// one batch to an RA schedule of the WUSTL testbed with one flow retired:
+// Changes must equal schedule.Diff of the before and after states, the
+// workload must come back unchanged, and applying schedule.Invert(Changes)
+// must restore the starting schedule's canonical bytes exactly.
+func TestRepairCompactBatchRoundTrip(t *testing.T) {
+	tb, err := topology.WUSTL(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	channels := topology.Channels(3)
+	gc, err := tb.CommGraph(channels, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := tb.ReuseGraph(channels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	flows, err := flow.Generate(rng, gc, flow.GenConfig{NumFlows: 30, MinPeriodExp: 0, MaxPeriodExp: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := routing.Assign(flows, gc, routing.Config{Traffic: routing.PeerToPeer}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Algorithm: RA, NumChannels: len(channels), RhoT: 2,
+		HopGR: gr.AllPairsHop(), Retransmit: true}
+	sched := deltaBase(t, flows, cfg)
+	if _, err := RemoveFlowDelta(sched, flows[0].ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	flows = flows[1:]
+	var degraded []flow.Link
+	for l := range sched.ReusedLinks() {
+		degraded = append(degraded, flow.Link{From: l[0], To: l[1]})
+	}
+	before := sched.Clone()
+	res, err := ApplyDeltaBatch(sched, flows, []BatchOp{
+		{Kind: BatchRepair, Links: degraded},
+		{Kind: BatchCompact},
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDelta(t, before, sched, &res.DeltaResult, flows, cfg)
+	if res.Moved == 0 || len(res.Unmovable) == 0 {
+		t.Fatalf("moved %d, unmovable %d: the batch should do both", res.Moved, len(res.Unmovable))
+	}
+	if !slices.Equal(res.Flows, flows) {
+		t.Fatal("a repair or compact op changed the workload")
+	}
+	restored := sched.Clone()
+	if err := schedule.Apply(restored, schedule.Invert(res.Changes)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canonicalBytes(t, restored), canonicalBytes(t, before); !bytes.Equal(got, want) {
+		t.Fatal("applying the inverted changes did not restore the starting schedule")
+	}
+}
+
+// canonicalBytes encodes a schedule with its transmissions in a
+// history-independent order.
+func canonicalBytes(t *testing.T, s *schedule.Schedule) []byte {
+	t.Helper()
+	txs := slices.Clone(s.Txs())
+	slices.SortFunc(txs, func(a, b schedule.Tx) int {
+		return cmp.Or(cmp.Compare(a.Slot, b.Slot), cmp.Compare(a.Offset, b.Offset),
+			cmp.Compare(a.FlowID, b.FlowID), cmp.Compare(a.Instance, b.Instance),
+			cmp.Compare(a.Hop, b.Hop), cmp.Compare(a.Attempt, b.Attempt))
+	})
+	c, err := schedule.New(s.NumSlots(), s.NumOffsets(), s.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range txs {
+		if err := c.Place(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

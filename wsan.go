@@ -455,7 +455,8 @@ type RepairResult = repair.Result
 
 // Repair reassigns the transmissions of reuse-degraded links (per the
 // detection reports) to contention-free cells, mutating the schedule in
-// place — the remediation Sec. VI of the paper motivates.
+// place — the remediation Sec. VI of the paper motivates. An error leaves
+// the schedule untouched.
 func Repair(res *ScheduleResult, flows []*Flow, reports []DetectionReport) (*RepairResult, error) {
 	out, err := repair.RescheduleFromReports(res.Schedule, flows, reports)
 	return out, wrapErr(err)
@@ -466,9 +467,9 @@ func Repair(res *ScheduleResult, flows []*Flow, reports []DetectionReport) (*Rep
 // scheduling constraint. Moves target exclusive cells only, so compaction
 // never introduces channel sharing a conservative schedule avoided. It
 // returns how many transmissions moved; a fresh earliest-slot schedule is a
-// fixed point.
+// fixed point. An error leaves the schedule untouched.
 func (n *Network) Compact(res *ScheduleResult, flows []*Flow) (int, error) {
-	moved, err := repair.Compact(res.Schedule, flows, nil, 0)
+	moved, err := repair.Compact(res.Schedule, flows)
 	return moved, wrapErr(err)
 }
 

@@ -85,9 +85,10 @@ e2e:
 
 # fuzz-smoke gives every fuzz target a short budget ($(FUZZTIME) each) —
 # enough to catch regressions in the decoder hardening, in the PHY's
-# saturation shortcut (bit-identical to the full BER series), and in job
-# parameter canonicalization (never panics; canonical forms are fixed
-# points), without stalling CI.
+# saturation shortcut (bit-identical to the full BER series), in the
+# hoisted delay-bound fixed point (identical to the reference analysis),
+# and in job parameter canonicalization (never panics; canonical forms are
+# fixed points), without stalling CI.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadTestbed -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzLoadWorkload -fuzztime=$(FUZZTIME) .
@@ -98,4 +99,5 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzKSTest -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzQuantile -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzPRR802154 -fuzztime=$(FUZZTIME) ./internal/radio
+	$(GO) test -run=^$$ -fuzz=FuzzDelayAnalysis -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalParams -fuzztime=$(FUZZTIME) ./internal/jobs

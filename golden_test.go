@@ -46,6 +46,7 @@ var goldenCases = []goldenCase{
 	{"budget/apply-100f", "d50aab9231b67021", goldenBudgetApply},
 	{"scheduler/budget", "b9502549a496e474", goldenBudgetSchedule},
 	{"churn/soak_200f_1500ops", "8aeaf9bb9704b470", goldenChurn},
+	{"analysis/delay-fig6", "a191938568eaeaa3", goldenDelayBounds},
 }
 
 // TestGoldenChecksums runs every case once and compares its checksum with
@@ -282,6 +283,35 @@ func goldenBudgetSchedule(tb testing.TB) func() ([]byte, error) {
 			return nil, fmt.Errorf("budgeted 50-flow WUSTL workload not schedulable")
 		}
 		return scheduleDigest(res), nil
+	}
+}
+
+// goldenDelayBounds runs the fixed-priority delay bound over prefixes of
+// the Fig. 6 flow set (25, 50 and all 100 flows), first unbudgeted and then
+// under 0.99-target per-hop retransmission budgets, and digests every
+// flow's bound. The long prefixes overload the 5 channels, so the
+// unschedulable (-1, deadline stand-in) path is covered too.
+func goldenDelayBounds(tb testing.TB) func() ([]byte, error) {
+	w, err := fig6Point()
+	check(tb, err)
+	budgeted := experiment.CloneFlows(w.flows)
+	_, err = w.net.ApplyReliabilityTargets(budgeted, 0.99, 0, nil)
+	check(tb, err)
+	return func() ([]byte, error) {
+		var buf []byte
+		for _, set := range [][]*wsan.Flow{w.flows, budgeted} {
+			for _, n := range []int{25, 50, 100} {
+				bounds, err := wsan.DelayBounds(set[:n], 5, 2)
+				if err != nil {
+					return nil, err
+				}
+				buf = fmt.Appendf(buf, "n=%d|", n)
+				for _, b := range bounds {
+					buf = fmt.Appendf(buf, "%d:%d:%v;", b.FlowID, b.ResponseSlots, b.Schedulable)
+				}
+			}
+		}
+		return buf, nil
 	}
 }
 

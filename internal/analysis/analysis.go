@@ -100,7 +100,9 @@ type Utilization struct {
 }
 
 // ComputeUtilization accounts the demand of a routed flow set. attempts is
-// the number of dedicated slots per hop (2 with retransmission).
+// the number of dedicated slots per hop (2 with retransmission); a flow with
+// a per-hop TxBudget contributes its budgeted counts instead, as in
+// DelayAnalysis.
 func ComputeUtilization(flows []*flow.Flow, numChannels, attempts int) (Utilization, error) {
 	if numChannels <= 0 || attempts <= 0 {
 		return Utilization{}, fmt.Errorf("analysis: channels %d and attempts %d must be positive",
@@ -116,12 +118,14 @@ func ComputeUtilization(flows []*flow.Flow, numChannels, attempts int) (Utilizat
 		if len(f.Route) == 0 {
 			return Utilization{}, fmt.Errorf("analysis: flow %d has no route", f.ID)
 		}
+		if err := f.ValidateBudget(); err != nil {
+			return Utilization{}, fmt.Errorf("analysis: %w", err)
+		}
 		instances := hyper / f.Period
-		perInstance := len(f.Route) * attempts
-		totalTx += instances * perInstance
-		for _, l := range f.Route {
-			nodeDemand[l.From] += instances * attempts
-			nodeDemand[l.To] += instances * attempts
+		totalTx += instances * f.TotalAttempts(attempts)
+		for h, l := range f.Route {
+			nodeDemand[l.From] += instances * f.HopAttempts(h, attempts)
+			nodeDemand[l.To] += instances * f.HopAttempts(h, attempts)
 		}
 	}
 	u := Utilization{
@@ -156,10 +160,10 @@ func NecessarySchedulable(flows []*flow.Flow, numChannels, attempts int, allowRe
 		return fmt.Errorf("channel demand %.0f%% of capacity: unschedulable without channel reuse",
 			u.Channel*100)
 	}
-	// Per-flow: each instance needs route×attempts slots within its
-	// deadline.
+	// Per-flow: each instance needs all its (budgeted) transmission slots
+	// within its deadline.
 	for _, f := range flows {
-		if need := len(f.Route) * attempts; need > f.Deadline {
+		if need := f.TotalAttempts(attempts); need > f.Deadline {
 			return fmt.Errorf("flow %d needs %d slots but its deadline is %d", f.ID, need, f.Deadline)
 		}
 	}

@@ -151,6 +151,48 @@ func TestNecessaryNodeOverload(t *testing.T) {
 	}
 }
 
+// TestUtilizationCountsBudgets: a flow's per-hop TxBudget, not the uniform
+// attempt count, is its demand. Two flows relaying through node 1 every 8
+// slots load it 4/8 at one attempt per hop, but 12/8 under their 3-attempt
+// budgets, so only the budget-aware count sees the overload.
+func TestUtilizationCountsBudgets(t *testing.T) {
+	flows := []*flow.Flow{
+		mkFlow(0, 0, 2, 8, 8, 0, 1, 2),
+		mkFlow(1, 3, 4, 8, 8, 3, 1, 4),
+	}
+	u, err := ComputeUtilization(flows, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.BottleneckNode != 0.5 || u.BottleneckID != 1 {
+		t.Fatalf("unbudgeted bottleneck %v at node %d, want 0.5 at node 1", u.BottleneckNode, u.BottleneckID)
+	}
+	if err := NecessarySchedulable(flows, 16, 1, true); err != nil {
+		t.Fatalf("unbudgeted set flagged: %v", err)
+	}
+	for _, f := range flows {
+		f.TxBudget = []int{3, 3}
+	}
+	u, err = ComputeUtilization(flows, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.BottleneckNode != 1.5 || u.BottleneckID != 1 || u.Channel != 1.5 {
+		t.Errorf("budgeted utilization %+v, want node 1 at 1.5 and channel 1.5", u)
+	}
+	err = NecessarySchedulable(flows, 16, 1, true)
+	if err == nil || !strings.Contains(err.Error(), "any policy") {
+		t.Errorf("want budgeted node overload, got %v", err)
+	}
+	// A budget that breaks flow.ValidateBudget is an error, not a panic.
+	for _, budget := range [][]int{{3}, {3, 0}} {
+		flows[1].TxBudget = budget
+		if _, err := ComputeUtilization(flows, 16, 1); err == nil {
+			t.Errorf("budget %v should fail", budget)
+		}
+	}
+}
+
 func TestNecessaryChannelOverload(t *testing.T) {
 	// 4 disjoint single-hop flows with period 4, attempts 2 on 1 channel:
 	// demand 8 slots per 4 → channel util 2.0. Nodes are each at 0.5.

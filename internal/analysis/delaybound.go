@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"wsan/internal/flow"
 )
@@ -51,6 +52,15 @@ type DelayBound struct {
 // carrying an explicit per-hop TxBudget contribute their budgeted slot
 // counts instead, so reliability-budgeted workloads are analyzed with
 // their true per-release demand.
+//
+// Only the carry-in instance count depends on the iterate R, so the rest
+// is computed outside the fixed point: each flow's demand C_j once per
+// call, and each conflict count Ω¹_ij = min(conflicting transmissions of j
+// on i's route, C_j) once per analyzed flow i. Since instance counts are
+// non-negative, min(n·a, n·b) = n·min(a, b), and the iteration does only
+// integer arithmetic on those values. Routes are matched through a dense
+// numbering of the nodes they touch and one reusable route-node bitset, so
+// the call makes the same few allocations for any set size or node IDs.
 func DelayAnalysis(flows []*flow.Flow, m, attempts int) ([]DelayBound, error) {
 	if m <= 0 || attempts <= 0 {
 		return nil, fmt.Errorf("delay analysis: channels %d and attempts %d must be positive", m, attempts)
@@ -58,6 +68,7 @@ func DelayAnalysis(flows []*flow.Flow, m, attempts int) ([]DelayBound, error) {
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("delay analysis: empty flow set")
 	}
+	hops := 0
 	for _, f := range flows {
 		if err := f.Validate(); err != nil {
 			return nil, fmt.Errorf("delay analysis: %w", err)
@@ -65,30 +76,66 @@ func DelayAnalysis(flows []*flow.Flow, m, attempts int) ([]DelayBound, error) {
 		if len(f.Route) == 0 {
 			return nil, fmt.Errorf("delay analysis: flow %d has no route", f.ID)
 		}
+		hops += len(f.Route)
 	}
-	bounds := make([]DelayBound, len(flows))
-	// responses[j] is R_j for already-analyzed higher-priority flows.
-	responses := make([]int, len(flows))
+	n := len(flows)
+	// One buffer holds the per-call integer tables. demand[j] is C_j,
+	// period[j] is P_j, responses[j] is R_j of an analyzed higher-priority
+	// flow, omega[j] and rest[j] = C_j − omega[j] split j's demand for the
+	// flow under analysis, and ends[2h], ends[2h+1] number the endpoints of
+	// the h-th hop of the concatenated routes.
+	buf := make([]int, 5*n+4*hops)
+	demand, period, responses, omega, rest := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n], buf[4*n:5*n]
+	ends := buf[5*n : 5*n+2*hops]
+	e := 0
+	for j, f := range flows {
+		demand[j] = f.TotalAttempts(attempts)
+		period[j] = f.Period
+		for _, l := range f.Route {
+			ends[e], ends[e+1] = l.From, l.To
+			e += 2
+		}
+	}
+	nodes := numberNodes(ends, buf[5*n+2*hops:])
+	// onRoute is the node bitset of the flow under analysis.
+	onRoute := make([]uint64, (nodes+63)/64)
+	bounds := make([]DelayBound, n)
+	endsI := ends
 	for i, fi := range flows {
-		ci := fi.TotalAttempts(attempts)
-		nodesI := routeNodes(fi)
+		hopsI := endsI[:2*len(fi.Route)]
+		endsI = endsI[len(hopsI):]
+		for _, v := range hopsI {
+			onRoute[v>>6] |= 1 << (v & 63)
+		}
+		endsJ := ends
+		for j, fj := range flows[:i] {
+			hopsJ := endsJ[:2*len(fj.Route)]
+			endsJ = endsJ[len(hopsJ):]
+			count := 0
+			for h := range fj.Route {
+				from, to := hopsJ[2*h], hopsJ[2*h+1]
+				if onRoute[from>>6]&(1<<(from&63)) != 0 || onRoute[to>>6]&(1<<(to&63)) != 0 {
+					count += fj.HopAttempts(h, attempts)
+				}
+			}
+			omega[j] = min(count, demand[j])
+			rest[j] = demand[j] - omega[j]
+		}
+		// Only i's bits are set, so zeroing their words resets the bitset.
+		for _, v := range hopsI {
+			onRoute[v>>6] = 0
+		}
+		ci := demand[i]
 		r := ci
 		for {
 			conflict := 0
 			contention := 0
 			for j := 0; j < i; j++ {
-				fj := flows[j]
-				cj := fj.TotalAttempts(attempts)
 				// Carry-in window: releases of j that can overlap a window
 				// of length r.
-				instances := ceilDiv(r+responses[j], fj.Period)
-				theta := instances * cj
-				omega := instances * conflictingTx(fj, nodesI, attempts)
-				if omega > theta {
-					omega = theta
-				}
-				conflict += omega
-				contention += theta - omega
+				instances := ceilDiv(r+responses[j], period[j])
+				conflict += instances * omega[j]
+				contention += instances * rest[j]
 			}
 			next := ci + conflict + ceilDiv(contention, m)
 			if next == r {
@@ -116,6 +163,31 @@ func DelayAnalysis(flows []*flow.Flow, m, attempts int) ([]DelayBound, error) {
 	return bounds, nil
 }
 
+// numberNodes rewrites the node IDs in ends, in place, to dense numbers in
+// [0, k) and returns k ≤ len(ends), so no table is ever sized by an ID
+// value. Negative, huge or scattered IDs are numbered by their rank among
+// the distinct IDs, sorted in scratch (len(ends) long). IDs that span fewer
+// than len(ends) values, as testbed node IDs do, are numbered by their
+// offset from the smallest instead: that skips the sort, about a third of a
+// rank-only call on the Fig. 6 sets (DESIGN.md §10 has the measurements).
+func numberNodes(ends, scratch []int) int {
+	lo, hi := slices.Min(ends), slices.Max(ends)
+	// The unsigned difference is exact even where hi−lo overflows an int.
+	if span := uint(hi) - uint(lo); span < uint(len(ends)) {
+		for e := range ends {
+			ends[e] -= lo
+		}
+		return int(span) + 1
+	}
+	ids := scratch[:copy(scratch, ends)]
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	for e, id := range ends {
+		ends[e], _ = slices.BinarySearch(ids, id)
+	}
+	return len(ids)
+}
+
 // AllSchedulable reports whether the analysis admits the whole set.
 func AllSchedulable(bounds []DelayBound) bool {
 	for _, b := range bounds {
@@ -124,28 +196,6 @@ func AllSchedulable(bounds []DelayBound) bool {
 		}
 	}
 	return true
-}
-
-// routeNodes collects the set of nodes a flow's route touches.
-func routeNodes(f *flow.Flow) map[int]bool {
-	nodes := make(map[int]bool, len(f.Route)+1)
-	for _, l := range f.Route {
-		nodes[l.From] = true
-		nodes[l.To] = true
-	}
-	return nodes
-}
-
-// conflictingTx counts flow j's per-release transmissions that share a node
-// with the given node set, honoring j's per-hop budget when present.
-func conflictingTx(fj *flow.Flow, nodes map[int]bool, attempts int) int {
-	count := 0
-	for h, l := range fj.Route {
-		if nodes[l.From] || nodes[l.To] {
-			count += fj.HopAttempts(h, attempts)
-		}
-	}
-	return count
 }
 
 func ceilDiv(a, b int) int {

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wsan/internal/flow"
@@ -198,5 +200,72 @@ func TestDelayAnalysisNotVacuous(t *testing.T) {
 	}
 	if !AllSchedulable(bounds) {
 		t.Errorf("light workload should be admitted: %+v", bounds)
+	}
+}
+
+// TestDelayAnalysisSparseNodeIDs is a robustness guard: routes reach the
+// analysis from clients through wsan.DelayBounds, and flow validation
+// bounds no node ID. A set whose routes use IDs such as −7 and 1<<40 must
+// get exactly the bounds of the same set renumbered 0..k, without
+// panicking and without allocating more than the renumbered call.
+func TestDelayAnalysisSparseNodeIDs(t *testing.T) {
+	dense := randomDelaySet(rand.New(rand.NewSource(7)), 30)
+	sparseID := []int{-7, 1 << 40, math.MinInt, math.MaxInt, -1 << 50, 3, 1<<62 + 5, -1}
+	sparse := make([]*flow.Flow, len(dense))
+	for i, f := range dense {
+		c := f.Clone()
+		for h, l := range c.Route {
+			c.Route[h] = flow.Link{From: renumber(sparseID, l.From), To: renumber(sparseID, l.To)}
+		}
+		c.Src, c.Dst = c.Route[0].From, c.Route[len(c.Route)-1].To
+		sparse[i] = c
+	}
+	want, err := DelayAnalysis(dense, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DelayAnalysis(sparse, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("sparse node IDs changed the bounds:\n got %+v\nwant %+v", got, want)
+	}
+	allocs := func(flows []*flow.Flow) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := DelayAnalysis(flows, 3, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if sparse, dense := allocs(sparse), allocs(dense); sparse > dense {
+		t.Errorf("sparse IDs allocate %v times, renumbered set %v times", sparse, dense)
+	}
+}
+
+// renumber maps dense node number v to the v-th sparse ID, or to a large
+// negative ID past the end of the table.
+func renumber(sparseID []int, v int) int {
+	if v < len(sparseID) {
+		return sparseID[v]
+	}
+	return -1<<45 - v*1_000_003
+}
+
+// TestDelayAnalysisAllocs pins the call's allocations to a small constant:
+// a 20-flow and a 120-flow set allocate equally often, so nothing is
+// allocated per flow, per hop or per fixed-point iteration.
+func TestDelayAnalysisAllocs(t *testing.T) {
+	allocs := func(numFlows int) float64 {
+		flows := randomDelaySet(rand.New(rand.NewSource(int64(numFlows))), numFlows)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := DelayAnalysis(flows, 4, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(20), allocs(120)
+	if small != large || large > 3 {
+		t.Errorf("allocations: %v at 20 flows, %v at 120, want the same constant ≤ 3", small, large)
 	}
 }

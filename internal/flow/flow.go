@@ -155,15 +155,23 @@ func (f *Flow) Validate() error {
 	if f.TargetPDR < 0 || f.TargetPDR >= 1 {
 		return fmt.Errorf("flow %d: target PDR %v must be in [0, 1)", f.ID, f.TargetPDR)
 	}
-	if len(f.TxBudget) > 0 {
-		if len(f.TxBudget) != len(f.Route) {
-			return fmt.Errorf("flow %d: tx budget covers %d hops but route has %d",
-				f.ID, len(f.TxBudget), len(f.Route))
-		}
-		for hop, k := range f.TxBudget {
-			if k < 1 {
-				return fmt.Errorf("flow %d: tx budget for hop %d is %d, must be ≥ 1", f.ID, hop, k)
-			}
+	return f.ValidateBudget()
+}
+
+// ValidateBudget checks an installed TxBudget against the route: one entry
+// per hop, each at least 1. A flow without a budget passes. HopAttempts and
+// TotalAttempts rely on it.
+func (f *Flow) ValidateBudget() error {
+	if len(f.TxBudget) == 0 {
+		return nil
+	}
+	if len(f.TxBudget) != len(f.Route) {
+		return fmt.Errorf("flow %d: tx budget covers %d hops but route has %d",
+			f.ID, len(f.TxBudget), len(f.Route))
+	}
+	for hop, k := range f.TxBudget {
+		if k < 1 {
+			return fmt.Errorf("flow %d: tx budget for hop %d is %d, must be ≥ 1", f.ID, hop, k)
 		}
 	}
 	return nil

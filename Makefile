@@ -87,8 +87,10 @@ e2e:
 # enough to catch regressions in the decoder hardening, in the PHY's
 # saturation shortcut (bit-identical to the full BER series), in the
 # hoisted delay-bound fixed point (identical to the reference analysis),
-# and in job parameter canonicalization (never panics; canonical forms are
-# fixed points), without stalling CI.
+# in job parameter canonicalization (never panics; canonical forms are
+# fixed points), and in the SDK's SSE decoder (never panics; reports
+# exactly what it delivered; fails only on undecodable events), without
+# stalling CI.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadTestbed -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzLoadWorkload -fuzztime=$(FUZZTIME) .
@@ -101,3 +103,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzPRR802154 -fuzztime=$(FUZZTIME) ./internal/radio
 	$(GO) test -run=^$$ -fuzz=FuzzDelayAnalysis -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalParams -fuzztime=$(FUZZTIME) ./internal/jobs
+	$(GO) test -run=^$$ -fuzz=FuzzStreamRelay -fuzztime=$(FUZZTIME) ./wsanclient

@@ -30,7 +30,7 @@ func runServe(args []string, mets obs.Sink) error {
 	storeDir := fs.String("store-dir", "", "artifact store directory; set to persist artifacts across restarts (empty = in-memory only)")
 	storeMaxBytes := fs.Int64("store-max-bytes", 0, "artifact store byte budget; exceeding it evicts least-recently-used artifacts (0 = unbounded)")
 	storeTTL := fs.Duration("store-ttl", 0, "artifact expiry; artifacts older than this are evicted (0 = keep forever)")
-	storeMemBytes := fs.Int64("store-mem-bytes", 0, "memory front-tier budget of a durable store (0 = 256MiB; needs -store-dir)")
+	storeMemBytes := fs.Int64("store-mem-bytes", 0, "resident-memory budget of a durable store; colder artifacts are read back from disk (0 = 256MiB; needs -store-dir)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

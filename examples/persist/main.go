@@ -184,7 +184,7 @@ func verify(ctx context.Context, c *wsanclient.Client, stateFile string) error {
 		return fmt.Errorf("%s differs across restart: sha %.12s…, primed %.12s…", st.Part, got, st.SHA256)
 	}
 
-	// The fresh process must have probed its disk tier, not recomputed.
+	// The fresh process must have served it from disk, not recomputed.
 	mets, err := c.Metrics(ctx)
 	if err != nil {
 		return err

@@ -364,7 +364,7 @@ func populateStore() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d, err := storage.OpenDisk(dir, storage.DiskOptions{NoSync: true})
+	d, err := storage.Open(storage.Config{Dir: dir, NoSync: true})
 	if err == nil {
 		for i := 0; i < storeArtifacts && err == nil; i++ {
 			pad := make([]byte, 256+(i%9)*64)
@@ -406,7 +406,7 @@ func storeID(i int) string {
 func goldenWarmScan(tb testing.TB) func() ([]byte, error) {
 	dir := goldenStoreDir(tb)
 	return func() ([]byte, error) {
-		d, err := storage.OpenDisk(dir, storage.DiskOptions{NoSync: true})
+		d, err := storage.Open(storage.Config{Dir: dir, NoSync: true})
 		if err != nil {
 			return nil, err
 		}
@@ -425,9 +425,10 @@ func goldenWarmScan(tb testing.TB) func() ([]byte, error) {
 }
 
 // goldenLookup fetches the first 100 artifacts through Get (part read plus
-// digest re-verification per lookup) from the opened store.
+// digest re-verification per lookup) from the opened store. A one-byte
+// residency budget keeps every lookup on the disk path.
 func goldenLookup(tb testing.TB) func() ([]byte, error) {
-	d, err := storage.OpenDisk(goldenStoreDir(tb), storage.DiskOptions{NoSync: true})
+	d, err := storage.Open(storage.Config{Dir: goldenStoreDir(tb), MemBytes: 1, NoSync: true})
 	check(tb, err)
 	tb.Cleanup(func() { d.Close() })
 	return func() ([]byte, error) {

@@ -51,21 +51,23 @@ type Config struct {
 	// periodic TTL sweep of the artifact store.
 	MetricsInterval time.Duration
 	// StoreDir, when set, makes the artifact store durable: artifacts are
-	// written to this directory (content-addressed, atomically published)
-	// behind a memory front tier, and a restarted daemon warm-scans the
-	// directory so previously computed artifacts are served from disk
-	// without recomputation. Empty keeps the process-lifetime memory store.
+	// written through to this directory (content-addressed, atomically
+	// published) and kept resident while they fit StoreMemBytes, and a
+	// restarted daemon warm-scans the directory so previously computed
+	// artifacts are served from disk without recomputation. Empty keeps
+	// the process-lifetime memory store.
 	StoreDir string
 	// StoreMaxBytes bounds the artifact store's total part payload; when
 	// the budget is exceeded, least-recently-used artifacts are evicted
-	// (from both tiers of a durable store). 0 = unbounded.
+	// (from memory and disk). 0 = unbounded.
 	StoreMaxBytes int64
 	// StoreTTL, when positive, expires artifacts that old: they are never
 	// served past the TTL and are reclaimed lazily on access plus
 	// periodically (see MetricsInterval). 0 = no expiry.
 	StoreTTL time.Duration
-	// StoreMemBytes bounds the memory front tier of a durable store
-	// (default 256 MiB). Ignored without StoreDir.
+	// StoreMemBytes bounds the resident part payload of a durable store
+	// (default 256 MiB); the least recently used artifacts beyond it are
+	// served from disk. Ignored without StoreDir.
 	StoreMemBytes int64
 }
 
@@ -73,7 +75,7 @@ type Config struct {
 // store, the job queue, the event bus, and the HTTP surface over them.
 type Server struct {
 	nets  *registry
-	store *storage.Evicting
+	store *storage.Store
 	pool  *Pool
 	mets  *obs.Registry
 	bus   *Bus
@@ -197,9 +199,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-s.metricsDone
 	}
 	s.bus.Close()
-	// The workers are drained, so nothing writes the store anymore; a disk
-	// backend releases its in-memory index here while the artifacts stay
-	// durable for the next daemon.
+	// The workers are drained, so nothing writes the store anymore; it
+	// releases its index here while a durable store's artifacts stay on
+	// disk for the next daemon.
 	if cerr := s.store.Close(); cerr != nil && err == nil {
 		err = cerr
 	}

@@ -7,12 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
-
-	"wsan/internal/obs"
 )
 
 // On-disk layout under the store root:
@@ -20,7 +17,7 @@ import (
 //	root/
 //	  objects/<id>/manifest.json   artifact metadata + part digests
 //	  objects/<id>/<part files>    exact part bytes, one file per part
-//	  tmp/<id>.<seq>/              write staging (never visible; cleared at open)
+//	  tmp/<id>.<seq>/              write staging and deleted artifacts (never visible; cleared at open)
 //	  quarantine/<id>.<n>/         entries the warm-scan or a read refused to serve
 //
 // Writes stage the whole artifact — every part plus the manifest, each
@@ -28,7 +25,12 @@ import (
 // os.Rename(tmp, objects/<id>). Rename is atomic on POSIX, so a crash at
 // any point leaves either no visible artifact (staging debris in tmp/,
 // removed at next open) or a complete one. Nothing under objects/ is ever
-// written in place.
+// written in place; a delete renames the directory back into tmp/ first.
+//
+// The disk holds no index of its own: the Store indexes what openDisk's
+// warm-scan returns and what stage/publish add. publish, trash and
+// quarantine run under the Store's lock so its index and objects/ always
+// agree; stage and read run outside it.
 
 // manifest is the artifact metadata document stored next to the parts.
 type manifest struct {
@@ -49,38 +51,11 @@ type manifestPart struct {
 // is reserved: a part may not be called this.
 const manifestName = "manifest.json"
 
-// diskEntry is the in-memory index record of one on-disk artifact — the
-// manifest, pre-validated at warm-scan. Part contents stay on disk.
-type diskEntry struct {
-	man  manifest
-	size int64
-}
-
-// DiskOptions parameterizes OpenDisk.
-type DiskOptions struct {
-	// Metrics (nil to disable) receives server.cache.{quarantined,stored,
-	// dup_writes} plus hit/miss counters for direct Lookup calls.
-	Metrics obs.Sink
-	// NoSync skips the per-file fsync during writes. Crash durability is
-	// lost (atomicity via rename is kept on journaling filesystems);
-	// meant for bulk loads and benchmarks, not for serving daemons.
-	NoSync bool
-}
-
-// Disk is the durable Store backend. The part payloads live on disk; only
-// the manifests are resident, so capacity is bounded by the filesystem,
-// not the process. Safe for concurrent use.
-type Disk struct {
+// disk is a durable store's directory.
+type disk struct {
 	root   string
-	mets   obs.Sink
 	noSync bool
-
-	mu      sync.RWMutex
-	entries map[string]*diskEntry
-	size    int64
-	tmpSeq  int
-	qSeq    int
-	closed  bool
+	seq    atomic.Uint64 // names staging, trash and quarantine directories
 
 	// Failure-injection points for crash-recovery tests: when non-nil they
 	// run before the real fsync / rename and abort the operation by
@@ -89,91 +64,89 @@ type Disk struct {
 	failRename func(oldpath, newpath string) error
 }
 
-// OpenDisk opens (creating if needed) a disk store rooted at dir and
-// warm-scans it: every artifact directory's manifest is loaded and every
-// part's size and SHA-256 digest verified. Entries that fail verification
-// — truncated parts, bit rot, missing files, unreadable manifests — are
-// moved to root/quarantine (counted in server.cache.quarantined) rather
-// than served. Staging debris from writes interrupted by a crash is
-// deleted: it was never visible.
-func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
-	d := &Disk{
-		root:    dir,
-		mets:    opts.Metrics,
-		noSync:  opts.NoSync,
-		entries: make(map[string]*diskEntry),
-	}
+// openDisk opens (creating if needed) the directory and warm-scans it:
+// every artifact directory's manifest is loaded and every part's size and
+// SHA-256 digest verified. Entries that fail verification — truncated
+// parts, bit rot, missing files, unreadable manifests — are moved to
+// root/quarantine, and counted in the third result, rather than returned.
+// Staging debris from writes interrupted by a crash is deleted: it was
+// never visible.
+func openDisk(dir string, noSync bool) (*disk, []manifest, int, error) {
+	d := &disk{root: dir, noSync: noSync}
 	for _, sub := range []string{d.objectsDir(), d.tmpDir(), d.quarantineDir()} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return nil, fmt.Errorf("storage: creating %s: %w", sub, err)
+			return nil, nil, 0, fmt.Errorf("storage: creating %s: %w", sub, err)
 		}
 	}
-	// Clear write staging left over from a crash mid-Put.
 	debris, err := os.ReadDir(d.tmpDir())
 	if err != nil {
-		return nil, fmt.Errorf("storage: scanning staging: %w", err)
+		return nil, nil, 0, fmt.Errorf("storage: scanning staging: %w", err)
 	}
 	for _, e := range debris {
 		_ = os.RemoveAll(filepath.Join(d.tmpDir(), e.Name()))
 	}
-	if err := d.warmScan(); err != nil {
-		return nil, err
+	dirs, err := os.ReadDir(d.objectsDir())
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("storage: scanning %s: %w", d.objectsDir(), err)
 	}
-	return d, nil
+	var mans []manifest
+	quarantined := 0
+	for _, de := range dirs {
+		man, err := d.verify(de)
+		if err != nil {
+			d.quarantine(de.Name())
+			quarantined++
+			continue
+		}
+		mans = append(mans, man)
+	}
+	return d, mans, quarantined, nil
 }
 
-func (d *Disk) objectsDir() string    { return filepath.Join(d.root, "objects") }
-func (d *Disk) tmpDir() string        { return filepath.Join(d.root, "tmp") }
-func (d *Disk) quarantineDir() string { return filepath.Join(d.root, "quarantine") }
-func (d *Disk) artifactDir(id string) string {
+func (d *disk) objectsDir() string    { return filepath.Join(d.root, "objects") }
+func (d *disk) tmpDir() string        { return filepath.Join(d.root, "tmp") }
+func (d *disk) quarantineDir() string { return filepath.Join(d.root, "quarantine") }
+func (d *disk) artifactDir(id string) string {
 	return filepath.Join(d.objectsDir(), id)
 }
 
-// Root returns the store's root directory.
-func (d *Disk) Root() string { return d.root }
-
-// warmScan indexes and verifies every artifact directory.
-func (d *Disk) warmScan() error {
-	dirs, err := os.ReadDir(d.objectsDir())
-	if err != nil {
-		return fmt.Errorf("storage: scanning %s: %w", d.objectsDir(), err)
-	}
-	for _, de := range dirs {
-		id := de.Name()
-		if !de.IsDir() || !validID(id) {
-			d.quarantine(id)
-			continue
-		}
-		entry, err := d.verifyEntry(id)
-		if err != nil {
-			d.quarantine(id)
-			continue
-		}
-		d.entries[id] = entry
-		d.size += entry.size
-	}
-	return nil
+// spare returns a fresh path for id under parent.
+func (d *disk) spare(parent, id string) string {
+	return filepath.Join(parent, fmt.Sprintf("%s.%d", id, d.seq.Add(1)))
 }
 
-// verifyEntry loads one artifact directory's manifest and checks every
-// part file against its recorded size and digest.
-func (d *Disk) verifyEntry(id string) (*diskEntry, error) {
+// verify loads one artifact directory's manifest and checks every part
+// file against it.
+func (d *disk) verify(de os.DirEntry) (manifest, error) {
+	var man manifest
+	id := de.Name()
+	if !de.IsDir() || !validID(id) {
+		return man, fmt.Errorf("storage: %s is not an artifact directory", id)
+	}
 	raw, err := os.ReadFile(filepath.Join(d.artifactDir(id), manifestName))
 	if err != nil {
-		return nil, err
+		return man, err
 	}
-	var man manifest
 	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, fmt.Errorf("storage: artifact %s: bad manifest: %w", id, err)
+		return man, fmt.Errorf("storage: artifact %s: bad manifest: %w", id, err)
 	}
 	if man.ID != id {
-		return nil, fmt.Errorf("storage: artifact %s: manifest claims ID %s", id, man.ID)
+		return man, fmt.Errorf("storage: artifact %s: manifest claims ID %s", id, man.ID)
 	}
-	entry := &diskEntry{man: man}
 	for _, p := range man.Parts {
 		if err := validPartName(p.Name); err != nil {
-			return nil, err
+			return man, err
 		}
+	}
+	_, err = d.read(id, man.Parts)
+	return man, err
+}
+
+// read loads an artifact's parts into fresh buffers, checking each against
+// its recorded size and digest.
+func (d *disk) read(id string, files []manifestPart) (map[string][]byte, error) {
+	parts := make(map[string][]byte, len(files))
+	for _, p := range files {
 		data, err := os.ReadFile(filepath.Join(d.artifactDir(id), p.Name))
 		if err != nil {
 			return nil, err
@@ -185,24 +158,39 @@ func (d *Disk) verifyEntry(id string) (*diskEntry, error) {
 		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != p.SHA256 {
 			return nil, fmt.Errorf("storage: artifact %s part %s: digest mismatch", id, p.Name)
 		}
-		entry.size += p.Size
+		parts[p.Name] = data
 	}
-	return entry, nil
+	return parts, nil
 }
 
 // quarantine moves an artifact directory aside so it is never served,
 // preserving the bytes for inspection.
-func (d *Disk) quarantine(id string) {
-	d.qSeq++
-	dst := filepath.Join(d.quarantineDir(), fmt.Sprintf("%s.%d", id, d.qSeq))
-	if err := os.Rename(d.artifactDir(id), dst); err != nil {
+func (d *disk) quarantine(id string) {
+	if err := os.Rename(d.artifactDir(id), d.spare(d.quarantineDir(), id)); err != nil {
 		// A rename that fails (cross-device, permissions) must still get
 		// the entry out of serving position.
 		_ = os.RemoveAll(d.artifactDir(id))
 	}
-	if d.mets != nil {
-		d.mets.Count("server.cache.quarantined", 1)
+}
+
+// trash moves a deleted artifact's directory into tmp/ and returns its new
+// path for the caller to remove ("" when it was removed in place).
+func (d *disk) trash(id string) string {
+	dst := d.spare(d.tmpDir(), id)
+	if err := os.Rename(d.artifactDir(id), dst); err != nil {
+		_ = os.RemoveAll(d.artifactDir(id))
+		return ""
 	}
+	return dst
+}
+
+// quarantined counts the entries currently under root/quarantine.
+func (d *disk) quarantined() int {
+	dirs, err := os.ReadDir(d.quarantineDir())
+	if err != nil {
+		return 0
+	}
+	return len(dirs)
 }
 
 // validID accepts hex content addresses (the only IDs the daemon writes).
@@ -232,146 +220,63 @@ func validPartName(name string) error {
 	return nil
 }
 
-// Lookup implements Store.
-func (d *Disk) Lookup(id string) (*Artifact, bool) {
-	a, ok := d.Get(id)
-	countProbe(d.mets, ok)
-	return a, ok
-}
-
-// Get implements Store: the parts are read from disk into fresh buffers
-// (never shared with another caller) and re-verified against the manifest
-// digests — an artifact corrupted after the warm-scan is quarantined at
-// read time instead of served.
-func (d *Disk) Get(id string) (*Artifact, bool) {
-	d.mu.RLock()
-	entry, ok := d.entries[id]
-	d.mu.RUnlock()
-	if !ok {
-		return nil, false
+// stage writes every part plus the manifest into a fresh tmp directory,
+// each file fsynced unless noSync, and returns the directory and the
+// manifest's part records. Nothing is visible until publish; on error the
+// staging is already removed.
+func (d *disk) stage(a *Artifact) (string, []manifestPart, error) {
+	if !validID(a.ID) {
+		return "", nil, fmt.Errorf("storage: invalid artifact ID %q", a.ID)
 	}
-	parts := make(map[string][]byte, len(entry.man.Parts))
-	for _, p := range entry.man.Parts {
-		data, err := os.ReadFile(filepath.Join(d.artifactDir(id), p.Name))
-		if err == nil && int64(len(data)) == p.Size {
-			if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) == p.SHA256 {
-				parts[p.Name] = data
-				continue
+	names := a.PartNames()
+	for _, name := range names {
+		if err := validPartName(name); err != nil {
+			return "", nil, err
+		}
+	}
+	staging := d.spare(d.tmpDir(), a.ID)
+	if err := os.MkdirAll(staging, 0o755); err != nil {
+		return "", nil, fmt.Errorf("storage: staging %s: %w", a.ID, err)
+	}
+	man := manifest{ID: a.ID, Kind: a.Kind, Created: a.Created}
+	err := func() error {
+		for _, name := range names {
+			data := a.parts[name]
+			sum := sha256.Sum256(data)
+			man.Parts = append(man.Parts, manifestPart{
+				Name: name, Size: int64(len(data)), SHA256: hex.EncodeToString(sum[:]),
+			})
+			if err := d.writeFile(filepath.Join(staging, name), data); err != nil {
+				return err
 			}
 		}
-		// The entry passed the warm-scan but fails now: quarantine it.
-		d.mu.Lock()
-		if cur, still := d.entries[id]; still && cur == entry {
-			delete(d.entries, id)
-			d.size -= entry.size
-			d.quarantine(id)
+		raw, err := json.MarshalIndent(man, "", "  ")
+		if err != nil {
+			return err
 		}
-		d.mu.Unlock()
-		return nil, false
-	}
-	return NewArtifact(id, entry.man.Kind, entry.man.Created, parts), true
-}
-
-// Put implements Store: stage every part plus the manifest in a fresh tmp
-// directory (each file fsynced unless NoSync), then publish atomically
-// with one rename. A crash anywhere before the rename leaves only staging
-// debris the next open removes.
-func (d *Disk) Put(id, kind string, parts map[string][]byte) (*Artifact, error) {
-	if !validID(id) {
-		return nil, fmt.Errorf("storage: invalid artifact ID %q", id)
-	}
-	names := make([]string, 0, len(parts))
-	for name := range parts {
-		if err := validPartName(name); err != nil {
-			return nil, err
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil, fmt.Errorf("storage: disk store closed")
-	}
-	if _, ok := d.entries[id]; ok {
-		d.mu.Unlock()
-		if d.mets != nil {
-			d.mets.Count("server.cache.dup_writes", 1)
-		}
-		a, ok := d.Get(id)
-		if !ok {
-			return nil, fmt.Errorf("storage: artifact %s vanished during duplicate put", id)
-		}
-		return a, nil
-	}
-	d.tmpSeq++
-	staging := filepath.Join(d.tmpDir(), fmt.Sprintf("%s.%d", id, d.tmpSeq))
-	d.mu.Unlock()
-
-	created := time.Now().UTC()
-	man := manifest{ID: id, Kind: kind, Created: created}
-	if err := os.MkdirAll(staging, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: staging %s: %w", id, err)
-	}
-	cleanup := func(err error) (*Artifact, error) {
-		_ = os.RemoveAll(staging)
-		return nil, err
-	}
-	for _, name := range names {
-		data := parts[name]
-		sum := sha256.Sum256(data)
-		man.Parts = append(man.Parts, manifestPart{
-			Name: name, Size: int64(len(data)), SHA256: hex.EncodeToString(sum[:]),
-		})
-		if err := d.writeFile(filepath.Join(staging, name), data); err != nil {
-			return cleanup(err)
-		}
-	}
-	manRaw, err := json.MarshalIndent(man, "", "  ")
+		return d.writeFile(filepath.Join(staging, manifestName), append(raw, '\n'))
+	}()
 	if err != nil {
-		return cleanup(err)
-	}
-	if err := d.writeFile(filepath.Join(staging, manifestName), append(manRaw, '\n')); err != nil {
-		return cleanup(err)
-	}
-
-	entry := &diskEntry{man: man, size: partBytes(parts)}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return cleanup(fmt.Errorf("storage: disk store closed"))
-	}
-	if _, ok := d.entries[id]; ok {
-		// A racing Put published this ID while we staged: keep the first.
-		d.mu.Unlock()
-		if d.mets != nil {
-			d.mets.Count("server.cache.dup_writes", 1)
-		}
 		_ = os.RemoveAll(staging)
-		a, ok := d.Get(id)
-		if !ok {
-			return nil, fmt.Errorf("storage: artifact %s vanished during duplicate put", id)
-		}
-		return a, nil
+		return "", nil, err
 	}
-	if err := d.rename(staging, d.artifactDir(id)); err != nil {
-		d.mu.Unlock()
-		return cleanup(fmt.Errorf("storage: publishing %s: %w", id, err))
-	}
-	d.entries[id] = entry
-	d.size += entry.size
-	d.mu.Unlock()
-	d.syncDir(d.objectsDir())
-	if d.mets != nil {
-		d.mets.Count("server.cache.stored", 1)
-	}
-	return NewArtifact(id, kind, created, copyParts(parts)), nil
+	return staging, man.Parts, nil
 }
 
-// writeFile writes one staged file and fsyncs it (honoring NoSync and the
+// publish makes a staged artifact visible with one rename (honoring the
+// failRename injection point).
+func (d *disk) publish(staging, id string) error {
+	if fail := d.failRename; fail != nil {
+		if err := fail(staging, d.artifactDir(id)); err != nil {
+			return err
+		}
+	}
+	return os.Rename(staging, d.artifactDir(id))
+}
+
+// writeFile writes one staged file and fsyncs it (honoring noSync and the
 // failSync injection point).
-func (d *Disk) writeFile(path string, data []byte) error {
+func (d *disk) writeFile(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
@@ -395,20 +300,9 @@ func (d *Disk) writeFile(path string, data []byte) error {
 	return f.Close()
 }
 
-// rename publishes a staged artifact (honoring the failRename injection
-// point).
-func (d *Disk) rename(oldpath, newpath string) error {
-	if fail := d.failRename; fail != nil {
-		if err := fail(oldpath, newpath); err != nil {
-			return err
-		}
-	}
-	return os.Rename(oldpath, newpath)
-}
-
-// syncDir best-effort fsyncs a directory so the published rename itself is
+// syncDir best-effort fsyncs a directory so a published rename itself is
 // durable.
-func (d *Disk) syncDir(path string) {
+func (d *disk) syncDir(path string) {
 	if d.noSync {
 		return
 	}
@@ -416,76 +310,4 @@ func (d *Disk) syncDir(path string) {
 		_ = f.Sync()
 		f.Close()
 	}
-}
-
-// Delete implements Store.
-func (d *Disk) Delete(id string) bool {
-	d.mu.Lock()
-	entry, ok := d.entries[id]
-	if !ok {
-		d.mu.Unlock()
-		return false
-	}
-	delete(d.entries, id)
-	d.size -= entry.size
-	d.mu.Unlock()
-	_ = os.RemoveAll(d.artifactDir(id))
-	return true
-}
-
-// Len implements Store.
-func (d *Disk) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.entries)
-}
-
-// Bytes implements Store.
-func (d *Disk) Bytes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.size
-}
-
-// List implements Store.
-func (d *Disk) List(after string, limit int) ([]Info, string) {
-	d.mu.RLock()
-	ids := make([]string, 0, len(d.entries))
-	for id := range d.entries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	page, next := pageIDs(ids, after, limit)
-	infos := make([]Info, 0, len(page))
-	for _, id := range page {
-		e := d.entries[id]
-		names := make([]string, 0, len(e.man.Parts))
-		for _, p := range e.man.Parts {
-			names = append(names, p.Name)
-		}
-		sort.Strings(names)
-		infos = append(infos, Info{ID: id, Kind: e.man.Kind, Created: e.man.Created, Parts: names, Bytes: e.size})
-	}
-	d.mu.RUnlock()
-	return infos, next
-}
-
-// Close implements Store.
-func (d *Disk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
-	d.entries = make(map[string]*diskEntry)
-	d.size = 0
-	return nil
-}
-
-// Quarantined counts the entries currently under root/quarantine —
-// diagnostics for tests and the warm-scan bench.
-func (d *Disk) Quarantined() int {
-	dirs, err := os.ReadDir(d.quarantineDir())
-	if err != nil {
-		return 0
-	}
-	return len(dirs)
 }

@@ -11,16 +11,12 @@ import (
 	"wsan/internal/obs"
 )
 
-// reopen closes nothing (a crash closes nothing) and opens a fresh Disk
-// over the same root — the daemon-restart primitive every recovery test
-// uses.
-func reopen(t *testing.T, dir string, mets obs.Sink) *Disk {
+// reopen closes nothing (a crash closes nothing) and opens a fresh durable
+// store over the same root — the daemon-restart primitive every recovery
+// test uses.
+func reopen(t *testing.T, dir string, mets obs.Sink) *Store {
 	t.Helper()
-	d, err := OpenDisk(dir, DiskOptions{Metrics: mets})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return mustOpen(t, Config{Dir: dir, Metrics: mets})
 }
 
 func TestDiskSurvivesReopen(t *testing.T) {
@@ -94,7 +90,7 @@ func TestDiskWarmScanQuarantinesTampering(t *testing.T) {
 			if _, err := d.Put(testID(1), "schedule", map[string][]byte{"p.json": []byte(`{"v":2}`)}); err != nil {
 				t.Fatal(err)
 			}
-			tc.tamper(t, d.artifactDir(testID(0)))
+			tc.tamper(t, d.disk.artifactDir(testID(0)))
 
 			d = reopen(t, dir, reg)
 			if _, ok := d.Get(testID(0)); ok {
@@ -119,12 +115,13 @@ func TestDiskWarmScanQuarantinesTampering(t *testing.T) {
 func TestDiskReadTimeQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	d := reopen(t, dir, reg)
+	// A one-byte residency budget sends every read to disk.
+	d := mustOpen(t, Config{Dir: dir, MemBytes: 1, Metrics: reg})
 	if _, err := d.Put(testID(0), "schedule", map[string][]byte{"p.json": []byte(`{"v":1}`)}); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the part after the warm-scan already blessed it.
-	path := filepath.Join(d.artifactDir(testID(0)), "p.json")
+	path := filepath.Join(d.disk.artifactDir(testID(0)), "p.json")
 	if err := os.WriteFile(path, []byte(`{"v":9}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +143,9 @@ func TestDiskPutFailureLeavesNoArtifact(t *testing.T) {
 			d := reopen(t, dir, nil)
 			boom := fmt.Errorf("injected %s failure", point)
 			if point == "sync" {
-				d.failSync = func(string) error { return boom }
+				d.disk.failSync = func(string) error { return boom }
 			} else {
-				d.failRename = func(string, string) error { return boom }
+				d.disk.failRename = func(string, string) error { return boom }
 			}
 			if _, err := d.Put(testID(0), "schedule", map[string][]byte{"p.json": []byte(`{}`)}); err == nil {
 				t.Fatal("Put should surface the injected failure")
@@ -157,7 +154,7 @@ func TestDiskPutFailureLeavesNoArtifact(t *testing.T) {
 				t.Fatal("failed Put must leave no visible artifact")
 			}
 			// The graceful error path also cleans its staging.
-			debris, err := os.ReadDir(d.tmpDir())
+			debris, err := os.ReadDir(d.disk.tmpDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +162,7 @@ func TestDiskPutFailureLeavesNoArtifact(t *testing.T) {
 				t.Fatalf("staging holds %d entries after failed Put", len(debris))
 			}
 			// And the store keeps working once the fault clears.
-			d.failSync, d.failRename = nil, nil
+			d.disk.failSync, d.disk.failRename = nil, nil
 			if _, err := d.Put(testID(0), "schedule", map[string][]byte{"p.json": []byte(`{}`)}); err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +208,7 @@ func TestDiskCrashRecoveryProperty(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0: // crash during a part/manifest fsync
 					nth, calls := rng.Intn(len(parts)+1), 0
-					d.failSync = func(string) error {
+					d.disk.failSync = func(string) error {
 						if calls == nth {
 							panic("crash at fsync")
 						}
@@ -223,7 +220,7 @@ func TestDiskCrashRecoveryProperty(t *testing.T) {
 					// and recover, as a restart would.
 					d = reopen(t, dir, nil)
 				case 1: // crash at the publishing rename
-					d.failRename = func(string, string) error { panic("crash at rename") }
+					d.disk.failRename = func(string, string) error { panic("crash at rename") }
 					crash(func() { _, _ = d.Put(id, "schedule", parts) })
 					d = reopen(t, dir, nil)
 				default: // clean write

@@ -132,7 +132,7 @@ func (m *refModel) ids() map[string]bool {
 
 // agree fails the test unless store and model hold exactly the same IDs
 // with the same byte total.
-func agree(t *testing.T, step int, e *Evicting, m *refModel) {
+func agree(t *testing.T, step int, e *Store, m *refModel) {
 	t.Helper()
 	want := m.ids()
 	if e.Len() != len(want) {
@@ -149,22 +149,19 @@ func agree(t *testing.T, step int, e *Evicting, m *refModel) {
 	}
 }
 
-// TestEvictingMatchesReferenceModel drives Evicting and the naive model
+// TestEvictingMatchesReferenceModel drives the store and the naive model
 // through the same random schedule of puts, gets, clock advances, and
-// sweeps, demanding identical contents after every step. Runs over both a
-// memory and a disk inner store so the policy is backend-independent.
+// sweeps, demanding identical contents after every step. It runs on the
+// memory-only and the durable configuration; the durable one has a small
+// residency budget, so residency churns without changing the policy.
 func TestEvictingMatchesReferenceModel(t *testing.T) {
-	inners := map[string]func(t *testing.T) Store{
-		"memory": func(t *testing.T) Store { return NewMemory(nil) },
-		"disk": func(t *testing.T) Store {
-			d, err := OpenDisk(t.TempDir(), DiskOptions{NoSync: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
+	configs := map[string]func(t *testing.T) Config{
+		"memory": func(t *testing.T) Config { return Config{} },
+		"disk": func(t *testing.T) Config {
+			return Config{Dir: t.TempDir(), NoSync: true, MemBytes: 200}
 		},
 	}
-	for name, mkInner := range inners {
+	for name, mkConfig := range configs {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
@@ -174,11 +171,9 @@ func TestEvictingMatchesReferenceModel(t *testing.T) {
 					ttl      = time.Hour
 					idSpace  = 24
 				)
-				e := NewEvicting(mkInner(t), EvictConfig{
-					MaxBytes: maxBytes,
-					TTL:      ttl,
-					Now:      clock.Now,
-				})
+				cfg := mkConfig(t)
+				cfg.MaxBytes, cfg.TTL, cfg.Now = maxBytes, ttl, clock.Now
+				e := mustOpen(t, cfg)
 				defer e.Close()
 				model := &refModel{maxBytes: maxBytes, ttl: ttl, now: clock.Now}
 
@@ -204,20 +199,20 @@ func TestEvictingMatchesReferenceModel(t *testing.T) {
 						model.sweep()
 					}
 					agree(t, step, e, model)
+					if cfg.MemBytes > 0 && residentBytes(t, e) > cfg.MemBytes {
+						t.Fatalf("step %d: resident payload %d over the %d budget", step, residentBytes(t, e), cfg.MemBytes)
+					}
 				}
 			})
 		}
 	}
 }
 
-// TestEvictingSeedsFromWarmScan verifies that wrapping a reopened disk
-// store enforces a (smaller) budget immediately, evicting oldest-first.
+// TestEvictingSeedsFromWarmScan verifies that reopening a durable store
+// with a smaller budget enforces it immediately, evicting oldest-first.
 func TestEvictingSeedsFromWarmScan(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustOpen(t, Config{Dir: dir})
 	for i := 0; i < 4; i++ {
 		if _, err := d.Put(testID(i), "schedule", map[string][]byte{"p.bin": make([]byte, 100)}); err != nil {
 			t.Fatal(err)
@@ -226,13 +221,10 @@ func TestEvictingSeedsFromWarmScan(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	d, err = OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
 	var evictedIDs []string
-	e := NewEvicting(d, EvictConfig{
+	e := mustOpen(t, Config{
+		Dir:      dir,
 		MaxBytes: 250,
 		Metrics:  reg,
 		OnEvict:  func(ev Eviction) { evictedIDs = append(evictedIDs, ev.ID) },
@@ -260,7 +252,7 @@ func TestEvictingSeedsFromWarmScan(t *testing.T) {
 func TestEvictingTTLNeverServesExpired(t *testing.T) {
 	clock := newFakeClock()
 	var evs []Eviction
-	e := NewEvicting(NewMemory(nil), EvictConfig{
+	e := mustOpen(t, Config{
 		TTL:     time.Minute,
 		Now:     clock.Now,
 		OnEvict: func(ev Eviction) { evs = append(evs, ev) },
@@ -281,56 +273,78 @@ func TestEvictingTTLNeverServesExpired(t *testing.T) {
 	}
 }
 
-// TestEvictingConcurrency hammers the full production composition —
-// Evicting(Tiered(Evicting(Memory), Disk)) — from many goroutines; run
-// under -race it is the concurrency smoke for the whole package.
+// TestEvictingConcurrency hammers the memory-only and the durable
+// configuration from many goroutines with every operation, Delete
+// included; the durable run's 2 KiB residency budget keeps residency
+// churning. Run under -race it is the concurrency smoke for the package.
+// Once the goroutines finish, the index, List, the residency budget and
+// the size gauges must all agree.
 func TestEvictingConcurrency(t *testing.T) {
-	front := NewEvicting(NewMemory(nil), EvictConfig{MaxBytes: 2 << 10})
-	back, err := OpenDisk(t.TempDir(), DiskOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
+	const maxBytes, memBytes = 8 << 10, 2 << 10
+	configs := map[string]func(t *testing.T) Config{
+		"memory": func(t *testing.T) Config { return Config{} },
+		"durable": func(t *testing.T) Config {
+			return Config{Dir: t.TempDir(), NoSync: true, MemBytes: memBytes}
+		},
 	}
-	e := NewEvicting(NewTiered(front, back, nil), EvictConfig{
-		MaxBytes: 8 << 10,
-		TTL:      time.Hour,
-		OnEvict:  func(Eviction) {},
-	})
-	defer e.Close()
+	for name, mkConfig := range configs {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := mkConfig(t)
+			cfg.MaxBytes, cfg.TTL, cfg.Metrics, cfg.OnEvict = maxBytes, time.Hour, reg, func(Eviction) {}
+			e := mustOpen(t, cfg)
+			defer e.Close()
 
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 200; i++ {
-				id := testID(rng.Intn(32))
-				switch rng.Intn(4) {
-				case 0:
-					_, _ = e.Put(id, "schedule", map[string][]byte{"p.bin": make([]byte, 64+rng.Intn(256))})
-				case 1:
-					_, _ = e.Lookup(id)
-				case 2:
-					if a, ok := e.Get(id); ok {
-						_ = a.Part("p.bin")
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(g)))
+					for i := 0; i < 200; i++ {
+						id := testID(rng.Intn(32))
+						switch rng.Intn(5) {
+						case 0:
+							_, _ = e.Put(id, "schedule", map[string][]byte{"p.bin": make([]byte, 64+rng.Intn(256))})
+						case 1:
+							_, _ = e.Lookup(id)
+						case 2:
+							if a, ok := e.Get(id); ok {
+								_ = a.Part("p.bin")
+							}
+						case 3:
+							e.Delete(id)
+						default:
+							e.List("", 10)
+							if i%50 == 0 {
+								e.SweepExpired()
+							}
+						}
 					}
-				default:
-					e.List("", 10)
-					if i%50 == 0 {
-						e.SweepExpired()
-					}
-				}
+				}(g)
 			}
-		}(g)
-	}
-	wg.Wait()
+			wg.Wait()
 
-	// The index and inner store must agree once the dust settles.
-	infos, _ := e.List("", 0)
-	if len(infos) != e.Len() {
-		t.Fatalf("index holds %d entries, inner store %d", e.Len(), len(infos))
-	}
-	if e.Bytes() > 8<<10 {
-		t.Fatalf("byte budget exceeded after settle: %d", e.Bytes())
+			infos, _ := e.List("", 0)
+			var listed int64
+			for _, info := range infos {
+				listed += info.Bytes
+			}
+			if e.Len() != len(infos) {
+				t.Fatalf("index holds %d entries, List %d", e.Len(), len(infos))
+			}
+			if e.Bytes() != listed || e.Bytes() > maxBytes {
+				t.Fatalf("Bytes = %d, List sums %d, budget %d", e.Bytes(), listed, maxBytes)
+			}
+			resident := residentBytes(t, e)
+			if cfg.MemBytes > 0 && resident > cfg.MemBytes {
+				t.Fatalf("resident payload %d over the %d budget", resident, cfg.MemBytes)
+			}
+			gauges := reg.Snapshot().Gauges
+			if gauges["server.cache.bytes"] != float64(listed) || gauges["server.cache.artifacts"] != float64(len(infos)) {
+				t.Fatalf("gauges bytes=%v artifacts=%v, want %d/%d",
+					gauges["server.cache.bytes"], gauges["server.cache.artifacts"], listed, len(infos))
+			}
+		})
 	}
 }

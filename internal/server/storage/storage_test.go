@@ -3,6 +3,10 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"wsan/internal/obs"
@@ -11,30 +15,32 @@ import (
 // testID derives a deterministic fake content address (valid hex).
 func testID(n int) string { return fmt.Sprintf("%064x", n+1) }
 
-// backends enumerates every Store composition under test with a fresh
+// backends enumerates the store configurations under test with a fresh
 // instance per call.
-func backends(t *testing.T) map[string]func(t *testing.T) Store {
+func backends(t *testing.T) map[string]func(t *testing.T) *Store {
 	t.Helper()
-	return map[string]func(t *testing.T) Store{
-		"memory": func(t *testing.T) Store { return NewMemory(nil) },
-		"disk": func(t *testing.T) Store {
-			d, err := OpenDisk(t.TempDir(), DiskOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		},
-		"tiered": func(t *testing.T) Store {
-			d, err := OpenDisk(t.TempDir(), DiskOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return NewTiered(NewMemory(nil), d, nil)
-		},
-		"evicting": func(t *testing.T) Store {
-			return NewEvicting(NewMemory(nil), EvictConfig{MaxBytes: 1 << 30})
-		},
+	return map[string]func(t *testing.T) *Store{
+		// memory-only: every artifact resident, nothing on disk.
+		"memory": func(t *testing.T) *Store { return mustOpen(t, Config{}) },
+		// durable: written through to disk, resident within the default
+		// budget.
+		"disk": func(t *testing.T) *Store { return mustOpen(t, Config{Dir: t.TempDir()}) },
+		// durable with a one-byte residency budget: every read is served
+		// from disk.
+		"tiered": func(t *testing.T) *Store { return mustOpen(t, Config{Dir: t.TempDir(), MemBytes: 1}) },
+		// memory-only under a byte budget it never reaches.
+		"evicting": func(t *testing.T) *Store { return mustOpen(t, Config{MaxBytes: 1 << 30}) },
 	}
+}
+
+// mustOpen opens a store or fails the test.
+func mustOpen(t *testing.T, cfg Config) *Store {
+	t.Helper()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestStoreConformance(t *testing.T) {
@@ -226,14 +232,11 @@ func TestPutInputAliasing(t *testing.T) {
 	}
 }
 
-// TestDiskPartCopies pins the Get half for the disk backend: each Get
-// reads fresh buffers, so mutating one returned part never leaks into
-// another read (the HTTP boundary serves these slices).
+// TestDiskPartCopies pins the Get half for disk reads: each read fills
+// fresh buffers, so mutating one returned part never leaks into another
+// read (the HTTP boundary serves these slices).
 func TestDiskPartCopies(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustOpen(t, Config{Dir: t.TempDir(), MemBytes: 1})
 	defer d.Close()
 	if _, err := d.Put(testID(0), "schedule", map[string][]byte{"p.json": []byte(`{"v":1}`)}); err != nil {
 		t.Fatal(err)
@@ -252,24 +255,24 @@ func TestDiskPartCopies(t *testing.T) {
 	}
 }
 
-// TestMemoryPartSharing documents the memory backend's read side of the
-// rule: Part returns the resident slice (no copy), which is why callers
-// must treat it as read-only.
+// TestMemoryPartSharing documents the read side of the rule for resident
+// artifacts: Part returns the resident slice (no copy), which is why
+// callers must treat it as read-only.
 func TestMemoryPartSharing(t *testing.T) {
-	m := NewMemory(nil)
+	m := mustOpen(t, Config{})
 	a, err := m.Put(testID(0), "schedule", map[string][]byte{"p.json": []byte(`{"v":1}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := m.Get(testID(0))
 	if &a.Part("p.json")[0] != &b.Part("p.json")[0] {
-		t.Fatal("memory backend is expected to share its resident slice across Gets")
+		t.Fatal("a resident artifact is expected to share its slice across Gets")
 	}
 }
 
 func TestLookupCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewMemory(reg)
+	m := mustOpen(t, Config{Metrics: reg})
 	if _, ok := m.Lookup(testID(0)); ok {
 		t.Fatal("empty store should miss")
 	}
@@ -307,49 +310,152 @@ func TestLookupCounters(t *testing.T) {
 	}
 }
 
-// TestTieredPromotion pins the read-miss promotion path: a disk-resident
-// artifact read through the tiered store lands in the memory front.
-func TestTieredPromotion(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
+// residentBytes reads the store's resident payload and checks it against
+// the entries: resident entries must form a prefix of the recency list
+// ending at cold, and the counters must equal the sums over the entries.
+func residentBytes(t *testing.T, s *Store) int64 {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var size, resident int64
+	var last *entry
+	onDiskOnly := false
+	for elem := s.lru.Front(); elem != nil; elem = elem.Next() {
+		e := elem.Value.(*entry)
+		if s.idx[e.ID] != e {
+			t.Fatalf("list entry %s is not the indexed one", e.ID)
+		}
+		size += e.Bytes
+		if e.art == nil {
+			onDiskOnly = true
+			continue
+		}
+		if onDiskOnly {
+			t.Fatalf("resident entry %s sits behind a disk-only one", e.ID)
+		}
+		resident += e.Bytes
+		last = e
 	}
-	if _, err := d.Put(testID(0), "schedule", map[string][]byte{"p.json": []byte(`{"v":1}`)}); err != nil {
-		t.Fatal(err)
+	if s.lru.Len() != len(s.idx) || size != s.size || resident != s.resident || last != s.cold {
+		t.Fatalf("index drift: list %d/map %d, size %d/%d, resident %d/%d, cold ok=%v",
+			s.lru.Len(), len(s.idx), size, s.size, resident, s.resident, last == s.cold)
 	}
-	d.Close()
+	return resident
+}
 
-	// Reopen: the memory front starts cold.
-	d, err = OpenDisk(dir, DiskOptions{})
-	if err != nil {
+// TestDurableResidency pins how a durable store moves artifacts between
+// memory and disk: a read of a warm-scanned artifact makes it resident, a
+// Put is written through, a Delete leaves both, and trimming residency is
+// not an eviction — the next Get serves identical bytes from disk.
+func TestDurableResidency(t *testing.T) {
+	dir := t.TempDir()
+	p0 := map[string][]byte{"p.json": []byte(`{"v":1}`)}
+	s := mustOpen(t, Config{Dir: dir})
+	if _, err := s.Put(testID(0), "schedule", p0); err != nil {
 		t.Fatal(err)
 	}
-	mem := NewMemory(nil)
-	ts := NewTiered(mem, d, nil)
-	defer ts.Close()
-	if mem.Len() != 0 {
-		t.Fatal("front should start empty")
+	s.Close()
+
+	// Reopen: the warm-scanned artifact is indexed on disk only.
+	s = mustOpen(t, Config{Dir: dir})
+	if s.Len() != 1 || residentBytes(t, s) != 0 {
+		t.Fatalf("warm-scan: len=%d resident=%d, want 1/0", s.Len(), residentBytes(t, s))
 	}
-	a, ok := ts.Get(testID(0))
-	if !ok || !bytes.Equal(a.Part("p.json"), []byte(`{"v":1}`)) {
-		t.Fatal("tiered read of disk-resident artifact failed")
+	a, ok := s.Get(testID(0))
+	if !ok || !bytes.Equal(a.Part("p.json"), p0["p.json"]) {
+		t.Fatal("read of a warm-scanned artifact failed")
 	}
-	if mem.Len() != 1 {
-		t.Fatal("read miss should promote into the memory front")
+	if residentBytes(t, s) != a.Bytes() {
+		t.Fatal("a read miss should make the artifact resident")
 	}
-	// Write-through: a fresh put lands in both tiers.
-	if _, err := ts.Put(testID(1), "schedule", map[string][]byte{"q.json": []byte(`2`)}); err != nil {
+	// Write-through: a fresh put is resident and on disk.
+	if _, err := s.Put(testID(1), "schedule", map[string][]byte{"q.json": []byte(`2`)}); err != nil {
 		t.Fatal(err)
 	}
-	if mem.Len() != 2 || d.Len() != 2 {
-		t.Fatalf("write-through: front=%d back=%d, want 2/2", mem.Len(), d.Len())
+	if residentBytes(t, s) != s.Bytes() {
+		t.Fatalf("put should be resident: resident=%d bytes=%d", residentBytes(t, s), s.Bytes())
 	}
-	// Delete spans both tiers.
-	if !ts.Delete(testID(0)) {
+	if _, err := os.Stat(filepath.Join(s.disk.artifactDir(testID(1)), "q.json")); err != nil {
+		t.Fatalf("put was not written through: %v", err)
+	}
+	// Delete leaves memory and disk.
+	if !s.Delete(testID(0)) {
 		t.Fatal("delete failed")
 	}
-	if mem.Len() != 1 || d.Len() != 1 {
-		t.Fatalf("delete left front=%d back=%d", mem.Len(), d.Len())
+	if _, err := os.Stat(s.disk.artifactDir(testID(0))); !os.IsNotExist(err) {
+		t.Fatalf("deleted artifact still on disk: %v", err)
+	}
+	if s.Len() != 1 || residentBytes(t, s) != 1 {
+		t.Fatalf("delete left len=%d resident=%d", s.Len(), residentBytes(t, s))
+	}
+	s.Close()
+
+	// A residency budget of one artifact: the second put trims the first.
+	reg := obs.NewRegistry()
+	var evs []Eviction
+	s = mustOpen(t, Config{Dir: t.TempDir(), MemBytes: 10, Metrics: reg, OnEvict: func(ev Eviction) { evs = append(evs, ev) }})
+	defer s.Close()
+	pa := map[string][]byte{"a.json": []byte(`{"a":123}`)}
+	pb := map[string][]byte{"b.json": []byte(`{"b":456}`)}
+	if _, err := s.Put(testID(2), "schedule", pa); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(testID(3), "schedule", pb); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 2 || residentBytes(t, s) != 9 || s.idx[testID(2)].art != nil {
+		t.Fatalf("trim: len=%d resident=%d, want the older artifact on disk only", s.Len(), residentBytes(t, s))
+	}
+	if len(evs) != 0 || reg.CounterValue("server.cache.evictions") != 0 {
+		t.Fatalf("trimming residency reported evictions: %v, counter %d", evs, reg.CounterValue("server.cache.evictions"))
+	}
+	a, ok = s.Get(testID(2))
+	if !ok || !bytes.Equal(a.Part("a.json"), pa["a.json"]) {
+		t.Fatal("trimmed artifact not served byte-identically from disk")
+	}
+	if s.idx[testID(2)].art == nil || s.idx[testID(3)].art != nil || residentBytes(t, s) != 9 {
+		t.Fatal("the read should swap residency to the artifact just read")
+	}
+}
+
+// TestPutDeleteRaceLeavesNoGhost races a Put against a Delete of the same
+// ID, the Delete retrying until the Put has landed or returned. Whatever
+// the interleaving, the index must agree with List afterwards: no artifact
+// counted in Len or Bytes that List and Get no longer have.
+func TestPutDeleteRaceLeavesNoGhost(t *testing.T) {
+	configs := map[string]func(t *testing.T) Config{
+		"memory":  func(t *testing.T) Config { return Config{} },
+		"durable": func(t *testing.T) Config { return Config{Dir: t.TempDir(), NoSync: true} },
+	}
+	for name, mkConfig := range configs {
+		t.Run(name, func(t *testing.T) {
+			s := mustOpen(t, mkConfig(t))
+			defer s.Close()
+			for round := 0; round < 2000; round++ {
+				id := testID(round % 4)
+				var putDone atomic.Bool
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					_, _ = s.Put(id, "schedule", map[string][]byte{"p.json": []byte(`{}`)})
+					putDone.Store(true)
+				}()
+				go func() {
+					defer wg.Done()
+					for !s.Delete(id) && !putDone.Load() {
+					}
+				}()
+				wg.Wait()
+				infos, _ := s.List("", 0)
+				n, size := s.Len(), s.Bytes()
+				_, got := s.Get(id)
+				if n != len(infos) || size != int64(2*len(infos)) || got != (len(infos) == 1) {
+					t.Fatalf("round %d: Len=%d Bytes=%d, List has %d, Get found=%v",
+						round, n, size, len(infos), got)
+				}
+				s.Delete(id)
+			}
+		})
 	}
 }

@@ -12,8 +12,7 @@ import (
 // job's survey.json, workload.json, and schedule.json are byte-identical to
 // the gen-schedule artifacts — so anything that consumes the CLI's output
 // can consume the daemon's. Storage and retrieval live in the
-// internal/server/storage package; the daemon composes its backends (see
-// Config.StoreDir and friends) behind the storage.Store interface.
+// internal/server/storage package (see Config.StoreDir and friends).
 type Artifact = storage.Artifact
 
 // ArtifactKey derives the content address of a job request: the hex SHA-256
@@ -30,47 +29,17 @@ func ArtifactKey(networkHash, kind string, canonicalParams []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// defaultStoreMemBytes bounds the memory front tier of a disk-backed store
-// when Config.StoreMemBytes is unset.
-const defaultStoreMemBytes = 256 << 20
-
-// buildStore assembles the daemon's artifact store from the Config:
-//
-//   - no StoreDir: a process-lifetime memory backend;
-//   - StoreDir set: a tiered store — byte-bounded memory front over the
-//     durable disk backend (warm-scanned at open, so a restarted daemon
-//     serves its previous artifacts without recomputing).
-//
-// Either way the result is wrapped in an Evicting store enforcing
-// StoreMaxBytes/StoreTTL and owning the server.cache.{bytes,artifacts}
-// gauges and eviction accounting; onEvict receives every eviction (the
-// daemon forwards them to the event bus).
-func buildStore(cfg Config, onEvict func(storage.Eviction)) (*storage.Evicting, error) {
-	var base storage.Store
-	if cfg.StoreDir == "" {
-		// The authoritative backend owns stored/dup_writes and, as the
-		// store Lookup is called on, the hit/miss probe counters.
-		base = storage.NewMemory(cfg.Metrics)
-	} else {
-		disk, err := storage.OpenDisk(cfg.StoreDir, storage.DiskOptions{Metrics: cfg.Metrics})
-		if err != nil {
-			return nil, err
-		}
-		memBytes := cfg.StoreMemBytes
-		if memBytes <= 0 {
-			memBytes = defaultStoreMemBytes
-		}
-		// The front tier trims itself with a nil sink: dropping a memory
-		// copy of a still-durable artifact is not a cache eviction.
-		front := storage.NewEvicting(storage.NewMemory(nil), storage.EvictConfig{MaxBytes: memBytes})
-		// Probe counting happens on the outer Evicting wrapper (the store
-		// Lookup is called on); the tier composition itself needs no sink.
-		base = storage.NewTiered(front, disk, nil)
-	}
-	return storage.NewEvicting(base, storage.EvictConfig{
+// buildStore opens the daemon's artifact store from the Config: memory-only
+// without StoreDir, durable (and warm-scanned, so a restarted daemon serves
+// its previous artifacts without recomputing) with it. onEvict receives
+// every eviction (the daemon forwards them to the event bus).
+func buildStore(cfg Config, onEvict func(storage.Eviction)) (*storage.Store, error) {
+	return storage.Open(storage.Config{
+		Dir:      cfg.StoreDir,
 		MaxBytes: cfg.StoreMaxBytes,
+		MemBytes: cfg.StoreMemBytes,
 		TTL:      cfg.StoreTTL,
 		Metrics:  cfg.Metrics,
 		OnEvict:  onEvict,
-	}), nil
+	})
 }

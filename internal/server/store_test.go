@@ -27,14 +27,18 @@ func TestArtifactKeyDeterminism(t *testing.T) {
 	}
 }
 
-// testStore is the memory backend behind the Store interface — the
-// configuration a daemon without -store-dir runs.
-func testStore(t *testing.T) storage.Store {
+// testStore is a memory-only store — the configuration a daemon without
+// -store-dir runs.
+func testStore(t *testing.T) *storage.Store {
 	t.Helper()
-	return storage.NewMemory(nil)
+	s, err := storage.Open(storage.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
-func mustPut(t *testing.T, s storage.Store, id, kind string, parts map[string][]byte) *Artifact {
+func mustPut(t *testing.T, s *storage.Store, id, kind string, parts map[string][]byte) *Artifact {
 	t.Helper()
 	a, err := s.Put(id, kind, parts)
 	if err != nil {

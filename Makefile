@@ -27,11 +27,13 @@ microbench:
 # simulate jobs on a Workers=4 pool, per-job oracle digests compared against
 # a direct in-process run), and the scheduler half pins the sharded placeRC
 # candidate evaluation byte-identical to the sequential reference with the
-# parallel path forced on. `wsansim soak` runs the same harness at
+# parallel path forced on. The jobs half runs simulate, converge, manage and
+# reschedule jobs concurrently on one network's shared Testbed and compares
+# every part with a serial run. `wsansim soak` runs the same harness at
 # evaluation scale (500 flows).
 soak-smoke:
-	$(GO) test -race -count=1 -run 'TestSoak|TestScanVsIndexIdentical' \
-		./internal/soak/ ./internal/server/ ./internal/scheduler/
+	$(GO) test -race -count=1 -run 'TestSoak|TestScanVsIndexIdentical|TestConcurrentJobsShareTestbed' \
+		./internal/soak/ ./internal/server/ ./internal/scheduler/ ./internal/jobs/
 
 # lint runs go vet always and staticcheck when it is on PATH. Locally the
 # staticcheck half degrades to a notice so a bare toolchain still passes;

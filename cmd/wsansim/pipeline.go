@@ -17,7 +17,6 @@ import (
 	"wsan/internal/obs"
 	"wsan/internal/routing"
 	"wsan/internal/schedule"
-	"wsan/internal/topology"
 	"wsan/wsanclient"
 )
 
@@ -33,23 +32,25 @@ import (
 // read back from those parts. The artifacts are byte-identical to the
 // daemon's artifact parts of the same name.
 
-// dirEnv builds the job environment of an artifact directory: its schedule
-// bundle (the directory itself is the bundle reference) and the network its
-// survey.json describes on the given channel count.
+// dirEnv builds the job environment of an artifact directory: the network
+// its survey.json describes on the given channel count, and its schedule
+// bundle (the directory itself is the bundle reference). The bundle's
+// survey part is the network's canonical survey; only workload.json and
+// schedule.json are read as bundle parts.
 func dirEnv(dir string, channels int, mets obs.Sink) (*jobs.Env, error) {
-	parts := jobs.Parts{}
-	for _, name := range jobs.BundleParts {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		parts[name] = b
-	}
-	nw, err := jobs.NewNetwork(wsanclient.CreateNetworkRequest{
-		Testbed: parts["survey.json"], Channels: channels,
-	})
+	survey, err := os.ReadFile(filepath.Join(dir, "survey.json"))
 	if err != nil {
 		return nil, err
+	}
+	nw, err := jobs.NewNetwork(wsanclient.CreateNetworkRequest{Testbed: survey, Channels: channels})
+	if err != nil {
+		return nil, err
+	}
+	parts := jobs.Parts{"survey.json": nw.Survey}
+	for _, name := range []string{"workload.json", "schedule.json"} {
+		if parts[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			return nil, err
+		}
 	}
 	return &jobs.Env{
 		Network: nw,
@@ -175,7 +176,7 @@ func runSimulate(args []string, mets obs.Sink) error {
 	if err := json.Unmarshal(parts["report.json"], &rep); err != nil {
 		return err
 	}
-	_, flows, _, err := env.LoadBundle(p.Artifact)
+	flows, _, err := env.LoadBundle(p.Artifact)
 	if err != nil {
 		return err
 	}
@@ -410,7 +411,7 @@ func runValidate(args []string) error {
 	if err != nil {
 		return err
 	}
-	tb, flows, res, err := env.LoadBundle(*dir)
+	flows, res, err := env.LoadBundle(*dir)
 	if err != nil {
 		return err
 	}
@@ -424,7 +425,7 @@ func runValidate(args []string) error {
 		}
 		fmt.Printf("ok    %s\n", name)
 	}
-	chs := topology.Channels(*channels)
+	tb, chs := env.Net.Testbed(), env.Net.Channels()
 	gc, err := tb.CommGraph(chs, 0.9)
 	if err != nil {
 		return err

@@ -106,7 +106,7 @@ func TestValidateRetransmissionBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, flows, res, err := env.LoadBundle(dir)
+	flows, res, err := env.LoadBundle(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func runReschedule(args []string, mets obs.Sink) error {
 	case "add":
 		p.Src, p.Dst, p.Period, p.Deadline, p.Phase = *src, *dst, *period, *deadline, *phase
 		if p.Flow < 0 {
-			_, flows, _, err := env.LoadBundle(p.Artifact)
+			flows, _, err := env.LoadBundle(p.Artifact)
 			if err != nil {
 				return err
 			}

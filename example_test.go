@@ -742,7 +742,6 @@ func coexist(gapM float64, bBase int) (a, b wsan.FiveNum, err error) {
 		Hyperperiods:       200,
 		FadingSigmaDB:      2.5,
 		SurveyDriftSigmaDB: 2.0,
-		Retransmit:         true,
 		Seed:               7,
 	})
 	if err != nil {

@@ -144,7 +144,6 @@ func RunDetection(env *Env, alg scheduler.Algorithm, p DetectionParams, opt Opti
 			EpochSlots:         p.EpochSlots,
 			SampleWindowSlots:  p.WindowSlots,
 			ProbeEverySlots:    p.ProbeEverySlots,
-			Retransmit:         true,
 			Metrics:            env.Metrics,
 			Seed:               fs.seed,
 		})

@@ -123,7 +123,6 @@ func (e *Env) simulate(fs flowSet, alg scheduler.Algorithm, p ReliabilityParams,
 		FadingSigmaDB:      p.FadingSigmaDB,
 		FadingCorrelation:  p.FadingCorrelation,
 		SurveyDriftSigmaDB: p.SurveyDriftSigmaDB,
-		Retransmit:         true,
 		Metrics:            e.Metrics,
 		Seed:               simSeed,
 	})

@@ -158,7 +158,6 @@ func ExtReliabilityScaled(env *Env, opt Options, p ReliabilityTargetParams) ([]*
 				Hyperperiods:       p.Hyperperiods,
 				FadingSigmaDB:      p.FadingSigmaDB,
 				SurveyDriftSigmaDB: p.SurveyDriftSigmaDB,
-				Retransmit:         true,
 				Metrics:            env.Metrics,
 				Seed:               opt.Seed,
 			})

@@ -65,7 +65,6 @@ func extRepairWithParams(env *Env, opt Options, p DetectionParams) ([]*Table, er
 			Hyperperiods:       p.Epochs * p.EpochSlots / sched.NumSlots(),
 			FadingSigmaDB:      p.FadingSigmaDB,
 			SurveyDriftSigmaDB: p.SurveyDriftSigmaDB,
-			Retransmit:         true,
 			Metrics:            env.Metrics,
 			Seed:               fs.seed,
 		}

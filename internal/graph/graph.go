@@ -38,10 +38,10 @@ type Graph struct {
 	// mutation the manage loop performs — link-quality/PRR changes, channel
 	// blacklisting, and node-crash avoidance — is modeled by constructing a
 	// brand-new Graph from the testbed's link statistics (see
-	// topology.Testbed.CommGraph and manage's commGraphAvoiding), never by
-	// editing an existing one, so no stale forest can outlive the topology
-	// it was derived from. Weighted paths (ShortestPathWeighted) take the
-	// weight function per call and bypass the cache entirely.
+	// topology.Testbed.CommGraph and Without), never by editing an existing
+	// one, so no stale forest can outlive the topology it was derived from.
+	// Weighted paths (ShortestPathWeighted) take the weight function per
+	// call and bypass the cache entirely.
 	mu      sync.Mutex
 	forests map[int32][]int32
 }
@@ -123,6 +123,32 @@ func (g *Graph) HasEdge(u, v int) bool {
 		}
 	}
 	return false
+}
+
+// Without returns a copy of g with every edge at the given nodes deleted
+// (the nodes stay, isolated); out-of-range IDs are ignored. It re-adds the
+// surviving edges in g's adjacency order, so minimum-hop tie-breaks on the
+// copy follow g's. This is how a detour around suspect or failed nodes is
+// routed.
+func (g *Graph) Without(nodes []int) *Graph {
+	down := make([]bool, g.n)
+	for _, v := range nodes {
+		if v >= 0 && v < g.n {
+			down[v] = true
+		}
+	}
+	out := New(g.n)
+	for u, nbrs := range g.adj {
+		if down[u] {
+			continue
+		}
+		for _, v := range nbrs {
+			if !down[v] {
+				_ = out.AddEdge(u, int(v)) // in range: g's own edges
+			}
+		}
+	}
+	return out
 }
 
 // Neighbors returns the adjacency list of u. The returned slice is owned by

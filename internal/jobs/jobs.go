@@ -43,15 +43,15 @@ import (
 )
 
 // Network is one operating network plus the exact survey JSON its
-// artifacts embed.
+// artifacts embed. It is every job's only topology: jobs run on
+// Net.Testbed(), which is decoded from Survey.
 type Network struct {
-	// Net is the derived operating network. wsan.Network is immutable after
-	// construction and safe for concurrent use.
+	// Net is the derived operating network. wsan.Network and its Testbed are
+	// immutable after construction and safe for concurrent use, so every job
+	// on the network shares them.
 	Net *wsan.Network
 	// Survey is the canonical testbed JSON (the survey.json part).
 	Survey []byte
-	// Channels is the physical channel list the network operates on.
-	Channels []int
 }
 
 // Network defaults, shared by the daemon's create request and the CLI's
@@ -95,6 +95,18 @@ func NewNetwork(req wsanclient.CreateNetworkRequest) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Canonical survey bytes: re-encode the testbed so uploaded and
+	// generated topologies address artifacts identically. The network runs
+	// on the testbed those bytes decode to, the one every artifact's
+	// survey.json describes: a generated testbed also holds gains of links
+	// the survey format does not record.
+	var survey bytes.Buffer
+	if err := wsan.SaveTestbed(tb, &survey); err != nil {
+		return nil, err
+	}
+	if tb, err = wsan.LoadTestbed(bytes.NewReader(survey.Bytes())); err != nil {
+		return nil, err
+	}
 	var opts []wsan.NetworkOption
 	if req.PRRThreshold != 0 {
 		opts = append(opts, wsan.WithPRRThreshold(req.PRRThreshold))
@@ -106,13 +118,7 @@ func NewNetwork(req wsanclient.CreateNetworkRequest) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Canonical survey bytes: re-encode the testbed so uploaded and
-	// generated topologies address artifacts identically.
-	var survey bytes.Buffer
-	if err := wsan.SaveTestbed(tb, &survey); err != nil {
-		return nil, err
-	}
-	return &Network{Net: net, Survey: survey.Bytes(), Channels: net.Channels()}, nil
+	return &Network{Net: net, Survey: survey.Bytes()}, nil
 }
 
 // Bundle is a stored job output: its parts by name. The daemon's stored
@@ -294,45 +300,46 @@ func (e *Env) bundle(ref string) (Bundle, error) {
 	return b, nil
 }
 
-// LoadBundle decodes the testbed, workload, and schedule of a schedule
-// bundle into fresh instances — each job works on its own copies, so
-// concurrent jobs over one bundle never share mutable state.
-func (e *Env) LoadBundle(ref string) (*wsan.Testbed, []*wsan.Flow, *wsan.ScheduleResult, error) {
+// LoadBundle decodes the workload and schedule of a schedule bundle into
+// fresh instances, so concurrent jobs over one bundle never share mutable
+// state. The bundle's survey.json is matched, not decoded: it must equal
+// the network's canonical survey byte for byte, since every job runs on the
+// network's own testbed. An artifact built on another network's survey
+// fails here.
+func (e *Env) LoadBundle(ref string) ([]*wsan.Flow, *wsan.ScheduleResult, error) {
 	b, err := e.bundle(ref)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	tb, err := wsan.LoadTestbed(bytes.NewReader(b.Part("survey.json")))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("artifact %q: %w", ref, err)
+	if !bytes.Equal(b.Part("survey.json"), e.Survey) {
+		return nil, nil, fmt.Errorf("artifact %q built on a different survey than this network's", ref)
 	}
 	flows, err := wsan.LoadWorkload(bytes.NewReader(b.Part("workload.json")))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("artifact %q: %w", ref, err)
+		return nil, nil, fmt.Errorf("artifact %q: %w", ref, err)
 	}
 	sched, err := wsan.LoadSchedule(bytes.NewReader(b.Part("schedule.json")))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("artifact %q: %w", ref, err)
+		return nil, nil, fmt.Errorf("artifact %q: %w", ref, err)
 	}
-	return tb, flows, sched, nil
+	return flows, sched, nil
 }
 
-// simConfig loads a bundle into a simulator configuration on the env's
-// channels: retransmissions on, fading and survey drift σ as given or
+// simConfig loads a bundle into a simulator configuration on the network's
+// testbed and channels, with fading and survey drift σ as given or
 // DefaultSigmaDB.
 func (e *Env) simConfig(ref string, seed int64, fading, drift *float64) (wsan.SimConfig, error) {
-	tb, flows, sched, err := e.LoadBundle(ref)
+	flows, sched, err := e.LoadBundle(ref)
 	if err != nil {
 		return wsan.SimConfig{}, err
 	}
 	cfg := wsan.SimConfig{
-		Testbed:            tb,
+		Testbed:            e.Net.Testbed(),
 		Flows:              flows,
 		Schedule:           sched.Schedule,
-		Channels:           e.Channels,
+		Channels:           e.Net.Channels(),
 		FadingSigmaDB:      DefaultSigmaDB,
 		SurveyDriftSigmaDB: DefaultSigmaDB,
-		Retransmit:         true,
 		Metrics:            e.Metrics,
 		Seed:               seed,
 	}
@@ -476,7 +483,7 @@ func (p *ScheduleParams) run(ctx context.Context, env *Env) (Parts, error) {
 		"flows":         len(flows),
 		"transmissions": res.Schedule.Len(),
 		"slots":         res.Schedule.NumSlots(),
-		"channels":      len(env.Channels),
+		"channels":      len(env.Net.Channels()),
 		"lambdaR":       res.LambdaR,
 	}
 	if p.TargetPDR > 0 {
@@ -671,7 +678,7 @@ func (p *ManageParams) canonicalize(env *Env) error {
 // re-budgeted retransmissions). Each completed iteration also goes to
 // env.OnIteration.
 func (p *ManageParams) run(ctx context.Context, env *Env) (Parts, error) {
-	tb, flows, sched, err := env.LoadBundle(p.Artifact)
+	flows, sched, err := env.LoadBundle(p.Artifact)
 	if err != nil {
 		return nil, err
 	}
@@ -681,10 +688,10 @@ func (p *ManageParams) run(ctx context.Context, env *Env) (Parts, error) {
 		}
 	}
 	iters, err := wsan.ManageCtx(ctx, wsan.ManageConfig{
-		Testbed:            tb,
+		Testbed:            env.Net.Testbed(),
 		Flows:              flows,
 		Schedule:           sched.Schedule,
-		Channels:           env.Channels,
+		Channels:           env.Net.Channels(),
 		EpochSlots:         p.EpochSlots,
 		SampleWindowSlots:  p.EpochSlots / manageSampleWindows,
 		ProbeEverySlots:    250,
@@ -788,7 +795,7 @@ func (p *RescheduleParams) run(ctx context.Context, env *Env) (Parts, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, flows, sched, err := env.LoadBundle(p.Artifact)
+	flows, sched, err := env.LoadBundle(p.Artifact)
 	if err != nil {
 		return nil, err
 	}
@@ -868,7 +875,7 @@ func (p *RescheduleParams) run(ctx context.Context, env *Env) (Parts, error) {
 			"flows":         len(flows),
 			"transmissions": sched.Schedule.Len(),
 			"slots":         sched.Schedule.NumSlots(),
-			"channels":      len(env.Channels),
+			"channels":      len(env.Net.Channels()),
 			"changes":       len(res.Changes),
 		},
 	})
@@ -893,11 +900,12 @@ func (p *SoakParams) canonicalize(env *Env) error {
 	if p.Flows < 1 {
 		return fmt.Errorf("flows must be positive")
 	}
+	n := len(env.Net.Channels())
 	if p.Channels == 0 {
-		p.Channels = len(env.Channels)
+		p.Channels = n
 	}
-	if p.Channels < 1 || p.Channels > len(env.Channels) {
-		return fmt.Errorf("channels must be in [1, %d]", len(env.Channels))
+	if p.Channels < 1 || p.Channels > n {
+		return fmt.Errorf("channels must be in [1, %d]", n)
 	}
 	if p.Ops < 1 {
 		return fmt.Errorf("ops must be positive")

@@ -54,7 +54,7 @@ func TestDefaultsAreCanonical(t *testing.T) {
 		wsanclient.KindConverge:   Defaults(&ConvergeParams{Artifact: "bundle"}),
 		wsanclient.KindManage:     Defaults(&ManageParams{Artifact: "bundle"}),
 		wsanclient.KindReschedule: Defaults(&RescheduleParams{Artifact: "bundle", Op: "remove"}),
-		wsanclient.KindSoak:       Defaults(&SoakParams{Channels: len(env.Channels)}),
+		wsanclient.KindSoak:       Defaults(&SoakParams{Channels: len(env.Net.Channels())}),
 	} {
 		doc, err := json.Marshal(p)
 		if err != nil {

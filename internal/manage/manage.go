@@ -288,7 +288,6 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 			EpochSlots:         cfg.EpochSlots,
 			SampleWindowSlots:  cfg.SampleWindowSlots,
 			ProbeEverySlots:    cfg.ProbeEverySlots,
-			Retransmit:         true,
 			Metrics:            cfg.Metrics,
 			Seed:               cfg.Seed + int64(iter),
 			DriftSeed:          cfg.Seed, // same radio environment every iteration

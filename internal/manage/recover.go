@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"wsan/internal/flow"
-	"wsan/internal/graph"
 	"wsan/internal/netsim"
 	"wsan/internal/obs"
+	"wsan/internal/routing"
 	"wsan/internal/schedule"
 	"wsan/internal/scheduler"
 	"wsan/internal/topology"
@@ -94,30 +94,6 @@ func suspectCrashedNodes(res *netsim.Result) []int {
 	return out
 }
 
-// commGraphAvoiding builds the communication graph over the current channel
-// set with the suspect nodes deleted, so shortest paths route around them.
-func commGraphAvoiding(tb *topology.Testbed, channels []int, prrT float64, down map[int]bool) (*graph.Graph, error) {
-	full, err := tb.CommGraph(channels, prrT)
-	if err != nil {
-		return nil, err
-	}
-	g := graph.New(full.Len())
-	for u := 0; u < full.Len(); u++ {
-		if down[u] {
-			continue
-		}
-		for _, v := range full.Neighbors(u) {
-			if down[int(v)] {
-				continue
-			}
-			if err := g.AddEdge(u, int(v)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return g, nil
-}
-
 // rerouteAround moves every flow whose route crosses a suspect node onto a
 // shortest path that avoids all suspects, re-placing only that flow's
 // transmissions through the delta scheduler (scheduler.RerouteFlowDelta):
@@ -134,10 +110,12 @@ func rerouteAround(tb *topology.Testbed, channels []int, prrT float64,
 	for _, n := range suspects {
 		down[n] = true
 	}
-	g, err := commGraphAvoiding(tb, channels, prrT, down)
+	g, err := tb.CommGraph(channels, prrT)
 	if err != nil {
 		return 0, err
 	}
+	// Shortest paths on the graph without the suspects route around them.
+	g = g.Without(suspects)
 	rerouted := 0
 	for _, f := range flows {
 		crosses := false
@@ -154,10 +132,7 @@ func rerouteAround(tb *topology.Testbed, channels []int, prrT float64,
 		if path == nil {
 			continue // no detour exists; the flow stays degraded
 		}
-		route := make([]flow.Link, len(path)-1)
-		for i := range route {
-			route[i] = flow.Link{From: path[i], To: path[i+1]}
-		}
+		route := routing.PathLinks(path)
 		// Preserve the flow's retry depth: infer it from its scheduled
 		// transmissions rather than assuming the global default.
 		attempts := 1

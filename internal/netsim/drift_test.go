@@ -451,7 +451,7 @@ func TestDuplicateRetryOnAckLoss(t *testing.T) {
 	res, err := Run(Config{
 		Testbed: tb, Flows: flows, Schedule: sched,
 		Channels: topology.Channels(4), Hyperperiods: 20,
-		Retransmit: true, Trace: &buf, Seed: 5,
+		Trace: &buf, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,7 @@ func reuseConfig(t testing.TB, hyperperiods int) Config {
 	return Config{
 		Testbed: tb, Flows: flows, Schedule: sched,
 		Channels: topology.Channels(2), Hyperperiods: hyperperiods,
-		FadingSigmaDB: 3, SurveyDriftSigmaDB: 2, Retransmit: true,
+		FadingSigmaDB: 3, SurveyDriftSigmaDB: 2,
 		Interferers: []Interferer{{X: 10, PowerDBm: -30, DutyCycle: 0.3, MeanBurstSlots: 4,
 			Channels: []int{0}}},
 		EpochSlots: 50, SampleWindowSlots: 10, ProbeEverySlots: 7,

@@ -107,12 +107,6 @@ type Config struct {
 	// guarantees a PRR_DIST_cf distribution even for links whose scheduled
 	// transmissions always share a channel. Zero disables probing.
 	ProbeEverySlots int
-	// Retransmit documents the scheduler's uniform retransmission policy.
-	// The simulator itself reads each hop's retry depth from the schedule
-	// (the highest Attempt index placed for that flow and hop), so
-	// variable per-hop budgets execute correctly regardless of this flag;
-	// it is retained for configuration symmetry with the scheduler.
-	Retransmit bool
 	// Trace, when non-nil, receives a JSONL TraceEvent per fired
 	// transmission. Voluminous; for debugging and external analysis.
 	Trace io.Writer

@@ -121,7 +121,7 @@ func TestRetransmissionRecoversFadingLosses(t *testing.T) {
 		res, err := Run(Config{
 			Testbed: tb, Flows: flows, Schedule: sched,
 			Channels: topology.Channels(4), Hyperperiods: 400,
-			FadingSigmaDB: 12, Seed: 2, Retransmit: retransmit,
+			FadingSigmaDB: 12, Seed: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +308,7 @@ func TestDeterministicRuns(t *testing.T) {
 		res, err := Run(Config{
 			Testbed: tb, Flows: flows, Schedule: sched,
 			Channels: topology.Channels(4), Hyperperiods: 100,
-			FadingSigmaDB: 8, Seed: 42, Retransmit: true,
+			FadingSigmaDB: 8, Seed: 42,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -356,7 +356,7 @@ func TestConcurrentRunsAreDeterministic(t *testing.T) {
 			Testbed: tb, Flows: flows, Schedule: sched,
 			Channels: topology.Channels(4), Hyperperiods: 50,
 			FadingSigmaDB: 8, InterferenceFactor: 0.5, Seed: 42,
-			Retransmit: true, Trace: &trace,
+			Trace: &trace,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -23,7 +23,8 @@ type txRef struct {
 	// last records whether tx.Attempt is the highest attempt the schedule
 	// holds for its (flow, hop): the drop rule reads the retry depth from the
 	// schedule itself, so variable per-hop budgets (reliability-target
-	// scheduling) and the uniform Retransmit policy follow one code path.
+	// scheduling) and the scheduler's uniform retry depth follow one code
+	// path; the simulator has no retransmission setting of its own.
 	last bool
 	// pkt indexes simulator.packets, or is -1 when the transmission can
 	// never fire: its flow is not in Config.Flows or its instance is not

@@ -75,7 +75,7 @@ func Assign(flows []*flow.Flow, g *graph.Graph, cfg Config) error {
 			if err != nil {
 				return fmt.Errorf("flow %d: %w", f.ID, err)
 			}
-			f.Route = pathLinks(path)
+			f.Route = PathLinks(path)
 		}
 		return nil
 	case Centralized:
@@ -232,7 +232,7 @@ func reverseInts(p []int) {
 }
 
 // joinLinks concatenates the uplink and downlink node paths into one directed
-// link slice, sized exactly — one allocation instead of two pathLinks slices
+// link slice, sized exactly — one allocation instead of two PathLinks slices
 // plus an append regrow per flow.
 func joinLinks(up, down []int) []flow.Link {
 	n := 0
@@ -255,9 +255,9 @@ func joinLinks(up, down []int) []flow.Link {
 	return links
 }
 
-// pathLinks converts a node path to directed links; a single-node path has
+// PathLinks converts a node path to directed links; a single-node path has
 // no links.
-func pathLinks(path []int) []flow.Link {
+func PathLinks(path []int) []flow.Link {
 	if len(path) < 2 {
 		return nil
 	}

@@ -76,7 +76,7 @@ func (r *registry) create(req wsanclient.CreateNetworkRequest) (*netEntry, error
 	}
 	h := sha256.New()
 	h.Write(nw.Survey)
-	fmt.Fprintf(h, "|ch=%d|prrt=%g|aps=%d", len(nw.Channels), req.PRRThreshold, req.AccessPoints)
+	fmt.Fprintf(h, "|ch=%d|prrt=%g|aps=%d", len(nw.Net.Channels()), req.PRRThreshold, req.AccessPoints)
 	e := &netEntry{
 		Network: nw,
 		Name:    req.Name,

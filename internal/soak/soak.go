@@ -210,7 +210,6 @@ type state struct {
 	cfg  Config
 	rng  *rand.Rand
 	gc   *graph.Graph
-	hop  *graph.HopMatrix
 	pcfg scheduler.Config
 
 	sched    *schedule.Schedule
@@ -338,7 +337,6 @@ func newState(cfg Config) (*state, error) {
 		cfg: cfg,
 		rng: rng,
 		gc:  gc,
-		hop: gr.AllPairsHop(),
 		pcfg: scheduler.Config{
 			Algorithm:   scheduler.RC,
 			NumChannels: cfg.Channels,
@@ -460,7 +458,7 @@ func (s *state) stepReroute() (int, error) {
 		return 0, nil // no relay to fail
 	}
 	avoid := f.Route[s.rng.Intn(len(f.Route)-1)].To
-	detour := s.pathAvoiding(f.Src, f.Dst, avoid)
+	detour := routing.PathLinks(s.gc.Without([]int{avoid}).ShortestPathHop(f.Src, f.Dst))
 	if detour == nil || sameRoute(detour, f.Route) {
 		s.res.Skipped++
 		return 0, nil
@@ -518,6 +516,7 @@ func (s *state) stepRebudget() (int, error) {
 // flows cannot be saved) detours around it in one atomic batch.
 func (s *state) stepBatch() (int, error) {
 	node := s.rng.Intn(s.gc.Len())
+	detours := s.gc.Without([]int{node})
 	var ops []scheduler.BatchOp
 	for _, f := range s.active {
 		if len(ops) >= s.cfg.BatchSize {
@@ -526,7 +525,7 @@ func (s *state) stepBatch() (int, error) {
 		if f.Src == node || f.Dst == node || !crossesNode(f.Route, node) {
 			continue
 		}
-		detour := s.pathAvoiding(f.Src, f.Dst, node)
+		detour := routing.PathLinks(detours.ShortestPathHop(f.Src, f.Dst))
 		if detour == nil {
 			continue
 		}
@@ -585,33 +584,6 @@ func (s *state) insertActive(f *flow.Flow) {
 	s.active = append(s.active, nil)
 	copy(s.active[i+1:], s.active[i:])
 	s.active[i] = f
-}
-
-// pathAvoiding returns the shortest src→dst hop path in the communication
-// graph with node avoid deleted, as a route, or nil when none exists.
-func (s *state) pathAvoiding(src, dst, avoid int) []flow.Link {
-	g := graph.New(s.gc.Len())
-	for u := 0; u < s.gc.Len(); u++ {
-		if u == avoid {
-			continue
-		}
-		for _, v := range s.gc.Neighbors(u) {
-			if int(v) == avoid {
-				continue
-			}
-			// Edges of a valid graph re-add cleanly.
-			_ = g.AddEdge(u, int(v))
-		}
-	}
-	path := g.ShortestPathHop(src, dst)
-	if path == nil {
-		return nil
-	}
-	route := make([]flow.Link, len(path)-1)
-	for i := range route {
-		route[i] = flow.Link{From: path[i], To: path[i+1]}
-	}
-	return route
 }
 
 // oracleCheck replays the pending log suffix into the oracle grid through

@@ -67,6 +67,12 @@ type Node struct {
 // Testbed is a set of nodes plus the measured (here: synthesized) mean link
 // gain and PRR on every channel for every ordered node pair. It is the input
 // the WirelessHART network manager works from.
+//
+// A Testbed is immutable after construction: only Generate, Custom and
+// Decode write it, and every method only reads. One instance is therefore
+// safe to share between concurrent goroutines — the graph builders, the
+// simulator and the manage loop all take it read-only. Callers must not
+// modify the exported Nodes slice either.
 type Testbed struct {
 	Name  string
 	Nodes []Node

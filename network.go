@@ -25,12 +25,14 @@ import (
 // graphs (each call owns its private RNG and schedule state). This is the
 // access pattern of the network-manager daemon (internal/server), which
 // runs scheduling and simulation jobs for one hosted network concurrently
-// on a worker pool. The caveats are the arguments, not the Network: a
-// *ScheduleResult, the flow slice it was built from, and a SimConfig are
-// NOT safe to share between concurrent calls that mutate them (AddFlow,
+// on a worker pool. Its Testbed is immutable too, so concurrent
+// simulations and manage loops may all run on n.Testbed(): the daemon runs
+// every job of a network on that one instance. The caveats are the other
+// arguments: a *ScheduleResult, the flow slice it was built from, and the
+// rest of a SimConfig are NOT safe to share between concurrent calls that mutate them (AddFlow,
 // Compact, Repair, Manage, and the simulator's statistics collection) —
-// give each goroutine its own copies (CloneSchedule, or decode fresh
-// instances from JSON as the daemon does).
+// give each goroutine its own copies (CloneSchedule, or decode fresh flow
+// and schedule instances from JSON as the daemon does).
 type Network struct {
 	tb       *topology.Testbed
 	channels []int
@@ -304,25 +306,7 @@ func (n *Network) RerouteFlowDelta(res *ScheduleResult, flows []*Flow, flowID in
 func (n *Network) RouteAvoiding(src, dst int, avoid []int) ([]Link, error) {
 	g := n.gc
 	if len(avoid) > 0 {
-		down := make(map[int]bool, len(avoid))
-		for _, v := range avoid {
-			down[v] = true
-		}
-		sub := graph.New(n.gc.Len())
-		for u := 0; u < n.gc.Len(); u++ {
-			if down[u] {
-				continue
-			}
-			for _, v := range n.gc.Neighbors(u) {
-				if down[int(v)] {
-					continue
-				}
-				if err := sub.AddEdge(u, int(v)); err != nil {
-					return nil, wrapErr(err)
-				}
-			}
-		}
-		g = sub
+		g = g.Without(avoid)
 	}
 	if src < 0 || src >= g.Len() || dst < 0 || dst >= g.Len() {
 		return nil, fmt.Errorf("wsan: route endpoints (%d,%d) out of range [0,%d)", src, dst, g.Len())
@@ -331,11 +315,7 @@ func (n *Network) RouteAvoiding(src, dst int, avoid []int) ([]Link, error) {
 	if path == nil {
 		return nil, fmt.Errorf("wsan: no route from %d to %d avoiding %v", src, dst, avoid)
 	}
-	route := make([]Link, len(path)-1)
-	for i := range route {
-		route[i] = Link{From: path[i], To: path[i+1]}
-	}
-	return route, nil
+	return routing.PathLinks(path), nil
 }
 
 // LinkPRR returns the survey packet reception ratio of a directed link,
@@ -398,7 +378,6 @@ func (n *Network) NewSimConfig(flows []*Flow, res *ScheduleResult, hyperperiods 
 		Hyperperiods:       hyperperiods,
 		FadingSigmaDB:      2.5,
 		SurveyDriftSigmaDB: 2.5,
-		Retransmit:         true,
 		Seed:               seed,
 	}
 }

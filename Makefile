@@ -90,9 +90,10 @@ e2e:
 # saturation shortcut (bit-identical to the full BER series), in the
 # hoisted delay-bound fixed point (identical to the reference analysis),
 # in job parameter canonicalization (never panics; canonical forms are
-# fixed points), and in the SDK's SSE decoder (never panics; reports
-# exactly what it delivered; fails only on undecodable events), without
-# stalling CI.
+# fixed points), in the SDK's SSE decoder (never panics; reports exactly
+# what it delivered; fails only on undecodable events), and in the
+# artifact store's blob table (every Get matches a map model; refcounts
+# match the resident parts after every operation), without stalling CI.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadTestbed -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzLoadWorkload -fuzztime=$(FUZZTIME) .
@@ -106,3 +107,4 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDelayAnalysis -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalParams -fuzztime=$(FUZZTIME) ./internal/jobs
 	$(GO) test -run=^$$ -fuzz=FuzzStreamRelay -fuzztime=$(FUZZTIME) ./wsanclient
+	$(GO) test -run=^$$ -fuzz=FuzzStoreOps -fuzztime=$(FUZZTIME) ./internal/server/storage

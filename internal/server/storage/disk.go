@@ -62,6 +62,9 @@ type disk struct {
 	// returning an error (simulating a crash at that point).
 	failSync   func(path string) error
 	failRename func(oldpath, newpath string) error
+	// afterRead, when non-nil, runs after read has loaded and verified an
+	// artifact's files (tests use it to race a second read).
+	afterRead func(id string)
 }
 
 // openDisk opens (creating if needed) the directory and warm-scans it:
@@ -159,6 +162,9 @@ func (d *disk) read(id string, files []manifestPart) (map[string][]byte, error) 
 			return nil, fmt.Errorf("storage: artifact %s part %s: digest mismatch", id, p.Name)
 		}
 		parts[p.Name] = data
+	}
+	if d.afterRead != nil {
+		d.afterRead(id)
 	}
 	return parts, nil
 }

@@ -199,6 +199,7 @@ func TestEvictingMatchesReferenceModel(t *testing.T) {
 						model.sweep()
 					}
 					agree(t, step, e, model)
+					residentBytes(t, e) // checks the blob table too
 					if cfg.MemBytes > 0 && residentBytes(t, e) > cfg.MemBytes {
 						t.Fatalf("step %d: resident payload %d over the %d budget", step, residentBytes(t, e), cfg.MemBytes)
 					}

@@ -16,14 +16,23 @@
 // expiry evicts the same way. MemBytes only drops residency; the artifact
 // stays stored, so nothing is counted or reported.
 //
+// Resident part contents are interned: one refcounted blob table, keyed by
+// a per-store maphash of the bytes and confirmed with bytes.Equal, holds
+// each distinct content once however many resident artifacts carry it (a
+// network's survey.json is the same in every artifact built on it). Both
+// byte limits, Info.Bytes and the gauges still count logical bytes: a
+// shared blob counts once per artifact that carries it.
+//
 // The store owns every server.cache.* metric: hits and misses (Lookup),
 // stored, dup_writes, quarantined, evictions, and the bytes and artifacts
 // gauges.
 package storage
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
+	"hash/maphash"
 	"os"
 	"sort"
 	"sync"
@@ -57,21 +66,16 @@ func newArtifact(id, kind string, created time.Time, parts map[string][]byte) *A
 
 // Part returns the named part's bytes (nil if absent).
 //
-// Aliasing rule: the returned slice may be the store's resident copy, so
-// callers must treat it as read-only. The store, conversely, never retains
-// a caller's Put input: Put deep-copies, so mutating the map or slices
-// passed to Put never corrupts stored data.
+// Aliasing rule: the returned slice may be the store's resident copy,
+// shared across Gets and across every resident artifact with an equal
+// part, so callers must treat it as read-only. The store, conversely,
+// never retains a caller's Put input: Put reuses an equal resident blob or
+// copies, so mutating the map or slices passed to Put never corrupts
+// stored data.
 func (a *Artifact) Part(name string) []byte { return a.parts[name] }
 
 // PartNames returns the sorted part names.
-func (a *Artifact) PartNames() []string {
-	names := make([]string, 0, len(a.parts))
-	for n := range a.parts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func (a *Artifact) PartNames() []string { return sortedNames(a.parts) }
 
 // Bytes returns the total part payload size.
 func (a *Artifact) Bytes() int64 { return a.size }
@@ -147,6 +151,10 @@ type Store struct {
 	// entries that are on disk only.
 	cold   *entry
 	closed bool
+	// blobs interns the resident part contents by maphash under seed;
+	// entries with equal sums chain through blob.next.
+	seed  maphash.Seed
+	blobs map[uint64]*blob
 	// Work a locked section leaves for unlock, which runs it after
 	// releasing the lock: directories to delete and evictions to report.
 	trash   []string
@@ -159,6 +167,9 @@ type entry struct {
 	Info
 	// art holds the parts while resident; nil while on disk only.
 	art *Artifact
+	// refs are the blobs art's parts reference, in Parts order (nil while
+	// on disk only).
+	refs []*blob
 	// files are the part sizes and digests a disk read verifies against
 	// (durable stores only).
 	files []manifestPart
@@ -174,7 +185,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Store{cfg: cfg, idx: make(map[string]*entry), lru: list.New()}
+	s := &Store{cfg: cfg, idx: make(map[string]*entry), lru: list.New(), seed: maphash.MakeSeed(), blobs: make(map[uint64]*blob)}
 	if cfg.Dir != "" {
 		if s.cfg.MemBytes <= 0 {
 			s.cfg.MemBytes = defaultMemBytes
@@ -245,13 +256,18 @@ func (s *Store) Get(id string) (*Artifact, bool) {
 
 // serve returns e's artifact and marks it most recently used. It is
 // called with s.mu held and releases it. A resident artifact is returned
-// as is; otherwise the parts are read back from disk and re-verified
-// outside the lock. A read that fails while e is still indexed
-// quarantines the artifact; a read that raced e's removal is a miss.
+// as is; otherwise the parts are read back from disk, re-verified and
+// hashed outside the lock, then interned. A read that fails while e is
+// still indexed quarantines the artifact; a read that raced e's removal is
+// a miss.
 func (s *Store) serve(e *entry) (*Artifact, bool) {
 	if e.art == nil {
 		s.mu.Unlock()
 		parts, err := s.disk.read(e.ID, e.files)
+		var sums []uint64
+		if err == nil {
+			sums = s.sumParts(e.Parts, parts)
+		}
 		s.mu.Lock()
 		if s.idx[e.ID] != e {
 			s.mu.Unlock()
@@ -264,7 +280,9 @@ func (s *Store) serve(e *entry) (*Artifact, bool) {
 			s.count("server.cache.quarantined", 1)
 			return nil, false
 		}
-		if e.art == nil { // a concurrent read may have won
+		if e.art == nil { // a concurrent read may have won; then parts stay private
+			e.refs = make([]*blob, len(e.Parts))
+			s.internLocked(e.Parts, sums, parts, e.refs)
 			e.art = newArtifact(e.ID, e.Kind, e.Created, parts)
 			s.resident += e.Bytes
 		}
@@ -276,27 +294,49 @@ func (s *Store) serve(e *entry) (*Artifact, bool) {
 	return a, true
 }
 
-// Put stores a completed artifact under its ID, deep-copying parts; a
-// durable store publishes it on disk before indexing it. Storing an ID
-// twice keeps the first copy (content addressing guarantees both hold the
-// same request's output), refreshes its recency, and returns it.
+// Put stores a completed artifact under its ID; a durable store publishes
+// it on disk before indexing it. Each part shares an equal resident blob
+// or is copied, so the store never keeps the caller's buffers. Storing an
+// ID twice keeps the first copy (content addressing guarantees both hold
+// the same request's output), refreshes its recency, and returns it.
 func (s *Store) Put(id, kind string, parts map[string][]byte) (*Artifact, error) {
+	names := sortedNames(parts)
+	sums := s.sumParts(names, parts)
+	refs := make([]*blob, len(names))
 	s.mu.Lock()
 	if e, ok := s.idx[id]; ok {
 		return s.dupLocked(e)
 	}
+	for i, name := range names {
+		if b := s.findLocked(sums[i], parts[name]); b != nil {
+			b.refs++
+			refs[i] = b
+		}
+	}
 	s.mu.Unlock()
-	a := newArtifact(id, kind, s.cfg.Now().UTC(), copyParts(parts))
-	e := &entry{Info: Info{ID: id, Kind: kind, Created: a.Created, Parts: a.PartNames(), Bytes: a.size}, art: a}
+	own := make(map[string][]byte, len(parts))
+	for i, name := range names {
+		if refs[i] != nil {
+			own[name] = refs[i].data
+		} else {
+			own[name] = append(make([]byte, 0, len(parts[name])), parts[name]...)
+		}
+	}
+	a := newArtifact(id, kind, s.cfg.Now().UTC(), own)
+	e := &entry{Info: Info{ID: id, Kind: kind, Created: a.Created, Parts: names, Bytes: a.size}, art: a, refs: refs}
 	var staged string
 	if s.disk != nil {
 		var err error
 		if staged, e.files, err = s.disk.stage(a); err != nil {
+			s.mu.Lock()
+			s.releaseLocked(refs)
+			s.mu.Unlock()
 			return nil, err
 		}
 	}
 	s.mu.Lock()
 	if s.closed {
+		s.releaseLocked(refs)
 		s.mu.Unlock()
 		_ = os.RemoveAll(staged)
 		return nil, fmt.Errorf("storage: store closed")
@@ -304,16 +344,19 @@ func (s *Store) Put(id, kind string, parts map[string][]byte) (*Artifact, error)
 	if dup, ok := s.idx[id]; ok {
 		// A racing Put indexed this ID while we staged: keep the first.
 		// Staging left behind is cleared at the next Open.
+		s.releaseLocked(refs)
 		_ = os.RemoveAll(staged)
 		return s.dupLocked(dup)
 	}
 	if staged != "" {
 		if err := s.disk.publish(staged, id); err != nil {
+			s.releaseLocked(refs)
 			s.mu.Unlock()
 			_ = os.RemoveAll(staged)
 			return nil, fmt.Errorf("storage: publishing %s: %w", id, err)
 		}
 	}
+	s.internLocked(names, sums, own, refs)
 	e.elem = s.lru.PushFront(e)
 	s.idx[id] = e
 	s.size += e.Bytes
@@ -407,6 +450,20 @@ func (s *Store) Quarantined() int {
 	return s.disk.quarantined()
 }
 
+// Blobs counts the distinct part contents the store holds resident —
+// diagnostics for tests. Resident artifacts with equal parts share one.
+func (s *Store) Blobs() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, b := range s.blobs {
+		for ; b != nil; b = b.next {
+			n++
+		}
+	}
+	return n
+}
+
 // Close releases the index; a durable store's artifacts stay on disk for
 // the next Open. The store is unusable afterwards.
 func (s *Store) Close() error {
@@ -416,6 +473,7 @@ func (s *Store) Close() error {
 	s.idx = make(map[string]*entry)
 	s.lru.Init()
 	s.size, s.resident, s.cold = 0, 0, nil
+	s.blobs = make(map[uint64]*blob)
 	return nil
 }
 
@@ -439,7 +497,8 @@ func (s *Store) trimLocked() {
 	for s.cfg.MemBytes > 0 && s.resident > s.cfg.MemBytes && s.cold != nil {
 		c := s.cold
 		s.cold = prevEntry(c)
-		c.art = nil
+		s.releaseLocked(c.refs)
+		c.art, c.refs = nil, nil
 		s.resident -= c.Bytes
 	}
 }
@@ -498,6 +557,8 @@ func (s *Store) unindexLocked(e *entry) {
 	s.size -= e.Bytes
 	if e.art != nil {
 		s.resident -= e.Bytes
+		s.releaseLocked(e.refs)
+		e.refs = nil
 	}
 }
 
@@ -549,14 +610,89 @@ func partBytes(parts map[string][]byte) int64 {
 	return n
 }
 
-// copyParts deep-copies a part map — Put's defense against callers
-// mutating the buffers they handed in.
-func copyParts(parts map[string][]byte) map[string][]byte {
-	cp := make(map[string][]byte, len(parts))
-	for name, p := range parts {
-		buf := make([]byte, len(p))
-		copy(buf, p)
-		cp[name] = buf
+// sortedNames returns a part map's names in sorted order.
+func sortedNames(parts map[string][]byte) []string {
+	names := make([]string, 0, len(parts))
+	for n := range parts {
+		names = append(names, n)
 	}
-	return cp
+	sort.Strings(names)
+	return names
+}
+
+// blob is one interned part content, shared by every resident artifact
+// whose part equals it.
+type blob struct {
+	sum  uint64 // maphash of data under the store's seed
+	data []byte
+	refs int   // resident parts (and in-flight Puts) referencing data
+	next *blob // the next blob with the same sum
+}
+
+// sumParts hashes the named parts; call it outside the lock.
+func (s *Store) sumParts(names []string, parts map[string][]byte) []uint64 {
+	sums := make([]uint64, len(names))
+	for i, name := range names {
+		sums[i] = maphash.Bytes(s.seed, parts[name])
+	}
+	return sums
+}
+
+// findLocked returns the blob holding data (whose hash is sum), or nil.
+func (s *Store) findLocked(sum uint64, data []byte) *blob {
+	for b := s.blobs[sum]; b != nil; b = b.next {
+		if bytes.Equal(b.data, data) {
+			return b
+		}
+	}
+	return nil
+}
+
+// internLocked fills the nil slots of refs, which parallel names and
+// sums: an equal resident blob gains a reference and replaces the part's
+// bytes in parts; otherwise the part, a buffer the store owns, becomes a
+// new blob.
+func (s *Store) internLocked(names []string, sums []uint64, parts map[string][]byte, refs []*blob) {
+	for i, name := range names {
+		if refs[i] != nil {
+			continue
+		}
+		b := s.findLocked(sums[i], parts[name])
+		if b == nil {
+			b = &blob{sum: sums[i], data: parts[name], next: s.blobs[sums[i]]}
+			s.blobs[b.sum] = b
+		}
+		b.refs++
+		refs[i] = b
+		parts[name] = b.data
+	}
+}
+
+// releaseLocked drops one reference to each non-nil blob in refs; a blob
+// leaves the table with its last reference.
+func (s *Store) releaseLocked(refs []*blob) {
+	for _, b := range refs {
+		if b == nil {
+			continue
+		}
+		if b.refs--; b.refs > 0 {
+			continue
+		}
+		head := s.blobs[b.sum]
+		switch {
+		case head == b && b.next == nil:
+			delete(s.blobs, b.sum)
+		case head == b:
+			s.blobs[b.sum] = b.next
+		default:
+			// b is further down the chain, or in no chain at all when Close
+			// emptied the table while a Put held b.
+			for p := head; p != nil; p = p.next {
+				if p.next == b {
+					p.next = b.next
+					break
+				}
+			}
+		}
+	}
 }

@@ -313,6 +313,7 @@ func TestLookupCounters(t *testing.T) {
 // residentBytes reads the store's resident payload and checks it against
 // the entries: resident entries must form a prefix of the recency list
 // ending at cold, and the counters must equal the sums over the entries.
+// It also checks the blob table (see checkBlobsLocked).
 func residentBytes(t *testing.T, s *Store) int64 {
 	t.Helper()
 	s.mu.Lock()
@@ -340,7 +341,60 @@ func residentBytes(t *testing.T, s *Store) int64 {
 		t.Fatalf("index drift: list %d/map %d, size %d/%d, resident %d/%d, cold ok=%v",
 			s.lru.Len(), len(s.idx), size, s.size, resident, s.resident, last == s.cold)
 	}
+	checkBlobsLocked(t, s)
 	return resident
+}
+
+// checkBlobsLocked checks the blob table against the index, with no Put
+// in flight: every resident part shares the bytes of a blob in the table,
+// each blob's refcount equals the number of resident parts referencing
+// it, no blob is unreferenced, and no two blobs hold equal bytes.
+func checkBlobsLocked(t *testing.T, s *Store) {
+	t.Helper()
+	referrers := make(map[*blob]int)
+	for _, e := range s.idx {
+		if e.art == nil {
+			if e.refs != nil {
+				t.Fatalf("disk-only entry %s holds blob references", e.ID)
+			}
+			continue
+		}
+		if len(e.refs) != len(e.Parts) {
+			t.Fatalf("entry %s: %d blob references for %d parts", e.ID, len(e.refs), len(e.Parts))
+		}
+		for i, name := range e.Parts {
+			b, p := e.refs[i], e.art.parts[name]
+			if b == nil || len(p) != len(b.data) || len(p) > 0 && &p[0] != &b.data[0] {
+				t.Fatalf("entry %s part %s does not share its blob's bytes", e.ID, name)
+			}
+			referrers[b]++
+		}
+	}
+	inTable := make(map[*blob]bool)
+	for sum, head := range s.blobs {
+		if head == nil {
+			t.Fatalf("empty chain under sum %x", sum)
+		}
+		for b := head; b != nil; b = b.next {
+			if b.sum != sum {
+				t.Fatalf("blob with sum %x chained under %x", b.sum, sum)
+			}
+			if b.refs <= 0 || b.refs != referrers[b] {
+				t.Fatalf("blob of %d bytes: refcount %d, %d resident parts reference it", len(b.data), b.refs, referrers[b])
+			}
+			for o := head; o != b; o = o.next {
+				if bytes.Equal(o.data, b.data) {
+					t.Fatalf("two blobs hold the same %d bytes", len(b.data))
+				}
+			}
+			inTable[b] = true
+		}
+	}
+	for b := range referrers {
+		if !inTable[b] {
+			t.Fatalf("a resident part references a %d-byte blob outside the table", len(b.data))
+		}
+	}
 }
 
 // TestDurableResidency pins how a durable store moves artifacts between

@@ -22,6 +22,7 @@ import (
 
 	"wsan"
 	"wsan/internal/experiment"
+	"wsan/internal/scheduler"
 	"wsan/internal/server/storage"
 )
 
@@ -47,6 +48,7 @@ var goldenCases = []goldenCase{
 	{"scheduler/budget", "b9502549a496e474", goldenBudgetSchedule},
 	{"churn/soak_200f_1500ops", "8aeaf9bb9704b470", goldenChurn},
 	{"analysis/delay-fig6", "a191938568eaeaa3", goldenDelayBounds},
+	{"scheduler/rc-plan-counters", "33a592569b588904", goldenRCCounters},
 }
 
 // TestGoldenChecksums runs every case once and compares its checksum with
@@ -308,6 +310,62 @@ func goldenDelayBounds(tb testing.TB) func() ([]byte, error) {
 				buf = fmt.Appendf(buf, "n=%d|", n)
 				for _, b := range bounds {
 					buf = fmt.Appendf(buf, "%d:%d:%v;", b.FlowID, b.ResponseSlots, b.Schedulable)
+				}
+			}
+		}
+		return buf, nil
+	}
+}
+
+// goldenRCCounters pins RC's scheduling counters at the plan point: twenty
+// flow sets of 60–120 peer-to-peer flows on the Fig. 6 network (seeds
+// 1, 14, …, 248, 60 + seed mod 61 flows each), every even seed's set
+// budgeted to a 0.99 delivery target, each scheduled with and without the
+// FixedRho ablation. The checksum covers every counter a run flushes —
+// slots examined, laxity outcomes, ρ steps, fallbacks, misses, memo and
+// pair-index traffic — so a change to the RC descent must keep its
+// accounting exact, not only its placements.
+func goldenRCCounters(tb testing.TB) func() ([]byte, error) {
+	w, err := fig6Point()
+	check(tb, err)
+	gr, err := w.net.Testbed().ReuseGraph(w.net.Channels())
+	check(tb, err)
+	hop := gr.AllPairsHop()
+	var sets [][]*wsan.Flow
+	for k := int64(0); k < 20; k++ {
+		seed := 1 + 13*k
+		fs, err := w.net.GenerateWorkload(wsan.WorkloadConfig{
+			NumFlows: 60 + int(seed%61), MinPeriodExp: 0, MaxPeriodExp: 2,
+			Traffic: wsan.PeerToPeer, Seed: seed,
+		})
+		check(tb, err)
+		if seed%2 == 0 {
+			_, err = w.net.ApplyReliabilityTargets(fs, 0.99, 0, nil)
+			check(tb, err)
+		}
+		sets = append(sets, fs)
+	}
+	return func() ([]byte, error) {
+		var buf []byte
+		for i, fs := range sets {
+			for _, fixed := range []bool{false, true} {
+				reg := wsan.NewMetricsRegistry()
+				res, err := scheduler.Run(fs, scheduler.Config{
+					Algorithm: scheduler.RC, NumChannels: len(w.net.Channels()), RhoT: 2,
+					HopGR: hop, Retransmit: true, FixedRho: fixed, Metrics: reg,
+				})
+				if err != nil {
+					return nil, err
+				}
+				counters := reg.Snapshot().Counters
+				names := make([]string, 0, len(counters))
+				for name := range counters {
+					names = append(names, name)
+				}
+				sort.Strings(names)
+				buf = fmt.Appendf(buf, "set=%d fixed=%v schedulable=%v|", i, fixed, res.Schedulable)
+				for _, name := range names {
+					buf = fmt.Appendf(buf, "%s=%d;", name, counters[name])
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wsan/internal/budget"
 	"wsan/internal/flow"
 	"wsan/internal/graph"
 	"wsan/internal/routing"
@@ -181,6 +182,94 @@ func TestPlaceRCFallbackPrefersPermissive(t *testing.T) {
 		}
 		if eng.mets.laxityFallbacks != 1 {
 			t.Errorf("scan=%v: laxityFallbacks = %d, want 1", scan, eng.mets.laxityFallbacks)
+		}
+	}
+}
+
+// TestPlanPointScanVsIndex runs the index-versus-scan identity at the
+// paper's Fig. 6 operating point: Indriya on 5 channels, 60 + seed mod 61
+// peer-to-peer flows per set, every even seed's set budgeted to a 0.99
+// delivery target (which multiplies the attempts per hop), RC with and
+// without the FixedRho ablation. It pins the candidate-cache warm start:
+// adopting a cache across flows (a flow whose first hop is the previous
+// flow's last link, same deadline) once proposed the slot just placed,
+// which Place rejected, and seeds 235 and 238 came out unschedulable on the
+// index path only. -short runs seeds 221–260.
+func TestPlanPointScanVsIndex(t *testing.T) {
+	tb, err := topology.Indriya(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nch = 5
+	chs := topology.Channels(nch)
+	gc, err := tb.CommGraph(chs, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := tb.ReuseGraph(chs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop := gr.AllPairsHop()
+	aps := topology.AccessPoints(gc, 2)
+	linkPRR := func(l flow.Link) float64 {
+		sum := 0.0
+		for _, ch := range chs {
+			sum += tb.PRR(l.From, l.To, ch)
+		}
+		return sum / float64(len(chs))
+	}
+	first, last := int64(1), int64(400)
+	if testing.Short() {
+		first, last = 221, 260
+	}
+	for seed := first; seed <= last; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 60 + int(seed%61)
+		budgeted := seed%2 == 0
+		fs, err := flow.Generate(rng, gc, flow.GenConfig{
+			NumFlows: n, MinPeriodExp: 0, MaxPeriodExp: 2, Exclude: aps,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := routing.Assign(fs, gc, routing.Config{Traffic: routing.PeerToPeer, APs: aps}); err != nil {
+			t.Fatal(err)
+		}
+		if budgeted {
+			for _, f := range fs {
+				f.TargetPDR = 0.99
+			}
+			if _, err := budget.Apply(fs, linkPRR, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, fixed := range []bool{false, true} {
+			cfg := Config{Algorithm: RC, NumChannels: nch, RhoT: 2, HopGR: hop,
+				Retransmit: true, FixedRho: fixed}
+			indexed, err := Run(fs, cfg)
+			if err != nil {
+				t.Fatalf("seed=%d fixed=%v: %v", seed, fixed, err)
+			}
+			cfg.scanPaths = true
+			scanned, err := Run(fs, cfg)
+			if err != nil {
+				t.Fatalf("seed=%d fixed=%v: scan: %v", seed, fixed, err)
+			}
+			if indexed.Schedulable != scanned.Schedulable {
+				t.Fatalf("seed=%d n=%d budgeted=%v fixed=%v: schedulable differs: index=%v scan=%v",
+					seed, n, budgeted, fixed, indexed.Schedulable, scanned.Schedulable)
+			}
+			it, st := indexed.Schedule.Txs(), scanned.Schedule.Txs()
+			if len(it) != len(st) {
+				t.Fatalf("seed=%d fixed=%v: %d vs %d transmissions", seed, fixed, len(it), len(st))
+			}
+			for i := range it {
+				if it[i] != st[i] {
+					t.Fatalf("seed=%d fixed=%v: tx %d differs: index=%+v scan=%+v",
+						seed, fixed, i, it[i], st[i])
+				}
+			}
 		}
 	}
 }

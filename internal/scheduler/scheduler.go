@@ -622,11 +622,15 @@ func (e *engine) placeRC(f *flow.Flow, tx *schedule.Tx, earliest, deadline, rema
 // maxDistAll is re-reduced over the surviving suffix. An attempt that
 // placed on the cache's free terminal slot invalidates instead: a rebuild
 // would scan fresh slots past it (the drop loop then consumes the whole
-// cache). The suffix counts into slotsExamined as a rebuild would; its
-// cells count as memo hits — their reuse verdicts are served from cache.
+// cache). The attempt must also start past the placed slot: a later flow
+// whose first hop is the pair's link under the same deadline starts again
+// from its own release, before the cache's first slot, and the stale cache
+// would still list the slot just made endpoint-busy. The suffix counts into
+// slotsExamined as a rebuild would; its cells count as memo hits — their
+// reuse verdicts are served from cache.
 func (e *engine) warmCands(u, v, s0, deadline int) bool {
 	if !e.candsValid || u != e.candsU || v != e.candsV ||
-		deadline != e.candsDead || e.candsPlaced < 0 ||
+		deadline != e.candsDead || e.candsPlaced < 0 || s0 <= e.candsPlaced ||
 		e.sched.Version() != e.candsVer {
 		return false
 	}

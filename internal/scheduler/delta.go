@@ -333,11 +333,11 @@ func (d *deltaOp) begin(op BatchOp) (*flow.Flow, error) {
 // cleaned up. Returns the rung used and, when even the full rung fails, the
 // flow it could not place (-1 on success).
 func (d *deltaOp) place(f *flow.Flow, mark int) (Fallback, int, error) {
-	if d.placeFlow(f) {
-		return FallbackNone, -1, nil
+	if ok, err := d.placeFlow(f); ok || err != nil {
+		return FallbackNone, -1, err
 	}
-	if fb, ok := d.evictCascade(f); ok {
-		return fb, -1, nil
+	if fb, ok, err := d.evictCascade(f); ok || err != nil {
+		return fb, -1, err
 	}
 	d.rollbackTo(mark)
 	return d.fullReschedule(withFlow(d.work, f))
@@ -346,18 +346,19 @@ func (d *deltaOp) place(f *flow.Flow, mark int) (Fallback, int, error) {
 // placeFlow places every instance of f against the current grid (everything
 // already placed is pinned — the engine never moves an existing
 // transmission), journaling the placements. On a deadline miss the partial
-// placements are undone and false is returned.
-func (d *deltaOp) placeFlow(f *flow.Flow) bool {
+// placements are undone and false is returned; so they are on an engine
+// error, which is returned with it.
+func (d *deltaOp) placeFlow(f *flow.Flow) (bool, error) {
 	base := d.sched.Len()
 	hyper := d.sched.NumSlots()
 	for inst := 0; inst < hyper/f.Period; inst++ {
-		if !d.eng.scheduleInstance(f, inst) {
+		if ok, err := d.eng.scheduleInstance(f, inst); !ok {
 			txs := append([]schedule.Tx(nil), d.sched.Txs()[base:]...)
 			for i := len(txs) - 1; i >= 0; i-- {
 				// Removing a just-placed transmission cannot fail.
 				_ = d.sched.Remove(txs[i])
 			}
-			return false
+			return false, err
 		}
 	}
 	placed := d.sched.Txs()[base:]
@@ -365,7 +366,7 @@ func (d *deltaOp) placeFlow(f *flow.Flow) bool {
 	for _, tx := range placed {
 		d.ops = append(d.ops, deltaJournalEntry{place: true, tx: tx})
 	}
-	return true
+	return true, nil
 }
 
 // removeFlow removes every scheduled transmission of flowID, journaled.
@@ -580,8 +581,9 @@ const cascadeBudget = 16
 // evicted for, so transitively no eviction ever outranks f. Termination:
 // each iteration either places a pending flow or consumes budget. Returns
 // FallbackCascade when any eviction was transitive, FallbackEvict otherwise;
-// ok=false leaves the journal for the caller to roll back.
-func (d *deltaOp) evictCascade(f *flow.Flow) (fb Fallback, ok bool) {
+// ok=false leaves the journal for the caller to roll back, as does an engine
+// error.
+func (d *deltaOp) evictCascade(f *flow.Flow) (fb Fallback, ok bool, err error) {
 	byID := flowsByID(d.work)
 	budget := cascadeBudget
 	fb = FallbackEvict
@@ -589,7 +591,9 @@ func (d *deltaOp) evictCascade(f *flow.Flow) (fb Fallback, ok bool) {
 	evictedBefore := len(d.evicted)
 	for g := f; g != nil; g = popHighest(&pending) {
 		if g != f {
-			if d.placeFlow(g) {
+			if ok, err = d.placeFlow(g); err != nil {
+				return fb, false, err
+			} else if ok {
 				continue
 			}
 			fb = FallbackCascade
@@ -604,17 +608,16 @@ func (d *deltaOp) evictCascade(f *flow.Flow) (fb Fallback, ok bool) {
 			d.removeFlow(h.ID)
 			d.evicted = append(d.evicted, h.ID)
 			pending = append(pending, h)
-			if d.placeFlow(g) {
-				placed = true
+			if placed, err = d.placeFlow(g); placed || err != nil {
 				break
 			}
 		}
 		if !placed {
 			d.evicted = d.evicted[:evictedBefore]
-			return fb, false
+			return fb, false, err
 		}
 	}
-	return fb, true
+	return fb, true, nil
 }
 
 // popHighest removes and returns the highest-criticality (lowest ID) flow of
@@ -673,7 +676,9 @@ func (d *deltaOp) fullReschedule(mutated []*flow.Flow) (Fallback, int, error) {
 	eng := newEngine(d.cfg, fresh, d.eng.lambdaR)
 	for _, g := range mutated {
 		for inst := 0; inst < hyper/g.Period; inst++ {
-			if !eng.scheduleInstance(g, inst) {
+			if ok, err := eng.scheduleInstance(g, inst); err != nil {
+				return FallbackFull, -1, fmt.Errorf("scheduler: full reschedule: %w", err)
+			} else if !ok {
 				return FallbackFull, g.ID, nil
 			}
 		}

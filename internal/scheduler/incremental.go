@@ -43,7 +43,11 @@ func AddFlow(sched *schedule.Schedule, f *flow.Flow, cfg Config) (*Result, error
 	start := time.Now()
 	defer func() { d.eng.flushMetrics(time.Since(start)) }()
 	res := &Result{Schedule: sched, FailedFlow: -1, LambdaR: d.eng.lambdaR}
-	if !d.placeFlow(f) {
+	ok, err := d.placeFlow(f)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
 		res.FailedFlow = f.ID
 		return res, nil
 	}

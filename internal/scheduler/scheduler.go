@@ -197,7 +197,11 @@ func Run(flows []*flow.Flow, cfg Config) (*Result, error) {
 	defer func() { eng.flushMetrics(time.Since(start)) }()
 	for _, f := range flows {
 		for inst := 0; inst < hyper/f.Period; inst++ {
-			if !eng.scheduleInstance(f, inst) {
+			ok, err := eng.scheduleInstance(f, inst)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
 				res.Schedulable = false
 				res.FailedFlow = f.ID
 				return res, nil
@@ -424,8 +428,10 @@ func (e *engine) hopAttempts(f *flow.Flow, hop int) int {
 }
 
 // scheduleInstance places every transmission of one release of flow f,
-// returning false on a deadline miss.
-func (e *engine) scheduleInstance(f *flow.Flow, inst int) bool {
+// returning false on a deadline miss. The engine only proposes cells whose
+// endpoints are free, so a placement the schedule rejects is a bug in the
+// engine, returned as an error rather than counted as a miss.
+func (e *engine) scheduleInstance(f *flow.Flow, inst int) (bool, error) {
 	e.setFlow(f)
 	e.instDOK = false // the deadline term cache is per instance
 	release := f.Release(inst)
@@ -445,14 +451,11 @@ func (e *engine) scheduleInstance(f *flow.Flow, inst int) bool {
 			slot, offset, ok := e.placeOne(f, &tx, prevSlot+1, deadline, total-seq-1)
 			if !ok {
 				e.mets.deadlineMisses++
-				return false
+				return false, nil
 			}
 			tx.Slot, tx.Offset = slot, offset
 			if err := e.sched.Place(tx); err != nil {
-				// The engine only proposes conflict-free placements; a
-				// failure here is a programming error surfaced as a miss.
-				e.mets.deadlineMisses++
-				return false
+				return false, fmt.Errorf("scheduler: engine proposed a rejected cell: %w", err)
 			}
 			e.notePlaced(link.From, link.To, slot)
 			e.bumpInstD(f, hop, link, slot)
@@ -464,7 +467,7 @@ func (e *engine) scheduleInstance(f *flow.Flow, inst int) bool {
 			seq++
 		}
 	}
-	return true
+	return true, nil
 }
 
 // placeOne chooses a (slot, offset) for tx within [earliest, deadline]

@@ -25,9 +25,8 @@ microbench:
 # pools, and the replay oracle asserting zero schedule drift throughout.
 # The server half includes the multi-worker queue sweep (four soak jobs plus
 # simulate jobs on a Workers=4 pool, per-job oracle digests compared against
-# a direct in-process run), and the scheduler half pins the sharded placeRC
-# candidate evaluation byte-identical to the sequential reference with the
-# parallel path forced on. The jobs half runs simulate, converge, manage and
+# a direct in-process run), and the scheduler half pins the indexed
+# schedulers byte-identical to the reference scans. The jobs half runs simulate, converge, manage and
 # reschedule jobs concurrently on one network's shared Testbed and compares
 # every part with a serial run. `wsansim soak` runs the same harness at
 # evaluation scale (500 flows).
@@ -93,13 +92,17 @@ e2e:
 # fixed points), in the SDK's SSE decoder (never panics; reports exactly
 # what it delivered; fails only on undecodable events), and in the
 # artifact store's blob table (every Get matches a map model; refcounts
-# match the resident parts after every operation), without stalling CI.
+# match the resident parts after every operation), and in the schedule's
+# indexes (after any Place/Remove/Reset/Clone sequence the packed link
+# column, busy, occupancy and slot-full bitsets agree with the transmission
+# list), without stalling CI.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadTestbed -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzLoadWorkload -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzLoadSchedule -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzLoadFaultScenario -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/schedule
+	$(GO) test -run=^$$ -fuzz=FuzzScheduleOps -fuzztime=$(FUZZTIME) ./internal/schedule
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -run=^$$ -fuzz=FuzzKSTest -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzQuantile -fuzztime=$(FUZZTIME) ./internal/stats

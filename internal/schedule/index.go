@@ -125,8 +125,7 @@ func (s *Schedule) NextSharedNonFullSlot(u, v, from, to int) int {
 
 // OccupiedCount returns the number of non-empty channel offsets in slot —
 // the exact length OccupiedOffsets would append — in one popcount pass over
-// the occupancy row. Sized-ahead callers (the scheduler's sharded candidate
-// evaluation) use it to carve disjoint output ranges before filling them.
+// the occupancy row. Place uses it to set the slot-full bit.
 func (s *Schedule) OccupiedCount(slot int) int {
 	if slot < 0 || slot >= s.numSlots {
 		return 0

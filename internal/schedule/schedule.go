@@ -65,6 +65,12 @@ type Schedule struct {
 	// cells[slot*numOffsets+offset] lists the transmissions sharing that
 	// slot and offset (channel reuse when len > 1).
 	cells [][]Tx
+	// cellLink runs parallel to cells: a cell with one occupant holds its
+	// link packed as From<<16|To, a cell with two or more holds SharedCell,
+	// and an empty cell's entry is stale. The RC reuse-distance fill reads
+	// whole rows of it (CellLinks) instead of chasing each cell's slice
+	// header to a 64-byte Tx. Nil when node IDs do not fit 16 bits.
+	cellLink []uint32
 	// arena and pairArena back cell storage in chunks: a freshly occupied
 	// cell carves a single-entry slice from arena, and a cell gaining its
 	// second (or 2^k+1-th) occupant moves to a doubled carving from
@@ -122,6 +128,23 @@ type IndexStats struct {
 // IndexStats returns the accumulated index counters.
 func (s *Schedule) IndexStats() IndexStats { return s.stats }
 
+// SharedCell is the CellLinks entry of a cell with two or more occupants.
+// No packed link equals it: node IDs below maxPackedNodes leave the high
+// half of a packed link below 0xFFFF.
+const SharedCell = ^uint32(0)
+
+// maxPackedNodes bounds the node-ID space that keeps a packed link column:
+// IDs 0..65534 fit the 16-bit halves of From<<16|To.
+const maxPackedNodes = 1<<16 - 1
+
+// packLink returns the cell's CellLinks entry.
+func packLink(cell []Tx) uint32 {
+	if len(cell) != 1 {
+		return SharedCell
+	}
+	return uint32(cell[0].Link.From)<<16 | uint32(cell[0].Link.To)
+}
+
 // arenaChunkLen is the carve granularity of a txArena chunk.
 const arenaChunkLen = 512
 
@@ -167,6 +190,10 @@ func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
 	for i := range nodeVer {
 		nodeVer[i] = 1
 	}
+	var cellLink []uint32
+	if numNodes <= maxPackedNodes {
+		cellLink = make([]uint32, numSlots*numOffsets)
+	}
 	return &Schedule{
 		numSlots:   numSlots,
 		numOffsets: numOffsets,
@@ -177,6 +204,7 @@ func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
 		occ:        make([]uint64, numSlots*offWords),
 		slotFull:   make([]uint64, words),
 		cells:      make([][]Tx, numSlots*numOffsets),
+		cellLink:   cellLink,
 		nodeVer:    nodeVer,
 		busyCnt:    make([]int32, numNodes),
 	}, nil
@@ -214,6 +242,14 @@ func (s *Schedule) Reset(numSlots, numOffsets, numNodes int) error {
 	} else {
 		s.cells = s.cells[:nCells]
 		clear(s.cells)
+	}
+	switch {
+	case numNodes > maxPackedNodes:
+		s.cellLink = nil
+	case cap(s.cellLink) < nCells:
+		s.cellLink = make([]uint32, nCells)
+	default:
+		s.cellLink = s.cellLink[:nCells] // empty cells' entries are never read
 	}
 	if numNodes <= cap(s.nodeVer) {
 		// Reslice instead of reallocating: after a shrink, the backing array
@@ -328,6 +364,19 @@ func (s *Schedule) Cell(slot, offset int) []Tx {
 	return s.cells[slot*s.numOffsets+offset]
 }
 
+// CellLinks returns the slot's row of the packed link column, indexed by
+// offset: an occupied cell with one transmission holds its link as
+// From<<16|To, one with more holds SharedCell (read Cell for those); the
+// entries of empty cells are meaningless. It returns nil when the schedule
+// has more than 65535 nodes (callers then read Cell) or slot is out of
+// range. The slice is owned by the schedule; callers must not modify it.
+func (s *Schedule) CellLinks(slot int) []uint32 {
+	if s.cellLink == nil || slot < 0 || slot >= s.numSlots {
+		return nil
+	}
+	return s.cellLink[slot*s.numOffsets : (slot+1)*s.numOffsets]
+}
+
 // Place adds a transmission after re-checking bounds and the transmission-
 // conflict constraint (both endpoints idle in the slot). Channel-constraint
 // compliance is the scheduler's responsibility — Place cannot know the ρ in
@@ -370,6 +419,9 @@ func (s *Schedule) Place(tx Tx) error {
 		c = grown
 	}
 	s.cells[idx] = append(c, tx)
+	if s.cellLink != nil {
+		s.cellLink[idx] = packLink(s.cells[idx])
+	}
 	s.txs = append(s.txs, tx)
 	if s.txPos != nil {
 		s.txPos[tx] = len(s.txs) - 1
@@ -407,6 +459,9 @@ func (s *Schedule) Remove(tx Tx) error {
 			s.cells[cellIdx] = append(cell[:i], cell[i+1:]...)
 			break
 		}
+	}
+	if s.cellLink != nil {
+		s.cellLink[cellIdx] = packLink(s.cells[cellIdx]) // a last occupant is re-packed
 	}
 	if len(s.cells[cellIdx]) == 0 {
 		s.occ[tx.Slot*s.offWords+tx.Offset/64] &^= 1 << uint(tx.Offset%64)

@@ -391,3 +391,40 @@ func BenchmarkBusyUnionNaive(b *testing.B) {
 		_ = count
 	}
 }
+
+// TestCellLinksWideNodeSpace covers the grid without a packed link column:
+// above 65535 nodes a link no longer packs into 16-bit halves, so CellLinks
+// is nil while placements, removals and clones keep every other index exact,
+// and a Reset into a small node space brings the column back.
+func TestCellLinksWideNodeSpace(t *testing.T) {
+	s := mustNew(t, 8, 2, 70000)
+	for _, x := range []Tx{tx(0, 69998, 69999, 3, 0), tx(1, 0, 1, 3, 0), tx(2, 2, 3, 3, 1)} {
+		if err := s.Place(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.CellLinks(3) != nil {
+		t.Fatal("CellLinks non-nil with 70000 nodes")
+	}
+	checkIndexes(t, s)
+	if err := s.Remove(tx(1, 0, 1, 3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	checkIndexes(t, s)
+	checkIndexes(t, s.Clone())
+	if err := s.Reset(8, 2, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Place(tx(0, 8, 9, 3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.CellLinks(3); len(got) != 2 || got[0] != 8<<16|9 {
+		t.Fatalf("CellLinks after Reset to 10 nodes = %#x", got)
+	}
+	if err := s.Reset(8, 2, 70000); err != nil {
+		t.Fatal(err)
+	}
+	if s.CellLinks(3) != nil {
+		t.Fatal("CellLinks non-nil after Reset to 70000 nodes")
+	}
+}

@@ -236,8 +236,7 @@ type engine struct {
 
 	// rowU/rowV are the current attempt's hoisted G_R distance rows
 	// (rowU[y] = d(u,y), rowV[x] = d(x,v) by symmetry), bound by bindRows;
-	// nil when the matrix does not cover every schedule node. Read-only
-	// while evaluation shards run.
+	// nil when the matrix does not cover every schedule node.
 	rowU, rowV []uint8
 
 	// cands caches one RC placement attempt's candidate slots (see
@@ -286,7 +285,8 @@ type engine struct {
 	// Σ CountThrough(deadline) over the remaining route pairs. It is fixed for
 	// one placement attempt (the schedule is unmutated and the deadline and
 	// remaining set don't change), so each candidate's conflict sum needs only
-	// the CountThrough(slot) subtractions. Reset by buildCands.
+	// the CountThrough(slot) subtractions. Reset at the start of every
+	// attempt that reaches the candidate cache (placeRC, warmCands).
 	laxDeadSum int
 	laxDeadOK  bool
 
@@ -498,8 +498,11 @@ func (e *engine) placeOne(f *flow.Flow, tx *schedule.Tx, earliest, deadline, rem
 //
 // The index path resolves the whole descent from the candidate cache built
 // once per attempt (buildCands, evaluated on first finite-ρ need by
-// evalCands). Two regimes shortcut the level-by-level loop without changing
-// any placement relative to placeRCRef:
+// evalCands). A cold attempt first tests ρ=∞ alone — the first non-full
+// endpoint-free slot, where the common RC outcome, a laxity pass, places —
+// and lists the candidates only when that test fails. Two regimes shortcut
+// the level-by-level loop without changing any placement relative to
+// placeRCRef:
 //
 //   - when even the earliest schedulable slot's deadline budget is negative,
 //     no level can pass the laxity test (the conflict sum only subtracts
@@ -535,17 +538,32 @@ func (e *engine) placeRC(f *flow.Flow, tx *schedule.Tx, earliest, deadline, rema
 	if nLevels > 0 && deadline-s0-remaining < 0 {
 		return e.placeRCFallback(u, v, s0, deadline, nLevels)
 	}
-	if !e.warmCands(u, v, s0, deadline) {
+	cold := !e.warmCands(u, v, s0, deadline)
+	if cold {
+		// ρ = ∞ before the candidate list: its one placement is the first
+		// non-full endpoint-free slot, the list's terminal candidate. On a
+		// pass the list is never needed; slotsExamined still counts the
+		// endpoint-free slots of [s0, sf] that buildCands would have listed.
+		e.laxDeadOK, e.laxBoundOK = false, false
+		sf := e.sched.NextSharedNonFullSlot(u, v, s0, deadline)
+		if sf >= 0 && e.laxity(f, tx, sf, deadline, remaining) >= 0 {
+			e.mets.slotsExamined += int64(sf - s0 + 1 - e.sched.BusyUnionCount(u, v, s0, sf))
+			e.mets.laxityPass++
+			e.placedShared = false
+			e.candsValid = false // the cache still describes an earlier attempt
+			return sf, e.sched.FirstFreeOffset(sf), true
+		}
 		e.buildCands(u, v, s0, deadline)
 	}
 	// ρ = ∞ level: at most one candidate — always the last — offers a free
-	// cell, and under least-loaded tie-breaking it wins outright.
+	// cell, and under least-loaded tie-breaking it wins outright. A cold
+	// attempt has already seen it fail the laxity test.
 	fbSlot, fbOffset, fbOK, fbShared := 0, 0, false, false
 	freeIdx := -1
 	if c := &e.cands[len(e.cands)-1]; c.freeOff >= 0 {
 		freeIdx = len(e.cands) - 1
 		slot := int(c.slot)
-		if e.laxity(f, tx, slot, deadline, remaining) >= 0 {
+		if !cold && e.laxity(f, tx, slot, deadline, remaining) >= 0 {
 			e.mets.laxityPass++
 			e.placedShared = false
 			return slot, int(c.freeOff), true
@@ -707,21 +725,10 @@ func (e *engine) placeRCFallback(u, v, s0, deadline, nLevels int) (int, int, boo
 			return s, e.sched.FirstFreeOffset(s), true
 		}
 		e.occBuf = e.sched.OccupiedOffsets(s, e.occBuf[:0])
-		n := len(e.occBuf)
-		if n > cap(e.candDist) {
-			e.candDist, e.candLoad = make([]int32, n), make([]int32, n)
-		}
-		dists, loads := e.candDist[:n], e.candLoad[:n]
-		maxDist := int32(-1)
-		for k, off := range e.occBuf {
-			cell := e.sched.Cell(s, off)
-			d := e.cellMinDist(u, v, cell)
-			dists[k], loads[k] = d, int32(len(cell))
-			if d > maxDist {
-				maxDist = d
-			}
-		}
-		e.mets.memoMisses += int64(n)
+		var maxDist int32
+		e.candDist, e.candLoad, maxDist = e.slotDists(u, v, s, e.occBuf, e.candDist[:0], e.candLoad[:0])
+		dists, loads := e.candDist, e.candLoad
+		e.mets.memoMisses += int64(len(e.occBuf))
 		if int(maxDist) < rhoT {
 			continue // no cell compatible even at ρ_t: no level places here
 		}
@@ -756,12 +763,11 @@ func (e *engine) placeRCFallback(u, v, s0, deadline, nLevels int) (int, int, boo
 // has a free offset the cache extends to the deadline. Only the slot and its
 // first free offset are recorded here — full slots resolve with one SlotFull
 // bit test, and the occupancy rows and reuse distances are deferred to
-// evalCands because the common RC outcome, a laxity pass at ρ=∞, never
-// needs them.
+// evalCands because a descent that passes at its first finite level over a
+// free candidate never needs them.
 func (e *engine) buildCands(u, v, s0, deadline int) {
 	e.cands = e.cands[:0]
 	e.candsEval = false
-	e.laxDeadOK, e.laxBoundOK = false, false
 	e.candsU, e.candsV, e.candsDead = u, v, deadline
 	e.candsPlaced, e.candsValid = -1, true
 	e.candsVer = e.sched.Version()
@@ -781,87 +787,58 @@ func (e *engine) buildCands(u, v, s0, deadline int) {
 // cell's memoized minimum reuse-constraint distance and load
 // (candDist/candLoad), the slot's best cell distance (maxDist), and the
 // attempt-wide best (maxDistAll). The schedule is unmutated for the
-// attempt's duration, so one evaluation serves every ρ level.
-//
-// Above distParallelMin cells the fill is sharded across the worker pool:
-// pass 1 sizes each slot's candOcc range from OccupiedCount, so every shard
-// writes only its own slots' precomputed disjoint index ranges, and every
-// selection loop — rcFind's (load, offset) minimum, the fallback reduction,
-// the maxDistAll maximum — runs strictly after the join. The merge is
-// therefore deterministic and placements are byte-identical to the
-// sequential fill; the only observable difference is in the reuse-memo
-// hit/miss counters, which count every cached cell once here rather than
-// per ρ-level visit.
+// attempt's duration, so one sequential pass serves every ρ level; the
+// reuse-memo counters count every cached cell once here rather than per
+// ρ-level visit.
 func (e *engine) evalCands(u, v int) {
 	if e.candsEval {
 		return
 	}
 	e.candsEval = true
-	total := 0
-	for i := range e.cands {
-		c := &e.cands[i]
-		c.occLo = int32(total)
-		if c.freeOff < 0 {
-			total += e.sched.OccupiedCount(int(c.slot))
-		}
-		c.occHi = int32(total)
-	}
-	if total <= cap(e.candOcc) {
-		e.candOcc = e.candOcc[:total]
-	} else {
-		e.candOcc = make([]int, total)
-	}
-	if total <= cap(e.candDist) {
-		e.candDist, e.candLoad = e.candDist[:total], e.candLoad[:total]
-	} else {
-		e.candDist, e.candLoad = make([]int32, total), make([]int32, total)
-	}
-	workers := 1
-	if total >= distParallelMin || testEvalWorkers > 0 {
-		workers = evalWorkerCount(len(e.cands))
-	}
 	e.bindRows(u, v)
-	if workers == 1 {
-		e.fillCandRange(u, v, 0, 1) // direct call: no closure on the hot path
-	} else {
-		runShards(workers, func(shard int) { e.fillCandRange(u, v, shard, workers) })
-	}
+	e.candOcc, e.candDist, e.candLoad = e.candOcc[:0], e.candDist[:0], e.candLoad[:0]
 	maxAll := int32(-1)
 	for i := range e.cands {
-		if c := &e.cands[i]; c.freeOff < 0 && c.maxDist > maxAll {
-			maxAll = c.maxDist
+		c := &e.cands[i]
+		lo := len(e.candOcc)
+		c.occLo = int32(lo)
+		if c.freeOff < 0 {
+			e.candOcc = e.sched.OccupiedOffsets(int(c.slot), e.candOcc)
+			e.candDist, e.candLoad, c.maxDist = e.slotDists(u, v, int(c.slot), e.candOcc[lo:], e.candDist, e.candLoad)
+			maxAll = max(maxAll, c.maxDist)
 		}
+		c.occHi = int32(len(e.candOcc))
 	}
 	e.maxDistAll = maxAll
-	e.mets.memoMisses += int64(total)
+	e.mets.memoMisses += int64(len(e.candOcc))
 }
 
-// fillCandRange evaluates the strided shard of full candidates whose index ≡
-// shard (mod stride): their occupied offsets, per-cell reuse distances and
-// loads, and per-slot maxDist. Shards touch disjoint candOcc/candDist/
-// candLoad ranges (sized by evalCands pass 1), so concurrent shards never
-// overlap a write.
-func (e *engine) fillCandRange(u, v, shard, stride int) {
-	for i := shard; i < len(e.cands); i += stride {
-		c := &e.cands[i]
-		if c.freeOff >= 0 {
-			continue
-		}
-		// The three-index slice caps the append at exactly the range
-		// OccupiedCount sized, so the offsets land in candOcc in place.
-		e.sched.OccupiedOffsets(int(c.slot), e.candOcc[c.occLo:c.occLo:c.occHi])
-		maxDist := int32(-1)
-		for k := c.occLo; k < c.occHi; k++ {
-			cell := e.sched.Cell(int(c.slot), e.candOcc[k])
-			d := e.cellMinDist(u, v, cell)
-			e.candDist[k] = d
-			e.candLoad[k] = int32(len(cell))
-			if d > maxDist {
-				maxDist = d
-			}
-		}
-		c.maxDist = maxDist
+// slotDists appends, for each occupied offset of slot s in offs, the cell's
+// minimum reuse-constraint distance to dists and its load to loads, and
+// returns the extended slices with the slot's best distance. A
+// single-occupant cell — most of them — is read from the schedule's packed
+// link column; a shared cell, or any cell when the column or the hoisted
+// distance rows are absent, goes through Cell and cellMinDist.
+func (e *engine) slotDists(u, v, s int, offs []int, dists, loads []int32) ([]int32, []int32, int32) {
+	links := e.sched.CellLinks(s)
+	rowU, rowV := e.rowU, e.rowV
+	if rowU == nil {
+		links = nil
 	}
+	maxDist := int32(-1)
+	for _, off := range offs {
+		var d, load int32
+		if links != nil && links[off] != schedule.SharedCell {
+			l := links[off]
+			d, load = min(int32(rowU[l&0xffff]), int32(rowV[l>>16])), 1
+		} else {
+			cell := e.sched.Cell(s, off)
+			d, load = e.cellMinDist(u, v, cell), int32(len(cell))
+		}
+		dists, loads = append(dists, d), append(loads, load)
+		maxDist = max(maxDist, d)
+	}
+	return dists, loads, maxDist
 }
 
 // rcFind answers one finite-ρ level of the descent from the evaluated

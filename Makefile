@@ -92,10 +92,14 @@ e2e:
 # fixed points), in the SDK's SSE decoder (never panics; reports exactly
 # what it delivered; fails only on undecodable events), and in the
 # artifact store's blob table (every Get matches a map model; refcounts
-# match the resident parts after every operation), and in the schedule's
+# match the resident parts after every operation), in the schedule's
 # indexes (after any Place/Remove/Reset/Clone sequence the packed link
 # column, busy, occupancy and slot-full bitsets agree with the transmission
-# list), without stalling CI.
+# list), and in the delta engine (after any batch of add/remove/reroute/
+# repair/compact ops, told all or part of the workload, a failed batch
+# leaves the grid as it was, Apply(Invert(Changes)) undoes a successful
+# one, and no flow missing from the workload loses a transmission),
+# without stalling CI.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadTestbed -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzLoadWorkload -fuzztime=$(FUZZTIME) .
@@ -103,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadFaultScenario -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/schedule
 	$(GO) test -run=^$$ -fuzz=FuzzScheduleOps -fuzztime=$(FUZZTIME) ./internal/schedule
+	$(GO) test -run=^$$ -fuzz=FuzzDeltaOps -fuzztime=$(FUZZTIME) ./internal/scheduler
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -run=^$$ -fuzz=FuzzKSTest -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzQuantile -fuzztime=$(FUZZTIME) ./internal/stats

@@ -125,6 +125,15 @@ func AdaptBudget(budget []int, hops int) []int {
 	return out
 }
 
+// SetRoute moves f onto route (copied) and refits its TxBudget to the new
+// hop count with AdaptBudget — exactly the flow a delta reroute places, so a
+// caller that records a successful reroute this way keeps a workload that
+// validates.
+func (f *Flow) SetRoute(route []Link) {
+	f.Route = append([]Link(nil), route...)
+	f.TxBudget = AdaptBudget(f.TxBudget, len(route))
+}
+
 // PeriodSlots converts a period exponent (period = 2^exp seconds) to slots.
 // Exponents may be negative (2^-1 s = 50 slots).
 func PeriodSlots(exp int) int {

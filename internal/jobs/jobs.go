@@ -841,7 +841,7 @@ func (p *RescheduleParams) run(ctx context.Context, env *Env) (Parts, error) {
 		}
 		res, err = env.Net.RerouteFlowDelta(sched, flows, p.Flow, route, alg, cfg)
 		if err == nil && res.Schedulable {
-			flows[i].Route = route
+			flows[i].SetRoute(route)
 		}
 	default:
 		return nil, fmt.Errorf("unknown op %q", p.Op)

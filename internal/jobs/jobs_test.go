@@ -110,3 +110,49 @@ func FuzzCanonicalParams(f *testing.F) {
 		}
 	})
 }
+
+// TestBudgetedRerouteBundleReloads reroutes flow 0 of a budgeted Indriya
+// bundle around its first relay onto a longer detour. The output bundle
+// must record the budget the engine placed, refitted to the detour's hop
+// count, so it loads and a second delta can run on it.
+func TestBudgetedRerouteBundleReloads(t *testing.T) {
+	nw, err := NewNetwork(wsanclient.CreateNetworkRequest{Preset: "indriya"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundles := map[string]Bundle{}
+	env := &Env{Network: nw, Lookup: func(ref string) (Bundle, error) {
+		if b, ok := bundles[ref]; ok {
+			return b, nil
+		}
+		return nil, fmt.Errorf("artifact %q not found", ref)
+	}}
+	ctx := context.Background()
+	if bundles["base"], err = Exec(ctx, env, &ScheduleParams{Flows: 20, TargetPDR: 0.99}); err != nil {
+		t.Fatal(err)
+	}
+	flows, _, err := env.LoadBundle("base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := flows[0]
+	if len(f.Route) < 2 || len(f.TxBudget) != len(f.Route) {
+		t.Fatalf("flow 0 has route %v and budget %v; want a budgeted multi-hop flow", f.Route, f.TxBudget)
+	}
+	relay := f.Route[0].To
+	if bundles["rerouted"], err = Exec(ctx, env, &RescheduleParams{
+		Artifact: "base", Op: "reroute", Flow: 0, Avoid: []int{relay}}); err != nil {
+		t.Fatal(err)
+	}
+	flows, _, err = env.LoadBundle("rerouted")
+	if err != nil {
+		t.Fatalf("loading the rerouted bundle: %v", err)
+	}
+	if g := flows[0]; len(g.Route) == len(f.Route) || len(g.TxBudget) != len(g.Route) {
+		t.Fatalf("rerouted flow 0: route %v, budget %v; want a detour of another length with a refitted budget",
+			g.Route, g.TxBudget)
+	}
+	if _, err := Exec(ctx, env, &RescheduleParams{Artifact: "rerouted", Op: "reroute", Flow: 0}); err != nil {
+		t.Fatalf("second delta on the rerouted bundle: %v", err)
+	}
+}

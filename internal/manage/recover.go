@@ -151,12 +151,10 @@ func rerouteAround(tb *topology.Testbed, channels []int, prrT float64,
 			return rerouted, fmt.Errorf("manage: reroute flow %d: %w", f.ID, err)
 		}
 		if res.Schedulable {
-			// Keep the flow's record in step with what was placed: the
-			// scheduler refits a per-hop TxBudget to the detour's hop count
-			// (flow.AdaptBudget), and leaving the old-length budget here
-			// would fail validation on the flow's next delta operation.
-			f.Route = route
-			f.TxBudget = flow.AdaptBudget(f.TxBudget, len(route))
+			// Keep the flow's record in step with what was placed, refitted
+			// budget included: an old-length budget would fail validation
+			// on the flow's next delta operation.
+			f.SetRoute(route)
 			rerouted++
 		}
 	}

@@ -26,13 +26,21 @@
 //
 // Repair and compact ops never descend the ladder (see relocate.go).
 //
-// The last rung is the from-scratch scheduler itself, so whenever a full
-// reschedule of the mutated workload is feasible the op succeeds too —
-// feasibility parity holds by construction. Every mutation is journaled; if
-// any op is infeasible even at the bottom rung the journal is replayed in
-// reverse and the schedule is left exactly as it was before the batch. The
-// returned Changes is the net schedule.Diff actually applied;
-// schedule.Invert(Changes) rolls it back.
+// The ladder keeps one rule: a rung never moves a flow the caller's workload
+// does not list. The cascade rung evicts only listed flows, and the full
+// rung is not taken when the rolled-back grid holds an unlisted flow (its
+// rebuild would delete that flow's transmissions); the op is then
+// infeasible. So an admission with an empty workload places the new flow
+// against the pinned grid or not at all; wsan's Network.AddFlow is exactly
+// that.
+//
+// The last rung is the from-scratch scheduler itself, so whenever the
+// workload lists every scheduled flow and a full reschedule of the mutated
+// workload is feasible, the op succeeds too — feasibility parity holds by
+// construction. Every mutation is journaled; if any op is infeasible the
+// journal is replayed in reverse and the schedule is left exactly as it was
+// before the batch. The returned Changes is the net schedule.Diff actually
+// applied; schedule.Invert(Changes) rolls it back.
 
 package scheduler
 
@@ -93,7 +101,7 @@ type DeltaResult struct {
 	Schedulable bool
 	// FailedFlow is the flow that could not be placed, or -1.
 	FailedFlow int
-	// Fallback is the deepest repair-ladder rung the operation used.
+	// Fallback is the deepest repair-ladder rung the operation ran.
 	Fallback Fallback
 	// Evicted lists, in priority order, the lower-criticality flows that
 	// the cascade rung evicted and re-placed, across every op of a batch.
@@ -118,10 +126,12 @@ type DeltaResult struct {
 }
 
 // AddFlowDelta admits flow f into a live schedule holding flows, descending
-// the repair ladder on infeasibility. Unlike AddFlow it accepts any priority
-// (ID) — an admission that preempts lower-criticality flows is resolved by
-// eviction or full reschedule rather than rejected. flows must be the
-// currently scheduled workload in priority order; it is not mutated.
+// the repair ladder on infeasibility. f may have any priority (ID) — an
+// admission that preempts lower-criticality flows is resolved by eviction or
+// full reschedule rather than rejected. flows is the scheduled workload in
+// priority order; it is not mutated. Only the flows it lists may move, so
+// with an empty workload f is placed against the pinned grid or the op is
+// infeasible.
 func AddFlowDelta(sched *schedule.Schedule, flows []*flow.Flow, f *flow.Flow, cfg Config) (*DeltaResult, error) {
 	return applyOne(sched, flows, BatchOp{Kind: BatchAdd, Flow: f}, cfg)
 }
@@ -139,8 +149,7 @@ func RemoveFlowDelta(sched *schedule.Schedule, flowID int, mets obs.Sink) (*Delt
 // flow.AdaptBudget, so a re-budgeted (or shed) flow keeps its concession
 // through a detour of any length. flows must be the currently scheduled
 // workload in priority order and contain the flow; neither it nor the flow
-// is mutated — on success the caller updates the flow's Route (and TxBudget,
-// via flow.AdaptBudget, when one is installed).
+// is mutated — on success the caller records the move with flow.SetRoute.
 func RerouteFlowDelta(sched *schedule.Schedule, flows []*flow.Flow, flowID int, newRoute []flow.Link, cfg Config) (*DeltaResult, error) {
 	return applyOne(sched, flows, BatchOp{Kind: BatchReroute, FlowID: flowID, Route: newRoute}, cfg)
 }
@@ -308,8 +317,7 @@ func (d *deltaOp) begin(op BatchOp) (*flow.Flow, error) {
 			return nil, fmt.Errorf("scheduler: flow %d not in the workload", op.FlowID)
 		}
 		moved := *d.work[i]
-		moved.Route = append([]flow.Link(nil), op.Route...)
-		moved.TxBudget = flow.AdaptBudget(moved.TxBudget, len(op.Route))
+		moved.SetRoute(op.Route)
 		if err := validateDeltaFlow(d.sched, &moved); err != nil {
 			return nil, err
 		}
@@ -330,17 +338,35 @@ func (d *deltaOp) begin(op BatchOp) (*flow.Flow, error) {
 // reroute's removal of the old route included. Only the full rung rolls back
 // to it, so it rebuilds from the pre-op grid; the cascade rung continues from
 // whatever the failed direct attempt left, which placeFlow has already
-// cleaned up. Returns the rung used and, when even the full rung fails, the
-// flow it could not place (-1 on success).
+// cleaned up. Returns the deepest rung run and, when the op is infeasible,
+// the flow it could not place (-1 on success).
 func (d *deltaOp) place(f *flow.Flow, mark int) (Fallback, int, error) {
 	if ok, err := d.placeFlow(f); ok || err != nil {
 		return FallbackNone, -1, err
 	}
-	if fb, ok, err := d.evictCascade(f); ok || err != nil {
+	fb, ok, err := d.evictCascade(f)
+	if ok || err != nil {
 		return fb, -1, err
 	}
 	d.rollbackTo(mark)
-	return d.fullReschedule(withFlow(d.work, f))
+	mutated := withFlow(d.work, f)
+	if !d.covers(mutated) {
+		return fb, f.ID, nil
+	}
+	return d.fullReschedule(mutated)
+}
+
+// covers reports whether work lists every flow the grid holds, the full
+// rung's precondition: the rung rebuilds only the listed flows, so applying
+// its diff would delete every other flow's transmissions.
+func (d *deltaOp) covers(work []*flow.Flow) bool {
+	listed := flowsByID(work)
+	for _, tx := range d.sched.Txs() {
+		if _, ok := listed[tx.FlowID]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // placeFlow places every instance of f against the current grid (everything
@@ -445,31 +471,16 @@ func validateDeltaConfig(sched *schedule.Schedule, cfg Config) error {
 		return fmt.Errorf("scheduler: config has %d channels but schedule has %d offsets",
 			cfg.NumChannels, sched.NumOffsets())
 	}
-	switch cfg.Algorithm {
-	case NR:
-	case RA, RC:
-		if cfg.HopGR == nil {
-			return fmt.Errorf("scheduler: %v requires the G_R hop matrix", cfg.Algorithm)
-		}
-		if cfg.RhoT < 1 {
-			return fmt.Errorf("scheduler: %v requires RhoT ≥ 1, have %d", cfg.Algorithm, cfg.RhoT)
-		}
-	default:
-		return fmt.Errorf("scheduler: unknown algorithm %v", cfg.Algorithm)
-	}
-	return nil
+	return cfg.validateAlgorithm()
 }
 
 // validateDeltaFlow checks that f can live inside sched's grid: valid on its
 // own, routed, harmonic with the slotframe, and within the node space.
 func validateDeltaFlow(sched *schedule.Schedule, f *flow.Flow) error {
-	if err := f.Validate(); err != nil {
-		return fmt.Errorf("scheduler: %w", err)
+	if err := validateRouted(f); err != nil {
+		return err
 	}
-	if len(f.Route) == 0 {
-		return fmt.Errorf("scheduler: flow %d has no route", f.ID)
-	}
-	if f.Period <= 0 || sched.NumSlots()%f.Period != 0 {
+	if sched.NumSlots()%f.Period != 0 {
 		return fmt.Errorf("scheduler: flow period %d does not divide the slotframe %d",
 			f.Period, sched.NumSlots())
 	}

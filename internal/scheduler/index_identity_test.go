@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"wsan/internal/budget"
 	"wsan/internal/flow"
 	"wsan/internal/graph"
 	"wsan/internal/routing"
@@ -189,38 +188,14 @@ func TestPlanPointScanVsIndex(t *testing.T) {
 	}
 	hop := gr.AllPairsHop()
 	aps := topology.AccessPoints(gc, 2)
-	linkPRR := func(l flow.Link) float64 {
-		sum := 0.0
-		for _, ch := range chs {
-			sum += tb.PRR(l.From, l.To, ch)
-		}
-		return sum / float64(len(chs))
-	}
 	first, last := int64(1), int64(400)
 	if testing.Short() {
 		first, last = 221, 260
 	}
 	for seed := first; seed <= last; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		n := 60 + int(seed%61)
 		budgeted := seed%2 == 0
-		fs, err := flow.Generate(rng, gc, flow.GenConfig{
-			NumFlows: n, MinPeriodExp: 0, MaxPeriodExp: 2, Exclude: aps,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := routing.Assign(fs, gc, routing.Config{Traffic: routing.PeerToPeer, APs: aps}); err != nil {
-			t.Fatal(err)
-		}
-		if budgeted {
-			for _, f := range fs {
-				f.TargetPDR = 0.99
-			}
-			if _, err := budget.Apply(fs, linkPRR, 0, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
+		fs := planPoint(t, tb, chs, gc, aps, seed, n, budgeted)
 		for _, fixed := range []bool{false, true} {
 			cfg := Config{Algorithm: RC, NumChannels: nch, RhoT: 2, HopGR: hop,
 				Retransmit: true, FixedRho: fixed}

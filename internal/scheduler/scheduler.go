@@ -103,6 +103,35 @@ func (c Config) attempts() int {
 	return 1
 }
 
+// validateAlgorithm checks that cfg names a known algorithm and carries the
+// inputs it needs: the G_R hop matrix and ρ_t for the reuse policies.
+func (c Config) validateAlgorithm() error {
+	switch c.Algorithm {
+	case NR:
+	case RA, RC:
+		if c.HopGR == nil {
+			return fmt.Errorf("scheduler: %v requires the G_R hop matrix", c.Algorithm)
+		}
+		if c.RhoT < 1 {
+			return fmt.Errorf("scheduler: %v requires RhoT ≥ 1, have %d", c.Algorithm, c.RhoT)
+		}
+	default:
+		return fmt.Errorf("scheduler: unknown algorithm %v", c.Algorithm)
+	}
+	return nil
+}
+
+// validateRouted checks that f is valid on its own and has a route.
+func validateRouted(f *flow.Flow) error {
+	if err := f.Validate(); err != nil {
+		return fmt.Errorf("scheduler: %w", err)
+	}
+	if len(f.Route) == 0 {
+		return fmt.Errorf("scheduler: flow %d has no route", f.ID)
+	}
+	return nil
+}
+
 // Result is the outcome of a scheduling run.
 type Result struct {
 	// Schedule holds all placed transmissions; partially filled if the flow
@@ -131,25 +160,13 @@ func Run(flows []*flow.Flow, cfg Config) (*Result, error) {
 	if cfg.NumChannels <= 0 {
 		return nil, fmt.Errorf("scheduler: NumChannels %d must be positive", cfg.NumChannels)
 	}
-	switch cfg.Algorithm {
-	case NR:
-	case RA, RC:
-		if cfg.HopGR == nil {
-			return nil, fmt.Errorf("scheduler: %v requires the G_R hop matrix", cfg.Algorithm)
-		}
-		if cfg.RhoT < 1 {
-			return nil, fmt.Errorf("scheduler: %v requires RhoT ≥ 1, have %d", cfg.Algorithm, cfg.RhoT)
-		}
-	default:
-		return nil, fmt.Errorf("scheduler: unknown algorithm %v", cfg.Algorithm)
+	if err := cfg.validateAlgorithm(); err != nil {
+		return nil, err
 	}
 	numNodes := 0
 	for _, f := range flows {
-		if err := f.Validate(); err != nil {
-			return nil, fmt.Errorf("scheduler: %w", err)
-		}
-		if len(f.Route) == 0 {
-			return nil, fmt.Errorf("scheduler: flow %d has no route", f.ID)
+		if err := validateRouted(f); err != nil {
+			return nil, err
 		}
 		for _, l := range f.Route {
 			if l.From >= numNodes {

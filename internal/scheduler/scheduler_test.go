@@ -536,21 +536,3 @@ func TestRCFallsBackWhenReuseImpossible(t *testing.T) {
 		t.Error("reuse below ρ_t must not be forced")
 	}
 }
-
-func TestAddFlowPhased(t *testing.T) {
-	res, _, cfg := baseSchedule(t)
-	phased := &flow.Flow{ID: 2, Src: 6, Dst: 8, Period: 100, Deadline: 40, Phase: 30}
-	routeThrough(phased, 6, 7, 8)
-	add, err := AddFlow(res.Schedule, phased, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !add.Schedulable {
-		t.Fatal("phased add should succeed")
-	}
-	for _, tx := range res.Schedule.Txs() {
-		if tx.FlowID == 2 && (tx.Slot < 30 || tx.Slot > 69) {
-			t.Errorf("phased tx at slot %d outside [30, 69]", tx.Slot)
-		}
-	}
-}

@@ -473,8 +473,7 @@ func (s *state) stepReroute() (int, error) {
 		s.res.Infeasible++
 		return 0, nil
 	}
-	f.Route = append([]flow.Link(nil), detour...)
-	f.TxBudget = flow.AdaptBudget(f.TxBudget, len(detour))
+	f.SetRoute(detour)
 	s.applied(res.Fallback, time.Since(start), 1)
 	s.log = append(s.log, logOp{kind: opReroute, id: f.ID, route: append([]flow.Link(nil), detour...)})
 	return 1, nil
@@ -626,9 +625,7 @@ func (s *state) oracleCheck() error {
 				err = fmt.Errorf("oracle found reroute of flow %d infeasible", op.id)
 			}
 			if err == nil {
-				g := s.oracleFlow(op.id)
-				g.Route = append([]flow.Link(nil), op.route...)
-				g.TxBudget = flow.AdaptBudget(g.TxBudget, len(op.route))
+				s.oracleFlow(op.id).SetRoute(op.route)
 			}
 		case opRebudget:
 			g := s.oracleFlow(op.id)

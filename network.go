@@ -173,24 +173,31 @@ type ScheduleConfig struct {
 	// it off.
 	DisableRetransmit bool
 	// Metrics, when non-nil, receives the scheduler's "scheduler.<alg>.*"
-	// counters when the run completes. Nil disables collection.
+	// counters when a Schedule run completes, and the delta engine's
+	// "sched.incremental.*" counters from AddFlow and the delta operations.
+	// Nil disables collection.
 	Metrics MetricsSink
 }
 
-// Schedule runs the selected algorithm over the flow set (which must be in
-// priority order, as produced by GenerateWorkload or flow.AssignDM).
-func (n *Network) Schedule(flows []*Flow, alg Algorithm, cfg ScheduleConfig) (*ScheduleResult, error) {
+// schedConfig assembles the scheduler configuration for alg on this network.
+func (n *Network) schedConfig(alg Algorithm, cfg ScheduleConfig) scheduler.Config {
 	if cfg.RhoT == 0 {
 		cfg.RhoT = 2
 	}
-	res, err := scheduler.Run(flows, scheduler.Config{
+	return scheduler.Config{
 		Algorithm:   alg,
 		NumChannels: len(n.channels),
 		RhoT:        cfg.RhoT,
 		HopGR:       n.hop,
 		Retransmit:  !cfg.DisableRetransmit,
 		Metrics:     cfg.Metrics,
-	})
+	}
+}
+
+// Schedule runs the selected algorithm over the flow set (which must be in
+// priority order, as produced by GenerateWorkload or flow.AssignDM).
+func (n *Network) Schedule(flows []*Flow, alg Algorithm, cfg ScheduleConfig) (*ScheduleResult, error) {
+	res, err := scheduler.Run(flows, n.schedConfig(alg, cfg))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -203,22 +210,28 @@ func (n *Network) Schedule(flows []*Flow, alg Algorithm, cfg ScheduleConfig) (*S
 // be lowest-priority (highest ID) and its period must divide the slotframe.
 // On a deadline miss the schedule is left unchanged and Schedulable is
 // false.
+//
+// It is AddFlowDelta with an empty workload: no scheduled flow may move, so
+// the flow is placed against the pinned grid or not at all. With
+// cfg.Metrics set it therefore emits the delta engine's
+// "sched.incremental.*" counters, not "scheduler.<alg>.*".
 func (n *Network) AddFlow(res *ScheduleResult, f *Flow, alg Algorithm, cfg ScheduleConfig) (*ScheduleResult, error) {
-	if cfg.RhoT == 0 {
-		cfg.RhoT = 2
+	for _, tx := range res.Schedule.Txs() {
+		if tx.FlowID > f.ID {
+			return nil, fmt.Errorf("wsan: flow %d must be lower priority than scheduled flow %d",
+				f.ID, tx.FlowID)
+		}
 	}
-	out, err := scheduler.AddFlow(res.Schedule, f, scheduler.Config{
-		Algorithm:   alg,
-		NumChannels: len(n.channels),
-		RhoT:        cfg.RhoT,
-		HopGR:       n.hop,
-		Retransmit:  !cfg.DisableRetransmit,
-		Metrics:     cfg.Metrics,
-	})
+	out, err := scheduler.AddFlowDelta(res.Schedule, nil, f, n.schedConfig(alg, cfg))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	return out, nil
+	lambdaR := 0
+	if alg == RC {
+		lambdaR = n.ReuseDiameter()
+	}
+	return &ScheduleResult{Schedule: res.Schedule, Schedulable: out.Schedulable,
+		FailedFlow: out.FailedFlow, Elapsed: out.Elapsed, LambdaR: lambdaR}, nil
 }
 
 // DeltaResult describes the outcome of one incremental scheduling
@@ -246,21 +259,6 @@ const (
 	DeltaFallbackFull = scheduler.FallbackFull
 )
 
-// deltaConfig assembles the scheduler configuration for a delta operation.
-func (n *Network) deltaConfig(alg Algorithm, cfg ScheduleConfig) scheduler.Config {
-	if cfg.RhoT == 0 {
-		cfg.RhoT = 2
-	}
-	return scheduler.Config{
-		Algorithm:   alg,
-		NumChannels: len(n.channels),
-		RhoT:        cfg.RhoT,
-		HopGR:       n.hop,
-		Retransmit:  !cfg.DisableRetransmit,
-		Metrics:     cfg.Metrics,
-	}
-}
-
 // AddFlowDelta admits one new flow of any priority into an existing
 // schedule, pinning every already-scheduled transmission and placing only
 // the new flow's. On a collision the delta scheduler descends its repair
@@ -269,7 +267,7 @@ func (n *Network) deltaConfig(alg Algorithm, cfg ScheduleConfig) scheduler.Confi
 // infeasible admission leaves the schedule untouched. flows is the workload
 // the schedule was built from, NOT including f.
 func (n *Network) AddFlowDelta(res *ScheduleResult, flows []*Flow, f *Flow, alg Algorithm, cfg ScheduleConfig) (*DeltaResult, error) {
-	out, err := scheduler.AddFlowDelta(res.Schedule, flows, f, n.deltaConfig(alg, cfg))
+	out, err := scheduler.AddFlowDelta(res.Schedule, flows, f, n.schedConfig(alg, cfg))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -290,10 +288,10 @@ func (n *Network) RemoveFlowDelta(res *ScheduleResult, flowID int, metrics Metri
 // RerouteFlowDelta moves one scheduled flow onto a new route, re-placing
 // only that flow's transmissions (with the same repair ladder as
 // AddFlowDelta behind it). The flow itself is not mutated: on success the
-// caller assigns newRoute to the flow; on infeasibility the schedule is
-// rolled back and the old placements stand.
+// caller records the move with the flow's SetRoute; on infeasibility the
+// schedule is rolled back and the old placements stand.
 func (n *Network) RerouteFlowDelta(res *ScheduleResult, flows []*Flow, flowID int, newRoute []Link, alg Algorithm, cfg ScheduleConfig) (*DeltaResult, error) {
-	out, err := scheduler.RerouteFlowDelta(res.Schedule, flows, flowID, newRoute, n.deltaConfig(alg, cfg))
+	out, err := scheduler.RerouteFlowDelta(res.Schedule, flows, flowID, newRoute, n.schedConfig(alg, cfg))
 	if err != nil {
 		return nil, wrapErr(err)
 	}

@@ -385,6 +385,46 @@ func TestNetworkAddFlow(t *testing.T) {
 	}
 }
 
+// TestNetworkAddFlowDeltaPath pins what AddFlow adds on top of the delta
+// engine: a flow that outranks a scheduled one is rejected, a lowest-priority
+// admission reports the run's λ_R, and with a metrics sink it emits the
+// delta engine's counters.
+func TestNetworkAddFlowDeltaPath(t *testing.T) {
+	_, net := testNetwork(t)
+	flows, err := net.GenerateWorkload(wsan.WorkloadConfig{
+		NumFlows: 10, MinPeriodExp: 0, MaxPeriodExp: 1,
+		Traffic: wsan.PeerToPeer, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := net.Schedule(flows, wsan.RC, wsan.ScheduleConfig{})
+	if err != nil || !res.Schedulable {
+		t.Fatalf("base schedule: %v", err)
+	}
+	nf := &wsan.Flow{ID: 10, Src: flows[0].Src, Dst: flows[1].Src, Period: 200, Deadline: 200}
+	if err := net.Route([]*wsan.Flow{nf}, wsan.PeerToPeer); err != nil {
+		t.Fatal(err)
+	}
+	outranks := *nf
+	outranks.ID = 8
+	if _, err := net.AddFlow(res, &outranks, wsan.RC, wsan.ScheduleConfig{}); err == nil {
+		t.Error("a flow outranking a scheduled flow was admitted")
+	}
+	reg := wsan.NewMetricsRegistry()
+	add, err := net.AddFlow(res, nf, wsan.RC, wsan.ScheduleConfig{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !add.Schedulable || add.LambdaR != net.ReuseDiameter() || add.Schedule != res.Schedule {
+		t.Fatalf("Schedulable=%v LambdaR=%d (want %d), same grid %v",
+			add.Schedulable, add.LambdaR, net.ReuseDiameter(), add.Schedule == res.Schedule)
+	}
+	if got := reg.CounterValue("sched.incremental.add_ops"); got != 1 {
+		t.Errorf("sched.incremental.add_ops = %d, want 1", got)
+	}
+}
+
 func TestCutVertices(t *testing.T) {
 	// A 4-node line testbed: interior nodes are cut vertices.
 	nodes := []wsan.Node{{ID: 0, X: 0}, {ID: 1, X: 20}, {ID: 2, X: 40}, {ID: 3, X: 60}}

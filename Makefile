@@ -87,6 +87,9 @@ e2e:
 # fuzz-smoke gives every fuzz target a short budget ($(FUZZTIME) each) —
 # enough to catch regressions in the decoder hardening, in the PHY's
 # saturation shortcut (bit-identical to the full BER series), in the
+# simulator's per-frame decision (for any draw, signal, denominator and
+# frame length, the PRR bound tables decide exactly as draw < PRR, and the
+# reference PRR lies between any bounds they claim), in the
 # hoisted delay-bound fixed point (identical to the reference analysis),
 # in job parameter canonicalization (never panics; canonical forms are
 # fixed points), in the SDK's SSE decoder (never panics; reports exactly
@@ -112,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzKSTest -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzQuantile -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzPRR802154 -fuzztime=$(FUZZTIME) ./internal/radio
+	$(GO) test -run=^$$ -fuzz=FuzzPRRDecision -fuzztime=$(FUZZTIME) ./internal/radio
 	$(GO) test -run=^$$ -fuzz=FuzzDelayAnalysis -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalParams -fuzztime=$(FUZZTIME) ./internal/jobs
 	$(GO) test -run=^$$ -fuzz=FuzzStreamRelay -fuzztime=$(FUZZTIME) ./wsanclient

@@ -154,11 +154,24 @@ func FuzzPRR802154(f *testing.F) {
 // reference with identically seeded streams: 1–6 transmissions sharing a
 // few channels, external interference on and off, i.i.d. and AR(1) fading,
 // several noise floors (one so low its power underflows) and frame lengths.
+// Gray-zone slots follow: co-channel pairs whose signals lead the other
+// sender's by 2–10 dB at each receiver, with external interference, so
+// SINRs land in the PRR transition where the bound tables are tightest.
 // Every outcome must match, and so must the next draw from each stream.
 func TestEvaluateMatchesReference(t *testing.T) {
 	gains := rand.New(rand.NewSource(1))
 	table := make(map[[3]int]float64)
+	// Gray-zone slots send from nodes 100 and 101 to nodes 110 and 111,
+	// outside the random slots' twelve nodes; signal and lead hold each
+	// receiver's desired power and its margin over the other sender.
+	var signal, lead [2]float64
 	gain := func(tx, rx, ch int) float64 {
+		if rx >= 110 {
+			if tx == rx-10 {
+				return signal[rx-110]
+			}
+			return signal[rx-110] - lead[rx-110]
+		}
 		k := [3]int{tx, rx, ch}
 		g, ok := table[k]
 		if !ok {
@@ -219,6 +232,31 @@ func TestEvaluateMatchesReference(t *testing.T) {
 					t.Fatalf("env %d slot %d tx %d: Evaluate = %v, reference %v", ei, slot, i, buf[i], ref[i])
 				}
 			}
+		}
+		decoded := 0
+		for slot := 0; slot < slots; slot++ {
+			bits := []int{0, AckBits, DefaultPacketBits, 1000}[draw.Intn(4)]
+			txs := []Transmission{{Sender: 100, Receiver: 110, Bits: bits}, {Sender: 101, Receiver: 111, Bits: bits}}
+			for r := range signal {
+				signal[r], lead[r] = -95+50*draw.Float64(), 2+8*draw.Float64()
+			}
+			level := DBmToMilliwatts(signal[0] - 15 - 20*draw.Float64())
+			extra := func(rx, ch int) float64 { return level }
+			buf = got.Evaluate(rngGot, txs, extra, buf)
+			ref := refEvaluate(&want, rngWant, txs, extra)
+			for i := range ref {
+				if buf[i] != ref[i] {
+					t.Fatalf("env %d gray slot %d tx %d: Evaluate = %v, reference %v", ei, slot, i, buf[i], ref[i])
+				}
+				if ref[i] {
+					decoded++
+				}
+			}
+		}
+		// The gray zone must be gray: at least 1 % of its frames decoded
+		// and at least 1 % lost.
+		if decoded < 2*slots/100 || decoded > 2*slots*99/100 {
+			t.Fatalf("env %d: %d of %d gray-zone frames decoded", ei, decoded, 2*slots)
 		}
 		if a, b := rngGot.Int63(), rngWant.Int63(); a != b {
 			t.Fatalf("env %d: random streams diverged: next draw %d vs %d", ei, a, b)

@@ -152,8 +152,11 @@ func (e *Env) samplePathFading(rng *rand.Rand, tx, rx int) float64 {
 // whatever its SINR, so the random stream does not depend on which frames
 // take the shortcuts: a frame with no interference whose signal clears the
 // noise floor by prrSaturationDB (plus cleanMarginDB) decodes without the
-// SINR round trip, and PRR802154 returns 1 without the BER series above
-// prrSaturationDB. Both give bit-identical outcomes to the full computation.
+// SINR round trip, any other frame compares its draw with tabled bounds on
+// its PRR and evaluates the BER series only when the draw falls between
+// them (see prrBounds), and PRR802154 returns 1 without the BER series above
+// prrSaturationDB. All three give bit-identical outcomes to the full
+// computation.
 func (e *Env) Evaluate(rng *rand.Rand, txs []Transmission, extra InterferenceFunc, ok []bool) []bool {
 	n := len(txs)
 	if cap(ok) < n {
@@ -181,6 +184,7 @@ func (e *Env) Evaluate(rng *rand.Rand, txs []Transmission, extra InterferenceFun
 	}
 	noiseDBm, noiseMW, cleanDB := e.noise()
 	factor := e.interferenceFactor()
+	bounds := prrTables()
 	for j, tx := range txs {
 		signalDBm := e.Gain(tx.Sender, tx.Receiver, tx.Channel) + fade[j*n+j]
 		interfMW := 0.0
@@ -198,15 +202,17 @@ func (e *Env) Evaluate(rng *rand.Rand, txs []Transmission, extra InterferenceFun
 		// the SINR is the signal-to-noise ratio, which the dBm difference
 		// bounds without a pow/log10 round trip.
 		den := noiseMW + interfMW*factor
-		prr := 1.0
-		if den != noiseMW || !(signalDBm-noiseDBm >= cleanDB) {
-			bits := tx.Bits
-			if bits == 0 {
-				bits = DefaultPacketBits
-			}
-			prr = PRR802154(MilliwattsToDBm(DBmToMilliwatts(signalDBm)/den), bits)
+		// The PRR consumes no randomness, so drawing first keeps the stream.
+		u := rng.Float64()
+		if den == noiseMW && signalDBm-noiseDBm >= cleanDB {
+			ok[j] = true // PRR is 1, and u < 1
+			continue
 		}
-		ok[j] = rng.Float64() < prr
+		bits := tx.Bits
+		if bits == 0 {
+			bits = DefaultPacketBits
+		}
+		ok[j] = bounds.decodes(u, signalDBm, den, bits)
 	}
 	return ok
 }

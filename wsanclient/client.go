@@ -39,6 +39,9 @@ type Client struct {
 	http    *http.Client
 	retries int
 	backoff time.Duration
+	// sleep waits out retry backoffs and WaitJob's polls: sleepCtx on the
+	// real clock, a fake in tests.
+	sleep func(ctx context.Context, d time.Duration) error
 }
 
 // New builds a client for the daemon at baseURL (e.g.
@@ -64,6 +67,7 @@ func New(baseURL string, opts Options) *Client {
 		http:    hc,
 		retries: retries,
 		backoff: backoff,
+		sleep:   sleepCtx,
 	}
 }
 
@@ -169,7 +173,7 @@ func (c *Client) do(ctx context.Context, method, u string, body, out any) error 
 			if ctx.Err() != nil || retry >= c.retries {
 				return lastErr
 			}
-			if err := sleepCtx(ctx, c.retryDelay(retry, nil)); err != nil {
+			if err := c.sleep(ctx, c.retryDelay(retry, nil)); err != nil {
 				return lastErr
 			}
 			continue
@@ -181,7 +185,7 @@ func (c *Client) do(ctx context.Context, method, u string, body, out any) error 
 			if ctx.Err() != nil || retry >= c.retries {
 				return lastErr
 			}
-			if err := sleepCtx(ctx, c.retryDelay(retry, nil)); err != nil {
+			if err := c.sleep(ctx, c.retryDelay(retry, nil)); err != nil {
 				return lastErr
 			}
 			continue
@@ -192,7 +196,7 @@ func (c *Client) do(ctx context.Context, method, u string, body, out any) error 
 				return apiErr
 			}
 			lastErr = apiErr
-			if err := sleepCtx(ctx, c.retryDelay(retry, resp)); err != nil {
+			if err := c.sleep(ctx, c.retryDelay(retry, resp)); err != nil {
 				return lastErr
 			}
 			continue
@@ -325,7 +329,7 @@ func (c *Client) WaitJob(ctx context.Context, id string, interval time.Duration)
 		if j.State.Terminal() {
 			return j, nil
 		}
-		if err := sleepCtx(ctx, interval); err != nil {
+		if err := c.sleep(ctx, interval); err != nil {
 			return j, err
 		}
 	}

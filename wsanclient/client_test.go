@@ -26,6 +26,35 @@ func testClient(ts *httptest.Server, opts Options) *Client {
 	return New(ts.URL, opts)
 }
 
+// fakeClock stands in for a client's clock: every wait returns at once,
+// with the context's error if it is done, and is recorded.
+type fakeClock struct {
+	mu    sync.Mutex
+	waits []time.Duration
+}
+
+// install makes c wait on the fake clock.
+func (f *fakeClock) install(c *Client) *Client {
+	c.sleep = func(ctx context.Context, d time.Duration) error {
+		f.mu.Lock()
+		f.waits = append(f.waits, d)
+		f.mu.Unlock()
+		return ctx.Err()
+	}
+	return c
+}
+
+// recorded returns the waits so far, in milliseconds.
+func (f *fakeClock) recorded() []int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ms := make([]int64, len(f.waits))
+	for i, d := range f.waits {
+		ms[i] = d.Milliseconds()
+	}
+	return ms
+}
+
 func TestRetryTransientThenSucceed(t *testing.T) {
 	var attempts atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -245,7 +274,8 @@ func TestStreamGivesUpAfterMaxRetries(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	c := testClient(ts, Options{})
+	clock := &fakeClock{}
+	c := clock.install(testClient(ts, Options{}))
 	st, err := c.Subscribe(ctx, StreamOptions{Job: "j1", MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -258,6 +288,9 @@ func TestStreamGivesUpAfterMaxRetries(t *testing.T) {
 	}
 	if n := conns.Load(); n < 3 {
 		t.Fatalf("server saw %d connections, want initial + 2 retries", n)
+	}
+	if got, want := fmt.Sprint(clock.recorded()), "[1 2]"; got != want {
+		t.Fatalf("backoffs %s ms, want %s", got, want)
 	}
 }
 
@@ -289,7 +322,8 @@ func TestStreamBackoffResetsAfterDelivery(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	c := testClient(ts, Options{})
+	clock := &fakeClock{}
+	c := clock.install(testClient(ts, Options{}))
 	st, err := c.Subscribe(ctx, StreamOptions{Job: "j1", MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -307,6 +341,10 @@ func TestStreamBackoffResetsAfterDelivery(t *testing.T) {
 	}
 	if delivered != 4 {
 		t.Fatalf("delivered %d events, want 4 (three progress + terminal)", delivered)
+	}
+	// Each delivery restarts the backoff at its base.
+	if got, want := fmt.Sprint(clock.recorded()), "[1 2 1 2 1 2]"; got != want {
+		t.Fatalf("backoffs %s ms, want %s", got, want)
 	}
 }
 

@@ -167,7 +167,7 @@ func (s *Stream) run(c *Client, resp *http.Response, u string, lastSeq uint64, m
 				s.err = fmt.Errorf("wsanclient: stream lost after %d reconnect attempts: %w", maxRetries, err)
 				return
 			}
-			if serr := sleepCtx(ctx, c.retryDelay(failures-1, nil)); serr != nil {
+			if serr := c.sleep(ctx, c.retryDelay(failures-1, nil)); serr != nil {
 				return
 			}
 			next, cerr := c.connectStream(ctx, u, lastSeq)

@@ -191,12 +191,16 @@ func TestMetricsOutFlag(t *testing.T) {
 }
 
 func TestValidateSubcommand(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"gen-schedule", "-flows", "10", "-out", dir}); err != nil {
-		t.Fatalf("gen-schedule: %v", err)
-	}
-	if err := run([]string{"validate", "-dir", dir}); err != nil {
-		t.Fatalf("validate: %v", err)
+	// A centralized route crosses the wired AP→gateway→AP segment; validate
+	// must accept that one break between access points.
+	for _, traffic := range []string{"p2p", "centralized"} {
+		dir := t.TempDir()
+		if err := run([]string{"gen-schedule", "-traffic", traffic, "-flows", "10", "-out", dir}); err != nil {
+			t.Fatalf("%s gen-schedule: %v", traffic, err)
+		}
+		if err := run([]string{"validate", "-dir", dir}); err != nil {
+			t.Fatalf("%s validate: %v", traffic, err)
+		}
 	}
 	if err := run([]string{"validate", "-dir", t.TempDir()}); err == nil {
 		t.Error("validate without artifacts should fail")

@@ -434,9 +434,12 @@ func runValidate(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The centralized rule allows one wired break, and only between access
+	// points, so peer-to-peer routes pass it too.
+	rcfg := routing.Config{Traffic: routing.Centralized, APs: env.Net.AccessPoints()}
 	check("routes over communication graph", func() error {
 		for _, f := range flows {
-			if err := routing.Validate(f, gc, routing.Config{Traffic: routing.PeerToPeer}); err != nil {
+			if err := routing.Validate(f, gc, rcfg); err != nil {
 				return fmt.Errorf("flow %d: %v", f.ID, err)
 			}
 		}

@@ -142,30 +142,3 @@ func ComputeUtilization(flows []*flow.Flow, numChannels, attempts int) (Utilizat
 	}
 	return u, nil
 }
-
-// NecessarySchedulable applies quick necessary (not sufficient) conditions:
-// a workload whose bottleneck node exceeds its deadline-scaled budget or
-// whose channel demand exceeds capacity cannot be scheduled. It returns nil
-// if no condition is violated, or an explanatory error.
-func NecessarySchedulable(flows []*flow.Flow, numChannels, attempts int, allowReuse bool) error {
-	u, err := ComputeUtilization(flows, numChannels, attempts)
-	if err != nil {
-		return err
-	}
-	if u.BottleneckNode > 1 {
-		return fmt.Errorf("node %d must be awake %.0f%% of slots: unschedulable under any policy",
-			u.BottleneckID, u.BottleneckNode*100)
-	}
-	if !allowReuse && u.Channel > 1 {
-		return fmt.Errorf("channel demand %.0f%% of capacity: unschedulable without channel reuse",
-			u.Channel*100)
-	}
-	// Per-flow: each instance needs all its (budgeted) transmission slots
-	// within its deadline.
-	for _, f := range flows {
-		if need := f.TotalAttempts(attempts); need > f.Deadline {
-			return fmt.Errorf("flow %d needs %d slots but its deadline is %d", f.ID, need, f.Deadline)
-		}
-	}
-	return nil
-}

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"strings"
 	"testing"
 
 	"wsan/internal/flow"
@@ -123,31 +122,52 @@ func TestComputeUtilizationErrors(t *testing.T) {
 	}
 }
 
+// The Necessary tests check the necessary conditions that the utilization
+// and delay-bound views expose: no node busy in more than every slot, channel
+// demand within capacity unless channels are reused, and every flow's own
+// transmissions within its deadline.
 func TestNecessarySchedulable(t *testing.T) {
 	ok := []*flow.Flow{mkFlow(0, 0, 2, 100, 80, 0, 1, 2)}
-	if err := NecessarySchedulable(ok, 2, 2, false); err != nil {
-		t.Errorf("light load flagged: %v", err)
+	u, err := ComputeUtilization(ok, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.BottleneckNode > 1 || u.Channel > 1 {
+		t.Errorf("light load over capacity: %+v", u)
+	}
+	bounds, err := DelayAnalysis(ok, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !AllSchedulable(bounds) || bounds[0].ResponseSlots != 4 {
+		t.Errorf("light load bound %+v, want schedulable in 4 slots", bounds)
 	}
 }
 
 func TestNecessaryDeadlineTooTight(t *testing.T) {
 	f := mkFlow(0, 0, 3, 100, 5, 0, 1, 2, 3) // 3 hops × 2 attempts = 6 > 5
-	err := NecessarySchedulable([]*flow.Flow{f}, 4, 2, true)
-	if err == nil || !strings.Contains(err.Error(), "deadline") {
-		t.Errorf("want deadline violation, got %v", err)
+	bounds, err := DelayAnalysis([]*flow.Flow{f}, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bounds[0].Schedulable {
+		t.Errorf("6 slots admitted within a 5-slot deadline: %+v", bounds[0])
 	}
 }
 
 func TestNecessaryNodeOverload(t *testing.T) {
-	// Node 1 must relay both flows every 4 slots: demand 2 flows × 2 hops ×
-	// 1 attempt per 4 slots = 1.0... push beyond 1 with attempts=2.
+	// Node 1 relays both flows every 4 slots: 2 flows × 2 hops × 2 attempts
+	// = 8 slots of node 1's time per 4.
 	flows := []*flow.Flow{
 		mkFlow(0, 0, 2, 4, 4, 0, 1, 2),
 		mkFlow(1, 3, 4, 4, 4, 3, 1, 4),
 	}
-	err := NecessarySchedulable(flows, 16, 2, true)
-	if err == nil || !strings.Contains(err.Error(), "any policy") {
-		t.Errorf("want node overload, got %v", err)
+	u, err := ComputeUtilization(flows, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.BottleneckID != 1 || u.BottleneckNode != 2 {
+		t.Errorf("bottleneck = node %d @ %v, want node 1 @ 2", u.BottleneckID, u.BottleneckNode)
 	}
 }
 
@@ -167,9 +187,6 @@ func TestUtilizationCountsBudgets(t *testing.T) {
 	if u.BottleneckNode != 0.5 || u.BottleneckID != 1 {
 		t.Fatalf("unbudgeted bottleneck %v at node %d, want 0.5 at node 1", u.BottleneckNode, u.BottleneckID)
 	}
-	if err := NecessarySchedulable(flows, 16, 1, true); err != nil {
-		t.Fatalf("unbudgeted set flagged: %v", err)
-	}
 	for _, f := range flows {
 		f.TxBudget = []int{3, 3}
 	}
@@ -179,10 +196,6 @@ func TestUtilizationCountsBudgets(t *testing.T) {
 	}
 	if u.BottleneckNode != 1.5 || u.BottleneckID != 1 || u.Channel != 1.5 {
 		t.Errorf("budgeted utilization %+v, want node 1 at 1.5 and channel 1.5", u)
-	}
-	err = NecessarySchedulable(flows, 16, 1, true)
-	if err == nil || !strings.Contains(err.Error(), "any policy") {
-		t.Errorf("want budgeted node overload, got %v", err)
 	}
 	// A budget that breaks flow.ValidateBudget is an error, not a panic.
 	for _, budget := range [][]int{{3}, {3, 0}} {
@@ -195,17 +208,17 @@ func TestUtilizationCountsBudgets(t *testing.T) {
 
 func TestNecessaryChannelOverload(t *testing.T) {
 	// 4 disjoint single-hop flows with period 4, attempts 2 on 1 channel:
-	// demand 8 slots per 4 → channel util 2.0. Nodes are each at 0.5.
+	// demand 8 slots per 4 → channel util 2.0, so only channel reuse could
+	// fit them. Nodes are each at 0.5.
 	var flows []*flow.Flow
 	for i := 0; i < 4; i++ {
 		flows = append(flows, mkFlow(i, 2*i, 2*i+1, 4, 4, 2*i, 2*i+1))
 	}
-	err := NecessarySchedulable(flows, 1, 2, false)
-	if err == nil || !strings.Contains(err.Error(), "without channel reuse") {
-		t.Errorf("want channel overload, got %v", err)
+	u, err := ComputeUtilization(flows, 1, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// With reuse allowed the channel condition is waived (node demand 0.5).
-	if err := NecessarySchedulable(flows, 1, 2, true); err != nil {
-		t.Errorf("reuse should waive channel capacity: %v", err)
+	if u.Channel != 2 || u.BottleneckNode != 0.5 {
+		t.Errorf("utilization %+v, want channel 2 and bottleneck 0.5", u)
 	}
 }

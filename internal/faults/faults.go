@@ -283,8 +283,9 @@ func (o *Overlay) HasDrift() bool { return len(o.drifts) > 0 }
 // Counts returns the applied-event tallies so far.
 func (o *Overlay) Counts() Counts { return o.counts }
 
-// CrashedNodes returns the currently crashed node IDs, sorted — the manage
-// loop's reroute input.
+// CrashedNodes returns the currently crashed node IDs, sorted: the fault
+// timeline's ground truth. The manage loop does not read it; it infers
+// suspect nodes from the outcomes it observes.
 func (o *Overlay) CrashedNodes() []int {
 	out := make([]int, 0, len(o.nodeDown))
 	for id := range o.nodeDown {

@@ -1,8 +1,8 @@
 // Package graph provides the small set of graph algorithms the scheduler and
 // topology layers need: breadth-first hop distances (single-source and
-// all-pairs), Dijkstra shortest paths with real-valued edge costs,
-// connectivity queries, and the graph diameter used as the initial
-// channel-reuse hop distance in the RC algorithm.
+// all-pairs), minimum-hop paths, connected components, cut vertices, and the
+// graph diameter used as the initial channel-reuse hop distance in the RC
+// algorithm.
 //
 // Graphs are undirected and nodes are dense integer IDs in [0, N). The
 // package is deliberately dependency-free and allocation-conscious: the
@@ -11,7 +11,6 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
@@ -33,15 +32,13 @@ type Graph struct {
 	// from the same source (and the same graph serves every Monte-Carlo
 	// trial), so one BFS per source replaces one per query.
 	//
-	// Cache-invalidation audit: AddEdge and RemoveEdge are the ONLY methods
-	// that mutate adjacency, and both clear the cache under mu. Every other
-	// mutation the manage loop performs — link-quality/PRR changes, channel
-	// blacklisting, and node-crash avoidance — is modeled by constructing a
-	// brand-new Graph from the testbed's link statistics (see
-	// topology.Testbed.CommGraph and Without), never by editing an existing
-	// one, so no stale forest can outlive the topology it was derived from.
-	// Weighted paths (ShortestPathWeighted) take the weight function per
-	// call and bypass the cache entirely.
+	// Cache-invalidation audit: AddEdge is the ONLY method that mutates
+	// adjacency, and it clears the cache under mu. Every other mutation the
+	// manage loop performs — link-quality/PRR changes, channel blacklisting,
+	// and node-crash avoidance — is modeled by constructing a brand-new Graph
+	// from the testbed's link statistics (see topology.Testbed.CommGraph and
+	// Without), never by editing an existing one, so no stale forest can
+	// outlive the topology it was derived from.
 	mu      sync.Mutex
 	forests map[int32][]int32
 }
@@ -81,35 +78,6 @@ func (g *Graph) AddEdge(u, v int) error {
 	g.forests = nil // cached paths may no longer be minimum-hop
 	g.mu.Unlock()
 	return nil
-}
-
-// RemoveEdge deletes the undirected edge (u, v) if present. Removing an
-// absent edge is a no-op. It returns an error if either endpoint is out of
-// range.
-func (g *Graph) RemoveEdge(u, v int) error {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("edge (%d,%d) out of range [0,%d)", u, v, g.n)
-	}
-	if u == v || !g.HasEdge(u, v) {
-		return nil
-	}
-	g.adj[u] = deleteNeighbor(g.adj[u], int32(v))
-	g.adj[v] = deleteNeighbor(g.adj[v], int32(u))
-	g.mu.Lock()
-	g.forests = nil // cached paths may route through the deleted edge
-	g.mu.Unlock()
-	return nil
-}
-
-// deleteNeighbor removes the first occurrence of v, preserving adjacency
-// order (path determinism depends on it).
-func deleteNeighbor(nbrs []int32, v int32) []int32 {
-	for i, w := range nbrs {
-		if w == v {
-			return append(nbrs[:i], nbrs[i+1:]...)
-		}
-	}
-	return nbrs
 }
 
 // HasEdge reports whether the undirected edge (u, v) exists.
@@ -254,21 +222,6 @@ func (m *HopMatrix) Diameter() int {
 		}
 	}
 	return maxD
-}
-
-// Connected reports whether the graph is connected (every node reachable from
-// node 0). The empty graph is considered connected.
-func (g *Graph) Connected() bool {
-	if g.n == 0 {
-		return true
-	}
-	dist := g.BFS(0)
-	for _, d := range dist {
-		if d == Unreachable {
-			return false
-		}
-	}
-	return true
 }
 
 // Components returns the connected components as node-ID slices, ordered by
@@ -461,79 +414,4 @@ func (g *Graph) ArticulationPoints() []int {
 		}
 	}
 	return cuts
-}
-
-// WeightFunc assigns a nonnegative cost to traversing edge (u, v). Dijkstra's
-// behavior is undefined for negative costs.
-type WeightFunc func(u, v int) float64
-
-// ShortestPathWeighted returns a minimum-cost path from src to dst under the
-// given edge weights, together with its total cost. It returns (nil, +Inf)
-// when dst is unreachable.
-func (g *Graph) ShortestPathWeighted(src, dst int, weight WeightFunc) ([]int, float64) {
-	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
-		return nil, math.Inf(1)
-	}
-	dist := make([]float64, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	prev := make([]int32, g.n)
-	for i := range prev {
-		prev[i] = -1
-	}
-	dist[src] = 0
-	pq := &nodeHeap{{id: int32(src), cost: 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(nodeItem)
-		u := int(item.id)
-		if item.cost > dist[u] {
-			continue // stale entry
-		}
-		if u == dst {
-			break
-		}
-		for _, v := range g.adj[u] {
-			c := dist[u] + weight(u, int(v))
-			if c < dist[v] {
-				dist[v] = c
-				prev[v] = int32(u)
-				heap.Push(pq, nodeItem{id: v, cost: c})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, math.Inf(1)
-	}
-	path := []int{}
-	for at := int32(dst); at != -1; at = prev[at] {
-		path = append(path, int(at))
-	}
-	reverse(path)
-	return path, dist[dst]
-}
-
-type nodeItem struct {
-	id   int32
-	cost float64
-}
-
-type nodeHeap []nodeItem
-
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].cost < h[j].cost }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(nodeItem)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
-}
-
-func reverse(s []int) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }

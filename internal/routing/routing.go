@@ -9,17 +9,17 @@
 //   - Peer-to-peer: the controller runs on a field device, so the packet is
 //     routed directly from source to destination.
 //
-// Routes are single shortest paths (the paper's choice); an ETX-style
-// PRR-weighted metric is provided as an extension.
+// Routes are single minimum-hop paths, the paper's choice. Link quality is
+// handled by per-hop retransmission budgets (internal/budget), not by the
+// route metric.
 package routing
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"wsan/internal/flow"
 	"wsan/internal/graph"
-	"wsan/internal/topology"
 )
 
 // Traffic selects the routing pattern.
@@ -51,29 +51,27 @@ type Config struct {
 	Traffic Traffic
 	// APs are the access-point node IDs; required for Centralized traffic.
 	APs []int
-	// Weight optionally overrides the hop-count metric with a custom edge
-	// cost (e.g. ETXWeight). Nil means minimum-hop routing.
-	Weight graph.WeightFunc
 	// BalanceAPs spreads centralized traffic across access points: among
 	// APs within one hop of the nearest, each endpoint picks the least
-	// loaded (load = Σ 1/period of assigned flows). Without it every
-	// endpoint uses its strictly nearest AP, which can saturate one AP's
+	// loaded (load = Σ 1/period of assigned flows), then the one with the
+	// fewest hops, then the lowest AP ID. Without it every endpoint uses its
+	// nearest AP (the first listed on a tie), which can saturate one AP's
 	// radio while the other idles.
 	BalanceAPs bool
 }
 
 // Assign computes and stores a route for every flow. For centralized traffic
 // the route is path(src→AP_u) ++ path(AP_d→dst) where AP_u and AP_d are the
-// access points closest (by the routing metric) to the source and
-// destination; the wired AP→gateway→AP segment contributes no links. It
-// returns an error if any flow has no feasible route.
+// access points fewest hops from the source and destination; the wired
+// AP→gateway→AP segment contributes no links. It returns an error if any flow
+// has no feasible route.
 func Assign(flows []*flow.Flow, g *graph.Graph, cfg Config) error {
 	switch cfg.Traffic {
 	case PeerToPeer:
 		for _, f := range flows {
-			path, err := route(g, f.Src, f.Dst, cfg.Weight)
-			if err != nil {
-				return fmt.Errorf("flow %d: %w", f.ID, err)
+			path := g.ShortestPathHop(f.Src, f.Dst)
+			if path == nil {
+				return fmt.Errorf("flow %d: no route from %d to %d", f.ID, f.Src, f.Dst)
 			}
 			f.Route = PathLinks(path)
 		}
@@ -106,25 +104,11 @@ func Assign(flows []*flow.Flow, g *graph.Graph, cfg Config) error {
 	}
 }
 
-// route returns a node path from src to dst under the configured metric.
-func route(g *graph.Graph, src, dst int, weight graph.WeightFunc) ([]int, error) {
-	var path []int
-	if weight == nil {
-		path = g.ShortestPathHop(src, dst)
-	} else {
-		path, _ = g.ShortestPathWeighted(src, dst, weight)
-	}
-	if path == nil {
-		return nil, fmt.Errorf("no route from %d to %d", src, dst)
-	}
-	return path, nil
-}
-
-// routeToAP picks an access point for one endpoint and returns the path and
-// the chosen AP. Without balancing it is the strictly cheapest AP; with
-// balancing, the least-loaded AP among those within one hop (or one cost
-// unit) of the cheapest. With reverse=true the returned path runs AP→node
-// (the downlink direction); otherwise node→AP.
+// routeToAP picks an access point for one endpoint by hop count (see
+// Config.BalanceAPs) and returns the path and the chosen AP. Hop counts come
+// from alloc-free forest walks; only the chosen path is materialized. With
+// reverse=true the returned path runs AP→node (the downlink direction);
+// otherwise node→AP.
 func routeToAP(g *graph.Graph, node int, cfg Config, load map[int]float64, reverse bool) ([]int, int, error) {
 	for _, ap := range cfg.APs {
 		if ap == node {
@@ -132,103 +116,33 @@ func routeToAP(g *graph.Graph, node int, cfg Config, load map[int]float64, rever
 			return []int{node}, ap, nil
 		}
 	}
-	var bestAP int
-	if cfg.Weight == nil {
-		// Minimum-hop metric: select the AP from alloc-free forest-walk hop
-		// counts (cost ≡ path node count = hops+1, matching the weighted
-		// branch's float costs exactly) and materialize only the chosen path.
-		bestCost := math.Inf(1)
-		for _, ap := range cfg.APs {
-			if h := g.HopDist(node, ap); h >= 0 && float64(h+1) < bestCost {
-				bestCost = float64(h + 1)
-			}
-		}
-		if math.IsInf(bestCost, 1) {
-			return nil, 0, fmt.Errorf("node %d cannot reach any access point", node)
-		}
-		cost, ld, found := 0.0, 0.0, false
-		for _, ap := range cfg.APs {
-			h := g.HopDist(node, ap)
-			if h < 0 {
-				continue
-			}
-			c := float64(h + 1)
-			if cfg.BalanceAPs {
-				if c > bestCost+1 {
-					continue
-				}
-				if !found ||
-					load[ap] < ld ||
-					(load[ap] == ld && c < cost) ||
-					(load[ap] == ld && c == cost && ap < bestAP) {
-					bestAP, cost, ld, found = ap, c, load[ap], true
-				}
-			} else if !found || c < cost {
-				bestAP, cost, found = ap, c, true
-			}
-		}
-		path := g.ShortestPathHop(node, bestAP)
-		if reverse {
-			reverseInts(path)
-		}
-		return path, bestAP, nil
-	}
-	type candidate struct {
-		ap   int
-		path []int
-		cost float64
-	}
-	var cands []candidate
-	bestCost := math.Inf(1)
+	bestAP, bestHops := -1, -1
 	for _, ap := range cfg.APs {
-		path, cost := g.ShortestPathWeighted(node, ap, cfg.Weight)
-		if path == nil {
-			continue
-		}
-		cands = append(cands, candidate{ap: ap, path: path, cost: cost})
-		if cost < bestCost {
-			bestCost = cost
+		if h := g.HopDist(node, ap); h >= 0 && (bestAP < 0 || h < bestHops) {
+			bestAP, bestHops = ap, h
 		}
 	}
-	if len(cands) == 0 {
+	if bestAP < 0 {
 		return nil, 0, fmt.Errorf("node %d cannot reach any access point", node)
 	}
-	best := cands[0]
-	found := false
-	for _, c := range cands {
-		if cfg.BalanceAPs {
-			if c.cost > bestCost+1 {
+	if cfg.BalanceAPs {
+		nearest := bestHops
+		for _, ap := range cfg.APs {
+			h := g.HopDist(node, ap)
+			if h < 0 || h > nearest+1 {
 				continue
 			}
-			if !found ||
-				load[c.ap] < load[best.ap] ||
-				(load[c.ap] == load[best.ap] && c.cost < best.cost) ||
-				(load[c.ap] == load[best.ap] && c.cost == best.cost && c.ap < best.ap) {
-				best = c
-				found = true
+			if load[ap] < load[bestAP] ||
+				(load[ap] == load[bestAP] && (h < bestHops || (h == bestHops && ap < bestAP))) {
+				bestAP, bestHops = ap, h
 			}
-		} else if !found || c.cost < best.cost {
-			best = c
-			found = true
 		}
 	}
-	path := best.path
+	path := g.ShortestPathHop(node, bestAP)
 	if reverse {
-		rev := make([]int, len(path))
-		for i, v := range path {
-			rev[len(path)-1-i] = v
-		}
-		return rev, best.ap, nil
+		slices.Reverse(path)
 	}
-	return path, best.ap, nil
-}
-
-// reverseInts flips a node path in place; the minimum-hop branch owns the
-// freshly materialized path, so no copy is needed for the downlink direction.
-func reverseInts(p []int) {
-	for i, j := 0, len(p)-1; i < j; i, j = i+1, j-1 {
-		p[i], p[j] = p[j], p[i]
-	}
+	return path, bestAP, nil
 }
 
 // joinLinks concatenates the uplink and downlink node paths into one directed
@@ -266,26 +180,6 @@ func PathLinks(path []int) []flow.Link {
 		links[i] = flow.Link{From: path[i], To: path[i+1]}
 	}
 	return links
-}
-
-// ETXWeight returns an edge metric approximating the expected number of
-// transmissions over a link: 1 / (worst-case bidirectional PRR across the
-// channels in use). High-quality links cost ≈1, marginal links cost more.
-// It is an extension beyond the paper's minimum-hop routing.
-func ETXWeight(tb *topology.Testbed, channels []int) graph.WeightFunc {
-	return func(u, v int) float64 {
-		worst := 1.0
-		for _, ch := range channels {
-			p := tb.PRR(u, v, ch) * tb.PRR(v, u, ch)
-			if p < worst {
-				worst = p
-			}
-		}
-		if worst <= 0 {
-			return math.Inf(1)
-		}
-		return 1 / worst
-	}
 }
 
 // Validate checks that every assigned route is well-formed: contiguous

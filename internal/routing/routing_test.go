@@ -154,32 +154,64 @@ func cloneFlows(flows []*flow.Flow) []*flow.Flow {
 	return out
 }
 
-func TestETXWeightPrefersGoodLinks(t *testing.T) {
-	tb, err := topology.WUSTL(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chs := topology.Channels(4)
-	gc, err := tb.CommGraph(chs, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := ETXWeight(tb, chs)
-	// Every G_c edge has bidirectional PRR ≥ 0.9 on all channels, so ETX is
-	// finite and ≥ 1.
-	n := gc.Len()
-	checked := 0
-	for u := 0; u < n; u++ {
-		for _, v := range gc.Neighbors(u) {
-			cost := w(u, int(v))
-			if cost < 1 || cost > 1/(0.9*0.9)+1e-9 {
-				t.Fatalf("ETX(%d,%d) = %v outside [1, 1.235]", u, v, cost)
-			}
-			checked++
+// TestAPTieBreakOrder pins access-point selection where hop counts and loads
+// tie. On the graph below, with APs listed as [5 3 1 6], node 0 reaches APs 1
+// and 5 in one hop, AP 3 in two and AP 6 in three; node 2 reaches AP 3 in one
+// hop and APs 1, 5 and 6 in two.
+//
+//	1 - 0 - 5
+//	    |
+//	3 - 2 - 4 - 6
+//
+// Without balancing an endpoint takes the fewest hops, the first listed AP on
+// a tie. With balancing it takes, among APs within one hop of the nearest, the
+// lowest load, then the fewest hops, then the lowest AP ID.
+func TestAPTieBreakOrder(t *testing.T) {
+	g := graph.New(7)
+	for _, e := range [][2]int{{0, 1}, {0, 5}, {0, 2}, {2, 3}, {2, 4}, {4, 6}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no edges checked")
+	aps := []int{5, 3, 1, 6}
+	cases := []struct {
+		name    string
+		node    int
+		balance bool
+		load    map[int]float64
+		want    int
+	}{
+		{"fewest hops, first listed", 0, false, nil, 5},
+		{"unbalanced ignores load", 0, false, map[int]float64{5: 1}, 5},
+		{"unbalanced nearest", 2, false, nil, 3},
+		{"endpoint is an AP", 3, true, map[int]float64{3: 1}, 3},
+		{"load tie, hop tie, lowest ID", 0, true, nil, 1},
+		{"lowest load, then fewest hops", 0, true, map[int]float64{1: 0.5}, 5},
+		{"lowest load one hop further", 0, true, map[int]float64{1: 0.5, 5: 0.5}, 3},
+		{"two hops further is out of reach", 0, true, map[int]float64{1: 0.5, 3: 0.5, 5: 0.5}, 1},
+		{"balanced nearest", 2, true, nil, 3},
+		{"load tie at two hops, lowest ID", 2, true, map[int]float64{3: 0.5}, 1},
+		{"lowest load at two hops", 2, true, map[int]float64{3: 0.5, 1: 0.25}, 5},
+	}
+	for _, tc := range cases {
+		for _, reverse := range []bool{false, true} {
+			cfg := Config{Traffic: Centralized, APs: aps, BalanceAPs: tc.balance}
+			path, ap, err := routeToAP(g, tc.node, cfg, tc.load, reverse)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if ap != tc.want {
+				t.Errorf("%s: node %d got AP %d, want %d", tc.name, tc.node, ap, tc.want)
+				continue
+			}
+			from, to := tc.node, ap
+			if reverse {
+				from, to = ap, tc.node
+			}
+			if len(path) != g.HopDist(tc.node, ap)+1 || path[0] != from || path[len(path)-1] != to {
+				t.Errorf("%s (reverse=%v): path %v is not a minimum-hop %d→%d path", tc.name, reverse, path, from, to)
+			}
+		}
 	}
 }
 

@@ -43,9 +43,6 @@ type Config struct {
 	// server.events.dropped) rather than ever blocking a worker
 	// (default 64).
 	EventBuffer int
-	// EventReplay bounds the replay ring backing Last-Event-ID resume
-	// (default 1024 events). Retention starts with the first subscriber.
-	EventReplay int
 	// MetricsInterval is the period of the metrics.delta firehose events
 	// (default 10s; negative disables them). The same ticker drives the
 	// periodic TTL sweep of the artifact store.
@@ -119,7 +116,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		nets:        newRegistry(),
 		mets:        cfg.Metrics,
-		bus:         NewBus(cfg.EventBuffer, cfg.EventReplay, cfg.Metrics),
+		bus:         NewBus(cfg.EventBuffer, 0, cfg.Metrics),
 		baseCtx:     ctx,
 		baseCancel:  cancel,
 		metricsStop: make(chan struct{}),

@@ -1,7 +1,7 @@
 // Package stats provides the statistics the detection policy (Sec. VI) and
-// the evaluation (Sec. VII) need: empirical CDFs, the two-sample
-// Kolmogorov-Smirnov test with an asymptotic p-value, quantiles and
-// five-number summaries for box plots, and small helpers over histograms.
+// the evaluation (Sec. VII) need: the two-sample Kolmogorov-Smirnov test
+// with an asymptotic p-value, quantiles and five-number summaries for box
+// plots, and histogram proportions.
 // Everything is dependency-free and deterministic.
 package stats
 
@@ -71,34 +71,6 @@ func Summary(xs []float64) (FiveNum, error) {
 func (f FiveNum) String() string {
 	return fmt.Sprintf("min=%.3f q1=%.3f med=%.3f q3=%.3f max=%.3f",
 		f.Min, f.Q1, f.Median, f.Q3, f.Max)
-}
-
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from a sample (copied and sorted).
-func NewECDF(xs []float64) *ECDF {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}
-}
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// At returns F(x) = P(X ≤ x), the fraction of the sample ≤ x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	// Index of the first element > x.
-	idx := sort.SearchFloat64s(e.sorted, x)
-	for idx < len(e.sorted) && e.sorted[idx] == x {
-		idx++
-	}
-	return float64(idx) / float64(len(e.sorted))
 }
 
 // KSResult is the outcome of a two-sample Kolmogorov-Smirnov test.
@@ -187,14 +159,4 @@ func Proportions(hist map[int]int) map[int]float64 {
 		out[k] = float64(v) / float64(total)
 	}
 	return out
-}
-
-// SortedKeys returns a histogram's keys in ascending order, for rendering.
-func SortedKeys(hist map[int]int) []int {
-	keys := make([]int, 0, len(hist))
-	for k := range hist {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

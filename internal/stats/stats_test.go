@@ -64,31 +64,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 4})
-	tests := []struct {
-		x, want float64
-	}{
-		{0.5, 0},
-		{1, 0.25},
-		{2, 0.75},
-		{3, 0.75},
-		{4, 1},
-		{5, 1},
-	}
-	for _, tc := range tests {
-		if got := e.At(tc.x); got != tc.want {
-			t.Errorf("F(%v) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-	if e.Len() != 4 {
-		t.Errorf("Len = %d, want 4", e.Len())
-	}
-	if !math.IsNaN(NewECDF(nil).At(1)) {
-		t.Error("empty ECDF should return NaN")
-	}
-}
-
 func TestKSTestIdenticalSamples(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	res, err := KSTest(a, a)
@@ -242,16 +217,6 @@ func TestProportions(t *testing.T) {
 	}
 	if len(Proportions(nil)) != 0 {
 		t.Error("empty histogram should give empty map")
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	got := SortedKeys(map[int]int{4: 1, 1: 1, 3: 1})
-	want := []int{1, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedKeys = %v, want %v", got, want)
-		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // benchOpt keeps figure benchmarks fast while exercising the identical code
 // paths as the full-scale CLI runs.
-var benchOpt = experiment.Options{Trials: 2, Seed: 1, TopoSeed: 1}
+var benchOpt = experiment.Options{Trials: 2, Seed: 1}
 
 var (
 	envOnce    sync.Once

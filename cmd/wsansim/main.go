@@ -4,11 +4,13 @@
 //
 // Usage:
 //
-//	wsansim [flags] <fig1..fig11 | all | ext | ext-latency | ext-rho |
-//	                 ext-priority | ext-fixedrho | ext-repair | ext-seeds | ext-phases | ext-detector | ext-manage | ext-diversity | ext-bursty | ext-balance | topo | gen-schedule | simulate | describe | analyze-trace | manage | reschedule | validate | serve | watch | soak>
+//	wsansim [flags] <figure | all | ext | topo | gen-schedule | simulate |
+//	                 describe | analyze-trace | manage | reschedule | validate |
+//	                 serve | watch | soak>
 //
-// "all" regenerates every paper figure; "ext" runs the extension
-// experiments (latency, ρ_t sensitivity, DM-vs-RM, ρ-search ablation).
+// A figure is fig1..fig11 or one of the ext-* extension studies; `wsansim
+// -h` lists them all (experiment.Figures is the list). "all" regenerates
+// every paper figure; "ext" runs every extension study.
 //
 // Flags:
 //
@@ -35,6 +37,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -66,8 +69,7 @@ func run(args []string) error {
 	metricsOut := fs.String("metrics-out", "", "write the JSON metrics snapshot to this file after the command")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar on this address during the run")
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(),
-			"usage: wsansim [flags] <fig1..fig11 | all | ext | ext-latency | ext-rho | ext-priority | ext-fixedrho | ext-repair | ext-seeds | ext-phases | ext-detector | ext-manage | ext-diversity | ext-bursty | ext-balance | topo | gen-schedule | simulate | describe | analyze-trace | manage | reschedule | validate | serve | watch | soak>")
+		fmt.Fprintln(fs.Output(), usage())
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -78,10 +80,7 @@ func run(args []string) error {
 		return fmt.Errorf("a command is required")
 	}
 	cmd := fs.Arg(0)
-	hasOwnFlags := cmd == "gen-schedule" || cmd == "simulate" || cmd == "describe" ||
-		cmd == "analyze-trace" || cmd == "manage" || cmd == "reschedule" ||
-		cmd == "validate" || cmd == "serve" || cmd == "watch" ||
-		cmd == "soak"
+	hasOwnFlags := cmd != "topo" && slices.Contains(tools, cmd)
 	if fs.NArg() > 1 && !hasOwnFlags {
 		// Accept global flags after the command too (wsansim fig3 -trials 2):
 		// re-parse the remainder into the same flag set.
@@ -93,7 +92,10 @@ func run(args []string) error {
 			return fmt.Errorf("command %q takes no arguments", cmd)
 		}
 	}
-	opt := experiment.Options{Trials: *trials, Seed: *seed, TopoSeed: *topoSeed, Workers: *workers}
+	if *trials < 1 {
+		return fmt.Errorf("-trials must be at least 1, got %d", *trials)
+	}
+	opt := experiment.Options{Trials: *trials, Seed: *seed, Workers: *workers}
 
 	// One registry serves both observability surfaces: the -metrics dump at
 	// exit and the live expvar snapshot under -pprof. mets stays nil when
@@ -193,37 +195,6 @@ func dispatch(cmd string, fs *flag.FlagSet, opt experiment.Options, mets obs.Sin
 		return runSoak(fs.Args()[1:], mets)
 	}
 
-	type figure struct {
-		name string
-		env  string // which testbed environment it needs
-		fn   func(*experiment.Env, experiment.Options) ([]*experiment.Table, error)
-	}
-	figures := []figure{
-		{"fig1", "indriya", experiment.Fig1},
-		{"fig2", "indriya", experiment.Fig2},
-		{"fig3", "wustl", experiment.Fig3},
-		{"fig4", "indriya", experiment.Fig4},
-		{"fig5", "indriya", experiment.Fig5},
-		{"fig6", "indriya", experiment.Fig6},
-		{"fig7", "wustl", experiment.Fig7},
-		{"fig8", "wustl", experiment.Fig8},
-		{"fig9", "wustl", experiment.Fig9},
-		{"fig10", "wustl", experiment.Fig10},
-		{"fig11", "wustl", experiment.Fig11},
-		{"ext-latency", "wustl", experiment.ExtLatency},
-		{"ext-rho", "wustl", experiment.ExtRhoSweep},
-		{"ext-priority", "wustl", experiment.ExtPriority},
-		{"ext-fixedrho", "wustl", experiment.ExtFixedRho},
-		{"ext-repair", "wustl", experiment.ExtRepair},
-		{"ext-seeds", "indriya", experiment.ExtSeeds},
-		{"ext-phases", "wustl", experiment.ExtPhases},
-		{"ext-detector", "wustl", experiment.ExtDetector},
-		{"ext-manage", "wustl", experiment.ExtManage},
-		{"ext-diversity", "indriya", experiment.ExtDiversity},
-		{"ext-bursty", "wustl", experiment.ExtBursty},
-		{"ext-balance", "indriya", experiment.ExtBalance},
-		{"ext-reliability", "wustl", experiment.ExtReliability},
-	}
 	envs := make(map[string]*experiment.Env, 2)
 	getEnv := func(name string) (*experiment.Env, error) {
 		if env, ok := envs[name]; ok {
@@ -243,45 +214,56 @@ func dispatch(cmd string, fs *flag.FlagSet, opt experiment.Options, mets obs.Sin
 		envs[name] = env
 		return env, nil
 	}
-	ran := false
+	figures := selectFigures(cmd)
+	if len(figures) == 0 {
+		fs.Usage()
+		return fmt.Errorf("unknown command %q", cmd)
+	}
 	for _, f := range figures {
-		isExt := strings.HasPrefix(f.name, "ext-")
-		switch cmd {
-		case "all":
-			if isExt {
-				continue
-			}
-		case "ext":
-			if !isExt {
-				continue
-			}
-		default:
-			if cmd != f.name {
-				continue
-			}
-		}
-		ran = true
-		env, err := getEnv(f.env)
+		env, err := getEnv(f.Testbed)
 		if err != nil {
-			return fmt.Errorf("%s: %w", f.name, err)
+			return fmt.Errorf("%s: %w", f.Name, err)
 		}
 		start := time.Now()
-		tables, err := f.fn(env, opt)
+		tables, err := f.Run(env, opt)
 		if err != nil {
-			return fmt.Errorf("%s: %w", f.name, err)
+			return fmt.Errorf("%s: %w", f.Name, err)
 		}
 		for _, t := range tables {
 			if err := render(t, format); err != nil {
 				return err
 			}
 		}
-		fmt.Printf("(%s completed in %v)\n\n", f.name, time.Since(start).Round(time.Millisecond))
-	}
-	if !ran {
-		fs.Usage()
-		return fmt.Errorf("unknown command %q", cmd)
+		fmt.Printf("(%s completed in %v)\n\n", f.Name, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
+}
+
+// tools are the commands other than figures; all but topo parse their own
+// flags.
+var tools = []string{"topo", "gen-schedule", "simulate", "describe", "analyze-trace",
+	"manage", "reschedule", "validate", "serve", "watch", "soak"}
+
+// usage is the command synopsis, listing every registered figure.
+func usage() string {
+	cmds := []string{"all", "ext"}
+	for _, f := range experiment.Figures {
+		cmds = append(cmds, f.Name)
+	}
+	return "usage: wsansim [flags] <" + strings.Join(append(cmds, tools...), " | ") + ">"
+}
+
+// selectFigures returns the registered figures a command runs: "all" is
+// every paper figure, "ext" every ext-* study, a figure name that figure.
+func selectFigures(cmd string) []experiment.Figure {
+	var out []experiment.Figure
+	for _, f := range experiment.Figures {
+		isExt := strings.HasPrefix(f.Name, "ext-")
+		if cmd == f.Name || cmd == "all" && !isExt || cmd == "ext" && isExt {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // render writes one result table in the requested format.

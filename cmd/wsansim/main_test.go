@@ -3,9 +3,12 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"wsan"
+	"wsan/internal/experiment"
 )
 
 func TestRunErrors(t *testing.T) {
@@ -20,6 +23,44 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) should fail", args)
 		}
+	}
+}
+
+// TestRunRejectsNonPositiveTrials: a data point needs at least one trial
+// (zero divided Fig. 6's mean time by zero and printed NaN% ratios).
+func TestRunRejectsNonPositiveTrials(t *testing.T) {
+	for _, args := range [][]string{
+		{"-trials", "0", "fig6"},
+		{"-trials", "0", "fig3"},
+		{"-trials", "-2", "ext-rho"},
+		{"fig3", "-trials", "0"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "-trials") {
+			t.Errorf("run(%v) = %v, want a -trials error", args, err)
+		}
+	}
+}
+
+// TestUsageListsEveryFigure: every registered figure is named in the usage
+// text and is what its name dispatches to; "all" and "ext" split the
+// registry between them.
+func TestUsageListsEveryFigure(t *testing.T) {
+	words := strings.Split(strings.TrimSuffix(strings.SplitN(usage(), "<", 2)[1], ">"), " | ")
+	all, ext := len(selectFigures("all")), len(selectFigures("ext"))
+	if all+ext != len(experiment.Figures) || all == 0 || ext == 0 {
+		t.Errorf("all runs %d figures and ext %d; the registry has %d", all, ext, len(experiment.Figures))
+	}
+	for _, f := range experiment.Figures {
+		if !slices.Contains(words, f.Name) {
+			t.Errorf("usage omits %s: %s", f.Name, usage())
+		}
+		if got := selectFigures(f.Name); len(got) != 1 || got[0].Name != f.Name {
+			t.Errorf("%s dispatches to %v", f.Name, got)
+		}
+	}
+	if got := selectFigures("fig12"); len(got) != 0 {
+		t.Errorf("fig12 dispatches to %v", got)
 	}
 }
 

@@ -2,12 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 
-	"wsan/internal/flow"
 	"wsan/internal/routing"
-	"wsan/internal/scheduler"
 )
 
 // ExtBalance measures access-point load balancing, the routing-side remedy
@@ -17,72 +13,23 @@ import (
 // a region's uplinks and downlinks onto one AP; balancing spreads
 // equidistant endpoints across APs by assigned rate.
 func ExtBalance(env *Env, opt Options) ([]*Table, error) {
-	const numFlows = 60
+	spec := TrialSpec{Traffic: routing.Centralized, Flows: 60, PeriodExp: [2]int{0, 2}}
 	t := &Table{
 		Title: fmt.Sprintf("Ext: nearest-AP vs load-balanced AP selection (centralized, %d flows, %s)",
-			numFlows, env.TB.Name),
+			spec.Flows, env.TB.Name),
 		Header: []string{"channels", "routing", "NR", "RA", "RC"},
 	}
 	for _, nch := range []int{3, 4, 5} {
-		ce, err := env.ForChannels(nch)
-		if err != nil {
-			return nil, err
-		}
+		spec.Channels = nch
 		for _, balance := range []bool{false, true} {
-			var mu sync.Mutex
-			ok := map[scheduler.Algorithm]int{}
-			err := forEachTrial(opt, func(trial int) error {
-				rng := rand.New(rand.NewSource(opt.Seed*1_000_003 + int64(trial)))
-				fs, err := flow.Generate(rng, ce.Gc, flow.GenConfig{
-					NumFlows:     numFlows,
-					MinPeriodExp: 0,
-					MaxPeriodExp: 2,
-					Exclude:      ce.APs,
-				})
-				if err != nil {
-					return err
-				}
-				err = routing.Assign(fs, ce.Gc, routing.Config{
-					Traffic:    routing.Centralized,
-					APs:        ce.APs,
-					BalanceAPs: balance,
-				})
-				if err != nil {
-					return err
-				}
-				for _, alg := range allAlgs {
-					res, err := scheduler.Run(CloneFlows(fs), scheduler.Config{
-						Algorithm:   alg,
-						NumChannels: nch,
-						RhoT:        RhoT,
-						HopGR:       ce.Hop,
-						Retransmit:  true,
-						Metrics:     env.Metrics,
-					})
-					if err != nil {
-						return err
-					}
-					if res.Schedulable {
-						mu.Lock()
-						ok[alg]++
-						mu.Unlock()
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
+			spec.BalanceAPs = balance
 			label := "nearest"
 			if balance {
 				label = "balanced"
 			}
-			t.Rows = append(t.Rows, []string{
-				itoa(nch), label,
-				ratio(ok[scheduler.NR], opt.Trials),
-				ratio(ok[scheduler.RA], opt.Trials),
-				ratio(ok[scheduler.RC], opt.Trials),
-			})
+			if err := env.ratioRow(t, spec, opt, itoa(nch), label); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return []*Table{t}, nil

@@ -20,7 +20,7 @@ func ExtBursty(env *Env, opt Options) ([]*Table, error) {
 	for _, rho := range []float64{0, 0.8} {
 		p := DefaultReliabilityParams()
 		p.FadingCorrelation = rho
-		sets, _, err := env.findSchedulableSets(p, opt)
+		sets, _, err := env.reliabilitySets(p, opt)
 		if err != nil {
 			return nil, fmt.Errorf("ext-bursty: %w", err)
 		}

@@ -99,10 +99,9 @@ func wifiInterferers(tb *topology.Testbed, p DetectionParams) []netsim.Interfere
 	return out
 }
 
-// RunDetection schedules one 1 s-period workload with the given algorithm,
-// executes it for the full observation horizon with and without external
-// interference, and classifies every reuse-associated link.
-func RunDetection(env *Env, alg scheduler.Algorithm, p DetectionParams, opt Options) (clean, noisy DetectionOutcome, err error) {
+// detectionWorkload finds the first 1 s-period peer-to-peer workload of p
+// that alg schedules, searching 100 seeds from opt.Seed*9_000_011.
+func (e *Env) detectionWorkload(p DetectionParams, alg scheduler.Algorithm, opt Options) (flowSet, error) {
 	spec := TrialSpec{
 		Traffic:   routing.PeerToPeer,
 		Channels:  p.NumChannels,
@@ -110,23 +109,20 @@ func RunDetection(env *Env, alg scheduler.Algorithm, p DetectionParams, opt Opti
 		PeriodExp: [2]int{0, 0},
 		Seed:      opt.Seed * 9_000_011,
 	}
-	// Search for a seed this algorithm can schedule.
-	var fs flowSet
-	found := false
-	for attempt := int64(0); attempt < 100; attempt++ {
-		results, flows, rerr := env.RunTrial(spec, []scheduler.Algorithm{alg})
-		if rerr != nil {
-			return clean, noisy, rerr
-		}
-		if results[alg].Schedulable {
-			fs = flowSet{seed: spec.Seed, flows: flows, results: results}
-			found = true
-			break
-		}
-		spec.Seed++
+	sets, _, err := e.findSchedulableSets(spec, []scheduler.Algorithm{alg}, 1, 99, opt)
+	if err != nil {
+		return flowSet{}, fmt.Errorf("no schedulable %v workload: %w", alg, err)
 	}
-	if !found {
-		return clean, noisy, fmt.Errorf("detection: no schedulable %v workload found", alg)
+	return sets[0], nil
+}
+
+// RunDetection schedules one 1 s-period workload with the given algorithm,
+// executes it for the full observation horizon with and without external
+// interference, and classifies every reuse-associated link.
+func RunDetection(env *Env, alg scheduler.Algorithm, p DetectionParams, opt Options) (clean, noisy DetectionOutcome, err error) {
+	fs, err := env.detectionWorkload(p, alg, opt)
+	if err != nil {
+		return clean, noisy, fmt.Errorf("detection: %w", err)
 	}
 	hyper := fs.results[alg].Schedule.NumSlots()
 	totalSlots := p.Epochs * p.EpochSlots
@@ -174,15 +170,11 @@ func RunDetection(env *Env, alg scheduler.Algorithm, p DetectionParams, opt Opti
 // environment counts are included as context, mirroring the narrative of
 // Sec. VII-E.
 func Fig10(env *Env, opt Options) ([]*Table, error) {
-	return fig10WithParams(env, opt, DefaultDetectionParams())
+	return Fig10Scaled(env, opt, DefaultDetectionParams())
 }
 
 // Fig10Scaled runs the same experiment at reduced scale (for benchmarks).
 func Fig10Scaled(env *Env, opt Options, p DetectionParams) ([]*Table, error) {
-	return fig10WithParams(env, opt, p)
-}
-
-func fig10WithParams(env *Env, opt Options, p DetectionParams) ([]*Table, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("Fig 10: PRR of low-reliability links by K-S verdict (%s, WiFi interference)", env.TB.Name),
 		Header: []string{"alg", "env", "verdict", "links(link-epochs)", "mean PRR reuse", "mean PRR cf"},
@@ -241,15 +233,11 @@ func countLow(reports []detect.Report) int {
 // Fig11 reproduces Fig. 11: the number of rejected (reuse-degraded) links
 // in each epoch, for RA and RC, under external interference.
 func Fig11(env *Env, opt Options) ([]*Table, error) {
-	return fig11WithParams(env, opt, DefaultDetectionParams())
+	return Fig11Scaled(env, opt, DefaultDetectionParams())
 }
 
 // Fig11Scaled runs the same experiment at reduced scale (for benchmarks).
 func Fig11Scaled(env *Env, opt Options, p DetectionParams) ([]*Table, error) {
-	return fig11WithParams(env, opt, p)
-}
-
-func fig11WithParams(env *Env, opt Options, p DetectionParams) ([]*Table, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("Fig 11: rejected links per epoch under WiFi interference (%s)", env.TB.Name),
 		Header: []string{"alg"},

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 
 	"wsan/internal/routing"
 	"wsan/internal/scheduler"
@@ -12,96 +11,60 @@ import (
 // reuseAlgs are the two algorithms that can share channels.
 var reuseAlgs = []scheduler.Algorithm{scheduler.RA, scheduler.RC}
 
-// distKind selects which per-schedule distribution an efficiency sweep
-// accumulates.
-type distKind int
+// distribution is a per-schedule histogram that an efficiency sweep
+// accumulates over schedulable runs.
+type distribution struct {
+	name, bucket string
+	buckets      []int // the first and last buckets also collect every smaller and larger key
+	hist         func(*scheduler.Result, *ChanEnv) map[int]int
+}
 
-const (
-	distTxPerChannel distKind = iota + 1
-	distReuseHop
+var (
+	// txPerChannel is Fig. 4's transmissions-per-channel distribution.
+	txPerChannel = distribution{"transmissions per channel", "Tx/channel", []int{1, 2, 3, 4},
+		func(res *scheduler.Result, _ *ChanEnv) map[int]int { return res.Schedule.TxPerChannelHist() }}
+	// reuseHops is Fig. 5's channel-reuse hop-count distribution.
+	reuseHops = distribution{"channel reuse hop count", "hops", []int{2, 3, 4, 5},
+		func(res *scheduler.Result, ce *ChanEnv) map[int]int { return res.Schedule.ReuseHopHist(ce.Hop) }}
 )
 
-// efficiencySweep accumulates, per (channel count, algorithm), either the
-// transmissions-per-channel distribution (Fig. 4) or the reuse hop-count
-// distribution (Fig. 5), over the schedulable runs of opt.Trials workloads.
-func (e *Env) efficiencySweep(kind distKind, traffic routing.Traffic, periodExp [2]int, numFlows int, opt Options) (*Table, error) {
-	var name, bucketName string
-	var buckets []int
-	switch kind {
-	case distTxPerChannel:
-		name, bucketName = "transmissions per channel", "Tx/channel"
-		buckets = []int{1, 2, 3, 4}
-	case distReuseHop:
-		name, bucketName = "channel reuse hop count", "hops"
-		buckets = []int{2, 3, 4, 5}
-	default:
-		return nil, fmt.Errorf("unknown distribution kind %d", kind)
-	}
-	t := &Table{
-		Title: fmt.Sprintf("%s (%v, %d flows, P=[2^%d,2^%d]s, %s)",
-			name, traffic, numFlows, periodExp[0], periodExp[1], e.TB.Name),
-		Header: []string{"channels", "alg"},
-	}
-	for i, b := range buckets {
-		label := fmt.Sprintf("%s=%d", bucketName, b)
-		if i == len(buckets)-1 {
-			label = fmt.Sprintf("%s>=%d", bucketName, b)
+// efficiencyFigure renders, per workload base, the distribution d of RA and
+// RC over the schedulable runs of opt.Trials workloads at each channel
+// count, titled "<fig>(a): …", "<fig>(b): …", and so on.
+func (e *Env) efficiencyFigure(fig string, d distribution, opt Options, bases ...TrialSpec) ([]*Table, error) {
+	var out []*Table
+	for i, spec := range bases {
+		label := fmt.Sprintf("%s(%c)", fig, 'a'+i)
+		t := &Table{
+			Title: fmt.Sprintf("%s: %s (%v, %d flows, P=[2^%d,2^%d]s, %s)",
+				label, d.name, spec.Traffic, spec.Flows, spec.PeriodExp[0], spec.PeriodExp[1], e.TB.Name),
+			Header: []string{"channels", "alg"},
 		}
-		t.Header = append(t.Header, label)
-	}
-	for _, nch := range channelSweep {
-		hists := make(map[scheduler.Algorithm]map[int]int, len(reuseAlgs))
-		for _, alg := range reuseAlgs {
-			hists[alg] = make(map[int]int)
-		}
-		var mu sync.Mutex
-		err := forEachTrial(opt, func(trial int) error {
-			spec := TrialSpec{
-				Traffic:   traffic,
-				Channels:  nch,
-				Flows:     numFlows,
-				PeriodExp: periodExp,
-				Seed:      opt.Seed*1_000_003 + int64(trial),
+		for j, b := range d.buckets {
+			op := "="
+			if j == len(d.buckets)-1 {
+				op = ">="
 			}
-			results, _, err := e.RunTrial(spec, reuseAlgs)
+			t.Header = append(t.Header, fmt.Sprintf("%s%s%d", d.bucket, op, b))
+		}
+		for _, nch := range channelSweep {
+			spec.Channels = nch
+			_, hists, err := e.countSchedulable(spec, reuseAlgs, RhoT, opt, d.hist)
 			if err != nil {
-				return err
+				return nil, fmt.Errorf("%s: %w", label, err)
 			}
-			ce, err := e.ForChannels(nch)
-			if err != nil {
-				return err
+			for _, alg := range reuseAlgs {
+				props := stats.Proportions(clampHist(hists[alg], d.buckets))
+				row := []string{itoa(nch), alg.String()}
+				for _, b := range d.buckets {
+					row = append(row, pct(props[b]))
+				}
+				t.Rows = append(t.Rows, row)
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			for alg, res := range results {
-				if !res.Schedulable {
-					continue
-				}
-				var h map[int]int
-				if kind == distTxPerChannel {
-					h = res.Schedule.TxPerChannelHist()
-				} else {
-					h = res.Schedule.ReuseHopHist(ce.Hop)
-				}
-				for k, v := range h {
-					hists[alg][k] += v
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		for _, alg := range reuseAlgs {
-			props := stats.Proportions(clampHist(hists[alg], buckets))
-			row := []string{itoa(nch), alg.String()}
-			for _, b := range buckets {
-				row = append(row, pct(props[b]))
-			}
-			t.Rows = append(t.Rows, row)
-		}
+		out = append(out, t)
 	}
-	return t, nil
+	return out, nil
 }
 
 // clampHist folds histogram keys above the last bucket into it (the ">=N"
@@ -128,31 +91,15 @@ func clampHist(h map[int]int, buckets []int) map[int]int {
 // Fig4 reproduces Fig. 4: the distribution of transmissions per channel for
 // RA vs RC under (a) centralized and (b) peer-to-peer traffic (Indriya).
 func Fig4(env *Env, opt Options) ([]*Table, error) {
-	a, err := env.efficiencySweep(distTxPerChannel, routing.Centralized, [2]int{0, 2}, 60, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig4a: %w", err)
-	}
-	a.Title = "Fig 4(a): " + a.Title
-	b, err := env.efficiencySweep(distTxPerChannel, routing.PeerToPeer, [2]int{0, 2}, 100, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig4b: %w", err)
-	}
-	b.Title = "Fig 4(b): " + b.Title
-	return []*Table{a, b}, nil
+	return env.efficiencyFigure("Fig 4", txPerChannel, opt,
+		TrialSpec{Traffic: routing.Centralized, Flows: 60, PeriodExp: [2]int{0, 2}},
+		TrialSpec{Traffic: routing.PeerToPeer, Flows: 100, PeriodExp: [2]int{0, 2}})
 }
 
 // Fig5 reproduces Fig. 5: the distribution of channel-reuse hop counts for
 // RA vs RC under (a) peer-to-peer and (b) centralized traffic (Indriya).
 func Fig5(env *Env, opt Options) ([]*Table, error) {
-	a, err := env.efficiencySweep(distReuseHop, routing.PeerToPeer, [2]int{0, 2}, 100, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig5a: %w", err)
-	}
-	a.Title = "Fig 5(a): " + a.Title
-	b, err := env.efficiencySweep(distReuseHop, routing.Centralized, [2]int{0, 2}, 60, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig5b: %w", err)
-	}
-	b.Title = "Fig 5(b): " + b.Title
-	return []*Table{a, b}, nil
+	return env.efficiencyFigure("Fig 5", reuseHops, opt,
+		TrialSpec{Traffic: routing.PeerToPeer, Flows: 100, PeriodExp: [2]int{0, 2}},
+		TrialSpec{Traffic: routing.Centralized, Flows: 60, PeriodExp: [2]int{0, 2}})
 }

@@ -5,9 +5,10 @@
 // plots from the network simulator (Figs. 8–9), and the reliability-
 // degradation detection study (Figs. 10–11).
 //
-// Each runner is deterministic for a fixed Options value; the number of
-// random flow sets per data point is configurable so benchmarks can run
-// scaled-down versions of the same code paths the CLI runs at full scale.
+// Figures lists every runner with the testbed it runs on. Each runner is
+// deterministic for a fixed Options value; the number of random flow sets
+// per data point is configurable so benchmarks can run scaled-down versions
+// of the same code paths the CLI runs at full scale.
 package experiment
 
 import (
@@ -34,23 +35,54 @@ const RhoT = 2
 // PRRThreshold is PRR_t, the link-selection and reliability threshold.
 const PRRThreshold = 0.9
 
+// Figure is one entry of the figure registry: a runner and the testbed it
+// runs on ("indriya" or "wustl").
+type Figure struct {
+	Name    string
+	Testbed string
+	Run     func(*Env, Options) ([]*Table, error)
+}
+
+// Figures is the registry of every figure the CLI runs: the paper's figures
+// (fig*) and the extension studies (ext-*), in CLI order.
+var Figures = []Figure{
+	{"fig1", "indriya", Fig1},
+	{"fig2", "indriya", Fig2},
+	{"fig3", "wustl", Fig3},
+	{"fig4", "indriya", Fig4},
+	{"fig5", "indriya", Fig5},
+	{"fig6", "indriya", Fig6},
+	{"fig7", "wustl", Fig7},
+	{"fig8", "wustl", Fig8},
+	{"fig9", "wustl", Fig9},
+	{"fig10", "wustl", Fig10},
+	{"fig11", "wustl", Fig11},
+	{"ext-latency", "wustl", ExtLatency},
+	{"ext-rho", "wustl", ExtRhoSweep},
+	{"ext-priority", "wustl", ExtPriority},
+	{"ext-fixedrho", "wustl", ExtFixedRho},
+	{"ext-repair", "wustl", ExtRepair},
+	{"ext-seeds", "indriya", ExtSeeds},
+	{"ext-phases", "wustl", ExtPhases},
+	{"ext-detector", "wustl", ExtDetector},
+	{"ext-manage", "wustl", ExtManage},
+	{"ext-diversity", "indriya", ExtDiversity},
+	{"ext-bursty", "wustl", ExtBursty},
+	{"ext-balance", "indriya", ExtBalance},
+	{"ext-reliability", "wustl", ExtReliability},
+}
+
 // Options controls experiment scale and seeding.
 type Options struct {
 	// Trials is the number of random flow sets per data point (paper: 100).
 	Trials int
-	// Seed derives workload seeds; TopoSeed generates the testbeds.
-	Seed     int64
-	TopoSeed int64
+	// Seed derives workload seeds.
+	Seed int64
 	// Workers bounds the number of trials evaluated concurrently; 0 means
 	// GOMAXPROCS. Every trial derives its randomness from its own seed, so
 	// results are identical at any parallelism. Timing experiments (Fig. 6)
 	// always run serially.
 	Workers int
-}
-
-// DefaultOptions mirrors the paper's scale.
-func DefaultOptions() Options {
-	return Options{Trials: 100, Seed: 1, TopoSeed: 1}
 }
 
 func (o Options) workers() int {
@@ -203,6 +235,14 @@ type TrialSpec struct {
 	Flows     int
 	PeriodExp [2]int // P = [2^a, 2^b] seconds
 	Seed      int64
+	// BalanceAPs spreads centralized endpoints over equidistant access
+	// points (routing.Config.BalanceAPs).
+	BalanceAPs bool
+	// StaggerPhases draws random release offsets (flow.GenConfig).
+	StaggerPhases bool
+	// RateMonotonic renumbers priorities by period after routing
+	// (flow.AssignRM) instead of keeping deadline-monotonic order.
+	RateMonotonic bool
 }
 
 // GenerateFlows draws the trial's flow set and assigns routes.
@@ -213,17 +253,21 @@ func (e *Env) GenerateFlows(spec TrialSpec) ([]*flow.Flow, *ChanEnv, error) {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	fs, err := flow.Generate(rng, ce.Gc, flow.GenConfig{
-		NumFlows:     spec.Flows,
-		MinPeriodExp: spec.PeriodExp[0],
-		MaxPeriodExp: spec.PeriodExp[1],
-		Exclude:      ce.APs,
+		NumFlows:      spec.Flows,
+		MinPeriodExp:  spec.PeriodExp[0],
+		MaxPeriodExp:  spec.PeriodExp[1],
+		Exclude:       ce.APs,
+		StaggerPhases: spec.StaggerPhases,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	rcfg := routing.Config{Traffic: spec.Traffic, APs: ce.APs}
+	rcfg := routing.Config{Traffic: spec.Traffic, APs: ce.APs, BalanceAPs: spec.BalanceAPs}
 	if err := routing.Assign(fs, ce.Gc, rcfg); err != nil {
 		return nil, nil, err
+	}
+	if spec.RateMonotonic {
+		flow.AssignRM(fs)
 	}
 	return fs, ce, nil
 }

@@ -2,10 +2,14 @@ package experiment
 
 import (
 	"errors"
+	"maps"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"wsan/internal/flow"
 	"wsan/internal/routing"
 	"wsan/internal/scheduler"
 )
@@ -39,10 +43,14 @@ func TestTableString(t *testing.T) {
 	}
 }
 
+// TestDefaultOptions checks Options' one default: zero Workers means one
+// worker per CPU.
 func TestDefaultOptions(t *testing.T) {
-	opt := DefaultOptions()
-	if opt.Trials != 100 || opt.Seed != 1 {
-		t.Errorf("DefaultOptions = %+v", opt)
+	if got, want := (Options{}).workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Options{}.workers() = %d, want GOMAXPROCS %d", got, want)
+	}
+	if got := (Options{Workers: 3}).workers(); got != 3 {
+		t.Errorf("Options{Workers: 3}.workers() = %d", got)
 	}
 }
 
@@ -123,6 +131,50 @@ func TestCloneFlowsIsDeep(t *testing.T) {
 	}
 }
 
+// TestGenerateFlowsVariants checks that the TrialSpec workload switches
+// reach the generator: RateMonotonic orders priorities by period instead of
+// deadline, and StaggerPhases draws release offsets. (ext-priority's DM and
+// RM rows agree at pin scale, so its table cannot tell them apart.)
+func TestGenerateFlowsVariants(t *testing.T) {
+	env, err := NewWUSTLEnv(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := func(spec TrialSpec) []*flow.Flow {
+		fs, _, err := env.GenerateFlows(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	byPeriod := func(fs []*flow.Flow) bool {
+		return slices.IsSortedFunc(fs, func(a, b *flow.Flow) int { return a.Period - b.Period })
+	}
+	phased := func(fs []*flow.Flow) bool {
+		return slices.ContainsFunc(fs, func(f *flow.Flow) bool { return f.Phase > 0 })
+	}
+	// Deadlines lie in [P/2, P], so the deadline-monotonic default differs
+	// from period order only on a deadline tie across periods; take the
+	// first seed that has one.
+	spec := TrialSpec{Traffic: routing.PeerToPeer, Channels: 4, Flows: 60, PeriodExp: [2]int{0, 2}}
+	for spec.Seed = 1; byPeriod(gen(spec)); spec.Seed++ {
+		if spec.Seed == 100 {
+			t.Fatal("no seed in 1..100 orders deadline-monotonic priorities off period order")
+		}
+	}
+	if phased(gen(spec)) {
+		t.Error("default workload has release phases")
+	}
+	spec.RateMonotonic = true
+	if !byPeriod(gen(spec)) {
+		t.Error("RateMonotonic workload is not in period order")
+	}
+	spec.RateMonotonic, spec.StaggerPhases = false, true
+	if !phased(gen(spec)) {
+		t.Error("StaggerPhases workload has no phases")
+	}
+}
+
 func TestClampHist(t *testing.T) {
 	h := map[int]int{0: 1, 1: 2, 3: 3, 7: 4}
 	got := clampHist(h, []int{1, 2, 3, 4})
@@ -163,7 +215,8 @@ func TestCountSchedulableConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{Trials: 4, Seed: 1}
-	ok, err := env.countSchedulable(routing.PeerToPeer, [2]int{1, 2}, 10, 4, opt)
+	spec := TrialSpec{Traffic: routing.PeerToPeer, Channels: 4, Flows: 10, PeriodExp: [2]int{1, 2}}
+	ok, _, err := env.countSchedulable(spec, allAlgs, RhoT, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,26 +230,34 @@ func TestCountSchedulableConsistency(t *testing.T) {
 }
 
 // TestParallelTrialsDeterministic verifies that the worker count does not
-// change experiment results (every trial owns its seed).
+// change experiment results (every trial owns its seed), histograms summed
+// across workers included.
 func TestParallelTrialsDeterministic(t *testing.T) {
 	env, err := NewWUSTLEnv(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) map[scheduler.Algorithm]int {
+	run := func(workers int) (map[scheduler.Algorithm]int, map[scheduler.Algorithm]map[int]int) {
 		opt := Options{Trials: 12, Seed: 1, Workers: workers}
-		ok, err := env.countSchedulable(routing.PeerToPeer, [2]int{0, 1}, 60, 4, opt)
+		spec := TrialSpec{Traffic: routing.PeerToPeer, Channels: 4, Flows: 60, PeriodExp: [2]int{0, 1}}
+		ok, hists, err := env.countSchedulable(spec, allAlgs, RhoT, opt, reuseHops.hist)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ok
+		return ok, hists
 	}
-	serial := run(1)
-	parallel := run(4)
+	serial, serialHists := run(1)
+	parallel, parallelHists := run(4)
 	for _, alg := range allAlgs {
 		if serial[alg] != parallel[alg] {
 			t.Errorf("%v: serial=%d parallel=%d", alg, serial[alg], parallel[alg])
 		}
+		if !maps.Equal(serialHists[alg], parallelHists[alg]) {
+			t.Errorf("%v reuse hops: serial=%v parallel=%v", alg, serialHists[alg], parallelHists[alg])
+		}
+	}
+	if len(serialHists[scheduler.RA]) == 0 {
+		t.Error("RA reused no channel; the histogram check is vacuous")
 	}
 }
 

@@ -2,10 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 
 	"wsan/internal/analysis"
-	"wsan/internal/flow"
 	"wsan/internal/routing"
 	"wsan/internal/scheduler"
 )
@@ -22,7 +20,7 @@ import (
 func ExtLatency(env *Env, opt Options) ([]*Table, error) {
 	p := DefaultReliabilityParams()
 	p.NumFlows = 35 // light enough that NR schedules most sets
-	sets, skipped, err := env.findSchedulableSets(p, opt)
+	sets, skipped, err := env.reliabilitySets(p, opt)
 	if err != nil {
 		return nil, fmt.Errorf("ext-latency: %w", err)
 	}
@@ -67,69 +65,18 @@ func ExtLatency(env *Env, opt Options) ([]*Table, error) {
 // a larger minimum reuse hop distance is safer but reduces capacity. It
 // sweeps ρ_t for RC (and RA for reference) on a heavy peer-to-peer workload.
 func ExtRhoSweep(env *Env, opt Options) ([]*Table, error) {
-	const (
-		numFlows = 100
-		nch      = 4
-	)
+	spec := TrialSpec{Traffic: routing.PeerToPeer, Channels: 4, Flows: 100, PeriodExp: [2]int{0, 2}}
 	t := &Table{
 		Title: fmt.Sprintf("Ext: schedulable ratio vs ρ_t (peer-to-peer, %d flows, %d channels, %s)",
-			numFlows, nch, env.TB.Name),
+			spec.Flows, spec.Channels, env.TB.Name),
 		Header: []string{"ρ_t", "RA", "RC", "RC mean reuse hop"},
 	}
-	ce, err := env.ForChannels(nch)
-	if err != nil {
-		return nil, err
-	}
 	for _, rhoT := range []int{2, 3, 4} {
-		// Integer tallies commute, so the parallel trial fan-out is
-		// bit-identical to the sequential sweep at any worker count.
-		var mu sync.Mutex
-		ok := map[scheduler.Algorithm]int{}
-		hopTotal, hopCount := 0, 0
-		err := forEachTrial(opt, func(trial int) error {
-			fs, _, err := env.GenerateFlows(TrialSpec{
-				Traffic:   routing.PeerToPeer,
-				Channels:  nch,
-				Flows:     numFlows,
-				PeriodExp: [2]int{0, 2},
-				Seed:      opt.Seed*1_000_003 + int64(trial),
-			})
-			if err != nil {
-				return err
-			}
-			for _, alg := range reuseAlgs {
-				res, err := scheduler.Run(CloneFlows(fs), scheduler.Config{
-					Algorithm:   alg,
-					NumChannels: nch,
-					RhoT:        rhoT,
-					HopGR:       ce.Hop,
-					Retransmit:  true,
-					Metrics:     env.Metrics,
-				})
-				if err != nil {
-					return err
-				}
-				if res.Schedulable {
-					mu.Lock()
-					ok[alg]++
-					if alg == scheduler.RC {
-						for h, n := range res.Schedule.ReuseHopHist(ce.Hop) {
-							hopTotal += h * n
-							hopCount += n
-						}
-					}
-					mu.Unlock()
-				}
-			}
-			return nil
-		})
+		ok, hists, err := env.countSchedulable(spec, reuseAlgs, rhoT, opt, reuseHops.hist)
 		if err != nil {
 			return nil, err
 		}
-		meanHop := "-"
-		if hopCount > 0 {
-			meanHop = fmt.Sprintf("%.2f", float64(hopTotal)/float64(hopCount))
-		}
+		meanHop, _ := meanReuseHop(hists[scheduler.RC])
 		t.Rows = append(t.Rows, []string{
 			itoa(rhoT),
 			ratio(ok[scheduler.RA], opt.Trials),
@@ -140,68 +87,34 @@ func ExtRhoSweep(env *Env, opt Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
+// meanReuseHop renders the mean of a reuse hop-count histogram ("-" when it
+// is empty) and returns the number of reused cells it counts.
+func meanReuseHop(hops map[int]int) (string, int) {
+	total, cells := 0, 0
+	for h, n := range hops {
+		total += h * n
+		cells += n
+	}
+	if cells == 0 {
+		return "-", 0
+	}
+	return fmt.Sprintf("%.2f", float64(total)/float64(cells)), cells
+}
+
 // ExtPriority compares Deadline-Monotonic against Rate-Monotonic priority
 // assignment for all three schedulers on a heavy peer-to-peer workload.
 func ExtPriority(env *Env, opt Options) ([]*Table, error) {
-	const (
-		numFlows = 130
-		nch      = 5
-	)
+	spec := TrialSpec{Traffic: routing.PeerToPeer, Channels: 5, Flows: 130, PeriodExp: [2]int{0, 2}}
 	t := &Table{
 		Title: fmt.Sprintf("Ext: DM vs RM priority assignment (peer-to-peer, %d flows, %d channels, %s)",
-			numFlows, nch, env.TB.Name),
+			spec.Flows, spec.Channels, env.TB.Name),
 		Header: []string{"priority", "NR", "RA", "RC"},
 	}
-	ce, err := env.ForChannels(nch)
-	if err != nil {
-		return nil, err
-	}
 	for _, prio := range []string{"DM", "RM"} {
-		var mu sync.Mutex
-		ok := map[scheduler.Algorithm]int{}
-		err := forEachTrial(opt, func(trial int) error {
-			fs, _, err := env.GenerateFlows(TrialSpec{
-				Traffic:   routing.PeerToPeer,
-				Channels:  nch,
-				Flows:     numFlows,
-				PeriodExp: [2]int{0, 2},
-				Seed:      opt.Seed*1_000_003 + int64(trial),
-			})
-			if err != nil {
-				return err
-			}
-			if prio == "RM" {
-				flow.AssignRM(fs)
-			}
-			for _, alg := range allAlgs {
-				res, err := scheduler.Run(CloneFlows(fs), scheduler.Config{
-					Algorithm:   alg,
-					NumChannels: nch,
-					RhoT:        RhoT,
-					HopGR:       ce.Hop,
-					Retransmit:  true,
-					Metrics:     env.Metrics,
-				})
-				if err != nil {
-					return err
-				}
-				if res.Schedulable {
-					mu.Lock()
-					ok[alg]++
-					mu.Unlock()
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		spec.RateMonotonic = prio == "RM"
+		if err := env.ratioRow(t, spec, opt, prio); err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, []string{
-			prio,
-			ratio(ok[scheduler.NR], opt.Trials),
-			ratio(ok[scheduler.RA], opt.Trials),
-			ratio(ok[scheduler.RC], opt.Trials),
-		})
 	}
 	return []*Table{t}, nil
 }
@@ -211,7 +124,7 @@ func ExtPriority(env *Env, opt Options) ([]*Table, error) {
 // terms of schedulability, reuse hop distances, and worst-case delivery.
 func ExtFixedRho(env *Env, opt Options) ([]*Table, error) {
 	p := DefaultReliabilityParams()
-	sets, skipped, err := env.findSchedulableSets(p, opt)
+	sets, skipped, err := env.reliabilitySets(p, opt)
 	if err != nil {
 		return nil, fmt.Errorf("ext-fixedrho: %w", err)
 	}
@@ -249,15 +162,7 @@ func ExtFixedRho(env *Env, opt Options) ([]*Table, error) {
 				t.Rows = append(t.Rows, []string{itoa(i + 1), variant, "-", "-", "unschedulable"})
 				continue
 			}
-			hopTotal, cells := 0, 0
-			for h, n := range res.Schedule.ReuseHopHist(ce.Hop) {
-				hopTotal += h * n
-				cells += n
-			}
-			meanHop := "-"
-			if cells > 0 {
-				meanHop = fmt.Sprintf("%.2f", float64(hopTotal)/float64(cells))
-			}
+			meanHop, cells := meanReuseHop(res.Schedule.ReuseHopHist(ce.Hop))
 			sub := fs
 			sub.results = map[scheduler.Algorithm]*scheduler.Result{scheduler.RC: res}
 			pdrs, err := env.simulate(sub, scheduler.RC, p, fs.seed)

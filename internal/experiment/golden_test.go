@@ -19,39 +19,6 @@ func tableChecksum(t *Table) string {
 // goldenOpt is the reduced scale every figure pin runs at.
 var goldenOpt = Options{Trials: 10, Seed: 1}
 
-// goldenFigures lists every figure the CLI runs, with the testbed the CLI
-// runs it on.
-var goldenFigures = []struct {
-	name    string
-	testbed string
-	run     func(*Env, Options) ([]*Table, error)
-}{
-	{"fig1", "indriya", Fig1},
-	{"fig2", "indriya", Fig2},
-	{"fig3", "wustl", Fig3},
-	{"fig4", "indriya", Fig4},
-	{"fig5", "indriya", Fig5},
-	{"fig6", "indriya", Fig6},
-	{"fig7", "wustl", Fig7},
-	{"fig8", "wustl", Fig8},
-	{"fig9", "wustl", Fig9},
-	{"fig10", "wustl", Fig10},
-	{"fig11", "wustl", Fig11},
-	{"ext-latency", "wustl", ExtLatency},
-	{"ext-rho", "wustl", ExtRhoSweep},
-	{"ext-priority", "wustl", ExtPriority},
-	{"ext-fixedrho", "wustl", ExtFixedRho},
-	{"ext-repair", "wustl", ExtRepair},
-	{"ext-seeds", "indriya", ExtSeeds},
-	{"ext-phases", "wustl", ExtPhases},
-	{"ext-detector", "wustl", ExtDetector},
-	{"ext-manage", "wustl", ExtManage},
-	{"ext-diversity", "indriya", ExtDiversity},
-	{"ext-bursty", "wustl", ExtBursty},
-	{"ext-balance", "indriya", ExtBalance},
-	{"ext-reliability", "wustl", ExtReliability},
-}
-
 // scaledRuns replaces the full-scale runner of the simulation-heavy figures
 // with a reduced-scale call of their *Scaled entry point.
 var scaledRuns = map[string]func(*Env, Options) ([]*Table, error){
@@ -145,11 +112,11 @@ func figureTables(t *testing.T, name string) []*Table {
 	goldenMu.Lock()
 	get, ok := goldenResults[name]
 	if !ok {
-		for _, f := range goldenFigures {
-			if f.name != name {
+		for _, f := range Figures {
+			if f.Name != name {
 				continue
 			}
-			run, testbed := f.run, f.testbed
+			run, testbed := f.Run, f.Testbed
 			if scaled, ok := scaledRuns[name]; ok {
 				run = scaled
 			}
@@ -179,19 +146,21 @@ func figureTables(t *testing.T, name string) []*Table {
 // byte-identical. A drifting table is printed with its new checksum. -short
 // skips the ext-* studies and keeps the paper's figures.
 func TestFigureGolden(t *testing.T) {
-	for _, f := range goldenFigures {
-		if f.name == "fig6" {
+	registered := map[string]bool{}
+	for _, f := range Figures {
+		registered[f.Name] = true
+		if f.Name == "fig6" {
 			continue
 		}
-		t.Run(f.name, func(t *testing.T) {
-			if testing.Short() && strings.HasPrefix(f.name, "ext-") {
+		t.Run(f.Name, func(t *testing.T) {
+			want, ok := figurePins[f.Name]
+			if !ok {
+				t.Fatalf("%s has no pin", f.Name)
+			}
+			if testing.Short() && strings.HasPrefix(f.Name, "ext-") {
 				t.Skip("ext-* pins skipped in -short mode")
 			}
-			want, ok := figurePins[f.name]
-			if !ok {
-				t.Fatalf("%s has no pin", f.name)
-			}
-			tables := figureTables(t, f.name)
+			tables := figureTables(t, f.Name)
 			if len(tables) != len(want) {
 				t.Fatalf("%d tables, want %d", len(tables), len(want))
 			}
@@ -204,6 +173,11 @@ func TestFigureGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+	for name := range figurePins {
+		if !registered[name] {
+			t.Errorf("pin for %s, which is not in Figures", name)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wsan/internal/manage"
-	"wsan/internal/routing"
 	"wsan/internal/scheduler"
 	"wsan/internal/topology"
 )
@@ -20,29 +19,9 @@ func ExtManage(env *Env, opt Options) ([]*Table, error) {
 	p := DefaultDetectionParams()
 	p.Epochs = 2    // two epochs per observation window: stabler verdicts
 	p.NumFlows = 40 // leave slack for repairs to land in exclusive cells
-	spec := TrialSpec{
-		Traffic:   routing.PeerToPeer,
-		Channels:  p.NumChannels,
-		Flows:     p.NumFlows,
-		PeriodExp: [2]int{0, 0},
-		Seed:      opt.Seed * 9_000_011,
-	}
-	var fs flowSet
-	found := false
-	for attempt := 0; attempt < 100; attempt++ {
-		results, flows, err := env.RunTrial(spec, []scheduler.Algorithm{scheduler.RA})
-		if err != nil {
-			return nil, err
-		}
-		if results[scheduler.RA].Schedulable {
-			fs = flowSet{seed: spec.Seed, flows: flows, results: results}
-			found = true
-			break
-		}
-		spec.Seed++
-	}
-	if !found {
-		return nil, fmt.Errorf("ext-manage: no schedulable RA workload found")
+	fs, err := env.detectionWorkload(p, scheduler.RA, opt)
+	if err != nil {
+		return nil, fmt.Errorf("ext-manage: %w", err)
 	}
 	iters, err := manage.Loop(manage.Config{
 		Testbed:            env.TB,

@@ -2,12 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 
-	"wsan/internal/flow"
 	"wsan/internal/routing"
-	"wsan/internal/scheduler"
 )
 
 // ExtPhases quantifies release staggering, the WirelessHART practice of
@@ -16,70 +12,21 @@ import (
 // phases in [0, period−deadline]. Staggering relieves the slot-0 herd, so
 // NR especially should gain schedulability.
 func ExtPhases(env *Env, opt Options) ([]*Table, error) {
-	const (
-		numFlows = 100
-		nch      = 4
-	)
+	spec := TrialSpec{Traffic: routing.PeerToPeer, Channels: 4, Flows: 100, PeriodExp: [2]int{0, 2}}
 	t := &Table{
 		Title: fmt.Sprintf("Ext: synchronized vs staggered releases (peer-to-peer, %d flows, %d channels, %s)",
-			numFlows, nch, env.TB.Name),
+			spec.Flows, spec.Channels, env.TB.Name),
 		Header: []string{"releases", "NR", "RA", "RC"},
 	}
-	ce, err := env.ForChannels(nch)
-	if err != nil {
-		return nil, err
-	}
 	for _, stagger := range []bool{false, true} {
-		var mu sync.Mutex
-		ok := map[scheduler.Algorithm]int{}
-		err := forEachTrial(opt, func(trial int) error {
-			rng := rand.New(rand.NewSource(opt.Seed*1_000_003 + int64(trial)))
-			fs, err := flow.Generate(rng, ce.Gc, flow.GenConfig{
-				NumFlows:      numFlows,
-				MinPeriodExp:  0,
-				MaxPeriodExp:  2,
-				Exclude:       ce.APs,
-				StaggerPhases: stagger,
-			})
-			if err != nil {
-				return err
-			}
-			if err := routing.Assign(fs, ce.Gc, routing.Config{Traffic: routing.PeerToPeer}); err != nil {
-				return err
-			}
-			for _, alg := range allAlgs {
-				res, err := scheduler.Run(CloneFlows(fs), scheduler.Config{
-					Algorithm:   alg,
-					NumChannels: nch,
-					RhoT:        RhoT,
-					HopGR:       ce.Hop,
-					Retransmit:  true,
-					Metrics:     env.Metrics,
-				})
-				if err != nil {
-					return err
-				}
-				if res.Schedulable {
-					mu.Lock()
-					ok[alg]++
-					mu.Unlock()
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		spec.StaggerPhases = stagger
 		label := "synchronized"
 		if stagger {
 			label = "staggered"
 		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			ratio(ok[scheduler.NR], opt.Trials),
-			ratio(ok[scheduler.RA], opt.Trials),
-			ratio(ok[scheduler.RC], opt.Trials),
-		})
+		if err := env.ratioRow(t, spec, opt, label); err != nil {
+			return nil, err
+		}
 	}
 	return []*Table{t}, nil
 }

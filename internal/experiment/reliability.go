@@ -50,16 +50,39 @@ type flowSet struct {
 	results map[scheduler.Algorithm]*scheduler.Result
 }
 
-// findSchedulableSets searches seeds for workloads schedulable under every
-// algorithm (the paper's five flow sets were all executed under NR, RA, and
-// RC). It reports how many candidate seeds were skipped.
+// reliabilitySets finds the p.NumFlowSets workloads of the Sec. VII-D
+// experiments: peer-to-peer flow sets that NR, RA and RC all schedule (the
+// paper's five flow sets were all executed under each).
+func (e *Env) reliabilitySets(p ReliabilityParams, opt Options) ([]flowSet, int, error) {
+	return e.findSchedulableSets(reliabilitySpec(p.NumChannels, p.NumFlows, p.PeriodExp, opt),
+		allAlgs, p.NumFlowSets, maxSkippedSeeds, opt)
+}
+
+// reliabilitySpec is the first candidate workload of a reliability seed
+// search.
+func reliabilitySpec(channels, flows int, periodExp [2]int, opt Options) TrialSpec {
+	return TrialSpec{
+		Traffic:   routing.PeerToPeer,
+		Channels:  channels,
+		Flows:     flows,
+		PeriodExp: periodExp,
+		Seed:      opt.Seed * 7_000_003,
+	}
+}
+
+// maxSkippedSeeds bounds the reliability experiments' seed searches.
+const maxSkippedSeeds = 400
+
+// findSchedulableSets searches ascending seeds from spec.Seed for want
+// workloads schedulable under every algorithm of algs, and reports how many
+// candidate seeds were skipped. It fails once more than maxSkipped
+// candidates were skipped.
 //
 // Candidate seeds are evaluated in parallel batches but consumed strictly in
 // ascending seed order, so the chosen sets, the skip count, and the first
 // error are bit-identical to the sequential search at any worker count.
-func (e *Env) findSchedulableSets(p ReliabilityParams, opt Options) ([]flowSet, int, error) {
-	const maxSkipped = 400
-	if p.NumFlowSets <= 0 {
+func (e *Env) findSchedulableSets(spec TrialSpec, algs []scheduler.Algorithm, want, maxSkipped int, opt Options) ([]flowSet, int, error) {
+	if want <= 0 {
 		return nil, 0, nil
 	}
 	batch := opt.workers() * 2
@@ -68,18 +91,13 @@ func (e *Env) findSchedulableSets(p ReliabilityParams, opt Options) ([]flowSet, 
 	}
 	var sets []flowSet
 	skipped := 0
-	for base := int64(0); ; base += int64(batch) {
+	for base := spec.Seed; ; base += int64(batch) {
 		cands := make([]*flowSet, batch)
 		errs := make([]error, batch)
 		_ = forEachIndex(opt.workers(), batch, func(i int) error {
-			spec := TrialSpec{
-				Traffic:   routing.PeerToPeer,
-				Channels:  p.NumChannels,
-				Flows:     p.NumFlows,
-				PeriodExp: p.PeriodExp,
-				Seed:      opt.Seed*7_000_003 + base + int64(i),
-			}
-			results, fs, err := e.RunTrial(spec, allAlgs)
+			spec := spec
+			spec.Seed = base + int64(i)
+			results, fs, err := e.RunTrial(spec, algs)
 			if err != nil {
 				errs[i] = err
 				return nil // keep evaluating; ordering decides which error wins
@@ -95,7 +113,7 @@ func (e *Env) findSchedulableSets(p ReliabilityParams, opt Options) ([]flowSet, 
 		for i := 0; i < batch; i++ {
 			if skipped > maxSkipped {
 				return nil, skipped, fmt.Errorf("could not find %d schedulable flow sets (skipped %d)",
-					p.NumFlowSets, skipped)
+					want, skipped)
 			}
 			if errs[i] != nil {
 				return nil, skipped, errs[i]
@@ -105,7 +123,7 @@ func (e *Env) findSchedulableSets(p ReliabilityParams, opt Options) ([]flowSet, 
 				continue
 			}
 			sets = append(sets, *cands[i])
-			if len(sets) == p.NumFlowSets {
+			if len(sets) == want {
 				return sets, skipped, nil
 			}
 		}
@@ -136,16 +154,12 @@ func (e *Env) simulate(fs flowSet, alg scheduler.Algorithm, p ReliabilityParams,
 // packet delivery ratio of every flow, for 5 flow sets under NR, RA, and RC
 // on the WUSTL topology.
 func Fig8(env *Env, opt Options) ([]*Table, error) {
-	return fig8WithParams(env, opt, DefaultReliabilityParams())
+	return Fig8Scaled(env, opt, DefaultReliabilityParams())
 }
 
 // Fig8Scaled runs the same experiment at reduced scale (for benchmarks).
 func Fig8Scaled(env *Env, opt Options, p ReliabilityParams) ([]*Table, error) {
-	return fig8WithParams(env, opt, p)
-}
-
-func fig8WithParams(env *Env, opt Options, p ReliabilityParams) ([]*Table, error) {
-	sets, skipped, err := env.findSchedulableSets(p, opt)
+	sets, skipped, err := env.reliabilitySets(p, opt)
 	if err != nil {
 		return nil, fmt.Errorf("fig8: %w", err)
 	}
@@ -189,7 +203,7 @@ func fig8WithParams(env *Env, opt Options, p ReliabilityParams) ([]*Table, error
 // and RC for the same five flow sets used in Fig. 8.
 func Fig9(env *Env, opt Options) ([]*Table, error) {
 	p := DefaultReliabilityParams()
-	sets, skipped, err := env.findSchedulableSets(p, opt)
+	sets, skipped, err := env.reliabilitySets(p, opt)
 	if err != nil {
 		return nil, fmt.Errorf("fig9: %w", err)
 	}

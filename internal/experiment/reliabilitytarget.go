@@ -6,7 +6,6 @@ import (
 	"wsan/internal/budget"
 	"wsan/internal/flow"
 	"wsan/internal/netsim"
-	"wsan/internal/routing"
 	"wsan/internal/scheduler"
 	"wsan/internal/topology"
 )
@@ -75,34 +74,12 @@ func ExtReliabilityScaled(env *Env, opt Options, p ReliabilityTargetParams) ([]*
 	// Search seeds for a workload every algorithm schedules with uniform
 	// retries; budgeted runs then reuse that same workload so the target
 	// sweep varies only the budgets.
-	var base []*flow.Flow
-	for s := int64(0); ; s++ {
-		if s > 400 {
-			return nil, fmt.Errorf("ext-reliability: no schedulable workload in 400 seeds")
-		}
-		spec := TrialSpec{
-			Traffic:   routing.PeerToPeer,
-			Channels:  p.NumChannels,
-			Flows:     p.NumFlows,
-			PeriodExp: p.PeriodExp,
-			Seed:      opt.Seed*7_000_003 + s,
-		}
-		results, fs, err := env.RunTrial(spec, allAlgs)
-		if err != nil {
-			return nil, fmt.Errorf("ext-reliability: %w", err)
-		}
-		ok := true
-		for _, res := range results {
-			if !res.Schedulable {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			base = fs
-			break
-		}
+	sets, _, err := env.findSchedulableSets(reliabilitySpec(p.NumChannels, p.NumFlows, p.PeriodExp, opt),
+		allAlgs, 1, maxSkippedSeeds, opt)
+	if err != nil {
+		return nil, fmt.Errorf("ext-reliability: %w", err)
 	}
+	base := sets[0].flows
 	linkPRR := env.surveyLinkPRR(ce)
 	t := &Table{
 		Title: fmt.Sprintf("Ext: reliability-target scheduling (%d flows, %d channels, %d executions, %s)",

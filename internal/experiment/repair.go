@@ -6,7 +6,6 @@ import (
 	"wsan/internal/detect"
 	"wsan/internal/netsim"
 	"wsan/internal/repair"
-	"wsan/internal/routing"
 	"wsan/internal/scheduler"
 	"wsan/internal/topology"
 )
@@ -21,39 +20,15 @@ func ExtRepair(env *Env, opt Options) ([]*Table, error) {
 	// Shorter horizon than the detection experiment: one epoch to detect,
 	// then re-simulate the repaired schedule for the same span.
 	p.Epochs = 2
-	return extRepairWithParams(env, opt, p)
+	return ExtRepairScaled(env, opt, p)
 }
 
 // ExtRepairScaled runs the same experiment at reduced scale.
 func ExtRepairScaled(env *Env, opt Options, p DetectionParams) ([]*Table, error) {
-	return extRepairWithParams(env, opt, p)
-}
-
-func extRepairWithParams(env *Env, opt Options, p DetectionParams) ([]*Table, error) {
 	// A schedulable RA workload (detection's setup) — heavy reuse exposure.
-	spec := TrialSpec{
-		Traffic:   routing.PeerToPeer,
-		Channels:  p.NumChannels,
-		Flows:     p.NumFlows,
-		PeriodExp: [2]int{0, 0},
-		Seed:      opt.Seed * 9_000_011,
-	}
-	var fs flowSet
-	found := false
-	for attempt := 0; attempt < 100; attempt++ {
-		results, flows, err := env.RunTrial(spec, []scheduler.Algorithm{scheduler.RA})
-		if err != nil {
-			return nil, err
-		}
-		if results[scheduler.RA].Schedulable {
-			fs = flowSet{seed: spec.Seed, flows: flows, results: results}
-			found = true
-			break
-		}
-		spec.Seed++
-	}
-	if !found {
-		return nil, fmt.Errorf("ext-repair: no schedulable RA workload found")
+	fs, err := env.detectionWorkload(p, scheduler.RA, opt)
+	if err != nil {
+		return nil, fmt.Errorf("ext-repair: %w", err)
 	}
 	sched := fs.results[scheduler.RA].Schedule
 	simulate := func(stats bool) (*netsim.Result, error) {

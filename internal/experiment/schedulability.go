@@ -11,78 +11,50 @@ import (
 
 var allAlgs = []scheduler.Algorithm{scheduler.NR, scheduler.RA, scheduler.RC}
 
-// RatioVsChannels sweeps the number of channels at a fixed flow count and
-// returns the schedulable ratio of NR, RA, and RC at each point.
-func (e *Env) RatioVsChannels(traffic routing.Traffic, periodExp [2]int, numFlows int, channels []int, opt Options) (*Table, error) {
-	t := &Table{
-		Title: fmt.Sprintf("schedulable ratio vs #channels (%v, %d flows, P=[2^%d,2^%d]s, %s)",
-			traffic, numFlows, periodExp[0], periodExp[1], e.TB.Name),
-		Header: []string{"channels", "NR", "RA", "RC"},
+// ratioRow appends to t one row of NR, RA and RC schedulable ratios over
+// opt.Trials workloads of spec, led by the given cells.
+func (e *Env) ratioRow(t *Table, spec TrialSpec, opt Options, lead ...string) error {
+	ok, _, err := e.countSchedulable(spec, allAlgs, RhoT, opt, nil)
+	if err != nil {
+		return err
 	}
-	for _, nch := range channels {
-		ok, err := e.countSchedulable(traffic, periodExp, numFlows, nch, opt)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			itoa(nch),
-			ratio(ok[scheduler.NR], opt.Trials),
-			ratio(ok[scheduler.RA], opt.Trials),
-			ratio(ok[scheduler.RC], opt.Trials),
-		})
+	for _, alg := range allAlgs {
+		lead = append(lead, ratio(ok[alg], opt.Trials))
 	}
-	return t, nil
+	t.Rows = append(t.Rows, lead)
+	return nil
 }
 
-// RatioVsFlows sweeps the workload size at a fixed channel count.
-func (e *Env) RatioVsFlows(traffic routing.Traffic, periodExp [2]int, numChannels int, flowCounts []int, opt Options) (*Table, error) {
-	t := &Table{
-		Title: fmt.Sprintf("schedulable ratio vs #flows (%v, %d channels, P=[2^%d,2^%d]s, %s)",
-			traffic, numChannels, periodExp[0], periodExp[1], e.TB.Name),
-		Header: []string{"flows", "NR", "RA", "RC"},
-	}
-	for _, nf := range flowCounts {
-		ok, err := e.countSchedulable(traffic, periodExp, nf, numChannels, opt)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			itoa(nf),
-			ratio(ok[scheduler.NR], opt.Trials),
-			ratio(ok[scheduler.RA], opt.Trials),
-			ratio(ok[scheduler.RC], opt.Trials),
-		})
-	}
-	return t, nil
-}
-
-// countSchedulable runs opt.Trials random flow sets (in parallel up to
-// opt.Workers) and counts, per algorithm, how many were schedulable. Only
-// feasibility is kept, so every run in a trial recycles one pooled scratch
-// grid — the schedulers' grid construction dominated this loop's allocation
-// profile; placement decisions are unchanged by the reuse.
-func (e *Env) countSchedulable(traffic routing.Traffic, periodExp [2]int, numFlows, numChannels int, opt Options) (map[scheduler.Algorithm]int, error) {
+// countSchedulable runs opt.Trials random workloads of spec (in parallel up
+// to opt.Workers; trial i uses seed opt.Seed*1_000_003+i in place of
+// spec.Seed), schedules each under every algorithm of algs with minimum
+// reuse distance rhoT, and counts per algorithm how many were schedulable.
+// When hist is non-nil it also sums, per algorithm, hist of every
+// schedulable result. Every run in a trial recycles one pooled scratch grid
+// — grid construction dominated this loop's allocation profile; placement
+// decisions are unchanged by the reuse — so hist runs before the next
+// algorithm reuses the grid.
+func (e *Env) countSchedulable(spec TrialSpec, algs []scheduler.Algorithm, rhoT int, opt Options,
+	hist func(*scheduler.Result, *ChanEnv) map[int]int) (map[scheduler.Algorithm]int, map[scheduler.Algorithm]map[int]int, error) {
 	var mu sync.Mutex
-	ok := make(map[scheduler.Algorithm]int, len(allAlgs))
+	ok := make(map[scheduler.Algorithm]int, len(algs))
+	hists := make(map[scheduler.Algorithm]map[int]int, len(algs))
+	for _, alg := range algs {
+		hists[alg] = map[int]int{}
+	}
 	err := forEachTrial(opt, func(trial int) error {
-		spec := TrialSpec{
-			Traffic:   traffic,
-			Channels:  numChannels,
-			Flows:     numFlows,
-			PeriodExp: periodExp,
-			Seed:      opt.Seed*1_000_003 + int64(trial),
-		}
+		spec := spec
+		spec.Seed = opt.Seed*1_000_003 + int64(trial)
 		fs, ce, err := e.GenerateFlows(spec)
 		if err != nil {
 			return err
 		}
 		scratch, _ := e.schedPool.Get().(*schedule.Schedule)
-		feasible := make(map[scheduler.Algorithm]bool, len(allAlgs))
-		for _, alg := range allAlgs {
+		for _, alg := range algs {
 			res, err := scheduler.Run(fs, scheduler.Config{
 				Algorithm:   alg,
 				NumChannels: spec.Channels,
-				RhoT:        RhoT,
+				RhoT:        rhoT,
 				HopGR:       ce.Hop,
 				Retransmit:  true,
 				Metrics:     e.Metrics,
@@ -92,82 +64,98 @@ func (e *Env) countSchedulable(traffic routing.Traffic, periodExp [2]int, numFlo
 				return fmt.Errorf("%v: %w", alg, err)
 			}
 			scratch = res.Schedule
-			feasible[alg] = res.Schedulable
+			if !res.Schedulable {
+				continue
+			}
+			var h map[int]int
+			if hist != nil {
+				h = hist(res, ce)
+			}
+			mu.Lock()
+			ok[alg]++
+			for k, v := range h {
+				hists[alg][k] += v
+			}
+			mu.Unlock()
 		}
 		e.schedPool.Put(scratch)
-		mu.Lock()
-		defer mu.Unlock()
-		for alg, isOK := range feasible {
-			if isOK {
-				ok[alg]++
-			}
-		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ok, nil
+	return ok, hists, nil
 }
 
 // channelSweep is the channel range used by Figs. 1(a,b), 2(a,b), 3(a),
 // 4, and 5.
 var channelSweep = []int{3, 4, 5, 6, 7, 8}
 
+// ratioPanel is one schedulable-ratio sub-figure: the channel count or the
+// flow count (axis) swept over points, the rest of the workload fixed by
+// base.
+type ratioPanel struct {
+	base   TrialSpec
+	axis   string // "channels" or "flows"
+	points []int
+}
+
+// ratioFigure renders each panel as one table titled "<fig>(a): …",
+// "<fig>(b): …", and so on.
+func (e *Env) ratioFigure(fig string, opt Options, panels ...ratioPanel) ([]*Table, error) {
+	var out []*Table
+	for i, p := range panels {
+		label := fmt.Sprintf("%s(%c)", fig, 'a'+i)
+		fixed := fmt.Sprintf("%d flows", p.base.Flows)
+		if p.axis == "flows" {
+			fixed = fmt.Sprintf("%d channels", p.base.Channels)
+		}
+		t := &Table{
+			Title: fmt.Sprintf("%s: schedulable ratio vs #%s (%v, %s, P=[2^%d,2^%d]s, %s)",
+				label, p.axis, p.base.Traffic, fixed, p.base.PeriodExp[0], p.base.PeriodExp[1], e.TB.Name),
+			Header: []string{p.axis, "NR", "RA", "RC"},
+		}
+		for _, x := range p.points {
+			spec := p.base
+			if p.axis == "flows" {
+				spec.Flows = x
+			} else {
+				spec.Channels = x
+			}
+			if err := e.ratioRow(t, spec, opt, itoa(x)); err != nil {
+				return nil, fmt.Errorf("%s: %w", label, err)
+			}
+		}
+		out = append(out, t)
+	}
+	return out, nil
+}
+
+// flowSweep is the flow-count range of Figs. 2(c) and 3(b).
+var flowSweep = []int{40, 60, 80, 100, 120, 140, 160}
+
 // Fig1 reproduces Fig. 1: schedulable ratios for centralized traffic on the
 // Indriya topology — (a) and (b) vary channels under two period ranges, (c)
 // varies the flow count.
 func Fig1(env *Env, opt Options) ([]*Table, error) {
-	a, err := env.RatioVsChannels(routing.Centralized, [2]int{0, 2}, 60, channelSweep, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig1a: %w", err)
-	}
-	a.Title = "Fig 1(a): " + a.Title
-	b, err := env.RatioVsChannels(routing.Centralized, [2]int{-1, 3}, 45, channelSweep, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig1b: %w", err)
-	}
-	b.Title = "Fig 1(b): " + b.Title
-	c, err := env.RatioVsFlows(routing.Centralized, [2]int{0, 2}, 4, []int{40, 45, 50, 55, 60, 65, 70}, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig1c: %w", err)
-	}
-	c.Title = "Fig 1(c): " + c.Title
-	return []*Table{a, b, c}, nil
+	return env.ratioFigure("Fig 1", opt,
+		ratioPanel{TrialSpec{Traffic: routing.Centralized, Flows: 60, PeriodExp: [2]int{0, 2}}, "channels", channelSweep},
+		ratioPanel{TrialSpec{Traffic: routing.Centralized, Flows: 45, PeriodExp: [2]int{-1, 3}}, "channels", channelSweep},
+		ratioPanel{TrialSpec{Traffic: routing.Centralized, Channels: 4, PeriodExp: [2]int{0, 2}}, "flows", []int{40, 45, 50, 55, 60, 65, 70}})
 }
 
 // Fig2 reproduces Fig. 2: the same sweeps for peer-to-peer traffic
 // (Indriya).
 func Fig2(env *Env, opt Options) ([]*Table, error) {
-	a, err := env.RatioVsChannels(routing.PeerToPeer, [2]int{0, 2}, 100, channelSweep, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig2a: %w", err)
-	}
-	a.Title = "Fig 2(a): " + a.Title
-	b, err := env.RatioVsChannels(routing.PeerToPeer, [2]int{-1, 3}, 60, channelSweep, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig2b: %w", err)
-	}
-	b.Title = "Fig 2(b): " + b.Title
-	c, err := env.RatioVsFlows(routing.PeerToPeer, [2]int{0, 2}, 5, []int{40, 60, 80, 100, 120, 140, 160}, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig2c: %w", err)
-	}
-	c.Title = "Fig 2(c): " + c.Title
-	return []*Table{a, b, c}, nil
+	return env.ratioFigure("Fig 2", opt,
+		ratioPanel{TrialSpec{Traffic: routing.PeerToPeer, Flows: 100, PeriodExp: [2]int{0, 2}}, "channels", channelSweep},
+		ratioPanel{TrialSpec{Traffic: routing.PeerToPeer, Flows: 60, PeriodExp: [2]int{-1, 3}}, "channels", channelSweep},
+		ratioPanel{TrialSpec{Traffic: routing.PeerToPeer, Channels: 5, PeriodExp: [2]int{0, 2}}, "flows", flowSweep})
 }
 
 // Fig3 reproduces Fig. 3: peer-to-peer sweeps on the WUSTL topology.
 func Fig3(env *Env, opt Options) ([]*Table, error) {
-	a, err := env.RatioVsChannels(routing.PeerToPeer, [2]int{0, 2}, 120, channelSweep, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig3a: %w", err)
-	}
-	a.Title = "Fig 3(a): " + a.Title
-	b, err := env.RatioVsFlows(routing.PeerToPeer, [2]int{0, 2}, 5, []int{40, 60, 80, 100, 120, 140, 160}, opt)
-	if err != nil {
-		return nil, fmt.Errorf("fig3b: %w", err)
-	}
-	b.Title = "Fig 3(b): " + b.Title
-	return []*Table{a, b}, nil
+	return env.ratioFigure("Fig 3", opt,
+		ratioPanel{TrialSpec{Traffic: routing.PeerToPeer, Flows: 120, PeriodExp: [2]int{0, 2}}, "channels", channelSweep},
+		ratioPanel{TrialSpec{Traffic: routing.PeerToPeer, Channels: 5, PeriodExp: [2]int{0, 2}}, "flows", flowSweep})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wsan/internal/routing"
-	"wsan/internal/scheduler"
 	"wsan/internal/topology"
 )
 
@@ -32,16 +31,10 @@ func ExtSeeds(env *Env, opt Options) ([]*Table, error) {
 		}
 		seedEnv := NewEnv(tb)
 		for _, nch := range []int{3, 4, 5} {
-			ok, err := seedEnv.countSchedulable(routing.PeerToPeer, [2]int{0, 2}, numFlows, nch, opt)
-			if err != nil {
+			spec := TrialSpec{Traffic: routing.PeerToPeer, Channels: nch, Flows: numFlows, PeriodExp: [2]int{0, 2}}
+			if err := seedEnv.ratioRow(t, spec, opt, itoa(int(seed)), itoa(nch)); err != nil {
 				return nil, fmt.Errorf("ext-seeds seed %d: %w", seed, err)
 			}
-			t.Rows = append(t.Rows, []string{
-				itoa(int(seed)), itoa(nch),
-				ratio(ok[scheduler.NR], opt.Trials),
-				ratio(ok[scheduler.RA], opt.Trials),
-				ratio(ok[scheduler.RC], opt.Trials),
-			})
 		}
 	}
 	return []*Table{t}, nil

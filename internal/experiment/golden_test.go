@@ -181,6 +181,52 @@ func TestFigureGolden(t *testing.T) {
 	}
 }
 
+// checkTableShapes fails unless name returned at least one table and every
+// table has a header, at least one row, and rows as wide as its header.
+func checkTableShapes(t *testing.T, name string, tables []*Table) {
+	t.Helper()
+	if len(tables) == 0 {
+		t.Fatalf("%s: no tables", name)
+	}
+	for i, tb := range tables {
+		if len(tb.Header) == 0 || len(tb.Rows) == 0 {
+			t.Errorf("%s table %d: %d header cells, %d rows", name, i, len(tb.Header), len(tb.Rows))
+		}
+		for j, row := range tb.Rows {
+			if len(row) != len(tb.Header) {
+				t.Errorf("%s table %d row %d: %d cells, header has %d", name, i, j, len(row), len(tb.Header))
+			}
+		}
+	}
+}
+
+// TestSmokeAll runs the paper's Fig. 1–7 at reduced scale and checks the
+// shape of every table. It is the only test that runs fig6, whose wall-time
+// column keeps it out of TestFigureGolden.
+func TestSmokeAll(t *testing.T) {
+	for _, name := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"} {
+		checkTableShapes(t, name, figureTables(t, name))
+	}
+}
+
+// TestExtensionsSmoke runs every ext-* study in Figures at reduced scale and
+// checks the shape of every table.
+func TestExtensionsSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("extension smoke skipped in -short mode")
+	}
+	n := 0
+	for _, f := range Figures {
+		if strings.HasPrefix(f.Name, "ext-") {
+			checkTableShapes(t, f.Name, figureTables(t, f.Name))
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("no ext-* study in Figures")
+	}
+}
+
 // TestSmokeFig9And11 checks the shape of the Fig. 9 and Fig. 11 tables.
 func TestSmokeFig9And11(t *testing.T) {
 	if n := len(figureTables(t, "fig9")[0].Rows); n != 10 {

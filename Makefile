@@ -99,7 +99,7 @@ e2e:
 # indexes (after any Place/Remove/Reset/Clone sequence the packed link
 # column, busy, occupancy and slot-full bitsets agree with the transmission
 # list), and in the delta engine (after any batch of add/remove/reroute/
-# repair/compact ops, told all or part of the workload, a failed batch
+# rebudget/repair/compact ops, told all or part of the workload, a failed batch
 # leaves the grid as it was, Apply(Invert(Changes)) undoes a successful
 # one, and no flow missing from the workload loses a transmission),
 # without stalling CI.

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"time"
 
-	"wsan/internal/budget"
 	"wsan/internal/detect"
 	"wsan/internal/faults"
 	"wsan/internal/flow"
@@ -66,9 +65,6 @@ type Config struct {
 	// iteration i observes the timeline from slot i·(executed slots per
 	// iteration) — so one scenario spans the whole management session.
 	Faults *faults.Scenario
-	// FaultOffsetSlots shifts the scenario clock of the first iteration
-	// (see netsim.Config.FaultOffsetSlots).
-	FaultOffsetSlots int
 	// MaxStalls bounds the consecutive iterations the loop tolerates
 	// without progress (no repair move, reroute, or blacklist) while the
 	// network is degraded, before giving up with the last Degraded state.
@@ -82,13 +78,6 @@ type Config struct {
 	// counted against MaxStalls.
 	RetryBackoff    time.Duration
 	MaxRetryBackoff time.Duration
-	// BlacklistMinAttempts and BlacklistFailureRate tune channel
-	// blacklisting: a channel is removed from the hopping list only after
-	// at least MinAttempts observed transmissions failed at a rate of at
-	// least FailureRate (and far above the cleanest channel, see
-	// blacklistChannels). Defaults: 50 attempts, rate 0.5.
-	BlacklistMinAttempts int
-	BlacklistFailureRate float64
 	// BlacklistParoleCleanIterations, when positive, un-blacklists a
 	// condemned channel after that many consecutive clean iterations: the
 	// channel returns to its hopping-list positions and its replacement
@@ -103,18 +92,16 @@ type Config struct {
 	// ratio of a link; the re-budgeting pass falls back to it for links
 	// the observation window did not sample enough. Optional.
 	LinkPRR func(flow.Link) float64
-	// MaxAttemptsPerHop caps per-hop retransmission budgets during
-	// re-budgeting (default budget.DefaultMaxAttemptsPerHop).
-	MaxAttemptsPerHop int
-	// RebudgetMinSamples is the observed-attempt evidence a link needs
-	// before its measured PRR overrides the planning-time estimate
-	// (default 20).
-	RebudgetMinSamples int
-	// RebudgetTolerance shades observed PRRs down before re-planning,
-	// providing both conservatism and hysteresis against budget flapping
-	// (default 0.02).
-	RebudgetTolerance float64
 }
+
+// Channel blacklisting removes a channel from the hopping list only after
+// at least blacklistMinAttempts observed transmissions failed at a rate of
+// at least blacklistFailureRate (and far above the cleanest channel, see
+// blacklistChannels).
+const (
+	blacklistMinAttempts = 50
+	blacklistFailureRate = 0.5
+)
 
 // WithMetricsSink returns a copy of the config with the observability sink
 // attached (see Config.Metrics). Because the public wsan.ManageConfig is an
@@ -232,21 +219,6 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 	if cfg.MaxRetryBackoff <= 0 {
 		cfg.MaxRetryBackoff = 8 * cfg.RetryBackoff
 	}
-	if cfg.BlacklistMinAttempts <= 0 {
-		cfg.BlacklistMinAttempts = 50
-	}
-	if cfg.BlacklistFailureRate <= 0 {
-		cfg.BlacklistFailureRate = 0.5
-	}
-	if cfg.MaxAttemptsPerHop <= 0 {
-		cfg.MaxAttemptsPerHop = budget.DefaultMaxAttemptsPerHop
-	}
-	if cfg.RebudgetMinSamples <= 0 {
-		cfg.RebudgetMinSamples = 20
-	}
-	if cfg.RebudgetTolerance <= 0 {
-		cfg.RebudgetTolerance = 0.02
-	}
 	hyper := cfg.Schedule.NumSlots()
 	reps := (cfg.EpochSlots + hyper - 1) / hyper
 	// The hopping list is copied so blacklisting never mutates the caller's
@@ -294,7 +266,7 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 			Faults:             cfg.Faults,
 			// Each iteration executes reps·hyper slots, so the scenario
 			// clock picks up exactly where the previous iteration left off.
-			FaultOffsetSlots: cfg.FaultOffsetSlots + iter*reps*hyper,
+			FaultOffsetSlots: iter * reps * hyper,
 		})
 		if err != nil {
 			return out, fmt.Errorf("manage: iteration %d: %w", iter, err)
@@ -421,7 +393,7 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 			prev := append([]int(nil), channels...)
 			var removed []int
 			channels, removed = blacklistChannels(channels, res,
-				int64(cfg.BlacklistMinAttempts), cfg.BlacklistFailureRate, used)
+				blacklistMinAttempts, blacklistFailureRate, used)
 			if len(removed) > 0 {
 				it.Blacklisted = removed
 				it.Channels = append([]int(nil), channels...)

@@ -12,6 +12,7 @@ package manage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wsan/internal/budget"
@@ -44,27 +45,23 @@ func hasTargets(flows []*flow.Flow) bool {
 	return false
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+// Re-budgeting trusts a link's observed PRR once the window saw at least
+// rebudgetMinSamples attempts on it, and shades every PRR down by
+// rebudgetTolerance before planning.
+const (
+	rebudgetMinSamples = 20
+	rebudgetTolerance  = 0.02
+)
 
 // rebudgetPass re-plans the retransmission budget of every targeted flow
 // against this window's observed link PRRs, applying changes through the
 // delta scheduler and recording the outcome in it. Observed PRRs are
-// shaded down by RebudgetTolerance before planning — the same conservatism
+// shaded down by rebudgetTolerance before planning — the same conservatism
 // the paper applies to channel reuse — which doubles as hysteresis: a
 // budget is only tightened when it stays feasible under the shaded
 // estimates, and only grown when even they cannot carry the target.
 func rebudgetPass(cfg *Config, res *netsim.Result, it *Iteration) error {
-	observed := res.LinkPRRs(cfg.RebudgetMinSamples)
+	observed := res.LinkPRRs(rebudgetMinSamples)
 	effPRR := func(l flow.Link) (float64, bool) {
 		if p, ok := observed[l]; ok {
 			return p, true
@@ -94,7 +91,7 @@ func rebudgetPass(cfg *Config, res *netsim.Result, it *Iteration) error {
 				known = false
 				break
 			}
-			p -= cfg.RebudgetTolerance
+			p -= rebudgetTolerance
 			if p < 0 {
 				p = 0
 			}
@@ -110,13 +107,13 @@ func rebudgetPass(cfg *Config, res *netsim.Result, it *Iteration) error {
 			curTotal += cur[h]
 		}
 		predicted := budget.DeliveryProb(pess, cur)
-		plan, err := budget.Compute(pess, f.TargetPDR, cfg.MaxAttemptsPerHop)
+		plan, err := budget.Compute(pess, f.TargetPDR, budget.DefaultMaxAttemptsPerHop)
 		if err != nil {
 			return fmt.Errorf("rebudget flow %d: %w", f.ID, err)
 		}
 		apply := false
 		switch {
-		case plan.Feasible && !intsEqual(plan.Attempts, cur) &&
+		case plan.Feasible && !slices.Equal(plan.Attempts, cur) &&
 			(predicted < f.TargetPDR || plan.TotalSlots < curTotal):
 			// Grow to restore the target, or tighten to reclaim slack the
 			// shaded estimates say is safe to give up.
@@ -125,7 +122,7 @@ func rebudgetPass(cfg *Config, res *netsim.Result, it *Iteration) error {
 			// The target is out of reach even at the per-hop cap; still
 			// move to the capped best-effort budget when it beats what is
 			// deployed, then report the shortfall.
-			apply = !intsEqual(plan.Attempts, cur) && plan.Prob > predicted
+			apply = !slices.Equal(plan.Attempts, cur) && plan.Prob > predicted
 		}
 		if apply {
 			placed, err := applyBudget(cfg, f, plan.Attempts, place, it)
@@ -149,20 +146,25 @@ func rebudgetPass(cfg *Config, res *netsim.Result, it *Iteration) error {
 // applyBudget re-places one flow under a new per-hop budget, descending the
 // degradation ladder when the slotframe has no room: retries are shed from
 // the lowest-criticality (highest-ID) targeted flows below f until the
-// placement fits or no victims remain. Returns whether the new budget is in
-// effect; on failure the flow keeps its previous budget and schedule.
+// placement fits or no victims remain. Every placement is one rebudget op,
+// and a budget is recorded on cfg.Flows only after its op commits, so each
+// op is told the workload the grid holds. Returns whether the new budget is
+// in effect; on failure the flow keeps its previous budget and schedule.
 func applyBudget(cfg *Config, f *flow.Flow, attempts []int,
 	place scheduler.Config, it *Iteration) (bool, error) {
-	old := f.TxBudget
-	f.TxBudget = append([]int(nil), attempts...)
-	route := append([]flow.Link(nil), f.Route...)
-	res, err := scheduler.RerouteFlowDelta(cfg.Schedule, cfg.Flows, f.ID, route, place)
-	if err != nil {
-		f.TxBudget = old
-		return false, fmt.Errorf("rebudget flow %d: %w", f.ID, err)
+	rebudget := func(g *flow.Flow, b []int) (bool, error) {
+		res, err := scheduler.ApplyDeltaBatch(cfg.Schedule, cfg.Flows,
+			[]scheduler.BatchOp{{Kind: scheduler.BatchRebudget, FlowID: g.ID, Budget: b}}, place)
+		if err != nil {
+			return false, fmt.Errorf("rebudget flow %d: %w", g.ID, err)
+		}
+		if res.Schedulable {
+			g.TxBudget = slices.Clone(b)
+		}
+		return res.Schedulable, nil
 	}
-	if res.Schedulable {
-		return true, nil
+	if ok, err := rebudget(f, attempts); ok || err != nil {
+		return ok, err
 	}
 	// Rung 2: shed retries from lower-criticality targeted flows, highest
 	// ID first, and retry after each concession.
@@ -180,32 +182,20 @@ func applyBudget(cfg *Config, f *flow.Flow, attempts []int,
 		if vTotal <= len(v.Route) {
 			continue // already at the floor
 		}
-		vOld := v.TxBudget
-		v.TxBudget = floor
-		vRoute := append([]flow.Link(nil), v.Route...)
-		vRes, err := scheduler.RerouteFlowDelta(cfg.Schedule, cfg.Flows, v.ID, vRoute, place)
+		ok, err := rebudget(v, floor)
 		if err != nil {
-			v.TxBudget = vOld
-			f.TxBudget = old
-			return false, fmt.Errorf("rebudget shed flow %d: %w", v.ID, err)
+			return false, err
 		}
-		if !vRes.Schedulable {
-			v.TxBudget = vOld
+		if !ok {
 			continue
 		}
 		it.RetriesShed += vTotal - len(v.Route)
 		it.ShedFlows = append(it.ShedFlows, v.ID)
-		res, err = scheduler.RerouteFlowDelta(cfg.Schedule, cfg.Flows, f.ID, route, place)
-		if err != nil {
-			f.TxBudget = old
-			return false, fmt.Errorf("rebudget flow %d: %w", f.ID, err)
-		}
-		if res.Schedulable {
+		if ok, err := rebudget(f, attempts); ok || err != nil {
 			sort.Ints(it.ShedFlows)
-			return true, nil
+			return ok, err
 		}
 	}
 	sort.Ints(it.ShedFlows)
-	f.TxBudget = old
 	return false, nil
 }

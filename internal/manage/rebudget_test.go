@@ -52,14 +52,31 @@ func budgetedLine(t *testing.T, target float64, txBudget []int) (Config, *flow.F
 	}
 	cfg := Config{
 		Testbed: tb, Flows: flows, Schedule: res.Schedule,
-		Channels:           topology.Channels(4),
-		EpochSlots:         2_000,
-		SampleWindowSlots:  200,
-		MaxAttemptsPerHop:  budget.DefaultMaxAttemptsPerHop,
-		RebudgetMinSamples: 20,
-		RebudgetTolerance:  0.02,
+		Channels:          topology.Channels(4),
+		EpochSlots:        2_000,
+		SampleWindowSlots: 200,
 	}
 	return cfg, f
+}
+
+// checkMultiplicity fails unless every hop of every flow holds instances ×
+// HopAttempts transmissions, with the two uniform attempts the re-budgeting
+// placement schedules a flow without a budget at.
+func checkMultiplicity(t *testing.T, cfg Config) {
+	t.Helper()
+	perHop := make(map[[2]int]int)
+	for _, tx := range cfg.Schedule.Txs() {
+		perHop[[2]int{tx.FlowID, tx.Hop}]++
+	}
+	for _, f := range cfg.Flows {
+		for h := range f.Route {
+			want := cfg.Schedule.NumSlots() / f.Period * f.HopAttempts(h, 2)
+			if got := perHop[[2]int{f.ID, h}]; got != want {
+				t.Errorf("flow %d hop %d holds %d transmissions, want %d (budget %v)",
+					f.ID, h, got, want, f.TxBudget)
+			}
+		}
+	}
 }
 
 // TestRebudgetGrows: observed PRRs fall below what the deployed budget can
@@ -74,6 +91,7 @@ func TestRebudgetGrows(t *testing.T) {
 	if err := rebudgetPass(&cfg, res, &it); err != nil {
 		t.Fatal(err)
 	}
+	checkMultiplicity(t, cfg)
 	if it.Rebudgeted != 1 {
 		t.Fatalf("rebudgeted = %d, want 1: %+v", it.Rebudgeted, it)
 	}
@@ -84,24 +102,12 @@ func TestRebudgetGrows(t *testing.T) {
 	// plan meeting 0.9 end-to-end is [3, 3] (0.9894²≈0.979) — anything
 	// smaller tops out at 0.9516·0.9894 < 0.95… verify against the planner
 	// itself rather than hand-arithmetic.
-	plan, err := budget.Compute([]float64{0.78, 0.78}, 0.9, cfg.MaxAttemptsPerHop)
+	plan, err := budget.Compute([]float64{0.78, 0.78}, 0.9, budget.DefaultMaxAttemptsPerHop)
 	if err != nil || !plan.Feasible {
 		t.Fatalf("reference plan: %v %+v", err, plan)
 	}
 	if !reflect.DeepEqual(f.TxBudget, plan.Attempts) {
 		t.Errorf("budget = %v, want planner's %v", f.TxBudget, plan.Attempts)
-	}
-	// The schedule must carry the new multiplicities.
-	count := map[int]int{}
-	for _, tx := range cfg.Schedule.Txs() {
-		if tx.FlowID == 0 {
-			count[tx.Hop]++
-		}
-	}
-	for h, k := range plan.Attempts {
-		if count[h] != k {
-			t.Errorf("hop %d placed %d times, want %d", h, count[h], k)
-		}
 	}
 }
 
@@ -117,11 +123,12 @@ func TestRebudgetTightens(t *testing.T) {
 	if err := rebudgetPass(&cfg, res, &it); err != nil {
 		t.Fatal(err)
 	}
+	checkMultiplicity(t, cfg)
 	if it.Rebudgeted != 1 || len(it.Shortfalls) != 0 {
 		t.Fatalf("want one clean tightening: %+v", it)
 	}
 	want := []int{2, 2} // 0.98 shaded: (1-0.02²)² ≈ 0.9992 ≥ 0.9; [1,1] is only 0.9604·… = 0.9604² ≈ 0.92? planner decides
-	plan, err := budget.Compute([]float64{0.98, 0.98}, 0.9, cfg.MaxAttemptsPerHop)
+	plan, err := budget.Compute([]float64{0.98, 0.98}, 0.9, budget.DefaultMaxAttemptsPerHop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +154,7 @@ func TestRebudgetShortfall(t *testing.T) {
 	if err := rebudgetPass(&cfg, res, &it); err != nil {
 		t.Fatal(err)
 	}
+	checkMultiplicity(t, cfg)
 	if len(it.Shortfalls) != 1 {
 		t.Fatalf("shortfalls = %+v, want one", it.Shortfalls)
 	}
@@ -176,6 +184,7 @@ func TestRebudgetStable(t *testing.T) {
 	if err := rebudgetPass(&cfg, res, &it); err != nil {
 		t.Fatal(err)
 	}
+	checkMultiplicity(t, cfg)
 	if it.Rebudgeted != 0 || len(it.Shortfalls) != 0 {
 		t.Fatalf("stable PRRs must be a no-op: %+v", it)
 	}
@@ -193,6 +202,7 @@ func TestLoopRebudgetsUnderFading(t *testing.T) {
 	cfg.FadingSigmaDB = 30
 	cfg.MaxIterations = 4
 	cfg.Seed = 7
+	cfg.OnIteration = func(Iteration) { checkMultiplicity(t, cfg) }
 	iters, err := Loop(cfg)
 	if err != nil {
 		t.Fatal(err)

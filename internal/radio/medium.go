@@ -198,9 +198,10 @@ func (e *Env) Evaluate(rng *rand.Rand, txs []Transmission, extra InterferenceFun
 		if extra != nil {
 			interfMW += extra(tx.Receiver, tx.Channel)
 		}
-		// den is SINRdB's denominator; when it equals the bare noise power
-		// the SINR is the signal-to-noise ratio, which the dBm difference
-		// bounds without a pow/log10 round trip.
+		// den is the SINR's denominator in mW: noise plus scaled
+		// interference. When it equals the bare noise power the SINR is the
+		// signal-to-noise ratio, which the dBm difference bounds without a
+		// pow/log10 round trip.
 		den := noiseMW + interfMW*factor
 		// The PRR consumes no randomness, so drawing first keeps the stream.
 		u := rng.Float64()

@@ -144,13 +144,3 @@ func PRR802154(sinrDB float64, packetBits int) float64 {
 	}
 	return math.Pow(1-ber, float64(packetBits))
 }
-
-// SINRdB computes the signal-to-interference-plus-noise ratio in dB given
-// the desired signal power and the sum of interference powers, both in dBm,
-// plus a noise floor in dBm. interfMW is the cumulative interference in
-// linear milliwatts (0 for an interference-free slot).
-func SINRdB(signalDBm, noiseFloorDBm, interfMW float64) float64 {
-	noiseMW := DBmToMilliwatts(noiseFloorDBm)
-	signalMW := DBmToMilliwatts(signalDBm)
-	return MilliwattsToDBm(signalMW / (noiseMW + interfMW))
-}

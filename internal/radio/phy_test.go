@@ -107,27 +107,3 @@ func TestPRRShorterPacketsMoreReliable(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSINRNoInterference(t *testing.T) {
-	got := SINRdB(-60, -95, 0)
-	if math.Abs(got-35) > 1e-9 {
-		t.Errorf("SINR = %v, want 35", got)
-	}
-}
-
-func TestSINRInterferenceDominates(t *testing.T) {
-	// Interferer at equal power to the signal: SINR ≈ 0 dB (slightly below
-	// due to the noise floor).
-	got := SINRdB(-60, -95, DBmToMilliwatts(-60))
-	if got > 0 || got < -0.1 {
-		t.Errorf("SINR = %v, want just below 0 dB", got)
-	}
-}
-
-func TestSINRCumulative(t *testing.T) {
-	one := SINRdB(-60, -95, DBmToMilliwatts(-70))
-	two := SINRdB(-60, -95, 2*DBmToMilliwatts(-70))
-	if two >= one {
-		t.Errorf("adding interferers should reduce SINR: %v >= %v", two, one)
-	}
-}

@@ -134,7 +134,7 @@ func refFindExclusive(sched *schedule.Schedule, l flow.Link, lo, hi int, scanned
 			continue
 		}
 		for c := 0; c < sched.NumOffsets(); c++ {
-			if sched.OffsetLoad(s, c) == 0 {
+			if len(sched.Cell(s, c)) == 0 {
 				return s, c, true
 			}
 		}

@@ -59,15 +59,3 @@ func (s *Schedule) ReusedLinks() map[[2]int]bool {
 	}
 	return reused
 }
-
-// MaxSlotUsed returns the highest slot index holding a transmission, or -1
-// for an empty schedule.
-func (s *Schedule) MaxSlotUsed() int {
-	maxSlot := -1
-	for _, tx := range s.txs {
-		if tx.Slot > maxSlot {
-			maxSlot = tx.Slot
-		}
-	}
-	return maxSlot
-}

@@ -515,12 +515,6 @@ func (s *Schedule) BusyUnionCount(u, v, from, to int) int {
 	return count
 }
 
-// OffsetLoad returns how many transmissions are already assigned to
-// (slot, offset).
-func (s *Schedule) OffsetLoad(slot, offset int) int {
-	return len(s.Cell(slot, offset))
-}
-
 // Validate re-derives every invariant from the raw transmission list:
 // in-range assignments, no transmission conflicts within a slot, and the
 // channel constraint at threshold rhoT on the reuse-graph hop matrix. With

@@ -41,9 +41,6 @@ func TestPlaceAndQuery(t *testing.T) {
 	if s.NodeBusy(3, 5) || s.NodeBusy(1, 6) {
 		t.Error("unrelated node/slot should be idle")
 	}
-	if got := s.OffsetLoad(5, 0); got != 1 {
-		t.Errorf("OffsetLoad = %d, want 1", got)
-	}
 	if got := len(s.Cell(5, 0)); got != 1 {
 		t.Errorf("Cell len = %d, want 1", got)
 	}
@@ -178,7 +175,7 @@ func TestRemove(t *testing.T) {
 	if !s.NodeBusy(2, 3) {
 		t.Error("remaining transmission lost its busy bits")
 	}
-	if got := s.OffsetLoad(3, 0); got != 0 {
+	if got := len(s.Cell(3, 0)); got != 0 {
 		t.Errorf("cell load = %d, want 0", got)
 	}
 	// The slot is free again for a conflicting placement.
@@ -332,22 +329,6 @@ func TestReusedLinks(t *testing.T) {
 	}
 	if reused[[2]int{6, 7}] {
 		t.Error("solo link marked reused")
-	}
-}
-
-func TestMaxSlotUsed(t *testing.T) {
-	s := mustNew(t, 50, 2, 6)
-	if got := s.MaxSlotUsed(); got != -1 {
-		t.Errorf("empty schedule MaxSlotUsed = %d, want -1", got)
-	}
-	if err := s.Place(tx(0, 0, 1, 30, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Place(tx(1, 2, 3, 7, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.MaxSlotUsed(); got != 30 {
-		t.Errorf("MaxSlotUsed = %d, want 30", got)
 	}
 }
 

@@ -1,5 +1,5 @@
-// The delta engine's op vocabulary: add, remove, reroute, repair, and
-// compact, applied N per journal commit with one rollback point (the
+// The delta engine's op vocabulary: add, remove, reroute, repair, compact,
+// and rebudget, applied N per journal commit with one rollback point (the
 // single-op entry points in delta.go are batches of one). A sustained-churn
 // manager rarely sees deltas one at a time — a link fault reroutes every
 // flow crossing it, an admission burst adds a batch of control loops — and
@@ -26,8 +26,7 @@ const (
 	BatchRemove
 	// BatchReroute moves a flow onto a new route and re-places it under
 	// its current TxBudget, refitted by flow.AdaptBudget when the hop
-	// count changes — so a re-budget is a same-route BatchReroute after
-	// updating the flow's budget.
+	// count changes.
 	BatchReroute
 	// BatchRepair moves each victim — a transmission of one of the op's
 	// reuse-degraded links in a shared cell, taken in flow, instance, hop,
@@ -40,6 +39,9 @@ const (
 	// transmission and its current slot, recovering the latency repairs
 	// and admissions fragment.
 	BatchCompact
+	// BatchRebudget re-places a flow on its own route under a new per-hop
+	// retransmission budget (the run-time re-planning of internal/budget).
+	BatchRebudget
 )
 
 // String implements fmt.Stringer.
@@ -55,6 +57,8 @@ func (k BatchKind) String() string {
 		return "repair"
 	case BatchCompact:
 		return "compact"
+	case BatchRebudget:
+		return "rebudget"
 	default:
 		return fmt.Sprintf("BatchKind(%d)", int(k))
 	}
@@ -65,10 +69,14 @@ type BatchOp struct {
 	Kind BatchKind
 	// Flow is the flow to admit (BatchAdd only).
 	Flow *flow.Flow
-	// FlowID identifies the target flow (BatchRemove and BatchReroute).
+	// FlowID identifies the target flow (BatchRemove, BatchReroute and
+	// BatchRebudget).
 	FlowID int
 	// Route is the new route (BatchReroute only).
 	Route []flow.Link
+	// Budget is the new per-hop budget, one entry per hop of the flow's
+	// route; nil clears it (BatchRebudget only). The op places a copy.
+	Budget []int
 	// Links are the degraded links whose shared-cell transmissions move
 	// (BatchRepair only).
 	Links []flow.Link
@@ -92,10 +100,13 @@ type BatchResult struct {
 // rolls back only that op's mutations and rebuilds on top of the batch's
 // earlier ops. If any
 // op fails validation or is terminally infeasible the entire batch is rolled
-// back. flows is the current workload in priority order; it is not mutated —
-// the updated workload is returned in BatchResult.Flows (reroutes replace
-// the flow with a copy carrying the new route, mirroring RerouteFlowDelta's
-// caller-updates contract).
+// back. flows is the current workload in priority order; neither it nor any
+// flow in it is mutated — the updated workload is returned in
+// BatchResult.Flows, where a reroute or rebudget replaces the flow with a
+// copy carrying its new route or budget. A batch of one op reports metrics
+// under its kind's label, exactly as the matching single-op entry point
+// does; a longer batch reports under "batch" and tags an error with the
+// failing op's index.
 func ApplyDeltaBatch(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg Config) (*BatchResult, error) {
 	return applyDelta(sched, flows, ops, cfg, true)
 }

@@ -1,7 +1,7 @@
 // Delta scheduling for flow churn and repair. Every live-schedule mutation
 // runs through one journaled engine: ApplyDeltaBatch applies a list of add /
-// remove / reroute / repair / compact ops as one atomic operation, and
-// AddFlowDelta, RemoveFlowDelta, RerouteFlowDelta, RepairDelta, and
+// remove / reroute / rebudget / repair / compact ops as one atomic operation,
+// and AddFlowDelta, RemoveFlowDelta, RerouteFlowDelta, RepairDelta, and
 // CompactDelta are batches of one. Each op pins every unaffected
 // transmission and places only the delta against the existing grid.
 // Placement runs through the same engine as a full run, so it is served by
@@ -167,8 +167,7 @@ func CompactDelta(sched *schedule.Schedule, flows []*flow.Flow) (*DeltaResult, e
 	return applyOne(sched, flows, BatchOp{Kind: BatchCompact}, Config{})
 }
 
-// applyOne runs op as a batch of one, reporting under the op kind's metric
-// label.
+// applyOne runs op as a batch of one without tracking the workload.
 func applyOne(sched *schedule.Schedule, flows []*flow.Flow, op BatchOp, cfg Config) (*DeltaResult, error) {
 	res, err := applyDelta(sched, flows, []BatchOp{op}, cfg, false)
 	if err != nil {
@@ -178,12 +177,14 @@ func applyOne(sched *schedule.Schedule, flows []*flow.Flow, op BatchOp, cfg Conf
 }
 
 // applyDelta is the engine behind every delta entry point: it runs ops in
-// order against one journal and flushes one set of metrics. A batch (as
-// opposed to a single op) reports under the "batch" label, tags errors with
-// the failing op's index, and returns the post-batch workload; a single op
-// skips that workload bookkeeping entirely. On a validation error or
-// terminal infeasibility the whole journal is rolled back.
-func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg Config, batch bool) (*BatchResult, error) {
+// order against one journal and flushes one set of metrics. One op reports
+// under its kind's label; more than one report under "batch" and tag errors
+// with the failing op's index. With track set the post-batch workload and
+// the per-op fallbacks are returned; without it (the single-op entry points)
+// the caller's workload is read in place and that bookkeeping is skipped.
+// On a validation error or terminal infeasibility the whole journal is
+// rolled back.
+func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg Config, track bool) (*BatchResult, error) {
 	start := time.Now()
 	if sched == nil {
 		return nil, fmt.Errorf("scheduler: nil schedule")
@@ -191,10 +192,10 @@ func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("scheduler: empty delta batch")
 	}
-	// Only adds and reroutes place a flow; an operation without either
-	// needs no placement config (RemoveFlowDelta has none).
+	// Only adds, reroutes and rebudgets place a flow; an operation without
+	// any needs no placement config (RemoveFlowDelta has none).
 	for _, op := range ops {
-		if op.Kind == BatchAdd || op.Kind == BatchReroute {
+		if op.Kind == BatchAdd || op.Kind == BatchReroute || op.Kind == BatchRebudget {
 			if err := validateDeltaConfig(sched, cfg); err != nil {
 				return nil, err
 			}
@@ -202,8 +203,11 @@ func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg
 		}
 	}
 	label, work := ops[0].Kind.String(), flows
-	if batch {
-		label, work = "batch", slices.Clone(flows)
+	if len(ops) > 1 {
+		label = "batch"
+	}
+	if track {
+		work = slices.Clone(flows)
 	}
 	d := newDeltaOp(sched, cfg, work)
 	out := &BatchResult{DeltaResult: DeltaResult{FailedFlow: -1}, Flows: flows}
@@ -216,7 +220,7 @@ func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg
 		}
 		if err != nil {
 			d.rollbackTo(0)
-			if batch {
+			if len(ops) > 1 {
 				err = fmt.Errorf("%w (batch op %d)", err, i)
 			}
 			return nil, err
@@ -227,7 +231,7 @@ func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg
 			out.FailedFlow = failed
 			break
 		}
-		if batch {
+		if track {
 			out.Fallbacks = append(out.Fallbacks, fb)
 			if f != nil {
 				d.work = setFlow(d.work, f.ID, f)
@@ -259,9 +263,9 @@ type deltaOp struct {
 	sched *schedule.Schedule
 	cfg   Config
 	eng   engine
-	// work is the workload in priority order before the current op. A
-	// single op reads the caller's slice; a batch owns a copy it updates
-	// after each op.
+	// work is the workload in priority order before the current op. An
+	// untracked single op reads the caller's slice; a tracked call owns a
+	// copy it updates after each op.
 	work []*flow.Flow
 	ops  []deltaJournalEntry
 
@@ -285,8 +289,8 @@ func newDeltaOp(sched *schedule.Schedule, cfg Config, work []*flow.Flow) *deltaO
 
 // begin validates op against the grid and the workload and performs its
 // removal half — all of a removal, repair, or compaction. It returns the
-// flow the op must place: the new flow of an add, a moved copy for a
-// reroute, nil otherwise.
+// flow the op must place: the new flow of an add, an updated copy for a
+// reroute or rebudget, nil otherwise.
 func (d *deltaOp) begin(op BatchOp) (*flow.Flow, error) {
 	switch op.Kind {
 	case BatchAdd:
@@ -311,13 +315,17 @@ func (d *deltaOp) begin(op BatchOp) (*flow.Flow, error) {
 			return nil, fmt.Errorf("scheduler: flow %d has no scheduled transmissions", op.FlowID)
 		}
 		return nil, nil
-	case BatchReroute:
+	case BatchReroute, BatchRebudget:
 		i := findFlow(d.work, op.FlowID)
 		if i < 0 {
 			return nil, fmt.Errorf("scheduler: flow %d not in the workload", op.FlowID)
 		}
 		moved := *d.work[i]
-		moved.SetRoute(op.Route)
+		if op.Kind == BatchReroute {
+			moved.SetRoute(op.Route)
+		} else {
+			moved.TxBudget = slices.Clone(op.Budget)
+		}
 		if err := validateDeltaFlow(d.sched, &moved); err != nil {
 			return nil, err
 		}
@@ -333,12 +341,12 @@ func (d *deltaOp) begin(op BatchOp) (*flow.Flow, error) {
 }
 
 // place runs the repair ladder for f against the grid, whose workload is
-// d.work with f added (or replacing its same-ID entry, for a reroute). mark
-// is the journal length at the op's start, before any of its mutations — a
-// reroute's removal of the old route included. Only the full rung rolls back
-// to it, so it rebuilds from the pre-op grid; the cascade rung continues from
-// whatever the failed direct attempt left, which placeFlow has already
-// cleaned up. Returns the deepest rung run and, when the op is infeasible,
+// d.work with f added (or replacing its same-ID entry, for a reroute or
+// rebudget). mark is the journal length at the op's start, before any of its
+// mutations — the removal of the flow's old transmissions included. Only the
+// full rung rolls back to it, so it rebuilds from the pre-op grid; the
+// cascade rung continues from whatever the failed direct attempt left, which
+// placeFlow has already cleaned up. Returns the deepest rung run and, when the op is infeasible,
 // the flow it could not place (-1 on success).
 func (d *deltaOp) place(f *flow.Flow, mark int) (Fallback, int, error) {
 	if ok, err := d.placeFlow(f); ok || err != nil {

@@ -40,7 +40,7 @@ func fuzzWorkload(active []*flow.Flow, mask byte) []*flow.Flow {
 }
 
 // FuzzDeltaOps drives the delta engine with random batches of add, remove,
-// reroute, repair and compact ops on a small grid, telling each batch the
+// reroute, rebudget, repair and compact ops on a small grid, telling each batch the
 // full workload or only part of it. data[0] picks the grid (4, 8 or 16
 // slots; 1 or 2 channels), the algorithm and retransmission; then every 7
 // bytes are one op, [kind, a, b, c, d, e, mask], and an op whose kind has
@@ -78,6 +78,19 @@ func FuzzDeltaOps(f *testing.F) {
 		0, 2, 0, 3, 3, 6, 0,
 		0, 11, 2, 5, 45, 6, 0,
 		130, 0, 0, 0, 0, 0, 0})
+	// RA on 16 slots and 2 channels with retransmission: two adds, rebudgets
+	// that grow, reshape and clear a budget, one whose budget is a hop too
+	// long (an error), and a batch that removes a flow and rebudgets
+	// another.
+	f.Add([]byte{29,
+		0, 9, 0, 3, 45, 49, 0,
+		0, 6, 1, 4, 22, 2, 0,
+		7, 1, 1, 5, 0, 0, 0,
+		7, 0, 1, 2, 1, 0, 0,
+		7, 1, 0, 0, 0, 0, 0,
+		7, 0, 2, 0, 0, 0, 0,
+		2, 0, 0, 0, 0, 0, 0,
+		135, 1, 1, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 1+7*24 {
 			return
@@ -187,6 +200,17 @@ func fuzzOp(b []byte, active []*flow.Flow, slots int) (BatchOp, byte) {
 		return BatchOp{Kind: BatchRepair, Links: pick().Route}, b[6]
 	case 5:
 		return BatchOp{Kind: BatchCompact}, b[6]
+	case 7:
+		// c picks a cleared budget, one per hop, or one hop too many (a
+		// validation error); d and e pick the attempts.
+		target := pick()
+		op := BatchOp{Kind: BatchRebudget, FlowID: target.ID}
+		if n := len(target.Route) + c%3 - 1; n > 0 {
+			for h := range n {
+				op.Budget = append(op.Budget, 1+(d>>h+e)%3)
+			}
+		}
+		return op, b[6]
 	}
 	src, dst := c%fuzzNodes, d%fuzzNodes
 	if src == dst {
@@ -204,9 +228,9 @@ func fuzzOp(b []byte, active []*flow.Flow, slots int) (BatchOp, byte) {
 }
 
 // fuzzApply runs a batch of one through its single-op entry point and a
-// longer batch through ApplyDeltaBatch.
+// longer batch, or a rebudget, through ApplyDeltaBatch.
 func fuzzApply(sched *schedule.Schedule, work []*flow.Flow, batch []BatchOp, cfg Config) (*DeltaResult, error) {
-	if len(batch) > 1 {
+	if len(batch) > 1 || batch[0].Kind == BatchRebudget {
 		res, err := ApplyDeltaBatch(sched, work, batch, cfg)
 		if err != nil {
 			return nil, err
@@ -235,9 +259,13 @@ func fuzzCommit(active []*flow.Flow, batch []BatchOp) []*flow.Flow {
 			active = setFlow(active, op.Flow.ID, op.Flow)
 		case BatchRemove:
 			active = setFlow(active, op.FlowID, nil)
-		case BatchReroute:
+		case BatchReroute, BatchRebudget:
 			moved := *active[findFlow(active, op.FlowID)]
-			moved.SetRoute(op.Route)
+			if op.Kind == BatchReroute {
+				moved.SetRoute(op.Route)
+			} else {
+				moved.TxBudget = op.Budget
+			}
 			active = setFlow(active, op.FlowID, &moved)
 		}
 	}

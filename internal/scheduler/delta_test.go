@@ -427,6 +427,130 @@ func TestApplyDeltaBatchRerouteCascade(t *testing.T) {
 	})
 }
 
+// TestApplyDeltaBatchRebudget grows a flow's budget and then clears it, one
+// rebudget op per call: the grid carries each new multiplicity, the post-op
+// workload holds an updated copy while the input flow is untouched, and
+// both calls count under rebudget_ops. A budget that does not match the
+// route is rejected before the grid is touched.
+func TestApplyDeltaBatchRebudget(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, hop := threeIslands()
+	f0 := &flow.Flow{ID: 0, Src: 0, Dst: 2, Period: 50, Deadline: 50}
+	routeThrough(f0, 0, 1, 2)
+	f1 := &flow.Flow{ID: 1, Src: 3, Dst: 5, Period: 100, Deadline: 100}
+	routeThrough(f1, 3, 4, 5)
+	flows := []*flow.Flow{f0, f1}
+	cfg := Config{Algorithm: RC, NumChannels: 2, RhoT: 2, HopGR: hop, Retransmit: true}
+	sched := deltaBase(t, flows, cfg)
+	cfg.Metrics = reg
+
+	for _, budget := range [][]int{{3, 2}, nil} {
+		before := sched.Clone()
+		res, err := ApplyDeltaBatch(sched, flows,
+			[]BatchOp{{Kind: BatchRebudget, FlowID: f0.ID, Budget: budget}}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := res.Flows[0]
+		if g == f0 || !slices.Equal(g.TxBudget, budget) {
+			t.Fatalf("post-op flow %d has budget %v, want a copy with %v", g.ID, g.TxBudget, budget)
+		}
+		if budget != nil && &g.TxBudget[0] == &budget[0] {
+			t.Fatal("the placed flow aliases the op's budget")
+		}
+		// checkTiming counts every hop's transmissions per instance against
+		// the flow's budget, or the uniform two attempts without one.
+		checkDelta(t, before, sched, &res.DeltaResult, res.Flows, cfg)
+		flows = res.Flows
+	}
+	if f0.TxBudget != nil || len(f0.Route) != 2 {
+		t.Fatalf("input flow mutated: route %v budget %v", f0.Route, f0.TxBudget)
+	}
+
+	var before bytes.Buffer
+	if err := sched.Encode(&before); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ApplyDeltaBatch(sched, flows,
+		[]BatchOp{{Kind: BatchRebudget, FlowID: f0.ID, Budget: []int{2, 2, 2}}}, cfg)
+	if err == nil {
+		t.Fatal("a 3-hop budget on a 2-hop route was accepted")
+	}
+	var after bytes.Buffer
+	if err := sched.Encode(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("a rejected rebudget changed the grid")
+	}
+	wantCounters(t, reg, map[string]int64{
+		"sched.incremental.rebudget_ops": 2,
+		"sched.incremental.reroute_ops":  0,
+		"sched.incremental.batch_ops":    0,
+	})
+}
+
+// TestApplyDeltaBatchOneOpLabel: a call with one op reports under its
+// kind's label, never "batch", and its counters equal those of the
+// single-op entry point that runs the same op on a copy of the grid.
+func TestApplyDeltaBatchOneOpLabel(t *testing.T) {
+	z := &flow.Flow{ID: 30, Src: 2, Dst: 5, Period: 8, Deadline: 8}
+	routeThrough(z, 2, 5)
+	detour := []flow.Link{{From: 0, To: 3}, {From: 3, To: 1}}
+	for _, tc := range []struct {
+		op BatchOp
+		// entry runs op through its single-op entry point; nil when no entry
+		// point exists or none takes a metrics sink.
+		entry func(*schedule.Schedule, []*flow.Flow, Config) (*DeltaResult, error)
+	}{
+		{BatchOp{Kind: BatchAdd, Flow: z},
+			func(s *schedule.Schedule, w []*flow.Flow, c Config) (*DeltaResult, error) {
+				return AddFlowDelta(s, w, z, c)
+			}},
+		{BatchOp{Kind: BatchRemove, FlowID: 10},
+			func(s *schedule.Schedule, _ []*flow.Flow, c Config) (*DeltaResult, error) {
+				return RemoveFlowDelta(s, 10, c.Metrics)
+			}},
+		{BatchOp{Kind: BatchReroute, FlowID: 0, Route: detour},
+			func(s *schedule.Schedule, w []*flow.Flow, c Config) (*DeltaResult, error) {
+				return RerouteFlowDelta(s, w, 0, detour, c)
+			}},
+		{BatchOp{Kind: BatchRepair, Links: []flow.Link{{From: 3, To: 4}}},
+			func(s *schedule.Schedule, w []*flow.Flow, c Config) (*DeltaResult, error) {
+				return RepairDelta(s, w, []flow.Link{{From: 3, To: 4}}, c.Metrics)
+			}},
+		{BatchOp{Kind: BatchCompact}, nil},
+		{BatchOp{Kind: BatchRebudget, FlowID: 10, Budget: []int{1}}, nil},
+	} {
+		single, flows, cfg := rerouteCascadeBase(t, nil)
+		batched := single.Clone()
+		reg := obs.NewRegistry()
+		cfg.Metrics = reg
+		if _, err := ApplyDeltaBatch(batched, flows, []BatchOp{tc.op}, cfg); err != nil {
+			t.Fatalf("%v: %v", tc.op.Kind, err)
+		}
+		wantCounters(t, reg, map[string]int64{
+			"sched.incremental.ops":                             1,
+			"sched.incremental." + tc.op.Kind.String() + "_ops": 1,
+			"sched.incremental.batch_ops":                       0,
+		})
+		if tc.entry == nil {
+			continue
+		}
+		ref := obs.NewRegistry()
+		cfg.Metrics = ref
+		if _, err := tc.entry(single, flows, cfg); err != nil {
+			t.Fatalf("%v entry point: %v", tc.op.Kind, err)
+		}
+		if got, want := reg.Snapshot().Counters, ref.Snapshot().Counters; !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: one-op batch counters %v, entry point %v", tc.op.Kind, got, want)
+		}
+		if !bytes.Equal(canonicalBytes(t, batched), canonicalBytes(t, single)) {
+			t.Errorf("%v: one-op batch and entry point left different grids", tc.op.Kind)
+		}
+	}
+}
+
 // TestAddFlowDeltaCascadeBudget builds an eviction chain longer than
 // cascadeBudget — each flow's re-placement window ends just past the next
 // flow's slot — and checks the cascade gives up at the budget and the ladder

@@ -15,11 +15,15 @@
 //     fresh grid fed the same applied operations produces, and does it still
 //     satisfy every conflict and reuse-distance constraint?
 //
-// Every applied operation is logged; at OracleEvery-operation checkpoints
-// the oracle grid replays the pending log suffix through the same delta
-// APIs and the two schedules' canonical digests must match exactly. Any
-// divergence — a stale index, a leaked arena cell, a journal that rolled
-// back incompletely — fails the run. Because both grids run the same
+// Every operation is one scheduler.ApplyDeltaBatch call, and every committed
+// call's ops are logged as issued; at OracleEvery-operation checkpoints the
+// oracle grid replays the pending log with one ApplyDeltaBatch call per
+// entry and the two schedules' canonical digests must match exactly. No op
+// edits a flow record in place — a reroute or re-budget commits a copy,
+// returned in the post-call workload — and the harness never writes a flow
+// it holds, so the log shares the live flows, routes and budgets without
+// copying them. Any divergence — a stale index, a leaked arena cell, a
+// journal that rolled back incompletely — fails the run. Because both grids run the same
 // scheduler, each checkpoint also audits the live grid against the
 // harness's own workload record with code that shares nothing with the
 // scheduler (see audit). Progress and counters are emitted under the
@@ -32,6 +36,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -182,28 +187,6 @@ type Result struct {
 	Elapsed time.Duration `json:"elapsedNs"`
 }
 
-// opKind enumerates the logged operations the oracle replays.
-type opKind int
-
-const (
-	opAdd opKind = iota
-	opRemove
-	opReroute
-	opRebudget
-	opBatch
-)
-
-// logOp is one applied operation, captured with deep copies so the oracle
-// replay sees exactly what the live grid saw.
-type logOp struct {
-	kind   opKind
-	id     int
-	f      *flow.Flow  // opAdd: the admitted flow as placed
-	route  []flow.Link // opReroute
-	budget []int       // opRebudget
-	batch  []scheduler.BatchOp
-}
-
 // state is the mutable harness state shared by the generator, the live
 // applier, and the oracle.
 type state struct {
@@ -216,7 +199,7 @@ type state struct {
 	active   []*flow.Flow // sorted by ID (priority order)
 	inactive []*flow.Flow
 
-	log     []logOp // applied operations pending oracle replay
+	log     [][]scheduler.BatchOp // committed calls pending oracle replay
 	oSched  *schedule.Schedule
 	oActive []*flow.Flow
 
@@ -369,7 +352,7 @@ func (s *state) warmup(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		res, err := scheduler.AddFlowDelta(s.sched, s.active, f, s.pcfg)
+		res, err := s.apply([]scheduler.BatchOp{{Kind: scheduler.BatchAdd, Flow: f}})
 		if err != nil {
 			return fmt.Errorf("soak warmup: %w", err)
 		}
@@ -379,10 +362,42 @@ func (s *state) warmup(ctx context.Context) error {
 			continue
 		}
 		s.res.WarmupAdmitted++
-		s.insertActive(f)
-		s.log = append(s.log, logOp{kind: opAdd, id: f.ID, f: f.Clone()})
 	}
 	return nil
+}
+
+// apply runs ops as one atomic delta call on the live grid. When the call
+// commits it adopts the post-op workload and logs ops, as issued, for the
+// oracle.
+func (s *state) apply(ops []scheduler.BatchOp) (*scheduler.BatchResult, error) {
+	res, err := scheduler.ApplyDeltaBatch(s.sched, s.active, ops, s.pcfg)
+	if err == nil && res.Schedulable {
+		s.active = res.Flows
+		s.log = append(s.log, ops)
+	}
+	return res, err
+}
+
+// churn applies one churn operation's ops and returns how many deltas
+// committed: all of them, with their fallbacks and the call's latency
+// recorded, or none when the call is infeasible. format and args describe
+// the operation in a returned error.
+func (s *state) churn(ops []scheduler.BatchOp, format string, args ...any) (int, error) {
+	start := time.Now()
+	res, err := s.apply(ops)
+	if err != nil {
+		return 0, fmt.Errorf("soak "+format+": %w", append(args, err)...)
+	}
+	if !res.Schedulable {
+		s.res.Infeasible++
+		return 0, nil
+	}
+	s.durs = append(s.durs, time.Since(start))
+	for _, fb := range res.Fallbacks {
+		s.countFallback(fb)
+	}
+	s.res.Applied += len(ops)
+	return len(ops), nil
 }
 
 // step generates and applies one churn operation, returning how many deltas
@@ -417,36 +432,22 @@ func (s *state) step(op int) (int, error) {
 func (s *state) stepAdd() (int, error) {
 	i := s.rng.Intn(len(s.inactive))
 	f := s.inactive[i]
-	start := time.Now()
-	res, err := scheduler.AddFlowDelta(s.sched, s.active, f, s.pcfg)
-	if err != nil {
-		return 0, fmt.Errorf("soak add flow %d: %w", f.ID, err)
-	}
 	s.res.Adds++
-	if !res.Schedulable {
-		s.res.Infeasible++
-		return 0, nil
+	n, err := s.churn([]scheduler.BatchOp{{Kind: scheduler.BatchAdd, Flow: f}}, "add flow %d", f.ID)
+	if n > 0 {
+		s.inactive = slices.Delete(s.inactive, i, i+1)
 	}
-	s.inactive = append(s.inactive[:i], s.inactive[i+1:]...)
-	s.insertActive(f)
-	s.applied(res.Fallback, time.Since(start), 1)
-	s.log = append(s.log, logOp{kind: opAdd, id: f.ID, f: f.Clone()})
-	return 1, nil
+	return n, err
 }
 
 func (s *state) stepRemove() (int, error) {
-	i := s.rng.Intn(len(s.active))
-	f := s.active[i]
-	start := time.Now()
-	if _, err := scheduler.RemoveFlowDelta(s.sched, f.ID, s.cfg.Metrics); err != nil {
-		return 0, fmt.Errorf("soak remove flow %d: %w", f.ID, err)
-	}
+	f := s.active[s.rng.Intn(len(s.active))]
 	s.res.Removes++
-	s.active = append(s.active[:i], s.active[i+1:]...)
-	s.inactive = append(s.inactive, f)
-	s.applied(scheduler.FallbackNone, time.Since(start), 1)
-	s.log = append(s.log, logOp{kind: opRemove, id: f.ID})
-	return 1, nil
+	n, err := s.churn([]scheduler.BatchOp{{Kind: scheduler.BatchRemove, FlowID: f.ID}}, "remove flow %d", f.ID)
+	if n > 0 {
+		s.inactive = append(s.inactive, f)
+	}
+	return n, err
 }
 
 // stepReroute is the single-flow fault model: a random relay on the flow's
@@ -459,24 +460,13 @@ func (s *state) stepReroute() (int, error) {
 	}
 	avoid := f.Route[s.rng.Intn(len(f.Route)-1)].To
 	detour := routing.PathLinks(s.gc.Without([]int{avoid}).ShortestPathHop(f.Src, f.Dst))
-	if detour == nil || sameRoute(detour, f.Route) {
+	if detour == nil || slices.Equal(detour, f.Route) {
 		s.res.Skipped++
 		return 0, nil
 	}
-	start := time.Now()
-	res, err := scheduler.RerouteFlowDelta(s.sched, s.active, f.ID, detour, s.pcfg)
-	if err != nil {
-		return 0, fmt.Errorf("soak reroute flow %d: %w", f.ID, err)
-	}
 	s.res.Reroutes++
-	if !res.Schedulable {
-		s.res.Infeasible++
-		return 0, nil
-	}
-	f.SetRoute(detour)
-	s.applied(res.Fallback, time.Since(start), 1)
-	s.log = append(s.log, logOp{kind: opReroute, id: f.ID, route: append([]flow.Link(nil), detour...)})
-	return 1, nil
+	return s.churn([]scheduler.BatchOp{{Kind: scheduler.BatchReroute, FlowID: f.ID, Route: detour}},
+		"reroute flow %d", f.ID)
 }
 
 // stepRebudget toggles a flow's retransmission budget — installing a random
@@ -491,23 +481,9 @@ func (s *state) stepRebudget() (int, error) {
 			budget[h] = 1 + s.rng.Intn(2)
 		}
 	}
-	old := f.TxBudget
-	f.TxBudget = budget
-	start := time.Now()
-	res, err := scheduler.RerouteFlowDelta(s.sched, s.active, f.ID, f.Route, s.pcfg)
-	if err != nil {
-		f.TxBudget = old
-		return 0, fmt.Errorf("soak rebudget flow %d: %w", f.ID, err)
-	}
 	s.res.Rebudgets++
-	if !res.Schedulable {
-		f.TxBudget = old
-		s.res.Infeasible++
-		return 0, nil
-	}
-	s.applied(res.Fallback, time.Since(start), 1)
-	s.log = append(s.log, logOp{kind: opRebudget, id: f.ID, budget: append([]int(nil), budget...)})
-	return 1, nil
+	return s.churn([]scheduler.BatchOp{{Kind: scheduler.BatchRebudget, FlowID: f.ID, Budget: budget}},
+		"rebudget flow %d", f.ID)
 }
 
 // stepBatch is the node-fault model: a random relay crashes and every
@@ -538,32 +514,9 @@ func (s *state) stepBatch() (int, error) {
 		s.res.Skipped++
 		return 0, nil
 	}
-	start := time.Now()
-	res, err := scheduler.ApplyDeltaBatch(s.sched, s.active, ops, s.pcfg)
-	if err != nil {
-		return 0, fmt.Errorf("soak fault batch (node %d): %w", node, err)
-	}
 	s.res.Batches++
 	s.res.Reroutes += len(ops)
-	if !res.Schedulable {
-		s.res.Infeasible++
-		return 0, nil
-	}
-	s.active = res.Flows
-	for _, fb := range res.Fallbacks {
-		s.countFallback(fb)
-	}
-	s.durs = append(s.durs, time.Since(start))
-	s.res.Applied += len(ops)
-	s.log = append(s.log, logOp{kind: opBatch, batch: cloneBatch(ops)})
-	return len(ops), nil
-}
-
-// applied records one committed unit delta.
-func (s *state) applied(fb scheduler.Fallback, d time.Duration, n int) {
-	s.countFallback(fb)
-	s.durs = append(s.durs, d)
-	s.res.Applied += n
+	return s.churn(ops, "fault batch (node %d)", node)
 }
 
 func (s *state) countFallback(fb scheduler.Fallback) {
@@ -577,77 +530,22 @@ func (s *state) countFallback(fb scheduler.Fallback) {
 	}
 }
 
-// insertActive keeps the active workload sorted by ID (priority order).
-func (s *state) insertActive(f *flow.Flow) {
-	i := sort.Search(len(s.active), func(i int) bool { return s.active[i].ID >= f.ID })
-	s.active = append(s.active, nil)
-	copy(s.active[i+1:], s.active[i:])
-	s.active[i] = f
-}
-
-// oracleCheck replays the pending log suffix into the oracle grid through
-// the same delta APIs (metrics detached) and requires the two schedules'
-// canonical digests to match exactly, then validates the live schedule's
-// conflict and reuse-distance invariants.
+// oracleCheck replays the pending log into the oracle grid, one
+// ApplyDeltaBatch call per logged entry (metrics detached), and requires the
+// two schedules' canonical digests to match exactly, then validates the live
+// schedule's conflict and reuse-distance invariants.
 func (s *state) oracleCheck() error {
 	ocfg := s.pcfg
 	ocfg.Metrics = nil
-	for i, op := range s.log {
-		var err error
-		switch op.kind {
-		case opAdd:
-			f := op.f.Clone()
-			var res *scheduler.DeltaResult
-			res, err = scheduler.AddFlowDelta(s.oSched, s.oActive, f, ocfg)
-			if err == nil && !res.Schedulable {
-				err = fmt.Errorf("oracle found add of flow %d infeasible", f.ID)
-			}
-			if err == nil {
-				j := sort.Search(len(s.oActive), func(j int) bool { return s.oActive[j].ID >= f.ID })
-				s.oActive = append(s.oActive, nil)
-				copy(s.oActive[j+1:], s.oActive[j:])
-				s.oActive[j] = f
-			}
-		case opRemove:
-			_, err = scheduler.RemoveFlowDelta(s.oSched, op.id, nil)
-			if err == nil {
-				for j, g := range s.oActive {
-					if g.ID == op.id {
-						s.oActive = append(s.oActive[:j], s.oActive[j+1:]...)
-						break
-					}
-				}
-			}
-		case opReroute:
-			var res *scheduler.DeltaResult
-			res, err = scheduler.RerouteFlowDelta(s.oSched, s.oActive, op.id, op.route, ocfg)
-			if err == nil && !res.Schedulable {
-				err = fmt.Errorf("oracle found reroute of flow %d infeasible", op.id)
-			}
-			if err == nil {
-				s.oracleFlow(op.id).SetRoute(op.route)
-			}
-		case opRebudget:
-			g := s.oracleFlow(op.id)
-			g.TxBudget = append([]int(nil), op.budget...)
-			var res *scheduler.DeltaResult
-			res, err = scheduler.RerouteFlowDelta(s.oSched, s.oActive, op.id, g.Route, ocfg)
-			if err == nil && !res.Schedulable {
-				err = fmt.Errorf("oracle found rebudget of flow %d infeasible", op.id)
-			}
-		case opBatch:
-			var res *scheduler.BatchResult
-			res, err = scheduler.ApplyDeltaBatch(s.oSched, s.oActive, op.batch, ocfg)
-			if err == nil && !res.Schedulable {
-				err = fmt.Errorf("oracle found fault batch infeasible (flow %d)", res.FailedFlow)
-			}
-			if err == nil {
-				s.oActive = res.Flows
-			}
+	for i, ops := range s.log {
+		res, err := scheduler.ApplyDeltaBatch(s.oSched, s.oActive, ops, ocfg)
+		if err == nil && !res.Schedulable {
+			err = fmt.Errorf("oracle found the call infeasible (flow %d)", res.FailedFlow)
 		}
 		if err != nil {
-			return fmt.Errorf("soak oracle: replaying op %d/%d: %w", i+1, len(s.log), err)
+			return fmt.Errorf("soak oracle: replaying call %d/%d: %w", i+1, len(s.log), err)
 		}
+		s.oActive = res.Flows
 	}
 	s.log = s.log[:0]
 	live, oracle := Digest(s.sched), Digest(s.oSched)
@@ -706,17 +604,6 @@ func audit(sched *schedule.Schedule, active []*flow.Flow) error {
 		}
 	}
 	return nil
-}
-
-// oracleFlow finds the oracle's record of a flow; replay order guarantees
-// it exists.
-func (s *state) oracleFlow(id int) *flow.Flow {
-	for _, g := range s.oActive {
-		if g.ID == id {
-			return g
-		}
-	}
-	panic(fmt.Sprintf("soak oracle: flow %d not active", id))
 }
 
 // progress emits one live snapshot.
@@ -826,30 +713,6 @@ func Digest(s *schedule.Schedule) string {
 		h.Write(buf)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
-}
-
-func cloneBatch(ops []scheduler.BatchOp) []scheduler.BatchOp {
-	out := make([]scheduler.BatchOp, len(ops))
-	for i, op := range ops {
-		out[i] = op
-		out[i].Route = append([]flow.Link(nil), op.Route...)
-		if op.Flow != nil {
-			out[i].Flow = op.Flow.Clone()
-		}
-	}
-	return out
-}
-
-func sameRoute(a, b []flow.Link) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func crossesNode(route []flow.Link, node int) bool {

@@ -25,7 +25,6 @@ import (
 	"math"
 
 	"wsan/internal/graph"
-	"wsan/internal/radio"
 )
 
 // NumChannels is the number of IEEE 802.15.4 channels in the 2.4 GHz band.
@@ -35,9 +34,6 @@ const NumChannels = 16
 
 // IEEEChannel converts a channel index to its IEEE 802.15.4 channel number.
 func IEEEChannel(idx int) int { return 11 + idx }
-
-// ChannelIndex converts an IEEE 802.15.4 channel number (11..26) to an index.
-func ChannelIndex(ieee int) int { return ieee - 11 }
 
 // Channels returns the first n channel indices, the conventional "use n
 // channels" selection in the paper's experiments.
@@ -230,11 +226,6 @@ func AccessPoints(g *graph.Graph, k int) []int {
 
 // minAPSeparation is the preferred hop distance between access points.
 const minAPSeparation = 3
-
-// LinkGain adapts the testbed to the radio simulator's GainFunc.
-func (tb *Testbed) LinkGain() radio.GainFunc {
-	return tb.GainDBm
-}
 
 // Distance returns the 3D distance in meters between two nodes.
 func (tb *Testbed) Distance(u, v int) float64 {

@@ -102,7 +102,10 @@ e2e:
 # rebudget/repair/compact ops, told all or part of the workload, a failed batch
 # leaves the grid as it was, Apply(Invert(Changes)) undoes a successful
 # one, and no flow missing from the workload loses a transmission),
-# without stalling CI.
+# and in the link survey's step table (for random receiver settings, the
+# table returns exactly the reference measuredPRR at random powers and
+# around its own edges, falling back to the BER series wherever its
+# certificate does not hold), without stalling CI.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadTestbed -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzLoadWorkload -fuzztime=$(FUZZTIME) .
@@ -112,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzScheduleOps -fuzztime=$(FUZZTIME) ./internal/schedule
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaOps -fuzztime=$(FUZZTIME) ./internal/scheduler
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/topology
+	$(GO) test -run=^$$ -fuzz=FuzzSurveyPRR -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -run=^$$ -fuzz=FuzzKSTest -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzQuantile -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzPRR802154 -fuzztime=$(FUZZTIME) ./internal/radio

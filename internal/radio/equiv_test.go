@@ -110,7 +110,7 @@ func TestPRRSaturationBitwise(t *testing.T) {
 			checkPRR(t, s, bits)
 		}
 	}
-	for _, center := range []float64{5.89, prrSaturationDB} {
+	for _, center := range []float64{5.89, PRRSaturationDB} {
 		for i := -20000; i <= 20000; i++ {
 			s := center + float64(i)*1e-7
 			for _, bits := range bitLens {
@@ -137,7 +137,7 @@ func TestPRRSaturationBitwise(t *testing.T) {
 // length against the reference, bit for bit.
 func FuzzPRR802154(f *testing.F) {
 	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -20, 0, 5.89,
-		math.Nextafter(prrSaturationDB, 0), prrSaturationDB, 60, 1e300, -1e300} {
+		math.Nextafter(PRRSaturationDB, 0), PRRSaturationDB, 60, 1e300, -1e300} {
 		for _, bits := range []int{0, AckBits, DefaultPacketBits, 1000, -7, 1 << 40} {
 			f.Add(s, bits)
 		}

@@ -76,7 +76,7 @@ type Env struct {
 	cleanDB float64
 }
 
-// cleanMarginDB pads prrSaturationDB for the interference-free shortcut: the
+// cleanMarginDB pads PRRSaturationDB for the interference-free shortcut: the
 // dBm difference signal − noise and the SINR computed through
 // DBmToMilliwatts/MilliwattsToDBm differ only by rounding, a few ulps of
 // relative power (≈1e-14 dB), far below this margin.
@@ -113,7 +113,7 @@ func (e *Env) noise() (dbm, mw, cleanDB float64) {
 		e.noiseDBm, e.noiseMW = nf, DBmToMilliwatts(nf)
 		e.cleanDB = math.Inf(1)
 		if e.noiseMW >= 0x1p-1022 && e.noiseMW <= math.MaxFloat64 {
-			e.cleanDB = prrSaturationDB + cleanMarginDB
+			e.cleanDB = PRRSaturationDB + cleanMarginDB
 		}
 	}
 	return e.noiseDBm, e.noiseMW, e.cleanDB
@@ -151,11 +151,11 @@ func (e *Env) samplePathFading(rng *rand.Rand, tx, rx int) float64 {
 // Every frame draws exactly one rng.Float64 after the slot's fading draws,
 // whatever its SINR, so the random stream does not depend on which frames
 // take the shortcuts: a frame with no interference whose signal clears the
-// noise floor by prrSaturationDB (plus cleanMarginDB) decodes without the
+// noise floor by PRRSaturationDB (plus cleanMarginDB) decodes without the
 // SINR round trip, any other frame compares its draw with tabled bounds on
 // its PRR and evaluates the BER series only when the draw falls between
 // them (see prrBounds), and PRR802154 returns 1 without the BER series above
-// prrSaturationDB. All three give bit-identical outcomes to the full
+// PRRSaturationDB. All three give bit-identical outcomes to the full
 // computation.
 func (e *Env) Evaluate(rng *rand.Rand, txs []Transmission, extra InterferenceFunc, ok []bool) []bool {
 	n := len(txs)

@@ -120,7 +120,7 @@ var binom16 = [17]float64{
 	12870, 11440, 8008, 4368, 1820, 560, 120, 16, 1,
 }
 
-// prrSaturationDB is the SINR from which PRR802154 is exactly 1 for every
+// PRRSaturationDB is the SINR from which PRR802154 is exactly 1 for every
 // frame length, so the BER series need not be evaluated there. Proof: for
 // k ≥ 2 the exponent 20γ(1/k − 1) is at most −10γ, so the series' terms sum
 // in magnitude to at most Σ C(16,k)·e^(−10γ) < 2¹⁶·e^(−10γ), and
@@ -130,12 +130,12 @@ var binom16 = [17]float64{
 // BER < 2⁻⁵⁴, 1 − BER rounds to exactly 1 (the float64 spacing below 1 is
 // 2⁻⁵³), and 1^bits = 1. TestPRRSaturationBitwise checks the identity
 // densely.
-const prrSaturationDB = 7.0
+const PRRSaturationDB = 7.0
 
 // PRR802154 returns the packet reception ratio for a packet of the given
 // length at the given SINR: (1 − BER)^bits.
 func PRR802154(sinrDB float64, packetBits int) float64 {
-	if sinrDB >= prrSaturationDB {
+	if sinrDB >= PRRSaturationDB {
 		return 1
 	}
 	ber := BER802154(sinrDB)

@@ -47,7 +47,7 @@ import (
 //
 // Below the table the frame is lost for any u ≥ hi[0]: f is below 1e-44
 // there and hi[0] is about prrEps. From prrSatRatio up the frame decodes,
-// because r' ≥ 10^0.7 gives a SINR of at least prrSaturationDB and a PRR
+// because r' ≥ 10^0.7 gives a SINR of at least PRRSaturationDB and a PRR
 // of exactly 1. Everything else runs the exact PRR with the Pow-based
 // ratio: a draw inside the band, NaN or infinite ratios, a |signalDBm|
 // above the guard and frame lengths without a table. Only that fallback
@@ -80,9 +80,9 @@ const (
 )
 
 // prrSatRatio is the Exp-based ratio from which a frame certainly decodes:
-// 10^(prrSaturationDB/10), raised by 1e-9 relative to absorb prrRatioTol
+// 10^(PRRSaturationDB/10), raised by 1e-9 relative to absorb prrRatioTol
 // and the rounding of Pow and Log10.
-var prrSatRatio = math.Pow(10, prrSaturationDB/10) * (1 + 1e-9)
+var prrSatRatio = math.Pow(10, PRRSaturationDB/10) * (1 + 1e-9)
 
 // prrCell bounds the PRR of every frame whose ratio falls in one cell.
 type prrCell struct{ lo, hi float64 }

@@ -104,11 +104,11 @@ func TestPRRDecisionBounds(t *testing.T) {
 
 // checkSaturationRatio checks that the ratio from which a frame decodes
 // outright, lowered by the Exp-versus-Pow tolerance, still maps to a SINR
-// of at least prrSaturationDB, where the PRR is exactly 1.
+// of at least PRRSaturationDB, where the PRR is exactly 1.
 func checkSaturationRatio(t *testing.T) {
 	r := prrSatRatio * (1 - prrRatioTol)
-	if sinr := MilliwattsToDBm(r); sinr < prrSaturationDB {
-		t.Fatalf("saturation ratio %v maps to %v dB, below %v dB", r, sinr, prrSaturationDB)
+	if sinr := MilliwattsToDBm(r); sinr < PRRSaturationDB {
+		t.Fatalf("saturation ratio %v maps to %v dB, below %v dB", r, sinr, PRRSaturationDB)
 	}
 	for _, bits := range []int{AckBits, DefaultPacketBits} {
 		if p := refRatioPRR(r, bits); p != 1 {

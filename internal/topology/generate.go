@@ -130,6 +130,7 @@ func Generate(cfg GenConfig, seed int64) (*Testbed, error) {
 	n := cfg.NumNodes
 	tb.gain = make([]float64, n*n*NumChannels)
 	tb.prr = make([]float64, n*n*NumChannels)
+	survey := newSurveyTable(cfg)
 
 	// Per-node hardware offsets (TX power and RX sensitivity calibration).
 	txOff := make([]float64, n)
@@ -152,8 +153,8 @@ func Generate(cfg GenConfig, seed int64) (*Testbed, error) {
 				gvu := cfg.TxPowerDBm - loss - chFade + txOff[v] + rxOff[u]
 				tb.gain[tb.index(u, v, ch)] = guv
 				tb.gain[tb.index(v, u, ch)] = gvu
-				tb.prr[tb.index(u, v, ch)] = cfg.measuredPRR(guv)
-				tb.prr[tb.index(v, u, ch)] = cfg.measuredPRR(gvu)
+				tb.prr[tb.index(u, v, ch)] = survey.prr(guv)
+				tb.prr[tb.index(v, u, ch)] = survey.prr(gvu)
 			}
 		}
 		for ch := 0; ch < NumChannels; ch++ {
@@ -179,6 +180,7 @@ func Custom(name string, nodes []Node, gain func(u, v, ch int) float64, cfg GenC
 		gain:  make([]float64, n*n*NumChannels),
 		prr:   make([]float64, n*n*NumChannels),
 	}
+	survey := newSurveyTable(cfg)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			for ch := 0; ch < NumChannels; ch++ {
@@ -188,7 +190,7 @@ func Custom(name string, nodes []Node, gain func(u, v, ch int) float64, cfg GenC
 				}
 				g := gain(u, v, ch)
 				tb.gain[tb.index(u, v, ch)] = g
-				tb.prr[tb.index(u, v, ch)] = cfg.measuredPRR(g)
+				tb.prr[tb.index(u, v, ch)] = survey.prr(g)
 			}
 		}
 	}
@@ -210,22 +212,34 @@ var gaussHermite7 = [7][2]float64{
 
 // measuredPRR converts a mean received power to the PRR a link survey would
 // record: the fading-averaged interference-free PRR, quantized to the
-// probe-count resolution, with sub-floor values reported as zero.
+// probe-count resolution, with sub-floor values reported as zero. It is the
+// exact function the survey table (survey.go) answers for.
 func (cfg GenConfig) measuredPRR(rxDBm float64) float64 {
+	return cfg.quantize(cfg.fadedPRR(rxDBm))
+}
+
+// fadedPRR is the interference-free PRR at mean received power rxDBm,
+// averaged over the survey's temporal fading.
+func (cfg GenConfig) fadedPRR(rxDBm float64) float64 {
 	snr := rxDBm - cfg.NoiseFloorDBm
-	var prr float64
-	if cfg.TemporalFadeSigmaDB > 0 {
-		// E[PRR(snr + X)], X ~ N(0, σ²), via Gauss-Hermite quadrature:
-		// substitute x = √2·σ·t so the weights integrate exp(-t²).
-		const sqrtPi = 1.7724538509055160
-		for _, nw := range gaussHermite7 {
-			x := math.Sqrt2 * cfg.TemporalFadeSigmaDB * nw[0]
-			prr += nw[1] * radio.PRR802154(snr+x, cfg.PacketBits)
-		}
-		prr /= sqrtPi
-	} else {
-		prr = radio.PRR802154(snr, cfg.PacketBits)
+	if !(cfg.TemporalFadeSigmaDB > 0) {
+		return radio.PRR802154(snr, cfg.PacketBits)
 	}
+	// E[PRR(snr + X)], X ~ N(0, σ²), via Gauss-Hermite quadrature:
+	// substitute x = √2·σ·t so the weights integrate exp(-t²).
+	const sqrtPi = 1.7724538509055160
+	var prr float64
+	for _, nw := range gaussHermite7 {
+		x := math.Sqrt2 * cfg.TemporalFadeSigmaDB * nw[0]
+		prr += nw[1] * radio.PRR802154(snr+x, cfg.PacketBits)
+	}
+	return prr / sqrtPi
+}
+
+// quantize reports a fade-averaged PRR as the survey records it: rounded to
+// multiples of 1/ProbeCount, zero below MeasurementFloor, at most 1. It is
+// nondecreasing in prr, which the survey table's proof relies on.
+func (cfg GenConfig) quantize(prr float64) float64 {
 	if cfg.ProbeCount > 0 {
 		prr = math.Round(prr*float64(cfg.ProbeCount)) / float64(cfg.ProbeCount)
 	}

@@ -400,6 +400,15 @@ func BenchmarkGenerateIndriya(b *testing.B) {
 	}
 }
 
+func BenchmarkGenerateWUSTL(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := WUSTL(int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestPlacementVariants(t *testing.T) {
 	base := DefaultGenConfig()
 	base.NumNodes = 30

@@ -18,6 +18,7 @@ import (
 	"wsan/internal/budget"
 	"wsan/internal/flow"
 	"wsan/internal/netsim"
+	"wsan/internal/schedule"
 	"wsan/internal/scheduler"
 )
 
@@ -149,25 +150,35 @@ func rebudgetPass(cfg *Config, res *netsim.Result, it *Iteration) error {
 // placement fits or no victims remain. Every placement is one rebudget op,
 // and a budget is recorded on cfg.Flows only after its op commits, so each
 // op is told the workload the grid holds. Returns whether the new budget is
-// in effect; on failure the flow keeps its previous budget and schedule.
+// in effect; on failure the flow keeps its previous budget and schedule,
+// and every victim shed for it gets its budget and transmissions back.
+// Only concessions that bought the placement count in RetriesShed and
+// ShedFlows.
 func applyBudget(cfg *Config, f *flow.Flow, attempts []int,
 	place scheduler.Config, it *Iteration) (bool, error) {
-	rebudget := func(g *flow.Flow, b []int) (bool, error) {
+	rebudget := func(g *flow.Flow, b []int) ([]schedule.Change, bool, error) {
 		res, err := scheduler.ApplyDeltaBatch(cfg.Schedule, cfg.Flows,
 			[]scheduler.BatchOp{{Kind: scheduler.BatchRebudget, FlowID: g.ID, Budget: b}}, place)
 		if err != nil {
-			return false, fmt.Errorf("rebudget flow %d: %w", g.ID, err)
+			return nil, false, fmt.Errorf("rebudget flow %d: %w", g.ID, err)
 		}
 		if res.Schedulable {
 			g.TxBudget = slices.Clone(b)
 		}
-		return res.Schedulable, nil
+		return res.Changes, res.Schedulable, nil
 	}
-	if ok, err := rebudget(f, attempts); ok || err != nil {
+	if _, ok, err := rebudget(f, attempts); ok || err != nil {
 		return ok, err
 	}
 	// Rung 2: shed retries from lower-criticality targeted flows, highest
 	// ID first, and retry after each concession.
+	type concession struct {
+		victim  *flow.Flow
+		budget  []int // the victim's budget before the shed
+		changes []schedule.Change
+		retries int
+	}
+	var shed []concession
 	for i := len(cfg.Flows) - 1; i >= 0; i-- {
 		v := cfg.Flows[i]
 		if v.ID <= f.ID || v.TargetPDR <= 0 || len(v.Route) == 0 {
@@ -182,20 +193,34 @@ func applyBudget(cfg *Config, f *flow.Flow, attempts []int,
 		if vTotal <= len(v.Route) {
 			continue // already at the floor
 		}
-		ok, err := rebudget(v, floor)
+		prev := v.TxBudget
+		changes, ok, err := rebudget(v, floor)
 		if err != nil {
 			return false, err
 		}
 		if !ok {
 			continue
 		}
-		it.RetriesShed += vTotal - len(v.Route)
-		it.ShedFlows = append(it.ShedFlows, v.ID)
-		if ok, err := rebudget(f, attempts); ok || err != nil {
-			sort.Ints(it.ShedFlows)
+		shed = append(shed, concession{v, prev, changes, vTotal - len(v.Route)})
+		if _, ok, err := rebudget(f, attempts); ok || err != nil {
+			if ok {
+				for _, c := range shed {
+					it.RetriesShed += c.retries
+					it.ShedFlows = append(it.ShedFlows, c.victim.ID)
+				}
+				sort.Ints(it.ShedFlows)
+			}
 			return ok, err
 		}
 	}
-	sort.Ints(it.ShedFlows)
+	// No concession bought the placement: undo them, newest first, with
+	// the inverse of each op's changes.
+	for i := len(shed) - 1; i >= 0; i-- {
+		c := shed[i]
+		if err := schedule.Apply(cfg.Schedule, schedule.Invert(c.changes)); err != nil {
+			return false, fmt.Errorf("restore flow %d: %w", c.victim.ID, err)
+		}
+		c.victim.TxBudget = c.budget
+	}
 	return false, nil
 }

@@ -311,3 +311,71 @@ func TestLoopBlacklistParole(t *testing.T) {
 		}
 	}
 }
+
+// TestShedOnlyWhenItBuysPlacement: flow 0 asks for more attempts than the
+// 20-slot frame holds beside two lower-criticality victims at one attempt
+// per hop. Every link shares the relay, so a slot carries one
+// transmission. With 7 attempts per hop the flow fits only after both
+// victims are shed, and both concessions count. With 9 it never fits, so
+// the sheds bought nothing: each victim keeps its budget and its
+// transmissions, and nothing counts as shed.
+func TestShedOnlyWhenItBuysPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		attempts int
+		placed   bool
+		shed     int
+	}{{7, true, 8}, {9, false, 0}} {
+		tb, _, _ := lineNetwork(t)
+		var flows []*flow.Flow
+		for id := 0; id < 3; id++ {
+			flows = append(flows, &flow.Flow{ID: id, Src: 0, Dst: 2, Period: 20, Deadline: 20,
+				Route:     []flow.Link{{From: 0, To: 1}, {From: 1, To: 2}},
+				TargetPDR: 0.9, TxBudget: []int{3, 3}})
+		}
+		g := graph.New(3)
+		if err := g.AddEdge(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddEdge(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		res, err := scheduler.Run(flows, scheduler.Config{
+			Algorithm: scheduler.NR, NumChannels: 4, RhoT: 2,
+			HopGR: g.AllPairsHop(), Retransmit: true,
+		})
+		if err != nil || !res.Schedulable {
+			t.Fatalf("seed schedule: %v schedulable=%v", err, res != nil && res.Schedulable)
+		}
+		cfg := Config{Testbed: tb, Flows: flows, Schedule: res.Schedule, Channels: topology.Channels(4)}
+		before := cfg.Schedule.Clone()
+		place := scheduler.Config{Algorithm: scheduler.NR, NumChannels: 4, Retransmit: true}
+		var it Iteration
+		want := []int{tc.attempts, tc.attempts}
+		placed, err := applyBudget(&cfg, flows[0], want, place, &it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if placed != tc.placed || it.RetriesShed != tc.shed {
+			t.Fatalf("%d attempts: placed %v, %d retries shed from %v; want %v, %d",
+				tc.attempts, placed, it.RetriesShed, it.ShedFlows, tc.placed, tc.shed)
+		}
+		checkMultiplicity(t, cfg)
+		if placed {
+			if !reflect.DeepEqual(it.ShedFlows, []int{1, 2}) || !reflect.DeepEqual(flows[0].TxBudget, want) {
+				t.Errorf("shed flows %v, budget %v", it.ShedFlows, flows[0].TxBudget)
+			}
+			continue
+		}
+		if len(it.ShedFlows) != 0 {
+			t.Errorf("shed flows %v for a placement that failed", it.ShedFlows)
+		}
+		for _, f := range flows {
+			if !reflect.DeepEqual(f.TxBudget, []int{3, 3}) {
+				t.Errorf("flow %d budget %v, want [3 3] back", f.ID, f.TxBudget)
+			}
+		}
+		if changes, err := schedule.Diff(before, cfg.Schedule); err != nil || len(changes) != 0 {
+			t.Errorf("schedule moved by %d changes (%v): %v", len(changes), err, changes)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -109,6 +110,20 @@ func TestPipelineSubcommands(t *testing.T) {
 	}
 	if err := run([]string{"simulate", "-dir", dir, "-reps", "5"}); err != nil {
 		t.Fatalf("simulate: %v", err)
+	}
+}
+
+// TestGenScheduleCreatesOutDir: -out may name a directory that does not
+// exist yet, parents included.
+func TestGenScheduleCreatesOutDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "new", "bundle")
+	if err := run([]string{"gen-schedule", "-flows", "4", "-out", dir}); err != nil {
+		t.Fatalf("gen-schedule into a missing directory: %v", err)
+	}
+	for _, name := range []string{"survey.json", "workload.json", "schedule.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("artifact %s missing: %v", name, err)
+		}
 	}
 }
 

@@ -59,9 +59,12 @@ func dirEnv(dir string, channels int, mets obs.Sink) (*jobs.Env, error) {
 	}, nil
 }
 
-// writeParts writes every part into dir and returns their paths in the
-// dir/{a,b}.json shorthand.
+// writeParts writes every part into dir, creating it if needed, and returns
+// their paths in the dir/{a,b}.json shorthand.
 func writeParts(dir string, parts jobs.Parts) (string, error) {
+	if err := os.MkdirAll(dir, 0o777); err != nil {
+		return "", err
+	}
 	names := make([]string, 0, len(parts))
 	for name, b := range parts {
 		if err := os.WriteFile(filepath.Join(dir, name), b, 0o666); err != nil {

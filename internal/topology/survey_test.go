@@ -80,8 +80,8 @@ func surveyVariants() map[string]GenConfig {
 // reference is constant at 64 interior points of every certified step and
 // at points reaching out to ±1e300 in the tails, and that it never
 // decreases across all those points in order. The presets must certify
-// every step. -short, and every setting but the presets', walk every 50th
-// ulp.
+// every step. Every setting but the presets' walks every 50th ulp; -short
+// walks every 400th and samples 8 interior points.
 func TestSurveyTableBreakpoints(t *testing.T) {
 	for name, cfg := range surveyVariants() {
 		t.Run(name, func(t *testing.T) {
@@ -97,9 +97,12 @@ func TestSurveyTableBreakpoints(t *testing.T) {
 					t.Errorf("%d segments, want 71 breakpoints' worth (143)", got)
 				}
 			}
-			ulpStep := 1
-			if testing.Short() || name != "default" {
+			ulpStep, interior := 1, 64
+			if name != "default" {
 				ulpStep = 50
+			}
+			if testing.Short() {
+				ulpStep, interior = 400, 8
 			}
 			walk := func(x float64) {
 				up, down := x, x
@@ -132,8 +135,8 @@ func TestSurveyTableBreakpoints(t *testing.T) {
 			}
 			for i := 1; i < len(tab.edges)-1; i++ {
 				a, b := tab.edges[i-1], tab.edges[i]
-				for j := 1; j <= 64; j++ {
-					xs = append(xs, a+(b-a)*float64(j)/65)
+				for j := 1; j <= interior; j++ {
+					xs = append(xs, a+(b-a)*float64(j)/float64(interior+1))
 				}
 			}
 			for k := -3; k <= 300; k++ {

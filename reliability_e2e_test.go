@@ -20,9 +20,18 @@ func cloneFlows(fs []*wsan.Flow) []*wsan.Flow {
 // workload budgeted for a 0.99 delivery-probability target, scheduled under
 // each of NR, RA, and RC, and executed for 1000 hyperperiods. Every flow the
 // planner marked feasible must reach its target in simulation. Fading and
-// survey drift are disabled so the per-attempt delivery probability is
-// exactly the survey PRR the planner consumed — the run then validates the
-// budgeting math end to end rather than the radio model's noise.
+// survey drift are disabled, so a DATA attempt succeeds with the PRR at its
+// link's mean SNR on the slot's channel, less any co-channel interference
+// under RA and RC. That is not the PRR the planner consumed. The survey
+// averages the PRR over 3.5 dB of temporal fading and rounds it to 1/100,
+// and the planner takes its mean over the network's channels. Routes use
+// only links the survey puts at 0.90 or more, where the averaging lowers
+// the PRR: on WUSTL seed 1 (workload seed 0, 107 route links on 4
+// channels) the survey reads 0.90–1.00 and the mean-SNR PRR is at least
+// 0.9999987 on every link and channel, up to 0.10 above the survey. So the
+// planner is conservative by up to 0.10 per attempt, and every flow
+// delivered every packet under all three schedulers. A PDR below target
+// would point at the budgeting or the placement, not at the radio model.
 func TestReliabilityTargetEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-hyperperiod end-to-end run skipped in -short mode")
@@ -89,7 +98,8 @@ seeds:
 
 	for _, alg := range algs {
 		cfg := net.NewSimConfig(flows, schedules[alg], 1000, 7)
-		// Zero noise: per-attempt delivery probability is the planning PRR.
+		// Zero noise: each attempt succeeds with its link's mean-SNR PRR,
+		// at or above the survey PRR on every route link (see above).
 		cfg.FadingSigmaDB = 0
 		cfg.SurveyDriftSigmaDB = 0
 		res, err := wsan.Simulate(cfg)

@@ -17,6 +17,7 @@ import (
 	"wsan/internal/obs"
 	"wsan/internal/routing"
 	"wsan/internal/schedule"
+	"wsan/internal/scheduler"
 	"wsan/wsanclient"
 )
 
@@ -461,9 +462,10 @@ func runValidate(args []string) error {
 		}
 		return nil
 	}())
-	check("retransmission budgets", checkBudgets(flows, res))
+	depth := scheduler.RetryDepth(sched, flows)
+	check("retransmission budgets", checkBudgets(flows, sched, depth))
 	check("utilization within capacity", func() error {
-		u, err := analysis.ComputeUtilization(flows, *channels, 2)
+		u, err := analysis.ComputeUtilization(flows, *channels, depth)
 		if err != nil {
 			return err
 		}
@@ -480,11 +482,10 @@ func runValidate(args []string) error {
 }
 
 // checkBudgets verifies that every flow hop holds (slotframe / period) ×
-// HopAttempts(hop, fallback) transmissions, the fallback being the retry
-// depth the schedule was built with: a workload whose retransmission
-// budgets disagree with the schedule fails.
-func checkBudgets(flows []*wsan.Flow, res *wsan.ScheduleResult) error {
-	sched, fallback := res.Schedule, jobs.RetryAttempts(res)
+// HopAttempts(hop, depth) transmissions, depth being the retry depth the
+// schedule gives unbudgeted flows: a workload whose retransmission budgets
+// disagree with the schedule fails.
+func checkBudgets(flows []*wsan.Flow, sched *schedule.Schedule, depth int) error {
 	held := make(map[[2]int]int)
 	for _, tx := range sched.Txs() {
 		held[[2]int{tx.FlowID, tx.Hop}]++
@@ -497,7 +498,7 @@ func checkBudgets(flows []*wsan.Flow, res *wsan.ScheduleResult) error {
 		}
 		for h := range f.Route {
 			hops++
-			want := sched.NumSlots() / f.Period * f.HopAttempts(h, fallback)
+			want := sched.NumSlots() / f.Period * f.HopAttempts(h, depth)
 			if n := held[[2]int{f.ID, h}]; n != want {
 				bad++
 				if first == nil {

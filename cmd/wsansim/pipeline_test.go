@@ -14,6 +14,7 @@ import (
 
 	"wsan"
 	"wsan/internal/jobs"
+	"wsan/internal/scheduler"
 	"wsan/internal/server"
 	"wsan/wsanclient"
 )
@@ -60,12 +61,12 @@ func offBudget(t *testing.T, workload, sched []byte) (bad, groups int) {
 	for _, tx := range res.Schedule.Txs() {
 		held[[3]int{tx.FlowID, tx.Instance, tx.Hop}]++
 	}
-	fallback := jobs.RetryAttempts(res)
+	depth := scheduler.RetryDepth(res.Schedule, flows)
 	for _, f := range flows {
 		for inst := 0; inst < res.Schedule.NumSlots()/f.Period; inst++ {
 			for h := range f.Route {
 				groups++
-				if held[[3]int{f.ID, inst, h}] != f.HopAttempts(h, fallback) {
+				if held[[3]int{f.ID, inst, h}] != f.HopAttempts(h, depth) {
 					bad++
 				}
 			}
@@ -110,7 +111,7 @@ func TestValidateRetransmissionBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if checkBudgets(flows, res) == nil {
+	if checkBudgets(flows, res.Schedule, scheduler.RetryDepth(res.Schedule, flows)) == nil {
 		t.Error("the retransmission-budget check passed a stale workload")
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"wsan"
+	"wsan/internal/scheduler"
 	"wsan/wsanclient"
 )
 
@@ -154,5 +156,117 @@ func TestBudgetedRerouteBundleReloads(t *testing.T) {
 	}
 	if _, err := Exec(ctx, env, &RescheduleParams{Artifact: "rerouted", Op: "reroute", Flow: 0}); err != nil {
 		t.Fatalf("second delta on the rerouted bundle: %v", err)
+	}
+}
+
+// TestUnbudgetedFlowsKeepRetryDepth manages a WUSTL bundle scheduled
+// without retransmissions under reliability targets: the flows the loop
+// budgets gain retries, while a flow without a budget holds one attempt
+// per hop. Every hop must then hold instances × HopAttempts(hop, depth)
+// transmissions, depth being the schedule's retry depth for unbudgeted
+// flows, and rerouting an unbudgeted flow must keep its one attempt per
+// hop. The first case targets every flow; the second only the even ones,
+// so unbudgeted flows sit beside budgeted flows that hold retries.
+func TestUnbudgetedFlowsKeepRetryDepth(t *testing.T) {
+	nw, err := NewNetwork(wsanclient.CreateNetworkRequest{Preset: "wustl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundles := map[string]Bundle{}
+	env := &Env{Network: nw, Lookup: func(ref string) (Bundle, error) {
+		if b, ok := bundles[ref]; ok {
+			return b, nil
+		}
+		return nil, fmt.Errorf("artifact %q not found", ref)
+	}}
+	ctx := context.Background()
+	base, err := Exec(ctx, env, &ScheduleParams{Flows: 20, DisableRetransmit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundles["all"] = base
+	flows, _, err := env.LoadBundle("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range flows {
+		if f.ID%2 == 0 {
+			f.TargetPDR = 0.999
+		}
+	}
+	var workload bytes.Buffer
+	if err := wsan.SaveWorkload(flows, &workload); err != nil {
+		t.Fatal(err)
+	}
+	bundles["even"] = Parts{"survey.json": base["survey.json"],
+		"workload.json": workload.Bytes(), "schedule.json": base["schedule.json"]}
+
+	// perHop counts the transmissions each (flow, hop) of a bundle holds.
+	perHop := func(ref string) ([]*wsan.Flow, *wsan.ScheduleResult, map[[2]int]int) {
+		flows, sched, err := env.LoadBundle(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := make(map[[2]int]int)
+		for _, tx := range sched.Schedule.Txs() {
+			held[[2]int{tx.FlowID, tx.Hop}]++
+		}
+		return flows, sched, held
+	}
+	unbudgeted := 0
+	for _, tc := range []struct {
+		ref    string
+		target float64
+	}{{"all", 0.999}, {"even", 0}} {
+		out, err := Exec(ctx, env, &ManageParams{
+			Artifact: tc.ref, TargetPDR: tc.target, EpochSlots: 9000, MaxIterations: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		managed := tc.ref + "-managed"
+		bundles[managed] = Parts{"survey.json": base["survey.json"],
+			"workload.json": out["workload.json"], "schedule.json": out["schedule.json"]}
+		flows, sched, held := perHop(managed)
+		depth := scheduler.RetryDepth(sched.Schedule, flows)
+		retries := false
+		for _, f := range flows {
+			instances := sched.Schedule.NumSlots() / f.Period
+			for h := range f.Route {
+				if got, want := held[[2]int{f.ID, h}], instances*f.HopAttempts(h, depth); got != want {
+					t.Errorf("%s: flow %d hop %d holds %d transmissions, want %d (budget %v, depth %d)",
+						managed, f.ID, h, got, want, f.TxBudget, depth)
+				}
+				retries = retries || f.HopAttempts(h, depth) > 1
+			}
+		}
+		if !retries {
+			t.Fatalf("%s: no flow holds a retry; the loop re-budgeted nothing", managed)
+		}
+		for _, f := range flows {
+			if len(f.TxBudget) > 0 {
+				continue
+			}
+			unbudgeted++
+			if depth != 1 {
+				t.Errorf("%s: retry depth %d, want the bundle's 1", managed, depth)
+			}
+			rerouted := fmt.Sprintf("%s-reroute-%d", managed, f.ID)
+			if bundles[rerouted], err = Exec(ctx, env, &RescheduleParams{
+				Artifact: managed, Op: "reroute", Flow: f.ID}); err != nil {
+				t.Fatal(err)
+			}
+			after, sched, held := perHop(rerouted)
+			g := after[slices.IndexFunc(after, func(g *wsan.Flow) bool { return g.ID == f.ID })]
+			instances := sched.Schedule.NumSlots() / g.Period
+			for h := range g.Route {
+				if got := held[[2]int{g.ID, h}]; got != instances {
+					t.Errorf("%s: rerouted flow %d hop %d holds %d transmissions, want %d (one per instance)",
+						rerouted, g.ID, h, got, instances)
+				}
+			}
+		}
+	}
+	if unbudgeted == 0 {
+		t.Fatal("no managed bundle kept an unbudgeted flow to reroute")
 	}
 }

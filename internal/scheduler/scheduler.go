@@ -103,6 +103,34 @@ func (c Config) attempts() int {
 	return 1
 }
 
+// RetryDepth returns the per-hop attempt count sched gives the flows
+// without a TxBudget: the fallback of Flow.HopAttempts, and the depth a
+// later placement must keep (Retransmit exactly when it is 2). It is read
+// off the transmissions of the unbudgeted flows in flows, because budgeted
+// flows may hold retries the unbudgeted ones were never given. When none
+// of them holds a transmission, it is 2 if the schedule holds any
+// retransmission and 1 otherwise.
+func RetryDepth(sched *schedule.Schedule, flows []*flow.Flow) int {
+	unbudgeted := make(map[int]bool, len(flows))
+	for _, f := range flows {
+		unbudgeted[f.ID] = len(f.TxBudget) == 0
+	}
+	depth, retries := 0, false
+	for _, tx := range sched.Txs() {
+		retries = retries || tx.Attempt > 0
+		if unbudgeted[tx.FlowID] && tx.Attempt+1 > depth {
+			depth = tx.Attempt + 1
+		}
+	}
+	switch {
+	case depth > 0:
+		return depth
+	case retries:
+		return 2
+	}
+	return 1
+}
+
 // validateAlgorithm checks that cfg names a known algorithm and carries the
 // inputs it needs: the G_R hop matrix and ρ_t for the reuse policies.
 func (c Config) validateAlgorithm() error {

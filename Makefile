@@ -34,14 +34,16 @@ soak-smoke:
 	$(GO) test -race -count=1 -run 'TestSoak|TestScanVsIndexIdentical|TestConcurrentJobsShareTestbed' \
 		./internal/soak/ ./internal/server/ ./internal/scheduler/ ./internal/jobs/
 
-# lint runs go vet always and staticcheck when it is on PATH. Locally the
-# staticcheck half degrades to a notice so a bare toolchain still passes;
-# the GitHub workflow installs staticcheck, making it blocking there. It
-# also enforces that wsanclient imports no other package of this module:
-# the daemon encodes the client's wire types, so the dependency must only
-# ever point from the server to the client.
+# lint runs go vet always, on the root module and on the nested bench/
+# module that `go vet ./...` at the root never reaches, and staticcheck when
+# it is on PATH. Locally the staticcheck half degrades to a notice so a bare
+# toolchain still passes; the GitHub workflow installs staticcheck, making
+# it blocking there. It also enforces that wsanclient imports no other
+# package of this module: the daemon encodes the client's wire types, so
+# the dependency must only ever point from the server to the client.
 lint:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@deps=$$($(GO) list -deps ./wsanclient | grep -E '^wsan(/|$$)' | grep -vx 'wsan/wsanclient'); \
 	if [ -n "$$deps" ]; then \
 		echo "wsanclient must depend on the standard library only; it pulls in:"; \

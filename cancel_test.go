@@ -58,20 +58,23 @@ func TestManageCtxCancelMidLoop(t *testing.T) {
 	defer cancel()
 	sink := &cancelOnIteration{cancel: cancel}
 	// The crashed source keeps every iteration degraded and unrepairable, so
-	// without the cancellation the loop would run all MaxStalls iterations.
+	// without the cancellation the loop would run all three stalled
+	// iterations it allows under a fault scenario.
 	iters, err := wsan.ManageCtx(ctx, wsan.ManageConfig{
-		Testbed:           tb,
-		Flows:             flows,
-		Schedule:          res.Schedule,
-		Channels:          net.Channels(),
-		EpochSlots:        2_000,
-		SampleWindowSlots: 200,
-		MaxIterations:     10,
-		Metrics:           sink,
-		Faults: &wsan.FaultScenario{Events: []wsan.FaultEvent{
-			{At: 0, Kind: wsan.FaultNodeCrash, Node: 0},
-		}},
-		Seed: 5,
+		Sim: wsan.SimConfig{
+			Testbed:           tb,
+			Flows:             flows,
+			Schedule:          res.Schedule,
+			Channels:          net.Channels(),
+			EpochSlots:        2_000,
+			SampleWindowSlots: 200,
+			Metrics:           sink,
+			Faults: &wsan.FaultScenario{Events: []wsan.FaultEvent{
+				{At: 0, Kind: wsan.FaultNodeCrash, Node: 0},
+			}},
+			Seed: 5,
+		},
+		MaxIterations: 10,
 	})
 	if err == nil {
 		t.Fatal("cancelled loop returned no error")

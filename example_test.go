@@ -840,15 +840,17 @@ func ExampleNewMetricsRegistry() {
 	// The management loop flushes "manage.*" verdict counts and repair
 	// moves per iteration, plus one "manage.iteration" event per cycle.
 	if _, err := wsan.ManageCtx(context.Background(), wsan.ManageConfig{
-		Testbed:           net.Testbed(),
-		Flows:             flows,
-		Schedule:          res.Schedule,
-		Channels:          net.Channels(),
-		EpochSlots:        10_000,
-		SampleWindowSlots: 1_000,
-		MaxIterations:     2,
-		FadingSigmaDB:     2.5,
-		Seed:              3,
+		Sim: wsan.SimConfig{
+			Testbed:           net.Testbed(),
+			Flows:             flows,
+			Schedule:          res.Schedule,
+			Channels:          net.Channels(),
+			EpochSlots:        10_000,
+			SampleWindowSlots: 1_000,
+			FadingSigmaDB:     2.5,
+			Seed:              3,
+		},
+		MaxIterations: 2,
 	}.WithMetricsSink(reg)); err != nil {
 		fmt.Println(err)
 		return
@@ -1002,7 +1004,7 @@ func ExampleManage() {
 	// an epoch, infers crashed nodes from the link statistics (no
 	// ground-truth peeking), reroutes flows around them, and blacklists
 	// channels whose failure rate stands far above the cleanest channel.
-	iters, err := wsan.Manage(wsan.ManageConfig{
+	iters, err := wsan.Manage(wsan.ManageConfig{Sim: wsan.SimConfig{
 		Testbed:           tb,
 		Flows:             flows,
 		Schedule:          res.Schedule,
@@ -1011,7 +1013,7 @@ func ExampleManage() {
 		SampleWindowSlots: 400,
 		Faults:            scenario,
 		Seed:              13,
-	})
+	}})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wsan/internal/manage"
+	"wsan/internal/netsim"
 	"wsan/internal/scheduler"
 	"wsan/internal/topology"
 )
@@ -24,19 +25,20 @@ func ExtManage(env *Env, opt Options) ([]*Table, error) {
 		return nil, fmt.Errorf("ext-manage: %w", err)
 	}
 	iters, err := manage.Loop(manage.Config{
-		Testbed:            env.TB,
-		Flows:              fs.flows,
-		Schedule:           fs.results[scheduler.RA].Schedule,
-		Channels:           topology.Channels(p.NumChannels),
-		EpochSlots:         p.Epochs * p.EpochSlots,
-		SampleWindowSlots:  p.WindowSlots,
-		ProbeEverySlots:    p.ProbeEverySlots,
-		FadingSigmaDB:      p.FadingSigmaDB,
-		SurveyDriftSigmaDB: p.SurveyDriftSigmaDB,
-		MaxIterations:      5,
-		CompactAfterRepair: true,
-		Metrics:            env.Metrics,
-		Seed:               fs.seed,
+		Sim: netsim.Config{
+			Testbed:            env.TB,
+			Flows:              fs.flows,
+			Schedule:           fs.results[scheduler.RA].Schedule,
+			Channels:           topology.Channels(p.NumChannels),
+			EpochSlots:         p.Epochs * p.EpochSlots,
+			SampleWindowSlots:  p.WindowSlots,
+			ProbeEverySlots:    p.ProbeEverySlots,
+			FadingSigmaDB:      p.FadingSigmaDB,
+			SurveyDriftSigmaDB: p.SurveyDriftSigmaDB,
+			Metrics:            env.Metrics,
+			Seed:               fs.seed,
+		},
+		MaxIterations: 5,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ext-manage: %w", err)

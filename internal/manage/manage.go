@@ -13,71 +13,40 @@ import (
 	"time"
 
 	"wsan/internal/detect"
-	"wsan/internal/faults"
 	"wsan/internal/flow"
 	"wsan/internal/netsim"
 	"wsan/internal/obs"
 	"wsan/internal/repair"
 	"wsan/internal/schedule"
-	"wsan/internal/topology"
 )
 
 // Config parameterizes the management loop.
 type Config struct {
-	// Testbed, Flows, and Schedule describe the running network. The
-	// schedule is mutated in place by repairs.
-	Testbed  *topology.Testbed
-	Flows    []*flow.Flow
-	Schedule *schedule.Schedule
-	// Channels maps offsets to physical channels (see netsim.Config).
-	Channels []int
-	// Observation horizon per iteration.
-	EpochSlots        int
-	SampleWindowSlots int
-	ProbeEverySlots   int
-	// Radio environment (see netsim.Config).
-	FadingSigmaDB      float64
-	SurveyDriftSigmaDB float64
-	Interferers        []netsim.Interferer
-	// Detection policy; zero value means detect.DefaultConfig().
-	Detection detect.Config
+	// Sim is the running network and one iteration's observation: the same
+	// configuration a netsim.Run call takes. Testbed, Flows and Schedule
+	// are required, and repairs mutate the schedule (and, after reroutes,
+	// the flow routes) in place. EpochSlots and SampleWindowSlots are the
+	// observation horizon per iteration and are required. Channels is the
+	// starting hopping list; blacklisting edits a copy. Metrics, when
+	// non-nil, also receives per-iteration verdict counts, repair moves,
+	// and PDR gauges under the "manage." prefix and one "manage.iteration"
+	// event per cycle.
+	//
+	// The loop owns four fields of every iteration's run: Hyperperiods
+	// (enough slotframes to cover EpochSlots), Seed (Sim.Seed plus the
+	// iteration index, so repaired schedules face fresh noise), DriftSeed
+	// (Sim.Seed, so every iteration faces the same radio environment), and
+	// FaultOffsetSlots (the scenario clock advances with the loop, so one
+	// fault scenario spans the whole session). Sim must leave
+	// Hyperperiods, DriftSeed and FaultOffsetSlots zero.
+	Sim netsim.Config
 	// MaxIterations bounds the loop (default 5).
 	MaxIterations int
-	// CompactAfterRepair pulls transmissions earlier (exclusive cells only)
-	// after each repair, recovering the latency repairs fragment.
-	CompactAfterRepair bool
-	// Metrics, when non-nil, receives per-iteration verdict counts, repair
-	// moves, and PDR gauges under the "manage." prefix, one "manage.iteration"
-	// event per cycle, and the counters of the simulator and repairer it
-	// drives. Nil disables observability at near-zero cost.
-	Metrics obs.Sink
 	// OnIteration, when non-nil, is invoked synchronously with each completed
 	// Iteration, in order, before the loop decides whether to continue — the
 	// hook live consumers (the daemon's event stream) attach to. It must not
 	// block: the loop stalls for as long as the hook runs.
 	OnIteration func(Iteration)
-	// Seed drives the simulations; each iteration advances it so repaired
-	// schedules face fresh noise.
-	Seed int64
-
-	// Faults, when non-nil, replays a fault scenario during every
-	// observation window. The scenario clock advances with the loop —
-	// iteration i observes the timeline from slot i·(executed slots per
-	// iteration) — so one scenario spans the whole management session.
-	Faults *faults.Scenario
-	// MaxStalls bounds the consecutive iterations the loop tolerates
-	// without progress (no repair move, reroute, or blacklist) while the
-	// network is degraded, before giving up with the last Degraded state.
-	// Default 1 without a fault scenario (the classic behavior: one futile
-	// iteration ends the loop) and 3 with one, because a fault timeline can
-	// clear on its own and retrying is how the loop notices.
-	MaxStalls int
-	// RetryBackoff is the base delay slept after a stalled iteration; it
-	// doubles per consecutive stall and is capped at MaxRetryBackoff
-	// (default 8×RetryBackoff). Zero disables sleeping — stalls are still
-	// counted against MaxStalls.
-	RetryBackoff    time.Duration
-	MaxRetryBackoff time.Duration
 	// BlacklistParoleCleanIterations, when positive, un-blacklists a
 	// condemned channel after that many consecutive clean iterations: the
 	// channel returns to its hopping-list positions and its replacement
@@ -104,10 +73,10 @@ const (
 )
 
 // WithMetricsSink returns a copy of the config with the observability sink
-// attached (see Config.Metrics). Because the public wsan.ManageConfig is an
+// attached (see Config.Sim). Because the public wsan.ManageConfig is an
 // alias of this type, the method is the option surface of the public API.
 func (c Config) WithMetricsSink(m obs.Sink) Config {
-	c.Metrics = m
+	c.Sim.Metrics = m
 	return c
 }
 
@@ -172,16 +141,16 @@ type Iteration struct {
 	RetriesShed int
 	ShedFlows   []int
 	Shortfalls  []FlowShortfall
-	// Backoff is the delay slept after this stalled iteration (zero when
-	// the iteration made progress or RetryBackoff is unset).
-	Backoff time.Duration
 }
 
 // Loop runs the management cycle until the network is healthy (no link
 // classified reuse-degraded and every flow meeting the PRR target), repair
-// stops making progress for MaxStalls consecutive iterations, or
-// MaxIterations is reached. It returns one Iteration per cycle, in order;
-// the schedule (and, after reroutes, the flow routes) in cfg reflect all
+// stops making progress, or MaxIterations is reached. Without a fault
+// scenario one iteration without progress (no repair move, reroute,
+// blacklist, or re-budget) ends the loop; with one it takes three in a row,
+// because a fault timeline can clear on its own and observing again is how
+// the loop notices. It returns one Iteration per cycle, in order; the
+// schedule (and, after reroutes, the flow routes) in cfg.Sim reflect all
 // applied repairs. Under a fault scenario the loop degrades gracefully:
 // crashed nodes are inferred and routed around, channels under sustained
 // interference are swapped out of the hopping list, and every iteration
@@ -197,41 +166,37 @@ func Loop(cfg Config) ([]Iteration, error) {
 // ctx.Err() (wrapped). Iterations completed before the cancellation are
 // returned alongside the error; the schedule keeps their repairs.
 func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
-	if cfg.Testbed == nil || cfg.Schedule == nil || len(cfg.Flows) == 0 {
+	sim := cfg.Sim
+	if sim.Testbed == nil || sim.Schedule == nil || len(sim.Flows) == 0 {
 		return nil, fmt.Errorf("manage: testbed, schedule, and flows are required")
 	}
-	if cfg.EpochSlots <= 0 || cfg.SampleWindowSlots <= 0 {
+	if sim.EpochSlots <= 0 || sim.SampleWindowSlots <= 0 {
 		return nil, fmt.Errorf("manage: EpochSlots and SampleWindowSlots are required")
+	}
+	if sim.Hyperperiods != 0 || sim.DriftSeed != 0 || sim.FaultOffsetSlots != 0 {
+		return nil, fmt.Errorf("manage: Hyperperiods, DriftSeed, and FaultOffsetSlots are set by the loop, not the caller")
 	}
 	if cfg.MaxIterations <= 0 {
 		cfg.MaxIterations = 5
 	}
-	if cfg.Detection == (detect.Config{}) {
-		cfg.Detection = detect.DefaultConfig()
+	det := detect.DefaultConfig()
+	maxStalls := 1
+	if sim.Faults != nil {
+		maxStalls = 3
 	}
-	if cfg.MaxStalls <= 0 {
-		if cfg.Faults != nil {
-			cfg.MaxStalls = 3 // fault timelines can clear; retry before quitting
-		} else {
-			cfg.MaxStalls = 1
-		}
-	}
-	if cfg.MaxRetryBackoff <= 0 {
-		cfg.MaxRetryBackoff = 8 * cfg.RetryBackoff
-	}
-	hyper := cfg.Schedule.NumSlots()
-	reps := (cfg.EpochSlots + hyper - 1) / hyper
+	hyper := sim.Schedule.NumSlots()
+	reps := (sim.EpochSlots + hyper - 1) / hyper
 	// The hopping list is copied so blacklisting never mutates the caller's
 	// slice; used tracks every channel ever in the list, so a blacklisted
 	// channel cannot return as a later replacement.
-	channels := append([]int(nil), cfg.Channels...)
+	channels := append([]int(nil), sim.Channels...)
 	used := make(map[int]bool, len(channels))
 	for _, ch := range channels {
 		used[ch] = true
 	}
 	stalls := 0
 	everDegraded := false
-	targeted := hasTargets(cfg.Flows)
+	targeted := hasTargets(sim.Flows)
 	// paroles tracks blacklisted channels eligible for rehabilitation:
 	// channel → (its replacement, consecutive clean iterations seen).
 	// paroled remembers channels that already served one parole; a relapse
@@ -248,26 +213,15 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 			return out, fmt.Errorf("manage: %w", err)
 		}
 		iterStart := time.Now()
-		res, err := netsim.RunCtx(ctx, netsim.Config{
-			Testbed:            cfg.Testbed,
-			Flows:              cfg.Flows,
-			Schedule:           cfg.Schedule,
-			Channels:           channels,
-			Hyperperiods:       reps,
-			FadingSigmaDB:      cfg.FadingSigmaDB,
-			SurveyDriftSigmaDB: cfg.SurveyDriftSigmaDB,
-			Interferers:        cfg.Interferers,
-			EpochSlots:         cfg.EpochSlots,
-			SampleWindowSlots:  cfg.SampleWindowSlots,
-			ProbeEverySlots:    cfg.ProbeEverySlots,
-			Metrics:            cfg.Metrics,
-			Seed:               cfg.Seed + int64(iter),
-			DriftSeed:          cfg.Seed, // same radio environment every iteration
-			Faults:             cfg.Faults,
-			// Each iteration executes reps·hyper slots, so the scenario
-			// clock picks up exactly where the previous iteration left off.
-			FaultOffsetSlots: iter * reps * hyper,
-		})
+		run := sim
+		run.Channels = channels
+		run.Hyperperiods = reps
+		run.Seed = sim.Seed + int64(iter)
+		run.DriftSeed = sim.Seed // same radio environment every iteration
+		// Each iteration executes reps·hyper slots, so the scenario clock
+		// picks up exactly where the previous iteration left off.
+		run.FaultOffsetSlots = iter * reps * hyper
+		res, err := netsim.RunCtx(ctx, run)
 		if err != nil {
 			return out, fmt.Errorf("manage: iteration %d: %w", iter, err)
 		}
@@ -282,12 +236,12 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 			count++
 		}
 		it.MeanPDR = sum / float64(count)
-		it.DegradedFlows = degradedFlowIDs(cfg.Flows, res, cfg.Detection.PRRThreshold)
-		reports := detect.Classify(res.LinkEpochs, cfg.Detection)
+		it.DegradedFlows = degradedFlowIDs(sim.Flows, res, det.PRRThreshold)
+		reports := detect.Classify(res.LinkEpochs, det)
 		degraded := detect.Links(reports, detect.ReuseDegraded)
 		it.Degraded = len(degraded)
 		it.Channels = append([]int(nil), channels...)
-		before := cfg.Schedule.Clone()
+		before := sim.Schedule.Clone()
 		// Reliability re-budgeting runs on every window the moment any flow
 		// carries a target: drift below a TargetPDR is actionable even when
 		// no flow has fallen under the (much looser) detection threshold.
@@ -334,14 +288,14 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 				it.Channels = append([]int(nil), channels...)
 			}
 			if it.Rebudgeted > 0 {
-				delta, err := schedule.Diff(before, cfg.Schedule)
+				delta, err := schedule.Diff(before, sim.Schedule)
 				if err != nil {
 					return out, fmt.Errorf("manage: iteration %d: %w", iter, err)
 				}
 				it.DeltaChanges = len(delta)
 				it.AffectedDevices = len(schedule.AffectedDevices(delta))
 			}
-			observeIteration(cfg.Metrics, it, reports, time.Since(iterStart), false)
+			observeIteration(sim.Metrics, it, reports, time.Since(iterStart), false)
 			if cfg.OnIteration != nil {
 				cfg.OnIteration(it)
 			}
@@ -361,22 +315,24 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 			p.clean = 0
 		}
 		if len(degraded) > 0 {
-			rep, err := repair.RescheduleObserved(cfg.Schedule, cfg.Flows, degraded, cfg.Metrics)
+			rep, err := repair.RescheduleObserved(sim.Schedule, sim.Flows, degraded, sim.Metrics)
 			if err != nil {
 				return out, fmt.Errorf("manage: iteration %d: %w", iter, err)
 			}
 			it.Moved = rep.Moved
 			it.Unmovable = len(rep.Failed)
-			if cfg.CompactAfterRepair && rep.Moved > 0 {
-				if _, err := repair.Compact(cfg.Schedule, cfg.Flows); err != nil {
+			// Pull transmissions earlier (exclusive cells only), recovering
+			// the latency repairs fragment.
+			if rep.Moved > 0 {
+				if _, err := repair.Compact(sim.Schedule, sim.Flows); err != nil {
 					return out, fmt.Errorf("manage: iteration %d: %w", iter, err)
 				}
 			}
 		}
 		it.SuspectNodes = suspectCrashedNodes(res)
 		if len(it.SuspectNodes) > 0 {
-			n, err := rerouteAround(cfg.Testbed, channels, cfg.Detection.PRRThreshold,
-				cfg.Flows, cfg.Schedule, it.SuspectNodes, cfg.Metrics)
+			n, err := rerouteAround(sim.Testbed, channels, det.PRRThreshold,
+				sim.Flows, sim.Schedule, it.SuspectNodes, sim.Metrics)
 			if err != nil {
 				return out, fmt.Errorf("manage: iteration %d: %w", iter, err)
 			}
@@ -408,7 +364,7 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 				}
 			}
 		}
-		delta, err := schedule.Diff(before, cfg.Schedule)
+		delta, err := schedule.Diff(before, sim.Schedule)
 		if err != nil {
 			return out, fmt.Errorf("manage: iteration %d: %w", iter, err)
 		}
@@ -420,28 +376,15 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 			stalls = 0
 		} else {
 			stalls++
-			if stalls < cfg.MaxStalls && cfg.RetryBackoff > 0 {
-				// Bounded exponential backoff before the retry.
-				d := cfg.RetryBackoff << uint(stalls-1)
-				if d > cfg.MaxRetryBackoff || d <= 0 {
-					d = cfg.MaxRetryBackoff
-				}
-				it.Backoff = d
-			}
 		}
-		observeIteration(cfg.Metrics, it, reports, time.Since(iterStart), !progress)
+		observeIteration(sim.Metrics, it, reports, time.Since(iterStart), !progress)
 		if cfg.OnIteration != nil {
 			cfg.OnIteration(it)
 		}
 		out = append(out, it)
-		if stalls >= cfg.MaxStalls {
+		if stalls >= maxStalls {
 			// Out of ideas: report the degraded state instead of spinning.
 			return out, nil
-		}
-		if it.Backoff > 0 {
-			if err := sleepCtx(ctx, it.Backoff); err != nil {
-				return out, fmt.Errorf("manage: %w", err)
-			}
 		}
 	}
 	return out, nil
@@ -490,9 +433,6 @@ func observeIteration(m obs.Sink, it Iteration, reports []detect.Report, elapsed
 	}
 	if stalled {
 		m.Count("manage.recovery.stalls", 1)
-	}
-	if it.Backoff > 0 {
-		m.Observe("manage.recovery.backoff_seconds", it.Backoff.Seconds())
 	}
 	m.Observe("manage.iteration_seconds", elapsed.Seconds())
 	m.Event("manage.iteration", map[string]float64{

@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"wsan/internal/detect"
 	"wsan/internal/flow"
+	"wsan/internal/netsim"
 	"wsan/internal/routing"
 	"wsan/internal/schedule"
 	"wsan/internal/scheduler"
@@ -60,7 +60,7 @@ func TestLoopValidation(t *testing.T) {
 		t.Error("empty config should fail")
 	}
 	tb, flows, sched := raNetwork(t)
-	if _, err := Loop(Config{Testbed: tb, Flows: flows, Schedule: sched}); err == nil {
+	if _, err := Loop(Config{Sim: netsim.Config{Testbed: tb, Flows: flows, Schedule: sched}}); err == nil {
 		t.Error("missing observation horizon should fail")
 	}
 }
@@ -68,18 +68,19 @@ func TestLoopValidation(t *testing.T) {
 func TestLoopConvergesOrStops(t *testing.T) {
 	tb, flows, sched := raNetwork(t)
 	iters, err := Loop(Config{
-		Testbed:            tb,
-		Flows:              flows,
-		Schedule:           sched,
-		Channels:           topology.Channels(4),
-		EpochSlots:         10_000,
-		SampleWindowSlots:  600,
-		ProbeEverySlots:    200,
-		FadingSigmaDB:      2.5,
-		SurveyDriftSigmaDB: 2.5,
-		MaxIterations:      4,
-		CompactAfterRepair: true,
-		Seed:               5,
+		Sim: netsim.Config{
+			Testbed:            tb,
+			Flows:              flows,
+			Schedule:           sched,
+			Channels:           topology.Channels(4),
+			EpochSlots:         10_000,
+			SampleWindowSlots:  600,
+			ProbeEverySlots:    200,
+			FadingSigmaDB:      2.5,
+			SurveyDriftSigmaDB: 2.5,
+			Seed:               5,
+		},
+		MaxIterations: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +111,10 @@ func TestLoopConvergesOrStops(t *testing.T) {
 	}
 }
 
-func TestLoopCleanNetworkStopsImmediately(t *testing.T) {
-	// A light RC schedule with no reuse: the first observation finds no
-	// degraded links and the loop returns after one iteration.
+// cleanNetwork schedules a light RC workload with no reuse on the WUSTL
+// topology and returns the loop's simulator configuration for it.
+func cleanNetwork(t *testing.T) netsim.Config {
+	t.Helper()
 	tb, err := topology.WUSTL(1)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +148,7 @@ func TestLoopCleanNetworkStopsImmediately(t *testing.T) {
 	if !res.Schedulable {
 		t.Fatal("light workload should be schedulable")
 	}
-	iters, err := Loop(Config{
+	return netsim.Config{
 		Testbed:           tb,
 		Flows:             flows,
 		Schedule:          res.Schedule,
@@ -155,13 +157,60 @@ func TestLoopCleanNetworkStopsImmediately(t *testing.T) {
 		SampleWindowSlots: 500,
 		ProbeEverySlots:   200,
 		FadingSigmaDB:     2.5,
-		Detection:         detect.DefaultConfig(),
 		Seed:              9,
-	})
+	}
+}
+
+func TestLoopCleanNetworkStopsImmediately(t *testing.T) {
+	// The first observation finds no degraded links and the loop returns
+	// after one iteration.
+	iters, err := Loop(Config{Sim: cleanNetwork(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(iters) != 1 || iters[0].Degraded != 0 {
 		t.Errorf("clean network should stop after one iteration: %+v", iters)
+	}
+}
+
+// TestLoopObservesWithSim pins that an iteration observes exactly the
+// simulation its Sim describes: iteration 0 of a clean network reports the
+// PDRs of a direct run of Sim over ⌈EpochSlots / slotframe⌉ hyperperiods
+// with the drift pinned to Seed. The fields the loop owns must be left to
+// it.
+func TestLoopObservesWithSim(t *testing.T) {
+	sim := cleanNetwork(t)
+	iters, err := Loop(Config{Sim: sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := sim
+	hyper := sim.Schedule.NumSlots()
+	direct.Hyperperiods = (sim.EpochSlots + hyper - 1) / hyper
+	direct.DriftSeed = sim.Seed
+	res, err := netsim.Run(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minPDR, sum := 2.0, 0.0
+	pdrs := res.PDRs()
+	for _, p := range pdrs {
+		minPDR = min(minPDR, p)
+		sum += p
+	}
+	if it := iters[0]; it.MinPDR != minPDR || it.MeanPDR != sum/float64(len(pdrs)) {
+		t.Errorf("iteration 0 PDRs min %v mean %v, direct run min %v mean %v",
+			it.MinPDR, it.MeanPDR, minPDR, sum/float64(len(pdrs)))
+	}
+	for name, set := range map[string]func(*netsim.Config){
+		"Hyperperiods":     func(c *netsim.Config) { c.Hyperperiods = 1 },
+		"DriftSeed":        func(c *netsim.Config) { c.DriftSeed = 1 },
+		"FaultOffsetSlots": func(c *netsim.Config) { c.FaultOffsetSlots = 1 },
+	} {
+		owned := sim
+		set(&owned)
+		if _, err := Loop(Config{Sim: owned}); err == nil {
+			t.Errorf("a Sim that sets %s was accepted", name)
+		}
 	}
 }

@@ -84,14 +84,8 @@ type Config struct {
 	// gain is offset by a fixed Gaussian drift realized deterministically
 	// from Seed. Zero disables drift.
 	SurveyDriftSigmaDB float64
-	// InterferenceFactor overrides the SINR interference effectiveness
-	// factor; zero uses the radio default.
-	InterferenceFactor float64
 	// Interferers are optional external interference sources.
 	Interferers []Interferer
-	// PathLoss propagates interferer signals to nodes; the zero value uses
-	// radio.DefaultPathLoss().
-	PathLoss radio.PathLossModel
 	// EpochSlots and SampleWindowSlots control link-statistics collection
 	// for the detection policy: PRR samples are computed per window and
 	// grouped per epoch (the paper uses 15-minute epochs of 18 samples).
@@ -281,9 +275,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.FaultOffsetSlots < 0 {
 		return nil, fmt.Errorf("netsim: FaultOffsetSlots %d must be non-negative", cfg.FaultOffsetSlots)
 	}
-	if cfg.PathLoss == (radio.PathLossModel{}) {
-		cfg.PathLoss = radio.DefaultPathLoss()
-	}
 	overlay, err := faults.NewOverlay(cfg.Faults, cfg.Testbed.NumNodes())
 	if err != nil {
 		return nil, fmt.Errorf("netsim: %w", err)
@@ -303,10 +294,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 		env: &radio.Env{
-			FadingSigmaDB:      cfg.FadingSigmaDB,
-			FadingCorrelation:  cfg.FadingCorrelation,
-			InterferenceFactor: cfg.InterferenceFactor,
-			Gain:               gain,
+			FadingSigmaDB:     cfg.FadingSigmaDB,
+			FadingCorrelation: cfg.FadingCorrelation,
+			Gain:              gain,
 		},
 		res: &Result{
 			Released:   make(map[int]int, len(cfg.Flows)),

@@ -355,7 +355,7 @@ func TestConcurrentRunsAreDeterministic(t *testing.T) {
 		res, err := Run(Config{
 			Testbed: tb, Flows: flows, Schedule: sched,
 			Channels: topology.Channels(4), Hyperperiods: 50,
-			FadingSigmaDB: 8, InterferenceFactor: 0.5, Seed: 42,
+			FadingSigmaDB: 8, Seed: 42,
 			Trace: &trace,
 		})
 		if err != nil {

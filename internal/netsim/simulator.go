@@ -271,10 +271,12 @@ func (s *simulator) buildSlotIndex() {
 }
 
 // initInterferers samples initial ON/OFF states, precomputes the power
-// (linear mW) every interferer delivers to every node and its channel mask,
-// and builds the run's external-interference function.
+// (linear mW) every interferer delivers to every node under
+// radio.DefaultPathLoss and its channel mask, and builds the run's
+// external-interference function.
 func (s *simulator) initInterferers() {
 	nodes := s.cfg.Testbed.Nodes
+	pl := radio.DefaultPathLoss()
 	s.interfMW = make([][]float64, len(s.cfg.Interferers))
 	s.interfCh = make([]uint32, len(s.cfg.Interferers))
 	for i, intf := range s.cfg.Interferers {
@@ -287,7 +289,7 @@ func (s *simulator) initInterferers() {
 			if floors < 0 {
 				floors = -floors
 			}
-			mw[j] = radio.DBmToMilliwatts(intf.PowerDBm - s.cfg.PathLoss.LossDB(dist, floors))
+			mw[j] = radio.DBmToMilliwatts(intf.PowerDBm - pl.LossDB(dist, floors))
 		}
 		s.interfMW[i] = mw
 		for _, c := range intf.Channels {

@@ -474,17 +474,19 @@ func TestManageFacade(t *testing.T) {
 		t.Skip("workload unschedulable with this seed")
 	}
 	iters, err := wsan.Manage(wsan.ManageConfig{
-		Testbed:            net.Testbed(),
-		Flows:              flows,
-		Schedule:           res.Schedule,
-		Channels:           net.Channels(),
-		EpochSlots:         5_000,
-		SampleWindowSlots:  500,
-		ProbeEverySlots:    200,
-		FadingSigmaDB:      2.5,
-		SurveyDriftSigmaDB: 2.5,
-		MaxIterations:      3,
-		Seed:               2,
+		Sim: wsan.SimConfig{
+			Testbed:            net.Testbed(),
+			Flows:              flows,
+			Schedule:           res.Schedule,
+			Channels:           net.Channels(),
+			EpochSlots:         5_000,
+			SampleWindowSlots:  500,
+			ProbeEverySlots:    200,
+			FadingSigmaDB:      2.5,
+			SurveyDriftSigmaDB: 2.5,
+			Seed:               2,
+		},
+		MaxIterations: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -163,14 +163,16 @@ func TestManageCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	iters, err := wsan.ManageCtx(ctx, wsan.ManageConfig{
-		Testbed:           net.Testbed(),
-		Flows:             flows,
-		Schedule:          res.Schedule,
-		Channels:          net.Channels(),
-		EpochSlots:        5_000,
-		SampleWindowSlots: 500,
-		MaxIterations:     3,
-		Seed:              2,
+		Sim: wsan.SimConfig{
+			Testbed:           net.Testbed(),
+			Flows:             flows,
+			Schedule:          res.Schedule,
+			Channels:          net.Channels(),
+			EpochSlots:        5_000,
+			SampleWindowSlots: 500,
+			Seed:              2,
+		},
+		MaxIterations: 3,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -260,7 +262,7 @@ func TestWithMetricsSinkOption(t *testing.T) {
 		t.Error("SimConfig.WithMetricsSink did not attach the sink")
 	}
 	man := wsan.ManageConfig{}.WithMetricsSink(reg)
-	if man.Metrics != wsan.MetricsSink(reg) {
+	if man.Sim.Metrics != wsan.MetricsSink(reg) {
 		t.Error("ManageConfig.WithMetricsSink did not attach the sink")
 	}
 	multi := wsan.MultiMetricsSink(nil, reg, nil)

@@ -92,7 +92,7 @@ type (
 	Interferer = netsim.Interferer
 	// FaultScenario is a deterministic, seeded fault timeline the simulator
 	// applies while executing a schedule (set SimConfig.Faults /
-	// ManageConfig.Faults).
+	// ManageConfig.Sim.Faults).
 	FaultScenario = faults.Scenario
 	// FaultEvent is one entry of a fault timeline.
 	FaultEvent = faults.Event
@@ -386,7 +386,10 @@ func LifetimeYears(energyMJPerFrame float64, slotframeSlots int, batteryJ float6
 	return netsim.LifetimeYears(energyMJPerFrame, slotframeSlots, batteryJ)
 }
 
-// ManageConfig parameterizes the closed management loop.
+// ManageConfig parameterizes the closed management loop: Sim is the
+// SimConfig of one observation window (testbed, flows, schedule, channels,
+// epoch and sample window, radio environment, faults, metrics, seed), and
+// the loop owns its Hyperperiods, DriftSeed, and FaultOffsetSlots.
 type ManageConfig = manage.Config
 
 // ManageIteration reports one observe→classify→repair cycle.

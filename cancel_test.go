@@ -8,21 +8,6 @@ import (
 	"wsan"
 )
 
-// cancelOnIteration is a metrics sink that cancels a context the moment the
-// manage loop reports its first completed iteration, so cancellation lands
-// deterministically between iterations (or inside the next observation
-// simulation — whichever the loop reaches first).
-type cancelOnIteration struct {
-	wsan.NopMetricsSink
-	cancel context.CancelFunc
-}
-
-func (s *cancelOnIteration) Event(name string, fields map[string]float64) {
-	if name == "manage.iteration" {
-		s.cancel()
-	}
-}
-
 // TestManageCtxCancelMidLoop: cancelling the context after the first
 // iteration must stop the loop promptly, return the iterations completed so
 // far, and surface an error satisfying errors.Is(err, context.Canceled).
@@ -56,7 +41,6 @@ func TestManageCtxCancelMidLoop(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sink := &cancelOnIteration{cancel: cancel}
 	// The crashed source keeps every iteration degraded and unrepairable, so
 	// without the cancellation the loop would run all three stalled
 	// iterations it allows under a fault scenario.
@@ -68,13 +52,17 @@ func TestManageCtxCancelMidLoop(t *testing.T) {
 			Channels:          net.Channels(),
 			EpochSlots:        2_000,
 			SampleWindowSlots: 200,
-			Metrics:           sink,
 			Faults: &wsan.FaultScenario{Events: []wsan.FaultEvent{
 				{At: 0, Kind: wsan.FaultNodeCrash, Node: 0},
 			}},
 			Seed: 5,
 		},
 		MaxIterations: 10,
+		// Cancel the moment the loop reports its first completed
+		// iteration, so cancellation lands deterministically between
+		// iterations (or inside the next observation simulation —
+		// whichever the loop reaches first).
+		OnIteration: func(wsan.ManageIteration) { cancel() },
 	})
 	if err == nil {
 		t.Fatal("cancelled loop returned no error")

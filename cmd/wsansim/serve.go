@@ -25,8 +25,6 @@ func runServe(args []string, mets obs.Sink) error {
 	queueCap := fs.Int("queue", 64, "job queue capacity (full queue ⇒ 429)")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for running jobs")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job watchdog; a job running longer fails (0 = off)")
-	jobRetries := fs.Int("job-retries", 2, "retry budget for transiently failing jobs")
-	retryBackoff := fs.Duration("retry-backoff", 250*time.Millisecond, "delay before the first retry, doubling per attempt")
 	storeDir := fs.String("store-dir", "", "artifact store directory; set to persist artifacts across restarts (empty = in-memory only)")
 	storeMaxBytes := fs.Int64("store-max-bytes", 0, "artifact store byte budget; exceeding it evicts least-recently-used artifacts (0 = unbounded)")
 	storeTTL := fs.Duration("store-ttl", 0, "artifact expiry; artifacts older than this are evicted (0 = keep forever)")
@@ -45,8 +43,6 @@ func runServe(args []string, mets obs.Sink) error {
 		Workers:       *workers,
 		QueueCap:      *queueCap,
 		JobTimeout:    *jobTimeout,
-		MaxRetries:    *jobRetries,
-		RetryBackoff:  *retryBackoff,
 		Metrics:       reg,
 		EnablePprof:   true,
 		StoreDir:      *storeDir,

@@ -838,7 +838,7 @@ func ExampleNewMetricsRegistry() {
 		return
 	}
 	// The management loop flushes "manage.*" verdict counts and repair
-	// moves per iteration, plus one "manage.iteration" event per cycle.
+	// moves per iteration through the sink on its Sim config.
 	if _, err := wsan.ManageCtx(context.Background(), wsan.ManageConfig{
 		Sim: wsan.SimConfig{
 			Testbed:           net.Testbed(),
@@ -849,9 +849,9 @@ func ExampleNewMetricsRegistry() {
 			SampleWindowSlots: 1_000,
 			FadingSigmaDB:     2.5,
 			Seed:              3,
-		},
+		}.WithMetricsSink(reg),
 		MaxIterations: 2,
-	}.WithMetricsSink(reg)); err != nil {
+	}); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -908,9 +908,6 @@ func ExampleNewMetricsRegistry() {
 	//     "manage.health": 0,
 	//     "manage.mean_pdr": 1,
 	//     "manage.min_pdr": 1
-	//   },
-	//   "events": {
-	//     "manage.iteration": 1
 	//   }
 	// }
 }

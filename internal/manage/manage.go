@@ -72,14 +72,6 @@ const (
 	blacklistFailureRate = 0.5
 )
 
-// WithMetricsSink returns a copy of the config with the observability sink
-// attached (see Config.Sim). Because the public wsan.ManageConfig is an
-// alias of this type, the method is the option surface of the public API.
-func (c Config) WithMetricsSink(m obs.Sink) Config {
-	c.Sim.Metrics = m
-	return c
-}
-
 // verdictSlug maps a detection verdict to its stable metric-name suffix.
 func verdictSlug(v detect.Verdict) string {
 	switch v {
@@ -392,8 +384,7 @@ func LoopCtx(ctx context.Context, cfg Config) ([]Iteration, error) {
 
 // observeIteration flushes one completed cycle's signals to the sink: the
 // verdict census of the classification pass, the repair outcome, delivery
-// gauges, the cycle's wall-clock histogram sample, and one
-// "manage.iteration" event carrying the same numbers for stream consumers.
+// gauges, and the cycle's wall-clock histogram sample.
 func observeIteration(m obs.Sink, it Iteration, reports []detect.Report, elapsed time.Duration, stalled bool) {
 	if m == nil {
 		return
@@ -435,23 +426,4 @@ func observeIteration(m obs.Sink, it Iteration, reports []detect.Report, elapsed
 		m.Count("manage.recovery.stalls", 1)
 	}
 	m.Observe("manage.iteration_seconds", elapsed.Seconds())
-	m.Event("manage.iteration", map[string]float64{
-		"iteration":        float64(it.Index),
-		"degraded":         float64(it.Degraded),
-		"degraded_flows":   float64(len(it.DegradedFlows)),
-		"moved":            float64(it.Moved),
-		"unmovable":        float64(it.Unmovable),
-		"delta_changes":    float64(it.DeltaChanges),
-		"affected_devices": float64(it.AffectedDevices),
-		"min_pdr":          it.MinPDR,
-		"mean_pdr":         it.MeanPDR,
-		"health":           float64(it.Health),
-		"rerouted":         float64(it.Rerouted),
-		"suspect_nodes":    float64(len(it.SuspectNodes)),
-		"blacklisted":      float64(len(it.Blacklisted)),
-		"rehabilitated":    float64(len(it.Rehabilitated)),
-		"rebudgeted":       float64(it.Rebudgeted),
-		"retries_shed":     float64(it.RetriesShed),
-		"shortfalls":       float64(len(it.Shortfalls)),
-	})
 }

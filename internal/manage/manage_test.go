@@ -104,10 +104,15 @@ func TestLoopConvergesOrStops(t *testing.T) {
 			t.Errorf("iteration %d has out-of-range PDRs: %+v", i, it)
 		}
 	}
-	// The schedule stays valid after all repairs.
-	if err := sched.Validate(nil, 2); err == nil {
-		// Validate needs the hop matrix when reuse remains; skip silently.
-		_ = err
+	// The schedule stays valid after all repairs, compactions and
+	// reroutes: the channel constraint is checked on the reuse graph the
+	// schedule was built against.
+	gr, err := tb.ReuseGraph(topology.Channels(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.Validate(gr.AllPairsHop(), 2); err != nil {
+		t.Errorf("schedule invalid after the loop: %v", err)
 	}
 }
 

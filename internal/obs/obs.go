@@ -26,10 +26,6 @@ type Sink interface {
 	Gauge(name string, value float64)
 	// Observe records one sample of the named histogram.
 	Observe(name string, value float64)
-	// Event reports one discrete pipeline event (e.g. one management-loop
-	// iteration) with its numeric fields. The fields map is owned by the
-	// sink after the call.
-	Event(name string, fields map[string]float64)
 }
 
 // NopSink discards everything. The methods are empty so calls through the
@@ -44,9 +40,6 @@ func (NopSink) Gauge(string, float64) {}
 
 // Observe implements Sink.
 func (NopSink) Observe(string, float64) {}
-
-// Event implements Sink.
-func (NopSink) Event(string, map[string]float64) {}
 
 // multiSink fans the stream out to several sinks.
 type multiSink []Sink
@@ -66,12 +59,6 @@ func (m multiSink) Gauge(name string, value float64) {
 func (m multiSink) Observe(name string, value float64) {
 	for _, s := range m {
 		s.Observe(name, value)
-	}
-}
-
-func (m multiSink) Event(name string, fields map[string]float64) {
-	for _, s := range m {
-		s.Event(name, fields)
 	}
 }
 

@@ -16,8 +16,6 @@ func TestRegistryAggregates(t *testing.T) {
 	r.Gauge("g", 1.5)
 	r.Observe("h", 1)
 	r.Observe("h", 3)
-	r.Event("e", map[string]float64{"x": 1})
-	r.Event("e", nil)
 
 	snap := r.Snapshot()
 	if snap.Counters["a.b"] != 5 {
@@ -36,13 +34,10 @@ func TestRegistryAggregates(t *testing.T) {
 	if h.Stddev != 1 {
 		t.Errorf("histogram h stddev = %v, want 1", h.Stddev)
 	}
-	if snap.Events["e"] != 2 {
-		t.Errorf("events e = %d, want 2", snap.Events["e"])
-	}
 	if v := r.CounterValue("a.b"); v != 5 {
 		t.Errorf("CounterValue(a.b) = %d, want 5", v)
 	}
-	want := []string{"a.b", "e", "g", "h", "zero"}
+	want := []string{"a.b", "g", "h", "zero"}
 	got := r.Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -79,7 +74,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Count("c", 1)
 	r.Gauge("g", 1)
 	r.Observe("h", 1)
-	r.Event("e", nil)
 	if v := r.CounterValue("c"); v != 0 {
 		t.Errorf("nil registry CounterValue = %d, want 0", v)
 	}
@@ -119,11 +113,10 @@ func TestMultiSink(t *testing.T) {
 	m.Count("c", 2)
 	m.Gauge("g", 3)
 	m.Observe("h", 4)
-	m.Event("e", nil)
 	for _, r := range []*Registry{a, b} {
 		snap := r.Snapshot()
 		if snap.Counters["c"] != 2 || snap.Gauges["g"] != 3 ||
-			snap.Histograms["h"].Count != 1 || snap.Events["e"] != 1 {
+			snap.Histograms["h"].Count != 1 {
 			t.Errorf("multi-sink target missed signals: %+v", snap)
 		}
 	}

@@ -8,8 +8,8 @@ import (
 	"sync"
 )
 
-// Registry is the default Sink: it aggregates counters, gauges, histogram
-// summaries, and event counts in memory and serializes them as one JSON
+// Registry is the default Sink: it aggregates counters, gauges, and
+// histogram summaries in memory and serializes them as one JSON
 // document. It is safe for concurrent use and for use as an expvar.Func
 // (publish Snapshot). The zero value is not usable; call NewRegistry.
 type Registry struct {
@@ -17,7 +17,6 @@ type Registry struct {
 	counters map[string]int64
 	gauges   map[string]float64
 	hists    map[string]*hist
-	events   map[string]int64
 }
 
 // NewRegistry returns an empty registry.
@@ -26,7 +25,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]int64),
 		gauges:   make(map[string]float64),
 		hists:    make(map[string]*hist),
-		events:   make(map[string]int64),
 	}
 }
 
@@ -85,18 +83,6 @@ func (r *Registry) Observe(name string, value float64) {
 	r.mu.Unlock()
 }
 
-// Event implements Sink: the registry aggregates events into per-name
-// occurrence counts (stream consumers wanting the fields attach their own
-// Sink via MultiSink).
-func (r *Registry) Event(name string, fields map[string]float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.events[name]++
-	r.mu.Unlock()
-}
-
 // CounterValue returns the current value of one counter (0 if never
 // registered).
 func (r *Registry) CounterValue(name string) int64 {
@@ -124,7 +110,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Events     map[string]int64             `json:"events,omitempty"`
 }
 
 // Snapshot copies the current state.
@@ -157,12 +142,6 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Histograms[k] = hs
 		}
 	}
-	if len(r.events) > 0 {
-		snap.Events = make(map[string]int64, len(r.events))
-		for k, v := range r.events {
-			snap.Events[k] = v
-		}
-	}
 	return snap
 }
 
@@ -174,19 +153,17 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// Names returns every registered metric name (counters, gauges, histograms,
-// events), sorted and deduplicated — a schema listing for documentation and
+// Names returns every registered metric name (counters, gauges,
+// histograms), sorted and deduplicated — a schema listing for documentation and
 // tests.
 func (r *Registry) Names() []string {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	seen := make(map[string]bool, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.events))
-	for _, m := range []map[string]int64{r.counters, r.events} {
-		for k := range m {
-			seen[k] = true
-		}
+	seen := make(map[string]bool, len(r.counters)+len(r.gauges)+len(r.hists))
+	for k := range r.counters {
+		seen[k] = true
 	}
 	for k := range r.gauges {
 		seen[k] = true

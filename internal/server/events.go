@@ -272,9 +272,8 @@ func (t *faultsTap) Count(name string, delta int64) {
 	}
 }
 
-func (t *faultsTap) Gauge(string, float64)            {}
-func (t *faultsTap) Observe(string, float64)          {}
-func (t *faultsTap) Event(string, map[string]float64) {}
+func (t *faultsTap) Gauge(string, float64)   {}
+func (t *faultsTap) Observe(string, float64) {}
 
 // jobTransition publishes one lifecycle event for a job state change. It is
 // installed as the job's transition hook at submission; with no subscriber

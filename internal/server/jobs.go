@@ -25,11 +25,11 @@ func (s *Server) canonicalParams(nw *netEntry, kind string, raw json.RawMessage)
 // content address. The worker pool calls it with the job's context; every
 // long-running wsan operation underneath checks that context.
 func (s *Server) runJob(ctx context.Context, j *Job) (string, error) {
-	// Idempotency probe: a retried attempt can land after a prior attempt
-	// already stored the artifact (a transient failure between the store
-	// write and the worker's ack). The store is content-addressed, so an
-	// existing entry for this key IS this job's output — return it rather
-	// than recomputing and re-writing.
+	// Queued-duplicate probe: two identical submissions that both miss the
+	// cache at submit time queue two jobs with one key, and the second to
+	// run finds the first's artifact here. The store is content-addressed,
+	// so that entry IS this job's output — return it rather than
+	// recomputing and re-writing.
 	if a, ok := s.store.Get(j.Key); ok {
 		return a.ID, nil
 	}

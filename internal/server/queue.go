@@ -37,7 +37,6 @@ type Job struct {
 	err        string
 	artifactID string
 	cached     bool
-	retries    int
 	created    time.Time
 	started    time.Time
 	finished   time.Time
@@ -54,7 +53,6 @@ func (j *Job) View() wsanclient.Job {
 		Kind:     j.Kind,
 		State:    j.state,
 		Cached:   j.cached,
-		Retries:  j.retries,
 		Artifact: j.artifactID,
 		Error:    j.err,
 		Created:  j.created,
@@ -150,33 +148,6 @@ var (
 	ErrDraining = errors.New("server: draining, not accepting jobs")
 )
 
-// transientError marks a failure the retry policy may re-attempt.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the worker pool's retry policy treats the failure
-// as retryable (a flaky dependency, a resource briefly exhausted). A nil err
-// returns nil. Permanent failures — validation, missing artifacts — must
-// stay unwrapped so they fail immediately.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked with
-// Transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
-// maxRetryDelay caps the exponential retry backoff.
-const maxRetryDelay = 30 * time.Second
-
 // Pool is the bounded FIFO job queue plus its worker goroutines.
 type Pool struct {
 	queue   chan *Job
@@ -185,9 +156,7 @@ type Pool struct {
 	workers int
 	wg      sync.WaitGroup
 
-	jobTimeout   time.Duration
-	maxRetries   int
-	retryBackoff time.Duration
+	jobTimeout time.Duration
 
 	// running counts jobs currently executing on workers; Retry-After
 	// estimates would otherwise see an empty queue as an idle pool even
@@ -204,23 +173,19 @@ type PoolConfig struct {
 	// the FIFO queue (min 1).
 	Workers  int
 	QueueCap int
-	// JobTimeout is the per-job watchdog: an attempt still running after
-	// this long has its context cancelled and the job fails (it does NOT
-	// report cancelled — the caller didn't ask for it). Zero disables the
-	// watchdog.
+	// JobTimeout is the per-job watchdog: a job still running after this
+	// long has its context cancelled and fails (it does NOT report
+	// cancelled — the caller didn't ask for it). Zero disables the
+	// watchdog. A failed job is never re-run: every job kind is a
+	// deterministic function of its parameters, so a caller that wants
+	// another try resubmits.
 	JobTimeout time.Duration
-	// MaxRetries is how many times a job failing with a Transient error is
-	// re-attempted; RetryBackoff is the delay before the first retry,
-	// doubling per attempt (capped at maxRetryDelay). Zero MaxRetries
-	// disables retrying.
-	MaxRetries   int
-	RetryBackoff time.Duration
 	// Metrics receives the pool's counters; nil disables them.
 	Metrics obs.Sink
 }
 
 // NewPool starts worker goroutines draining a FIFO queue. run executes one
-// job attempt and returns the stored artifact ID.
+// job and returns the stored artifact ID.
 func NewPool(cfg PoolConfig, run func(context.Context, *Job) (string, error)) *Pool {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -229,13 +194,11 @@ func NewPool(cfg PoolConfig, run func(context.Context, *Job) (string, error)) *P
 		cfg.QueueCap = 1
 	}
 	p := &Pool{
-		queue:        make(chan *Job, cfg.QueueCap),
-		run:          run,
-		mets:         cfg.Metrics,
-		workers:      cfg.Workers,
-		jobTimeout:   cfg.JobTimeout,
-		maxRetries:   cfg.MaxRetries,
-		retryBackoff: cfg.RetryBackoff,
+		queue:      make(chan *Job, cfg.QueueCap),
+		run:        run,
+		mets:       cfg.Metrics,
+		workers:    cfg.Workers,
+		jobTimeout: cfg.JobTimeout,
 	}
 	p.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -309,7 +272,7 @@ func (p *Pool) worker() {
 		}
 		start := time.Now()
 		p.running.Add(1)
-		art, err := p.runWithRetries(j)
+		art, err := p.attempt(j)
 		p.running.Add(-1)
 		state := j.finish(art, err)
 		j.notifyTransition()
@@ -327,7 +290,7 @@ func (p *Pool) worker() {
 	}
 }
 
-// safeRun executes one attempt with panic isolation: a panicking job fails
+// safeRun executes a job with panic isolation: a panicking job fails
 // that job — with the panic value as its error — and never takes the worker
 // (or the daemon) down with it.
 func (p *Pool) safeRun(ctx context.Context, j *Job) (art string, err error) {
@@ -342,10 +305,9 @@ func (p *Pool) safeRun(ctx context.Context, j *Job) (art string, err error) {
 	return p.run(ctx, j)
 }
 
-// attempt executes one watchdog-guarded attempt. A run killed by the
-// watchdog (not by the caller's cancel) reports a plain error, so the job
-// lands in failed — and stays eligible for the retry policy — rather than
-// masquerading as cancelled.
+// attempt runs a job once under the watchdog. A run killed by the watchdog
+// (not by the caller's cancel) reports a plain error, so the job lands in
+// failed rather than masquerading as cancelled.
 func (p *Pool) attempt(j *Job) (string, error) {
 	ctx := j.ctx
 	if p.jobTimeout > 0 {
@@ -358,54 +320,9 @@ func (p *Pool) attempt(j *Job) (string, error) {
 		if p.mets != nil {
 			p.mets.Count("server.jobs.watchdog_timeouts", 1)
 		}
-		err = Transient(fmt.Errorf("job exceeded the %v watchdog timeout", p.jobTimeout))
+		err = fmt.Errorf("job exceeded the %v watchdog timeout", p.jobTimeout)
 	}
 	return art, err
-}
-
-// runWithRetries drives a job through up to 1+MaxRetries attempts,
-// re-attempting only failures marked Transient, with bounded exponential
-// backoff between attempts. Cancellation cuts the sequence short.
-func (p *Pool) runWithRetries(j *Job) (string, error) {
-	for retry := 0; ; retry++ {
-		art, err := p.attempt(j)
-		if err == nil || !IsTransient(err) || retry >= p.maxRetries || j.ctx.Err() != nil {
-			return art, err
-		}
-		j.mu.Lock()
-		j.retries++
-		j.mu.Unlock()
-		if p.mets != nil {
-			p.mets.Count("server.jobs.retries", 1)
-		}
-		if d := backoffDelay(p.retryBackoff, retry); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-j.ctx.Done():
-				t.Stop()
-				return art, err
-			case <-t.C:
-			}
-		}
-	}
-}
-
-// backoffDelay returns base·2^retry clamped to maxRetryDelay. Doubling stops
-// as soon as the delay reaches the cap, so a large retry count can never
-// overflow the duration to ≤ 0 — which a plain `base << retry` does,
-// silently skipping the sleep and hot-looping the retry sequence.
-func backoffDelay(base time.Duration, retry int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	d := base
-	for i := 0; i < retry && d < maxRetryDelay; i++ {
-		d <<= 1
-	}
-	if d > maxRetryDelay {
-		d = maxRetryDelay
-	}
-	return d
 }
 
 // Close stops intake and waits for the workers to drain the queue — the

@@ -199,56 +199,12 @@ func TestPoolSurvivesPanickingJob(t *testing.T) {
 	}
 }
 
-// TestPoolRetriesTransientFailures: failures marked Transient are re-attempted
-// with backoff up to MaxRetries; the job records its retry count and
-// eventually succeeds.
-func TestPoolRetriesTransientFailures(t *testing.T) {
-	reg := obs.NewRegistry()
-	var mu sync.Mutex
-	attempts := 0
-	p := NewPool(PoolConfig{
-		Workers: 1, QueueCap: 1, Metrics: reg,
-		MaxRetries: 3, RetryBackoff: time.Millisecond,
-	}, func(ctx context.Context, j *Job) (string, error) {
-		mu.Lock()
-		attempts++
-		n := attempts
-		mu.Unlock()
-		if n <= 2 {
-			return "", Transient(errors.New("dependency briefly down"))
-		}
-		return "art", nil
-	})
-	j := newTestJob("flaky")
-	if err := p.Submit(j); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := contextWithTimeout(5 * time.Second)
-	defer cancel()
-	if err := p.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	v := j.View()
-	if v.State != wsanclient.StateDone || v.Artifact != "art" {
-		t.Fatalf("flaky job: %+v, want done after retries", v)
-	}
-	if v.Retries != 2 {
-		t.Errorf("retries = %d, want 2", v.Retries)
-	}
-	if got := reg.CounterValue("server.jobs.retries"); got != 2 {
-		t.Errorf("retries counter = %d, want 2", got)
-	}
-}
-
-// TestPoolDoesNotRetryPermanentFailures: an unmarked error fails immediately,
-// no matter the retry budget.
+// TestPoolDoesNotRetryPermanentFailures: a failing job fails on its one
+// run; the pool never re-runs it.
 func TestPoolDoesNotRetryPermanentFailures(t *testing.T) {
 	var mu sync.Mutex
 	attempts := 0
-	p := NewPool(PoolConfig{
-		Workers: 1, QueueCap: 1,
-		MaxRetries: 3, RetryBackoff: time.Millisecond,
-	}, func(ctx context.Context, j *Job) (string, error) {
+	p := NewPool(PoolConfig{Workers: 1, QueueCap: 1}, func(ctx context.Context, j *Job) (string, error) {
 		mu.Lock()
 		attempts++
 		mu.Unlock()
@@ -263,8 +219,8 @@ func TestPoolDoesNotRetryPermanentFailures(t *testing.T) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if v := j.View(); v.State != wsanclient.StateFailed || v.Retries != 0 {
-		t.Fatalf("permanent failure: %+v, want failed with 0 retries", v)
+	if v := j.View(); v.State != wsanclient.StateFailed {
+		t.Fatalf("permanent failure: %+v, want failed", v)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -275,13 +231,18 @@ func TestPoolDoesNotRetryPermanentFailures(t *testing.T) {
 
 // TestPoolWatchdogFailsStuckJob: a job outliving the per-job watchdog is
 // killed and reported failed — not cancelled, since the caller never asked
-// for cancellation.
+// for cancellation — after exactly one run.
 func TestPoolWatchdogFailsStuckJob(t *testing.T) {
 	reg := obs.NewRegistry()
+	var mu sync.Mutex
+	attempts := 0
 	p := NewPool(PoolConfig{
 		Workers: 1, QueueCap: 1, Metrics: reg,
 		JobTimeout: 20 * time.Millisecond,
 	}, func(ctx context.Context, j *Job) (string, error) {
+		mu.Lock()
+		attempts++
+		mu.Unlock()
 		<-ctx.Done() // simulates a hung job that at least honors its context
 		return "", ctx.Err()
 	})
@@ -301,29 +262,13 @@ func TestPoolWatchdogFailsStuckJob(t *testing.T) {
 	if !strings.Contains(v.Error, "watchdog") {
 		t.Errorf("error = %q, want a watchdog timeout message", v.Error)
 	}
-	if got := reg.CounterValue("server.jobs.watchdog_timeouts"); got < 1 {
-		t.Errorf("watchdog counter = %d, want ≥ 1", got)
+	if got := reg.CounterValue("server.jobs.watchdog_timeouts"); got != 1 {
+		t.Errorf("watchdog counter = %d, want 1", got)
 	}
-}
-
-// TestTransientMarker covers the error-marking helpers.
-func TestTransientMarker(t *testing.T) {
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) must be nil")
-	}
-	base := errors.New("boom")
-	wrapped := Transient(base)
-	if !IsTransient(wrapped) {
-		t.Error("Transient error not detected")
-	}
-	if !errors.Is(wrapped, base) {
-		t.Error("Transient must preserve the error chain")
-	}
-	if IsTransient(base) {
-		t.Error("plain error must not read as transient")
-	}
-	if IsTransient(nil) {
-		t.Error("nil must not read as transient")
+	mu.Lock()
+	defer mu.Unlock()
+	if attempts != 1 {
+		t.Errorf("attempts = %d, want 1", attempts)
 	}
 }
 
@@ -346,39 +291,6 @@ func TestJobStateStrings(t *testing.T) {
 			t.Errorf("state %q: Terminal() = %v but TerminalEvent(%q) = %v",
 				st, st.Terminal(), event, wsanclient.TerminalEvent(event))
 		}
-	}
-}
-
-// TestBackoffDelayNeverOverflows pins the retry-backoff schedule: doubling
-// from the base, capped at maxRetryDelay, and — the regression this guards —
-// never overflowing to a non-positive duration at large retry counts, which
-// would skip the sleep entirely and hot-loop the retry sequence.
-func TestBackoffDelayNeverOverflows(t *testing.T) {
-	base := 100 * time.Millisecond
-	if got := backoffDelay(base, 0); got != base {
-		t.Errorf("retry 0: %v, want %v", got, base)
-	}
-	if got := backoffDelay(base, 3); got != 800*time.Millisecond {
-		t.Errorf("retry 3: %v, want 800ms", got)
-	}
-	// 100ms << 9 = 51.2s: past the cap.
-	if got := backoffDelay(base, 9); got != maxRetryDelay {
-		t.Errorf("retry 9: %v, want cap %v", got, maxRetryDelay)
-	}
-	// The shift-based formula went non-positive from here on.
-	for _, retry := range []int{40, 63, 64, 100, 1 << 20} {
-		if got := backoffDelay(base, retry); got != maxRetryDelay {
-			t.Errorf("retry %d: %v, want cap %v", retry, got, maxRetryDelay)
-		}
-		if shifted := base << uint(retry%64); retry >= 40 && retry < 64 && shifted > 0 {
-			t.Errorf("retry %d: expected the old formula to overflow, got %v", retry, shifted)
-		}
-	}
-	if got := backoffDelay(0, 5); got != 0 {
-		t.Errorf("zero base: %v, want 0 (backoff disabled)", got)
-	}
-	if got := backoffDelay(-time.Second, 5); got != 0 {
-		t.Errorf("negative base: %v, want 0", got)
 	}
 }
 

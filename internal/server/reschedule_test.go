@@ -2,9 +2,7 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -166,77 +164,51 @@ func TestRescheduleValidation(t *testing.T) {
 	}
 }
 
-// TestRetryIdempotentAfterStoreWrite reproduces the duplicate-write bug: a
-// job attempt that stores its artifact and then fails with a Transient error
-// (a crash between the store write and the ack) is retried — the retry must
-// find the stored artifact and return it, never recomputing the pipeline or
-// re-writing the store.
-func TestRetryIdempotentAfterStoreWrite(t *testing.T) {
-	srv, err := New(Config{Workers: 1, QueueCap: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := contextWithTimeout(2 * time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	})
-	var buf bytes.Buffer
-	if err := wsan.SaveTestbed(testTestbed(t), &buf); err != nil {
-		t.Fatal(err)
-	}
-	nw, err := srv.nets.create(wsanclient.CreateNetworkRequest{
-		Name: "plant", Testbed: json.RawMessage(buf.Bytes()), Channels: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, err := srv.canonicalParams(nw, wsanclient.KindSchedule,
-		json.RawMessage(`{"flows":3,"maxPeriodExp":1,"seed":3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := ArtifactKey(nw.Hash, wsanclient.KindSchedule, canon)
+// TestQueuedDuplicateReusesArtifact: two identical cold submissions both
+// miss the cache at submit time and queue two jobs with one key. The second
+// to run must find the first's artifact through runJob's store probe and
+// return it, never recomputing the pipeline or re-writing the store.
+func TestQueuedDuplicateReusesArtifact(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	createTestNetwork(t, ts, "plant")
+	art := mustSchedule(t, ts, "plant")
 
-	attempts := 0
-	pool := NewPool(PoolConfig{
-		Workers: 1, QueueCap: 2, MaxRetries: 2,
-		RetryBackoff: time.Millisecond, Metrics: srv.mets,
-	}, func(ctx context.Context, j *Job) (string, error) {
-		attempts++
-		art, runErr := srv.runJob(ctx, j)
-		if attempts == 1 && runErr == nil {
-			return "", Transient(errors.New("worker crashed after the store write"))
+	// Pin the single worker so both duplicates wait in the queue.
+	long, code := submit(t, ts, "plant", wsanclient.KindSimulate,
+		map[string]any{"artifact": art, "hyperperiods": 2_000_000, "seed": 11})
+	if code != http.StatusAccepted {
+		t.Fatalf("long job: status %d", code)
+	}
+	waitState(t, ts, long.ID, wsanclient.StateRunning, 10*time.Second)
+	stored := srv.mets.CounterValue("server.cache.stored")
+
+	params := map[string]any{"flows": 3, "maxPeriodExp": 1, "seed": 7}
+	var dups []wsanclient.Job
+	for i := 0; i < 2; i++ {
+		v, code := submit(t, ts, "plant", wsanclient.KindSchedule, params)
+		if code != http.StatusAccepted || v.Cached {
+			t.Fatalf("duplicate %d: status %d, cached %v; want a queued cold job", i, code, v.Cached)
 		}
-		return art, runErr
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &Job{ID: "t1", Network: "plant", Kind: wsanclient.KindSchedule, Key: key,
-		Params: canon, ctx: ctx, cancel: cancel, state: wsanclient.StateQueued, created: time.Now()}
-	if err := pool.Submit(j); err != nil {
-		t.Fatal(err)
+		dups = append(dups, v)
 	}
-	closeCtx, closeCancel := contextWithTimeout(30 * time.Second)
-	defer closeCancel()
-	if err := pool.Close(closeCtx); err != nil {
-		t.Fatal(err)
-	}
+	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+long.ID, nil, nil)
 
-	v := j.View()
-	if v.State != wsanclient.StateDone || v.Artifact != key || v.Retries != 1 {
-		t.Fatalf("job after retry: %+v", v)
+	var artifact string
+	for i, v := range dups {
+		done := poll(t, ts, v.ID, 30*time.Second)
+		if done.State != wsanclient.StateDone || done.Artifact == "" {
+			t.Fatalf("duplicate %d: %+v, want done", i, done)
+		}
+		if i > 0 && done.Artifact != artifact {
+			t.Fatalf("duplicates ended on artifacts %s and %s, want one", artifact, done.Artifact)
+		}
+		artifact = done.Artifact
 	}
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", attempts)
+	if got := srv.mets.CounterValue("server.cache.stored") - stored; got != 1 {
+		t.Errorf("server.cache.stored rose by %d, want 1", got)
 	}
-	if n := srv.store.Len(); n != 1 {
-		t.Fatalf("store holds %d artifacts, want 1", n)
-	}
-	if got := srv.mets.CounterValue("server.cache.stored"); got != 1 {
-		t.Errorf("server.cache.stored = %d, want 1", got)
-	}
-	// The regression signal: without the runJob idempotency probe the retry
-	// recomputes and re-Puts, which counts a duplicate write.
+	// Without the probe the second duplicate recomputes and re-Puts, which
+	// counts a duplicate write.
 	if got := srv.mets.CounterValue("server.cache.dup_writes"); got != 0 {
 		t.Errorf("server.cache.dup_writes = %d, want 0", got)
 	}

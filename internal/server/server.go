@@ -27,11 +27,6 @@ type Config struct {
 	// JobTimeout is the per-job watchdog (see PoolConfig.JobTimeout).
 	// Default 0: no watchdog.
 	JobTimeout time.Duration
-	// MaxRetries and RetryBackoff configure the retry policy for jobs
-	// failing with a Transient error (see PoolConfig). Defaults: 2 retries,
-	// 250ms base backoff.
-	MaxRetries   int
-	RetryBackoff time.Duration
 	// Metrics receives every server and pipeline signal and backs the
 	// /metrics endpoint. Nil creates a fresh registry.
 	Metrics *obs.Registry
@@ -100,12 +95,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 2
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 250 * time.Millisecond
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
@@ -130,19 +119,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.store = store
 	s.pool = NewPool(PoolConfig{
-		Workers:      cfg.Workers,
-		QueueCap:     cfg.QueueCap,
-		JobTimeout:   cfg.JobTimeout,
-		MaxRetries:   cfg.MaxRetries,
-		RetryBackoff: cfg.RetryBackoff,
-		Metrics:      cfg.Metrics,
+		Workers:    cfg.Workers,
+		QueueCap:   cfg.QueueCap,
+		JobTimeout: cfg.JobTimeout,
+		Metrics:    cfg.Metrics,
 	}, s.runJob)
 	s.mux = s.buildMux(cfg.EnablePprof)
 	// Pre-declare the headline counters so a fresh /metrics snapshot
 	// carries the full schema as explicit zeros.
 	for _, name := range []string{
 		"server.jobs.submitted", "server.jobs.completed", "server.jobs.failed",
-		"server.jobs.cancelled", "server.jobs.rejected", "server.jobs.retries",
+		"server.jobs.cancelled", "server.jobs.rejected",
 		"server.jobs.panics", "server.jobs.watchdog_timeouts",
 		"server.cache.hits", "server.cache.misses", "server.cache.stored",
 		"server.cache.dup_writes", "server.cache.evictions",

@@ -78,7 +78,7 @@ var goldenJobs = []struct {
 }{
 	{"queued", `{"id":"j7","network":"golden","kind":"schedule","state":"queued","cached":false,"created":"2026-01-02T03:04:05.000006Z"}`},
 	{"running", `{"id":"j7","network":"golden","kind":"schedule","state":"running","cached":false,"created":"2026-01-02T03:04:05.000006Z","started":"2026-01-02T03:04:06.000006Z"}`},
-	{"done", `{"id":"j7","network":"golden","kind":"schedule","state":"done","cached":false,"retries":1,"artifact":"abc123","created":"2026-01-02T03:04:05.000006Z","started":"2026-01-02T03:04:06.000006Z","finished":"2026-01-02T03:04:07.000006Z"}`},
+	{"done", `{"id":"j7","network":"golden","kind":"schedule","state":"done","cached":false,"artifact":"abc123","created":"2026-01-02T03:04:05.000006Z","started":"2026-01-02T03:04:06.000006Z","finished":"2026-01-02T03:04:07.000006Z"}`},
 	{"failed", `{"id":"j7","network":"golden","kind":"schedule","state":"failed","cached":false,"error":"boom","created":"2026-01-02T03:04:05.000006Z","started":"2026-01-02T03:04:06.000006Z","finished":"2026-01-02T03:04:07.000006Z"}`},
 	{"cancelled", `{"id":"j7","network":"golden","kind":"schedule","state":"cancelled","cached":false,"error":"context canceled","created":"2026-01-02T03:04:05.000006Z","finished":"2026-01-02T03:04:07.000006Z"}`},
 }
@@ -86,7 +86,7 @@ var goldenJobs = []struct {
 const (
 	goldenNetwork  = `{"name":"golden","hash":"fe29d60327e603e74198c9906795344fd72fefe293981c0d32d64b4627d9a93c","nodes":18,"channels":[0,1,2,3],"accessPoints":[7,4],"commEdges":57,"reuseDiameter":2,"created":"2026-01-02T03:04:05.000006Z"}`
 	goldenArtList  = `{"id":"golden-art","kind":"schedule","created":"2026-01-02T03:04:05.000006Z","parts":["schedule.json","survey.json","workload.json"]}`
-	goldenSSE      = "id: 1\nevent: job.done\ndata: " + `{"seq":1,"type":"job.done","time":"2026-01-02T03:04:05.000006Z","network":"golden","job":"j7","data":{"id":"j7","network":"golden","kind":"schedule","state":"done","cached":false,"retries":1,"artifact":"abc123","created":"2026-01-02T03:04:05.000006Z","started":"2026-01-02T03:04:06.000006Z","finished":"2026-01-02T03:04:07.000006Z"}}` + "\n\n"
+	goldenSSE      = "id: 1\nevent: job.done\ndata: " + `{"seq":1,"type":"job.done","time":"2026-01-02T03:04:05.000006Z","network":"golden","job":"j7","data":{"id":"j7","network":"golden","kind":"schedule","state":"done","cached":false,"artifact":"abc123","created":"2026-01-02T03:04:05.000006Z","started":"2026-01-02T03:04:06.000006Z","finished":"2026-01-02T03:04:07.000006Z"}}` + "\n\n"
 	goldenHealth   = `{"iteration":0,"health":"degraded","minPDR":0,"meanPDR":0.4,"degradedLinks":0,"degradedFlows":[0,2,4],"moved":0,"unmovable":0,"rerouted":0,"blacklisted":[0,1],"channels":[4,5,2,3],"deltaChanges":10,"affectedDevices":5,"rebudgeted":2,"shortfalls":[{"flow":0,"target":0.999,"predicted":0.12260649333333341},{"flow":1,"target":0.999,"predicted":0.9262318325536412},{"flow":2,"target":0.999,"predicted":0.1194024298412699},{"flow":4,"target":0.999,"predicted":0.12265555555555563}]}`
 	goldenNetworkN = "golden"
 )
@@ -138,7 +138,6 @@ func goldenJob(t *testing.T, state string) *Job {
 		j.started = goldenTime.Add(time.Second)
 		j.finished = goldenTime.Add(2 * time.Second)
 		j.artifactID = "abc123"
-		j.retries = 1
 	case "failed":
 		j.started = goldenTime.Add(time.Second)
 		j.finished = goldenTime.Add(2 * time.Second)

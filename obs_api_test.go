@@ -261,9 +261,9 @@ func TestWithMetricsSinkOption(t *testing.T) {
 	if sim.Metrics != wsan.MetricsSink(reg) {
 		t.Error("SimConfig.WithMetricsSink did not attach the sink")
 	}
-	man := wsan.ManageConfig{}.WithMetricsSink(reg)
+	man := wsan.ManageConfig{Sim: wsan.SimConfig{}.WithMetricsSink(reg)}
 	if man.Sim.Metrics != wsan.MetricsSink(reg) {
-		t.Error("ManageConfig.WithMetricsSink did not attach the sink")
+		t.Error("SimConfig.WithMetricsSink on ManageConfig.Sim did not attach the sink")
 	}
 	multi := wsan.MultiMetricsSink(nil, reg, nil)
 	if multi != wsan.MetricsSink(reg) {

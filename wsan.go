@@ -294,11 +294,11 @@ func LoadFaultScenario(r io.Reader) (*FaultScenario, error) {
 	return sc, wrapErr(err)
 }
 
-// Observability re-exports: the wsan pipeline reports counters, gauges,
-// histograms, and events through a MetricsSink (see internal/obs). Attach
-// one with SimConfig.WithMetricsSink / ManageConfig.WithMetricsSink or the
-// Metrics field of the configuration structs; a nil sink (the default)
-// disables observability at near-zero cost.
+// Observability re-exports: the wsan pipeline reports counters, gauges, and
+// histograms through a MetricsSink (see internal/obs). Attach one with
+// SimConfig.WithMetricsSink (the manage loop reads it from ManageConfig.Sim)
+// or the Metrics field of ScheduleConfig; a nil sink (the default) disables
+// observability at near-zero cost.
 type (
 	// MetricsSink receives the observability stream. Implement it to feed
 	// your own telemetry system, or use a MetricsRegistry.

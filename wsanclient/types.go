@@ -5,7 +5,7 @@
 // submission with completion polling, artifact retrieval, and the live
 // telemetry stream (job lifecycle transitions, per-iteration manage health
 // verdicts, fault events, metrics deltas) with automatic reconnection and
-// Last-Event-ID resume. Transient failures — connection errors, 429 with
+// Last-Event-ID resume. Retryable failures — connection errors, 429 with
 // Retry-After, 502/503/504 — are retried with bounded exponential backoff.
 //
 // The wire types are declared here and nowhere else: the daemon encodes
@@ -78,7 +78,6 @@ type Job struct {
 	Kind     string     `json:"kind"`
 	State    JobState   `json:"state"`
 	Cached   bool       `json:"cached"`
-	Retries  int        `json:"retries,omitempty"`
 	Artifact string     `json:"artifact,omitempty"`
 	Error    string     `json:"error,omitempty"`
 	Created  time.Time  `json:"created"`

@@ -87,7 +87,9 @@ e2e:
 	$(GO) run ./examples/persist -addr http://$(E2E_ADDR) -mode verify -state $$dir/state.json -timeout 60s
 
 # fuzz-smoke gives every fuzz target a short budget ($(FUZZTIME) each) —
-# enough to catch regressions in the decoder hardening, in the PHY's
+# enough to catch regressions in the decoder hardening (the schedule
+# decoder's canonical-form fast path must also give exactly the
+# encoding/json reference's result or error on any input), in the PHY's
 # saturation shortcut (bit-identical to the full BER series), in the
 # simulator's per-frame decision (for any draw, signal, denominator and
 # frame length, the PRR bound tables decide exactly as draw < PRR, and the

@@ -66,8 +66,7 @@ func runServe(args []string, mets obs.Sink) error {
 		}
 		errc <- nil
 	}()
-	fmt.Fprintf(os.Stderr, "wsansim serve: listening on %s (workers=%d queue=%d)\n",
-		*addr, *workers, *queueCap)
+	fmt.Fprintln(os.Stderr, serveBanner(*addr, srv))
 
 	select {
 	case err := <-errc:
@@ -85,4 +84,11 @@ func runServe(args []string, mets obs.Sink) error {
 		fmt.Fprintln(os.Stderr, "wsansim serve: job drain:", err)
 	}
 	return <-errc
+}
+
+// serveBanner is the start-up line. It reports the pool New built, so
+// -workers 0 shows GOMAXPROCS rather than the flag value.
+func serveBanner(addr string, srv *server.Server) string {
+	return fmt.Sprintf("wsansim serve: listening on %s (workers=%d queue=%d)",
+		addr, srv.Workers(), srv.QueueCap())
 }

@@ -2,6 +2,7 @@ package wsan_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"wsan"
@@ -124,12 +125,24 @@ func FuzzLoadSchedule(f *testing.F) {
 		if !res.Schedulable {
 			t.Fatal("a loaded schedule must report schedulable")
 		}
-		var out bytes.Buffer
+		// Save → load → save is a fixed point: the canonical bytes reload
+		// to the same transmission list and re-encode to the same bytes.
+		var out, again bytes.Buffer
 		if err := wsan.SaveSchedule(res, &out); err != nil {
 			t.Fatalf("decoded schedule fails to re-encode: %v", err)
 		}
-		if _, err := wsan.LoadSchedule(&out); err != nil {
+		reloaded, err := wsan.LoadSchedule(bytes.NewReader(out.Bytes()))
+		if err != nil {
 			t.Fatalf("re-encoded schedule fails to decode: %v", err)
+		}
+		if !slices.Equal(reloaded.Schedule.Txs(), res.Schedule.Txs()) {
+			t.Fatalf("reloaded transmissions %v, want %v", reloaded.Schedule.Txs(), res.Schedule.Txs())
+		}
+		if err := wsan.SaveSchedule(reloaded, &again); err != nil {
+			t.Fatalf("reloaded schedule fails to re-encode: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), out.Bytes()) {
+			t.Fatalf("save → load → save changed the bytes:\n%s\n%s", out.Bytes(), again.Bytes())
 		}
 	})
 }

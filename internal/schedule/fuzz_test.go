@@ -8,9 +8,13 @@ import (
 	"wsan/internal/flow"
 )
 
-// FuzzDecode hardens the schedule JSON decoder: arbitrary input must either
-// error or produce a conflict-free schedule whose indexes (see
-// checkIndexes) match its transmission list.
+// FuzzDecode hardens the schedule JSON decoder: arbitrary input must give
+// exactly the reference outcome (encoding/json plus the Place loop; see
+// checkDecodeAgrees), whether or not the canonical scanner takes it, and a
+// decoded schedule must be conflict-free with indexes (see checkIndexes)
+// that match its transmission list. The seeds are Encode outputs (the
+// empty schedule's included), their single-byte mutations, and
+// hand-written non-canonical documents.
 func FuzzDecode(f *testing.F) {
 	s, err := New(20, 2, 6)
 	if err != nil {
@@ -25,17 +29,31 @@ func FuzzDecode(f *testing.F) {
 			f.Fatalf("seed tx %d: %v", i, err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		f.Fatal(err)
+	for _, seed := range []*Schedule{s, mustNew(f, 3, 1, 2), randomSchedule(f, 4, 30, 3, 8, 5)} {
+		var buf bytes.Buffer
+		if err := seed.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		// The document and its single-byte mutations: each byte replaced
+		// with a digit, a minus or a space, or deleted.
+		doc := buf.Bytes()
+		f.Add(doc)
+		for i := range doc {
+			for _, b := range []byte{'0', '-', ' '} {
+				m := slices.Clone(doc)
+				m[i] = b
+				f.Add(m)
+			}
+			f.Add(slices.Delete(slices.Clone(doc), i, i+1))
+		}
 	}
-	f.Add(buf.Bytes())
 	f.Add([]byte(`{"numSlots":10,"numOffsets":1,"numNodes":2,"transmissions":[]}`))
 	f.Add([]byte(`{"numSlots":-1}`))
 	f.Add([]byte(`{"numSlots":10,"numOffsets":1,"numNodes":4,
 	  "transmissions":[{"flow":0,"link":{"from":0,"to":1},"slot":3,"offset":0},
 	                   {"flow":1,"link":{"from":1,"to":2},"slot":3,"offset":0}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeAgrees(t, data)
 		got, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			return

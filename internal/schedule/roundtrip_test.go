@@ -10,7 +10,7 @@ import (
 
 // randomSchedule builds a conflict-free schedule by repeatedly attempting
 // random placements — the structural shapes Diff/Apply/Clone must survive.
-func randomSchedule(t *testing.T, seed int64, slots, offsets, nodes, placements int) *Schedule {
+func randomSchedule(t testing.TB, seed int64, slots, offsets, nodes, placements int) *Schedule {
 	t.Helper()
 	s, err := New(slots, offsets, nodes)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 	"wsan/internal/graph"
 )
 
-func mustNew(t *testing.T, slots, offsets, nodes int) *Schedule {
+func mustNew(t testing.TB, slots, offsets, nodes int) *Schedule {
 	t.Helper()
 	s, err := New(slots, offsets, nodes)
 	if err != nil {

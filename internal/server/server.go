@@ -151,6 +151,13 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the daemon's HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Workers returns the worker-pool size New settled on (GOMAXPROCS when
+// Config.Workers is 0).
+func (s *Server) Workers() int { return s.pool.workers }
+
+// QueueCap returns the job queue capacity New settled on.
+func (s *Server) QueueCap() int { return cap(s.pool.queue) }
+
 // Metrics returns the registry backing /metrics.
 func (s *Server) Metrics() *obs.Registry { return s.mets }
 

@@ -172,6 +172,9 @@ func (g *Graph) BFS(src int) []uint8 {
 type HopMatrix struct {
 	n    int
 	dist []uint8
+	// diam is the largest finite entry of dist, computed once by
+	// AllPairsHop: the matrix has no other constructor and no mutator.
+	diam int
 }
 
 // AllPairsHop runs a BFS from every node and returns the all-pairs hop
@@ -183,6 +186,11 @@ func (g *Graph) AllPairsHop() *HopMatrix {
 	}
 	for u := 0; u < g.n; u++ {
 		copy(m.dist[u*g.n:(u+1)*g.n], g.BFS(u))
+	}
+	for _, d := range m.dist {
+		if d != Unreachable && int(d) > m.diam {
+			m.diam = int(d)
+		}
 	}
 	return m
 }
@@ -214,15 +222,7 @@ func (m *HopMatrix) Row(u int) []uint8 {
 // Diameter returns the maximum finite hop distance over all node pairs, i.e.
 // the diameter of the largest connected component. An empty or edgeless graph
 // has diameter 0.
-func (m *HopMatrix) Diameter() int {
-	maxD := 0
-	for _, d := range m.dist {
-		if d != Unreachable && int(d) > maxD {
-			maxD = int(d)
-		}
-	}
-	return maxD
-}
+func (m *HopMatrix) Diameter() int { return m.diam }
 
 // Components returns the connected components as node-ID slices, ordered by
 // their smallest member.

@@ -141,6 +141,40 @@ func TestDiameterEmpty(t *testing.T) {
 	}
 }
 
+// TestDiameterMatchesBruteForce checks the diameter AllPairsHop stores
+// against a max over every Dist that skips Unreachable, on random graphs
+// from edgeless through sparse (usually disconnected) to dense.
+func TestDiameterMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(40)
+		g := New(n)
+		edgeProb := []float64{0, 0.02, 0.05, 0.15, 0.5}[trial%5]
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < edgeProb {
+					if err := g.AddEdge(u, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		m := g.AllPairsHop()
+		want := 0
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if d := m.Dist(u, v); d != Unreachable && int(d) > want {
+					want = int(d)
+				}
+			}
+		}
+		if got := m.Diameter(); got != want {
+			t.Fatalf("trial %d (n=%d, p=%.2f, %d components): Diameter = %d, brute force %d",
+				trial, n, edgeProb, len(g.Components()), got, want)
+		}
+	}
+}
+
 func TestComponents(t *testing.T) {
 	g := New(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}} {

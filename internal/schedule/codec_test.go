@@ -213,6 +213,8 @@ func TestDecodeNearCanonical(t *testing.T) {
 		{"truncated", base[:len(base)/2], false, true},
 		{"conflict", withTx(tx, tx+`,`+tx), true, true},
 		{"bad dimensions", strings.Replace(base, `"numSlots":10`, `"numSlots":0`, 1), true, true},
+		{"huge dimensions", strings.Replace(base, `"numSlots":10`, `"numSlots":4611686018427387904`, 1), true, true},
+		{"huge dimensions, spaced", strings.Replace(base, `"numSlots":10`, `"numSlots": 4611686018427387904`, 1), false, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

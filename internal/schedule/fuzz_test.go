@@ -49,6 +49,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{"numSlots":10,"numOffsets":1,"numNodes":2,"transmissions":[]}`))
 	f.Add([]byte(`{"numSlots":-1}`))
+	f.Add([]byte(`{"numSlots":4611686018427387904,"numOffsets":2,"numNodes":4,"transmissions":[]}` + "\n"))
 	f.Add([]byte(`{"numSlots":10,"numOffsets":1,"numNodes":4,
 	  "transmissions":[{"flow":0,"link":{"from":0,"to":1},"slot":3,"offset":0},
 	                   {"flow":1,"link":{"from":1,"to":2},"slot":3,"offset":0}]}`))
@@ -78,12 +79,17 @@ func FuzzDecode(f *testing.F) {
 // FuzzScheduleOps drives a schedule through arbitrary Place, Remove, Reset
 // and Clone sequences and checks after every operation that its indexes —
 // the packed link column, the busy, occupancy and slot-full bitsets, the
-// busy counts and the cells — agree with the transmission list. Each op
-// reads four bytes: the op kind and three operands.
+// busy counts, the cells and the per-flow positions — agree with the
+// transmission list. Each op reads four bytes: the op kind and three
+// operands. Placements share three flow IDs, so removals move transmissions
+// within and across flows' position lists.
 func FuzzScheduleOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 3, 4, 0, 0, 5, 6, 1, 1, 0, 0, 0})
 	f.Add([]byte{0, 1, 2, 65, 0, 3, 4, 65, 1, 1, 0, 0, 3, 0, 0, 0, 2, 70, 2, 9})
 	f.Add([]byte{0, 0, 1, 3, 0, 2, 3, 3, 0, 4, 5, 3, 1, 2, 0, 0, 1, 0, 0, 0})
+	// Flows 0, 1, 2, 0, 1, then removing position 0 moves flow 1's last
+	// transmission ahead of its first.
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 3, 1, 0, 4, 5, 2, 0, 6, 7, 3, 0, 0, 1, 4, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := New(80, 3, 8)
 		if err != nil {
@@ -94,7 +100,7 @@ func FuzzScheduleOps(f *testing.F) {
 			switch op {
 			case 0: // place; rejections (conflicts, bad links) are fine
 				n := s.NumNodes()
-				_ = s.Place(Tx{FlowID: i, Link: flow.Link{From: a % n, To: b % n},
+				_ = s.Place(Tx{FlowID: i / 4 % 3, Link: flow.Link{From: a % n, To: b % n},
 					Slot: c % s.NumSlots(), Offset: (a / n) % s.NumOffsets()})
 			case 1: // remove one placed transmission
 				if s.Len() > 0 {
@@ -110,8 +116,44 @@ func FuzzScheduleOps(f *testing.F) {
 				s = s.Clone()
 			}
 			checkIndexes(t, s)
+			checkFlowTxs(t, s)
 		}
 	})
+}
+
+// checkFlowTxs fails t unless FlowTxs agrees with a filtered pass over Txs,
+// order included, for every flow ID present and for one absent ID, and
+// appends to the buffer it is given.
+func checkFlowTxs(t *testing.T, s *Schedule) {
+	t.Helper()
+	ids := []int{-1}
+	for _, tx := range s.Txs() {
+		if !slices.Contains(ids, tx.FlowID) {
+			ids = append(ids, tx.FlowID)
+		}
+	}
+	for _, id := range ids {
+		want := scanFlowTxs(s, id)
+		if got := s.FlowTxs(id, nil); !slices.Equal(got, want) {
+			t.Fatalf("FlowTxs(%d) = %v, filtered Txs %v", id, got, want)
+		}
+		prefix := []Tx{{FlowID: -2}}
+		if got := s.FlowTxs(id, prefix); !slices.Equal(got, append(prefix, want...)) {
+			t.Fatalf("FlowTxs(%d, prefix) = %v, want the prefix then %v", id, got, want)
+		}
+	}
+}
+
+// scanFlowTxs is the reference FlowTxs: the flow's transmissions, read off
+// Txs in order.
+func scanFlowTxs(s *Schedule, flowID int) []Tx {
+	var txs []Tx
+	for _, tx := range s.Txs() {
+		if tx.FlowID == flowID {
+			txs = append(txs, tx)
+		}
+	}
+	return txs
 }
 
 // checkIndexes fails t unless every index of s agrees with its transmission

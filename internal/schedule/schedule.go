@@ -15,7 +15,9 @@ package schedule
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"wsan/internal/flow"
 	"wsan/internal/graph"
@@ -87,11 +89,13 @@ type Schedule struct {
 	// first removal; Remove fills the vacated position with the most recent
 	// placement, so ordering is not stable across removals.
 	txs []Tx
-	// txPos maps each placed transmission to its index in txs. It is built
-	// lazily by the first Remove and maintained by Place/Remove from then
-	// on, so from-scratch scheduling (which never removes) stays map-free
-	// while churn-heavy workloads remove in O(1) instead of scanning txs.
-	txPos map[Tx]int
+	// flowPos lists each flow's positions in txs, ascending. It is built
+	// lazily by the first Remove or FlowTxs and maintained by Place/Remove
+	// from then on, so from-scratch scheduling (which never removes) stays
+	// map-free while churn-heavy workloads find a flow's transmissions, and
+	// a removed transmission's position, in time proportional to the flow
+	// instead of the grid.
+	flowPos map[int][]int
 
 	// nodeVer stamps each node's busy-bitset state; marking or clearing a
 	// busy bit bumps the node's stamp, so the pair counters below can tell a
@@ -180,12 +184,10 @@ func (a *txArena) reset() { a.cur, a.off = 0, 0 }
 // New creates an empty schedule covering numSlots slots, numOffsets channel
 // offsets, and nodes 0..numNodes-1.
 func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
-	if numSlots <= 0 || numOffsets <= 0 || numNodes <= 0 {
-		return nil, fmt.Errorf("schedule dimensions must be positive: slots=%d offsets=%d nodes=%d",
-			numSlots, numOffsets, numNodes)
+	words, offWords, err := gridWords(numSlots, numOffsets, numNodes)
+	if err != nil {
+		return nil, err
 	}
-	words := (numSlots + 63) / 64
-	offWords := (numOffsets + 63) / 64
 	nodeVer := make([]uint64, numNodes)
 	for i := range nodeVer {
 		nodeVer[i] = 1
@@ -210,6 +212,30 @@ func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
 	}, nil
 }
 
+// maxGridEntries bounds the two tables whose size is a product of
+// dimensions: the cell table (numSlots×numOffsets) and the busy bitsets
+// (numNodes×words). Below it no product overflows an int and no table's byte
+// size reaches the runtime's allocation limit, so a decoded document with
+// absurd dimensions gets an error instead of a makeslice panic; real grids
+// are many orders of magnitude smaller.
+const maxGridEntries = math.MaxInt32
+
+// gridWords validates schedule dimensions and returns the bitset words per
+// node (one bit per slot) and per slot's offset row.
+func gridWords(numSlots, numOffsets, numNodes int) (words, offWords int, err error) {
+	if numSlots <= 0 || numOffsets <= 0 || numNodes <= 0 {
+		return 0, 0, fmt.Errorf("schedule dimensions must be positive: slots=%d offsets=%d nodes=%d",
+			numSlots, numOffsets, numNodes)
+	}
+	words = (numSlots-1)/64 + 1 // ceil without the overflow of numSlots+63
+	offWords = (numOffsets-1)/64 + 1
+	if numSlots > maxGridEntries/numOffsets || numNodes > maxGridEntries/words {
+		return 0, 0, fmt.Errorf("schedule dimensions too large: slots=%d offsets=%d nodes=%d",
+			numSlots, numOffsets, numNodes)
+	}
+	return words, offWords, nil
+}
+
 // Reset clears the schedule in place to an empty grid with the given
 // dimensions, recycling every backing allocation the previous contents used:
 // the busy/occupancy bitsets, the cell table, the transmission list, and the
@@ -222,12 +248,10 @@ func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
 // PairCount handles are bound to the old geometry and must not be used after
 // a Reset that changes the slot or node dimensions.
 func (s *Schedule) Reset(numSlots, numOffsets, numNodes int) error {
-	if numSlots <= 0 || numOffsets <= 0 || numNodes <= 0 {
-		return fmt.Errorf("schedule dimensions must be positive: slots=%d offsets=%d nodes=%d",
-			numSlots, numOffsets, numNodes)
+	words, offWords, err := gridWords(numSlots, numOffsets, numNodes)
+	if err != nil {
+		return err
 	}
-	words := (numSlots + 63) / 64
-	offWords := (numOffsets + 63) / 64
 	if words != s.words || numNodes != s.numNodes {
 		// The cached pair counters' word geometry or key space no longer
 		// matches the grid; drop them rather than refresh into the wrong shape.
@@ -277,7 +301,7 @@ func (s *Schedule) Reset(numSlots, numOffsets, numNodes int) error {
 	s.numSlots, s.numOffsets, s.numNodes = numSlots, numOffsets, numNodes
 	s.words, s.offWords = words, offWords
 	s.txs = s.txs[:0]
-	s.txPos = nil
+	s.flowPos = nil
 	s.arena.reset()
 	s.pairArena.reset()
 	return nil
@@ -423,8 +447,9 @@ func (s *Schedule) Place(tx Tx) error {
 		s.cellLink[idx] = packLink(s.cells[idx])
 	}
 	s.txs = append(s.txs, tx)
-	if s.txPos != nil {
-		s.txPos[tx] = len(s.txs) - 1
+	if s.flowPos != nil {
+		// The new position is the largest, so the list stays ascending.
+		s.flowPos[tx.FlowID] = append(s.flowPos[tx.FlowID], len(s.txs)-1)
 	}
 	return nil
 }
@@ -432,26 +457,37 @@ func (s *Schedule) Place(tx Tx) error {
 // Remove deletes a previously placed transmission, freeing its endpoints'
 // busy bits and its cell entry. The transmission must match an existing
 // placement exactly. The vacated txs position is filled by the most recent
-// placement (swap-with-last), so removal is O(1) on the transmission list —
-// a placement can never occur twice, so the position index is exact.
+// placement (swap-with-last), so removal costs O(1) on the transmission list
+// plus a pass over the two flows' position lists — a placement can never
+// occur twice, so the match is exact.
 func (s *Schedule) Remove(tx Tx) error {
-	if s.txPos == nil {
-		s.txPos = make(map[Tx]int, len(s.txs))
-		for i, placed := range s.txs {
-			s.txPos[placed] = i
-		}
+	s.buildFlowPos()
+	pos := s.flowPos[tx.FlowID]
+	i := 0
+	for i < len(pos) && s.txs[pos[i]] != tx {
+		i++
 	}
-	idx, ok := s.txPos[tx]
-	if !ok {
+	if i == len(pos) {
 		return fmt.Errorf("remove tx flow %d: not placed", tx.FlowID)
 	}
 	s.ver++
+	idx := pos[i]
+	if pos = slices.Delete(pos, i, i+1); len(pos) == 0 {
+		delete(s.flowPos, tx.FlowID)
+	} else {
+		s.flowPos[tx.FlowID] = pos
+	}
 	if last := len(s.txs) - 1; idx != last {
-		s.txs[idx] = s.txs[last]
-		s.txPos[s.txs[idx]] = idx
+		moved := s.txs[last]
+		s.txs[idx] = moved
+		// last is the largest position, so it ends its flow's list; it
+		// moves to idx, re-inserted in order.
+		mp := s.flowPos[moved.FlowID]
+		mp = mp[:len(mp)-1]
+		at, _ := slices.BinarySearch(mp, idx)
+		s.flowPos[moved.FlowID] = slices.Insert(mp, at, idx)
 	}
 	s.txs = s.txs[:len(s.txs)-1]
-	delete(s.txPos, tx)
 	cellIdx := tx.Slot*s.numOffsets + tx.Offset
 	cell := s.cells[cellIdx]
 	for i, placed := range cell {
@@ -470,6 +506,31 @@ func (s *Schedule) Remove(tx Tx) error {
 	s.clearBusy(tx.Link.From, tx.Slot)
 	s.clearBusy(tx.Link.To, tx.Slot)
 	return nil
+}
+
+// FlowTxs appends the flow's placed transmissions to buf, in Txs order —
+// exactly the transmissions, and the order, of a pass over Txs that keeps
+// those with FlowID == flowID — and returns the extended slice. It reads the
+// per-flow position index, building it on first use, so it is not safe for
+// concurrent use with any other call on s.
+func (s *Schedule) FlowTxs(flowID int, buf []Tx) []Tx {
+	s.buildFlowPos()
+	for _, p := range s.flowPos[flowID] {
+		buf = append(buf, s.txs[p])
+	}
+	return buf
+}
+
+// buildFlowPos builds the per-flow position index from txs if it is absent.
+// Positions are appended in txs order, so each list is ascending.
+func (s *Schedule) buildFlowPos() {
+	if s.flowPos != nil {
+		return
+	}
+	s.flowPos = make(map[int][]int)
+	for i, tx := range s.txs {
+		s.flowPos[tx.FlowID] = append(s.flowPos[tx.FlowID], i)
+	}
 }
 
 func (s *Schedule) clearBusy(node, slot int) {

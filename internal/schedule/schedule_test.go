@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -26,6 +27,36 @@ func TestNewValidation(t *testing.T) {
 	for _, dims := range [][3]int{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {-1, 1, 1}} {
 		if _, err := New(dims[0], dims[1], dims[2]); err == nil {
 			t.Errorf("New(%v) should fail", dims)
+		}
+	}
+}
+
+// TestNewRejectsHugeDimensions feeds dimensions whose cell table or busy
+// bitsets overflow an int, or would pass the runtime's allocation limit:
+// New and Reset must return an error, not panic in make, and a failed Reset
+// must leave the schedule as it was.
+func TestNewRejectsHugeDimensions(t *testing.T) {
+	const maxInt = int(^uint(0) >> 1)
+	for _, dims := range [][3]int{
+		{1 << 62, 2, 4},             // numSlots×numOffsets overflows
+		{1 << 62, 1, 4},             // fits an int, not an allocation
+		{maxInt, 1, 1},              // numSlots+63 overflows
+		{10, maxInt, 4},             // numOffsets+63 overflows
+		{64, 1, 1 << 62},            // numNodes×words
+		{1 << 40, 1 << 30, 1 << 20}, // all three
+	} {
+		if _, err := New(dims[0], dims[1], dims[2]); err == nil {
+			t.Errorf("New(%v) should fail", dims)
+		}
+		s := mustNew(t, 10, 2, 4)
+		if err := s.Place(tx(0, 0, 1, 3, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Reset(dims[0], dims[1], dims[2]); err == nil {
+			t.Errorf("Reset(%v) should fail", dims)
+		}
+		if s.NumSlots() != 10 || s.NumOffsets() != 2 || s.NumNodes() != 4 || s.Len() != 1 {
+			t.Errorf("failed Reset(%v) changed the schedule", dims)
 		}
 	}
 }
@@ -211,6 +242,44 @@ func TestPlaceRemovePlaceRoundTrip(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Errorf("Len = %d after balanced place/remove", s.Len())
+	}
+}
+
+// TestRemoveWholeFlowsMatchesScan removes whole flows from two copies of a
+// schedule, one reading each flow's transmissions through FlowTxs and one
+// through a filtered scan of Txs, with fresh placements in between, and
+// requires the same Txs — transmissions and order — after every flow. The
+// scan copy's position index is built by its first Remove, the other's by
+// its first FlowTxs.
+func TestRemoveWholeFlowsMatchesScan(t *testing.T) {
+	const slots, offsets, nodes = 120, 3, 12
+	for seed := int64(0); seed < 20; seed++ {
+		a := randomSchedule(t, seed, slots, offsets, nodes, 300)
+		b := a.Clone()
+		rng := rand.New(rand.NewSource(seed))
+		for step, id := range rng.Perm(8) { // randomSchedule draws flows 0..5
+			for _, txn := range a.FlowTxs(id, nil) {
+				if err := a.Remove(txn); err != nil {
+					t.Fatalf("seed %d: FlowTxs(%d) listed %v: %v", seed, id, txn, err)
+				}
+			}
+			for _, txn := range scanFlowTxs(b, id) {
+				if err := b.Remove(txn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !slices.Equal(a.Txs(), b.Txs()) {
+				t.Fatalf("seed %d: after removing flow %d the transmission lists differ:\n%v\n%v",
+					seed, id, a.Txs(), b.Txs())
+			}
+			for k := 0; k < 10; k++ {
+				txn := randomTx(rng, slots, offsets, nodes, 10+step)
+				if errA, errB := a.Place(txn), b.Place(txn); (errA == nil) != (errB == nil) {
+					t.Fatalf("seed %d: Place(%v) = %v and %v on equal schedules", seed, txn, errA, errB)
+				}
+			}
+			checkFlowTxs(t, b)
+		}
 	}
 }
 

@@ -304,10 +304,8 @@ func (d *deltaOp) begin(op BatchOp) (*flow.Flow, error) {
 		if findFlow(d.work, f.ID) >= 0 {
 			return nil, fmt.Errorf("scheduler: flow %d already in the workload", f.ID)
 		}
-		for _, tx := range d.sched.Txs() {
-			if tx.FlowID == f.ID {
-				return nil, fmt.Errorf("scheduler: flow %d already scheduled", f.ID)
-			}
+		if len(d.sched.FlowTxs(f.ID, nil)) > 0 {
+			return nil, fmt.Errorf("scheduler: flow %d already scheduled", f.ID)
 		}
 		return f, nil
 	case BatchRemove:
@@ -406,12 +404,7 @@ func (d *deltaOp) placeFlow(f *flow.Flow) (bool, error) {
 // removeFlow removes every scheduled transmission of flowID, journaled.
 // Returns how many transmissions were removed.
 func (d *deltaOp) removeFlow(flowID int) int {
-	var txs []schedule.Tx
-	for _, tx := range d.sched.Txs() {
-		if tx.FlowID == flowID {
-			txs = append(txs, tx)
-		}
-	}
+	txs := d.sched.FlowTxs(flowID, nil)
 	for _, tx := range txs {
 		// The transmission was just read from the schedule; Remove cannot
 		// fail.

@@ -108,16 +108,25 @@ func (d *deltaOp) relocate(tx schedule.Tx, lo, hi int, group []schedule.Tx) bool
 type instKey struct{ flow, inst int }
 
 // instanceTxs groups the live transmissions of the instances txs belong to,
-// in one pass over the schedule.
+// each group in Txs order, reading only the flows txs belong to.
 func (d *deltaOp) instanceTxs(txs []schedule.Tx) map[instKey][]schedule.Tx {
 	groups := make(map[instKey][]schedule.Tx)
 	for _, tx := range txs {
 		groups[instKey{tx.FlowID, tx.Instance}] = nil
 	}
-	for _, tx := range d.sched.Txs() {
-		k := instKey{tx.FlowID, tx.Instance}
-		if g, ok := groups[k]; ok {
-			groups[k] = append(g, tx)
+	read := make(map[int]bool)
+	var buf []schedule.Tx
+	for _, v := range txs {
+		if read[v.FlowID] {
+			continue
+		}
+		read[v.FlowID] = true
+		buf = d.sched.FlowTxs(v.FlowID, buf[:0])
+		for _, tx := range buf {
+			k := instKey{tx.FlowID, tx.Instance}
+			if g, ok := groups[k]; ok {
+				groups[k] = append(g, tx)
+			}
 		}
 	}
 	return groups

@@ -23,15 +23,15 @@ microbench:
 # race detector: seeded add/remove/reroute/re-budget streams with node-fault
 # batches against a live grid, concurrent runs over the shared scratch
 # pools, and the replay oracle asserting zero schedule drift throughout.
-# The server half includes the multi-worker queue sweep (four soak jobs plus
-# simulate jobs on a Workers=4 pool, per-job oracle digests compared against
-# a direct in-process run), and the scheduler half pins the indexed
-# schedulers byte-identical to the reference scans. The jobs half runs simulate, converge, manage and
-# reschedule jobs concurrently on one network's shared Testbed and compares
-# every part with a serial run. `wsansim soak` runs the same harness at
-# evaluation scale (500 flows).
+# The server half is the multi-worker queue sweep (four schedule jobs plus
+# two simulate jobs on a Workers=4 pool, each schedule compared byte for
+# byte against a serial in-process run), and the scheduler half pins the
+# indexed schedulers byte-identical to the reference scans. The jobs half
+# runs simulate, converge, manage and reschedule jobs concurrently on one
+# network's shared Testbed and compares every part with a serial run.
+# `wsansim soak` runs the same churn harness at evaluation scale (500 flows).
 soak-smoke:
-	$(GO) test -race -count=1 -run 'TestSoak|TestScanVsIndexIdentical|TestConcurrentJobsShareTestbed' \
+	$(GO) test -race -count=1 -run 'TestSoak|TestQueueSweepMultiWorker|TestScanVsIndexIdentical|TestConcurrentJobsShareTestbed' \
 		./internal/soak/ ./internal/server/ ./internal/scheduler/ ./internal/jobs/
 
 # lint runs go vet always, on the root module and on the nested bench/

@@ -43,6 +43,25 @@ func TestRunRejectsNonPositiveTrials(t *testing.T) {
 	}
 }
 
+// TestSoakRejectsBadConfig: the soak subcommand reports the harness's own
+// validation error once, without re-wrapping it, and an out-of-range channel
+// count fails instead of running clamped to the band.
+func TestSoakRejectsBadConfig(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"soak", "-channels", "99", "-flows", "5", "-ops", "5"}, "soak: channels 99 must be in [1, 16]"},
+		{[]string{"soak", "-flows", "5", "-ops", "-1"}, "soak: ops -1, batch every 50, batch size 8, and oracle every 1000 must be non-negative"},
+		{[]string{"soak", "-flows", "5", "-ops", "5", "-batch-every", "-1"},
+			"soak: ops 5, batch every -1, batch size 8, and oracle every 1000 must be non-negative"},
+	} {
+		if err := run(c.args); err == nil || err.Error() != c.want {
+			t.Errorf("run(%v) = %v, want %q", c.args, err, c.want)
+		}
+	}
+}
+
 // TestUsageListsEveryFigure: every registered figure is named in the usage
 // text and is what its name dispatches to; "all" and "ext" split the
 // registry between them.

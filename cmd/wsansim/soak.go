@@ -22,39 +22,27 @@ import (
 //	wsansim soak -flows 200 -ops 20000 -oracle-every 2000
 //	wsansim soak -json > soak.json        # machine-readable result
 func runSoak(args []string, mets obs.Sink) error {
-	def := soak.DefaultConfig()
+	cfg := soak.DefaultConfig()
+	cfg.Metrics = mets
 	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
-	flows := fs.Int("flows", def.Flows, "steady-state active flow target (pool is 2x)")
-	channels := fs.Int("channels", def.Channels, "number of channels")
-	ops := fs.Int("ops", def.Ops, "churn operations after warmup")
-	seed := fs.Int64("seed", def.Seed, "workload and op-stream seed")
-	topoSeed := fs.Int64("toposeed", def.TopoSeed, "testbed generation seed")
-	batchEvery := fs.Int("batch-every", def.BatchEvery, "inject a node-fault batch every N ops (0 disables)")
-	batchSize := fs.Int("batch-size", def.BatchSize, "max reroutes per node-fault batch")
-	oracleEvery := fs.Int("oracle-every", def.OracleEvery, "replay-oracle checkpoint every N applied deltas (0 = final only)")
-	progressEvery := fs.Int("progress-every", 500, "live progress line every N ops (0 disables)")
+	fs.IntVar(&cfg.Flows, "flows", cfg.Flows, "steady-state active flow target (pool is 2x)")
+	fs.IntVar(&cfg.Channels, "channels", cfg.Channels, "number of channels")
+	fs.IntVar(&cfg.Ops, "ops", cfg.Ops, "churn operations after warmup")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "workload and op-stream seed")
+	fs.Int64Var(&cfg.TopoSeed, "toposeed", cfg.TopoSeed, "testbed generation seed")
+	fs.IntVar(&cfg.BatchEvery, "batch-every", cfg.BatchEvery, "inject a node-fault batch every N ops (0 disables)")
+	fs.IntVar(&cfg.BatchSize, "batch-size", cfg.BatchSize, "max reroutes per node-fault batch")
+	fs.IntVar(&cfg.OracleEvery, "oracle-every", cfg.OracleEvery, "replay-oracle checkpoint every N applied deltas (0 = final only)")
+	fs.IntVar(&cfg.ProgressEvery, "progress-every", 500, "live progress line every N ops (0 disables)")
 	asJSON := fs.Bool("json", false, "write the full result as JSON to stdout")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	cfg := soak.Config{
-		Flows:       *flows,
-		Channels:    *channels,
-		Ops:         *ops,
-		Seed:        *seed,
-		TopoSeed:    *topoSeed,
-		BatchEvery:  *batchEvery,
-		BatchSize:   *batchSize,
-		OracleEvery: *oracleEvery,
-		Metrics:     mets,
-	}
-	if *progressEvery > 0 {
-		cfg.ProgressEvery = *progressEvery
+	if cfg.ProgressEvery > 0 {
 		cfg.OnProgress = func(p soak.Progress) {
 			fmt.Fprintf(os.Stderr,
 				"soak: %6d/%d ops  %7.0f deltas/sec  p99 %8s  fallback %4.1f%%  active %d\n",
-				p.Ops, *ops, p.DeltasPerSec, p.P99.Round(time.Microsecond),
+				p.Ops, cfg.Ops, p.DeltasPerSec, p.P99.Round(time.Microsecond),
 				p.FallbackRate*100, p.ActiveFlows)
 		}
 	}
@@ -63,7 +51,7 @@ func runSoak(args []string, mets obs.Sink) error {
 	defer stop()
 	res, err := soak.Run(ctx, cfg)
 	if err != nil {
-		return fmt.Errorf("soak: %w", err)
+		return err
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

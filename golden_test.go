@@ -24,6 +24,7 @@ import (
 	"wsan/internal/experiment"
 	"wsan/internal/scheduler"
 	"wsan/internal/server/storage"
+	"wsan/internal/soak"
 )
 
 // goldenCase is one pinned workload. setup builds its inputs and returns
@@ -379,9 +380,9 @@ func goldenRCCounters(tb testing.TB) func() ([]byte, error) {
 // counters.
 func goldenChurn(testing.TB) func() ([]byte, error) {
 	return func() ([]byte, error) {
-		cfg := wsan.DefaultSoakConfig()
+		cfg := soak.DefaultConfig()
 		cfg.Flows, cfg.Ops, cfg.OracleEvery = 200, 1_500, 500
-		res, err := wsan.Soak(context.Background(), cfg)
+		res, err := soak.Run(context.Background(), cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -13,10 +13,7 @@
 //   - manage runs observe→classify→repair iterations over a schedule
 //     bundle — `wsansim manage`;
 //   - reschedule applies one incremental flow-delta (add, remove, or
-//     reroute) through the delta scheduler — `wsansim reschedule`;
-//   - soak drives the sustained-churn soak harness over the network's
-//     topology. `wsansim soak` drives the same harness directly, at its
-//     own evaluation-scale defaults.
+//     reroute) through the delta scheduler — `wsansim reschedule`.
 //
 // A kind runs against an Env: the network, a bundle lookup, a metrics sink
 // and optional progress hooks. The daemon builds it from a hosted network
@@ -149,10 +146,8 @@ type Env struct {
 	Metrics obs.Sink
 
 	// Optional hooks; nil leaves each off. OnIteration receives every
-	// completed manage iteration, OnProgress ten live snapshots of a soak,
-	// and Trace a simulate run's JSONL event trace.
+	// manage iteration, Trace a simulate run's JSONL event trace.
 	OnIteration func(wsan.ManageIteration)
-	OnProgress  func(wsan.SoakProgress)
 	Trace       io.Writer
 }
 
@@ -175,7 +170,6 @@ var kinds = map[string]func() Params{
 	wsanclient.KindConverge:   func() Params { return new(ConvergeParams) },
 	wsanclient.KindManage:     func() Params { return new(ManageParams) },
 	wsanclient.KindReschedule: func() Params { return new(RescheduleParams) },
-	wsanclient.KindSoak:       func() Params { return new(SoakParams) },
 }
 
 // Defaults returns p with its zero fields set to the kind's defaults: the
@@ -859,67 +853,4 @@ func (p *RescheduleParams) run(ctx context.Context, env *Env) (Parts, error) {
 			"changes":       len(res.Changes),
 		},
 	})
-}
-
-// SoakParams is the canonical soak parameter document. The soak churns the
-// network's surveyed topology; Channels defaults to the network's channel
-// count. Defaults are scaled down from `wsansim soak`'s evaluation
-// operating point so a default job stays short.
-type SoakParams struct {
-	Flows       int   `json:"flows" default:"100"`
-	Channels    int   `json:"channels"`
-	Ops         int   `json:"ops" default:"1000"`
-	Seed        int64 `json:"seed" default:"1"`
-	BatchEvery  int   `json:"batchEvery" default:"50"`
-	BatchSize   int   `json:"batchSize" default:"8"`
-	OracleEvery int   `json:"oracleEvery" default:"500"`
-}
-
-func (p *SoakParams) canonicalize(env *Env) error {
-	applyDefaults(p)
-	if p.Flows < 1 {
-		return fmt.Errorf("flows must be positive")
-	}
-	n := len(env.Net.Channels())
-	if p.Channels == 0 {
-		p.Channels = n
-	}
-	if p.Channels < 1 || p.Channels > n {
-		return fmt.Errorf("channels must be in [1, %d]", n)
-	}
-	if p.Ops < 1 {
-		return fmt.Errorf("ops must be positive")
-	}
-	if p.BatchEvery < 0 || p.BatchSize < 0 || p.OracleEvery < 0 {
-		return fmt.Errorf("batchEvery, batchSize, and oracleEvery must be non-negative")
-	}
-	return nil
-}
-
-// run drives the sustained-churn soak harness over the network's topology,
-// producing result.json: churn throughput, apply-latency percentiles,
-// repair-ladder fallback counts, replay-oracle checkpoints, and the
-// canonical schedule digest (an oracle divergence fails the job).
-func (p *SoakParams) run(ctx context.Context, env *Env) (Parts, error) {
-	cfg := wsan.SoakConfig{
-		Flows:       p.Flows,
-		Channels:    p.Channels,
-		Ops:         p.Ops,
-		Seed:        p.Seed,
-		BatchEvery:  p.BatchEvery,
-		BatchSize:   p.BatchSize,
-		OracleEvery: p.OracleEvery,
-		Testbed:     env.Net.Testbed(),
-		Metrics:     env.Metrics,
-	}
-	if env.OnProgress != nil {
-		// Ten snapshots per run, however long it is.
-		cfg.ProgressEvery = max(p.Ops/10, 1)
-		cfg.OnProgress = env.OnProgress
-	}
-	res, err := wsan.Soak(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return encodeParts(map[string]any{"result.json": res})
 }

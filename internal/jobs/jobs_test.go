@@ -56,7 +56,6 @@ func TestDefaultsAreCanonical(t *testing.T) {
 		wsanclient.KindConverge:   Defaults(&ConvergeParams{Artifact: "bundle"}),
 		wsanclient.KindManage:     Defaults(&ManageParams{Artifact: "bundle"}),
 		wsanclient.KindReschedule: Defaults(&RescheduleParams{Artifact: "bundle", Op: "remove"}),
-		wsanclient.KindSoak:       Defaults(&SoakParams{Channels: len(env.Net.Channels())}),
 	} {
 		doc, err := json.Marshal(p)
 		if err != nil {
@@ -64,7 +63,7 @@ func TestDefaultsAreCanonical(t *testing.T) {
 		}
 		raw := `{}`
 		switch kind {
-		case wsanclient.KindSchedule, wsanclient.KindSoak:
+		case wsanclient.KindSchedule:
 		case wsanclient.KindReschedule:
 			raw = `{"artifact":"bundle","op":"remove"}`
 		default:
@@ -93,7 +92,6 @@ func FuzzCanonicalParams(f *testing.F) {
 		{wsanclient.KindManage, `{"artifact":"bundle","epochSlots":3000,"targetPDR":0.95,"paroleCleanIterations":2}`},
 		{wsanclient.KindReschedule, `{"artifact":"bundle","op":"reroute","flow":3,"avoid":[5,3,5],"alg":"nr"}`},
 		{wsanclient.KindReschedule, `{"artifact":"bundle","op":"add","flow":9,"src":1,"dst":2,"period":100}`},
-		{wsanclient.KindSoak, `{"flows":12,"channels":3,"ops":80}`},
 	} {
 		f.Add(seed.kind, []byte(seed.raw))
 	}

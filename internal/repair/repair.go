@@ -42,7 +42,8 @@ func Reschedule(sched *schedule.Schedule, flows []*flow.Flow, degraded []flow.Li
 // prefix, next to the delta engine's "sched.incremental." counters. A nil
 // sink makes it identical to Reschedule.
 func RescheduleObserved(sched *schedule.Schedule, flows []*flow.Flow, degraded []flow.Link, m obs.Sink) (*Result, error) {
-	d, err := scheduler.RepairDelta(sched, flows, degraded, m)
+	d, err := scheduler.ApplyDeltaBatch(sched, flows,
+		[]scheduler.BatchOp{{Kind: scheduler.BatchRepair, Links: degraded}}, scheduler.Config{Metrics: m})
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +73,7 @@ func RescheduleFromReports(sched *schedule.Schedule, flows []*flow.Flow, reports
 // and a fresh earliest-slot schedule is a fixed point. It returns the number
 // of transmissions moved.
 func Compact(sched *schedule.Schedule, flows []*flow.Flow) (int, error) {
-	d, err := scheduler.CompactDelta(sched, flows)
+	d, err := scheduler.ApplyDeltaBatch(sched, flows, []scheduler.BatchOp{{Kind: scheduler.BatchCompact}}, scheduler.Config{})
 	if err != nil {
 		return 0, err
 	}

@@ -1,9 +1,9 @@
 // Delta scheduling for flow churn and repair. Every live-schedule mutation
 // runs through one journaled engine: ApplyDeltaBatch applies a list of add /
 // remove / reroute / rebudget / repair / compact ops as one atomic operation,
-// and AddFlowDelta, RemoveFlowDelta, RerouteFlowDelta, RepairDelta, and
-// CompactDelta are batches of one. Each op pins every unaffected
-// transmission and places only the delta against the existing grid.
+// and AddFlowDelta, RemoveFlowDelta, and RerouteFlowDelta are batches of
+// one. Each op pins every unaffected transmission and places only the delta
+// against the existing grid.
 // Placement runs through the same engine as a full run, so it is served by
 // the index layer (busy-bitset word scans, occupancy rows, prefix-popcount
 // conflict counters) and costs O(affected cells), not O(network).
@@ -152,19 +152,6 @@ func RemoveFlowDelta(sched *schedule.Schedule, flowID int, mets obs.Sink) (*Delt
 // is mutated — on success the caller records the move with flow.SetRoute.
 func RerouteFlowDelta(sched *schedule.Schedule, flows []*flow.Flow, flowID int, newRoute []flow.Link, cfg Config) (*DeltaResult, error) {
 	return applyOne(sched, flows, BatchOp{Kind: BatchReroute, FlowID: flowID, Route: newRoute}, cfg)
-}
-
-// RepairDelta moves the shared-cell transmissions of the degraded links into
-// exclusive cells (see BatchRepair); Moved and Unmovable account for every
-// victim. flows is the scheduled workload. mets may be nil.
-func RepairDelta(sched *schedule.Schedule, flows []*flow.Flow, links []flow.Link, mets obs.Sink) (*DeltaResult, error) {
-	return applyOne(sched, flows, BatchOp{Kind: BatchRepair, Links: links}, Config{Metrics: mets})
-}
-
-// CompactDelta moves transmissions into earlier exclusive cells (see
-// BatchCompact) and counts them in Moved. flows is the scheduled workload.
-func CompactDelta(sched *schedule.Schedule, flows []*flow.Flow) (*DeltaResult, error) {
-	return applyOne(sched, flows, BatchOp{Kind: BatchCompact}, Config{})
 }
 
 // applyOne runs op as a batch of one without tracking the workload.

@@ -227,28 +227,24 @@ func fuzzOp(b []byte, active []*flow.Flow, slots int) (BatchOp, byte) {
 	return BatchOp{Kind: BatchAdd, Flow: nf}, b[6]
 }
 
-// fuzzApply runs a batch of one through its single-op entry point and a
-// longer batch, or a rebudget, through ApplyDeltaBatch.
+// fuzzApply runs a batch of one add, remove or reroute through its
+// single-op entry point and every other batch through ApplyDeltaBatch.
 func fuzzApply(sched *schedule.Schedule, work []*flow.Flow, batch []BatchOp, cfg Config) (*DeltaResult, error) {
-	if len(batch) > 1 || batch[0].Kind == BatchRebudget {
-		res, err := ApplyDeltaBatch(sched, work, batch, cfg)
-		if err != nil {
-			return nil, err
+	if len(batch) == 1 {
+		switch op := batch[0]; op.Kind {
+		case BatchAdd:
+			return AddFlowDelta(sched, work, op.Flow, cfg)
+		case BatchRemove:
+			return RemoveFlowDelta(sched, op.FlowID, nil)
+		case BatchReroute:
+			return RerouteFlowDelta(sched, work, op.FlowID, op.Route, cfg)
 		}
-		return &res.DeltaResult, nil
 	}
-	switch op := batch[0]; op.Kind {
-	case BatchAdd:
-		return AddFlowDelta(sched, work, op.Flow, cfg)
-	case BatchRemove:
-		return RemoveFlowDelta(sched, op.FlowID, nil)
-	case BatchReroute:
-		return RerouteFlowDelta(sched, work, op.FlowID, op.Route, cfg)
-	case BatchRepair:
-		return RepairDelta(sched, work, op.Links, nil)
-	default:
-		return CompactDelta(sched, work)
+	res, err := ApplyDeltaBatch(sched, work, batch, cfg)
+	if err != nil {
+		return nil, err
 	}
+	return &res.DeltaResult, nil
 }
 
 // fuzzCommit returns the active workload after a successful batch.

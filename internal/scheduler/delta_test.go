@@ -517,7 +517,13 @@ func TestApplyDeltaBatchOneOpLabel(t *testing.T) {
 			}},
 		{BatchOp{Kind: BatchRepair, Links: []flow.Link{{From: 3, To: 4}}},
 			func(s *schedule.Schedule, w []*flow.Flow, c Config) (*DeltaResult, error) {
-				return RepairDelta(s, w, []flow.Link{{From: 3, To: 4}}, c.Metrics)
+				// Repair has no single-op entry point; a second one-op batch
+				// on the other grid must agree with the first.
+				res, err := ApplyDeltaBatch(s, w, []BatchOp{{Kind: BatchRepair, Links: []flow.Link{{From: 3, To: 4}}}}, c)
+				if err != nil {
+					return nil, err
+				}
+				return &res.DeltaResult, nil
 			}},
 		{BatchOp{Kind: BatchCompact}, nil},
 		{BatchOp{Kind: BatchRebudget, FlowID: 10, Budget: []int{1}}, nil},

@@ -54,7 +54,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) (string, error) {
 // network: bundles are stored artifacts, and signals go to the server's
 // registry. While the event bus has ever had a subscriber, a running job
 // (j non-nil) also gets a tap forwarding faults.* counter flushes to the
-// stream, and its manage iterations and soak snapshots are published live.
+// stream, and its manage iterations are published live.
 // The gate keeps the subscriber-free job path allocation-free; a consumer
 // attaching mid-job picks up events from the next job, not this one.
 func (s *Server) jobEnv(nw *netEntry, j *Job) *jobs.Env {
@@ -66,9 +66,6 @@ func (s *Server) jobEnv(nw *netEntry, j *Job) *jobs.Env {
 	env.Metrics = obs.MultiSink(s.mets, &faultsTap{bus: s.bus, network: network, job: jobID})
 	env.OnIteration = func(it wsan.ManageIteration) {
 		s.bus.Publish(wsanclient.EventManageHealth, network, jobID, manageHealth(it))
-	}
-	env.OnProgress = func(pr wsan.SoakProgress) {
-		s.bus.Publish(wsanclient.EventSoakProgress, network, jobID, pr)
 	}
 	return env
 }

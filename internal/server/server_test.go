@@ -472,6 +472,8 @@ func TestJobParamsRejectedAtSubmit(t *testing.T) {
 		{wsanclient.KindManage, map[string]any{"artifact": art, "epochSlots": 17}},
 		{wsanclient.KindManage, map[string]any{"artifact": art, "epochSlots": 1}},
 		{wsanclient.KindManage, map[string]any{"artifact": art, "epochSlots": -3000}},
+		// The daemon no longer hosts the churn harness (`wsansim soak` runs it).
+		{"soak", map[string]any{"flows": 12, "ops": 80}},
 	}
 	for _, c := range cases {
 		var env errorBody
@@ -489,7 +491,7 @@ func TestJobParamsRejectedAtSubmit(t *testing.T) {
 	// An unknown kind names the kind table.
 	var env errorBody
 	doJSON(t, http.MethodPost, ts.URL+"/v1/networks/plant/jobs", map[string]any{"kind": "warp"}, &env)
-	const want = `invalid warp parameters: unknown job kind "warp" (want converge, manage, reschedule, schedule, simulate, or soak)`
+	const want = `invalid warp parameters: unknown job kind "warp" (want converge, manage, reschedule, schedule, or simulate)`
 	if env.Error.Message != want {
 		t.Errorf("unknown kind message %q, want %q", env.Error.Message, want)
 	}

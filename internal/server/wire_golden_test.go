@@ -64,12 +64,6 @@ var goldenParams = []struct {
 	{"reschedule", `{"artifact":"golden-art","op":"remove","flow":0}`,
 		`{"artifact":"golden-art","op":"remove","flow":0,"alg":"rc","rhoT":2}`,
 		"79ad53ab8f4a97717795b034caac6c9824d2772a527d550237824f0a964f523d"},
-	{"soak", `{}`,
-		`{"flows":100,"channels":4,"ops":1000,"seed":1,"batchEvery":50,"batchSize":8,"oracleEvery":500}`,
-		"1213445732ec35d34ca56d47f445c8809f66d3cc728ef82e0a5d4b8b8d9ad4bd"},
-	{"soak", `{"flows":12,"channels":3,"ops":80,"seed":7,"batchEvery":20,"batchSize":3,"oracleEvery":40}`,
-		`{"flows":12,"channels":3,"ops":80,"seed":7,"batchEvery":20,"batchSize":3,"oracleEvery":40}`,
-		"760da40cf00b104288d44e598c4cfbf7c529246d2a8a7dd5d919b332a996b4ad"},
 }
 
 // goldenJobs pins one job view per lifecycle state.

@@ -59,7 +59,7 @@ type Config struct {
 	// Flows is the steady-state active-flow target. The candidate pool is
 	// twice this size, so adds always have somewhere to draw from.
 	Flows int
-	// Channels is the channel count (schedule offsets).
+	// Channels is the channel count (schedule offsets), 1..topology.NumChannels.
 	Channels int
 	// Ops is the number of churn operations to drive after warmup. A
 	// node-fault batch counts as one operation but applies up to BatchSize
@@ -68,13 +68,8 @@ type Config struct {
 	// Seed derives the workload, the operation stream, and every routing
 	// decision; two runs with equal Config produce identical results.
 	Seed int64
-	// TopoSeed generates the testbed (default 1, the evaluation topology).
+	// TopoSeed generates the Indriya testbed (default 1, the evaluation one).
 	TopoSeed int64
-	// Testbed, when non-nil, is the surveyed topology to churn instead of
-	// generating the Indriya evaluation testbed from TopoSeed — this is how
-	// the daemon soaks a hosted network's own topology. Link selection uses
-	// the evaluation PRR threshold (0.9) either way.
-	Testbed *topology.Testbed
 	// MinPeriodExp and MaxPeriodExp bound the pool's harmonic period range
 	// P = [2^min, 2^max] seconds.
 	MinPeriodExp int
@@ -212,8 +207,14 @@ type state struct {
 // delta is an expected outcome, not an error. ctx cancellation stops the
 // run between operations and surfaces ctx.Err().
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Flows <= 0 || cfg.Channels <= 0 || cfg.Ops < 0 {
-		return nil, fmt.Errorf("soak: flows %d, channels %d, and ops %d must be positive", cfg.Flows, cfg.Channels, cfg.Ops)
+	switch {
+	case cfg.Flows <= 0:
+		return nil, fmt.Errorf("soak: flows %d must be positive", cfg.Flows)
+	case cfg.Channels <= 0 || cfg.Channels > topology.NumChannels:
+		return nil, fmt.Errorf("soak: channels %d must be in [1, %d]", cfg.Channels, topology.NumChannels)
+	case min(cfg.Ops, cfg.BatchEvery, cfg.BatchSize, cfg.OracleEvery) < 0:
+		return nil, fmt.Errorf("soak: ops %d, batch every %d, batch size %d, and oracle every %d must be non-negative",
+			cfg.Ops, cfg.BatchEvery, cfg.BatchSize, cfg.OracleEvery)
 	}
 	if cfg.TopoSeed == 0 {
 		cfg.TopoSeed = 1
@@ -275,13 +276,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // newState builds the testbed, the candidate flow pool (2× the active
 // target, routed peer-to-peer), and the empty live and oracle grids.
 func newState(cfg Config) (*state, error) {
-	tb := cfg.Testbed
-	if tb == nil {
-		var err error
-		tb, err = topology.Indriya(cfg.TopoSeed)
-		if err != nil {
-			return nil, fmt.Errorf("soak: %w", err)
-		}
+	tb, err := topology.Indriya(cfg.TopoSeed)
+	if err != nil {
+		return nil, fmt.Errorf("soak: %w", err)
 	}
 	chs := topology.Channels(cfg.Channels)
 	gc, err := tb.CommGraph(chs, 0.9)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,11 +181,39 @@ func TestSoakHeapStable(t *testing.T) {
 		res.HeapStartBytes, quarter, res.HeapEndBytes, res.Applied, res.DeltasPerSec, res.P99)
 }
 
-// TestSoakConfigValidation rejects unrunnable configs.
+// TestSoakConfigValidation rejects unrunnable configs, each with an error
+// naming the bad field, and accepts the boundary values.
 func TestSoakConfigValidation(t *testing.T) {
-	for _, cfg := range []Config{{}, {Flows: 10}, {Flows: 10, Channels: 4, Ops: -1}} {
-		if _, err := Run(context.Background(), cfg); err == nil {
-			t.Errorf("config %+v should be rejected", cfg)
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{}, "flows 0 must be positive"},
+		{Config{Flows: -1, Channels: 4}, "flows -1 must be positive"},
+		{Config{Flows: 10}, "channels 0 must be in [1, 16]"},
+		// topology.Channels clamps to 16: 99 channels ran as 16 under a
+		// header claiming 99.
+		{Config{Flows: 10, Channels: 99}, "channels 99 must be in [1, 16]"},
+		{Config{Flows: 10, Channels: 17}, "channels 17 must be in [1, 16]"},
+		{Config{Flows: 10, Channels: 4, Ops: -1}, "ops -1, batch every 0, batch size 0, and oracle every 0 must be non-negative"},
+		{Config{Flows: 10, Channels: 4, Ops: -5}, "ops -5,"},
+		{Config{Flows: 10, Channels: 4, BatchEvery: -1}, "batch every -1,"},
+		{Config{Flows: 10, Channels: 4, BatchEvery: 5, BatchSize: -1}, "batch size -1,"},
+		{Config{Flows: 10, Channels: 4, OracleEvery: -1}, "oracle every -1 must"},
+	} {
+		_, err := Run(context.Background(), c.cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), "soak: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("config %+v: error %v, want \"soak: ...%s...\"", c.cfg, err, c.want)
+		}
+	}
+	// Zero ops (warmup and the final oracle check only) and all sixteen
+	// channels are runnable.
+	for _, cfg := range []Config{
+		{Flows: 5, Channels: 4},
+		{Flows: 5, Channels: 16, Ops: 5},
+	} {
+		if _, err := Run(context.Background(), cfg); err != nil {
+			t.Errorf("config %+v: %v", cfg, err)
 		}
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"wsan/internal/routing"
 	"wsan/internal/schedule"
 	"wsan/internal/scheduler"
-	"wsan/internal/soak"
 	"wsan/internal/stats"
 	"wsan/internal/topology"
 )
@@ -421,36 +420,6 @@ func Manage(cfg ManageConfig) ([]ManageIteration, error) {
 func ManageCtx(ctx context.Context, cfg ManageConfig) ([]ManageIteration, error) {
 	iters, err := manage.LoopCtx(ctx, cfg)
 	return iters, wrapErr(err)
-}
-
-// SoakConfig parameterizes a sustained-churn soak run (see Soak). The zero
-// value is not runnable; start from DefaultSoakConfig.
-type SoakConfig = soak.Config
-
-// SoakProgress is a live snapshot of a running soak, delivered through
-// SoakConfig.OnProgress.
-type SoakProgress = soak.Progress
-
-// SoakResult reports one completed soak run: churn throughput, apply-latency
-// percentiles, repair-ladder fallback counts, replay-oracle checkpoints, and
-// the canonical schedule digest.
-type SoakResult = soak.Result
-
-// DefaultSoakConfig is the evaluation operating point: 500 flows on the
-// Indriya testbed, 5000 churn operations, oracle checkpoints every 1000
-// applied deltas.
-func DefaultSoakConfig() SoakConfig { return soak.DefaultConfig() }
-
-// Soak drives the sustained-churn harness: a seeded stream of add / remove /
-// reroute / re-budget flow deltas — plus periodic node-fault batches applied
-// atomically — against a live schedule, cross-checking the incremental
-// scheduler against an independent replay oracle at every checkpoint. Any
-// oracle divergence or constraint violation is an error; an infeasible delta
-// is an expected outcome and only counted. ctx cancellation stops the run
-// between operations.
-func Soak(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
-	res, err := soak.Run(ctx, cfg)
-	return res, wrapErr(err)
 }
 
 // RepairResult reports what a schedule-repair pass did.

@@ -44,7 +44,6 @@ const (
 	KindConverge   = "converge"
 	KindManage     = "manage"
 	KindReschedule = "reschedule"
-	KindSoak       = "soak"
 )
 
 // CreateNetworkRequest is the POST /v1/networks body. Exactly one of
@@ -141,7 +140,6 @@ const (
 	EventJobSnapshot  = "job.snapshot"
 	EventManageHealth = "manage.health"
 	EventFaultCounts  = "faults.applied"
-	EventSoakProgress = "soak.progress"
 	EventMetricsDelta = "metrics.delta"
 	EventCacheEvict   = "cache.evicted"
 )
@@ -227,74 +225,6 @@ type ManageHealth struct {
 	RetriesShed int             `json:"retriesShed,omitempty"`
 	ShedFlows   []int           `json:"shedFlows,omitempty"`
 	Shortfalls  []FlowShortfall `json:"shortfalls,omitempty"`
-}
-
-// SoakProgress is a live throughput snapshot of a running soak job (the
-// Data of an EventSoakProgress event). Duration fields are nanoseconds on
-// the wire.
-type SoakProgress struct {
-	Ops          int           `json:"ops"`
-	Applied      int           `json:"applied"`
-	Infeasible   int           `json:"infeasible"`
-	Skipped      int           `json:"skipped"`
-	ActiveFlows  int           `json:"activeFlows"`
-	DeltasPerSec float64       `json:"deltasPerSec"`
-	P99          time.Duration `json:"p99Ns"`
-	FallbackRate float64       `json:"fallbackRate"`
-	Elapsed      time.Duration `json:"elapsedNs"`
-}
-
-// SoakProgressData decodes the event's Data as a soak.progress payload.
-func (e Event) SoakProgressData() (SoakProgress, error) {
-	var p SoakProgress
-	err := json.Unmarshal(e.Data, &p)
-	return p, err
-}
-
-// SoakResult is the result.json part of a soak-job artifact: churn
-// throughput, apply-latency percentiles, repair-ladder fallback counts,
-// replay-oracle checkpoints, and the canonical schedule digest. Duration
-// fields are nanoseconds on the wire.
-type SoakResult struct {
-	Flows      int `json:"flows"`
-	Channels   int `json:"channels"`
-	Nodes      int `json:"nodes"`
-	HyperSlots int `json:"hyperSlots"`
-
-	WarmupAdmitted int `json:"warmupAdmitted"`
-	WarmupFailed   int `json:"warmupFailed"`
-
-	Ops        int `json:"ops"`
-	Applied    int `json:"applied"`
-	Infeasible int `json:"infeasible"`
-	Skipped    int `json:"skipped"`
-	Batches    int `json:"batches"`
-
-	Adds      int `json:"adds"`
-	Removes   int `json:"removes"`
-	Reroutes  int `json:"reroutes"`
-	Rebudgets int `json:"rebudgets"`
-
-	FallbackEvict   int `json:"fallbackEvict"`
-	FallbackCascade int `json:"fallbackCascade"`
-	FallbackFull    int `json:"fallbackFull"`
-
-	ActiveFlows int `json:"activeFlows"`
-	PlacedTx    int `json:"placedTx"`
-
-	DeltasPerSec float64       `json:"deltasPerSec"`
-	P50          time.Duration `json:"p50Ns"`
-	P95          time.Duration `json:"p95Ns"`
-	P99          time.Duration `json:"p99Ns"`
-	Max          time.Duration `json:"maxNs"`
-
-	OracleChecks int    `json:"oracleChecks"`
-	Digest       string `json:"digest"`
-
-	HeapStartBytes uint64 `json:"heapStartBytes"`
-	HeapEndBytes   uint64 `json:"heapEndBytes"`
-
-	Elapsed time.Duration `json:"elapsedNs"`
 }
 
 // FlowShortfall is one reliability shortfall inside a ManageHealth event: a

@@ -1,7 +1,8 @@
 // Golden checksums: the behaviour pins of the repository. Each case runs a
 // seeded workload — the Fig. 1 pipeline, the three schedulers and the delta
 // scheduler at the Fig. 6 operating point, the simulator, reliability
-// budgeting, the artifact store and the sustained-churn soak — and pins the
+// budgeting, the artifact store, the reschedule job and the sustained-churn
+// soak — and pins the
 // sha256 prefix of its deterministic output. The values hold on every
 // machine and at any iteration count; timings are not gated here (the
 // end-to-end benchmark is bench/run.sh, the microcases are BenchmarkGolden).
@@ -22,9 +23,11 @@ import (
 
 	"wsan"
 	"wsan/internal/experiment"
+	"wsan/internal/jobs"
 	"wsan/internal/scheduler"
 	"wsan/internal/server/storage"
 	"wsan/internal/soak"
+	"wsan/wsanclient"
 )
 
 // goldenCase is one pinned workload. setup builds its inputs and returns
@@ -50,6 +53,7 @@ var goldenCases = []goldenCase{
 	{"churn/soak_200f_1500ops", "8aeaf9bb9704b470", goldenChurn},
 	{"analysis/delay-fig6", "a191938568eaeaa3", goldenDelayBounds},
 	{"scheduler/rc-plan-counters", "33a592569b588904", goldenRCCounters},
+	{"jobs/reschedule-chain", "6b8f48c0873f8091", goldenRescheduleChain},
 }
 
 // TestGoldenChecksums runs every case once and compares its checksum with
@@ -223,6 +227,76 @@ func goldenIncremental(tb testing.TB) func() ([]byte, error) {
 			add.Fallback, add.PlacementOps, rem.RemovalOps, baseRes.Schedule.Len())
 		for _, c := range add.Changes {
 			buf = fmt.Appendf(buf, "%v/%d@%d.%d;", c.Kind, c.Tx.FlowID, c.Tx.Slot, c.Tx.Offset)
+		}
+		return buf, nil
+	}
+}
+
+// goldenRescheduleChain runs a schedule job on WUSTL (30 flows, seed 1) and
+// chains reschedule jobs on its output through jobs.Exec: remove flow 2,
+// add it back as the lowest-priority flow 30, then reroute flow 30 around
+// its first relay. The checksum covers every part of every output, in
+// part-name order, so it pins the bytes of workload.json and delta.json.
+func goldenRescheduleChain(tb testing.TB) func() ([]byte, error) {
+	nw, err := jobs.NewNetwork(wsanclient.CreateNetworkRequest{Preset: "wustl"})
+	check(tb, err)
+	return func() ([]byte, error) {
+		ctx := context.Background()
+		outs := map[string]jobs.Parts{}
+		env := &jobs.Env{Network: nw, Lookup: func(ref string) (jobs.Bundle, error) {
+			if b, ok := outs[ref]; ok {
+				return b, nil
+			}
+			return nil, fmt.Errorf("artifact %q not found", ref)
+		}}
+		var buf []byte
+		run := func(name string, p jobs.Params) error {
+			parts, err := jobs.Exec(ctx, env, p)
+			if err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			outs[name] = parts
+			names := make([]string, 0, len(parts))
+			for part := range parts {
+				names = append(names, part)
+			}
+			sort.Strings(names)
+			for _, part := range names {
+				buf = fmt.Appendf(buf, "%s/%s:%s\n", name, part, parts[part])
+			}
+			return nil
+		}
+		if err := run("base", &jobs.ScheduleParams{Flows: 30, Seed: 1}); err != nil {
+			return nil, err
+		}
+		flows, _, err := env.LoadBundle("base")
+		if err != nil {
+			return nil, err
+		}
+		f := flows[2]
+		if err := run("removed", &jobs.RescheduleParams{Artifact: "base", Op: "remove", Flow: f.ID}); err != nil {
+			return nil, err
+		}
+		if err := run("added", &jobs.RescheduleParams{Artifact: "removed", Op: "add", Flow: 30,
+			Src: f.Src, Dst: f.Dst, Period: f.Period}); err != nil {
+			return nil, err
+		}
+		if flows, _, err = env.LoadBundle("added"); err != nil {
+			return nil, err
+		}
+		added := flows[len(flows)-1]
+		if added.ID != 30 || len(added.Route) < 2 {
+			return nil, fmt.Errorf("added flow %d has route %v; want flow 30 with a relay", added.ID, added.Route)
+		}
+		if err := run("rerouted", &jobs.RescheduleParams{Artifact: "added", Op: "reroute", Flow: 30,
+			Avoid: []int{added.Route[0].To}}); err != nil {
+			return nil, err
+		}
+		if flows, _, err = env.LoadBundle("rerouted"); err != nil {
+			return nil, err
+		}
+		if moved := flows[len(flows)-1]; fmt.Sprint(moved.Route) == fmt.Sprint(added.Route) {
+			return nil, fmt.Errorf("reroute left flow 30 on route %v", moved.Route)
 		}
 		return buf, nil
 	}

@@ -212,14 +212,16 @@ func goldenIncremental(tb testing.TB) func() ([]byte, error) {
 		tb.Fatal("99-flow incremental base not schedulable")
 	}
 	return func() ([]byte, error) {
-		add, err := w.net.AddFlowDelta(baseRes, base, churn, wsan.RC, wsan.ScheduleConfig{})
+		add, err := w.net.ApplyDelta(baseRes, base,
+			[]wsan.DeltaOp{{Kind: wsan.DeltaAdd, Flow: churn}}, wsan.RC, wsan.ScheduleConfig{})
 		if err != nil {
 			return nil, err
 		}
 		if !add.Schedulable {
 			return nil, fmt.Errorf("incremental add of flow %d infeasible", churn.ID)
 		}
-		rem, err := w.net.RemoveFlowDelta(baseRes, churn.ID, nil)
+		rem, err := w.net.ApplyDelta(baseRes, add.Flows,
+			[]wsan.DeltaOp{{Kind: wsan.DeltaRemove, FlowID: churn.ID}}, wsan.RC, wsan.ScheduleConfig{})
 		if err != nil {
 			return nil, err
 		}

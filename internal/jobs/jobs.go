@@ -728,14 +728,14 @@ func (p *RescheduleParams) canonicalize(env *Env) error {
 	}
 	switch p.Op {
 	case "add":
-		if p.Period <= 0 {
-			return fmt.Errorf("add requires a positive period")
-		}
 		if p.Deadline == 0 {
 			p.Deadline = p.Period
 		}
-		if p.Src < 0 || p.Dst < 0 || p.Src == p.Dst {
-			return fmt.Errorf("add requires distinct non-negative src and dst")
+		if n := len(env.Net.Testbed().Nodes); p.Src < 0 || p.Dst < 0 || p.Src >= n || p.Dst >= n {
+			return fmt.Errorf("add requires src and dst among the network's nodes 0..%d", n-1)
+		}
+		if err := p.addedFlow().Validate(); err != nil {
+			return err
 		}
 		if len(p.Avoid) != 0 {
 			return fmt.Errorf("avoid applies only to op reroute")
@@ -757,6 +757,12 @@ func (p *RescheduleParams) canonicalize(env *Env) error {
 		return fmt.Errorf("unknown op %q (want add, remove, or reroute)", p.Op)
 	}
 	return nil
+}
+
+// addedFlow is the flow an add op admits, before it is routed.
+func (p *RescheduleParams) addedFlow() *wsan.Flow {
+	return &wsan.Flow{ID: p.Flow, Src: p.Src, Dst: p.Dst,
+		Period: p.Period, Deadline: p.Deadline, Phase: p.Phase}
 }
 
 // run applies one incremental flow-delta to a schedule bundle through the
@@ -782,44 +788,27 @@ func (p *RescheduleParams) run(ctx context.Context, env *Env) (Parts, error) {
 	if p.Op != "remove" {
 		cfg.DisableRetransmit = scheduler.RetryDepth(sched.Schedule, flows) == 1
 	}
-	var res *wsan.DeltaResult
+	op := wsan.DeltaOp{FlowID: p.Flow}
 	switch p.Op {
 	case "add":
-		f := &wsan.Flow{
-			ID: p.Flow, Src: p.Src, Dst: p.Dst,
-			Period: p.Period, Deadline: p.Deadline, Phase: p.Phase,
-		}
-		f.Route, err = env.Net.RouteAvoiding(p.Src, p.Dst, nil)
-		if err != nil {
-			return nil, err
-		}
-		res, err = env.Net.AddFlowDelta(sched, flows, f, alg, cfg)
-		if err == nil && res.Schedulable {
-			flows = append(flows, f)
-			sort.Slice(flows, func(i, j int) bool { return flows[i].ID < flows[j].ID })
-		}
+		op.Kind, op.Flow = wsan.DeltaAdd, p.addedFlow()
+		op.Flow.Route, err = env.Net.RouteAvoiding(p.Src, p.Dst, nil)
 	case "remove":
-		res, err = env.Net.RemoveFlowDelta(sched, p.Flow, env.Metrics)
-		if err == nil {
-			flows = slices.DeleteFunc(flows, func(f *wsan.Flow) bool { return f.ID == p.Flow })
-		}
+		op.Kind = wsan.DeltaRemove
 	case "reroute":
 		i := slices.IndexFunc(flows, func(f *wsan.Flow) bool { return f.ID == p.Flow })
 		if i < 0 {
 			return nil, fmt.Errorf("flow %d not in artifact %q", p.Flow, p.Artifact)
 		}
-		var route []wsan.Link
-		route, err = env.Net.RouteAvoiding(flows[i].Src, flows[i].Dst, p.Avoid)
-		if err != nil {
-			return nil, err
-		}
-		res, err = env.Net.RerouteFlowDelta(sched, flows, p.Flow, route, alg, cfg)
-		if err == nil && res.Schedulable {
-			flows[i].SetRoute(route)
-		}
+		op.Kind = wsan.DeltaReroute
+		op.Route, err = env.Net.RouteAvoiding(flows[i].Src, flows[i].Dst, p.Avoid)
 	default:
 		return nil, fmt.Errorf("unknown op %q", p.Op)
 	}
+	if err != nil {
+		return nil, err
+	}
+	res, err := env.Net.ApplyDelta(sched, flows, []wsan.DeltaOp{op}, alg, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -832,7 +821,7 @@ func (p *RescheduleParams) run(ctx context.Context, env *Env) (Parts, error) {
 	}
 	return encodeParts(map[string]any{
 		"survey.json":   env.Survey,
-		"workload.json": func(w io.Writer) error { return wsan.SaveWorkload(flows, w) },
+		"workload.json": func(w io.Writer) error { return wsan.SaveWorkload(res.Flows, w) },
 		"schedule.json": func(w io.Writer) error { return wsan.SaveSchedule(sched, w) },
 		"delta.json": map[string]any{
 			"op":           p.Op,
@@ -846,7 +835,7 @@ func (p *RescheduleParams) run(ctx context.Context, env *Env) (Parts, error) {
 		"summary.json": map[string]any{
 			"op":            p.Op,
 			"algorithm":     p.Alg,
-			"flows":         len(flows),
+			"flows":         len(res.Flows),
 			"transmissions": sched.Schedule.Len(),
 			"slots":         sched.Schedule.NumSlots(),
 			"channels":      len(env.Net.Channels()),

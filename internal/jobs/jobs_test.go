@@ -92,6 +92,7 @@ func FuzzCanonicalParams(f *testing.F) {
 		{wsanclient.KindManage, `{"artifact":"bundle","epochSlots":3000,"targetPDR":0.95,"paroleCleanIterations":2}`},
 		{wsanclient.KindReschedule, `{"artifact":"bundle","op":"reroute","flow":3,"avoid":[5,3,5],"alg":"nr"}`},
 		{wsanclient.KindReschedule, `{"artifact":"bundle","op":"add","flow":9,"src":1,"dst":2,"period":100}`},
+		{wsanclient.KindReschedule, `{"artifact":"bundle","op":"add","flow":9,"src":1,"dst":2,"period":100,"phase":150}`},
 	} {
 		f.Add(seed.kind, []byte(seed.raw))
 	}

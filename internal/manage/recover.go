@@ -94,7 +94,7 @@ func suspectCrashedNodes(res *netsim.Result) []int {
 
 // rerouteAround moves every flow whose route crosses a suspect node onto a
 // shortest path that avoids all suspects, re-placing only that flow's
-// transmissions through the delta scheduler (scheduler.RerouteFlowDelta):
+// transmissions through a one-op reroute batch (scheduler.ApplyDeltaBatch):
 // unaffected flows stay pinned, and on a collision the scheduler descends
 // its eviction → full-reschedule repair ladder before giving up. Placements
 // use exclusive cells (NR semantics), which are valid under any reuse
@@ -139,7 +139,8 @@ func rerouteAround(tb *topology.Testbed, channels []int, prrT float64,
 			continue // no detour exists; the flow stays degraded
 		}
 		route := routing.PathLinks(path)
-		res, err := scheduler.RerouteFlowDelta(sched, flows, f.ID, route, place)
+		res, err := scheduler.ApplyDeltaBatch(sched, flows,
+			[]scheduler.BatchOp{{Kind: scheduler.BatchReroute, FlowID: f.ID, Route: route}}, place)
 		if err != nil {
 			return rerouted, fmt.Errorf("manage: reroute flow %d: %w", f.ID, err)
 		}

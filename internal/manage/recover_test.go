@@ -298,7 +298,7 @@ func TestBlacklistChannels(t *testing.T) {
 // TestRerouteAroundCarriesShedBudget is the budget-carryover regression: a
 // flow whose retries were shed to the all-ones floor loses its relay to a
 // crash, and the only detour is one hop longer. Before the fix the stale
-// two-hop budget failed flow validation inside RerouteFlowDelta and the
+// two-hop budget failed flow validation inside the reroute delta and the
 // whole recovery pass errored out; now the reroute must succeed with the
 // shed concession intact (all ones over the new hop count) and the flow's
 // record updated to match what was placed.

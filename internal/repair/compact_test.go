@@ -130,12 +130,14 @@ func TestCompactEndToEnd(t *testing.T) {
 	if _, err := Reschedule(sched, flows, degraded); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range flows[:2] {
-		if _, err := scheduler.RemoveFlowDelta(sched, f.ID, nil); err != nil {
-			t.Fatal(err)
-		}
+	removed, err := scheduler.ApplyDeltaBatch(sched, flows, []scheduler.BatchOp{
+		{Kind: scheduler.BatchRemove, FlowID: flows[0].ID},
+		{Kind: scheduler.BatchRemove, FlowID: flows[1].ID},
+	}, scheduler.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	flows = flows[2:]
+	flows = removed.Flows
 	shared := sched.TxPerChannelHist()
 	before, err := analysis.Latencies(flows, sched)
 	if err != nil {

@@ -307,11 +307,12 @@ func TestRepairCompactMatchReference(t *testing.T) {
 		}
 		base := res.Schedule
 		for k := rng.Intn(3); k > 0 && len(flows) > 1; k-- {
-			i := rng.Intn(len(flows))
-			if _, err := scheduler.RemoveFlowDelta(base, flows[i].ID, nil); err != nil {
+			op := scheduler.BatchOp{Kind: scheduler.BatchRemove, FlowID: flows[rng.Intn(len(flows))].ID}
+			d, err := scheduler.ApplyDeltaBatch(base, flows, []scheduler.BatchOp{op}, scheduler.Config{})
+			if err != nil {
 				t.Fatal(err)
 			}
-			flows = slices.Delete(flows, i, i+1)
+			flows = d.Flows
 		}
 		var degraded []flow.Link
 		p := rng.Float64()

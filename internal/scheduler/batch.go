@@ -1,6 +1,8 @@
 // The delta engine's op vocabulary: add, remove, reroute, repair, compact,
-// and rebudget, applied N per journal commit with one rollback point (the
-// single-op entry points in delta.go are batches of one). A sustained-churn
+// and rebudget, applied N per journal commit with one rollback point.
+// ApplyDeltaBatch is the only delta call outside bench/; the single-op
+// wrappers in delta.go are batches of one that remain only for
+// bench/churn.go. A sustained-churn
 // manager rarely sees deltas one at a time — a link fault reroutes every
 // flow crossing it, an admission burst adds a batch of control loops — and
 // applying them as one operation amortizes the per-op engine setup, disseminates one net diff, and keeps

@@ -1,8 +1,9 @@
 // Delta scheduling for flow churn and repair. Every live-schedule mutation
 // runs through one journaled engine: ApplyDeltaBatch applies a list of add /
 // remove / reroute / rebudget / repair / compact ops as one atomic operation,
-// and AddFlowDelta, RemoveFlowDelta, and RerouteFlowDelta are batches of
-// one. Each op pins every unaffected transmission and places only the delta
+// and every caller outside bench/ goes through it. AddFlowDelta,
+// RemoveFlowDelta, and RerouteFlowDelta are batches of one that remain only
+// for bench/churn.go's timed single ops. Each op pins every unaffected transmission and places only the delta
 // against the existing grid.
 // Placement runs through the same engine as a full run, so it is served by
 // the index layer (busy-bitset word scans, occupancy rows, prefix-popcount

@@ -472,6 +472,12 @@ func TestJobParamsRejectedAtSubmit(t *testing.T) {
 		{wsanclient.KindManage, map[string]any{"artifact": art, "epochSlots": 17}},
 		{wsanclient.KindManage, map[string]any{"artifact": art, "epochSlots": 1}},
 		{wsanclient.KindManage, map[string]any{"artifact": art, "epochSlots": -3000}},
+		// An added flow must be a valid flow between two of the network's nodes.
+		{wsanclient.KindReschedule, map[string]any{"artifact": art, "op": "add", "flow": 20, "src": 1, "dst": 2, "period": 100, "deadline": 300}},
+		{wsanclient.KindReschedule, map[string]any{"artifact": art, "op": "add", "flow": 20, "src": 1, "dst": 2, "period": 100, "deadline": -5}},
+		{wsanclient.KindReschedule, map[string]any{"artifact": art, "op": "add", "flow": 20, "src": 1, "dst": 2, "period": 100, "phase": -5}},
+		{wsanclient.KindReschedule, map[string]any{"artifact": art, "op": "add", "flow": 20, "src": 1, "dst": 2, "period": 100, "phase": 150}},
+		{wsanclient.KindReschedule, map[string]any{"artifact": art, "op": "add", "flow": 20, "src": 18, "dst": 2, "period": 100}},
 		// The daemon no longer hosts the churn harness (`wsansim soak` runs it).
 		{"soak", map[string]any{"flows": 12, "ops": 80}},
 	}

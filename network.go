@@ -211,8 +211,8 @@ func (n *Network) Schedule(flows []*Flow, alg Algorithm, cfg ScheduleConfig) (*S
 // On a deadline miss the schedule is left unchanged and Schedulable is
 // false.
 //
-// It is AddFlowDelta with an empty workload: no scheduled flow may move, so
-// the flow is placed against the pinned grid or not at all. With
+// It is one ApplyDelta add with an empty workload: no scheduled flow may
+// move, so the flow is placed against the pinned grid or not at all. With
 // cfg.Metrics set it therefore emits the delta engine's
 // "sched.incremental.*" counters, not "scheduler.<alg>.*".
 func (n *Network) AddFlow(res *ScheduleResult, f *Flow, alg Algorithm, cfg ScheduleConfig) (*ScheduleResult, error) {
@@ -222,9 +222,9 @@ func (n *Network) AddFlow(res *ScheduleResult, f *Flow, alg Algorithm, cfg Sched
 				f.ID, tx.FlowID)
 		}
 	}
-	out, err := scheduler.AddFlowDelta(res.Schedule, nil, f, n.schedConfig(alg, cfg))
+	out, err := n.ApplyDelta(res, nil, []DeltaOp{{Kind: DeltaAdd, Flow: f}}, alg, cfg)
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	lambdaR := 0
 	if alg == RC {
@@ -234,11 +234,32 @@ func (n *Network) AddFlow(res *ScheduleResult, f *Flow, alg Algorithm, cfg Sched
 		FailedFlow: out.FailedFlow, Elapsed: out.Elapsed, LambdaR: lambdaR}, nil
 }
 
-// DeltaResult describes the outcome of one incremental scheduling
-// operation (AddFlowDelta, RemoveFlowDelta, RerouteFlowDelta): the net
-// schedule changes, which repair rung produced them, and the work the
-// operation performed.
-type DeltaResult = scheduler.DeltaResult
+// DeltaOp is one incremental mutation of a live schedule: add a flow
+// (Flow), or remove, reroute (Route) or re-budget (Budget) the flow FlowID.
+type DeltaOp = scheduler.BatchOp
+
+// DeltaKind selects what a DeltaOp does.
+type DeltaKind = scheduler.BatchKind
+
+// The delta kinds ApplyDelta takes. Repair and compaction run behind
+// Repair and Network.Compact.
+const (
+	// DeltaAdd admits DeltaOp.Flow, which the workload must not list.
+	DeltaAdd = scheduler.BatchAdd
+	// DeltaRemove retires flow FlowID, deleting exactly its transmissions.
+	DeltaRemove = scheduler.BatchRemove
+	// DeltaReroute moves flow FlowID onto Route under its budget, refitted
+	// to the new hop count.
+	DeltaReroute = scheduler.BatchReroute
+	// DeltaRebudget re-places flow FlowID on its route under the per-hop
+	// Budget (nil clears it).
+	DeltaRebudget = scheduler.BatchRebudget
+)
+
+// DeltaResult describes the outcome of one ApplyDelta call: the net
+// schedule changes, the workload after the ops (Flows), which repair rung
+// produced them, and the work the call performed.
+type DeltaResult = scheduler.BatchResult
 
 // DeltaFallback names the repair rung an incremental operation descended to.
 type DeltaFallback = scheduler.Fallback
@@ -259,39 +280,18 @@ const (
 	DeltaFallbackFull = scheduler.FallbackFull
 )
 
-// AddFlowDelta admits one new flow of any priority into an existing
-// schedule, pinning every already-scheduled transmission and placing only
-// the new flow's. On a collision the delta scheduler descends its repair
-// ladder (evict lower-criticality flows, then reschedule the mutated
-// workload from scratch) before declaring the admission infeasible; an
-// infeasible admission leaves the schedule untouched. flows is the workload
-// the schedule was built from, NOT including f.
-func (n *Network) AddFlowDelta(res *ScheduleResult, flows []*Flow, f *Flow, alg Algorithm, cfg ScheduleConfig) (*DeltaResult, error) {
-	out, err := scheduler.AddFlowDelta(res.Schedule, flows, f, n.schedConfig(alg, cfg))
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return out, nil
-}
-
-// RemoveFlowDelta retires one flow from an existing schedule, deleting
-// exactly its transmissions. Removal cannot fail for capacity reasons; the
-// result's Changes invert cleanly via InvertDeltas for rollback.
-func (n *Network) RemoveFlowDelta(res *ScheduleResult, flowID int, metrics MetricsSink) (*DeltaResult, error) {
-	out, err := scheduler.RemoveFlowDelta(res.Schedule, flowID, metrics)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return out, nil
-}
-
-// RerouteFlowDelta moves one scheduled flow onto a new route, re-placing
-// only that flow's transmissions (with the same repair ladder as
-// AddFlowDelta behind it). The flow itself is not mutated: on success the
-// caller records the move with the flow's SetRoute; on infeasibility the
-// schedule is rolled back and the old placements stand.
-func (n *Network) RerouteFlowDelta(res *ScheduleResult, flows []*Flow, flowID int, newRoute []Link, alg Algorithm, cfg ScheduleConfig) (*DeltaResult, error) {
-	out, err := scheduler.RerouteFlowDelta(res.Schedule, flows, flowID, newRoute, n.schedConfig(alg, cfg))
+// ApplyDelta applies ops to an existing schedule as one atomic operation,
+// pinning every transmission the ops do not touch. An op that places a
+// flow descends the repair ladder on a collision (evict lower-criticality
+// flows, then reschedule the mutated workload from scratch); only the flows
+// the workload lists may move. If any op is infeasible, Schedulable is
+// false; if any op is invalid, ApplyDelta returns an error. Either way the
+// schedule is left exactly as it was. flows is the workload the schedule
+// was built from, in priority order; neither it nor its flows are mutated —
+// the workload after the ops is DeltaResult.Flows. The result's Changes
+// invert cleanly via InvertDeltas for rollback.
+func (n *Network) ApplyDelta(res *ScheduleResult, flows []*Flow, ops []DeltaOp, alg Algorithm, cfg ScheduleConfig) (*DeltaResult, error) {
+	out, err := scheduler.ApplyDeltaBatch(res.Schedule, flows, ops, n.schedConfig(alg, cfg))
 	if err != nil {
 		return nil, wrapErr(err)
 	}

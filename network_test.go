@@ -2,9 +2,11 @@ package wsan_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"wsan"
+	"wsan/internal/schedule"
 )
 
 func testNetwork(t *testing.T) (*wsan.Testbed, *wsan.Network) {
@@ -385,11 +387,11 @@ func TestNetworkAddFlow(t *testing.T) {
 	}
 }
 
-// TestNetworkAddFlowDeltaPath pins what AddFlow adds on top of the delta
+// TestNetworkAddFlowBatchPath pins what AddFlow adds on top of the delta
 // engine: a flow that outranks a scheduled one is rejected, a lowest-priority
 // admission reports the run's λ_R, and with a metrics sink it emits the
 // delta engine's counters.
-func TestNetworkAddFlowDeltaPath(t *testing.T) {
+func TestNetworkAddFlowBatchPath(t *testing.T) {
 	_, net := testNetwork(t)
 	flows, err := net.GenerateWorkload(wsan.WorkloadConfig{
 		NumFlows: 10, MinPeriodExp: 0, MaxPeriodExp: 1,
@@ -422,6 +424,127 @@ func TestNetworkAddFlowDeltaPath(t *testing.T) {
 	}
 	if got := reg.CounterValue("sched.incremental.add_ops"); got != 1 {
 		t.Errorf("sched.incremental.add_ops = %d, want 1", got)
+	}
+}
+
+// TestNetworkApplyDelta runs add, reroute, rebudget and remove as one
+// facade batch on a scheduled 30-flow network. The result's workload must
+// be the hand-edited one, its Changes the schedule diff, and the inverted
+// Changes must restore the grid; a batch whose last op fails must leave the
+// schedule and the caller's workload as they were.
+func TestNetworkApplyDelta(t *testing.T) {
+	_, net := testNetwork(t)
+	flows, err := net.GenerateWorkload(wsan.WorkloadConfig{
+		NumFlows: 30, MinPeriodExp: 0, MaxPeriodExp: 2,
+		Traffic: wsan.PeerToPeer, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := net.Schedule(flows, wsan.RC, wsan.ScheduleConfig{})
+	if err != nil || !res.Schedulable {
+		t.Fatalf("base schedule: schedulable %v, %v", res != nil && res.Schedulable, err)
+	}
+	encode := func(res *wsan.ScheduleResult, flows []*wsan.Flow) (string, string) {
+		t.Helper()
+		var sb, wb bytes.Buffer
+		if err := wsan.SaveSchedule(res, &sb); err != nil {
+			t.Fatal(err)
+		}
+		if err := wsan.SaveWorkload(flows, &wb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String(), wb.String()
+	}
+	before := wsan.CloneSchedule(res)
+	_, beforeFlows := encode(res, flows)
+
+	// Flow 30 joins on flow 0's endpoints; the first flow with a relay
+	// detours around it; flow 1 sheds to one attempt per hop; flow 2 leaves.
+	added := &wsan.Flow{ID: 30, Src: flows[0].Src, Dst: flows[0].Dst, Period: flows[0].Period, Deadline: flows[0].Period}
+	if added.Route, err = net.RouteAvoiding(added.Src, added.Dst, nil); err != nil {
+		t.Fatal(err)
+	}
+	var moved *wsan.Flow
+	var detour []wsan.Link
+	for _, f := range flows[3:] {
+		if len(f.Route) < 2 {
+			continue
+		}
+		if detour, err = net.RouteAvoiding(f.Src, f.Dst, []int{f.Route[0].To}); err == nil {
+			moved = f
+			break
+		}
+	}
+	if moved == nil {
+		t.Fatal("no flow with a relay has a detour")
+	}
+	shed := make([]int, len(flows[1].Route))
+	for i := range shed {
+		shed[i] = 1
+	}
+	ops := []wsan.DeltaOp{
+		{Kind: wsan.DeltaAdd, Flow: added},
+		{Kind: wsan.DeltaReroute, FlowID: moved.ID, Route: detour},
+		{Kind: wsan.DeltaRebudget, FlowID: flows[1].ID, Budget: shed},
+		{Kind: wsan.DeltaRemove, FlowID: flows[2].ID},
+	}
+	out, err := net.ApplyDelta(res, flows, ops, wsan.RC, wsan.ScheduleConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Schedulable {
+		t.Fatalf("batch infeasible at flow %d", out.FailedFlow)
+	}
+	if _, got := encode(before, flows); got != beforeFlows {
+		t.Error("ApplyDelta mutated the caller's workload")
+	}
+
+	var want []*wsan.Flow
+	for _, f := range flows {
+		g := *f
+		switch f.ID {
+		case flows[2].ID:
+			continue
+		case flows[1].ID:
+			g.TxBudget = shed
+		case moved.ID:
+			g.SetRoute(detour)
+		}
+		want = append(want, &g)
+	}
+	want = append(want, added)
+	_, wantFlows := encode(res, want)
+	if _, got := encode(res, out.Flows); got != wantFlows {
+		t.Errorf("result workload differs from the hand-edited one:\n got %s\nwant %s", got, wantFlows)
+	}
+
+	diff, err := wsan.DiffSchedules(before, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Changes) == 0 || !reflect.DeepEqual(out.Changes, diff) {
+		t.Errorf("Changes (%d entries) differ from the schedule diff (%d entries)", len(out.Changes), len(diff))
+	}
+	restored := wsan.CloneSchedule(res)
+	if err := schedule.Apply(restored.Schedule, wsan.InvertDeltas(out.Changes)); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := wsan.DiffSchedules(before, restored); err != nil || len(back) != 0 {
+		t.Errorf("applying the inverted Changes left %d differences (%v)", len(back), err)
+	}
+
+	// A batch whose last op removes an absent flow fails as a whole.
+	afterSched, afterFlows := encode(res, out.Flows)
+	late := &wsan.Flow{ID: 31, Src: added.Src, Dst: added.Dst, Period: added.Period, Deadline: added.Deadline, Route: added.Route}
+	if _, err := net.ApplyDelta(res, out.Flows, []wsan.DeltaOp{
+		{Kind: wsan.DeltaAdd, Flow: late},
+		{Kind: wsan.DeltaRemove, FlowID: 99},
+	}, wsan.RC, wsan.ScheduleConfig{}); err == nil {
+		t.Fatal("a batch removing an absent flow succeeded")
+	}
+	if gotSched, gotFlows := encode(res, out.Flows); gotSched != afterSched || gotFlows != afterFlows {
+		t.Error("a failed batch changed the schedule or the caller's workload")
 	}
 }
 

@@ -109,7 +109,11 @@ e2e:
 # and in the link survey's step table (for random receiver settings, the
 # table returns exactly the reference measuredPRR at random powers and
 # around its own edges, falling back to the BER series wherever its
-# certificate does not hold), without stalling CI.
+# certificate does not hold), and in the detour router (on random
+# ascending-built graphs, the masked BFS returns exactly the minimum-hop
+# path of a copy rebuilt without the avoided nodes, for every endpoint pair
+# and for avoid sets holding endpoints or out-of-range IDs), without
+# stalling CI.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLoadTestbed -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=^$$ -fuzz=FuzzLoadWorkload -fuzztime=$(FUZZTIME) .
@@ -119,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzScheduleOps -fuzztime=$(FUZZTIME) ./internal/schedule
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaOps -fuzztime=$(FUZZTIME) ./internal/scheduler
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/topology
+	$(GO) test -run=^$$ -fuzz=FuzzShortestPathAvoiding -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run=^$$ -fuzz=FuzzSurveyPRR -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -run=^$$ -fuzz=FuzzKSTest -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzQuantile -fuzztime=$(FUZZTIME) ./internal/stats

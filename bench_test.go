@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"wsan"
 	"wsan/internal/experiment"
 )
 
@@ -212,3 +213,40 @@ func BenchmarkExtBalance(b *testing.B) {
 	ind, _ := benchEnvs(b)
 	benchFigure(b, func() ([]*experiment.Table, error) { return experiment.ExtBalance(ind, benchOpt) })
 }
+
+// BenchmarkRouteAvoiding times the detour query a reroute delta makes:
+// a minimum-hop route on Indriya's communication graph (8 channels, as in
+// the churn workload) around one relay of the flow's current route.
+func BenchmarkRouteAvoiding(b *testing.B) {
+	tb, err := wsan.GenerateIndriya(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := wsan.NewNetwork(tb, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type query struct{ src, dst, avoid int }
+	var qs []query
+	n := tb.NumNodes()
+	for src := 0; src < n && len(qs) < 64; src++ {
+		dst := (src*7 + 13) % n
+		route, err := net.RouteAvoiding(src, dst, nil)
+		if err != nil || len(route) < 2 {
+			continue
+		}
+		qs = append(qs, query{src, dst, route[len(route)/2].From})
+	}
+	if len(qs) == 0 {
+		b.Fatal("no multi-hop routes")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		routeSink, _ = net.RouteAvoiding(q.src, q.dst, []int{q.avoid})
+	}
+}
+
+// routeSink keeps BenchmarkRouteAvoiding's result live.
+var routeSink []wsan.Link

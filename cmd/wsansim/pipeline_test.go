@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -165,14 +163,7 @@ func TestCLIDaemonParity(t *testing.T) {
 		}
 		for name := range a.Parts {
 			allowed[name] = true
-			// The served bytes: the SDK's ArtifactPart re-decodes the
-			// document, which drops its trailing newline.
-			resp, err := http.Get(ts.URL + "/v1/artifacts/" + id + "/" + name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
+			want, err := c.ArtifactPart(ctx, id, name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,12 +33,13 @@ type Graph struct {
 	// trial), so one BFS per source replaces one per query.
 	//
 	// Cache-invalidation audit: AddEdge is the ONLY method that mutates
-	// adjacency, and it clears the cache under mu. Every other mutation the
-	// manage loop performs — link-quality/PRR changes, channel blacklisting,
-	// and node-crash avoidance — is modeled by constructing a brand-new Graph
-	// from the testbed's link statistics (see topology.Testbed.CommGraph and
-	// Without), never by editing an existing one, so no stale forest can
-	// outlive the topology it was derived from.
+	// adjacency, and it clears the cache under mu. Link-quality/PRR changes
+	// and channel blacklisting are modeled by constructing a brand-new Graph
+	// from the testbed's link statistics (see topology.Testbed.CommGraph),
+	// never by editing an existing one, so no stale forest can outlive the
+	// topology it was derived from. Node-crash avoidance edits nothing: a
+	// detour is a masked BFS over this graph's own adjacency
+	// (ShortestPathAvoiding), which neither reads nor fills the cache.
 	mu      sync.Mutex
 	forests map[int32][]int32
 }
@@ -91,32 +92,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 		}
 	}
 	return false
-}
-
-// Without returns a copy of g with every edge at the given nodes deleted
-// (the nodes stay, isolated); out-of-range IDs are ignored. It re-adds the
-// surviving edges in g's adjacency order, so minimum-hop tie-breaks on the
-// copy follow g's. This is how a detour around suspect or failed nodes is
-// routed.
-func (g *Graph) Without(nodes []int) *Graph {
-	down := make([]bool, g.n)
-	for _, v := range nodes {
-		if v >= 0 && v < g.n {
-			down[v] = true
-		}
-	}
-	out := New(g.n)
-	for u, nbrs := range g.adj {
-		if down[u] {
-			continue
-		}
-		for _, v := range nbrs {
-			if !down[v] {
-				_ = out.AddEdge(u, int(v)) // in range: g's own edges
-			}
-		}
-	}
-	return out
 }
 
 // Neighbors returns the adjacency list of u. The returned slice is owned by
@@ -271,7 +246,47 @@ func (g *Graph) ShortestPathHop(src, dst int) []int {
 	if src == dst {
 		return []int{src}
 	}
-	prev := g.pathForest(src)
+	return walkPath(g.pathForest(src), dst)
+}
+
+// ShortestPathAvoiding returns a minimum-hop path from src to dst that
+// enters none of the avoid nodes, or nil if none exists — the detour around
+// suspect or failed relays. Out-of-range avoid IDs are ignored, and an
+// avoided endpoint gives nil unless src == dst. A nil or empty avoid is
+// ShortestPathHop, cached forest included; otherwise it runs one BFS over
+// g's own adjacency that skips the avoided nodes and stops once dst is
+// discovered, so no copy of the graph is built.
+//
+// The path is the one ShortestPathHop would return on a copy of g with the
+// avoided nodes' edges deleted, provided g was built by inserting its edges
+// (u, v), u < v, in ascending order — as topology.CommGraph and ReuseGraph
+// build theirs, which makes every adjacency list ascending. On a graph
+// built in another order, equal-hop ties may break differently.
+func (g *Graph) ShortestPathAvoiding(src, dst int, avoid []int) []int {
+	if len(avoid) == 0 {
+		return g.ShortestPathHop(src, dst)
+	}
+	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
+		return nil
+	}
+	if src == dst {
+		return []int{src}
+	}
+	seen := make([]bool, g.n)
+	for _, v := range avoid {
+		if v >= 0 && v < g.n {
+			seen[v] = true
+		}
+	}
+	if seen[src] || seen[dst] {
+		return nil
+	}
+	return walkPath(g.bfsPrev(src, dst, seen), dst)
+}
+
+// walkPath extracts the path from a BFS forest's root to dst (dst != root),
+// or nil when dst was not reached.
+func walkPath(prev []int32, dst int) []int {
 	if prev[dst] < 0 {
 		return nil
 	}
@@ -320,8 +335,21 @@ func (g *Graph) pathForest(src int) []int32 {
 	if f, ok := g.forests[int32(src)]; ok {
 		return f
 	}
+	prev := g.bfsPrev(src, -1, make([]bool, g.n))
+	if g.forests == nil {
+		g.forests = make(map[int32][]int32)
+	}
+	g.forests[int32(src)] = prev
+	return prev
+}
+
+// bfsPrev runs a BFS from src in adjacency order and returns its
+// predecessor forest: prev[v] is v's predecessor on a minimum-hop path from
+// src, -1 for src and for nodes not reached. Nodes already marked in seen
+// (len g.n, consumed) are never entered. When dst >= 0 the search stops as
+// soon as dst is discovered; prev is then complete along dst's path only.
+func (g *Graph) bfsPrev(src, dst int, seen []bool) []int32 {
 	prev := make([]int32, g.n)
-	seen := make([]bool, g.n)
 	for i := range prev {
 		prev[i] = -1
 	}
@@ -334,14 +362,13 @@ func (g *Graph) pathForest(src int) []int32 {
 			if !seen[v] {
 				seen[v] = true
 				prev[v] = u
+				if int(v) == dst {
+					return prev
+				}
 				queue = append(queue, v)
 			}
 		}
 	}
-	if g.forests == nil {
-		g.forests = make(map[int32][]int32)
-	}
-	g.forests[int32(src)] = prev
 	return prev
 }
 

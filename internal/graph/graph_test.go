@@ -447,57 +447,3 @@ func TestForestInvalidationOnMutation(t *testing.T) {
 		t.Fatalf("path after AddEdge = %v, want the 0-4 shortcut", got)
 	}
 }
-
-// TestWithoutMatchesEdgeByEdgeRebuild pins Without against the edge-by-edge
-// rebuild the detour callers used before it existed: on random graphs whose
-// adjacency lists are not sorted, the copy must have the same adjacency
-// order (so minimum-hop tie-breaks agree), isolate exactly the listed
-// nodes, ignore out-of-range IDs, and leave the source graph untouched.
-func TestWithoutMatchesEdgeByEdgeRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(30)
-		g := New(n)
-		for e := rng.Intn(4 * n); e > 0; e-- {
-			_ = g.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		edges := g.NumEdges()
-		nodes := []int{-1, n}
-		for k := rng.Intn(4); k > 0; k-- {
-			nodes = append(nodes, rng.Intn(n))
-		}
-		down := make(map[int]bool)
-		for _, v := range nodes {
-			down[v] = true
-		}
-		want := New(n)
-		for u := 0; u < n; u++ {
-			if down[u] {
-				continue
-			}
-			for _, v := range g.Neighbors(u) {
-				if !down[int(v)] {
-					_ = want.AddEdge(u, int(v))
-				}
-			}
-		}
-		got := g.Without(nodes)
-		for u := 0; u < n; u++ {
-			a, b := got.Neighbors(u), want.Neighbors(u)
-			if len(a) != len(b) {
-				t.Fatalf("trial %d node %d: neighbors %v, want %v", trial, u, a, b)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("trial %d node %d: neighbors %v, want %v", trial, u, a, b)
-				}
-			}
-			if down[u] && len(a) != 0 {
-				t.Fatalf("trial %d: removed node %d keeps edges %v", trial, u, a)
-			}
-		}
-		if g.NumEdges() != edges {
-			t.Fatalf("trial %d: Without changed the source graph", trial)
-		}
-	}
-}

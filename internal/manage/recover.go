@@ -112,8 +112,6 @@ func rerouteAround(tb *topology.Testbed, channels []int, prrT float64,
 	if err != nil {
 		return 0, err
 	}
-	// Shortest paths on the graph without the suspects route around them.
-	g = g.Without(suspects)
 	// Preserve the retry depth the schedule gives unbudgeted flows; a
 	// budgeted flow is placed at its own budget.
 	place := scheduler.Config{
@@ -134,7 +132,7 @@ func rerouteAround(tb *topology.Testbed, channels []int, prrT float64,
 		if !crosses || down[f.Src] || down[f.Dst] {
 			continue
 		}
-		path := g.ShortestPathHop(f.Src, f.Dst)
+		path := g.ShortestPathAvoiding(f.Src, f.Dst, suspects)
 		if path == nil {
 			continue // no detour exists; the flow stays degraded
 		}

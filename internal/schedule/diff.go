@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -71,22 +73,27 @@ func Diff(old, new *Schedule) ([]Change, error) {
 
 // SortChanges puts a delta into the canonical dissemination order Diff
 // produces: removals first, then additions, each by slot/flow/hop/attempt.
+// The key is a total order on a valid change set, where one flow's hop and
+// attempt in one slot name one transmission, so the unstable sort is
+// deterministic.
 func SortChanges(changes []Change) {
-	sort.Slice(changes, func(i, j int) bool {
-		a, b := changes[i], changes[j]
-		if a.Kind != b.Kind {
-			return a.Kind == Removed
+	slices.SortFunc(changes, func(a, b Change) int {
+		if ra, rb := a.Kind == Removed, b.Kind == Removed; ra != rb {
+			if ra {
+				return -1
+			}
+			return 1
 		}
 		if a.Tx.Slot != b.Tx.Slot {
-			return a.Tx.Slot < b.Tx.Slot
+			return cmp.Compare(a.Tx.Slot, b.Tx.Slot)
 		}
 		if a.Tx.FlowID != b.Tx.FlowID {
-			return a.Tx.FlowID < b.Tx.FlowID
+			return cmp.Compare(a.Tx.FlowID, b.Tx.FlowID)
 		}
 		if a.Tx.Hop != b.Tx.Hop {
-			return a.Tx.Hop < b.Tx.Hop
+			return cmp.Compare(a.Tx.Hop, b.Tx.Hop)
 		}
-		return a.Tx.Attempt < b.Tx.Attempt
+		return cmp.Compare(a.Tx.Attempt, b.Tx.Attempt)
 	})
 }
 

@@ -1,8 +1,13 @@
 package schedule
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"wsan/internal/flow"
 )
 
 func TestDiffAndApply(t *testing.T) {
@@ -118,5 +123,64 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if s.Len() != 1 || cp.Len() != 2 {
 		t.Errorf("clone not independent: %d vs %d", s.Len(), cp.Len())
+	}
+}
+
+// sortChangesReference is SortChanges as it was written with sort.Slice,
+// kept verbatim as the reference for the typed sort.
+func sortChangesReference(changes []Change) {
+	sort.Slice(changes, func(i, j int) bool {
+		a, b := changes[i], changes[j]
+		if a.Kind != b.Kind {
+			return a.Kind == Removed
+		}
+		if a.Tx.Slot != b.Tx.Slot {
+			return a.Tx.Slot < b.Tx.Slot
+		}
+		if a.Tx.FlowID != b.Tx.FlowID {
+			return a.Tx.FlowID < b.Tx.FlowID
+		}
+		if a.Tx.Hop != b.Tx.Hop {
+			return a.Tx.Hop < b.Tx.Hop
+		}
+		return a.Tx.Attempt < b.Tx.Attempt
+	})
+}
+
+// TestSortChangesMatchesReference sorts random valid change sets, both
+// kinds mixed, with SortChanges and the sort.Slice reference: within a
+// kind no two changes share a slot, flow, hop and attempt, while a removal
+// and an addition may (a transmission moved to another offset). Both
+// orders must agree, and Invert must round-trip.
+func TestSortChangesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		var changes []Change
+		for _, kind := range []ChangeKind{Removed, Added} {
+			type key struct{ slot, flow, hop, attempt int }
+			used := map[key]bool{}
+			for i := rng.Intn(40); i > 0; i-- {
+				k := key{rng.Intn(8), rng.Intn(6), rng.Intn(4), rng.Intn(2)}
+				if used[k] {
+					continue
+				}
+				used[k] = true
+				changes = append(changes, Change{Kind: kind, Tx: Tx{
+					FlowID: k.flow, Instance: rng.Intn(3), Hop: k.hop, Attempt: k.attempt,
+					Link: flow.Link{From: rng.Intn(10), To: rng.Intn(10)},
+					Slot: k.slot, Offset: rng.Intn(4),
+				}})
+			}
+		}
+		rng.Shuffle(len(changes), func(i, j int) { changes[i], changes[j] = changes[j], changes[i] })
+		got := slices.Clone(changes)
+		SortChanges(got)
+		sortChangesReference(changes)
+		if !slices.Equal(got, changes) {
+			t.Fatalf("trial %d: SortChanges = %v, reference %v", trial, got, changes)
+		}
+		if back := Invert(Invert(got)); !slices.Equal(back, got) {
+			t.Fatalf("trial %d: Invert(Invert(c)) = %v, want %v", trial, back, got)
+		}
 	}
 }

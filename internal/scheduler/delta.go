@@ -3,11 +3,13 @@
 // remove / reroute / rebudget / repair / compact ops as one atomic operation,
 // and every caller outside bench/ goes through it. AddFlowDelta,
 // RemoveFlowDelta, and RerouteFlowDelta are batches of one that remain only
-// for bench/churn.go's timed single ops. Each op pins every unaffected transmission and places only the delta
-// against the existing grid.
-// Placement runs through the same engine as a full run, so it is served by
-// the index layer (busy-bitset word scans, occupancy rows, prefix-popcount
-// conflict counters) and costs O(affected cells), not O(network).
+// for bench/churn.go's timed single ops.
+//
+// Each op pins every unaffected transmission and places only the delta
+// against the existing grid. Placement runs through the same engine as a
+// full run, so it is served by the index layer (busy-bitset word scans,
+// occupancy rows, prefix-popcount conflict counters) and costs O(affected
+// cells), not O(network).
 //
 // An op that places a flow first tries it directly against the pinned grid
 // (FallbackNone). When that is infeasible it descends a two-rung repair
@@ -421,24 +423,42 @@ func (d *deltaOp) rollbackTo(mark int) {
 // it is exactly what the manager must disseminate — and the work counters.
 // Work an inner rollback undid is not counted.
 func (d *deltaOp) finish(res *DeltaResult) {
-	net := make(map[schedule.Tx]int, len(d.ops))
 	res.PlacementOps = d.replays
 	for _, e := range d.ops {
 		if e.place {
-			net[e.tx]++
 			res.PlacementOps++
 		} else {
-			net[e.tx]--
 			res.RemovalOps++
 		}
 	}
-	res.Changes = make([]schedule.Change, 0, len(net))
-	for tx, n := range net {
-		switch {
-		case n > 0:
-			res.Changes = append(res.Changes, schedule.Change{Kind: schedule.Added, Tx: tx})
-		case n < 0:
-			res.Changes = append(res.Changes, schedule.Change{Kind: schedule.Removed, Tx: tx})
+	if res.RemovalOps == 0 || res.RemovalOps == len(d.ops) {
+		// One kind only: no transmission repeats, so the journal is
+		// already the net diff.
+		kind := schedule.Added
+		if res.RemovalOps > 0 {
+			kind = schedule.Removed
+		}
+		res.Changes = make([]schedule.Change, len(d.ops))
+		for i, e := range d.ops {
+			res.Changes[i] = schedule.Change{Kind: kind, Tx: e.tx}
+		}
+	} else {
+		net := make(map[schedule.Tx]int, len(d.ops))
+		for _, e := range d.ops {
+			if e.place {
+				net[e.tx]++
+			} else {
+				net[e.tx]--
+			}
+		}
+		res.Changes = make([]schedule.Change, 0, len(net))
+		for tx, n := range net {
+			switch {
+			case n > 0:
+				res.Changes = append(res.Changes, schedule.Change{Kind: schedule.Added, Tx: tx})
+			case n < 0:
+				res.Changes = append(res.Changes, schedule.Change{Kind: schedule.Removed, Tx: tx})
+			}
 		}
 	}
 	schedule.SortChanges(res.Changes)

@@ -164,6 +164,61 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want wsanclient.Job
 	}
 }
 
+// TestArtifactPartExactBytes checks that the SDK's ArtifactPart returns
+// every part of a schedule job exactly as the store holds it, trailing
+// newline included. So the fetched schedule.json is Encode's exact output
+// (it re-encodes to itself), which wsan.LoadSchedule reads on the schedule
+// codec's canonical fast path (TestEncodeOutputIsCanonical pins that the
+// scanner accepts every Encode output).
+func TestArtifactPartExactBytes(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	createTestNetwork(t, ts, "plant")
+	v, code := submit(t, ts, "plant", wsanclient.KindSchedule,
+		map[string]any{"flows": 5, "alg": "rc", "seed": 3, "maxPeriodExp": 1})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%+v)", code, v)
+	}
+	done := poll(t, ts, v.ID, 30*time.Second)
+	if done.State != wsanclient.StateDone {
+		t.Fatalf("job finished %v (%s)", done.State, done.Error)
+	}
+	stored, ok := srv.store.Get(done.Artifact)
+	if !ok {
+		t.Fatal("artifact missing from the store")
+	}
+	ctx, cancel := contextWithTimeout(10 * time.Second)
+	defer cancel()
+	c := wsanclient.New(ts.URL, wsanclient.Options{})
+	names := stored.PartNames()
+	if len(names) == 0 {
+		t.Fatal("artifact has no parts")
+	}
+	for _, name := range names {
+		got, err := c.ArtifactPart(ctx, done.Artifact, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, stored.Part(name)) {
+			t.Errorf("%s: ArtifactPart returned %d bytes, the store holds %d", name, len(got), len(stored.Part(name)))
+		}
+	}
+	part, err := c.ArtifactPart(ctx, done.Artifact, "schedule.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := wsan.LoadSchedule(bytes.NewReader(part))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var re bytes.Buffer
+	if err := wsan.SaveSchedule(res, &re); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re.Bytes(), part) {
+		t.Error("the fetched schedule.json is not Encode's canonical form")
+	}
+}
+
 // TestEndToEnd drives the acceptance-criteria chain: create a network,
 // schedule with RC, poll to done, fetch the artifact, resubmit the
 // identical request and observe a cache hit, then simulate the schedule.

@@ -456,7 +456,7 @@ func (s *state) stepReroute() (int, error) {
 		return 0, nil // no relay to fail
 	}
 	avoid := f.Route[s.rng.Intn(len(f.Route)-1)].To
-	detour := routing.PathLinks(s.gc.Without([]int{avoid}).ShortestPathHop(f.Src, f.Dst))
+	detour := routing.PathLinks(s.gc.ShortestPathAvoiding(f.Src, f.Dst, []int{avoid}))
 	if detour == nil || slices.Equal(detour, f.Route) {
 		s.res.Skipped++
 		return 0, nil
@@ -488,7 +488,7 @@ func (s *state) stepRebudget() (int, error) {
 // flows cannot be saved) detours around it in one atomic batch.
 func (s *state) stepBatch() (int, error) {
 	node := s.rng.Intn(s.gc.Len())
-	detours := s.gc.Without([]int{node})
+	down := []int{node}
 	var ops []scheduler.BatchOp
 	for _, f := range s.active {
 		if len(ops) >= s.cfg.BatchSize {
@@ -497,7 +497,7 @@ func (s *state) stepBatch() (int, error) {
 		if f.Src == node || f.Dst == node || !crossesNode(f.Route, node) {
 			continue
 		}
-		detour := routing.PathLinks(detours.ShortestPathHop(f.Src, f.Dst))
+		detour := routing.PathLinks(s.gc.ShortestPathAvoiding(f.Src, f.Dst, down))
 		if detour == nil {
 			continue
 		}

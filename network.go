@@ -302,14 +302,10 @@ func (n *Network) ApplyDelta(res *ScheduleResult, flows []*Flow, ops []DeltaOp, 
 // communication graph with the avoid nodes deleted — the detour a reroute
 // delta places a flow onto. It returns an error when no such path exists.
 func (n *Network) RouteAvoiding(src, dst int, avoid []int) ([]Link, error) {
-	g := n.gc
-	if len(avoid) > 0 {
-		g = g.Without(avoid)
+	if src < 0 || src >= n.gc.Len() || dst < 0 || dst >= n.gc.Len() {
+		return nil, fmt.Errorf("wsan: route endpoints (%d,%d) out of range [0,%d)", src, dst, n.gc.Len())
 	}
-	if src < 0 || src >= g.Len() || dst < 0 || dst >= g.Len() {
-		return nil, fmt.Errorf("wsan: route endpoints (%d,%d) out of range [0,%d)", src, dst, g.Len())
-	}
-	path := g.ShortestPathHop(src, dst)
+	path := n.gc.ShortestPathAvoiding(src, dst, avoid)
 	if path == nil {
 		return nil, fmt.Errorf("wsan: no route from %d to %d avoiding %v", src, dst, avoid)
 	}

@@ -143,8 +143,9 @@ func decodeAPIError(status int, body []byte) *APIError {
 func asAPIError(err error, target **APIError) bool { return errors.As(err, target) }
 
 // do issues one request with retries and decodes a 2xx JSON response into
-// out (nil skips decoding). body, when non-nil, is marshalled as JSON and
-// re-sent identically on every retry.
+// out (nil skips decoding; a *[]byte receives the body exactly as served).
+// body, when non-nil, is marshalled as JSON and re-sent identically on
+// every retry.
 func (c *Client) do(ctx context.Context, method, u string, body, out any) error {
 	var payload []byte
 	if body != nil {
@@ -200,6 +201,10 @@ func (c *Client) do(ctx context.Context, method, u string, body, out any) error 
 				return lastErr
 			}
 			continue
+		}
+		if raw, ok := out.(*[]byte); ok {
+			*raw = data
+			return nil
 		}
 		if out != nil && len(data) > 0 {
 			if err := json.Unmarshal(data, out); err != nil {
@@ -374,9 +379,9 @@ func (c *Client) Artifact(ctx context.Context, id string) (Artifact, error) {
 }
 
 // ArtifactPart fetches one part's exact bytes — byte-identical to the file
-// the wsansim CLI would have written.
+// the wsansim CLI would have written, trailing newline included.
 func (c *Client) ArtifactPart(ctx context.Context, id, part string) ([]byte, error) {
-	var raw json.RawMessage
+	var raw []byte
 	err := c.do(ctx, http.MethodGet, c.url("artifacts", id, part), nil, &raw)
 	return raw, err
 }

@@ -54,12 +54,14 @@ lint:
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
 # ci is the tier-1+ gate: formatting, lint, the short test set under the
-# race detector, and the benchmark harness's tests. Run it before sending
-# changes.
+# race detector, one iteration of every scheduler benchmark (so a benchmark
+# that panics or no longer builds fails here, about a second), and the benchmark
+# harness's tests. Run it before sending changes.
 ci: lint
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) test -race -short ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/scheduler
 	$(MAKE) bench-test
 
 # e2e starts a real daemon and drives it over the wire with the wsanclient

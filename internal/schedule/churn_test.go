@@ -143,6 +143,7 @@ func TestResetEquivalentToNew(t *testing.T) {
 		if err := s.Reset(dims[0], dims[1], dims[2]); err != nil {
 			t.Fatal(err)
 		}
+		checkFullSlots(t, s)
 		fresh := mustNew(t, dims[0], dims[1], dims[2])
 		if s.NumSlots() != fresh.NumSlots() || s.NumOffsets() != fresh.NumOffsets() ||
 			s.NumNodes() != fresh.NumNodes() || s.Len() != 0 {

@@ -178,6 +178,8 @@ func TestDecodeNearCanonical(t *testing.T) {
 	const tx = `{"flow":3,"instance":0,"hop":1,"attempt":0,"link":{"from":0,"to":1},"slot":2,"offset":1}`
 	const base = `{"numSlots":10,"numOffsets":2,"numNodes":4,"transmissions":[` + tx + `]}` + "\n"
 	withTx := func(old, new string) string { return strings.Replace(base, old, new, 1) }
+	const tx2 = `{"flow":4,"instance":0,"hop":0,"attempt":0,"link":{"from":2,"to":3},"slot":2,"offset":0}`
+	fullSlot := withTx(tx, tx+`,`+tx2)
 	cases := []struct {
 		name      string
 		doc       string
@@ -185,6 +187,7 @@ func TestDecodeNearCanonical(t *testing.T) {
 		wantErr   bool
 	}{
 		{"canonical", base, true, false},
+		{"full slot", fullSlot, true, false},
 		{"null transmissions", `{"numSlots":10,"numOffsets":2,"numNodes":4,"transmissions":null}` + "\n", true, false},
 		{"empty transmissions", `{"numSlots":10,"numOffsets":2,"numNodes":4,"transmissions":[]}` + "\n", true, false},
 		{"max int", withTx(`"flow":3`, `"flow":9223372036854775807`), true, false},
@@ -227,6 +230,16 @@ func TestDecodeNearCanonical(t *testing.T) {
 			checkDecodeAgrees(t, []byte(c.doc))
 		})
 	}
+	// Both offsets of slot 2 decode as a full slot, and the grid keeps the
+	// full-slot premise RC's reuse fill reads it by.
+	s, err := Decode(strings.NewReader(fullSlot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.SlotFull(2) {
+		t.Fatalf("slot 2 holds offsets %v but is not full", s.OccupiedOffsets(2, nil))
+	}
+	checkFullSlots(t, s)
 }
 
 var benchSchedule *Schedule

@@ -80,9 +80,10 @@ func FuzzDecode(f *testing.F) {
 // and Clone sequences and checks after every operation that its indexes —
 // the packed link column, the busy, occupancy and slot-full bitsets, the
 // busy counts, the cells and the per-flow positions — agree with the
-// transmission list. Each op reads four bytes: the op kind and three
-// operands. Placements share three flow IDs, so removals move transmissions
-// within and across flows' position lists.
+// transmission list, and that a slot is full exactly when its occupied
+// offsets are 0..M−1 (checkFullSlots). Each op reads four bytes: the op
+// kind and three operands. Placements share three flow IDs, so removals
+// move transmissions within and across flows' position lists.
 func FuzzScheduleOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 3, 4, 0, 0, 5, 6, 1, 1, 0, 0, 0})
 	f.Add([]byte{0, 1, 2, 65, 0, 3, 4, 65, 1, 1, 0, 0, 3, 0, 0, 0, 2, 70, 2, 9})
@@ -90,6 +91,9 @@ func FuzzScheduleOps(f *testing.F) {
 	// Flows 0, 1, 2, 0, 1, then removing position 0 moves flow 1's last
 	// transmission ahead of its first.
 	f.Add([]byte{0, 0, 1, 0, 0, 2, 3, 1, 0, 4, 5, 2, 0, 6, 7, 3, 0, 0, 1, 4, 1, 0, 0, 0})
+	// Fill slot 0's three offsets, Reset to the same shape and refill one,
+	// then Reset to one offset, where a single placement fills its slot.
+	f.Add([]byte{0, 0, 1, 0, 0, 10, 3, 0, 0, 20, 5, 0, 2, 79, 2, 6, 0, 0, 1, 0, 2, 79, 0, 6, 0, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := New(80, 3, 8)
 		if err != nil {
@@ -116,9 +120,31 @@ func FuzzScheduleOps(f *testing.F) {
 				s = s.Clone()
 			}
 			checkIndexes(t, s)
+			checkFullSlots(t, s)
 			checkFlowTxs(t, s)
 		}
 	})
+}
+
+// checkFullSlots fails t unless, for every slot, SlotFull, an occupied
+// count of NumOffsets, and occupied offsets of exactly 0..M−1 all agree.
+// RC's reuse fill relies on it: it reads a full slot's cells by offset
+// without listing them.
+func checkFullSlots(t testing.TB, s *Schedule) {
+	t.Helper()
+	var offs []int
+	for slot := 0; slot < s.NumSlots(); slot++ {
+		offs = s.OccupiedOffsets(slot, offs[:0])
+		all := len(offs) == s.NumOffsets()
+		for i, off := range offs {
+			all = all && off == i
+		}
+		full, counted := s.SlotFull(slot), s.OccupiedCount(slot) == s.NumOffsets()
+		if full != counted || full != all {
+			t.Fatalf("slot %d: SlotFull = %v, OccupiedCount = %d of %d, OccupiedOffsets = %v",
+				slot, full, s.OccupiedCount(slot), s.NumOffsets(), offs)
+		}
+	}
 }
 
 // checkFlowTxs fails t unless FlowTxs agrees with a filtered pass over Txs,

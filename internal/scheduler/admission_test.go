@@ -215,7 +215,7 @@ func TestFullRungKeepsUnlistedFlows(t *testing.T) {
 // planPoint generates one flow set of the paper's Fig. 6 operating point on
 // gc: n peer-to-peer flows, budgeted to a 0.99 delivery target when
 // budgeted.
-func planPoint(t *testing.T, tb *topology.Testbed, chs []int, gc *graph.Graph, aps []int,
+func planPoint(t testing.TB, tb *topology.Testbed, chs []int, gc *graph.Graph, aps []int,
 	seed int64, n int, budgeted bool) []*flow.Flow {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

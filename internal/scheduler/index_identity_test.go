@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -15,7 +16,9 @@ import (
 // optimization: on real testbeds across fixed workload seeds, all three
 // algorithms must produce byte-identical transmission sequences whether the
 // hot paths run through the bitset/prefix-sum indexes or through the
-// pre-index reference scans (cfg.scanPaths).
+// pre-index reference scans (cfg.scanPaths). RC's reuse table is laid out
+// one stride of NumChannels cells per full slot, so the identity runs at
+// several widths: at one channel every occupied slot is full.
 func TestScanVsIndexIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -28,56 +31,64 @@ func TestScanVsIndexIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const nch = 5
-		chs := topology.Channels(nch)
-		gc, err := tb.CommGraph(chs, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gr, err := tb.ReuseGraph(chs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hop := gr.AllPairsHop()
-		for seed := int64(1); seed <= 3; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			fs, err := flow.Generate(rng, gc, flow.GenConfig{
-				NumFlows: 60, MinPeriodExp: 0, MaxPeriodExp: 2,
-			})
+		for _, nch := range []int{5, 1, 2, 8, 16} {
+			chs := topology.Channels(nch)
+			gc, err := tb.CommGraph(chs, 0.9)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := routing.Assign(fs, gc, routing.Config{Traffic: routing.PeerToPeer}); err != nil {
+			gr, err := tb.ReuseGraph(chs)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, alg := range []Algorithm{NR, RA, RC} {
-				cfg := Config{Algorithm: alg, NumChannels: nch, RhoT: 2,
-					HopGR: hop, Retransmit: true}
-				indexed, err := Run(cloneFlows(fs), cfg)
+			hop := gr.AllPairsHop()
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				fs, err := flow.Generate(rng, gc, flow.GenConfig{
+					NumFlows: 60, MinPeriodExp: 0, MaxPeriodExp: 2,
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.scanPaths = true
-				scanned, err := Run(cloneFlows(fs), cfg)
-				if err != nil {
+				if err := routing.Assign(fs, gc, routing.Config{Traffic: routing.PeerToPeer}); err != nil {
 					t.Fatal(err)
 				}
-				if indexed.Schedulable != scanned.Schedulable {
-					t.Fatalf("%s seed=%d %v: schedulable differs: index=%v scan=%v",
-						tc.name, seed, alg, indexed.Schedulable, scanned.Schedulable)
-				}
-				it, st := indexed.Schedule.Txs(), scanned.Schedule.Txs()
-				if len(it) != len(st) {
-					t.Fatalf("%s seed=%d %v: %d vs %d transmissions",
-						tc.name, seed, alg, len(it), len(st))
-				}
-				for i := range it {
-					if it[i] != st[i] {
-						t.Fatalf("%s seed=%d %v: tx %d differs: index=%+v scan=%+v",
-							tc.name, seed, alg, i, it[i], st[i])
-					}
+				for _, alg := range []Algorithm{NR, RA, RC} {
+					cfg := Config{Algorithm: alg, NumChannels: nch, RhoT: 2,
+						HopGR: hop, Retransmit: true}
+					sameAsScan(t, fmt.Sprintf("%s nch=%d seed=%d %v", tc.name, nch, seed, alg), fs, cfg)
 				}
 			}
+		}
+	}
+}
+
+// sameAsScan runs fs under cfg on the index path and on the reference scans
+// (each on its own clone of the flows) and fails unless both agree on
+// schedulability and produce the same transmission sequence.
+func sameAsScan(t *testing.T, label string, fs []*flow.Flow, cfg Config) {
+	t.Helper()
+	cfg.scanPaths = false
+	indexed, err := Run(cloneFlows(fs), cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	cfg.scanPaths = true
+	scanned, err := Run(cloneFlows(fs), cfg)
+	if err != nil {
+		t.Fatalf("%s: scan: %v", label, err)
+	}
+	if indexed.Schedulable != scanned.Schedulable {
+		t.Fatalf("%s: schedulable differs: index=%v scan=%v",
+			label, indexed.Schedulable, scanned.Schedulable)
+	}
+	it, st := indexed.Schedule.Txs(), scanned.Schedule.Txs()
+	if len(it) != len(st) {
+		t.Fatalf("%s: %d vs %d transmissions", label, len(it), len(st))
+	}
+	for i := range it {
+		if it[i] != st[i] {
+			t.Fatalf("%s: tx %d differs: index=%+v scan=%+v", label, i, it[i], st[i])
 		}
 	}
 }
@@ -170,57 +181,46 @@ func TestPlaceRCFallbackPrefersPermissive(t *testing.T) {
 // adopting a cache across flows (a flow whose first hop is the previous
 // flow's last link, same deadline) once proposed the slot just placed,
 // which Place rejected, and seeds 235 and 238 came out unschedulable on the
-// index path only. -short runs seeds 221–260.
+// index path only. -short runs seeds 221–260. The same point then runs at
+// 1, 2, 8 and 16 channels over a shorter seed range (-short: 8 seeds each),
+// since RC's reuse table strides by the channel count; at one channel every
+// occupied slot is full, so the reuse fill and the fallback scan run hot.
 func TestPlanPointScanVsIndex(t *testing.T) {
 	tb, err := topology.Indriya(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nch = 5
-	chs := topology.Channels(nch)
-	gc, err := tb.CommGraph(chs, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gr, err := tb.ReuseGraph(chs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hop := gr.AllPairsHop()
-	aps := topology.AccessPoints(gc, 2)
-	first, last := int64(1), int64(400)
-	if testing.Short() {
-		first, last = 221, 260
-	}
-	for seed := first; seed <= last; seed++ {
-		n := 60 + int(seed%61)
-		budgeted := seed%2 == 0
-		fs := planPoint(t, tb, chs, gc, aps, seed, n, budgeted)
-		for _, fixed := range []bool{false, true} {
-			cfg := Config{Algorithm: RC, NumChannels: nch, RhoT: 2, HopGR: hop,
-				Retransmit: true, FixedRho: fixed}
-			indexed, err := Run(fs, cfg)
-			if err != nil {
-				t.Fatalf("seed=%d fixed=%v: %v", seed, fixed, err)
+	for _, w := range []struct {
+		nch         int
+		first, last int64
+	}{{5, 1, 400}, {1, 1, 80}, {2, 1, 80}, {8, 1, 80}, {16, 1, 80}} {
+		if testing.Short() {
+			if w.nch == 5 {
+				w.first, w.last = 221, 260
+			} else {
+				w.first, w.last = 231, 238
 			}
-			cfg.scanPaths = true
-			scanned, err := Run(fs, cfg)
-			if err != nil {
-				t.Fatalf("seed=%d fixed=%v: scan: %v", seed, fixed, err)
-			}
-			if indexed.Schedulable != scanned.Schedulable {
-				t.Fatalf("seed=%d n=%d budgeted=%v fixed=%v: schedulable differs: index=%v scan=%v",
-					seed, n, budgeted, fixed, indexed.Schedulable, scanned.Schedulable)
-			}
-			it, st := indexed.Schedule.Txs(), scanned.Schedule.Txs()
-			if len(it) != len(st) {
-				t.Fatalf("seed=%d fixed=%v: %d vs %d transmissions", seed, fixed, len(it), len(st))
-			}
-			for i := range it {
-				if it[i] != st[i] {
-					t.Fatalf("seed=%d fixed=%v: tx %d differs: index=%+v scan=%+v",
-						seed, fixed, i, it[i], st[i])
-				}
+		}
+		chs := topology.Channels(w.nch)
+		gc, err := tb.CommGraph(chs, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gr, err := tb.ReuseGraph(chs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hop := gr.AllPairsHop()
+		aps := topology.AccessPoints(gc, 2)
+		for seed := w.first; seed <= w.last; seed++ {
+			n := 60 + int(seed%61)
+			budgeted := seed%2 == 0
+			fs := planPoint(t, tb, chs, gc, aps, seed, n, budgeted)
+			for _, fixed := range []bool{false, true} {
+				cfg := Config{Algorithm: RC, NumChannels: w.nch, RhoT: 2, HopGR: hop,
+					Retransmit: true, FixedRho: fixed}
+				sameAsScan(t, fmt.Sprintf("nch=%d seed=%d n=%d budgeted=%v fixed=%v",
+					w.nch, seed, n, budgeted, fixed), fs, cfg)
 			}
 		}
 	}

@@ -19,6 +19,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -267,7 +268,7 @@ type engine struct {
 	// Index-path state. routePairs holds the current flow's per-hop
 	// conflict-count handles so laxity issues zero map lookups; hopAtt is
 	// the flow's resolved per-hop attempt count (budgeted or uniform);
-	// occBuf is the reusable OccupiedOffsets buffer.
+	// occBuf is findSlot's reusable OccupiedOffsets buffer (NR/RA only).
 	curFlow    *flow.Flow
 	routePairs []*schedule.PairCount
 	hopAtt     []int
@@ -285,15 +286,14 @@ type engine struct {
 	rowU, rowV []uint8
 
 	// cands caches one RC placement attempt's candidate slots (see
-	// buildCands); candOcc holds their occupied offsets and candDist and
-	// candLoad run parallel to it with each cell's memoized minimum
-	// reuse-constraint distance and load, all filled by evalCands on the
-	// attempt's first finite-ρ need (candsEval). maxDistAll is the best
+	// buildCands); candDist and candLoad hold each full candidate's cells'
+	// memoized minimum reuse-constraint distance and load by offset, filled
+	// by evalCands on the attempt's first finite-ρ need (candsEval).
+	// maxDistAll is the best
 	// cell distance over every full candidate — the highest ρ at which the
 	// descent can select anything other than the free candidate. All
 	// buffers are reused across attempts.
 	cands      []slotCand
-	candOcc    []int
 	candDist   []int32
 	candLoad   []int32
 	candsEval  bool
@@ -349,7 +349,7 @@ type engine struct {
 // slotCand is one cached candidate slot of an RC placement attempt: a slot
 // where both endpoints are free and its first free offset (-1 when every
 // offset is occupied), recorded by buildCands. evalCands later fills the
-// occupancy range (candOcc[occLo:occHi]) and maxDist, the slot's best
+// cell range (offset k−occLo at candDist[k]) and maxDist, the slot's best
 // memoized cell distance, so the ρ levels skip incompatible slots with one
 // comparison. laxFail marks a slot whose laxity was computed and found
 // negative — a passing laxity returns immediately, so the memo only ever
@@ -359,7 +359,7 @@ type engine struct {
 type slotCand struct {
 	slot    int32
 	freeOff int32
-	occLo   int32 // candOcc[occLo:occHi] lists the slot's occupied offsets
+	occLo   int32 // candDist[occLo:occHi] holds the slot's cells by offset
 	occHi   int32
 	maxDist int32
 	laxFail bool
@@ -769,11 +769,10 @@ func (e *engine) placeRCFallback(u, v, s0, deadline, nLevels int) (int, int, boo
 			e.placedShared = false
 			return s, e.sched.FirstFreeOffset(s), true
 		}
-		e.occBuf = e.sched.OccupiedOffsets(s, e.occBuf[:0])
-		var maxDist int32
-		e.candDist, e.candLoad, maxDist = e.slotDists(u, v, s, e.occBuf, e.candDist[:0], e.candLoad[:0])
-		dists, loads := e.candDist, e.candLoad
-		e.mets.memoMisses += int64(len(e.occBuf))
+		m := e.sched.NumOffsets() // a full slot occupies exactly offsets 0..M−1
+		e.candDist, e.candLoad = slices.Grow(e.candDist[:0], m)[:m], slices.Grow(e.candLoad[:0], m)[:m]
+		maxDist := e.slotDists(u, v, s, e.candDist, e.candLoad)
+		e.mets.memoMisses += int64(m)
 		if int(maxDist) < rhoT {
 			continue // no cell compatible even at ρ_t: no level places here
 		}
@@ -782,12 +781,12 @@ func (e *engine) placeRCFallback(u, v, s0, deadline, nLevels int) (int, int, boo
 			rhoHi = rhoStart
 		}
 		best, bestLoad := -1, int32(0)
-		for k, off := range e.occBuf {
-			if int(dists[k]) < rhoHi {
+		for off, d := range e.candDist {
+			if int(d) < rhoHi {
 				continue
 			}
-			if best < 0 || loads[k] < bestLoad {
-				best, bestLoad = off, loads[k]
+			if best < 0 || e.candLoad[off] < bestLoad {
+				best, bestLoad = off, e.candLoad[off]
 			}
 		}
 		e.mets.laxityFail += int64(rhoHi - rhoT + 1)
@@ -827,51 +826,51 @@ func (e *engine) buildCands(u, v, s0, deadline int) {
 	}
 }
 
-// evalCands computes, once per RC placement attempt, the reuse state of
-// every cached full candidate slot: its occupied offsets (candOcc), each
-// cell's memoized minimum reuse-constraint distance and load
-// (candDist/candLoad), the slot's best cell distance (maxDist), and the
-// attempt-wide best (maxDistAll). The schedule is unmutated for the
-// attempt's duration, so one sequential pass serves every ρ level; the
-// reuse-memo counters count every cached cell once here rather than per
-// ρ-level visit.
+// evalCands computes, once per RC placement attempt, each cached full
+// candidate's cells' memoized minimum reuse-constraint distance and load,
+// its best cell distance (maxDist), and the attempt-wide best (maxDistAll).
+// A full slot occupies exactly offsets 0..M−1, so candidate i owns
+// candDist/candLoad [i·M, i·M+M) by offset; a free terminal one gets the
+// empty range at i·M. One pass serves every ρ level of the unmutated
+// attempt, so the memo counters count each cell once here.
 func (e *engine) evalCands(u, v int) {
 	if e.candsEval {
 		return
 	}
 	e.candsEval = true
 	e.bindRows(u, v)
-	e.candOcc, e.candDist, e.candLoad = e.candOcc[:0], e.candDist[:0], e.candLoad[:0]
+	m := e.sched.NumOffsets()
+	n := len(e.cands) * m
+	e.candDist, e.candLoad = slices.Grow(e.candDist[:0], n)[:n], slices.Grow(e.candLoad[:0], n)[:n]
 	maxAll := int32(-1)
 	for i := range e.cands {
 		c := &e.cands[i]
-		lo := len(e.candOcc)
-		c.occLo = int32(lo)
+		c.occLo, c.occHi = int32(i*m), int32(i*m)
 		if c.freeOff < 0 {
-			e.candOcc = e.sched.OccupiedOffsets(int(c.slot), e.candOcc)
-			e.candDist, e.candLoad, c.maxDist = e.slotDists(u, v, int(c.slot), e.candOcc[lo:], e.candDist, e.candLoad)
+			c.occHi += int32(m)
+			c.maxDist = e.slotDists(u, v, int(c.slot), e.candDist[c.occLo:c.occHi], e.candLoad[c.occLo:c.occHi])
 			maxAll = max(maxAll, c.maxDist)
 		}
-		c.occHi = int32(len(e.candOcc))
 	}
 	e.maxDistAll = maxAll
-	e.mets.memoMisses += int64(len(e.candOcc))
+	e.mets.memoMisses += int64(e.cands[len(e.cands)-1].occHi) // nFull·M cells
 }
 
-// slotDists appends, for each occupied offset of slot s in offs, the cell's
-// minimum reuse-constraint distance to dists and its load to loads, and
-// returns the extended slices with the slot's best distance. A
-// single-occupant cell — most of them — is read from the schedule's packed
-// link column; a shared cell, or any cell when the column or the hoisted
-// distance rows are absent, goes through Cell and cellMinDist.
-func (e *engine) slotDists(u, v, s int, offs []int, dists, loads []int32) ([]int32, []int32, int32) {
+// slotDists writes, for every offset off of the full slot s, the cell's
+// minimum reuse-constraint distance to dists[off] and its load to
+// loads[off], and returns the slot's best distance. A single-occupant cell
+// — most of them — is read from the schedule's packed link column; a shared
+// cell, or any cell when the column or the hoisted distance rows are
+// absent, goes through Cell and cellMinDist.
+func (e *engine) slotDists(u, v, s int, dists, loads []int32) int32 {
 	links := e.sched.CellLinks(s)
 	rowU, rowV := e.rowU, e.rowV
 	if rowU == nil {
 		links = nil
 	}
+	loads = loads[:len(dists)]
 	maxDist := int32(-1)
-	for _, off := range offs {
+	for off := range dists {
 		var d, load int32
 		if links != nil && links[off] != schedule.SharedCell {
 			l := links[off]
@@ -880,10 +879,10 @@ func (e *engine) slotDists(u, v, s int, offs []int, dists, loads []int32) ([]int
 			cell := e.sched.Cell(s, off)
 			d, load = e.cellMinDist(u, v, cell), int32(len(cell))
 		}
-		dists, loads = append(dists, d), append(loads, load)
+		dists[off], loads[off] = d, load
 		maxDist = max(maxDist, d)
 	}
-	return dists, loads, maxDist
+	return maxDist
 }
 
 // rcFind answers one finite-ρ level of the descent from the evaluated
@@ -910,7 +909,7 @@ func (e *engine) rcFind(rho int) (ci, offset int, ok bool) {
 				continue
 			}
 			if best < 0 || e.candLoad[k] < bestLoad {
-				best, bestLoad = e.candOcc[k], e.candLoad[k]
+				best, bestLoad = int(k-c.occLo), e.candLoad[k]
 			}
 		}
 		return i, best, true // maxDist ≥ ρ guarantees a compatible cell

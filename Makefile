@@ -54,14 +54,14 @@ lint:
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
 # ci is the tier-1+ gate: formatting, lint, the short test set under the
-# race detector, one iteration of every scheduler benchmark (so a benchmark
-# that panics or no longer builds fails here, about a second), and the benchmark
-# harness's tests. Run it before sending changes.
+# race detector, one iteration of every scheduler and radio benchmark (so a
+# benchmark that panics or no longer builds fails here, about a second), and
+# the benchmark harness's tests. Run it before sending changes.
 ci: lint
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) test -race -short ./...
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/scheduler
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/scheduler ./internal/radio
 	$(MAKE) bench-test
 
 # e2e starts a real daemon and drives it over the wire with the wsanclient
@@ -95,7 +95,10 @@ e2e:
 # saturation shortcut (bit-identical to the full BER series), in the
 # simulator's per-frame decision (for any draw, signal, denominator and
 # frame length, the PRR bound tables decide exactly as draw < PRR, and the
-# reference PRR lies between any bounds they claim), in the
+# reference PRR lies between any bounds they claim), in whole slots through
+# Env.Evaluate (for any slot shape, path gains, non-finite and beyond the
+# ±300 dBm guard included, noise floor, interference factor and external
+# power, every outcome and the next random draw equal the reference's), in the
 # hoisted delay-bound fixed point (identical to the reference analysis),
 # in job parameter canonicalization (never panics; canonical forms are
 # fixed points), in the SDK's SSE decoder (never panics; reports exactly
@@ -131,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzQuantile -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=^$$ -fuzz=FuzzPRR802154 -fuzztime=$(FUZZTIME) ./internal/radio
 	$(GO) test -run=^$$ -fuzz=FuzzPRRDecision -fuzztime=$(FUZZTIME) ./internal/radio
+	$(GO) test -run=^$$ -fuzz=FuzzEvaluate -fuzztime=$(FUZZTIME) ./internal/radio
 	$(GO) test -run=^$$ -fuzz=FuzzDelayAnalysis -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalParams -fuzztime=$(FUZZTIME) ./internal/jobs
 	$(GO) test -run=^$$ -fuzz=FuzzStreamRelay -fuzztime=$(FUZZTIME) ./wsanclient

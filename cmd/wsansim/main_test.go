@@ -130,6 +130,13 @@ func TestPipelineSubcommands(t *testing.T) {
 	if err := run([]string{"simulate", "-dir", dir, "-reps", "5"}); err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
+	// A negative σ would silently run with fading or drift off.
+	for _, flag := range []string{"-fading", "-drift"} {
+		err := run([]string{"simulate", "-dir", dir, "-reps", "5", flag, "-1"})
+		if want := flag[1:] + " -1 must be a finite, non-negative σ (dB)"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("simulate %s -1: %v, want %q", flag, err, want)
+		}
+	}
 }
 
 // TestGenScheduleCreatesOutDir: -out may name a directory that does not

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -546,7 +547,25 @@ func (p *SimulateParams) canonicalize(env *Env) error {
 	if p.Hyperperiods < 1 {
 		return fmt.Errorf("hyperperiods must be positive")
 	}
+	if err := checkSigmas(p.Fading, p.Drift); err != nil {
+		return err
+	}
 	return p.Faults.Validate(0)
+}
+
+// checkSigmas rejects a negative or non-finite fading or drift σ. The
+// simulator turns either off unless it is above zero, so a negative σ would
+// run something other than the request names.
+func checkSigmas(fading, drift *float64) error {
+	for _, s := range [...]struct {
+		name string
+		v    *float64
+	}{{"fading", fading}, {"drift", drift}} {
+		if s.v != nil && !(*s.v >= 0 && *s.v <= math.MaxFloat64) {
+			return fmt.Errorf("%s %v must be a finite, non-negative σ (dB)", s.name, *s.v)
+		}
+	}
+	return nil
 }
 
 // run executes a schedule bundle on the TSCH simulator.
@@ -588,7 +607,7 @@ func (p *ConvergeParams) canonicalize(env *Env) error {
 		return fmt.Errorf("chunkHyperperiods, maxChunks, and halfWidth must be non-negative")
 	}
 	applyDefaults(p)
-	return nil
+	return checkSigmas(p.Fading, p.Drift)
 }
 
 // run runs the sequential-stopping simulation over a bundle.

@@ -79,6 +79,31 @@ func TestDefaultsAreCanonical(t *testing.T) {
 	}
 }
 
+// TestNegativeSigmaRejected: the simulator runs with fading or drift off
+// unless its σ is above zero, so a negative one is rejected at submit, for
+// both kinds that take them; zero and positive values pass.
+func TestNegativeSigmaRejected(t *testing.T) {
+	env := testEnv(t)
+	for _, kind := range []string{wsanclient.KindSimulate, wsanclient.KindConverge} {
+		for _, field := range []string{"fading", "drift"} {
+			for _, v := range []string{"-2", "-0.5", "0", "2.5"} {
+				raw := fmt.Sprintf(`{"artifact":"bundle",%q:%s}`, field, v)
+				_, err := Canonical(env, kind, json.RawMessage(raw))
+				if v[0] != '-' {
+					if err != nil {
+						t.Errorf("%s %s: %v", kind, raw, err)
+					}
+					continue
+				}
+				want := fmt.Sprintf("%s %s must be a finite, non-negative σ (dB)", field, v)
+				if err == nil || err.Error() != want {
+					t.Errorf("%s %s: error %v, want %q", kind, raw, err, want)
+				}
+			}
+		}
+	}
+}
+
 // FuzzCanonicalParams feeds arbitrary parameter documents of every kind to
 // canonicalization. It must never panic, and an accepted document must be
 // a fixed point: canonicalizing its canonical bytes returns them unchanged,

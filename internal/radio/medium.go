@@ -150,13 +150,19 @@ func (e *Env) samplePathFading(rng *rand.Rand, tx, rx int) float64 {
 //
 // Every frame draws exactly one rng.Float64 after the slot's fading draws,
 // whatever its SINR, so the random stream does not depend on which frames
-// take the shortcuts: a frame with no interference whose signal clears the
-// noise floor by PRRSaturationDB (plus cleanMarginDB) decodes without the
-// SINR round trip, any other frame compares its draw with tabled bounds on
-// its PRR and evaluates the BER series only when the draw falls between
-// them (see prrBounds), and PRR802154 returns 1 without the BER series above
-// PRRSaturationDB. All three give bit-identical outcomes to the full
-// computation.
+// take the shortcuts. Each frame's co-channel interference is summed once
+// with one Exp per term inside ±prrMaxFastDBm (see coChannelMW), and that
+// denominator keys the shortcuts: a frame with no interference whose signal
+// clears the noise floor by PRRSaturationDB (plus cleanMarginDB) decodes
+// without the SINR round trip, any other frame compares its draw with
+// tabled bounds on its PRR (see prrBounds), and only a draw between them,
+// or a frame the tables cannot bound, recomputes the sum with
+// DBmToMilliwatts in the same order, with the same external term, and
+// evaluates the BER series. PRR802154 returns 1 without the BER series
+// above PRRSaturationDB. All of these give bit-identical outcomes to the
+// full computation (the proof is at prrBounds). The recompute asks Gain for
+// the interferers' powers again, which GainFunc's static contract makes
+// safe; extra is called once per frame.
 func (e *Env) Evaluate(rng *rand.Rand, txs []Transmission, extra InterferenceFunc, ok []bool) []bool {
 	n := len(txs)
 	if cap(ok) < n {
@@ -187,22 +193,17 @@ func (e *Env) Evaluate(rng *rand.Rand, txs []Transmission, extra InterferenceFun
 	bounds := prrTables()
 	for j, tx := range txs {
 		signalDBm := e.Gain(tx.Sender, tx.Receiver, tx.Channel) + fade[j*n+j]
-		interfMW := 0.0
-		for i, other := range txs {
-			if i == j || other.Channel != tx.Channel {
-				continue
-			}
-			p := e.Gain(other.Sender, tx.Receiver, tx.Channel) + fade[i*n+j]
-			interfMW += DBmToMilliwatts(p)
-		}
+		extraMW := 0.0
 		if extra != nil {
-			interfMW += extra(tx.Receiver, tx.Channel)
+			extraMW = extra(tx.Receiver, tx.Channel)
 		}
 		// den is the SINR's denominator in mW: noise plus scaled
 		// interference. When it equals the bare noise power the SINR is the
 		// signal-to-noise ratio, which the dBm difference bounds without a
-		// pow/log10 round trip.
-		den := noiseMW + interfMW*factor
+		// pow/log10 round trip. A negative external term or factor could
+		// cancel the denominator past the tables' tolerance, so such a
+		// frame keys them with the exact sum.
+		den := noiseMW + (e.coChannelMW(txs, fade, j, !(extraMW >= 0 && factor >= 0))+extraMW)*factor
 		// The PRR consumes no randomness, so drawing first keeps the stream.
 		u := rng.Float64()
 		if den == noiseMW && signalDBm-noiseDBm >= cleanDB {
@@ -213,7 +214,36 @@ func (e *Env) Evaluate(rng *rand.Rand, txs []Transmission, extra InterferenceFun
 		if bits == 0 {
 			bits = DefaultPacketBits
 		}
-		ok[j] = bounds.decodes(u, signalDBm, den, bits)
+		if lo, hi, bounded := bounds.bounds(signalDBm, den, bits); bounded && (u < lo || u >= hi) {
+			ok[j] = u < lo
+			continue
+		}
+		den = noiseMW + (e.coChannelMW(txs, fade, j, true)+extraMW)*factor
+		ok[j] = u < ratioPRR(DBmToMilliwatts(signalDBm)/den, bits)
 	}
 	return ok
+}
+
+// coChannelMW sums, in slot order, the power in mW that every other
+// transmission on frame j's channel delivers at its receiver. The fast form
+// takes each term as Exp(p·nepersPerDB) when |p| ≤ prrMaxFastDBm and as
+// DBmToMilliwatts(p) otherwise, so dead (−Inf) and far-below-noise paths
+// still add exactly 0; it keys the PRR tables. The exact form is
+// DBmToMilliwatts throughout, the sum the PRR itself is computed from.
+func (e *Env) coChannelMW(txs []Transmission, fade []float64, j int, exact bool) float64 {
+	n := len(txs)
+	rx, ch := txs[j].Receiver, txs[j].Channel
+	sum := 0.0
+	for i, other := range txs {
+		if i == j || other.Channel != ch {
+			continue
+		}
+		p := e.Gain(other.Sender, rx, ch) + fade[i*n+j]
+		if !exact && math.Abs(p) <= prrMaxFastDBm {
+			sum += math.Exp(p * nepersPerDB)
+		} else {
+			sum += DBmToMilliwatts(p)
+		}
+	}
+	return sum
 }

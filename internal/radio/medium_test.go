@@ -199,6 +199,29 @@ func BenchmarkEvaluate8Concurrent(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateCoChannel puts 8 senders on one channel, so every frame
+// sums seven co-channel terms: the RA-style slots of heavy reuse.
+func BenchmarkEvaluateCoChannel(b *testing.B) {
+	gains := make(map[[2]int]float64)
+	for i := 0; i < 16; i++ {
+		for j := 0; j < 16; j++ {
+			gains[[2]int{i, j}] = -60 - float64((i+j)%30)
+		}
+	}
+	env := &Env{Gain: fixedGain(gains), FadingSigmaDB: 3}
+	txs := make([]Transmission, 8)
+	for i := range txs {
+		txs[i] = Transmission{Sender: 2 * i, Receiver: 2*i + 1}
+	}
+	rng := rand.New(rand.NewSource(9))
+	var ok []bool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ok = env.Evaluate(rng, txs, nil, ok)
+	}
+}
+
 func TestCorrelatedFadingIsBursty(t *testing.T) {
 	// With high correlation, consecutive samples on one path move together;
 	// measure the lag-1 autocorrelation of the realized fading through a

@@ -22,17 +22,38 @@ import (
 //	hi[k] = f(b_k·(1 + prrRatioTol)) + prrEps
 //
 // where f(r) = PRR802154(MilliwattsToDBm(r), bits) is the PRR Evaluate has
-// always computed for a frame of ratio r. The key is computed with one Exp,
-// as exp(signalDBm·ln10/10)/den, rather than Pow's Log and Exp. The frame's
-// PRR is f(r') for the Pow-based ratio r', so the bounds must hold for r'.
-// Three facts make them hold:
+// always computed for a frame of ratio r. The key is computed with Exp
+// alone, r = exp(signalDBm·ln10/10)/den, where den = noiseMW + (Σ tᵢ +
+// x)·factor sums each co-channel term tᵢ as exp(pᵢ·ln10/10) when |pᵢ| ≤
+// prrMaxFastDBm (Env.coChannelMW) and x is the external interference. The
+// frame's PRR is f(r') for the Pow-based ratio r' = DBmToMilliwatts(
+// signalDBm)/den', where den' sums DBmToMilliwatts(pᵢ) in the same order
+// with the same x, so the bounds must hold for r'. Four facts make them
+// hold:
 //
-//   - r and r' agree within prrRatioTol relative for |signalDBm| ≤
+//   - The numerators agree within a few ulps for |signalDBm| ≤
 //     prrMaxFastDBm. Both exponents, s·fl(ln10/10) and fl(s/10)·ln10, are
 //     at most 69 in magnitude and off by a few of its ulps, ~2e-14, and
-//     Exp, Pow and the two divisions add a few ulps more; a dense sweep
-//     measures 1.4e-14. So r in cell k puts r' in
-//     [a_k·(1 − prrRatioTol), b_k·(1 + prrRatioTol)].
+//     Exp, Pow and the division add a few ulps more; a dense sweep
+//     measures 1.4e-14.
+//   - The denominators agree as closely. Each Exp term is within the same
+//     few ulps of its Pow term, and a term outside the guard is the Pow
+//     term itself, so a dead (−Inf) or −4000 dBm path adds exactly 0 to
+//     both and an Exp term is never 0. Every term is nonnegative, and
+//     Evaluate keys a frame whose x or factor is negative or NaN with the
+//     exact sum, so nothing cancels: a sum of nonnegative terms, each within δ
+//     relative of its exact twin, is within δ of the exact sum, plus the
+//     few ulps by which the additions, the product and noiseMW's addition
+//     round differently. A dense sweep of random 1–8-term sums (±300 dBm,
+//     four noise floors, factors 1, 2 and 6, with and without x) measures
+//     1.4e-14 for den/den' − 1 and 2.1e-14 for r/r' − 1, fifty times
+//     inside prrRatioTol. That holds while den is a normal, finite
+//     float64; outside that range both ratios leave the table on the same
+//     side, because the guarded numerator lies in [1e-30, 1e30]: a
+//     subnormal den puts r and r' far above prrSatRatio (or r at +Inf,
+//     which the tables refuse), and an overflowing one puts both far below
+//     the table. So r in cell k puts r' in [a_k·(1 − prrRatioTol),
+//     b_k·(1 + prrRatioTol)].
 //   - The exact PRR is nondecreasing in r, and f stays within prrEps/4 of
 //     it. The alternating BER series loses up to 16 ulps of Σ|terms| ≤ 2¹⁶
 //     to rounding, but its terms are only that large at small γ, where
@@ -48,11 +69,24 @@ import (
 // Below the table the frame is lost for any u ≥ hi[0]: f is below 1e-44
 // there and hi[0] is about prrEps. From prrSatRatio up the frame decodes,
 // because r' ≥ 10^0.7 gives a SINR of at least PRRSaturationDB and a PRR
-// of exactly 1. Everything else runs the exact PRR with the Pow-based
-// ratio: a draw inside the band, NaN or infinite ratios, a |signalDBm|
-// above the guard and frame lengths without a table. Only that fallback
-// evaluates the BER series; it ran on 0.04 % of the frames that reached
-// the table in the 50-flow observe-repair benchmark.
+// of exactly 1. Everything else recomputes den' with Pow and runs the
+// exact PRR with the Pow-based ratio: a draw inside the band, NaN or
+// infinite ratios, a |signalDBm| above the guard and frame lengths without
+// a table. Only that fallback evaluates the BER series; it ran on 0.04 %
+// of the frames that reached the table in the 50-flow observe-repair
+// benchmark.
+//
+// Evaluate's clean-frame shortcut decodes a frame when den == noiseMW and
+// its SNR in dB, signalDBm − noiseDBm, is at least cleanDB
+// (PRRSaturationDB + 1e-6 dB). It tests the Exp sum, and where den' ==
+// noiseMW would answer otherwise the frame still decodes on the other
+// branch. Both sums are 0 together, so they can disagree only when the
+// scaled interference sits within a few ulps of half an ulp of noiseMW;
+// then den and den' both lie within 2⁻⁵² relative of noiseMW. If den ==
+// noiseMW ≠ den', the shortcut decodes, and r' is still at least
+// 10^0.7·(1 + 2e-7), a PRR of exactly 1. If den' == noiseMW ≠ den, r is
+// as large, above prrSatRatio = 10^0.7·(1 + 1e-9), so the table decodes;
+// a frame the table cannot bound takes the exact fallback, which uses den'.
 //
 // f consumes no randomness, so drawing u before the comparison leaves the
 // random stream exactly as it was.
@@ -72,8 +106,9 @@ const (
 	// prrRatioTol bounds the relative gap between the Exp- and Pow-based
 	// ratios inside the guard.
 	prrRatioTol = 1e-12
-	// prrMaxFastDBm guards the Exp-based ratio: beyond it the exponent's
-	// absolute error would grow past prrRatioTol's budget.
+	// prrMaxFastDBm guards the Exp-based ratio and each Exp-summed
+	// co-channel term: beyond it the exponent's absolute error would grow
+	// past prrRatioTol's budget.
 	prrMaxFastDBm = 300
 	// nepersPerDB converts dBm to the natural log of milliwatts.
 	nepersPerDB = math.Ln10 / 10
@@ -133,8 +168,9 @@ func ratioPRR(r float64, bits int) float64 {
 	return PRR802154(MilliwattsToDBm(r), bits)
 }
 
-// bounds returns lo ≤ hi with lo ≤ ratioPRR(DBmToMilliwatts(signalDBm)/den,
-// bits) ≤ hi, or ok false when the tables cannot bound that PRR.
+// bounds returns lo ≤ hi with lo ≤ ratioPRR(DBmToMilliwatts(signalDBm)/den',
+// bits) ≤ hi for den and any den' within the combined gap of it (see above),
+// or ok false when the tables cannot bound that PRR.
 func (b *prrBounds) bounds(signalDBm, den float64, bits int) (lo, hi float64, ok bool) {
 	cells := b.table(bits)
 	if cells == nil || !(math.Abs(signalDBm) <= prrMaxFastDBm) {
@@ -150,19 +186,4 @@ func (b *prrBounds) bounds(signalDBm, den float64, bits int) (lo, hi float64, ok
 	}
 	// Below the table, or NaN.
 	return 0, cells[0].hi, r < prrMinRatio
-}
-
-// decodes reports whether a frame with draw u ∈ [0,1) decodes, exactly as
-// u < ratioPRR(DBmToMilliwatts(signalDBm)/den, bits), evaluating the PRR only
-// when u falls between the bounds.
-func (b *prrBounds) decodes(u, signalDBm, den float64, bits int) bool {
-	if lo, hi, ok := b.bounds(signalDBm, den, bits); ok {
-		if u < lo {
-			return true
-		}
-		if u >= hi {
-			return false
-		}
-	}
-	return u < ratioPRR(DBmToMilliwatts(signalDBm)/den, bits)
 }

@@ -3,6 +3,7 @@ package radio
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -23,6 +24,7 @@ func refRatioPRR(r float64, bits int) float64 {
 func TestPRRDecisionBounds(t *testing.T) {
 	t.Run("saturation", checkSaturationRatio)
 	t.Run("exp-vs-pow", checkRatioExpVsPow)
+	t.Run("exp-vs-pow-sum", checkSumExpVsPow)
 	ulps, ulpStep, interior := 2000, 1, 64
 	if testing.Short() {
 		ulpStep, interior = 50, 8
@@ -151,6 +153,57 @@ func checkRatioExpVsPow(t *testing.T) {
 	}
 }
 
+// checkSumExpVsPow checks the summed denominator: for random slots of 1–8
+// co-channel interferers around a random level in the guarded range, with
+// several noise floors, factors and external terms, the key computed from
+// coChannelMW's Exp sum stays within prrRatioTol of the Pow-based ratio
+// computed from its exact sum, for signals −12 to +9 dB over the
+// denominator. The largest gaps seen are logged.
+func checkSumExpVsPow(t *testing.T) {
+	samples := 1_000_000
+	if testing.Short() {
+		samples = 50_000
+	}
+	rng := rand.New(rand.NewSource(5))
+	var p [9]float64
+	env := &Env{Gain: func(tx, rx, ch int) float64 { return p[tx] }}
+	txs := make([]Transmission, len(p))
+	for i := range txs {
+		txs[i].Sender = i
+	}
+	fade := make([]float64, len(p)*len(p))
+	noises := []float64{0, DBmToMilliwatts(-100), DBmToMilliwatts(DefaultNoiseFloorDBm), DBmToMilliwatts(-90)}
+	worstDen, worstRatio := 0.0, 0.0
+	for range samples {
+		n := 2 + rng.Intn(8)
+		level := -prrMaxFastDBm + 2*prrMaxFastDBm*rng.Float64()
+		for i := 1; i < n; i++ {
+			p[i] = max(-prrMaxFastDBm, min(prrMaxFastDBm, level+40*rng.NormFloat64()))
+		}
+		x := 0.0
+		if rng.Intn(2) == 0 {
+			x = DBmToMilliwatts(level + 20*rng.NormFloat64())
+		}
+		noise, factor := noises[rng.Intn(len(noises))], []float64{1, 2, 6}[rng.Intn(3)]
+		slot := txs[:n]
+		den := noise + (env.coChannelMW(slot, fade[:n*n], 0, false)+x)*factor
+		exact := noise + (env.coChannelMW(slot, fade[:n*n], 0, true)+x)*factor
+		worstDen = max(worstDen, math.Abs(den/exact-1))
+		s := MilliwattsToDBm(exact) - 12 + 21*rng.Float64()
+		if math.Abs(s) > prrMaxFastDBm {
+			continue
+		}
+		r, rExact := math.Exp(s*nepersPerDB)/den, DBmToMilliwatts(s)/exact
+		if d := math.Abs(r/rExact - 1); !(d <= prrRatioTol) {
+			t.Fatalf("interferers %v, x %v, noise %v, factor %v, signal %v dBm: key %v, exact ratio %v, gap %v",
+				p[1:n], x, noise, factor, s, r, rExact, d)
+		} else {
+			worstRatio = max(worstRatio, d)
+		}
+	}
+	t.Logf("largest gaps: denominator %.3g, ratio %.3g", worstDen, worstRatio)
+}
+
 // TestPRRDecisionInBand drives the exact fallback on purpose. A random
 // slot's draw almost never lands between a cell's bounds, but a draw equal
 // to the frame's reference PRR, or one float above or below it, always
@@ -230,4 +283,14 @@ func FuzzPRRDecision(f *testing.F) {
 			t.Fatalf("decodes(%v, %v dBm, den %v, %d bits) = %v, want %v (PRR %v)", u, s, den, bits, got, want, p)
 		}
 	})
+}
+
+// decodes reports whether a frame with draw u ∈ [0,1) decodes, exactly as
+// u < ratioPRR(DBmToMilliwatts(signalDBm)/den, bits), deciding as Evaluate
+// does for a frame whose keyed and exact denominators are both den.
+func (b *prrBounds) decodes(u, signalDBm, den float64, bits int) bool {
+	if lo, hi, ok := b.bounds(signalDBm, den, bits); ok && (u < lo || u >= hi) {
+		return u < lo
+	}
+	return u < ratioPRR(DBmToMilliwatts(signalDBm)/den, bits)
 }

@@ -523,6 +523,11 @@ func TestJobParamsRejectedAtSubmit(t *testing.T) {
 		{wsanclient.KindConverge, map[string]any{"artifact": art, "chunkHyperperiods": -5}},
 		{wsanclient.KindConverge, map[string]any{"artifact": art, "maxChunks": -1}},
 		{wsanclient.KindConverge, map[string]any{"artifact": art, "halfWidth": -0.01}},
+		// The simulator runs with fading or drift off unless σ is above zero.
+		{wsanclient.KindSimulate, map[string]any{"artifact": art, "fading": -2}},
+		{wsanclient.KindSimulate, map[string]any{"artifact": art, "drift": -2}},
+		{wsanclient.KindConverge, map[string]any{"artifact": art, "fading": -2}},
+		{wsanclient.KindConverge, map[string]any{"artifact": art, "drift": -2}},
 		{wsanclient.KindManage, map[string]any{"artifact": art, "maxIterations": -1}},
 		{wsanclient.KindManage, map[string]any{"artifact": art, "epochSlots": 17}},
 		{wsanclient.KindManage, map[string]any{"artifact": art, "epochSlots": 1}},

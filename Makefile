@@ -54,14 +54,15 @@ lint:
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
 # ci is the tier-1+ gate: formatting, lint, the short test set under the
-# race detector, one iteration of every scheduler and radio benchmark (so a
-# benchmark that panics or no longer builds fails here, about a second), and
-# the benchmark harness's tests. Run it before sending changes.
+# race detector, one iteration of every scheduler, radio and analysis
+# benchmark (so a benchmark that panics or no longer builds fails here,
+# about a second), and the benchmark harness's tests. Run it before sending
+# changes.
 ci: lint
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) test -race -short ./...
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/scheduler ./internal/radio
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/scheduler ./internal/radio ./internal/analysis
 	$(MAKE) bench-test
 
 # e2e starts a real daemon and drives it over the wire with the wsanclient
@@ -100,6 +101,9 @@ e2e:
 # ±300 dBm guard included, noise floor, interference factor and external
 # power, every outcome and the next random draw equal the reference's), in the
 # hoisted delay-bound fixed point (identical to the reference analysis),
+# in the dense latency table (for duplicate flow IDs, unlisted flows, stray
+# or missing instances and over-long periods, the reference's exact result
+# or error text),
 # in job parameter canonicalization (never panics; canonical forms are
 # fixed points), in the SDK's SSE decoder (never panics; reports exactly
 # what it delivered; fails only on undecodable events), and in the
@@ -107,8 +111,9 @@ e2e:
 # match the resident parts after every operation), in the schedule's
 # indexes (after any Place/Remove/Reset/Clone sequence the packed link
 # column, busy, occupancy and slot-full bitsets agree with the transmission
-# list), and in the delta engine (after any batch of add/remove/reroute/
-# rebudget/repair/compact ops, told all or part of the workload, a failed batch
+# list, and Validate's verdict matches the reference's), and in the delta
+# engine (after any batch of add/remove/reroute/rebudget/repair/compact ops,
+# told all or part of the workload, a failed batch
 # leaves the grid as it was, Apply(Invert(Changes)) undoes a successful
 # one, and no flow missing from the workload loses a transmission),
 # and in the link survey's step table (for random receiver settings, the
@@ -136,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzPRRDecision -fuzztime=$(FUZZTIME) ./internal/radio
 	$(GO) test -run=^$$ -fuzz=FuzzEvaluate -fuzztime=$(FUZZTIME) ./internal/radio
 	$(GO) test -run=^$$ -fuzz=FuzzDelayAnalysis -fuzztime=$(FUZZTIME) ./internal/analysis
+	$(GO) test -run=^$$ -fuzz=FuzzLatencies -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -run=^$$ -fuzz=FuzzCanonicalParams -fuzztime=$(FUZZTIME) ./internal/jobs
 	$(GO) test -run=^$$ -fuzz=FuzzStreamRelay -fuzztime=$(FUZZTIME) ./wsanclient
 	$(GO) test -run=^$$ -fuzz=FuzzStoreOps -fuzztime=$(FUZZTIME) ./internal/server/storage

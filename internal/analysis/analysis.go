@@ -36,25 +36,55 @@ func (l FlowLatency) Slack() int { return l.DeadlineSlots - l.WorstSlots }
 // Latencies extracts per-flow end-to-end schedule latencies: for each flow
 // instance, the span from its release slot to its final scheduled
 // transmission. It requires the schedule to contain every instance of every
-// flow (i.e., a schedulable result) and returns flows in ID order.
+// flow (i.e., a schedulable result) and every period to be positive, and
+// returns flows in the given order.
+//
+// The last slot of every (flow ID, instance) pair is kept in one dense
+// table: each distinct flow ID owns a run of entries as long as the largest
+// instance count among the flows carrying it, and −1 marks an instance with
+// no transmission. Placement keeps a flow's transmissions together, so the
+// ID's run is looked up only when the flow ID changes between consecutive
+// transmissions.
 func Latencies(flows []*flow.Flow, sched *schedule.Schedule) ([]FlowLatency, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("analysis: nil schedule")
 	}
-	byID := make(map[int]*flow.Flow, len(flows))
 	for _, f := range flows {
-		byID[f.ID] = f
-	}
-	// lastSlot[flow][instance] = last scheduled slot.
-	type key struct{ id, inst int }
-	last := make(map[key]int)
-	for _, tx := range sched.Txs() {
-		k := key{tx.FlowID, tx.Instance}
-		if s, ok := last[k]; !ok || tx.Slot > s {
-			last[k] = tx.Slot
+		if f.Period <= 0 {
+			return nil, fmt.Errorf("analysis: flow %d: period %d must be positive", f.ID, f.Period)
 		}
 	}
 	hyper := sched.NumSlots()
+	type run struct{ base, size int }
+	runs := make(map[int]run, len(flows))
+	for _, f := range flows {
+		r := runs[f.ID]
+		r.size = max(r.size, hyper/f.Period)
+		runs[f.ID] = r
+	}
+	size := 0
+	for id, r := range runs {
+		r.base = size
+		size += r.size
+		runs[id] = r
+	}
+	last := make([]int32, size)
+	for i := range last {
+		last[i] = -1
+	}
+	// An unlisted flow's run is the zero run, which holds no instance.
+	var cur run
+	curID := 0
+	for i, tx := range sched.Txs() {
+		if i == 0 || tx.FlowID != curID {
+			curID = tx.FlowID
+			cur = runs[curID]
+		}
+		// Slots fit in int32: schedule.New caps the grid at 2^31−1 cells.
+		if uint(tx.Instance) < uint(cur.size) && int32(tx.Slot) > last[cur.base+tx.Instance] {
+			last[cur.base+tx.Instance] = int32(tx.Slot)
+		}
+	}
 	out := make([]FlowLatency, 0, len(flows))
 	for _, f := range flows {
 		instances := hyper / f.Period
@@ -64,12 +94,11 @@ func Latencies(flows []*flow.Flow, sched *schedule.Schedule) ([]FlowLatency, err
 		}
 		fl := FlowLatency{FlowID: f.ID, BestSlots: int(^uint(0) >> 1), DeadlineSlots: f.Deadline}
 		total := 0
-		for inst := 0; inst < instances; inst++ {
-			s, ok := last[key{f.ID, inst}]
-			if !ok {
+		for inst, s := range last[runs[f.ID].base:][:instances] {
+			if s < 0 {
 				return nil, fmt.Errorf("analysis: flow %d instance %d missing from schedule", f.ID, inst)
 			}
-			lat := s - f.Release(inst) + 1
+			lat := int(s) - f.Release(inst) + 1
 			total += lat
 			if lat > fl.WorstSlots {
 				fl.WorstSlots = lat

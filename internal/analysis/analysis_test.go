@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"testing"
 
 	"wsan/internal/flow"
@@ -69,6 +70,25 @@ func TestLatenciesMissingInstance(t *testing.T) {
 func TestLatenciesNilSchedule(t *testing.T) {
 	if _, err := Latencies(nil, nil); err == nil {
 		t.Error("nil schedule should fail")
+	}
+}
+
+// TestLatenciesNonPositivePeriod: a zero period used to divide by zero and
+// a negative one to return a meaningless latency. Both are errors naming
+// the first such flow in the given order.
+func TestLatenciesNonPositivePeriod(t *testing.T) {
+	s, err := schedule.New(20, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place(t, s, 0, 0, 0, 0, 1, 0, 0)
+	for _, period := range []int{0, -10} {
+		flows := []*flow.Flow{mkFlow(0, 0, 1, 20, 20, 0, 1), mkFlow(3, 0, 1, period, 10, 0, 1), mkFlow(4, 0, 1, -1, 10, 0, 1)}
+		_, err := Latencies(flows, s)
+		want := fmt.Sprintf("analysis: flow 3: period %d must be positive", period)
+		if err == nil || err.Error() != want {
+			t.Errorf("period %d: error %v, want %q", period, err, want)
+		}
 	}
 }
 

@@ -58,9 +58,11 @@ type DelayBound struct {
 // call, and each conflict count Ω¹_ij = min(conflicting transmissions of j
 // on i's route, C_j) once per analyzed flow i. Since instance counts are
 // non-negative, min(n·a, n·b) = n·min(a, b), and the iteration does only
-// integer arithmetic on those values. Routes are matched through a dense
-// numbering of the nodes they touch and one reusable route-node bitset, so
-// the call makes the same few allocations for any set size or node IDs.
+// integer arithmetic on those values. The conflict counts come from a
+// per-node hop index over a dense numbering of the nodes the routes touch:
+// flow i visits only the hops that share one of its route's nodes, not
+// every hop of every higher-priority flow. The call makes the same few
+// allocations for any set size or node IDs.
 func DelayAnalysis(flows []*flow.Flow, m, attempts int) ([]DelayBound, error) {
 	if m <= 0 || attempts <= 0 {
 		return nil, fmt.Errorf("delay analysis: channels %d and attempts %d must be positive", m, attempts)
@@ -83,7 +85,9 @@ func DelayAnalysis(flows []*flow.Flow, m, attempts int) ([]DelayBound, error) {
 	// period[j] is P_j, responses[j] is R_j of an analyzed higher-priority
 	// flow, omega[j] and rest[j] = C_j − omega[j] split j's demand for the
 	// flow under analysis, and ends[2h], ends[2h+1] number the endpoints of
-	// the h-th hop of the concatenated routes.
+	// the h-th hop of the concatenated routes. The node numbering sorts in
+	// the last 2·hops entries; after it, they hold each hop's attempts and
+	// flow index.
 	buf := make([]int, 5*n+4*hops)
 	demand, period, responses, omega, rest := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n], buf[4*n:5*n]
 	ends := buf[5*n : 5*n+2*hops]
@@ -97,33 +101,59 @@ func DelayAnalysis(flows []*flow.Flow, m, attempts int) ([]DelayBound, error) {
 		}
 	}
 	nodes := numberNodes(ends, buf[5*n+2*hops:])
-	// onRoute is the node bitset of the flow under analysis.
-	onRoute := make([]uint64, (nodes+63)/64)
-	bounds := make([]DelayBound, n)
-	endsI := ends
-	for i, fi := range flows {
-		hopsI := endsI[:2*len(fi.Route)]
-		endsI = endsI[len(hopsI):]
-		for _, v := range hopsI {
-			onRoute[v>>6] |= 1 << (v & 63)
+	hopAtt, hopFlow := buf[5*n+2*hops:5*n+3*hops], buf[5*n+3*hops:]
+	e = 0
+	for j, f := range flows {
+		for k := range f.Route {
+			hopAtt[e], hopFlow[e] = f.HopAttempts(k, attempts), j
+			e++
 		}
-		endsJ := ends
-		for j, fj := range flows[:i] {
-			hopsJ := endsJ[:2*len(fj.Route)]
-			endsJ = endsJ[len(hopsJ):]
-			count := 0
-			for h := range fj.Route {
-				from, to := hopsJ[2*h], hopsJ[2*h+1]
-				if onRoute[from>>6]&(1<<(from&63)) != 0 || onRoute[to>>6]&(1<<(to&63)) != 0 {
-					count += fj.HopAttempts(h, attempts)
+	}
+	// The hop index: nodeHops[first[v]:first[v+1]] lists the hops touching
+	// node v in ascending order, so in flow order, and a hop with both ends
+	// at v twice. hopSeen and nodeSeen hold i+1 once flow i has counted the
+	// hop or walked the node.
+	idx := make([]int32, 2*nodes+1+3*hops)
+	first, nodeHops := idx[:nodes+1], idx[nodes+1:nodes+1+2*hops]
+	hopSeen, nodeSeen := idx[nodes+1+2*hops:nodes+1+3*hops], idx[nodes+1+3*hops:]
+	for _, v := range ends {
+		first[v]++
+	}
+	for v := 1; v < nodes; v++ {
+		first[v] += first[v-1]
+	}
+	first[nodes] = int32(2 * hops)
+	// A backward pass fills each node's range from its end, which leaves
+	// first[v] at the range's start and the hops in ascending order.
+	for p := len(ends) - 1; p >= 0; p-- {
+		v := ends[p]
+		first[v]--
+		nodeHops[first[v]] = int32(p / 2)
+	}
+	bounds := make([]DelayBound, n)
+	firstHop := 0
+	for i, fi := range flows {
+		stamp := int32(i + 1)
+		clear(omega[:i])
+		for _, v := range ends[2*firstHop : 2*(firstHop+len(fi.Route))] {
+			if nodeSeen[v] == stamp {
+				continue
+			}
+			nodeSeen[v] = stamp
+			for _, h := range nodeHops[first[v]:first[v+1]] {
+				if int(h) >= firstHop {
+					break
+				}
+				if hopSeen[h] != stamp {
+					hopSeen[h] = stamp
+					omega[hopFlow[h]] += hopAtt[h]
 				}
 			}
-			omega[j] = min(count, demand[j])
-			rest[j] = demand[j] - omega[j]
 		}
-		// Only i's bits are set, so zeroing their words resets the bitset.
-		for _, v := range hopsI {
-			onRoute[v>>6] = 0
+		firstHop += len(fi.Route)
+		for j := range omega[:i] {
+			omega[j] = min(omega[j], demand[j])
+			rest[j] = demand[j] - omega[j]
 		}
 		ci := demand[i]
 		r := ci

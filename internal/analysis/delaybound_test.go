@@ -105,36 +105,8 @@ func TestDelayAnalysisSound(t *testing.T) {
 	admitted, checked := 0, 0
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n := 8 + rng.Intn(10)
-		g := graph.New(n)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Float64() < 0.3 {
-					if err := g.AddEdge(u, v); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		flows, err := flow.Generate(rng, g, flow.GenConfig{
-			NumFlows: 2 + rng.Intn(8), MinPeriodExp: -1, MaxPeriodExp: 1,
-		})
-		if err != nil {
-			continue
-		}
-		ok := true
-		for _, f := range flows {
-			path := g.ShortestPathHop(f.Src, f.Dst)
-			if path == nil {
-				ok = false
-				break
-			}
-			f.Route = nil
-			for i := 0; i+1 < len(path); i++ {
-				f.Route = append(f.Route, flow.Link{From: path[i], To: path[i+1]})
-			}
-		}
-		if !ok {
+		flows := randomRoutedSet(t, rng, false)
+		if flows == nil {
 			continue
 		}
 		m := 1 + rng.Intn(4)
@@ -165,6 +137,46 @@ func TestDelayAnalysisSound(t *testing.T) {
 		t.Fatalf("soundness never exercised (checked %d sets)", checked)
 	}
 	t.Logf("soundness verified on %d/%d admitted flow sets", admitted, checked)
+}
+
+// randomRoutedSet draws 2–9 flows on a random 8–17 node graph and routes
+// each on a shortest path, with a 1–3 attempt budget per hop if budgeted.
+// It returns nil when the draw fails or a flow has no path.
+func randomRoutedSet(t *testing.T, rng *rand.Rand, budgeted bool) []*flow.Flow {
+	t.Helper()
+	n := 8 + rng.Intn(10)
+	g := graph.New(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < 0.3 {
+				if err := g.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	flows, err := flow.Generate(rng, g, flow.GenConfig{
+		NumFlows: 2 + rng.Intn(8), MinPeriodExp: -1, MaxPeriodExp: 1,
+	})
+	if err != nil {
+		return nil
+	}
+	for _, f := range flows {
+		path := g.ShortestPathHop(f.Src, f.Dst)
+		if path == nil {
+			return nil
+		}
+		f.Route = nil
+		for i := 0; i+1 < len(path); i++ {
+			f.Route = append(f.Route, flow.Link{From: path[i], To: path[i+1]})
+		}
+		if budgeted {
+			for range f.Route {
+				f.TxBudget = append(f.TxBudget, 1+rng.Intn(3))
+			}
+		}
+	}
+	return flows
 }
 
 // TestDelayAnalysisNotVacuous: the bound must also admit a decent share of
@@ -268,4 +280,63 @@ func TestDelayAnalysisAllocs(t *testing.T) {
 	if small != large || large > 3 {
 		t.Errorf("allocations: %v at 20 flows, %v at 120, want the same constant ≤ 3", small, large)
 	}
+}
+
+// TestNRLatencyWithinDelayBound checks the analysis against the schedule
+// it claims to bound: for every flow DelayAnalysis admits, the worst
+// latency NR actually schedules is at most its ResponseSlots. The sets are
+// drawn as in TestDelayAnalysisSound, and every second one carries
+// budgets. NR places flows in priority order and stops
+// at the first deadline miss, so a set it cannot finish is checked on the
+// flows placed before the miss; the missing flow must not be admitted.
+func TestNRLatencyWithinDelayBound(t *testing.T) {
+	seeds := int64(3000)
+	if testing.Short() {
+		seeds = 300
+	}
+	checked := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		flows := randomRoutedSet(t, rng, seed%2 == 1)
+		if flows == nil {
+			continue
+		}
+		m, attempts := 1+rng.Intn(4), 1+rng.Intn(2)
+		bounds, err := DelayAnalysis(flows, m, attempts)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		res, err := scheduler.Run(flows, scheduler.Config{
+			Algorithm: scheduler.NR, NumChannels: m, Retransmit: attempts == 2,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		placed := len(flows)
+		if !res.Schedulable {
+			placed = slices.IndexFunc(flows, func(f *flow.Flow) bool { return f.ID == res.FailedFlow })
+			if bounds[placed].Schedulable {
+				t.Fatalf("seed %d: flow %d admitted with bound %d but NR missed its deadline",
+					seed, res.FailedFlow, bounds[placed].ResponseSlots)
+			}
+		}
+		lats, err := Latencies(flows[:placed], res.Schedule)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i, l := range lats {
+			if !bounds[i].Schedulable {
+				continue
+			}
+			checked++
+			if l.WorstSlots > bounds[i].ResponseSlots {
+				t.Errorf("seed %d (m=%d attempts=%d): flow %d scheduled in %d slots, bound %d",
+					seed, m, attempts, l.FlowID, l.WorstSlots, bounds[i].ResponseSlots)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no admitted flow was checked")
+	}
+	t.Logf("%d admitted flows within their bound", checked)
 }

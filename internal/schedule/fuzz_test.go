@@ -80,10 +80,11 @@ func FuzzDecode(f *testing.F) {
 // and Clone sequences and checks after every operation that its indexes —
 // the packed link column, the busy, occupancy and slot-full bitsets, the
 // busy counts, the cells and the per-flow positions — agree with the
-// transmission list, and that a slot is full exactly when its occupied
-// offsets are 0..M−1 (checkFullSlots). Each op reads four bytes: the op
-// kind and three operands. Placements share three flow IDs, so removals
-// move transmissions within and across flows' position lists.
+// transmission list, that a slot is full exactly when its occupied offsets
+// are 0..M−1 (checkFullSlots), and that Validate gives the reference's
+// verdict (checkValidateVerdict). Each op reads four bytes: the op kind and
+// three operands. Placements share three flow IDs, so removals move
+// transmissions within and across flows' position lists.
 func FuzzScheduleOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 3, 4, 0, 0, 5, 6, 1, 1, 0, 0, 0})
 	f.Add([]byte{0, 1, 2, 65, 0, 3, 4, 65, 1, 1, 0, 0, 3, 0, 0, 0, 2, 70, 2, 9})
@@ -122,6 +123,7 @@ func FuzzScheduleOps(f *testing.F) {
 			checkIndexes(t, s)
 			checkFullSlots(t, s)
 			checkFlowTxs(t, s)
+			checkValidateVerdict(t, s)
 		}
 	})
 }

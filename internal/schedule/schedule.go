@@ -580,19 +580,37 @@ func (s *Schedule) BusyUnionCount(u, v, from, to int) int {
 // in-range assignments, no transmission conflicts within a slot, and the
 // channel constraint at threshold rhoT on the reuse-graph hop matrix. With
 // reuse disabled (rhoT ≤ 0 means "no reuse allowed"), every (slot, offset)
-// cell must hold at most one transmission.
+// cell must hold at most one transmission. It reports the first
+// out-of-range transmission in list order, and otherwise the first
+// violation in slot order, pairs within a slot taken in list order.
 func (s *Schedule) Validate(hop *graph.HopMatrix, rhoT int) error {
-	perSlot := make(map[int][]Tx)
 	for _, tx := range s.txs {
 		if tx.Slot < 0 || tx.Slot >= s.numSlots || tx.Offset < 0 || tx.Offset >= s.numOffsets {
 			return fmt.Errorf("validate: tx %+v out of range", tx)
 		}
-		perSlot[tx.Slot] = append(perSlot[tx.Slot], tx)
 	}
-	for slot, txs := range perSlot {
+	// A counting sort buckets the list by slot: bySlot[start[slot]:
+	// start[slot+1]] holds the slot's list positions in ascending order.
+	buf := make([]int, s.numSlots+1+len(s.txs))
+	start, bySlot := buf[:s.numSlots+1], buf[s.numSlots+1:]
+	for _, tx := range s.txs {
+		start[tx.Slot]++
+	}
+	for slot := 1; slot < s.numSlots; slot++ {
+		start[slot] += start[slot-1]
+	}
+	start[s.numSlots] = len(s.txs)
+	// Filling backward leaves start[slot] at the bucket's first entry.
+	for i := len(s.txs) - 1; i >= 0; i-- {
+		slot := s.txs[i].Slot
+		start[slot]--
+		bySlot[start[slot]] = i
+	}
+	for slot := 0; slot < s.numSlots; slot++ {
+		txs := bySlot[start[slot]:start[slot+1]]
 		for i := 0; i < len(txs); i++ {
 			for j := i + 1; j < len(txs); j++ {
-				a, b := txs[i], txs[j]
+				a, b := &s.txs[txs[i]], &s.txs[txs[j]]
 				if a.Link.From == b.Link.From || a.Link.From == b.Link.To ||
 					a.Link.To == b.Link.From || a.Link.To == b.Link.To {
 					return fmt.Errorf("validate: transmission conflict in slot %d: %d→%d vs %d→%d",

@@ -307,6 +307,12 @@ func TestFacadeAnalysis(t *testing.T) {
 	}
 }
 
+func TestScheduleLatenciesNilResult(t *testing.T) {
+	if _, err := wsan.ScheduleLatencies(nil, nil); err == nil || err.Error() != "wsan: nil schedule" {
+		t.Errorf("nil result: error %v, want wsan: nil schedule", err)
+	}
+}
+
 func TestFacadeRepairLoop(t *testing.T) {
 	_, net := testNetwork(t)
 	flows, err := net.GenerateWorkload(wsan.WorkloadConfig{

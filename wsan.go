@@ -524,6 +524,9 @@ func AllMeetReliabilityTargets(bounds []ReliabilityBound) bool {
 
 // ScheduleLatencies extracts per-flow end-to-end latencies from a schedule.
 func ScheduleLatencies(flows []*Flow, res *ScheduleResult) ([]FlowLatency, error) {
+	if res == nil {
+		return nil, fmt.Errorf("wsan: nil schedule")
+	}
 	lats, err := analysis.Latencies(flows, res.Schedule)
 	return lats, wrapErr(err)
 }

@@ -115,7 +115,9 @@ e2e:
 # engine (after any batch of add/remove/reroute/rebudget/repair/compact ops,
 # told all or part of the workload, a failed batch
 # leaves the grid as it was, Apply(Invert(Changes)) undoes a successful
-# one, and no flow missing from the workload loses a transmission),
+# one, and no flow missing from the workload loses a transmission), in the
+# delta journal's netting (on any place/remove journal of a valid grid, the
+# one-sort net equals the map-and-SortChanges reference byte for byte),
 # and in the link survey's step table (for random receiver settings, the
 # table returns exactly the reference measuredPRR at random powers and
 # around its own edges, falling back to the BER series wherever its
@@ -132,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/schedule
 	$(GO) test -run=^$$ -fuzz=FuzzScheduleOps -fuzztime=$(FUZZTIME) ./internal/schedule
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaOps -fuzztime=$(FUZZTIME) ./internal/scheduler
+	$(GO) test -run=^$$ -fuzz=FuzzJournalNet -fuzztime=$(FUZZTIME) ./internal/scheduler
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -run=^$$ -fuzz=FuzzShortestPathAvoiding -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run=^$$ -fuzz=FuzzSurveyPRR -fuzztime=$(FUZZTIME) ./internal/topology

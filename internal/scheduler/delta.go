@@ -48,6 +48,7 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -418,10 +419,13 @@ func (d *deltaOp) rollbackTo(mark int) {
 	d.ops = d.ops[:mark]
 }
 
-// finish fills a successful result from the journal: the net diff — a
-// transmission removed and later re-placed in the same cell cancels out, so
-// it is exactly what the manager must disseminate — and the work counters.
-// Work an inner rollback undid is not counted.
+// finish fills a successful result from the journal, which it consumes: the
+// net diff — a transmission removed and later re-placed in the same cell
+// cancels out, so it is exactly what the manager must disseminate — and the
+// work counters. Work an inner rollback undid is not counted. One sort by the
+// whole transmission nets the journal; removals, then additions, is then
+// SortChanges' order, as a valid grid has one transmission per slot, flow,
+// hop and attempt.
 func (d *deltaOp) finish(res *DeltaResult) {
 	res.PlacementOps = d.replays
 	for _, e := range d.ops {
@@ -431,37 +435,38 @@ func (d *deltaOp) finish(res *DeltaResult) {
 			res.RemovalOps++
 		}
 	}
-	if res.RemovalOps == 0 || res.RemovalOps == len(d.ops) {
-		// One kind only: no transmission repeats, so the journal is
-		// already the net diff.
-		kind := schedule.Added
-		if res.RemovalOps > 0 {
-			kind = schedule.Removed
+	slices.SortFunc(d.ops, func(a, b deltaJournalEntry) int {
+		if a.tx.Slot != b.tx.Slot {
+			return cmp.Compare(a.tx.Slot, b.tx.Slot)
 		}
-		res.Changes = make([]schedule.Change, len(d.ops))
-		for i, e := range d.ops {
-			res.Changes[i] = schedule.Change{Kind: kind, Tx: e.tx}
+		return cmp.Or(cmp.Compare(a.tx.FlowID, b.tx.FlowID), cmp.Compare(a.tx.Hop, b.tx.Hop), cmp.Compare(a.tx.Attempt, b.tx.Attempt),
+			cmp.Compare(a.tx.Instance, b.tx.Instance), cmp.Compare(a.tx.Offset, b.tx.Offset),
+			cmp.Compare(a.tx.Link.From, b.tx.Link.From), cmp.Compare(a.tx.Link.To, b.tx.Link.To))
+	})
+	// Net removals fill the front; net additions start after room for every
+	// removal, and the gap that cancelled removals leave is closed at the end.
+	res.Changes = make([]schedule.Change, len(d.ops))
+	r, a, n := 0, res.RemovalOps, 0
+	for i, e := range d.ops {
+		if e.place {
+			n++
+		} else {
+			n--
 		}
-	} else {
-		net := make(map[schedule.Tx]int, len(d.ops))
-		for _, e := range d.ops {
-			if e.place {
-				net[e.tx]++
-			} else {
-				net[e.tx]--
-			}
+		if next := i + 1; next < len(d.ops) && d.ops[next].tx.Slot == e.tx.Slot && d.ops[next].tx == e.tx {
+			continue // the run of equal transmissions goes on
 		}
-		res.Changes = make([]schedule.Change, 0, len(net))
-		for tx, n := range net {
-			switch {
-			case n > 0:
-				res.Changes = append(res.Changes, schedule.Change{Kind: schedule.Added, Tx: tx})
-			case n < 0:
-				res.Changes = append(res.Changes, schedule.Change{Kind: schedule.Removed, Tx: tx})
-			}
+		switch {
+		case n < 0:
+			res.Changes[r] = schedule.Change{Kind: schedule.Removed, Tx: e.tx}
+			r++
+		case n > 0:
+			res.Changes[a] = schedule.Change{Kind: schedule.Added, Tx: e.tx}
+			a++
 		}
+		n = 0
 	}
-	schedule.SortChanges(res.Changes)
+	res.Changes = slices.Delete(res.Changes[:a], r, res.RemovalOps)
 	if len(d.evicted) > 0 {
 		slices.Sort(d.evicted)
 		res.Evicted = slices.Compact(d.evicted)
@@ -535,53 +540,50 @@ func setFlow(work []*flow.Flow, id int, f *flow.Flow) []*flow.Flow {
 	return slices.Insert(work, i, f)
 }
 
-// evictCand is one eviction candidate: a lower-criticality flow with
+// evictCand is one eviction candidate: a listed lower-criticality flow with
 // transmissions inside the new flow's instance windows, scored by how hard
 // those transmissions block the placement (route-touching transmissions
 // weigh most).
 type evictCand struct {
-	id    int
+	f     *flow.Flow
 	score int
 }
 
-// evictionCandidates ranks the evictable flows: strictly lower criticality
-// (higher ID) than f, present in the known workload, with at least one
-// transmission inside one of f's release/deadline windows. Higher score —
-// more blocking transmissions — first; ties go to the lowest-criticality
-// flow.
-func (d *deltaOp) evictionCandidates(f *flow.Flow, byID map[int]*flow.Flow) []evictCand {
-	onRoute := make(map[int]bool, len(f.Route)+1)
-	for _, l := range f.Route {
-		onRoute[l.From] = true
-		onRoute[l.To] = true
+// evictionCandidates ranks the evictable flows: listed in the workload (an
+// unknown flow cannot be re-placed), of lower criticality (higher ID) than g,
+// with a transmission inside one of g's release/deadline windows. Higher
+// score — more blocking transmissions — first; ties go to the lowest-
+// criticality flow. It reads each listed flow through the per-flow index.
+func (d *deltaOp) evictionCandidates(g *flow.Flow) []evictCand {
+	onRoute := make([]bool, d.sched.NumNodes())
+	for _, l := range g.Route {
+		onRoute[l.From], onRoute[l.To] = true, true
 	}
-	score := make(map[int]int)
-	for _, tx := range d.sched.Txs() {
-		if tx.FlowID <= f.ID {
-			continue // equal or higher criticality: never evicted
+	lower := d.work[sort.Search(len(d.work), func(k int) bool { return d.work[k].ID > g.ID }):]
+	cands := make([]evictCand, 0, len(lower))
+	txs := make([]schedule.Tx, 0, 64)
+	for _, h := range lower {
+		txs = d.sched.FlowTxs(h.ID, txs[:0])
+		s := 0
+		for _, tx := range txs {
+			rel := tx.Slot - g.Phase
+			if rel < 0 || rel%g.Period >= g.Deadline {
+				continue // outside every instance window of g
+			}
+			s++
+			if onRoute[tx.Link.From] || onRoute[tx.Link.To] {
+				s += 8
+			}
 		}
-		if _, known := byID[tx.FlowID]; !known {
-			continue // cannot re-place a flow we do not know
+		if s > 0 {
+			cands = append(cands, evictCand{f: h, score: s})
 		}
-		rel := tx.Slot - f.Phase
-		if rel < 0 || rel%f.Period >= f.Deadline {
-			continue // outside every instance window of f
-		}
-		s := 1
-		if onRoute[tx.Link.From] || onRoute[tx.Link.To] {
-			s += 8
-		}
-		score[tx.FlowID] += s
 	}
-	cands := make([]evictCand, 0, len(score))
-	for id, s := range score {
-		cands = append(cands, evictCand{id: id, score: s})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+	slices.SortFunc(cands, func(a, b evictCand) int {
+		if a.score != b.score {
+			return cmp.Compare(b.score, a.score)
 		}
-		return cands[i].id > cands[j].id
+		return cmp.Compare(b.f.ID, a.f.ID)
 	})
 	return cands
 }
@@ -602,11 +604,17 @@ const cascadeBudget = 16
 // each iteration either places a pending flow or consumes budget. Returns
 // FallbackCascade when any eviction was transitive, FallbackEvict otherwise;
 // ok=false leaves the journal for the caller to roll back, as does an engine
-// error.
+// error. A workload out of strictly ascending ID order is an error: a
+// duplicated flow would be ranked, evicted and re-placed twice.
 func (d *deltaOp) evictCascade(f *flow.Flow) (fb Fallback, ok bool, err error) {
-	byID := flowsByID(d.work)
-	budget := cascadeBudget
 	fb = FallbackEvict
+	for i := 1; i < len(d.work); i++ {
+		if d.work[i].ID <= d.work[i-1].ID {
+			return fb, false, fmt.Errorf("scheduler: workload flow at position %d has ID %d after ID %d (priority order broken)",
+				i, d.work[i].ID, d.work[i-1].ID)
+		}
+	}
+	budget := cascadeBudget
 	var pending []*flow.Flow
 	evictedBefore := len(d.evicted)
 	for g := f; g != nil; g = popHighest(&pending) {
@@ -619,15 +627,14 @@ func (d *deltaOp) evictCascade(f *flow.Flow) (fb Fallback, ok bool, err error) {
 			fb = FallbackCascade
 		}
 		placed := false
-		for _, c := range d.evictionCandidates(g, byID) {
+		for _, c := range d.evictionCandidates(g) {
 			if budget == 0 {
 				break
 			}
 			budget--
-			h := byID[c.id]
-			d.removeFlow(h.ID)
-			d.evicted = append(d.evicted, h.ID)
-			pending = append(pending, h)
+			d.removeFlow(c.f.ID)
+			d.evicted = append(d.evicted, c.f.ID)
+			pending = append(pending, c.f)
 			if placed, err = d.placeFlow(g); placed || err != nil {
 				break
 			}
@@ -643,18 +650,11 @@ func (d *deltaOp) evictCascade(f *flow.Flow) (fb Fallback, ok bool, err error) {
 // popHighest removes and returns the highest-criticality (lowest ID) flow of
 // pending, or nil when it is empty.
 func popHighest(pending *[]*flow.Flow) *flow.Flow {
-	p := *pending
-	if len(p) == 0 {
+	if len(*pending) == 0 {
 		return nil
 	}
-	best := 0
-	for i, g := range p {
-		if g.ID < p[best].ID {
-			best = i
-		}
-	}
-	g := p[best]
-	*pending = append(p[:best], p[best+1:]...)
+	g := slices.MinFunc(*pending, func(a, b *flow.Flow) int { return cmp.Compare(a.ID, b.ID) })
+	*pending = slices.DeleteFunc(*pending, func(h *flow.Flow) bool { return h == g })
 	return g
 }
 

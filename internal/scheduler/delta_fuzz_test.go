@@ -267,3 +267,151 @@ func fuzzCommit(active []*flow.Flow, batch []BatchOp) []*flow.Flow {
 	}
 	return active
 }
+
+// refNet is the journal netting as it was before finish sorted the journal:
+// a one-kind journal copied in order, a mixed one summed through a map, then
+// either put in canonical order by schedule.SortChanges. It is kept verbatim
+// as the reference FuzzJournalNet holds finish to.
+func refNet(ops []deltaJournalEntry) []schedule.Change {
+	removals := 0
+	for _, e := range ops {
+		if !e.place {
+			removals++
+		}
+	}
+	var changes []schedule.Change
+	if removals == 0 || removals == len(ops) {
+		kind := schedule.Added
+		if removals > 0 {
+			kind = schedule.Removed
+		}
+		changes = make([]schedule.Change, len(ops))
+		for i, e := range ops {
+			changes[i] = schedule.Change{Kind: kind, Tx: e.tx}
+		}
+	} else {
+		net := make(map[schedule.Tx]int, len(ops))
+		for _, e := range ops {
+			if e.place {
+				net[e.tx]++
+			} else {
+				net[e.tx]--
+			}
+		}
+		changes = make([]schedule.Change, 0, len(net))
+		for tx, n := range net {
+			switch {
+			case n > 0:
+				changes = append(changes, schedule.Change{Kind: schedule.Added, Tx: tx})
+			case n < 0:
+				changes = append(changes, schedule.Change{Kind: schedule.Removed, Tx: tx})
+			}
+		}
+	}
+	schedule.SortChanges(changes)
+	return changes
+}
+
+// journalTx decodes a transmission from two bytes. The fields span a small
+// range, so journals revisit the same slot, flow, hop and attempt often; w
+// picks the offset and one of two links per hop, as a detour would.
+func journalTx(v, w byte) schedule.Tx {
+	slot, flowID, hop, via := int(v%8), int(v/8%4), int(v/32%2), 4*int(w/3%2)
+	return schedule.Tx{FlowID: flowID, Instance: slot / 4, Hop: hop, Attempt: int(v / 64 % 2),
+		Link: flow.Link{From: via + hop, To: via + hop + 1}, Slot: slot, Offset: int(w % 3)}
+}
+
+// FuzzJournalNet holds finish's one-sort netting to the reference map
+// netting, byte for byte, on random journals of a valid grid: no two
+// present transmissions share a slot, flow, hop and attempt. data[0] seeds
+// the initial grid with up to seven transmissions of two bytes each; then
+// every two bytes [k, v] are one step, by k%4: remove a present
+// transmission, place a new one, move a present transmission to another
+// offset or link in its slot, or re-place the last one removed (a placement
+// that cancels a removal).
+func FuzzJournalNet(f *testing.F) {
+	// Pure placements, pure removals, same-slot offset and link moves among
+	// a repeat and a fresh placement, and removals cancelled by re-placements.
+	f.Add([]byte{0, 1, 3, 1, 9})
+	f.Add([]byte{3, 0, 0, 8, 1, 16, 2, 0, 0, 0, 0})
+	f.Add([]byte{2, 9, 0, 17, 1, 6, 0, 2, 0, 3, 0, 1, 40, 0, 0})
+	f.Add([]byte{4, 1, 0, 2, 0, 3, 0, 4, 0, 0, 1, 3, 0, 5, 6, 0, 0, 3, 0, 1, 200})
+	// Offset moves back and forth in a journal long enough that the sort is
+	// not stable: a key without the offset splits a run of equal
+	// transmissions.
+	f.Add([]byte("10020101010201010102020&0&020"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 1+2*64 {
+			return
+		}
+		key := func(tx schedule.Tx) [4]int { return [4]int{tx.Slot, tx.FlowID, tx.Hop, tx.Attempt} }
+		var present []schedule.Tx
+		held := map[[4]int]bool{}
+		var ops []deltaJournalEntry
+		var last *schedule.Tx
+		place := func(tx schedule.Tx, journal bool) {
+			if held[key(tx)] {
+				return
+			}
+			held[key(tx)] = true
+			present = append(present, tx)
+			if journal {
+				ops = append(ops, deltaJournalEntry{place: true, tx: tx})
+			}
+		}
+		remove := func(i int) schedule.Tx {
+			tx := present[i]
+			present = slices.Delete(present, i, i+1)
+			delete(held, key(tx))
+			ops = append(ops, deltaJournalEntry{tx: tx})
+			last = &tx
+			return tx
+		}
+		n0 := min(int(data[0]%8), (len(data)-1)/2)
+		for i := 0; i < n0; i++ {
+			place(journalTx(data[1+2*i], data[2+2*i]), false)
+		}
+		for steps := data[1+2*n0:]; len(steps) >= 2; steps = steps[2:] {
+			k, v := steps[0], steps[1]
+			switch k % 4 {
+			case 0:
+				if len(present) > 0 {
+					remove(int(v) % len(present))
+				}
+			case 1:
+				place(journalTx(v, k/4), true)
+			case 2:
+				if len(present) > 0 {
+					tx := remove(int(v) % len(present))
+					if k/4%2 == 0 {
+						tx.Offset = (tx.Offset + 1) % 3
+					} else {
+						tx.Link = flow.Link{From: tx.Link.From ^ 4, To: tx.Link.To ^ 4}
+					}
+					place(tx, true)
+				}
+			case 3:
+				if last != nil {
+					place(*last, true)
+				}
+			}
+		}
+		want := refNet(ops)
+		d := &deltaOp{ops: slices.Clone(ops), replays: 2}
+		var res DeltaResult
+		d.finish(&res)
+		if !reflect.DeepEqual(res.Changes, want) {
+			t.Fatalf("journal %v:\n got %v\nwant %v", ops, res.Changes, want)
+		}
+		placed := 0
+		for _, e := range ops {
+			if e.place {
+				placed++
+			}
+		}
+		if res.PlacementOps != placed+2 || res.RemovalOps != len(ops)-placed {
+			t.Fatalf("counted %d placements and %d removals, journal has %d and %d (plus 2 replays)",
+				res.PlacementOps, res.RemovalOps, placed, len(ops)-placed)
+		}
+	})
+}

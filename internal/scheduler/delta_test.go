@@ -936,13 +936,12 @@ func TestRerouteFlowDeltaAdaptsBudget(t *testing.T) {
 	}
 }
 
-// TestEvictionCandidatesDeterministic pins the eviction ranking against two
-// nondeterminism hazards: the score tally is accumulated in a map (iteration
-// order varies run to run) and sort.Slice is unstable — ties broken anywhere
-// but the comparator would leak map order into the eviction sequence, and
-// with it the delta's Changes. Equal-criticality colliders must rank by
-// score descending, then strictly by flow ID descending (lowest criticality
-// evicted first), identically on every evaluation.
+// TestEvictionCandidatesDeterministic pins the eviction ranking's order.
+// The sort is unstable, so only the comparator may decide it: equal-score
+// colliders must rank strictly by flow ID descending (lowest criticality
+// evicted first), never by the order the workload or the grid lists them,
+// and identically on every evaluation — the eviction sequence, and with it
+// the delta's Changes, follows this order.
 func TestEvictionCandidatesDeterministic(t *testing.T) {
 	const frame = 16
 	var flows []*flow.Flow
@@ -968,25 +967,22 @@ func TestEvictionCandidatesDeterministic(t *testing.T) {
 
 	f := &flow.Flow{ID: 0, Src: 0, Dst: 1, Period: frame, Deadline: frame}
 	routeThrough(f, 0, 1)
-	byID := make(map[int]*flow.Flow, len(flows))
-	for _, g := range flows {
-		byID[g.ID] = g
-	}
 	want := []int{22, 21, 20, 14, 13, 12, 11, 10, 33, 32, 31, 30}
 	for iter := 0; iter < 50; iter++ {
 		d := newDeltaOp(sched, cfg, flows)
-		cands := d.evictionCandidates(f, byID)
+		cands := d.evictionCandidates(f)
 		got := make([]int, len(cands))
 		for i, c := range cands {
-			got[i] = c.id
+			got[i] = c.f.ID
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: candidate order %v, want %v", iter, got, want)
 		}
 		for i := 1; i < len(cands); i++ {
 			a, b := cands[i-1], cands[i]
-			if a.score < b.score || (a.score == b.score && a.id < b.id) {
-				t.Fatalf("iter %d: ranking invariant broken at %d: %+v before %+v", iter, i, a, b)
+			if a.score < b.score || (a.score == b.score && a.f.ID < b.f.ID) {
+				t.Fatalf("iter %d: ranking invariant broken at %d: flow %d (score %d) before flow %d (score %d)",
+					iter, i, a.f.ID, a.score, b.f.ID, b.score)
 			}
 		}
 	}

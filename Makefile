@@ -26,12 +26,14 @@ microbench:
 # The server half is the multi-worker queue sweep (four schedule jobs plus
 # two simulate jobs on a Workers=4 pool, each schedule compared byte for
 # byte against a serial in-process run), and the scheduler half pins the
-# indexed schedulers byte-identical to the reference scans. The jobs half
+# indexed schedulers byte-identical to the reference scans and runs delta
+# churn streams on distinct grids at once, through the shared pooled
+# scratch, each equal to its serial replay. The jobs half
 # runs simulate, converge, manage and reschedule jobs concurrently on one
 # network's shared Testbed and compares every part with a serial run.
 # `wsansim soak` runs the same churn harness at evaluation scale (500 flows).
 soak-smoke:
-	$(GO) test -race -count=1 -run 'TestSoak|TestQueueSweepMultiWorker|TestScanVsIndexIdentical|TestConcurrentJobsShareTestbed' \
+	$(GO) test -race -count=1 -run 'TestSoak|TestQueueSweepMultiWorker|TestScanVsIndexIdentical|TestConcurrentJobsShareTestbed|TestConcurrentDeltaGrids' \
 		./internal/soak/ ./internal/server/ ./internal/scheduler/ ./internal/jobs/
 
 # lint runs go vet always, on the root module and on the nested bench/
@@ -54,15 +56,15 @@ lint:
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
 # ci is the tier-1+ gate: formatting, lint, the short test set under the
-# race detector, one iteration of every scheduler, radio and analysis
-# benchmark (so a benchmark that panics or no longer builds fails here,
+# race detector, one iteration of every scheduler, schedule, radio and
+# analysis benchmark (so a benchmark that panics or no longer builds fails here,
 # about a second), and the benchmark harness's tests. Run it before sending
 # changes.
 ci: lint
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) test -race -short ./...
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/scheduler ./internal/radio ./internal/analysis
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/scheduler ./internal/schedule ./internal/radio ./internal/analysis
 	$(MAKE) bench-test
 
 # e2e starts a real daemon and drives it over the wire with the wsanclient

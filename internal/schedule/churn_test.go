@@ -3,6 +3,8 @@ package schedule
 import (
 	"math/rand"
 	"testing"
+
+	"wsan/internal/flow"
 )
 
 // TestPairCountPropertyUnderRollback is the version-stamp staleness property
@@ -180,5 +182,53 @@ func TestResetEquivalentToNew(t *testing.T) {
 	}
 	if err := s.Reset(0, 1, 1); err == nil {
 		t.Fatal("Reset with non-positive dimensions should fail")
+	}
+}
+
+// TestChurnedGridReusesCellCarvings: a live grid whose transmissions keep
+// moving — removed whole and re-placed into other cells — must hold cell
+// storage for its current occupants, not for every cell it ever occupied.
+// Each round shifts 24 flows of two transmissions each to fresh slots, 20
+// of them sharing cells in pairs and 4 alone; after the first round the
+// arenas must not grow, where keeping each visited cell's carving would
+// need a chunk every few rounds.
+func TestChurnedGridReusesCellCarvings(t *testing.T) {
+	const slots, rounds = 2048, 200
+	s := mustNew(t, slots, 2, 100)
+	place := func(round int) {
+		for f := 0; f < 24; f++ {
+			slot := (round*48 + f*2) % slots
+			for hop := 0; hop < 2; hop++ {
+				// Below flow 20, flows 2k and 2k+1 share each cell of
+				// their pair of slots.
+				off := 0
+				if f%4 >= 2 {
+					off = 1
+				}
+				tx := Tx{FlowID: f, Hop: hop, Link: flow.Link{From: 4 * f, To: 4*f + 1 + hop}, Slot: (slot + hop) % slots, Offset: off}
+				if f%2 == 1 && f < 20 {
+					tx.Slot = (slot - 2 + hop + slots) % slots
+				}
+				if err := s.Place(tx); err != nil {
+					t.Fatalf("round %d flow %d hop %d: %v", round, f, hop, err)
+				}
+			}
+		}
+	}
+	place(0)
+	chunks := len(s.arena.chunks) + len(s.pairArena.chunks)
+	for round := 1; round < rounds; round++ {
+		for f := 0; f < 24; f++ {
+			if got := s.RemoveFlow(f, nil); len(got) != 2 {
+				t.Fatalf("round %d: flow %d removed %d transmissions, want 2", round, f, len(got))
+			}
+		}
+		place(round)
+		if round%40 == 0 {
+			checkIndexes(t, s)
+		}
+	}
+	if got := len(s.arena.chunks) + len(s.pairArena.chunks); got != chunks {
+		t.Fatalf("arenas grew from %d to %d chunks over %d rounds of churn", chunks, got, rounds)
 	}
 }

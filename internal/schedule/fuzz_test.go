@@ -76,15 +76,18 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzScheduleOps drives a schedule through arbitrary Place, Remove, Reset
-// and Clone sequences and checks after every operation that its indexes —
+// FuzzScheduleOps drives a schedule through arbitrary Place, Remove,
+// RemoveFlow, Reset and Clone sequences and checks after every operation
+// that its indexes —
 // the packed link column, the busy, occupancy and slot-full bitsets, the
 // busy counts, the cells and the per-flow positions — agree with the
 // transmission list, that a slot is full exactly when its occupied offsets
 // are 0..M−1 (checkFullSlots), and that Validate gives the reference's
 // verdict (checkValidateVerdict). Each op reads four bytes: the op kind and
 // three operands. Placements share three flow IDs, so removals move
-// transmissions within and across flows' position lists.
+// transmissions within and across flows' position lists. A whole-flow
+// removal must leave exactly what a loop of Remove leaves on an exact copy
+// (checkRemoveFlow).
 func FuzzScheduleOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 3, 4, 0, 0, 5, 6, 1, 1, 0, 0, 0})
 	f.Add([]byte{0, 1, 2, 65, 0, 3, 4, 65, 1, 1, 0, 0, 3, 0, 0, 0, 2, 70, 2, 9})
@@ -95,13 +98,22 @@ func FuzzScheduleOps(f *testing.F) {
 	// Fill slot 0's three offsets, Reset to the same shape and refill one,
 	// then Reset to one offset, where a single placement fills its slot.
 	f.Add([]byte{0, 0, 1, 0, 0, 10, 3, 0, 0, 20, 5, 0, 2, 79, 2, 6, 0, 0, 1, 0, 2, 79, 0, 6, 0, 0, 1, 0})
+	// Flows 0, 1, 2, 0, 1, 2, then flow 0 removed whole: flow 2's last
+	// transmission fills its first hole and flow 1's its second; then flow
+	// 2 and the absent flow 3.
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 3, 1, 0, 4, 5, 2, 0, 6, 7, 3, 0, 0, 1, 4, 0, 2, 3, 5, 4, 0, 0, 0, 4, 2, 0, 0, 4, 3, 0, 0})
+	// Flows 0, 1, 0, 0 (clones keep the op index off flows 1 and 2), then
+	// flow 0 removed whole: its own last transmission fills its first hole.
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 3, 0, 3, 0, 0, 0, 0, 4, 5, 1, 3, 0, 0, 0, 3, 0, 0, 0, 0, 0, 1, 2, 4, 0, 0, 0})
+	// Flows 0, 1, 1, then flow 1, which holds the tail, removed whole.
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 3, 0, 3, 0, 0, 0, 3, 0, 0, 0, 0, 4, 5, 1, 4, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := New(80, 3, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i+4 <= len(data); i += 4 {
-			op, a, b, c := data[i]%4, int(data[i+1]), int(data[i+2]), int(data[i+3])
+			op, a, b, c := data[i]%5, int(data[i+1]), int(data[i+2]), int(data[i+3])
 			switch op {
 			case 0: // place; rejections (conflicts, bad links) are fine
 				n := s.NumNodes()
@@ -119,6 +131,8 @@ func FuzzScheduleOps(f *testing.F) {
 				}
 			case 3:
 				s = s.Clone()
+			case 4: // remove one flow whole, or the absent flow 3
+				checkRemoveFlow(t, s, a%4)
 			}
 			checkIndexes(t, s)
 			checkFullSlots(t, s)
@@ -126,6 +140,74 @@ func FuzzScheduleOps(f *testing.F) {
 			checkValidateVerdict(t, s)
 		}
 	})
+}
+
+// checkRemoveFlow removes flowID from s with RemoveFlow and fails t unless
+// it returned the flow's transmissions in FlowTxs order, after the prefix
+// it was given, and left s exactly as a loop of Remove in that order leaves
+// an exact copy: the Txs order, each cell's occupants in order, the packed
+// link column, the busy, occupancy and slot-full bitsets, the busy counts,
+// the node stamps, the per-flow positions and Version.
+func checkRemoveFlow(t *testing.T, s *Schedule, flowID int) {
+	t.Helper()
+	ref := exactCopy(s)
+	want := ref.FlowTxs(flowID, nil)
+	for _, tx := range want {
+		if err := ref.Remove(tx); err != nil {
+			t.Fatalf("reference remove of flow %d: %v", flowID, err)
+		}
+	}
+	prefix := []Tx{{FlowID: -2}}
+	got := s.RemoveFlow(flowID, prefix)
+	if !slices.Equal(got, append(prefix, want...)) {
+		t.Fatalf("RemoveFlow(%d) returned %v, want the prefix then %v", flowID, got, want)
+	}
+	switch {
+	case !slices.Equal(s.txs, ref.txs):
+		t.Fatalf("RemoveFlow(%d): Txs %v, Remove loop %v", flowID, s.txs, ref.txs)
+	case s.Version() != ref.Version():
+		t.Fatalf("RemoveFlow(%d): Version %d, Remove loop %d", flowID, s.Version(), ref.Version())
+	case !slices.Equal(s.nodeBusy, ref.nodeBusy) || !slices.Equal(s.occ, ref.occ) ||
+		!slices.Equal(s.slotFull, ref.slotFull) || !slices.Equal(s.busyCnt, ref.busyCnt) ||
+		!slices.Equal(s.nodeVer, ref.nodeVer):
+		t.Fatalf("RemoveFlow(%d): bitsets, busy counts or node stamps differ from the Remove loop's", flowID)
+	case !slices.Equal(s.cellLink, ref.cellLink):
+		t.Fatalf("RemoveFlow(%d): packed link column differs from the Remove loop's", flowID)
+	case len(s.flowPos) != len(ref.flowPos):
+		t.Fatalf("RemoveFlow(%d): %d indexed flows, Remove loop %d", flowID, len(s.flowPos), len(ref.flowPos))
+	}
+	for i := range s.cells {
+		if !slices.Equal(s.cells[i], ref.cells[i]) {
+			t.Fatalf("RemoveFlow(%d): cell %d holds %v, Remove loop %v", flowID, i, s.cells[i], ref.cells[i])
+		}
+	}
+	for id, pos := range ref.flowPos {
+		if !slices.Equal(s.flowPos[id], pos) {
+			t.Fatalf("RemoveFlow(%d): flow %d positions %v, Remove loop %v", flowID, id, s.flowPos[id], pos)
+		}
+	}
+}
+
+// exactCopy deep-copies s field by field, keeping what Clone rebuilds
+// instead: each cell's occupant order, the node stamps and Version.
+func exactCopy(s *Schedule) *Schedule {
+	cp := *s
+	cp.nodeBusy, cp.occ, cp.slotFull = slices.Clone(s.nodeBusy), slices.Clone(s.occ), slices.Clone(s.slotFull)
+	cp.cellLink, cp.txs = slices.Clone(s.cellLink), slices.Clone(s.txs)
+	cp.nodeVer, cp.busyCnt = slices.Clone(s.nodeVer), slices.Clone(s.busyCnt)
+	cp.arena, cp.pairArena, cp.pairs, cp.freePos = txArena{}, txArena{}, nil, nil
+	cp.freeSingles, cp.freeCells = nil, [maxCarveLog + 1][][]Tx{}
+	cp.cells = make([][]Tx, len(s.cells))
+	for i, c := range s.cells {
+		cp.cells[i] = slices.Clone(c)
+	}
+	if s.flowPos != nil {
+		cp.flowPos = make(map[int][]int32, len(s.flowPos))
+		for id, pos := range s.flowPos {
+			cp.flowPos[id] = slices.Clone(pos)
+		}
+	}
+	return &cp
 }
 
 // checkFullSlots fails t unless, for every slot, SlotFull, an occupied
@@ -151,7 +233,8 @@ func checkFullSlots(t testing.TB, s *Schedule) {
 
 // checkFlowTxs fails t unless FlowTxs agrees with a filtered pass over Txs,
 // order included, for every flow ID present and for one absent ID, and
-// appends to the buffer it is given.
+// appends to the buffer it is given; EachFlowSlotLink must visit the same
+// slots and links in the same order.
 func checkFlowTxs(t *testing.T, s *Schedule) {
 	t.Helper()
 	ids := []int{-1}
@@ -168,6 +251,17 @@ func checkFlowTxs(t *testing.T, s *Schedule) {
 		prefix := []Tx{{FlowID: -2}}
 		if got := s.FlowTxs(id, prefix); !slices.Equal(got, append(prefix, want...)) {
 			t.Fatalf("FlowTxs(%d, prefix) = %v, want the prefix then %v", id, got, want)
+		}
+		var seen []Tx
+		s.EachFlowSlotLink(id, func(slot int, l flow.Link) { seen = append(seen, Tx{Slot: slot, Link: l}) })
+		if len(seen) != len(want) {
+			t.Fatalf("EachFlowSlotLink(%d) visited %d transmissions, want %d", id, len(seen), len(want))
+		}
+		for i, tx := range want {
+			if seen[i].Slot != tx.Slot || seen[i].Link != tx.Link {
+				t.Fatalf("EachFlowSlotLink(%d) visit %d = slot %d link %v, want slot %d link %v",
+					id, i, seen[i].Slot, seen[i].Link, tx.Slot, tx.Link)
+			}
 		}
 	}
 }

@@ -85,6 +85,18 @@ type Schedule struct {
 	// recycled schedule re-carves the same memory.
 	arena     txArena
 	pairArena txArena
+	// freeSingles and freeCells[k] (k ≥ 1) hold the carvings of capacity
+	// 1 and 1<<k that no cell uses any more: a cell's carving when it
+	// moves to a doubled one (once the grid has removed a transmission),
+	// when its last occupant is removed, and a two-entry carving when its
+	// cell drops back to one occupant (which moves to a single-entry
+	// carving). carveCell hands them out before
+	// carving fresh arena memory, so a live grid under churn holds cell
+	// storage for its current occupants rather than for every cell it ever
+	// occupied. Single-entry carvings, the most numerous, are kept as
+	// 8-byte array pointers rather than 24-byte slices.
+	freeSingles []*[1]Tx
+	freeCells   [maxCarveLog + 1][][]Tx
 	// txs records all placements. The list is in placement order until the
 	// first removal; Remove fills the vacated position with the most recent
 	// placement, so ordering is not stable across removals.
@@ -94,8 +106,13 @@ type Schedule struct {
 	// from then on, so from-scratch scheduling (which never removes) stays
 	// map-free while churn-heavy workloads find a flow's transmissions, and
 	// a removed transmission's position, in time proportional to the flow
-	// instead of the grid.
-	flowPos map[int][]int
+	// instead of the grid. Positions are int32, halving the lists: a list
+	// of 2^31 transmissions (128 GiB) could not have been allocated.
+	flowPos map[int][]int32
+	// freePos holds up to maxFreePos emptied position lists of removed
+	// flows; a flow placed from nothing takes one instead of growing a new
+	// list, so churn that removes and re-adds flows stops allocating them.
+	freePos [][]int32
 
 	// nodeVer stamps each node's busy-bitset state; marking or clearing a
 	// busy bit bumps the node's stamp, so the pair counters below can tell a
@@ -151,6 +168,44 @@ func packLink(cell []Tx) uint32 {
 
 // arenaChunkLen is the carve granularity of a txArena chunk.
 const arenaChunkLen = 512
+
+// maxCarveLog is log2(arenaChunkLen): cell carvings have capacity 1<<k for
+// k in 0..maxCarveLog.
+const maxCarveLog = 9
+
+// carveCell returns an empty cell carving of capacity n, a power of two no
+// larger than arenaChunkLen: a released one of that size when there is one,
+// else fresh memory from arena (n = 1) or pairArena.
+func (s *Schedule) carveCell(n int) []Tx {
+	if n == 1 {
+		if k := len(s.freeSingles); k > 0 {
+			c := s.freeSingles[k-1][:0]
+			s.freeSingles = s.freeSingles[:k-1]
+			return c
+		}
+		return s.arena.carve(1)
+	}
+	k := bits.TrailingZeros(uint(n))
+	if free := s.freeCells[k]; len(free) > 0 {
+		c := free[len(free)-1]
+		s.freeCells[k] = free[:len(free)-1]
+		return c
+	}
+	return s.pairArena.carve(n)
+}
+
+// releaseCell keeps c, a carving no cell uses any more, for carveCell.
+// Capacities that carveCell cannot have produced (a cell grown past
+// arenaChunkLen by append) are left to the garbage collector.
+func (s *Schedule) releaseCell(c []Tx) {
+	switch n := cap(c); {
+	case n == 1:
+		s.freeSingles = append(s.freeSingles, (*[1]Tx)(c[:1]))
+	case n > 1 && n <= arenaChunkLen && n&(n-1) == 0:
+		k := bits.TrailingZeros(uint(n))
+		s.freeCells[k] = append(s.freeCells[k], c[:0])
+	}
+}
 
 // txArena hands out small cell carvings from fixed-size chunks. It keeps
 // every chunk it ever allocated: reset rewinds carving to the first chunk,
@@ -304,6 +359,13 @@ func (s *Schedule) Reset(numSlots, numOffsets, numNodes int) error {
 	s.flowPos = nil
 	s.arena.reset()
 	s.pairArena.reset()
+	// The released carvings alias the rewound chunks.
+	clear(s.freeSingles)
+	s.freeSingles = s.freeSingles[:0]
+	for k := range s.freeCells {
+		clear(s.freeCells[k])
+		s.freeCells[k] = s.freeCells[k][:0]
+	}
 	return nil
 }
 
@@ -433,13 +495,19 @@ func (s *Schedule) Place(tx Tx) error {
 	}
 	switch {
 	case cap(c) == 0:
-		c = s.arena.carve(1)
+		c = s.carveCell(1)
 	case len(c) == cap(c) && 2*len(c) <= arenaChunkLen:
 		// Full cell: carve a doubled chunk instead of letting append hit
-		// the heap allocator. The abandoned chunk stays in its arena until
-		// the next reset — bounded waste for pool-recycled grids.
-		grown := s.pairArena.carve(2 * len(c))
+		// the heap allocator. A grid that removes transmissions (its
+		// per-flow index exists) keeps the old carving for reuse; a
+		// from-scratch build (Run, Clone, Decode) leaves it, as Reset
+		// rewinds the arenas whole and the free lists' growth would cost
+		// every build.
+		grown := s.carveCell(2 * len(c))
 		grown = append(grown, c...)
+		if s.flowPos != nil {
+			s.releaseCell(c)
+		}
 		c = grown
 	}
 	s.cells[idx] = append(c, tx)
@@ -448,10 +516,25 @@ func (s *Schedule) Place(tx Tx) error {
 	}
 	s.txs = append(s.txs, tx)
 	if s.flowPos != nil {
+		pos, ok := s.flowPos[tx.FlowID]
+		if n := len(s.freePos); !ok && n > 0 {
+			pos, s.freePos = s.freePos[n-1], s.freePos[:n-1]
+		}
 		// The new position is the largest, so the list stays ascending.
-		s.flowPos[tx.FlowID] = append(s.flowPos[tx.FlowID], len(s.txs)-1)
+		s.flowPos[tx.FlowID] = append(pos, int32(len(s.txs)-1))
 	}
 	return nil
+}
+
+// maxFreePos bounds the emptied position lists a schedule keeps for reuse.
+const maxFreePos = 16
+
+// freeFlowPos keeps pos, the deleted position list of a removed flow, for
+// the next flow placed from nothing.
+func (s *Schedule) freeFlowPos(pos []int32) {
+	if len(s.freePos) < maxFreePos {
+		s.freePos = append(s.freePos, pos[:0])
+	}
 }
 
 // Remove deletes a previously placed transmission, freeing its endpoints'
@@ -471,9 +554,10 @@ func (s *Schedule) Remove(tx Tx) error {
 		return fmt.Errorf("remove tx flow %d: not placed", tx.FlowID)
 	}
 	s.ver++
-	idx := pos[i]
+	idx := int(pos[i])
 	if pos = slices.Delete(pos, i, i+1); len(pos) == 0 {
 		delete(s.flowPos, tx.FlowID)
+		s.freeFlowPos(pos)
 	} else {
 		s.flowPos[tx.FlowID] = pos
 	}
@@ -484,14 +568,78 @@ func (s *Schedule) Remove(tx Tx) error {
 		// moves to idx, re-inserted in order.
 		mp := s.flowPos[moved.FlowID]
 		mp = mp[:len(mp)-1]
-		at, _ := slices.BinarySearch(mp, idx)
-		s.flowPos[moved.FlowID] = slices.Insert(mp, at, idx)
+		at, _ := slices.BinarySearch(mp, int32(idx))
+		s.flowPos[moved.FlowID] = slices.Insert(mp, at, int32(idx))
 	}
 	s.txs = s.txs[:len(s.txs)-1]
+	s.unplace(&tx)
+	return nil
+}
+
+// RemoveFlow removes every placed transmission of flowID, appends them to
+// out in FlowTxs order and returns the extended slice. It leaves exactly
+// what a loop of Remove over FlowTxs(flowID) leaves — the cells, bitsets,
+// Version and the Txs order, which reaches Encode's output through its
+// unstable sort — but deletes the flow's position list with one map
+// operation and re-indexes each transmission Remove's swap-with-last
+// displaces once, instead of searching and re-indexing per removal. A flow
+// holding the tail of Txs (a placement just made) leaves the rest of the
+// list untouched.
+func (s *Schedule) RemoveFlow(flowID int, out []Tx) []Tx {
+	s.buildFlowPos()
+	pos, ok := s.flowPos[flowID]
+	if !ok {
+		return out
+	}
+	delete(s.flowPos, flowID)
+	base := len(out)
+	for _, p := range pos {
+		out = append(out, s.txs[p])
+	}
+	s.ver += uint64(len(pos))
+	n := int32(len(s.txs))
+	if pos[0] != n-int32(len(pos)) {
+		// Replay Remove's swap-with-last removal by removal. pos[j] tracks
+		// where the flow's j-th transmission, in FlowTxs order, sits now.
+		for _, idx := range pos {
+			n--
+			if idx == n {
+				continue
+			}
+			moved := s.txs[n]
+			s.txs[idx] = moved
+			if moved.FlowID == flowID {
+				// One of the flow's later transmissions fills the hole.
+				k := len(pos) - 1
+				for pos[k] != n {
+					k--
+				}
+				pos[k] = idx
+				continue
+			}
+			// n is the largest position, so it ends its flow's list; idx
+			// takes its place in order, within the list's own storage.
+			mp := s.flowPos[moved.FlowID]
+			at, _ := slices.BinarySearch(mp[:len(mp)-1], idx)
+			copy(mp[at+1:], mp[at:len(mp)-1])
+			mp[at] = idx
+		}
+	}
+	s.txs = s.txs[:len(s.txs)-len(pos)]
+	s.freeFlowPos(pos)
+	for i := base; i < len(out); i++ {
+		s.unplace(&out[i])
+	}
+	return out
+}
+
+// unplace frees a removed transmission's cell entry and its endpoints' busy
+// bits. Removal from a cell keeps the order of its other occupants.
+func (s *Schedule) unplace(tx *Tx) {
 	cellIdx := tx.Slot*s.numOffsets + tx.Offset
 	cell := s.cells[cellIdx]
-	for i, placed := range cell {
-		if placed == tx {
+	for i := range cell {
+		if cell[i] == *tx {
 			s.cells[cellIdx] = append(cell[:i], cell[i+1:]...)
 			break
 		}
@@ -499,13 +647,19 @@ func (s *Schedule) Remove(tx Tx) error {
 	if s.cellLink != nil {
 		s.cellLink[cellIdx] = packLink(s.cells[cellIdx]) // a last occupant is re-packed
 	}
-	if len(s.cells[cellIdx]) == 0 {
+	switch c := s.cells[cellIdx]; {
+	case len(c) == 0:
 		s.occ[tx.Slot*s.offWords+tx.Offset/64] &^= 1 << uint(tx.Offset%64)
 		s.slotFull[tx.Slot/64] &^= 1 << uint(tx.Slot%64)
+		s.releaseCell(c)
+		s.cells[cellIdx] = nil
+	case len(c) == 1 && cap(c) == 2:
+		// Back to one occupant: move it to a single-entry carving.
+		s.cells[cellIdx] = append(s.carveCell(1), c[0])
+		s.releaseCell(c)
 	}
 	s.clearBusy(tx.Link.From, tx.Slot)
 	s.clearBusy(tx.Link.To, tx.Slot)
-	return nil
 }
 
 // FlowTxs appends the flow's placed transmissions to buf, in Txs order —
@@ -521,15 +675,33 @@ func (s *Schedule) FlowTxs(flowID int, buf []Tx) []Tx {
 	return buf
 }
 
+// EachFlowSlotLink calls fn with the slot and link of each of the flow's
+// placed transmissions, in FlowTxs order, read in place: no transmission is
+// copied. The view lasts only as long as the call and must not span a
+// mutation of s: fn placing or removing a transmission makes EachFlowSlotLink
+// panic as fn returns. Like FlowTxs it may build the per-flow index, so it
+// is not safe for concurrent use with any other call on s.
+func (s *Schedule) EachFlowSlotLink(flowID int, fn func(slot int, l flow.Link)) {
+	s.buildFlowPos()
+	ver := s.ver
+	for _, p := range s.flowPos[flowID] {
+		tx := &s.txs[p]
+		fn(tx.Slot, tx.Link)
+		if s.ver != ver {
+			panic("schedule: EachFlowSlotLink spans a grid mutation")
+		}
+	}
+}
+
 // buildFlowPos builds the per-flow position index from txs if it is absent.
 // Positions are appended in txs order, so each list is ascending.
 func (s *Schedule) buildFlowPos() {
 	if s.flowPos != nil {
 		return
 	}
-	s.flowPos = make(map[int][]int)
+	s.flowPos = make(map[int][]int32)
 	for i, tx := range s.txs {
-		s.flowPos[tx.FlowID] = append(s.flowPos[tx.FlowID], i)
+		s.flowPos[tx.FlowID] = append(s.flowPos[tx.FlowID], int32(i))
 	}
 }
 

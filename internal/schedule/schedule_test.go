@@ -1,8 +1,10 @@
 package schedule
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -476,5 +478,119 @@ func TestCellLinksWideNodeSpace(t *testing.T) {
 	}
 	if s.CellLinks(3) != nil {
 		t.Fatal("CellLinks non-nil after Reset to 70000 nodes")
+	}
+}
+
+// TestEachFlowSlotLinkSpansNoMutation: the in-place view of a flow's
+// transmissions cannot span a grid mutation. A callback that places,
+// removes or removes a whole flow makes the iteration panic as it returns,
+// before any read of a moved transmission; a callback that only reads runs
+// to the end. make ci runs this under the race detector.
+func TestEachFlowSlotLinkSpansNoMutation(t *testing.T) {
+	build := func() *Schedule {
+		s := mustNew(t, 10, 1, 6)
+		for i, tx := range []Tx{
+			{FlowID: 1, Link: flow.Link{From: 0, To: 1}, Slot: 0},
+			{FlowID: 2, Link: flow.Link{From: 2, To: 3}, Slot: 0},
+			{FlowID: 1, Hop: 1, Link: flow.Link{From: 1, To: 2}, Slot: 1},
+			{FlowID: 1, Instance: 1, Link: flow.Link{From: 0, To: 1}, Slot: 5},
+		} {
+			if err := s.Place(tx); err != nil {
+				t.Fatalf("tx %d: %v", i, err)
+			}
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Schedule)
+	}{
+		{"place", func(s *Schedule) { _ = s.Place(Tx{FlowID: 3, Link: flow.Link{From: 4, To: 5}, Slot: 9}) }},
+		{"remove", func(s *Schedule) { _ = s.Remove(s.Txs()[1]) }},
+		{"remove flow", func(s *Schedule) { s.RemoveFlow(2, nil) }},
+		{"remove own flow", func(s *Schedule) { s.RemoveFlow(1, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := build()
+			visits := 0
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "spans a grid mutation") {
+						t.Fatalf("recovered %v, want the span panic", r)
+					}
+				}()
+				s.EachFlowSlotLink(1, func(int, flow.Link) {
+					visits++
+					if visits == 2 {
+						tc.mutate(s)
+					}
+				})
+			}()
+			if visits != 2 {
+				t.Fatalf("%d visits, want the iteration stopped at the mutating second", visits)
+			}
+		})
+	}
+	s := build()
+	var slots []int
+	s.EachFlowSlotLink(1, func(slot int, _ flow.Link) { slots = append(slots, slot) })
+	if !slices.Equal(slots, []int{0, 1, 5}) {
+		t.Fatalf("read-only visit saw slots %v, want [0 1 5]", slots)
+	}
+}
+
+// churnedSchedule is a grid shaped like one delta-churn plant: 500 flows of
+// up to 16 transmissions on 1600 slots, 8 offsets and 140 nodes, whose
+// transmission list has been shuffled by a round of whole-flow removals and
+// re-placements.
+func churnedSchedule(b *testing.B) *Schedule {
+	s, err := New(1600, 8, 140)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for f := 0; f < 500; f++ {
+		for n := 0; n < 16; n++ {
+			_ = s.Place(Tx{FlowID: f, Hop: n, Link: flow.Link{From: rng.Intn(140), To: rng.Intn(140)},
+				Slot: rng.Intn(1600), Offset: rng.Intn(8)})
+		}
+	}
+	for f := 0; f < 500; f += 3 {
+		for _, tx := range s.RemoveFlow(f, nil) {
+			_ = s.Place(tx)
+		}
+	}
+	return s
+}
+
+// BenchmarkRemoveFlow times removing one flow's transmissions with
+// RemoveFlow and placing them back; BenchmarkRemoveFlowLoop does the same
+// with a loop of Remove over FlowTxs, which leaves the same grid.
+func BenchmarkRemoveFlow(b *testing.B) {
+	s := churnedSchedule(b)
+	var buf []Tx
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = s.RemoveFlow(i%500, buf[:0])
+		for _, tx := range buf {
+			_ = s.Place(tx)
+		}
+	}
+}
+
+func BenchmarkRemoveFlowLoop(b *testing.B) {
+	s := churnedSchedule(b)
+	var buf []Tx
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = s.FlowTxs(i%500, buf[:0])
+		for _, tx := range buf {
+			_ = s.Remove(tx)
+		}
+		for _, tx := range buf {
+			_ = s.Place(tx)
+		}
 	}
 }

@@ -29,6 +29,14 @@
 //
 // Repair and compact ops never descend the ladder (see relocate.go).
 //
+// A call draws its per-op memory from deltaPool and returns it when done:
+// the journal, the buffer a flow's removed transmissions pass through, the
+// eviction ranking's scratch and the engine's RC candidate tables. An op
+// therefore allocates its result and little else, and no field of a result
+// aliases pooled memory. A removal takes a flow out whole with
+// schedule.RemoveFlow, which leaves what a loop of Remove calls leaves, so
+// the journal and every rollback replay are unchanged.
+//
 // The ladder keeps one rule: a rung never moves a flow the caller's workload
 // does not list. The cascade rung evicts only listed flows, and the full
 // rung is not taken when the rolled-back grid holds an unlisted flow (its
@@ -201,6 +209,7 @@ func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg
 		work = slices.Clone(flows)
 	}
 	d := newDeltaOp(sched, cfg, work)
+	defer d.release()
 	out := &BatchResult{DeltaResult: DeltaResult{FailedFlow: -1}, Flows: flows}
 	for i, op := range ops {
 		mark := len(d.ops)
@@ -249,14 +258,15 @@ type deltaJournalEntry struct {
 
 // deltaOp carries one operation's state: the live schedule, a placement
 // engine bound to it, the workload as of the current op, and the mutation
-// journal.
+// journal. deltaOps are recycled through deltaPool, so their buffers outlive
+// the call that filled them: nothing a result returns may alias them.
 type deltaOp struct {
 	sched *schedule.Schedule
 	cfg   Config
 	eng   engine
 	// work is the workload in priority order before the current op. An
 	// untracked single op reads the caller's slice; a tracked call owns a
-	// copy it updates after each op.
+	// copy it updates after each op and returns as BatchResult.Flows.
 	work []*flow.Flow
 	ops  []deltaJournalEntry
 
@@ -268,14 +278,64 @@ type deltaOp struct {
 	// replays counts full-rung placements into scratch grids, which the
 	// journal does not see.
 	replays int
+
+	// Scratch: removeFlow's output before it is journaled, the eviction
+	// ranking's route marks (indexed by node) and its bounded candidate
+	// list, and the cascade's pending re-placements.
+	txBuf   []schedule.Tx
+	onRoute []bool
+	cands   []evictCand
+	pending []*flow.Flow
 }
 
+// deltaPool recycles deltaOps across applyDelta calls, as scratchPool
+// recycles full-rung grids: the journal, the transmission buffer, the
+// ranking's scratch and the engine's RC candidate tables, per-hop handles
+// and attempt counts are allocated once per P instead of once per op.
+var deltaPool = sync.Pool{New: func() any { return new(deltaOp) }}
+
+// Caps on the buffers a released deltaOp keeps. A full rung journals the
+// net diff of the whole grid; pooling journals of that size would hold
+// grid-sized memory per P for the rare op that needs it, so a larger buffer
+// is dropped and such an op allocates its own. On the 500-flow churn grid
+// fewer than one op in four thousand journals more than 2048 entries.
+const (
+	maxPooledJournal = 1 << 11
+	maxPooledTxs     = 1 << 8
+)
+
+// newDeltaOp takes a deltaOp from deltaPool bound to sched, cfg and work.
+// The caller releases it once the result is filled.
 func newDeltaOp(sched *schedule.Schedule, cfg Config, work []*flow.Flow) *deltaOp {
 	lambdaR := 0
 	if cfg.Algorithm == RC {
 		lambdaR = cfg.HopGR.Diameter()
 	}
-	return &deltaOp{sched: sched, cfg: cfg, eng: newEngine(cfg, sched, lambdaR), work: work}
+	d := deltaPool.Get().(*deltaOp)
+	d.sched, d.cfg, d.work = sched, cfg, work
+	d.eng.recycle(cfg, sched, lambdaR)
+	return d
+}
+
+// release returns d to deltaPool. It drops every pointer into a grid, a
+// workload or a config, so the pool retains none of them, and every buffer
+// grown past its cap. The result owns unmovable, which is not reused.
+func (d *deltaOp) release() {
+	d.eng.recycle(Config{}, nil, 0)
+	clear(d.cands[:cap(d.cands)])
+	clear(d.pending[:cap(d.pending)])
+	*d = deltaOp{eng: d.eng, ops: keepBuf(d.ops, maxPooledJournal), txBuf: keepBuf(d.txBuf, maxPooledTxs),
+		evicted: d.evicted[:0], onRoute: d.onRoute, cands: d.cands[:0], pending: d.pending[:0]}
+	deltaPool.Put(d)
+}
+
+// keepBuf returns buf emptied for reuse, or nil when its capacity exceeds
+// limit.
+func keepBuf[T any](buf []T, limit int) []T {
+	if cap(buf) > limit {
+		return nil
+	}
+	return buf[:0]
 }
 
 // begin validates op against the grid and the workload and performs its
@@ -376,11 +436,10 @@ func (d *deltaOp) placeFlow(f *flow.Flow) (bool, error) {
 	hyper := d.sched.NumSlots()
 	for inst := 0; inst < hyper/f.Period; inst++ {
 		if ok, err := d.eng.scheduleInstance(f, inst); !ok {
-			txs := append([]schedule.Tx(nil), d.sched.Txs()[base:]...)
-			for i := len(txs) - 1; i >= 0; i-- {
-				// Removing a just-placed transmission cannot fail.
-				_ = d.sched.Remove(txs[i])
-			}
+			// f held nothing before this call, so its transmissions are
+			// exactly the tail Txs()[base:], and removing them whole leaves
+			// the list as it was.
+			d.txBuf = d.sched.RemoveFlow(f.ID, d.txBuf[:0])
 			return false, err
 		}
 	}
@@ -392,17 +451,16 @@ func (d *deltaOp) placeFlow(f *flow.Flow) (bool, error) {
 	return true, nil
 }
 
-// removeFlow removes every scheduled transmission of flowID, journaled.
-// Returns how many transmissions were removed.
+// removeFlow removes every scheduled transmission of flowID, journaled in
+// the order a loop of Remove over FlowTxs would remove them, so a rollback
+// re-places them exactly as before. Returns how many were removed.
 func (d *deltaOp) removeFlow(flowID int) int {
-	txs := d.sched.FlowTxs(flowID, nil)
-	for _, tx := range txs {
-		// The transmission was just read from the schedule; Remove cannot
-		// fail.
-		_ = d.sched.Remove(tx)
+	d.txBuf = d.sched.RemoveFlow(flowID, d.txBuf[:0])
+	d.ops = slices.Grow(d.ops, len(d.txBuf))
+	for _, tx := range d.txBuf {
 		d.ops = append(d.ops, deltaJournalEntry{tx: tx})
 	}
-	return len(txs)
+	return len(d.txBuf)
 }
 
 // rollbackTo replays the journal suffix past mark in reverse, restoring the
@@ -469,7 +527,7 @@ func (d *deltaOp) finish(res *DeltaResult) {
 	res.Changes = slices.Delete(res.Changes[:a], r, res.RemovalOps)
 	if len(d.evicted) > 0 {
 		slices.Sort(d.evicted)
-		res.Evicted = slices.Compact(d.evicted)
+		res.Evicted = slices.Clone(slices.Compact(d.evicted))
 	}
 	res.Moved, res.Unmovable = d.moved, d.unmovable
 	res.Schedulable = true
@@ -549,42 +607,64 @@ type evictCand struct {
 	score int
 }
 
-// evictionCandidates ranks the evictable flows: listed in the workload (an
-// unknown flow cannot be re-placed), of lower criticality (higher ID) than g,
-// with a transmission inside one of g's release/deadline windows. Higher
-// score — more blocking transmissions — first; ties go to the lowest-
-// criticality flow. It reads each listed flow through the per-flow index.
-func (d *deltaOp) evictionCandidates(g *flow.Flow) []evictCand {
-	onRoute := make([]bool, d.sched.NumNodes())
+// ranksBefore reports whether c ranks before o: a higher score — more
+// blocking transmissions — first, ties to the lower-criticality (higher ID)
+// flow. The key is unique in a workload of distinct IDs.
+func (c evictCand) ranksBefore(o evictCand) bool {
+	return c.score > o.score || c.score == o.score && c.f.ID > o.f.ID
+}
+
+// evictionCandidates ranks the evictable flows — listed in the workload (an
+// unknown flow cannot be re-placed), of lower criticality (higher ID) than
+// g, with a transmission inside one of g's release/deadline windows — and
+// returns the first k of the ranking, all a cascade with k evictions left
+// can consume. It reads each listed flow's slots and links in place through
+// the per-flow index and keeps only the k best so far, in rank order. The
+// result is d's scratch, valid until the next call.
+func (d *deltaOp) evictionCandidates(g *flow.Flow, k int) []evictCand {
+	if k <= 0 {
+		return nil
+	}
+	if n := d.sched.NumNodes(); len(d.onRoute) < n {
+		d.onRoute = make([]bool, n)
+	}
+	onRoute := d.onRoute
 	for _, l := range g.Route {
 		onRoute[l.From], onRoute[l.To] = true, true
 	}
-	lower := d.work[sort.Search(len(d.work), func(k int) bool { return d.work[k].ID > g.ID }):]
-	cands := make([]evictCand, 0, len(lower))
-	txs := make([]schedule.Tx, 0, 64)
+	lower := d.work[sort.Search(len(d.work), func(i int) bool { return d.work[i].ID > g.ID }):]
+	cands := d.cands[:0]
 	for _, h := range lower {
-		txs = d.sched.FlowTxs(h.ID, txs[:0])
 		s := 0
-		for _, tx := range txs {
-			rel := tx.Slot - g.Phase
+		d.sched.EachFlowSlotLink(h.ID, func(slot int, l flow.Link) {
+			rel := slot - g.Phase
 			if rel < 0 || rel%g.Period >= g.Deadline {
-				continue // outside every instance window of g
+				return // outside every instance window of g
 			}
 			s++
-			if onRoute[tx.Link.From] || onRoute[tx.Link.To] {
+			if onRoute[l.From] || onRoute[l.To] {
 				s += 8
 			}
+		})
+		c := evictCand{f: h, score: s}
+		if s == 0 || len(cands) == k && !c.ranksBefore(cands[k-1]) {
+			continue
 		}
-		if s > 0 {
-			cands = append(cands, evictCand{f: h, score: s})
+		i := len(cands)
+		if i < k {
+			cands = append(cands, c)
+		} else {
+			i-- // c displaces the k-th
 		}
+		for ; i > 0 && c.ranksBefore(cands[i-1]); i-- {
+			cands[i] = cands[i-1]
+		}
+		cands[i] = c
 	}
-	slices.SortFunc(cands, func(a, b evictCand) int {
-		if a.score != b.score {
-			return cmp.Compare(b.score, a.score)
-		}
-		return cmp.Compare(b.f.ID, a.f.ID)
-	})
+	for _, l := range g.Route {
+		onRoute[l.From], onRoute[l.To] = false, false
+	}
+	d.cands = cands
 	return cands
 }
 
@@ -615,9 +695,9 @@ func (d *deltaOp) evictCascade(f *flow.Flow) (fb Fallback, ok bool, err error) {
 		}
 	}
 	budget := cascadeBudget
-	var pending []*flow.Flow
+	d.pending = d.pending[:0]
 	evictedBefore := len(d.evicted)
-	for g := f; g != nil; g = popHighest(&pending) {
+	for g := f; g != nil; g = popHighest(&d.pending) {
 		if g != f {
 			if ok, err = d.placeFlow(g); err != nil {
 				return fb, false, err
@@ -627,14 +707,11 @@ func (d *deltaOp) evictCascade(f *flow.Flow) (fb Fallback, ok bool, err error) {
 			fb = FallbackCascade
 		}
 		placed := false
-		for _, c := range d.evictionCandidates(g) {
-			if budget == 0 {
-				break
-			}
+		for _, c := range d.evictionCandidates(g, budget) {
 			budget--
 			d.removeFlow(c.f.ID)
 			d.evicted = append(d.evicted, c.f.ID)
-			pending = append(pending, c.f)
+			d.pending = append(d.pending, c.f)
 			if placed, err = d.placeFlow(g); placed || err != nil {
 				break
 			}

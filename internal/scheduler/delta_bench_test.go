@@ -23,7 +23,7 @@ type churnGrid struct {
 
 // newChurnGrid admits flows from a 1000-flow pool through AddFlowDelta
 // until 500 are scheduled.
-func newChurnGrid(b *testing.B) *churnGrid {
+func newChurnGrid(b testing.TB) *churnGrid {
 	b.Helper()
 	tb, err := topology.Indriya(1)
 	if err != nil {
@@ -71,7 +71,7 @@ func newChurnGrid(b *testing.B) *churnGrid {
 }
 
 // add admits f into the grid and, when the ladder places it, into active.
-func (g *churnGrid) add(b *testing.B, f *flow.Flow) {
+func (g *churnGrid) add(b testing.TB, f *flow.Flow) {
 	res, err := AddFlowDelta(g.sched, g.active, f, g.cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -83,7 +83,7 @@ func (g *churnGrid) add(b *testing.B, f *flow.Flow) {
 }
 
 // remove retires active[k] from the grid and returns it.
-func (g *churnGrid) remove(b *testing.B, k int) *flow.Flow {
+func (g *churnGrid) remove(b testing.TB, k int) *flow.Flow {
 	f := g.active[k]
 	if _, err := RemoveFlowDelta(g.sched, f.ID, nil); err != nil {
 		b.Fatal(err)

@@ -103,10 +103,12 @@ func randEquivFlow(rng *rand.Rand, id, frame int) *flow.Flow {
 // workloads are empty, and some queries are a listed flow's rerouted copy,
 // which shares its ID with the listed original. One deltaOp answers every
 // query of a grid, so its reused route marks must not leak between them.
+// Each query but the first is bounded to a random cascade budget and must
+// return exactly that prefix of the reference ranking.
 func TestEvictionCandidatesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	_, hop := ringGraph(equivNodes)
-	var ranked, unlisted, empty, copies int
+	var ranked, unlisted, empty, copies, truncated int
 	for trial := 0; trial < 400; trial++ {
 		frame := []int{8, 16, 32}[rng.Intn(3)]
 		cfg := Config{Algorithm: []Algorithm{NR, RA, RC}[rng.Intn(3)], NumChannels: 1 + rng.Intn(3), RhoT: 2, HopGR: hop}
@@ -149,8 +151,17 @@ func TestEvictionCandidatesMatchReference(t *testing.T) {
 				g = &m
 				copies++
 			}
-			got := d.evictionCandidates(g)
+			// A cascade consumes at most its remaining budget of the
+			// ranking; the bounded ranking must be exactly that prefix.
+			k := 1 + rng.Intn(cascadeBudget)
+			if q == 0 {
+				k = len(work)
+			}
+			got := d.evictionCandidates(g, k)
 			want := refEvictionCandidates(sched, g, byID)
+			if len(want) > k {
+				want, truncated = want[:k], truncated+1
+			}
 			gotIDs := make([]refEvictCand, len(got))
 			for i, c := range got {
 				if c.f != byID[c.f.ID] {
@@ -171,9 +182,9 @@ func TestEvictionCandidatesMatchReference(t *testing.T) {
 			ranked += len(got)
 		}
 	}
-	if ranked == 0 || unlisted == 0 || empty == 0 || copies == 0 {
-		t.Fatalf("weak coverage: %d candidates ranked, %d grids with unlisted flows, %d empty workloads, %d rerouted copies",
-			ranked, unlisted, empty, copies)
+	if ranked == 0 || unlisted == 0 || empty == 0 || copies == 0 || truncated == 0 {
+		t.Fatalf("weak coverage: %d candidates ranked, %d grids with unlisted flows, %d empty workloads, %d rerouted copies, %d bounded rankings cut short",
+			ranked, unlisted, empty, copies, truncated)
 	}
 }
 

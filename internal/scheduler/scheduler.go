@@ -371,6 +371,22 @@ func newEngine(cfg Config, sched *schedule.Schedule, lambdaR int) engine {
 		statsBase: sched.IndexStats()}
 }
 
+// recycle turns e into newEngine(cfg, sched, lambdaR) that keeps e's
+// buffers: the per-hop handles and attempt counts, the occupancy buffer,
+// the RC candidate tables and the per-instance deadline terms. Every
+// placement path fills these before reading them, as it does across a run's
+// flows. A nil sched unbinds e for pooling, dropping every pointer into a
+// grid, a workload or a config.
+func (e *engine) recycle(cfg Config, sched *schedule.Schedule, lambdaR int) {
+	clear(e.routePairs[:cap(e.routePairs)])
+	*e = engine{cfg: cfg, sched: sched, lambdaR: lambdaR,
+		routePairs: e.routePairs[:0], hopAtt: e.hopAtt[:0], occBuf: e.occBuf[:0], instD: e.instD[:0],
+		cands: e.cands[:0], candDist: e.candDist[:0], candLoad: e.candLoad[:0]}
+	if sched != nil {
+		e.statsBase = sched.IndexStats()
+	}
+}
+
 // setFlow binds the engine's per-flow index state (the route's conflict-count
 // handles and resolved per-hop attempt counts) to f. Instances of the same
 // flow share the binding.

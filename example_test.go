@@ -890,10 +890,10 @@ func ExampleNewMetricsRegistry() {
 	//     "netsim.tx.cochannel": 400,
 	//     "netsim.tx.failed": 126,
 	//     "netsim.tx.fired": 12173,
-	//     "sched.index.pair_queries": 181,
+	//     "sched.index.pair_queries": 203,
 	//     "sched.index.pair_rebuilds": 72,
-	//     "sched.index.reuse_memo_hits": 184,
-	//     "sched.index.reuse_memo_misses": 160,
+	//     "sched.index.reuse_memo_hits": 76,
+	//     "sched.index.reuse_memo_misses": 72,
 	//     "scheduler.rc.deadline_misses": 0,
 	//     "scheduler.rc.laxity_fail": 12,
 	//     "scheduler.rc.laxity_fallbacks": 3,

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -230,5 +231,63 @@ func TestChurnedGridReusesCellCarvings(t *testing.T) {
 	}
 	if got := len(s.arena.chunks) + len(s.pairArena.chunks); got != chunks {
 		t.Fatalf("arenas grew from %d to %d chunks over %d rounds of churn", chunks, got, rounds)
+	}
+}
+
+// TestRemoveFlowCompactsCells fills a grid with single and shared cells,
+// then retires flows through RemoveFlow until the free carvings pass two
+// chunks and the cells are re-carved. Every removal must leave what a loop
+// of Remove leaves (checkRemoveFlow); after a compaction each arena-backed
+// cell must sit in the smallest carving that holds it, the free lists must
+// be empty, and the arenas must hold fewer chunks than before. The grid is
+// then refilled and drained again through the compacted arenas.
+func TestRemoveFlowCompactsCells(t *testing.T) {
+	const slots, offsets, nodes, flows = 512, 2, 400, 400
+	s := mustNew(t, slots, offsets, nodes)
+	rng := rand.New(rand.NewSource(1))
+	fill := func() {
+		for id := 0; id < flows; id++ {
+			for placed := 0; placed < 8; {
+				if s.Place(randomTx(rng, slots, offsets, nodes, id)) == nil {
+					placed++
+				}
+			}
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		fill()
+		chunks := len(s.arena.chunks) + len(s.pairArena.chunks)
+		compacted := false
+		for id := 0; id < flows; id++ {
+			before := s.freeCarved()
+			checkRemoveFlow(t, s, id)
+			if s.freeCarved() >= before {
+				continue
+			}
+			compacted = true
+			if n := len(s.freeSingles); n != 0 {
+				t.Fatalf("pass %d flow %d: %d free singles after a compaction", pass, id, n)
+			}
+			for i, c := range s.cells {
+				want := 0
+				if len(c) > 0 {
+					want = 1 << bits.Len(uint(len(c)-1))
+				}
+				if cap(c) != want {
+					t.Fatalf("pass %d flow %d: cell %d holds %d in a carving of %d, want %d",
+						pass, id, i, len(c), cap(c), want)
+				}
+			}
+			if got := len(s.arena.chunks) + len(s.pairArena.chunks); got >= chunks {
+				t.Fatalf("pass %d flow %d: %d chunks after a compaction, %d before", pass, id, got, chunks)
+			}
+		}
+		if !compacted {
+			t.Fatalf("pass %d: draining %d flows never compacted the cells", pass, flows)
+		}
+		checkIndexes(t, s)
+		if s.Len() != 0 {
+			t.Fatalf("pass %d: %d transmissions left", pass, s.Len())
+		}
 	}
 }

@@ -630,16 +630,64 @@ func (s *Schedule) RemoveFlow(flowID int, out []Tx) []Tx {
 	for i := base; i < len(out); i++ {
 		s.unplace(&out[i])
 	}
+	if 3*len(s.txs) < 2*cap(s.txs) {
+		// The list swings with the flow mix under churn: give a trough's
+		// slack back, keeping an eighth of headroom. It must then regrow by
+		// append (to ~1.4× this length) and fall below ~0.94× it before it
+		// is copied again.
+		s.txs = append(make([]Tx, 0, len(s.txs)+len(s.txs)/8), s.txs...)
+	}
+	if s.freeCarved() >= 2*arenaChunkLen {
+		s.compactCells()
+	}
 	return out
 }
 
+// freeCarved counts the transmission slots held by free carvings.
+func (s *Schedule) freeCarved() int {
+	n := len(s.freeSingles)
+	for k, free := range s.freeCells {
+		n += len(free) << k
+	}
+	return n
+}
+
+// compactCells re-carves every arena-backed cell from fresh arenas, each at
+// the smallest capacity that holds its occupants (a lone occupant in a
+// single-entry carving), and drops the old chunks and the free lists.
+// RemoveFlow calls it once the free carvings hold two chunks' worth: a
+// live grid's cell storage then follows its current occupancy, not its
+// peak. Cells grown on the heap past any carving keep their storage.
+func (s *Schedule) compactCells() {
+	var single, multi txArena
+	for idx, c := range s.cells {
+		if len(c) == 0 || cap(c) > arenaChunkLen {
+			continue
+		}
+		var nc []Tx
+		if len(c) == 1 {
+			nc = single.carve(1)
+		} else {
+			nc = multi.carve(1 << bits.Len(uint(len(c)-1)))
+		}
+		s.cells[idx] = append(nc, c...)
+	}
+	s.arena, s.pairArena = single, multi
+	s.freeSingles, s.freeCells = nil, [maxCarveLog + 1][][]Tx{}
+}
+
 // unplace frees a removed transmission's cell entry and its endpoints' busy
-// bits. Removal from a cell keeps the order of its other occupants.
+// bits. Removal from a cell keeps the order of its other occupants. The
+// occupant is matched on its identity fields first, so the whole-value
+// compare, which keeps a malformed grid from losing the wrong occupant,
+// runs only on the one identity match.
 func (s *Schedule) unplace(tx *Tx) {
 	cellIdx := tx.Slot*s.numOffsets + tx.Offset
 	cell := s.cells[cellIdx]
 	for i := range cell {
-		if cell[i] == *tx {
+		c := &cell[i]
+		if c.FlowID == tx.FlowID && c.Instance == tx.Instance && c.Hop == tx.Hop &&
+			c.Attempt == tx.Attempt && *c == *tx {
 			s.cells[cellIdx] = append(cell[:i], cell[i+1:]...)
 			break
 		}

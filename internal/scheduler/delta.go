@@ -246,6 +246,9 @@ func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg
 	}
 	out.Elapsed = time.Since(start)
 	flushDeltaMetrics(cfg.Metrics, label, &out.DeltaResult)
+	if cfg.Metrics != nil {
+		d.eng.flushIndexMetrics(cfg.Metrics)
+	}
 	return out, nil
 }
 
@@ -797,7 +800,9 @@ func (d *deltaOp) fullReschedule(mutated []*flow.Flow) (Fallback, int, error) {
 }
 
 // flushDeltaMetrics pushes one operation's counters under the
-// "sched.incremental." prefix. No-op without a sink.
+// "sched.incremental." prefix. No-op without a sink. applyDelta adds the
+// op engine's "sched.index." work counters on the live grid (a full
+// reschedule's fresh grid is not counted).
 func flushDeltaMetrics(m obs.Sink, op string, res *DeltaResult) {
 	if m == nil {
 		return

@@ -7,6 +7,7 @@ import (
 
 	"wsan/internal/flow"
 	"wsan/internal/graph"
+	"wsan/internal/obs"
 	"wsan/internal/routing"
 	"wsan/internal/schedule"
 	"wsan/internal/topology"
@@ -96,6 +97,8 @@ func (g *churnGrid) remove(b testing.TB, k int) *flow.Flow {
 // iteration retires an active flow, untimed, and times its re-admission.
 func BenchmarkAddFlowDelta(b *testing.B) {
 	g := newChurnGrid(b)
+	reg := obs.NewRegistry()
+	g.cfg.Metrics = reg
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -104,6 +107,8 @@ func BenchmarkAddFlowDelta(b *testing.B) {
 		b.StartTimer()
 		g.add(b, f)
 	}
+	b.StopTimer()
+	reportIndexWork(b, reg)
 }
 
 // BenchmarkRemoveFlowDelta times one RemoveFlowDelta from the 500-flow

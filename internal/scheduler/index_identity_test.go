@@ -173,6 +173,100 @@ func TestPlaceRCFallbackPrefersPermissive(t *testing.T) {
 	}
 }
 
+// TestCertifiedFallbackBoundary pins the cold descent's certificate at its
+// boundary. placeRC skips the candidate table and goes straight to the
+// fallback when the terminal free slot sf fails ρ=∞ and noLevelPasses
+// bounds every slot of [s0, sf] below zero: first the whole range by
+// lax(sf) + (sf − s0), then its pieces, here one slot each. A bound of
+// exactly 0 must not fire, since a candidate may pass there.
+//
+// Scenario on a 10-node line (G_R distances = index gaps), placing hop 0
+// (link 0→1) of the route 0→1→2→3, one attempt per hop, so two
+// transmissions remain; λ_R = 3 and ρ_t = 2 give two finite levels:
+//
+//	slot 0, offset 0: {8→9}  compatible at ρ=3 (min distance 7)
+//	slot 0, offset 1: {6→7}  compatible at ρ=3 (min distance 5)
+//	slot 1:           free   (sf; the third case puts {2→3} at offset 0)
+//	slot 2, offset 0: {3→4}  busies node 3: one conflict slot for hop 2
+//
+// Without {2→3}, C(0) = C(1) = 1, so lax(s) = deadline − s − 3. At
+// deadline 3, lax(1) = −1 and the whole-range bound is 0: ρ=3 finds slot 0
+// with lax(0) = 0 and places there. At deadline 2 the whole-range bound is
+// −1 (lax(1) is laxity's cheap exit, −1, minus C(1)): every level fails and
+// the descent falls back to slot 0. With {2→3} at deadline 3, slot 1 busies
+// both later hops' unions, so C(0) = 3: the whole-range bound is still 0,
+// but the one-slot pieces read lax(1) = −1 and lax(0) = −2 and fire. Each
+// outcome and its scheduler.rc.* ledger must equal the reference descent's;
+// only the first may build the table.
+func TestCertifiedFallbackBoundary(t *testing.T) {
+	g := graph.New(10)
+	for i := 0; i < 9; i++ {
+		if err := g.AddEdge(i, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hop := g.AllPairsHop()
+	f := &flow.Flow{ID: 0, Src: 0, Dst: 3, Period: 8, Deadline: 8,
+		Route: []flow.Link{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}}}
+	for _, tc := range []struct {
+		name     string
+		deadline int
+		extra    []schedule.Tx
+		fires    bool
+	}{
+		{"bound 0", 3, nil, false},
+		{"bound -1", 2, nil, true},
+		{"pieces", 3, []schedule.Tx{{FlowID: 4, Link: flow.Link{From: 2, To: 3}, Slot: 1, Offset: 0}}, true},
+	} {
+		var got [2]schedCounters
+		var place [2][2]int
+		for i, scan := range []bool{false, true} {
+			sched, err := schedule.New(8, 2, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tx := range append([]schedule.Tx{
+				{FlowID: 1, Link: flow.Link{From: 8, To: 9}, Slot: 0, Offset: 0},
+				{FlowID: 2, Link: flow.Link{From: 6, To: 7}, Slot: 0, Offset: 1},
+				{FlowID: 3, Link: flow.Link{From: 3, To: 4}, Slot: 2, Offset: 0},
+			}, tc.extra...) {
+				if err := sched.Place(tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng := newEngine(Config{Algorithm: RC, NumChannels: 2, RhoT: 2,
+				HopGR: hop, scanPaths: scan}, sched, 3)
+			eng.setFlow(f)
+			tx := schedule.Tx{FlowID: 0, Link: f.Route[0]}
+			slot, offset, ok := eng.placeOne(f, &tx, 0, tc.deadline, 2)
+			if !ok {
+				t.Fatalf("%s scan=%v: placement failed", tc.name, scan)
+			}
+			place[i] = [2]int{slot, offset}
+			got[i] = eng.mets
+			if !scan && (len(eng.cands) == 0) != tc.fires {
+				t.Errorf("%s: candidate table built = %v, want %v", tc.name, len(eng.cands) > 0, !tc.fires)
+			}
+		}
+		if place[0] != place[1] {
+			t.Errorf("%s: placement %v, reference %v", tc.name, place[0], place[1])
+		}
+		if place[0] != [2]int{0, 0} {
+			t.Errorf("%s: placement %v, want [0 0]", tc.name, place[0])
+		}
+		idx, ref := got[0], got[1]
+		idx.slotsExamined, ref.slotsExamined = 0, 0 // the reference scans count differently
+		idx.memoHits, idx.memoMisses, ref.memoHits, ref.memoMisses = 0, 0, 0, 0
+		if idx != ref {
+			t.Errorf("%s: counters %+v, reference %+v", tc.name, idx, ref)
+		}
+		if passed := idx.laxityPass == 1 && idx.laxityFallbacks == 0; passed == tc.fires {
+			t.Errorf("%s: laxity passes %d, fallbacks %d; want a pass = %v",
+				tc.name, idx.laxityPass, idx.laxityFallbacks, !tc.fires)
+		}
+	}
+}
+
 // TestPlanPointScanVsIndex runs the index-versus-scan identity at the
 // paper's Fig. 6 operating point: Indriya on 5 channels, 60 + seed mod 61
 // peer-to-peer flows per set, every even seed's set budgeted to a 0.99

@@ -175,6 +175,7 @@ type ScheduleConfig struct {
 	// Metrics, when non-nil, receives the scheduler's "scheduler.<alg>.*"
 	// counters when a Schedule run completes, and the delta engine's
 	// "sched.incremental.*" counters from AddFlow and the delta operations.
+	// Both also report the index layer's "sched.index.*" work counters.
 	// Nil disables collection.
 	Metrics MetricsSink
 }

@@ -31,10 +31,12 @@ microbench:
 # scratch, each equal to its serial replay. The jobs half
 # runs simulate, converge, manage and reschedule jobs concurrently on one
 # network's shared Testbed and compares every part with a serial run.
-# `wsansim soak` runs the same churn harness at evaluation scale (500 flows).
+# `wsansim soak` runs the same churn harness at evaluation scale (500 flows);
+# its flag handling (TestSoakRejectsBadConfig, matched by TestSoak) runs here
+# too.
 soak-smoke:
 	$(GO) test -race -count=1 -run 'TestSoak|TestQueueSweepMultiWorker|TestScanVsIndexIdentical|TestConcurrentJobsShareTestbed|TestConcurrentDeltaGrids' \
-		./internal/soak/ ./internal/server/ ./internal/scheduler/ ./internal/jobs/
+		./internal/soak/ ./internal/server/ ./internal/scheduler/ ./internal/jobs/ ./cmd/wsansim/
 
 # lint runs go vet always, on the root module and on the nested bench/
 # module that `go vet ./...` at the root never reaches, and staticcheck when

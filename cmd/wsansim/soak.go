@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"time"
 
 	"wsan/internal/obs"
 	"wsan/internal/soak"
@@ -16,7 +15,9 @@ import (
 // The soak subcommand drives the sustained-churn harness from the command
 // line: a seeded add/remove/reroute/re-budget delta stream (with periodic
 // node-fault batches) against a large live schedule, with the replay
-// oracle checking for drift and live throughput lines on stderr.
+// oracle and the checkpoint audit checking for drift. It prints counts and
+// the oracle's verdict; the benchmark's churn-500f workload times the same
+// op mix.
 //
 //	wsansim soak                          # 500 flows, 5000 ops, Indriya
 //	wsansim soak -flows 200 -ops 20000 -oracle-every 2000
@@ -33,20 +34,10 @@ func runSoak(args []string, mets obs.Sink) error {
 	fs.IntVar(&cfg.BatchEvery, "batch-every", cfg.BatchEvery, "inject a node-fault batch every N ops (0 disables)")
 	fs.IntVar(&cfg.BatchSize, "batch-size", cfg.BatchSize, "max reroutes per node-fault batch")
 	fs.IntVar(&cfg.OracleEvery, "oracle-every", cfg.OracleEvery, "replay-oracle checkpoint every N applied deltas (0 = final only)")
-	fs.IntVar(&cfg.ProgressEvery, "progress-every", 500, "live progress line every N ops (0 disables)")
 	asJSON := fs.Bool("json", false, "write the full result as JSON to stdout")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if cfg.ProgressEvery > 0 {
-		cfg.OnProgress = func(p soak.Progress) {
-			fmt.Fprintf(os.Stderr,
-				"soak: %6d/%d ops  %7.0f deltas/sec  p99 %8s  fallback %4.1f%%  active %d\n",
-				p.Ops, cfg.Ops, p.DeltasPerSec, p.P99.Round(time.Microsecond),
-				p.FallbackRate*100, p.ActiveFlows)
-		}
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	res, err := soak.Run(ctx, cfg)
@@ -68,10 +59,6 @@ func runSoak(args []string, mets obs.Sink) error {
 	fmt.Printf("ladder:     %d evict, %d cascade, %d full reschedule (%.2f%% of applied)\n",
 		res.FallbackEvict, res.FallbackCascade, res.FallbackFull,
 		pctOf(res.FallbackEvict+res.FallbackCascade+res.FallbackFull, res.Applied))
-	fmt.Printf("throughput: %.0f deltas/sec over %v\n", res.DeltasPerSec, res.Elapsed.Round(time.Millisecond))
-	fmt.Printf("latency:    p50 %v  p95 %v  p99 %v  max %v\n",
-		res.P50.Round(time.Microsecond), res.P95.Round(time.Microsecond),
-		res.P99.Round(time.Microsecond), res.Max.Round(time.Microsecond))
 	fmt.Printf("oracle:     %d checkpoints, zero drift (digest %s)\n", res.OracleChecks, res.Digest)
 	fmt.Printf("heap:       %d KB -> %d KB across the churn phase\n",
 		res.HeapStartBytes/1024, res.HeapEndBytes/1024)

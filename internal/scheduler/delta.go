@@ -201,10 +201,7 @@ func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg
 			break
 		}
 	}
-	label, work := ops[0].Kind.String(), flows
-	if len(ops) > 1 {
-		label = "batch"
-	}
+	work := flows
 	if track {
 		work = slices.Clone(flows)
 	}
@@ -245,7 +242,7 @@ func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg
 		out.Flows = d.work
 	}
 	out.Elapsed = time.Since(start)
-	flushDeltaMetrics(cfg.Metrics, label, &out.DeltaResult)
+	flushDeltaMetrics(cfg.Metrics, ops, &out.DeltaResult)
 	if cfg.Metrics != nil {
 		d.eng.flushIndexMetrics(cfg.Metrics)
 	}
@@ -803,13 +800,13 @@ func (d *deltaOp) fullReschedule(mutated []*flow.Flow) (Fallback, int, error) {
 // "sched.incremental." prefix. No-op without a sink. applyDelta adds the
 // op engine's "sched.index." work counters on the live grid (a full
 // reschedule's fresh grid is not counted).
-func flushDeltaMetrics(m obs.Sink, op string, res *DeltaResult) {
+func flushDeltaMetrics(m obs.Sink, ops []BatchOp, res *DeltaResult) {
 	if m == nil {
 		return
 	}
 	const p = "sched.incremental."
 	m.Count(p+"ops", 1)
-	m.Count(p+op+"_ops", 1)
+	m.Count(opsMetric(ops), 1)
 	m.Count(p+"placements", int64(res.PlacementOps))
 	m.Count(p+"removals", int64(res.RemovalOps))
 	m.Count(p+"evictions", int64(len(res.Evicted)))
@@ -826,4 +823,29 @@ func flushDeltaMetrics(m obs.Sink, op string, res *DeltaResult) {
 		m.Count(p+"infeasible", 1)
 	}
 	m.Observe(p+"elapsed_seconds", res.Elapsed.Seconds())
+}
+
+// opsMetric names the per-kind op counter a call reports under: one op
+// counts under its kind, more than one under "batch". The names are
+// constants so that a flush builds no string.
+func opsMetric(ops []BatchOp) string {
+	if len(ops) > 1 {
+		return "sched.incremental.batch_ops"
+	}
+	switch k := ops[0].Kind; k {
+	case BatchAdd:
+		return "sched.incremental.add_ops"
+	case BatchRemove:
+		return "sched.incremental.remove_ops"
+	case BatchReroute:
+		return "sched.incremental.reroute_ops"
+	case BatchRepair:
+		return "sched.incremental.repair_ops"
+	case BatchCompact:
+		return "sched.incremental.compact_ops"
+	case BatchRebudget:
+		return "sched.incremental.rebudget_ops"
+	default:
+		return "sched.incremental." + k.String() + "_ops"
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"wsan/internal/flow"
+	"wsan/internal/obs"
 	"wsan/internal/schedule"
 )
 
@@ -241,8 +242,11 @@ func invertInto(buf, changes []schedule.Change) []schedule.Change {
 // from deltaPool, and the grid reuses its position lists and cell
 // carvings. Each run undoes its op through a reused buffer that allocates
 // nothing. The bounds are upper bounds: a collection empties the pool and
-// costs the next op its scratch. The race detector's sync.Pool drops
-// pooled objects at random, so the test does not run under it.
+// costs the next op its scratch. Every op runs again with a metrics sink
+// attached, held to the same bound and to its sinkless count: a flush names
+// its counters with constants and allocates nothing per op. The race
+// detector's sync.Pool drops pooled objects at random, so the test does not
+// run under it.
 func TestDeltaOpAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops objects at random under the race detector")
@@ -288,28 +292,42 @@ func TestDeltaOpAllocs(t *testing.T) {
 		t.Fatal("no reroute or 8-op node-fault batch on the churn grid")
 	}
 	added := g.remove(t, 7)
-	for _, tc := range []struct {
-		name  string
-		bound float64
-		op    func()
-	}{
-		{"add", 3, func() { revert(AddFlowDelta(g.sched, g.active, added, g.cfg)) }},
-		{"remove", 3, func() { revert(RemoveFlowDelta(g.sched, g.active[3].ID, nil)) }},
-		{"reroute", 5, func() {
-			revert(RerouteFlowDelta(g.sched, g.active, reroute.FlowID, reroute.Route, g.cfg))
-		}},
-		{"batch of 8", 25, func() {
-			res, err := ApplyDeltaBatch(g.sched, g.active, batch, g.cfg)
-			if err != nil {
-				t.Fatal(err)
+	sinkless := map[string]float64{}
+	for _, sink := range []obs.Sink{nil, obs.NewRegistry()} {
+		cfg := g.cfg
+		cfg.Metrics = sink
+		for _, tc := range []struct {
+			name  string
+			bound float64
+			op    func()
+		}{
+			{"add", 3, func() { revert(AddFlowDelta(g.sched, g.active, added, cfg)) }},
+			{"remove", 3, func() { revert(RemoveFlowDelta(g.sched, g.active[3].ID, sink)) }},
+			{"reroute", 5, func() {
+				revert(RerouteFlowDelta(g.sched, g.active, reroute.FlowID, reroute.Route, cfg))
+			}},
+			{"batch of 8", 25, func() {
+				res, err := ApplyDeltaBatch(g.sched, g.active, batch, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				revert(&res.DeltaResult, nil)
+			}},
+		} {
+			allocs := testing.AllocsPerRun(50, tc.op)
+			name := tc.name
+			if sink == nil {
+				sinkless[name] = allocs
+			} else {
+				name += " with a sink"
+				if allocs > sinkless[tc.name] {
+					t.Errorf("%s: %v allocs per op, %v without the sink", name, allocs, sinkless[tc.name])
+				}
 			}
-			revert(&res.DeltaResult, nil)
-		}},
-	} {
-		allocs := testing.AllocsPerRun(50, tc.op)
-		t.Logf("%s: %v allocs per op", tc.name, allocs)
-		if allocs > tc.bound {
-			t.Errorf("%s: %v allocs per op, want at most %v", tc.name, allocs, tc.bound)
+			t.Logf("%s: %v allocs per op", name, allocs)
+			if allocs > tc.bound {
+				t.Errorf("%s: %v allocs per op, want at most %v", name, allocs, tc.bound)
+			}
 		}
 	}
 }

@@ -4,16 +4,13 @@
 // relay in one atomic operation — against a large live schedule, and checks
 // the incremental scheduler's work against an independent replay oracle.
 //
-// The harness answers two questions the per-operation unit tests cannot:
-//
-//   - Throughput: how many deltas per second does the repair ladder sustain
-//     at steady state on a 500-flow grid, and what do the apply-latency
-//     percentiles and fallback rates look like under a realistic mix?
-//   - Drift: after thousands of journaled mutations, rollbacks, evictions,
-//     and full-reschedule repairs — with recycled arenas and pooled scratch
-//     grids underneath — is the live schedule still byte-identical to what a
-//     fresh grid fed the same applied operations produces, and does it still
-//     satisfy every conflict and reuse-distance constraint?
+// The harness proves and does not time: after thousands of journaled
+// mutations, rollbacks, evictions, and full-reschedule repairs — with
+// recycled arenas and pooled scratch grids underneath — is the live
+// schedule still byte-identical to what a fresh grid fed the same applied
+// operations produces, and does it still satisfy every conflict and
+// reuse-distance constraint? The benchmark's churn-500f workload times the
+// same op mix.
 //
 // Every operation is one scheduler.ApplyDeltaBatch call, and every committed
 // call's ops are logged as issued; at OracleEvery-operation checkpoints the
@@ -26,8 +23,8 @@
 // journal that rolled back incompletely — fails the run. Because both grids run the same
 // scheduler, each checkpoint also audits the live grid against the
 // harness's own workload record with code that shares nothing with the
-// scheduler (see audit). Progress and counters are emitted under the
-// "sched.churn." metric prefix.
+// scheduler (see audit). Counters are emitted under the "sched.churn."
+// metric prefix.
 package soak
 
 import (
@@ -38,7 +35,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"time"
 
 	"wsan/internal/flow"
 	"wsan/internal/graph"
@@ -52,6 +48,13 @@ import (
 // RhoT is the minimum channel-reuse hop distance the harness schedules
 // with, matching the evaluation's operating point.
 const RhoT = 2
+
+// minPeriodExp and maxPeriodExp bound the pool's harmonic period range
+// P = [2^minPeriodExp, 2^maxPeriodExp] seconds.
+const (
+	minPeriodExp = 2
+	maxPeriodExp = 4
+)
 
 // Config parameterizes one soak run. The zero value is not runnable; use
 // DefaultConfig as the starting point.
@@ -70,10 +73,6 @@ type Config struct {
 	Seed int64
 	// TopoSeed generates the Indriya testbed (default 1, the evaluation one).
 	TopoSeed int64
-	// MinPeriodExp and MaxPeriodExp bound the pool's harmonic period range
-	// P = [2^min, 2^max] seconds.
-	MinPeriodExp int
-	MaxPeriodExp int
 	// BatchEvery injects a node-fault batch every BatchEvery operations
 	// (0 disables batching).
 	BatchEvery int
@@ -82,46 +81,25 @@ type Config struct {
 	// OracleEvery checks the replay oracle every OracleEvery applied
 	// deltas (0 = final check only).
 	OracleEvery int
-	// ProgressEvery invokes OnProgress every ProgressEvery operations
-	// (0 disables intermediate progress).
-	ProgressEvery int
 	// Metrics receives "sched.churn.*" counters; may be nil.
 	Metrics obs.Sink
-	// OnProgress, when non-nil, receives live throughput snapshots.
-	OnProgress func(Progress)
 }
 
 // DefaultConfig is the 500-flow operating point on the Indriya testbed.
 func DefaultConfig() Config {
 	return Config{
-		Flows:        500,
-		Channels:     8,
-		Ops:          5_000,
-		Seed:         1,
-		TopoSeed:     1,
-		MinPeriodExp: 2,
-		MaxPeriodExp: 4,
-		BatchEvery:   50,
-		BatchSize:    8,
-		OracleEvery:  1_000,
+		Flows:       500,
+		Channels:    8,
+		Ops:         5_000,
+		Seed:        1,
+		TopoSeed:    1,
+		BatchEvery:  50,
+		BatchSize:   8,
+		OracleEvery: 1_000,
 	}
 }
 
-// Progress is a live snapshot of a running soak.
-type Progress struct {
-	Ops          int           `json:"ops"`
-	Applied      int           `json:"applied"`
-	Infeasible   int           `json:"infeasible"`
-	Skipped      int           `json:"skipped"`
-	ActiveFlows  int           `json:"activeFlows"`
-	DeltasPerSec float64       `json:"deltasPerSec"`
-	P99          time.Duration `json:"p99Ns"`
-	FallbackRate float64       `json:"fallbackRate"`
-	Elapsed      time.Duration `json:"elapsedNs"`
-}
-
-// Result reports one completed soak run. All duration fields are
-// nanoseconds on the wire.
+// Result reports one completed soak run.
 type Result struct {
 	Flows      int `json:"flows"`
 	Channels   int `json:"channels"`
@@ -129,7 +107,7 @@ type Result struct {
 	HyperSlots int `json:"hyperSlots"`
 
 	// WarmupAdmitted/WarmupFailed count the initial admission deltas that
-	// build the steady-state workload (excluded from throughput figures).
+	// build the steady-state workload (excluded from the churn counters).
 	WarmupAdmitted int `json:"warmupAdmitted"`
 	WarmupFailed   int `json:"warmupFailed"`
 
@@ -157,15 +135,6 @@ type Result struct {
 	ActiveFlows int `json:"activeFlows"`
 	PlacedTx    int `json:"placedTx"`
 
-	// DeltasPerSec is Applied divided by the churn phase's wall time.
-	DeltasPerSec float64 `json:"deltasPerSec"`
-	// Apply-latency percentiles over applied operations (batches measured
-	// whole), in nanoseconds.
-	P50 time.Duration `json:"p50Ns"`
-	P95 time.Duration `json:"p95Ns"`
-	P99 time.Duration `json:"p99Ns"`
-	Max time.Duration `json:"maxNs"`
-
 	// OracleChecks counts replay-oracle checkpoints passed (the final
 	// check included). A failed check aborts the run with an error.
 	OracleChecks int `json:"oracleChecks"`
@@ -178,8 +147,6 @@ type Result struct {
 	// should stay near zero however long the soak runs.
 	HeapStartBytes uint64 `json:"heapStartBytes"`
 	HeapEndBytes   uint64 `json:"heapEndBytes"`
-
-	Elapsed time.Duration `json:"elapsedNs"`
 }
 
 // state is the mutable harness state shared by the generator, the live
@@ -198,8 +165,7 @@ type state struct {
 	oSched  *schedule.Schedule
 	oActive []*flow.Flow
 
-	durs []time.Duration
-	res  *Result
+	res *Result
 }
 
 // Run executes one soak. It returns an error on any oracle divergence,
@@ -219,9 +185,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.TopoSeed == 0 {
 		cfg.TopoSeed = 1
 	}
-	if cfg.MinPeriodExp == 0 && cfg.MaxPeriodExp == 0 {
-		cfg.MinPeriodExp, cfg.MaxPeriodExp = 2, 4
-	}
 	if cfg.BatchEvery > 0 && cfg.BatchSize <= 0 {
 		cfg.BatchSize = 8
 	}
@@ -238,7 +201,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	runtime.ReadMemStats(&mem)
 	s.res.HeapStartBytes = mem.HeapAlloc
 
-	start := time.Now()
 	sinceOracle := 0
 	for op := 0; op < cfg.Ops; op++ {
 		if err := ctx.Err(); err != nil {
@@ -256,11 +218,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			sinceOracle = 0
 		}
-		if cfg.ProgressEvery > 0 && (op+1)%cfg.ProgressEvery == 0 {
-			s.progress(time.Since(start))
-		}
 	}
-	s.res.Elapsed = time.Since(start)
 	if err := s.oracleCheck(); err != nil {
 		return nil, err
 	}
@@ -292,8 +250,8 @@ func newState(cfg Config) (*state, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pool, err := flow.Generate(rng, gc, flow.GenConfig{
 		NumFlows:     2 * cfg.Flows,
-		MinPeriodExp: cfg.MinPeriodExp,
-		MaxPeriodExp: cfg.MaxPeriodExp,
+		MinPeriodExp: minPeriodExp,
+		MaxPeriodExp: maxPeriodExp,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("soak: %w", err)
@@ -376,11 +334,10 @@ func (s *state) apply(ops []scheduler.BatchOp) (*scheduler.BatchResult, error) {
 }
 
 // churn applies one churn operation's ops and returns how many deltas
-// committed: all of them, with their fallbacks and the call's latency
-// recorded, or none when the call is infeasible. format and args describe
-// the operation in a returned error.
+// committed: all of them, with their fallbacks recorded, or none when the
+// call is infeasible. format and args describe the operation in a returned
+// error.
 func (s *state) churn(ops []scheduler.BatchOp, format string, args ...any) (int, error) {
-	start := time.Now()
 	res, err := s.apply(ops)
 	if err != nil {
 		return 0, fmt.Errorf("soak "+format+": %w", append(args, err)...)
@@ -389,7 +346,6 @@ func (s *state) churn(ops []scheduler.BatchOp, format string, args ...any) (int,
 		s.res.Infeasible++
 		return 0, nil
 	}
-	s.durs = append(s.durs, time.Since(start))
 	for _, fb := range res.Fallbacks {
 		s.countFallback(fb)
 	}
@@ -603,52 +559,13 @@ func audit(sched *schedule.Schedule, active []*flow.Flow) error {
 	return nil
 }
 
-// progress emits one live snapshot.
-func (s *state) progress(elapsed time.Duration) {
-	p := Progress{
-		Ops:         s.res.Ops,
-		Applied:     s.res.Applied,
-		Infeasible:  s.res.Infeasible,
-		Skipped:     s.res.Skipped,
-		ActiveFlows: len(s.active),
-		Elapsed:     elapsed,
-	}
-	if sec := elapsed.Seconds(); sec > 0 {
-		p.DeltasPerSec = float64(s.res.Applied) / sec
-	}
-	if len(s.durs) > 0 {
-		p.P99 = percentile(s.durs, 99)
-	}
-	if s.res.Applied > 0 {
-		p.FallbackRate = float64(s.res.FallbackEvict+s.res.FallbackCascade+s.res.FallbackFull) / float64(s.res.Applied)
-	}
-	if s.cfg.OnProgress != nil {
-		s.cfg.OnProgress(p)
-	}
-	if m := s.cfg.Metrics; m != nil {
-		m.Observe("sched.churn.deltas_per_sec", p.DeltasPerSec)
-		m.Observe("sched.churn.p99_seconds", p.P99.Seconds())
-		m.Observe("sched.churn.fallback_rate", p.FallbackRate)
-	}
-}
-
-// finish seals the result: percentiles, throughput, and final counters.
+// finish seals the result: the end state, its digest, and the final
+// counters.
 func (s *state) finish() {
 	r := s.res
 	r.ActiveFlows = len(s.active)
 	r.PlacedTx = s.sched.Len()
 	r.Digest = Digest(s.sched)
-	if sec := r.Elapsed.Seconds(); sec > 0 {
-		r.DeltasPerSec = float64(r.Applied) / sec
-	}
-	if len(s.durs) > 0 {
-		r.P50 = percentile(s.durs, 50)
-		r.P95 = percentile(s.durs, 95)
-		r.P99 = percentile(s.durs, 99)
-		sorted := append([]time.Duration(nil), s.durs...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		r.Max = sorted[len(sorted)-1]
-	}
 	if m := s.cfg.Metrics; m != nil {
 		const p = "sched.churn."
 		m.Count(p+"ops", int64(r.Ops))
@@ -659,21 +576,7 @@ func (s *state) finish() {
 		m.Count(p+"fallback_evict", int64(r.FallbackEvict))
 		m.Count(p+"fallback_cascade", int64(r.FallbackCascade))
 		m.Count(p+"fallback_full", int64(r.FallbackFull))
-		m.Observe(p+"deltas_per_sec", r.DeltasPerSec)
-		m.Observe(p+"p99_seconds", r.P99.Seconds())
 	}
-}
-
-// percentile returns the q-th percentile (nearest-rank) of durs without
-// mutating it.
-func percentile(durs []time.Duration, q int) time.Duration {
-	sorted := append([]time.Duration(nil), durs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := (len(sorted)*q + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	return sorted[idx-1]
 }
 
 // Digest is the canonical digest of a schedule's contents: its

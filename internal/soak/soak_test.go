@@ -2,13 +2,11 @@ package soak
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
-	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"wsan/internal/flow"
 	"wsan/internal/obs"
@@ -20,16 +18,14 @@ import (
 // staying fast enough for -race.
 func smokeConfig(seed int64, ops int) Config {
 	return Config{
-		Flows:        60,
-		Channels:     6,
-		Ops:          ops,
-		Seed:         seed,
-		TopoSeed:     1,
-		MinPeriodExp: 2,
-		MaxPeriodExp: 4,
-		BatchEvery:   25,
-		BatchSize:    5,
-		OracleEvery:  100,
+		Flows:       60,
+		Channels:    6,
+		Ops:         ops,
+		Seed:        seed,
+		TopoSeed:    1,
+		BatchEvery:  25,
+		BatchSize:   5,
+		OracleEvery: 100,
 	}
 }
 
@@ -37,7 +33,8 @@ func smokeConfig(seed int64, ops int) Config {
 // seeded stream of adds, removes, fault-driven reroutes and re-budgets —
 // including atomic node-fault batches — against a live grid, with the
 // replay oracle asserting zero checksum drift at every checkpoint and at
-// the end. Two runs with the same seed must be byte-identical.
+// the end. Two runs with the same seed must report the same Result, live
+// heap samples aside.
 func TestSoakChurnSmoke(t *testing.T) {
 	ops := 400
 	if testing.Short() {
@@ -46,14 +43,6 @@ func TestSoakChurnSmoke(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := smokeConfig(7, ops)
 	cfg.Metrics = reg
-	var progressed int
-	cfg.ProgressEvery = 50
-	cfg.OnProgress = func(p Progress) {
-		progressed++
-		if p.Ops == 0 || p.Elapsed <= 0 {
-			t.Errorf("empty progress snapshot: %+v", p)
-		}
-	}
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,24 +63,18 @@ func TestSoakChurnSmoke(t *testing.T) {
 	if res.WarmupAdmitted == 0 || res.ActiveFlows == 0 || res.PlacedTx == 0 {
 		t.Errorf("steady state missing: %+v", res)
 	}
-	if res.P99 < res.P50 || res.Max < res.P99 {
-		t.Errorf("latency percentiles disordered: p50 %v p99 %v max %v", res.P50, res.P99, res.Max)
-	}
-	if progressed == 0 {
-		t.Error("no progress snapshot was delivered")
-	}
 
-	// Determinism: the same seed reproduces the same schedule and counters.
+	// Determinism: the same seed reproduces the same schedule and every
+	// counter. Only the live-heap samples depend on the process.
 	again, err := Run(context.Background(), smokeConfig(7, ops))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Digest != res.Digest {
-		t.Errorf("digest not reproducible: %s vs %s", again.Digest, res.Digest)
+	for _, r := range []*Result{res, again} {
+		r.HeapStartBytes, r.HeapEndBytes = 0, 0
 	}
-	if again.Applied != res.Applied || again.PlacedTx != res.PlacedTx ||
-		again.Infeasible != res.Infeasible || again.Batches != res.Batches {
-		t.Errorf("counters not reproducible:\n first %+v\nsecond %+v", res, again)
+	if !reflect.DeepEqual(again, res) {
+		t.Errorf("result not reproducible:\n first %+v\nsecond %+v", res, again)
 	}
 }
 
@@ -145,40 +128,33 @@ func TestSoakCancellation(t *testing.T) {
 // steady state is warm (25% of the run — every pool, arena, and pair-count
 // cache has seen its working set), the live heap must not keep growing
 // with churn. Before chunked recyclable arenas, every delta leaked arena
-// segments and the heap grew linearly with the op count.
+// segments and the heap grew linearly with the op count. The 25% sample is
+// the end heap of a same-seed run of a quarter of the ops: the seeded rng
+// is the harness's only source of randomness and the oracle replay draws
+// nothing, so the short run's op stream is a prefix of the full run's.
 func TestSoakHeapStable(t *testing.T) {
 	ops := 1_200
 	if testing.Short() {
 		ops = 400
 	}
-	cfg := smokeConfig(5, ops)
-	cfg.ProgressEvery = ops / 4
-	var quarter uint64
-	cfg.OnProgress = func(p Progress) {
-		if quarter != 0 {
-			return
-		}
-		runtime.GC()
-		var mem runtime.MemStats
-		runtime.ReadMemStats(&mem)
-		quarter = mem.HeapAlloc
-	}
-	res, err := Run(context.Background(), cfg)
+	short, err := Run(context.Background(), smokeConfig(5, ops/4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quarter == 0 {
-		t.Fatal("no 25% heap sample was taken")
+	res, err := Run(context.Background(), smokeConfig(5, ops))
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Allow 20% relative growth plus a small absolute floor for runtime
 	// noise; a per-op leak at this op count would blow far past it.
+	quarter := short.HeapEndBytes
 	limit := quarter + quarter/5 + 2<<20
 	if res.HeapEndBytes > limit {
 		t.Fatalf("heap grew under churn: %d B at 25%% of the run, %d B at the end (limit %d)",
 			quarter, res.HeapEndBytes, limit)
 	}
-	t.Logf("heap: start %d B, 25%% %d B, end %d B over %d applied deltas (%.0f deltas/sec, p99 %v)",
-		res.HeapStartBytes, quarter, res.HeapEndBytes, res.Applied, res.DeltasPerSec, res.P99)
+	t.Logf("heap: start %d B, 25%% %d B, end %d B over %d applied deltas",
+		res.HeapStartBytes, quarter, res.HeapEndBytes, res.Applied)
 }
 
 // TestSoakConfigValidation rejects unrunnable configs, each with an error
@@ -218,57 +194,81 @@ func TestSoakConfigValidation(t *testing.T) {
 	}
 }
 
-// TestSoakDigestCanonical: the digest must be order-independent — it is
-// the drift detector, so schedules holding the same cells via different
-// histories must agree.
+// TestSoakDigestCanonical: the digest is the drift detector, so it must
+// depend on a grid's cells alone. On a hand-built grid, the same cells
+// placed in another order, or reached through a detour of placements and
+// removals, give the same digest, and moving any one cell changes it.
 func TestSoakDigestCanonical(t *testing.T) {
-	res, err := Run(context.Background(), smokeConfig(2, 60))
-	if err != nil {
-		t.Fatal(err)
+	// Flows 1 and 2 share cell (0, 0) on disjoint nodes; slots 3, 5, 6 and
+	// 7 stay empty.
+	cells := []schedule.Tx{
+		{FlowID: 1, Hop: 0, Link: flow.Link{From: 0, To: 1}, Slot: 0, Offset: 0},
+		{FlowID: 2, Hop: 0, Link: flow.Link{From: 2, To: 3}, Slot: 0, Offset: 0},
+		{FlowID: 1, Hop: 1, Link: flow.Link{From: 1, To: 4}, Slot: 1, Offset: 1},
+		{FlowID: 3, Hop: 0, Link: flow.Link{From: 5, To: 6}, Slot: 1, Offset: 0},
+		{FlowID: 3, Hop: 0, Attempt: 1, Link: flow.Link{From: 5, To: 6}, Slot: 2, Offset: 0},
+		{FlowID: 2, Instance: 1, Hop: 0, Link: flow.Link{From: 2, To: 3}, Slot: 4, Offset: 1},
 	}
-	if res.Digest == "" {
-		t.Fatal("empty digest")
-	}
-	if res.Elapsed <= 0 || res.DeltasPerSec <= 0 {
-		t.Errorf("throughput not measured: %+v", res)
-	}
-}
-
-// TestPercentileDoesNotMutateSamples pins percentile's copy-before-sort
-// contract: the latency buffer is shared by the progress callback (p99 every
-// interval) and the final report (p50/p95/p99 over the same slice), so an
-// in-place sort would silently reorder the live buffer between readers and
-// skew every later percentile. The samples stay permuted, and the answers
-// match the values computed from a pre-sorted copy.
-func TestPercentileDoesNotMutateSamples(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	samples := make([]time.Duration, 101)
-	for i := range samples {
-		samples[i] = time.Duration(i+1) * time.Microsecond
-	}
-	rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
-	orig := append([]time.Duration(nil), samples...)
-
-	// 1..101 µs: percentile q lands exactly on ceil(101·q/100) µs.
-	for _, c := range []struct {
-		q    int
-		want time.Duration
-	}{
-		{50, 51 * time.Microsecond},
-		{95, 96 * time.Microsecond},
-		{99, 100 * time.Microsecond},
-		{100, 101 * time.Microsecond},
-	} {
-		if got := percentile(samples, c.q); got != c.want {
-			t.Errorf("percentile(%d) = %v, want %v", c.q, got, c.want)
+	build := func(txs []schedule.Tx, detour func(*schedule.Schedule)) string {
+		t.Helper()
+		s, err := schedule.New(8, 2, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(samples, orig) {
-			t.Fatalf("percentile(%d) mutated its input", c.q)
+		for _, tx := range txs {
+			if err := s.Place(tx); err != nil {
+				t.Fatal(err)
+			}
 		}
+		if detour != nil {
+			detour(s)
+		}
+		return Digest(s)
 	}
-	// Interleaved progress/report reads over the permuted buffer agree.
-	if p1, p2 := percentile(samples, 99), percentile(samples, 99); p1 != p2 {
-		t.Fatalf("repeated percentile(99) disagree: %v vs %v", p1, p2)
+	want := build(cells, nil)
+
+	reversed := slices.Clone(cells)
+	slices.Reverse(reversed)
+	if got := build(reversed, nil); got != want {
+		t.Errorf("reversed placement order: digest %s, want %s", got, want)
+	}
+	// Place strays and remove them again, and take one cell out and put it
+	// back, so the grid's internal order differs from a straight build.
+	strays := []schedule.Tx{
+		{FlowID: 9, Hop: 0, Link: flow.Link{From: 0, To: 7}, Slot: 3, Offset: 1},
+		{FlowID: 9, Hop: 1, Link: flow.Link{From: 6, To: 7}, Slot: 0, Offset: 0},
+	}
+	got := build(cells, func(s *schedule.Schedule) {
+		for _, tx := range strays {
+			if err := s.Place(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tx := range append(strays, cells[0]) {
+			if err := s.Remove(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Place(cells[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != want {
+		t.Errorf("place-then-remove detour: digest %s, want %s", got, want)
+	}
+
+	// Move each cell to the other offset of its slot, then to an empty slot.
+	for i := range cells {
+		for _, move := range []func(*schedule.Tx){
+			func(tx *schedule.Tx) { tx.Offset = 1 - tx.Offset },
+			func(tx *schedule.Tx) { tx.Slot = 7 },
+		} {
+			txs := slices.Clone(cells)
+			move(&txs[i])
+			if got := build(txs, nil); got == want {
+				t.Errorf("cell %d moved to (%d, %d): digest unchanged", i, txs[i].Slot, txs[i].Offset)
+			}
+		}
 	}
 }
 

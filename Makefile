@@ -115,13 +115,15 @@ e2e:
 # match the resident parts after every operation), in the schedule's
 # indexes (after any Place/Remove/Reset/Clone sequence the packed link
 # column, busy, occupancy and slot-full bitsets agree with the transmission
-# list, and Validate's verdict matches the reference's), and in the delta
+# list, Validate's verdict matches the reference's, and Diff matches the
+# two-set reference's delta), and in the delta
 # engine (after any batch of add/remove/reroute/rebudget/repair/compact ops,
 # told all or part of the workload, a failed batch
 # leaves the grid as it was, Apply(Invert(Changes)) undoes a successful
 # one, and no flow missing from the workload loses a transmission), in the
-# delta journal's netting (on any place/remove journal of a valid grid, the
-# one-sort net equals the map-and-SortChanges reference byte for byte),
+# delta journal's netting (on any place/remove journal of a valid grid,
+# with slots anywhere below 2^31 - 1, schedule.NetJournal's net equals the
+# map-and-SortChanges reference byte for byte),
 # and in the link survey's step table (for random receiver settings, the
 # table returns exactly the reference measuredPRR at random powers and
 # around its own edges, falling back to the BER series wherever its

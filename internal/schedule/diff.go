@@ -3,6 +3,7 @@ package schedule
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -39,7 +40,9 @@ type Change struct {
 // to remove and to add, deterministically ordered (removals first, then
 // additions, each by slot/flow/hop/attempt). A repair that moved k
 // transmissions yields a 2k-entry delta — what the manager pushes to the
-// affected devices instead of a full schedule download.
+// affected devices instead of a full schedule download. It is the net of a
+// journal that removes every old transmission and places every new one, so
+// a transmission both grids hold cancels; equal grids give nil.
 func Diff(old, new *Schedule) ([]Change, error) {
 	if old == nil || new == nil {
 		return nil, fmt.Errorf("diff: nil schedule")
@@ -48,27 +51,156 @@ func Diff(old, new *Schedule) ([]Change, error) {
 		return nil, fmt.Errorf("diff: dimensions differ (%d×%d vs %d×%d)",
 			old.NumSlots(), old.NumOffsets(), new.NumSlots(), new.NumOffsets())
 	}
-	oldSet := make(map[Tx]bool, old.Len())
+	journal := make([]Change, 0, old.Len()+new.Len())
 	for _, tx := range old.Txs() {
-		oldSet[tx] = true
+		journal = append(journal, Change{Kind: Removed, Tx: tx})
 	}
-	newSet := make(map[Tx]bool, new.Len())
 	for _, tx := range new.Txs() {
-		newSet[tx] = true
+		journal = append(journal, Change{Kind: Added, Tx: tx})
 	}
-	var changes []Change
-	for tx := range oldSet {
-		if !newSet[tx] {
-			changes = append(changes, Change{Kind: Removed, Tx: tx})
-		}
+	changes, _ := NetJournal(journal, nil)
+	if len(changes) == 0 {
+		return nil, nil
 	}
-	for tx := range newSet {
-		if !oldSet[tx] {
-			changes = append(changes, Change{Kind: Added, Tx: tx})
-		}
-	}
-	SortChanges(changes)
 	return changes, nil
+}
+
+// NetJournal returns the net of journal, a sequence of placements (Added)
+// and removals (Removed) of transmissions that were each placed in one grid:
+// a transmission removed and re-placed cancels, one with more removals than
+// placements is Removed, one with more placements Added. The result is in
+// the canonical order Diff produces — removals, then additions, each by
+// slot, flow, hop, attempt, instance, offset and link — is allocated at its
+// exact length, and is empty but not nil when everything cancels. In a
+// journal of one grid no two transmissions present at once share a slot,
+// flow, hop and attempt, so within one kind that order is SortChanges'.
+//
+// keys is scratch, grown to two words per entry and returned for reuse.
+// The journal is sorted through it, one uint64 per entry: the slot in the
+// high 32 bits (a grid's slots are below 2^31, see maxGridEntries) and the
+// entry's position in the low 32. Long journals are radix-sorted on the
+// slot, short ones comparison-sorted on the whole key, and only entries
+// sharing a slot are compared field by field. NetJournal panics on a slot
+// outside [0, 2^31), which no grid can produce.
+func NetJournal(journal []Change, keys []uint64) ([]Change, []uint64) {
+	n := len(journal)
+	keys = slices.Grow(keys[:0], 2*n)[:2*n]
+	src, dst := keys[:n], keys[n:]
+	top := 0
+	for i := range journal {
+		slot := journal[i].Tx.Slot
+		if uint(slot) > math.MaxInt32 {
+			panic(fmt.Sprintf("schedule: journal entry %d in slot %d", i, slot))
+		}
+		top |= slot
+		src[i] = uint64(slot)<<32 | uint64(i)
+	}
+	if n < radixMin {
+		slices.Sort(src)
+	} else {
+		// An LSD radix sort on the slot, a byte per pass, between the two
+		// halves of keys. Each pass is stable, so positions stay ascending
+		// within a slot.
+		for shift := 32; top>>(shift-32) != 0; shift += 8 {
+			var start [256]int
+			for _, k := range src {
+				start[byte(k>>shift)]++
+			}
+			at := 0
+			for d, c := range start {
+				start[d] = at
+				at += c
+			}
+			for _, k := range src {
+				d := byte(k >> shift)
+				dst[start[d]] = k
+				start[d]++
+			}
+			src, dst = dst, src
+		}
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && src[j]>>32 == src[i]>>32 {
+			j++
+		}
+		if j-i > 1 {
+			sortSlot(journal, src[i:j])
+		}
+		i = j
+	}
+	// Sum each run of equal transmissions (+1 per placement, −1 per
+	// removal) and keep the nonzero runs' last positions in src's prefix,
+	// the sign in the top bit. The k-th run ends at index k or later, so the
+	// prefix never overwrites a key still to be read.
+	const removed = 1 << 63
+	kept, removals, net := 0, 0, 0
+	for i, k := range src {
+		if journal[uint32(k)].Kind == Added {
+			net++
+		} else {
+			net--
+		}
+		if next := i + 1; next < n && src[next]>>32 == k>>32 && journal[uint32(src[next])].Tx == journal[uint32(k)].Tx {
+			continue // the run of equal transmissions goes on
+		}
+		switch {
+		case net < 0:
+			src[kept] = removed | uint64(uint32(k))
+			kept++
+			removals++
+		case net > 0:
+			src[kept] = uint64(uint32(k))
+			kept++
+		}
+		net = 0
+	}
+	changes := make([]Change, kept)
+	r, a := 0, removals
+	for _, k := range src[:kept] {
+		tx := journal[uint32(k)].Tx
+		if k&removed != 0 {
+			changes[r] = Change{Kind: Removed, Tx: tx}
+			r++
+		} else {
+			changes[a] = Change{Kind: Added, Tx: tx}
+			a++
+		}
+	}
+	return changes, keys
+}
+
+// radixMin is the shortest journal NetJournal radix-sorts. A pass costs a
+// fixed 256 counters on top of its two reads of the keys, so below this
+// length a comparison sort of the keys is faster: on journals recorded from
+// churn-grid ops it was faster up to 64 entries and the radix from 65 on,
+// where one op's journal holds about 20 (90 % hold at most 64) and a
+// node-fault batch's hundreds to thousands.
+const radixMin = 64
+
+// sortSlot orders the positions of journal entries that share one slot by
+// the rest of the transmission: flow, hop, attempt, instance, offset and
+// link. Entries of one transmission are left in any order, as their sum
+// and the transmission they net to do not depend on it.
+func sortSlot(journal []Change, keys []uint64) {
+	slices.SortFunc(keys, func(a, b uint64) int {
+		x, y := &journal[uint32(a)].Tx, &journal[uint32(b)].Tx
+		switch {
+		case x.FlowID != y.FlowID:
+			return cmp.Compare(x.FlowID, y.FlowID)
+		case x.Hop != y.Hop:
+			return cmp.Compare(x.Hop, y.Hop)
+		case x.Attempt != y.Attempt:
+			return cmp.Compare(x.Attempt, y.Attempt)
+		case x.Instance != y.Instance:
+			return cmp.Compare(x.Instance, y.Instance)
+		case x.Offset != y.Offset:
+			return cmp.Compare(x.Offset, y.Offset)
+		case x.Link.From != y.Link.From:
+			return cmp.Compare(x.Link.From, y.Link.From)
+		}
+		return cmp.Compare(x.Link.To, y.Link.To)
+	})
 }
 
 // SortChanges puts a delta into the canonical dissemination order Diff

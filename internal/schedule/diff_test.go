@@ -1,7 +1,10 @@
 package schedule
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -182,5 +185,127 @@ func TestSortChangesMatchesReference(t *testing.T) {
 		if back := Invert(Invert(got)); !slices.Equal(back, got) {
 			t.Fatalf("trial %d: Invert(Invert(c)) = %v, want %v", trial, back, got)
 		}
+	}
+}
+
+// refDiff is Diff as it was before it netted a journal: two transmission
+// sets, then SortChanges. It is kept verbatim as the reference checkDiff
+// holds Diff to.
+func refDiff(old, new *Schedule) ([]Change, error) {
+	if old == nil || new == nil {
+		return nil, fmt.Errorf("diff: nil schedule")
+	}
+	if old.NumSlots() != new.NumSlots() || old.NumOffsets() != new.NumOffsets() {
+		return nil, fmt.Errorf("diff: dimensions differ (%d×%d vs %d×%d)",
+			old.NumSlots(), old.NumOffsets(), new.NumSlots(), new.NumOffsets())
+	}
+	oldSet := make(map[Tx]bool, old.Len())
+	for _, tx := range old.Txs() {
+		oldSet[tx] = true
+	}
+	newSet := make(map[Tx]bool, new.Len())
+	for _, tx := range new.Txs() {
+		newSet[tx] = true
+	}
+	var changes []Change
+	for tx := range oldSet {
+		if !newSet[tx] {
+			changes = append(changes, Change{Kind: Removed, Tx: tx})
+		}
+	}
+	for tx := range newSet {
+		if !oldSet[tx] {
+			changes = append(changes, Change{Kind: Added, Tx: tx})
+		}
+	}
+	SortChanges(changes)
+	return changes, nil
+}
+
+// compareChanges is Diff's whole order: removals first, then by slot, flow,
+// hop, attempt, instance, offset and link. It refines SortChanges' key,
+// which leaves two changes of one kind tied when they share a slot, flow,
+// hop and attempt (transmissions a grid can hold when, as in
+// FuzzScheduleOps, one flow's hop runs over two links).
+func compareChanges(a, b Change) int {
+	return cmp.Or(cmp.Compare(b.Kind, a.Kind), cmp.Compare(a.Tx.Slot, b.Tx.Slot),
+		cmp.Compare(a.Tx.FlowID, b.Tx.FlowID), cmp.Compare(a.Tx.Hop, b.Tx.Hop), cmp.Compare(a.Tx.Attempt, b.Tx.Attempt),
+		cmp.Compare(a.Tx.Instance, b.Tx.Instance), cmp.Compare(a.Tx.Offset, b.Tx.Offset),
+		cmp.Compare(a.Tx.Link.From, b.Tx.Link.From), cmp.Compare(a.Tx.Link.To, b.Tx.Link.To))
+}
+
+// checkDiff fails t unless Diff(old, new) gives refDiff's error, or
+// refDiff's changes (nil when there are none) with SortChanges' ties put in
+// compareChanges' order.
+func checkDiff(t *testing.T, old, new *Schedule) {
+	t.Helper()
+	got, err := Diff(old, new)
+	want, wantErr := refDiff(old, new)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("Diff error %v, reference %v", err, wantErr)
+	}
+	slices.SortStableFunc(want, compareChanges)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Diff gave\n%v\nreference\n%v", got, want)
+	}
+}
+
+// TestDiffMatchesReference holds Diff to refDiff on churned grids, one with
+// slots past 2^16, whose clustered slots hold many transmissions each:
+// random placements and removals from a common start, compared both ways,
+// and equal grids, whose delta is nil.
+func TestDiffMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, slots := range []int{40, 1 << 17} {
+		old := mustNew(t, slots, 2, 24)
+		for i := 0; i < 600; i++ {
+			u := r.Intn(24)
+			_ = old.Place(Tx{FlowID: r.Intn(5), Instance: r.Intn(3), Hop: r.Intn(3), Attempt: r.Intn(2),
+				Link: flow.Link{From: u, To: (u + 1 + r.Intn(23)) % 24}, Slot: slotNear(r, slots), Offset: r.Intn(2)})
+		}
+		checkDiff(t, old, old.Clone())
+		new := old.Clone()
+		for i := 0; i < 300; i++ {
+			if r.Intn(2) == 0 && new.Len() > 0 {
+				_ = new.Remove(new.Txs()[r.Intn(new.Len())])
+				continue
+			}
+			u := r.Intn(24)
+			_ = new.Place(Tx{FlowID: r.Intn(5), Instance: r.Intn(3), Hop: r.Intn(3), Attempt: r.Intn(2),
+				Link: flow.Link{From: u, To: (u + 1 + r.Intn(23)) % 24}, Slot: slotNear(r, slots), Offset: r.Intn(2)})
+		}
+		checkDiff(t, old, new)
+		checkDiff(t, new, old)
+	}
+}
+
+// slotNear draws a slot of a slots-slot grid from a few clusters near its
+// start, middle and end, so slots repeat often.
+func slotNear(r *rand.Rand, slots int) int {
+	base := []int{0, slots / 2, slots - 8}[r.Intn(3)]
+	return max(0, min(slots-1, base+r.Intn(8)))
+}
+
+// TestNetJournalEdges: an empty journal nets to an empty, non-nil delta, a
+// journal that cancels whole does too, and a slot outside [0, 2^31−1)
+// panics instead of sorting out of place.
+func TestNetJournalEdges(t *testing.T) {
+	a := tx(3, 0, 1, 5, 0)
+	for _, journal := range [][]Change{nil, {{Kind: Removed, Tx: a}, {Kind: Added, Tx: a}}} {
+		if got, _ := NetJournal(journal, nil); got == nil || len(got) != 0 {
+			t.Fatalf("NetJournal(%v) = %#v, want empty and non-nil", journal, got)
+		}
+	}
+	for _, slot := range []int{-1, 1 << 31, 1 << 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("slot %d: no panic", slot)
+				}
+			}()
+			b := a
+			b.Slot = slot
+			NetJournal([]Change{{Kind: Added, Tx: b}}, nil)
+		}()
 	}
 }

@@ -112,6 +112,12 @@ func FuzzScheduleOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// base is the grid as of the last Clone, or the empty start: the
+		// old side of the Diff checked after the sequence.
+		base, err := New(80, 3, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i+4 <= len(data); i += 4 {
 			op, a, b, c := data[i]%5, int(data[i+1]), int(data[i+2]), int(data[i+3])
 			switch op {
@@ -130,7 +136,7 @@ func FuzzScheduleOps(f *testing.F) {
 					t.Fatalf("op %d: reset: %v", i/4, err)
 				}
 			case 3:
-				s = s.Clone()
+				base, s = s, s.Clone()
 			case 4: // remove one flow whole, or the absent flow 3
 				checkRemoveFlow(t, s, a%4)
 			}
@@ -139,6 +145,8 @@ func FuzzScheduleOps(f *testing.F) {
 			checkFlowTxs(t, s)
 			checkValidateVerdict(t, s)
 		}
+		checkDiff(t, base, s)
+		checkDiff(t, s, base)
 	})
 }
 

@@ -249,16 +249,11 @@ func applyDelta(sched *schedule.Schedule, flows []*flow.Flow, ops []BatchOp, cfg
 	return out, nil
 }
 
-// deltaJournalEntry records one schedule mutation so the operation can be
-// rolled back (reverse replay) and its net diff computed.
-type deltaJournalEntry struct {
-	place bool
-	tx    schedule.Tx
-}
-
 // deltaOp carries one operation's state: the live schedule, a placement
 // engine bound to it, the workload as of the current op, and the mutation
-// journal. deltaOps are recycled through deltaPool, so their buffers outlive
+// journal, each placement an Added change and each removal a Removed one,
+// so the op can be rolled back (reverse replay) and its net diff computed.
+// deltaOps are recycled through deltaPool, so their buffers outlive
 // the call that filled them: nothing a result returns may alias them.
 type deltaOp struct {
 	sched *schedule.Schedule
@@ -268,7 +263,7 @@ type deltaOp struct {
 	// untracked single op reads the caller's slice; a tracked call owns a
 	// copy it updates after each op and returns as BatchResult.Flows.
 	work []*flow.Flow
-	ops  []deltaJournalEntry
+	ops  []schedule.Change
 
 	// evicted accumulates the cascade rung's evictions across ops.
 	evicted []int
@@ -279,10 +274,11 @@ type deltaOp struct {
 	// journal does not see.
 	replays int
 
-	// Scratch: removeFlow's output before it is journaled, the eviction
-	// ranking's route marks (indexed by node) and its bounded candidate
-	// list, and the cascade's pending re-placements.
+	// Scratch: removeFlow's output before it is journaled, finish's sort
+	// keys, the eviction ranking's route marks (indexed by node) and its
+	// bounded candidate list, and the cascade's pending re-placements.
 	txBuf   []schedule.Tx
+	keys    []uint64
 	onRoute []bool
 	cands   []evictCand
 	pending []*flow.Flow
@@ -298,7 +294,8 @@ var deltaPool = sync.Pool{New: func() any { return new(deltaOp) }}
 // net diff of the whole grid; pooling journals of that size would hold
 // grid-sized memory per P for the rare op that needs it, so a larger buffer
 // is dropped and such an op allocates its own. On the 500-flow churn grid
-// fewer than one op in four thousand journals more than 2048 entries.
+// fewer than one op in four thousand journals more than 2048 entries. The
+// sort keys take two words per journal entry (schedule.NetJournal).
 const (
 	maxPooledJournal = 1 << 11
 	maxPooledTxs     = 1 << 8
@@ -325,7 +322,7 @@ func (d *deltaOp) release() {
 	clear(d.cands[:cap(d.cands)])
 	clear(d.pending[:cap(d.pending)])
 	*d = deltaOp{eng: d.eng, ops: keepBuf(d.ops, maxPooledJournal), txBuf: keepBuf(d.txBuf, maxPooledTxs),
-		evicted: d.evicted[:0], onRoute: d.onRoute, cands: d.cands[:0], pending: d.pending[:0]}
+		keys: keepBuf(d.keys, 2*maxPooledJournal), evicted: d.evicted[:0], onRoute: d.onRoute, cands: d.cands[:0], pending: d.pending[:0]}
 	deltaPool.Put(d)
 }
 
@@ -446,7 +443,7 @@ func (d *deltaOp) placeFlow(f *flow.Flow) (bool, error) {
 	placed := d.sched.Txs()[base:]
 	d.ops = slices.Grow(d.ops, len(placed))
 	for _, tx := range placed {
-		d.ops = append(d.ops, deltaJournalEntry{place: true, tx: tx})
+		d.ops = append(d.ops, schedule.Change{Kind: schedule.Added, Tx: tx})
 	}
 	return true, nil
 }
@@ -458,7 +455,7 @@ func (d *deltaOp) removeFlow(flowID int) int {
 	d.txBuf = d.sched.RemoveFlow(flowID, d.txBuf[:0])
 	d.ops = slices.Grow(d.ops, len(d.txBuf))
 	for _, tx := range d.txBuf {
-		d.ops = append(d.ops, deltaJournalEntry{tx: tx})
+		d.ops = append(d.ops, schedule.Change{Kind: schedule.Removed, Tx: tx})
 	}
 	return len(d.txBuf)
 }
@@ -467,64 +464,30 @@ func (d *deltaOp) removeFlow(flowID int) int {
 // schedule to its state when the journal held mark entries.
 func (d *deltaOp) rollbackTo(mark int) {
 	for i := len(d.ops) - 1; i >= mark; i-- {
-		e := d.ops[i]
-		if e.place {
-			_ = d.sched.Remove(e.tx)
+		if e := &d.ops[i]; e.Kind == schedule.Added {
+			_ = d.sched.Remove(e.Tx)
 		} else {
-			_ = d.sched.Place(e.tx)
+			_ = d.sched.Place(e.Tx)
 		}
 	}
 	d.ops = d.ops[:mark]
 }
 
-// finish fills a successful result from the journal, which it consumes: the
-// net diff — a transmission removed and later re-placed in the same cell
-// cancels out, so it is exactly what the manager must disseminate — and the
-// work counters. Work an inner rollback undid is not counted. One sort by the
-// whole transmission nets the journal; removals, then additions, is then
-// SortChanges' order, as a valid grid has one transmission per slot, flow,
-// hop and attempt.
+// finish fills a successful result from the journal: the net diff — a
+// transmission removed and later re-placed in the same cell cancels out, so
+// it is exactly what the manager must disseminate — netted by
+// schedule.NetJournal through the pooled key buffer, and the work counters.
+// Work an inner rollback undid is not counted.
 func (d *deltaOp) finish(res *DeltaResult) {
 	res.PlacementOps = d.replays
-	for _, e := range d.ops {
-		if e.place {
+	for i := range d.ops {
+		if d.ops[i].Kind == schedule.Added {
 			res.PlacementOps++
 		} else {
 			res.RemovalOps++
 		}
 	}
-	slices.SortFunc(d.ops, func(a, b deltaJournalEntry) int {
-		if a.tx.Slot != b.tx.Slot {
-			return cmp.Compare(a.tx.Slot, b.tx.Slot)
-		}
-		return cmp.Or(cmp.Compare(a.tx.FlowID, b.tx.FlowID), cmp.Compare(a.tx.Hop, b.tx.Hop), cmp.Compare(a.tx.Attempt, b.tx.Attempt),
-			cmp.Compare(a.tx.Instance, b.tx.Instance), cmp.Compare(a.tx.Offset, b.tx.Offset),
-			cmp.Compare(a.tx.Link.From, b.tx.Link.From), cmp.Compare(a.tx.Link.To, b.tx.Link.To))
-	})
-	// Net removals fill the front; net additions start after room for every
-	// removal, and the gap that cancelled removals leave is closed at the end.
-	res.Changes = make([]schedule.Change, len(d.ops))
-	r, a, n := 0, res.RemovalOps, 0
-	for i, e := range d.ops {
-		if e.place {
-			n++
-		} else {
-			n--
-		}
-		if next := i + 1; next < len(d.ops) && d.ops[next].tx.Slot == e.tx.Slot && d.ops[next].tx == e.tx {
-			continue // the run of equal transmissions goes on
-		}
-		switch {
-		case n < 0:
-			res.Changes[r] = schedule.Change{Kind: schedule.Removed, Tx: e.tx}
-			r++
-		case n > 0:
-			res.Changes[a] = schedule.Change{Kind: schedule.Added, Tx: e.tx}
-			a++
-		}
-		n = 0
-	}
-	res.Changes = slices.Delete(res.Changes[:a], r, res.RemovalOps)
+	res.Changes, d.keys = schedule.NetJournal(d.ops, d.keys)
 	if len(d.evicted) > 0 {
 		slices.Sort(d.evicted)
 		res.Evicted = slices.Clone(slices.Compact(d.evicted))
@@ -789,9 +752,7 @@ func (d *deltaOp) fullReschedule(mutated []*flow.Flow) (Fallback, int, error) {
 	}
 	// Journal in Apply's execution order (the canonical order puts removals
 	// before additions) so a reverse replay undoes the rung cleanly.
-	for _, c := range changes {
-		d.ops = append(d.ops, deltaJournalEntry{place: c.Kind == schedule.Added, tx: c.Tx})
-	}
+	d.ops = append(d.ops, changes...)
 	d.replays += fresh.Len()
 	return FallbackFull, -1, nil
 }

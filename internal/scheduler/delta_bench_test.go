@@ -202,6 +202,95 @@ func BenchmarkRerouteFlowDelta(b *testing.B) {
 // reported evict/op and cascade/op count the batches that reached it.
 func BenchmarkApplyDeltaBatch(b *testing.B) {
 	g := newChurnGrid(b)
+	batches := nodeFaultBatches(g)
+	var rungs rungCounter
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ApplyDeltaBatch(g.sched, g.active, batches[i%len(batches)], g.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		rungs[res.Fallback]++
+		g.undo(b, &res.DeltaResult)
+		b.StartTimer()
+	}
+	rungs.report(b)
+}
+
+// BenchmarkJournalNet times netting at churn sizes. "batch" nets the
+// journals of the node-fault batches BenchmarkApplyDeltaBatch applies, one
+// per iteration in turn, through finish and its pooled key buffer; "op"
+// nets the journal of each of those batches' reroutes applied alone, a
+// single op's size; "diff" is the full rung's schedule.Diff of the 500-flow
+// grid against the same workload rescheduled from scratch into an empty
+// grid of its dimensions.
+func BenchmarkJournalNet(b *testing.B) {
+	g := newChurnGrid(b)
+	batches := nodeFaultBatches(g)
+	var single [][]BatchOp
+	for _, batch := range batches {
+		for _, op := range batch {
+			single = append(single, []BatchOp{op})
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		batches [][]BatchOp
+	}{{"batch", batches}, {"op", single}} {
+		b.Run(c.name, func(b *testing.B) {
+			benchmarkFinish(b, g, c.batches)
+		})
+	}
+	b.Run("diff", func(b *testing.B) {
+		fresh, err := schedule.New(g.sched.NumSlots(), g.sched.NumOffsets(), g.sched.NumNodes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := newEngine(g.cfg, fresh, g.cfg.HopGR.Diameter())
+		for _, f := range g.active {
+			for inst := 0; inst < fresh.NumSlots()/f.Period; inst++ {
+				if ok, err := eng.scheduleInstance(f, inst); !ok || err != nil {
+					b.Fatalf("flow %d instance %d not rescheduled: %v", f.ID, inst, err)
+				}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := schedule.Diff(g.sched, fresh); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// benchmarkFinish nets, one per iteration in turn, the journal of each of
+// batches that the grid can apply, through finish and its pooled key buffer.
+func benchmarkFinish(b *testing.B, g *churnGrid, batches [][]BatchOp) {
+	var journals [][]schedule.Change
+	entries := 0
+	for _, batch := range batches {
+		if j := batchJournal(b, g, batch); j != nil {
+			journals = append(journals, j)
+			entries += len(j)
+		}
+	}
+	d := &deltaOp{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.ops = journals[i%len(journals)]
+		var res DeltaResult
+		d.finish(&res)
+	}
+	b.ReportMetric(float64(entries)/float64(len(journals)), "entries/op")
+}
+
+// nodeFaultBatches returns, for each node in turn, up to eight of the flows
+// relaying through it detoured around it as one batch.
+func nodeFaultBatches(g *churnGrid) [][]BatchOp {
 	var batches [][]BatchOp
 	for node := 0; node < g.gc.Len(); node++ {
 		var ops []BatchOp
@@ -220,18 +309,28 @@ func BenchmarkApplyDeltaBatch(b *testing.B) {
 			batches = append(batches, ops)
 		}
 	}
-	var rungs rungCounter
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ApplyDeltaBatch(g.sched, g.active, batches[i%len(batches)], g.cfg)
+	return batches
+}
+
+// batchJournal runs batch on g as applyDelta does and returns a copy of the
+// journal finish would net, or nil when an op is infeasible; the grid is
+// rolled back either way.
+func batchJournal(b *testing.B, g *churnGrid, batch []BatchOp) []schedule.Change {
+	d := newDeltaOp(g.sched, g.cfg, slices.Clone(g.active))
+	defer d.release()
+	defer d.rollbackTo(0)
+	for _, op := range batch {
+		mark := len(d.ops)
+		f, err := d.begin(op)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.StopTimer()
-		rungs[res.Fallback]++
-		g.undo(b, &res.DeltaResult)
-		b.StartTimer()
+		if _, failed, err := d.place(f, mark); err != nil {
+			b.Fatal(err)
+		} else if failed >= 0 {
+			return nil
+		}
+		d.work = setFlow(d.work, f.ID, f)
 	}
-	rungs.report(b)
+	return slices.Clone(d.ops)
 }

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -271,11 +272,12 @@ func fuzzCommit(active []*flow.Flow, batch []BatchOp) []*flow.Flow {
 // refNet is the journal netting as it was before finish sorted the journal:
 // a one-kind journal copied in order, a mixed one summed through a map, then
 // either put in canonical order by schedule.SortChanges. It is kept verbatim
-// as the reference FuzzJournalNet holds finish to.
-func refNet(ops []deltaJournalEntry) []schedule.Change {
+// as the reference FuzzJournalNet holds finish to, but for reading the
+// journal's entries as schedule.Change.
+func refNet(ops []schedule.Change) []schedule.Change {
 	removals := 0
 	for _, e := range ops {
-		if !e.place {
+		if e.Kind != schedule.Added {
 			removals++
 		}
 	}
@@ -287,15 +289,15 @@ func refNet(ops []deltaJournalEntry) []schedule.Change {
 		}
 		changes = make([]schedule.Change, len(ops))
 		for i, e := range ops {
-			changes[i] = schedule.Change{Kind: kind, Tx: e.tx}
+			changes[i] = schedule.Change{Kind: kind, Tx: e.Tx}
 		}
 	} else {
 		net := make(map[schedule.Tx]int, len(ops))
 		for _, e := range ops {
-			if e.place {
-				net[e.tx]++
+			if e.Kind == schedule.Added {
+				net[e.Tx]++
 			} else {
-				net[e.tx]--
+				net[e.Tx]--
 			}
 		}
 		changes = make([]schedule.Change, 0, len(net))
@@ -314,21 +316,37 @@ func refNet(ops []deltaJournalEntry) []schedule.Change {
 
 // journalTx decodes a transmission from two bytes. The fields span a small
 // range, so journals revisit the same slot, flow, hop and attempt often; w
-// picks the offset and one of two links per hop, as a detour would.
-func journalTx(v, w byte) schedule.Tx {
-	slot, flowID, hop, via := int(v%8), int(v/8%4), int(v/32%2), 4*int(w/3%2)
-	return schedule.Tx{FlowID: flowID, Instance: slot / 4, Hop: hop, Attempt: int(v / 64 % 2),
+// picks the offset and one of two links per hop, as a detour would. spread
+// maps the eight slots into the grid's whole slot range, [0, 2^31−1): kept
+// dense, or spaced 2^16 or 2^24 apart, or packed just below MaxInt32. The
+// 2^16 spacing lands every slot on the same low 16 bits, and the 2^24 one
+// reverses their low 24 bits' order.
+func journalTx(v, w, spread byte) schedule.Tx {
+	i, flowID, hop, via := int(v%8), int(v/8%4), int(v/32%2), 4*int(w/3%2)
+	slot := i
+	switch spread % 4 {
+	case 1:
+		slot = (i + 1) << 16
+	case 2:
+		slot = (i+1)<<24 | (7 - i)
+	case 3:
+		slot = math.MaxInt32 - 8 + i
+	}
+	return schedule.Tx{FlowID: flowID, Instance: i / 4, Hop: hop, Attempt: int(v / 64 % 2),
 		Link: flow.Link{From: via + hop, To: via + hop + 1}, Slot: slot, Offset: int(w % 3)}
 }
 
-// FuzzJournalNet holds finish's one-sort netting to the reference map
-// netting, byte for byte, on random journals of a valid grid: no two
-// present transmissions share a slot, flow, hop and attempt. data[0] seeds
-// the initial grid with up to seven transmissions of two bytes each; then
-// every two bytes [k, v] are one step, by k%4: remove a present
-// transmission, place a new one, move a present transmission to another
-// offset or link in its slot, or re-place the last one removed (a placement
-// that cancels a removal).
+// FuzzJournalNet holds finish's netting to the reference map netting, byte
+// for byte, on random journals of a valid grid: no two present
+// transmissions share a slot, flow, hop and attempt. data[0]'s low three
+// bits seed the initial grid with up to seven transmissions of two bytes
+// each, its bit 3 opens the journal with 64 placements each removed at
+// once (flows 4–7, which the steps never use; they cancel, and take the
+// journal past the length schedule.NetJournal radix-sorts from), and its
+// top two bits pick journalTx's slot spread; then every two bytes [k, v]
+// are one step, by k%4: remove a present transmission, place a new one,
+// move a present transmission to another offset or link in its slot, or
+// re-place the last one removed (a placement that cancels a removal).
 func FuzzJournalNet(f *testing.F) {
 	// Pure placements, pure removals, same-slot offset and link moves among
 	// a repeat and a fresh placement, and removals cancelled by re-placements.
@@ -340,15 +358,51 @@ func FuzzJournalNet(f *testing.F) {
 	// not stable: a key without the offset splits a run of equal
 	// transmissions.
 	f.Add([]byte("10020101010201010102020&0&020"))
+	// Journals over five slots with the slots spaced 2^16 and 2^24 apart and
+	// packed below MaxInt32, comparison- and radix-sorted: a key or a radix
+	// pass that keeps 16 or 24 bits of the slot merges or reorders them.
+	for _, top := range []byte{0x40, 0x48, 0x80, 0x88, 0xc0, 0xc8} {
+		f.Add([]byte{top | 4, 1, 0, 2, 0, 3, 0, 4, 0, 0, 1, 3, 0, 5, 6, 0, 0, 3, 0, 1, 200})
+	}
+	// A transmission of the initial grid moved around its slot's three
+	// offsets and back: its entries at one offset are not adjacent in the
+	// journal, so an order that ties offsets leaves a removal and a
+	// re-placement unnetted.
+	for _, top := range []byte{0, 0x08, 0xc8} {
+		f.Add([]byte{top | 1, 0, 0, 2, 0, 2, 0, 2, 0})
+	}
+	// Sixteen placements in one slot, latest flow first, then offset moves
+	// there and back and a link move: more than twelve entries share the
+	// slot, so slices.SortFunc does not leave them to its insertion sort,
+	// and one transmission's removals and re-placements at three offsets
+	// interleave.
+	// In every spread, behind the cancelling opening (radix-sorted) and
+	// without it (comparison-sorted).
+	for _, spread := range []byte{0, 0x08, 0x40, 0x48, 0x88, 0xc8} {
+		seed := []byte{spread}
+		for v := 120; v >= 0; v -= 8 {
+			seed = append(seed, 1, byte(v))
+		}
+		seed = append(seed, 2, 0, 2, 15, 2, 15, 6, 3, 3, 0, 0, 5, 3, 0)
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 1+2*64 {
 			return
 		}
+		spread := data[0] >> 6
 		key := func(tx schedule.Tx) [4]int { return [4]int{tx.Slot, tx.FlowID, tx.Hop, tx.Attempt} }
 		var present []schedule.Tx
 		held := map[[4]int]bool{}
-		var ops []deltaJournalEntry
+		var ops []schedule.Change
 		var last *schedule.Tx
+		if data[0]&8 != 0 {
+			for i := 0; i < 64; i++ {
+				tx := journalTx(byte(37*i), byte(i), spread)
+				tx.FlowID += 4
+				ops = append(ops, schedule.Change{Kind: schedule.Added, Tx: tx}, schedule.Change{Kind: schedule.Removed, Tx: tx})
+			}
+		}
 		place := func(tx schedule.Tx, journal bool) {
 			if held[key(tx)] {
 				return
@@ -356,20 +410,20 @@ func FuzzJournalNet(f *testing.F) {
 			held[key(tx)] = true
 			present = append(present, tx)
 			if journal {
-				ops = append(ops, deltaJournalEntry{place: true, tx: tx})
+				ops = append(ops, schedule.Change{Kind: schedule.Added, Tx: tx})
 			}
 		}
 		remove := func(i int) schedule.Tx {
 			tx := present[i]
 			present = slices.Delete(present, i, i+1)
 			delete(held, key(tx))
-			ops = append(ops, deltaJournalEntry{tx: tx})
+			ops = append(ops, schedule.Change{Kind: schedule.Removed, Tx: tx})
 			last = &tx
 			return tx
 		}
 		n0 := min(int(data[0]%8), (len(data)-1)/2)
 		for i := 0; i < n0; i++ {
-			place(journalTx(data[1+2*i], data[2+2*i]), false)
+			place(journalTx(data[1+2*i], data[2+2*i], spread), false)
 		}
 		for steps := data[1+2*n0:]; len(steps) >= 2; steps = steps[2:] {
 			k, v := steps[0], steps[1]
@@ -379,7 +433,7 @@ func FuzzJournalNet(f *testing.F) {
 					remove(int(v) % len(present))
 				}
 			case 1:
-				place(journalTx(v, k/4), true)
+				place(journalTx(v, k/4, spread), true)
 			case 2:
 				if len(present) > 0 {
 					tx := remove(int(v) % len(present))
@@ -403,9 +457,12 @@ func FuzzJournalNet(f *testing.F) {
 		if !reflect.DeepEqual(res.Changes, want) {
 			t.Fatalf("journal %v:\n got %v\nwant %v", ops, res.Changes, want)
 		}
+		if !slices.Equal(d.ops, ops) {
+			t.Fatalf("finish changed the journal %v to %v", ops, d.ops)
+		}
 		placed := 0
 		for _, e := range ops {
-			if e.place {
+			if e.Kind == schedule.Added {
 				placed++
 			}
 		}

@@ -99,7 +99,7 @@ func (d *deltaOp) relocate(tx schedule.Tx, lo, hi int, group []schedule.Tx) bool
 	moved := tx
 	moved.Slot, moved.Offset = slot, offset
 	_ = d.sched.Place(moved)
-	d.ops = append(d.ops, deltaJournalEntry{tx: tx}, deltaJournalEntry{place: true, tx: moved})
+	d.ops = append(d.ops, schedule.Change{Kind: schedule.Removed, Tx: tx}, schedule.Change{Kind: schedule.Added, Tx: moved})
 	group[slices.Index(group, tx)] = moved
 	return true
 }

@@ -142,9 +142,10 @@ type Result struct {
 	// Config it is identical across runs and machines.
 	Digest string `json:"digest"`
 
-	// HeapStartBytes/HeapEndBytes are live-heap samples (after GC) at the
-	// start and end of the churn phase: with recyclable arenas the delta
-	// should stay near zero however long the soak runs.
+	// HeapStartBytes/HeapEndBytes are live-heap samples (after two GCs,
+	// which empty the sync.Pools) at the start and end of the churn phase:
+	// with recyclable arenas the delta should stay near zero however long
+	// the soak runs.
 	HeapStartBytes uint64 `json:"heapStartBytes"`
 	HeapEndBytes   uint64 `json:"heapEndBytes"`
 }
@@ -196,10 +197,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	runtime.GC()
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
-	s.res.HeapStartBytes = mem.HeapAlloc
+	s.res.HeapStartBytes = liveHeap()
 
 	sinceOracle := 0
 	for op := 0; op < cfg.Ops; op++ {
@@ -223,12 +221,23 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	runtime.GC()
-	runtime.ReadMemStats(&mem)
-	s.res.HeapEndBytes = mem.HeapAlloc
+	s.res.HeapEndBytes = liveHeap()
 
 	s.finish()
 	return s.res, nil
+}
+
+// liveHeap returns the heap in use after two collections. One is not
+// enough: a sync.Pool moves what it holds to a victim cache at a
+// collection and frees it only at the next, so after one the sample still
+// counts the delta engine's pooled scratch and full-rung grids, or not,
+// depending on what the last ops drew.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	return mem.HeapAlloc
 }
 
 // newState builds the testbed, the candidate flow pool (2× the active

@@ -146,9 +146,13 @@ func TestSoakHeapStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Allow 20% relative growth plus a small absolute floor for runtime
-	// noise; a per-op leak at this op count would blow far past it.
+	// noise; a per-op leak at this op count would blow far past it. The
+	// samples are taken after two collections, which empty the delta
+	// engine's pools: both runs then read the same ~1.3 MB to within ~30 KB
+	// (20 -short runs, 10 under -race, 5 full), and a leak of 4 KiB per
+	// committed delta fails even the short run (~1.2 MB over ~300 deltas).
 	quarter := short.HeapEndBytes
-	limit := quarter + quarter/5 + 2<<20
+	limit := quarter + quarter/5 + 256<<10
 	if res.HeapEndBytes > limit {
 		t.Fatalf("heap grew under churn: %d B at 25%% of the run, %d B at the end (limit %d)",
 			quarter, res.HeapEndBytes, limit)

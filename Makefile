@@ -113,10 +113,11 @@ e2e:
 # what it delivered; fails only on undecodable events), and in the
 # artifact store's blob table (every Get matches a map model; refcounts
 # match the resident parts after every operation), in the schedule's
-# indexes (after any Place/Remove/Reset/Clone sequence the packed link
-# column, busy, occupancy and slot-full bitsets agree with the transmission
-# list, Validate's verdict matches the reference's, and Diff matches the
-# two-set reference's delta), and in the delta
+# indexes (after any Place/Remove/RemoveFlow/Reset/Clone sequence every
+# cell lists its occupants in placement order, the packed link column,
+# busy, occupancy and slot-full bitsets agree with the transmission list,
+# Validate's verdict matches the reference's, and Diff matches the two-set
+# reference's delta), and in the delta
 # engine (after any batch of add/remove/reroute/rebudget/repair/compact ops,
 # told all or part of the workload, a failed batch
 # leaves the grid as it was, Apply(Invert(Changes)) undoes a successful

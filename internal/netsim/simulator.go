@@ -235,12 +235,15 @@ func (s *simulator) buildSlotIndex() {
 
 	s.bySlot = make([][]txRef, hyper)
 	maxRefs := 0
+	txs := sched.Txs()
+	var cell []int32
 	for slot := 0; slot < hyper; slot++ {
 		for off := 0; off < sched.NumOffsets(); off++ {
-			cell := sched.Cell(slot, off)
-			for _, tx := range cell {
+			cell = sched.Cell(slot, off, cell[:0])
+			for _, p := range cell {
+				tx := &txs[p]
 				ref := txRef{
-					tx:    tx,
+					tx:    *tx,
 					reuse: len(cell) >= 2,
 					last:  tx.Attempt == lastAttempt[[2]int{tx.FlowID, tx.Hop}],
 					pkt:   -1,

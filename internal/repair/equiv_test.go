@@ -37,7 +37,7 @@ func refReschedule(sched *schedule.Schedule, flows []*flow.Flow, degraded []flow
 	// Collect the victims: transmissions of degraded links in shared cells.
 	var victims []schedule.Tx
 	for _, tx := range sched.Txs() {
-		if degradedSet[tx.Link] && len(sched.Cell(tx.Slot, tx.Offset)) > 1 {
+		if degradedSet[tx.Link] && len(sched.Cell(tx.Slot, tx.Offset, nil)) > 1 {
 			victims = append(victims, tx)
 		}
 	}
@@ -134,7 +134,7 @@ func refFindExclusive(sched *schedule.Schedule, l flow.Link, lo, hi int, scanned
 			continue
 		}
 		for c := 0; c < sched.NumOffsets(); c++ {
-			if len(sched.Cell(s, c)) == 0 {
+			if len(sched.Cell(s, c, nil)) == 0 {
 				return s, c, true
 			}
 		}
@@ -215,7 +215,7 @@ func refFindCompatible(sched *schedule.Schedule, l flow.Link, lo, hi int, hop *g
 			continue
 		}
 		for c := 0; c < sched.NumOffsets(); c++ {
-			cell := sched.Cell(s, c)
+			cell := sched.Cell(s, c, nil)
 			if len(cell) == 0 {
 				return s, c, true
 			}
@@ -223,7 +223,8 @@ func refFindCompatible(sched *schedule.Schedule, l flow.Link, lo, hi int, hop *g
 				continue
 			}
 			compatible := true
-			for _, other := range cell {
+			for _, p := range cell {
+				other := &sched.Txs()[p]
 				if int(hop.Dist(l.From, other.Link.To)) < rhoT ||
 					int(hop.Dist(other.Link.From, l.To)) < rhoT {
 					compatible = false
@@ -376,8 +377,8 @@ func cellsWithVictims(s *schedule.Schedule, degraded []flow.Link) int {
 	for slot := 0; slot < s.NumSlots(); slot++ {
 		for off := 0; off < s.NumOffsets(); off++ {
 			victims := 0
-			for _, tx := range s.Cell(slot, off) {
-				if slices.Contains(degraded, tx.Link) {
+			for _, p := range s.Cell(slot, off, nil) {
+				if slices.Contains(degraded, s.Txs()[p].Link) {
 					victims++
 				}
 			}

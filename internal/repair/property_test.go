@@ -80,7 +80,7 @@ func TestRepairPreservesInvariants(t *testing.T) {
 			if !inLinks(degraded, tx.Link) {
 				continue
 			}
-			if len(sched.Cell(tx.Slot, tx.Offset)) > 1 {
+			if len(sched.Cell(tx.Slot, tx.Offset, nil)) > 1 {
 				stillShared++
 			}
 		}

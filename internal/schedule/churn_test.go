@@ -1,7 +1,6 @@
 package schedule
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -186,108 +185,49 @@ func TestResetEquivalentToNew(t *testing.T) {
 	}
 }
 
-// TestChurnedGridReusesCellCarvings: a live grid whose transmissions keep
-// moving — removed whole and re-placed into other cells — must hold cell
+// TestChurnedGridRetainsLiveStorage: a live grid whose transmissions keep
+// moving — removed whole and re-placed into other cells — must hold
 // storage for its current occupants, not for every cell it ever occupied.
 // Each round shifts 24 flows of two transmissions each to fresh slots, 20
-// of them sharing cells in pairs and 4 alone; after the first round the
-// arenas must not grow, where keeping each visited cell's carving would
-// need a chunk every few rounds.
-func TestChurnedGridReusesCellCarvings(t *testing.T) {
-	const slots, rounds = 2048, 200
-	s := mustNew(t, slots, 2, 100)
-	place := func(round int) {
+// of them sharing cells in pairs and 4 alone; each removal must leave what
+// a loop of Remove leaves (checkRemoveFlow). After every round the cell
+// table must be exactly the grid, and the transmission list and its next
+// links must share one capacity within 1.5× the peak Len.
+func TestChurnedGridRetainsLiveStorage(t *testing.T) {
+	const slots, offsets, rounds = 2048, 2, 200
+	s := mustNew(t, slots, offsets, 100)
+	peak := 0
+	for round := 0; round < rounds; round++ {
+		if round > 0 {
+			for f := 0; f < 24; f++ {
+				checkRemoveFlow(t, s, f)
+			}
+		}
 		for f := 0; f < 24; f++ {
 			slot := (round*48 + f*2) % slots
 			for hop := 0; hop < 2; hop++ {
 				// Below flow 20, flows 2k and 2k+1 share each cell of
 				// their pair of slots.
-				off := 0
-				if f%4 >= 2 {
-					off = 1
-				}
-				tx := Tx{FlowID: f, Hop: hop, Link: flow.Link{From: 4 * f, To: 4*f + 1 + hop}, Slot: (slot + hop) % slots, Offset: off}
+				tx := Tx{FlowID: f, Hop: hop, Link: flow.Link{From: 4 * f, To: 4*f + 1 + hop}, Slot: (slot + hop) % slots, Offset: f % 4 / 2}
 				if f%2 == 1 && f < 20 {
 					tx.Slot = (slot - 2 + hop + slots) % slots
 				}
 				if err := s.Place(tx); err != nil {
 					t.Fatalf("round %d flow %d hop %d: %v", round, f, hop, err)
 				}
+				peak = max(peak, s.Len())
 			}
 		}
-	}
-	place(0)
-	chunks := len(s.arena.chunks) + len(s.pairArena.chunks)
-	for round := 1; round < rounds; round++ {
-		for f := 0; f < 24; f++ {
-			if got := s.RemoveFlow(f, nil); len(got) != 2 {
-				t.Fatalf("round %d: flow %d removed %d transmissions, want 2", round, f, len(got))
-			}
-		}
-		place(round)
 		if round%40 == 0 {
 			checkIndexes(t, s)
 		}
-	}
-	if got := len(s.arena.chunks) + len(s.pairArena.chunks); got != chunks {
-		t.Fatalf("arenas grew from %d to %d chunks over %d rounds of churn", chunks, got, rounds)
-	}
-}
-
-// TestRemoveFlowCompactsCells fills a grid with single and shared cells,
-// then retires flows through RemoveFlow until the free carvings pass two
-// chunks and the cells are re-carved. Every removal must leave what a loop
-// of Remove leaves (checkRemoveFlow); after a compaction each arena-backed
-// cell must sit in the smallest carving that holds it, the free lists must
-// be empty, and the arenas must hold fewer chunks than before. The grid is
-// then refilled and drained again through the compacted arenas.
-func TestRemoveFlowCompactsCells(t *testing.T) {
-	const slots, offsets, nodes, flows = 512, 2, 400, 400
-	s := mustNew(t, slots, offsets, nodes)
-	rng := rand.New(rand.NewSource(1))
-	fill := func() {
-		for id := 0; id < flows; id++ {
-			for placed := 0; placed < 8; {
-				if s.Place(randomTx(rng, slots, offsets, nodes, id)) == nil {
-					placed++
-				}
-			}
-		}
-	}
-	for pass := 0; pass < 2; pass++ {
-		fill()
-		chunks := len(s.arena.chunks) + len(s.pairArena.chunks)
-		compacted := false
-		for id := 0; id < flows; id++ {
-			before := s.freeCarved()
-			checkRemoveFlow(t, s, id)
-			if s.freeCarved() >= before {
-				continue
-			}
-			compacted = true
-			if n := len(s.freeSingles); n != 0 {
-				t.Fatalf("pass %d flow %d: %d free singles after a compaction", pass, id, n)
-			}
-			for i, c := range s.cells {
-				want := 0
-				if len(c) > 0 {
-					want = 1 << bits.Len(uint(len(c)-1))
-				}
-				if cap(c) != want {
-					t.Fatalf("pass %d flow %d: cell %d holds %d in a carving of %d, want %d",
-						pass, id, i, len(c), cap(c), want)
-				}
-			}
-			if got := len(s.arena.chunks) + len(s.pairArena.chunks); got >= chunks {
-				t.Fatalf("pass %d flow %d: %d chunks after a compaction, %d before", pass, id, got, chunks)
-			}
-		}
-		if !compacted {
-			t.Fatalf("pass %d: draining %d flows never compacted the cells", pass, flows)
-		}
-		checkIndexes(t, s)
-		if s.Len() != 0 {
-			t.Fatalf("pass %d: %d transmissions left", pass, s.Len())
+		switch {
+		case len(s.head) != slots*offsets:
+			t.Fatalf("round %d: %d cell heads for %d cells", round, len(s.head), slots*offsets)
+		case cap(s.next) != cap(s.txs):
+			t.Fatalf("round %d: next capacity %d, Txs capacity %d", round, cap(s.next), cap(s.txs))
+		case 2*cap(s.txs) > 3*peak:
+			t.Fatalf("round %d: Txs capacity %d past 1.5× the peak Len %d", round, cap(s.txs), peak)
 		}
 	}
 }

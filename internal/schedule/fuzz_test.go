@@ -64,7 +64,8 @@ func FuzzDecode(f *testing.F) {
 		for slot := 0; slot < got.NumSlots(); slot++ {
 			seen := make(map[int]bool)
 			for off := 0; off < got.NumOffsets(); off++ {
-				for _, tx := range got.Cell(slot, off) {
+				for _, p := range got.Cell(slot, off, nil) {
+					tx := got.Txs()[p]
 					if seen[tx.Link.From] || seen[tx.Link.To] {
 						t.Fatalf("conflict in decoded schedule at slot %d", slot)
 					}
@@ -80,14 +81,15 @@ func FuzzDecode(f *testing.F) {
 // RemoveFlow, Reset and Clone sequences and checks after every operation
 // that its indexes —
 // the packed link column, the busy, occupancy and slot-full bitsets, the
-// busy counts, the cells and the per-flow positions — agree with the
-// transmission list, that a slot is full exactly when its occupied offsets
-// are 0..M−1 (checkFullSlots), and that Validate gives the reference's
-// verdict (checkValidateVerdict). Each op reads four bytes: the op kind and
-// three operands. Placements share three flow IDs, so removals move
-// transmissions within and across flows' position lists. A whole-flow
-// removal must leave exactly what a loop of Remove leaves on an exact copy
-// (checkRemoveFlow).
+// busy counts, the cell lists and the per-flow positions — agree with the
+// transmission list, that every cell lists its occupants in placement order
+// (checkCellOrder, against an ordered per-cell model), that a slot is full
+// exactly when its occupied offsets are 0..M−1 (checkFullSlots), and that
+// Validate gives the reference's verdict (checkValidateVerdict). Each op
+// reads four bytes: the op kind and three operands. Placements share three
+// flow IDs, so removals move transmissions within and across flows'
+// position lists. A whole-flow removal must leave exactly what a loop of
+// Remove leaves on an exact copy (checkRemoveFlow).
 func FuzzScheduleOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 3, 4, 0, 0, 5, 6, 1, 1, 0, 0, 0})
 	f.Add([]byte{0, 1, 2, 65, 0, 3, 4, 65, 1, 1, 0, 0, 3, 0, 0, 0, 2, 70, 2, 9})
@@ -107,6 +109,14 @@ func FuzzScheduleOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 2, 3, 0, 3, 0, 0, 0, 0, 4, 5, 1, 3, 0, 0, 0, 3, 0, 0, 0, 0, 0, 1, 2, 4, 0, 0, 0})
 	// Flows 0, 1, 1, then flow 1, which holds the tail, removed whole.
 	f.Add([]byte{0, 0, 1, 0, 0, 2, 3, 0, 3, 0, 0, 0, 3, 0, 0, 0, 0, 4, 5, 1, 4, 1, 0, 0})
+	// A and B share cell (5,0); removing A moves B, the tail of Txs, into
+	// A's position within their cell. C and D join the cell behind B, then
+	// flow 1 (B and D) is removed whole: D fills B's hole, C fills D's.
+	f.Add([]byte{0, 0, 1, 5, 0, 2, 3, 5, 1, 0, 0, 0, 0, 4, 5, 5, 0, 6, 7, 5, 4, 1, 0, 0})
+	// Cell (5,0) lists A, B, C at positions 0, 3, 1 once Z1 (slot 6) is
+	// removed; removing Z2 (slot 7) then moves B, the tail of Txs and the
+	// middle of the cell, and flow 0 (A and B) is removed whole.
+	f.Add([]byte{0, 0, 1, 5, 0, 0, 1, 6, 0, 0, 1, 7, 0, 2, 3, 5, 0, 4, 5, 5, 1, 1, 0, 0, 1, 2, 0, 0, 4, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := New(80, 3, 8)
 		if err != nil {
@@ -118,29 +128,46 @@ func FuzzScheduleOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// model lists each cell's occupants in the order Cell must give.
+		model := make(map[[2]int][]Tx)
 		for i := 0; i+4 <= len(data); i += 4 {
 			op, a, b, c := data[i]%5, int(data[i+1]), int(data[i+2]), int(data[i+3])
 			switch op {
 			case 0: // place; rejections (conflicts, bad links) are fine
 				n := s.NumNodes()
-				_ = s.Place(Tx{FlowID: i / 4 % 3, Link: flow.Link{From: a % n, To: b % n},
-					Slot: c % s.NumSlots(), Offset: (a / n) % s.NumOffsets()})
+				tx := Tx{FlowID: i / 4 % 3, Link: flow.Link{From: a % n, To: b % n},
+					Slot: c % s.NumSlots(), Offset: (a / n) % s.NumOffsets()}
+				if s.Place(tx) == nil {
+					model[[2]int{tx.Slot, tx.Offset}] = append(model[[2]int{tx.Slot, tx.Offset}], tx)
+				}
 			case 1: // remove one placed transmission
 				if s.Len() > 0 {
-					if err := s.Remove(s.Txs()[a%s.Len()]); err != nil {
+					tx := s.Txs()[a%s.Len()]
+					if err := s.Remove(tx); err != nil {
 						t.Fatalf("op %d: remove placed tx: %v", i/4, err)
 					}
+					key := [2]int{tx.Slot, tx.Offset}
+					model[key] = slices.DeleteFunc(model[key], func(m Tx) bool { return m == tx })
 				}
 			case 2: // reset to new dimensions
 				if err := s.Reset(1+a%130, 1+b%4, 2+c%10); err != nil {
 					t.Fatalf("op %d: reset: %v", i/4, err)
 				}
-			case 3:
+				clear(model)
+			case 3: // a clone places Txs in order
 				base, s = s, s.Clone()
+				clear(model)
+				for _, tx := range s.Txs() {
+					model[[2]int{tx.Slot, tx.Offset}] = append(model[[2]int{tx.Slot, tx.Offset}], tx)
+				}
 			case 4: // remove one flow whole, or the absent flow 3
 				checkRemoveFlow(t, s, a%4)
+				for key, cell := range model {
+					model[key] = slices.DeleteFunc(cell, func(m Tx) bool { return m.FlowID == a%4 })
+				}
 			}
 			checkIndexes(t, s)
+			checkCellOrder(t, s, model)
 			checkFullSlots(t, s)
 			checkFlowTxs(t, s)
 			checkValidateVerdict(t, s)
@@ -155,7 +182,8 @@ func FuzzScheduleOps(f *testing.F) {
 // it was given, and left s exactly as a loop of Remove in that order leaves
 // an exact copy: the Txs order, each cell's occupants in order, the packed
 // link column, the busy, occupancy and slot-full bitsets, the busy counts,
-// the node stamps, the per-flow positions and Version.
+// the node stamps, the cell lists' head and next links, the per-flow
+// positions and Version.
 func checkRemoveFlow(t *testing.T, s *Schedule, flowID int) {
 	t.Helper()
 	ref := exactCopy(s)
@@ -181,13 +209,11 @@ func checkRemoveFlow(t *testing.T, s *Schedule, flowID int) {
 		t.Fatalf("RemoveFlow(%d): bitsets, busy counts or node stamps differ from the Remove loop's", flowID)
 	case !slices.Equal(s.cellLink, ref.cellLink):
 		t.Fatalf("RemoveFlow(%d): packed link column differs from the Remove loop's", flowID)
+	case !slices.Equal(s.head, ref.head) || !slices.Equal(s.next, ref.next):
+		t.Fatalf("RemoveFlow(%d): cell lists head %v next %v, Remove loop head %v next %v",
+			flowID, s.head, s.next, ref.head, ref.next)
 	case len(s.flowPos) != len(ref.flowPos):
 		t.Fatalf("RemoveFlow(%d): %d indexed flows, Remove loop %d", flowID, len(s.flowPos), len(ref.flowPos))
-	}
-	for i := range s.cells {
-		if !slices.Equal(s.cells[i], ref.cells[i]) {
-			t.Fatalf("RemoveFlow(%d): cell %d holds %v, Remove loop %v", flowID, i, s.cells[i], ref.cells[i])
-		}
 	}
 	for id, pos := range ref.flowPos {
 		if !slices.Equal(s.flowPos[id], pos) {
@@ -202,13 +228,9 @@ func exactCopy(s *Schedule) *Schedule {
 	cp := *s
 	cp.nodeBusy, cp.occ, cp.slotFull = slices.Clone(s.nodeBusy), slices.Clone(s.occ), slices.Clone(s.slotFull)
 	cp.cellLink, cp.txs = slices.Clone(s.cellLink), slices.Clone(s.txs)
+	cp.head, cp.next = slices.Clone(s.head), slices.Clone(s.next)
 	cp.nodeVer, cp.busyCnt = slices.Clone(s.nodeVer), slices.Clone(s.busyCnt)
-	cp.arena, cp.pairArena, cp.pairs, cp.freePos = txArena{}, txArena{}, nil, nil
-	cp.freeSingles, cp.freeCells = nil, [maxCarveLog + 1][][]Tx{}
-	cp.cells = make([][]Tx, len(s.cells))
-	for i, c := range s.cells {
-		cp.cells[i] = slices.Clone(c)
-	}
+	cp.pairs, cp.freePos = nil, nil
 	if s.flowPos != nil {
 		cp.flowPos = make(map[int][]int32, len(s.flowPos))
 		for id, pos := range s.flowPos {
@@ -287,11 +309,12 @@ func scanFlowTxs(s *Schedule, flowID int) []Tx {
 }
 
 // checkIndexes fails t unless every index of s agrees with its transmission
-// list: busy bits and busy counts, each cell's contents, the occupancy row
-// and slot-full bit of every slot, and the packed link of every occupied
-// cell.
+// list: busy bits and busy counts, each cell's list (checkCellLists), the
+// occupancy row and slot-full bit of every slot, and the packed link of
+// every occupied cell.
 func checkIndexes(t *testing.T, s *Schedule) {
 	t.Helper()
+	checkCellLists(t, s)
 	busy := make(map[[2]int]bool)
 	cells := make(map[[2]int][]Tx)
 	for _, tx := range s.Txs() {
@@ -321,13 +344,7 @@ func checkIndexes(t *testing.T, s *Schedule) {
 		}
 		var occ []int
 		for off := 0; off < s.NumOffsets(); off++ {
-			want, got := cells[[2]int{slot, off}], s.Cell(slot, off)
-			slices.SortFunc(want, cmpTx)
-			got = slices.Clone(got)
-			slices.SortFunc(got, cmpTx)
-			if !slices.Equal(got, want) {
-				t.Fatalf("cell (%d,%d) = %v, want %v", slot, off, got, want)
-			}
+			want := cells[[2]int{slot, off}]
 			if len(want) == 0 {
 				continue
 			}
@@ -352,13 +369,55 @@ func checkIndexes(t *testing.T, s *Schedule) {
 	}
 }
 
-// cmpTx orders transmissions by flow, instance, hop and attempt, then slot.
-func cmpTx(a, b Tx) int {
-	for _, d := range []int{a.FlowID - b.FlowID, a.Instance - b.Instance, a.Hop - b.Hop,
-		a.Attempt - b.Attempt, a.Slot - b.Slot, a.Link.From - b.Link.From} {
-		if d != 0 {
-			return d
+// checkCellLists fails t unless the cell lists partition Txs: the head
+// table covers the grid, next runs parallel to Txs at its capacity, every
+// list ends without revisiting a position, and each position sits in
+// exactly one list, its own cell's.
+func checkCellLists(t *testing.T, s *Schedule) {
+	t.Helper()
+	if len(s.head) != s.numSlots*s.numOffsets {
+		t.Fatalf("head has %d entries for %d×%d cells", len(s.head), s.numSlots, s.numOffsets)
+	}
+	if len(s.next) != len(s.txs) || cap(s.next) != cap(s.txs) {
+		t.Fatalf("next has len %d cap %d, Txs len %d cap %d", len(s.next), cap(s.next), len(s.txs), cap(s.txs))
+	}
+	listed := make([]bool, len(s.txs))
+	for idx, h := range s.head {
+		for p := h; p != 0; p = s.next[p-1] {
+			switch {
+			case p < 0 || int(p) > len(s.txs):
+				t.Fatalf("cell %d links to position %d of %d", idx, p-1, len(s.txs))
+			case listed[p-1]:
+				t.Fatalf("cell %d reaches position %d a second time", idx, p-1)
+			case s.txs[p-1].Slot*s.numOffsets+s.txs[p-1].Offset != idx:
+				t.Fatalf("cell %d lists %+v of another cell", idx, s.txs[p-1])
+			}
+			listed[p-1] = true
 		}
 	}
-	return 0
+	if p := slices.Index(listed, false); p >= 0 {
+		t.Fatalf("position %d (%+v) is in no cell list", p, s.txs[p])
+	}
+}
+
+// checkCellOrder fails t unless every cell of s gives, through Cell, the
+// occupants model lists for it, in that order, and Cell appends to the
+// buffer it is given.
+func checkCellOrder(t *testing.T, s *Schedule, model map[[2]int][]Tx) {
+	t.Helper()
+	for slot := 0; slot < s.NumSlots(); slot++ {
+		for off := 0; off < s.NumOffsets(); off++ {
+			got := s.Cell(slot, off, []int32{-1})
+			if len(got) == 0 || got[0] != -1 {
+				t.Fatalf("Cell(%d, %d) dropped the buffer's prefix: %v", slot, off, got)
+			}
+			var txs []Tx
+			for _, p := range got[1:] {
+				txs = append(txs, s.Txs()[p])
+			}
+			if want := model[[2]int{slot, off}]; !slices.Equal(txs, want) {
+				t.Fatalf("cell (%d,%d) lists %v, placement order %v", slot, off, txs, want)
+			}
+		}
+	}
 }

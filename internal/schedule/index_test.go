@@ -11,7 +11,7 @@ import (
 // themselves.
 func naiveFirstFreeOffset(s *Schedule, slot int) int {
 	for c := 0; c < s.NumOffsets(); c++ {
-		if len(s.Cell(slot, c)) == 0 {
+		if len(s.Cell(slot, c, nil)) == 0 {
 			return c
 		}
 	}
@@ -22,7 +22,7 @@ func naiveFirstFreeOffset(s *Schedule, slot int) int {
 func naiveOccupiedOffsets(s *Schedule, slot int) []int {
 	var out []int
 	for c := 0; c < s.NumOffsets(); c++ {
-		if len(s.Cell(slot, c)) > 0 {
+		if len(s.Cell(slot, c, nil)) > 0 {
 			out = append(out, c)
 		}
 	}

@@ -263,7 +263,7 @@ func (s *Schedule) DeviceSchedule(node int) []DeviceSlot {
 			Role:   role,
 			Peer:   peer,
 			FlowID: tx.FlowID,
-			Shared: len(s.Cell(tx.Slot, tx.Offset)) > 1,
+			Shared: s.packLink(tx.Slot*s.numOffsets+tx.Offset) == SharedCell,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Slot < out[j].Slot })

@@ -10,9 +10,10 @@ import (
 // A schedule with no reuse has all its mass at key 1.
 func (s *Schedule) TxPerChannelHist() map[int]int {
 	hist := make(map[int]int)
-	for _, cell := range s.cells {
-		if n := len(cell); n > 0 {
-			hist[n]++
+	var cell []int32
+	for idx := range s.head {
+		if cell = s.appendCell(cell[:0], idx); len(cell) > 0 {
+			hist[len(cell)]++
 		}
 	}
 	return hist
@@ -24,8 +25,9 @@ func (s *Schedule) TxPerChannelHist() map[int]int {
 // receiver. Key = hop count, value = number of reused cells.
 func (s *Schedule) ReuseHopHist(hop *graph.HopMatrix) map[int]int {
 	hist := make(map[int]int)
-	for _, cell := range s.cells {
-		if len(cell) < 2 {
+	var cell []int32
+	for idx := range s.head {
+		if cell = s.appendCell(cell[:0], idx); len(cell) < 2 {
 			continue
 		}
 		minHop := int(graph.Unreachable)
@@ -34,7 +36,7 @@ func (s *Schedule) ReuseHopHist(hop *graph.HopMatrix) map[int]int {
 				if i == j {
 					continue
 				}
-				if d := int(hop.Dist(a.Link.From, b.Link.To)); d < minHop {
+				if d := int(hop.Dist(s.txs[a].Link.From, s.txs[b].Link.To)); d < minHop {
 					minHop = d
 				}
 			}
@@ -49,12 +51,13 @@ func (s *Schedule) ReuseHopHist(hop *graph.HopMatrix) map[int]int {
 // experiments (Sec. VI / Figs. 10–11) operate on exactly these links.
 func (s *Schedule) ReusedLinks() map[[2]int]bool {
 	reused := make(map[[2]int]bool)
-	for _, cell := range s.cells {
-		if len(cell) < 2 {
+	var cell []int32
+	for idx := range s.head {
+		if cell = s.appendCell(cell[:0], idx); len(cell) < 2 {
 			continue
 		}
-		for _, tx := range cell {
-			reused[[2]int{tx.Link.From, tx.Link.To}] = true
+		for _, p := range cell {
+			reused[[2]int{s.txs[p].Link.From, s.txs[p].Link.To}] = true
 		}
 	}
 	return reused

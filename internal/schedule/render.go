@@ -31,20 +31,21 @@ func (s *Schedule) Render(w io.Writer, from, to int) error {
 	// Pre-render cells to size the columns.
 	cells := make([][]string, s.numOffsets)
 	width := 1
+	var cell []int32
 	for off := 0; off < s.numOffsets; off++ {
 		cells[off] = make([]string, to-from)
 		for slot := from; slot < to; slot++ {
-			cell := s.Cell(slot, off)
+			cell = s.Cell(slot, off, cell[:0])
 			var text string
 			switch len(cell) {
 			case 0:
 				text = "."
 			case 1:
-				text = fmt.Sprintf("f%d", cell[0].FlowID)
+				text = fmt.Sprintf("f%d", s.txs[cell[0]].FlowID)
 			default:
 				ids := make([]string, len(cell))
-				for i, tx := range cell {
-					ids[i] = fmt.Sprintf("f%d", tx.FlowID)
+				for i, p := range cell {
+					ids[i] = fmt.Sprintf("f%d", s.txs[p].FlowID)
 				}
 				text = "[" + strings.Join(ids, " ") + "]"
 			}

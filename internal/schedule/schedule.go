@@ -43,7 +43,9 @@ type Tx struct {
 // Schedule is a slot × channel-offset transmission matrix plus the indices
 // that keep its hot queries cheap: per-node slot-busy bitsets, per-slot
 // occupied-offset bitsets, and lazily built per-pair conflict counters (see
-// Pair). Create one with New; the zero value is not usable.
+// Pair). Each transmission is stored once, in the transmission list; a cell
+// is a list of positions into it (see Cell). Create one with New; the zero
+// value is not usable.
 type Schedule struct {
 	numSlots   int
 	numOffsets int
@@ -64,39 +66,19 @@ type Schedule struct {
 	// SlotFull. Maintained on the empty↔occupied cell transitions of
 	// Place/Remove.
 	slotFull []uint64
-	// cells[slot*numOffsets+offset] lists the transmissions sharing that
-	// slot and offset (channel reuse when len > 1).
-	cells [][]Tx
-	// cellLink runs parallel to cells: a cell with one occupant holds its
+	// head[slot*numOffsets+offset] is the position+1 in txs of the cell's
+	// first occupant, 0 for an empty cell; next[p] is the position+1 of the
+	// occupant after txs[p] in its cell, 0 at the end. A cell lists its
+	// occupants in placement order, and a removal keeps the others' order.
+	// next runs parallel to txs, with the same capacity.
+	head []int32
+	next []int32
+	// cellLink runs parallel to head: a cell with one occupant holds its
 	// link packed as From<<16|To, a cell with two or more holds SharedCell,
 	// and an empty cell's entry is stale. The RC reuse-distance fill reads
-	// whole rows of it (CellLinks) instead of chasing each cell's slice
-	// header to a 64-byte Tx. Nil when node IDs do not fit 16 bits.
+	// whole rows of it (CellLinks) instead of walking each cell's list to a
+	// 64-byte Tx. Nil when node IDs do not fit 16 bits.
 	cellLink []uint32
-	// arena and pairArena back cell storage in chunks: a freshly occupied
-	// cell carves a single-entry slice from arena, and a cell gaining its
-	// second (or 2^k+1-th) occupant moves to a doubled carving from
-	// pairArena. A schedule with thousands of one- and two-occupant cells
-	// (every NR schedule, and most reuse cells) thus costs one allocation
-	// per chunk instead of one per cell, without wasting a second arena
-	// slot on the single-occupant majority, and heavily packed cells grow
-	// inside the arena instead of escaping to the heap allocator. Both
-	// arenas keep every chunk they allocate, so Reset rewinds them and a
-	// recycled schedule re-carves the same memory.
-	arena     txArena
-	pairArena txArena
-	// freeSingles and freeCells[k] (k ≥ 1) hold the carvings of capacity
-	// 1 and 1<<k that no cell uses any more: a cell's carving when it
-	// moves to a doubled one (once the grid has removed a transmission),
-	// when its last occupant is removed, and a two-entry carving when its
-	// cell drops back to one occupant (which moves to a single-entry
-	// carving). carveCell hands them out before
-	// carving fresh arena memory, so a live grid under churn holds cell
-	// storage for its current occupants rather than for every cell it ever
-	// occupied. Single-entry carvings, the most numerous, are kept as
-	// 8-byte array pointers rather than 24-byte slices.
-	freeSingles []*[1]Tx
-	freeCells   [maxCarveLog + 1][][]Tx
 	// txs records all placements. The list is in placement order until the
 	// first removal; Remove fills the vacated position with the most recent
 	// placement, so ordering is not stable across removals.
@@ -158,83 +140,16 @@ const SharedCell = ^uint32(0)
 // IDs 0..65534 fit the 16-bit halves of From<<16|To.
 const maxPackedNodes = 1<<16 - 1
 
-// packLink returns the cell's CellLinks entry.
-func packLink(cell []Tx) uint32 {
-	if len(cell) != 1 {
+// packLink returns the CellLinks entry of cell idx: the packed link of a
+// lone occupant, else SharedCell.
+func (s *Schedule) packLink(idx int) uint32 {
+	h := s.head[idx]
+	if h == 0 || s.next[h-1] != 0 {
 		return SharedCell
 	}
-	return uint32(cell[0].Link.From)<<16 | uint32(cell[0].Link.To)
+	l := s.txs[h-1].Link
+	return uint32(l.From)<<16 | uint32(l.To)
 }
-
-// arenaChunkLen is the carve granularity of a txArena chunk.
-const arenaChunkLen = 512
-
-// maxCarveLog is log2(arenaChunkLen): cell carvings have capacity 1<<k for
-// k in 0..maxCarveLog.
-const maxCarveLog = 9
-
-// carveCell returns an empty cell carving of capacity n, a power of two no
-// larger than arenaChunkLen: a released one of that size when there is one,
-// else fresh memory from arena (n = 1) or pairArena.
-func (s *Schedule) carveCell(n int) []Tx {
-	if n == 1 {
-		if k := len(s.freeSingles); k > 0 {
-			c := s.freeSingles[k-1][:0]
-			s.freeSingles = s.freeSingles[:k-1]
-			return c
-		}
-		return s.arena.carve(1)
-	}
-	k := bits.TrailingZeros(uint(n))
-	if free := s.freeCells[k]; len(free) > 0 {
-		c := free[len(free)-1]
-		s.freeCells[k] = free[:len(free)-1]
-		return c
-	}
-	return s.pairArena.carve(n)
-}
-
-// releaseCell keeps c, a carving no cell uses any more, for carveCell.
-// Capacities that carveCell cannot have produced (a cell grown past
-// arenaChunkLen by append) are left to the garbage collector.
-func (s *Schedule) releaseCell(c []Tx) {
-	switch n := cap(c); {
-	case n == 1:
-		s.freeSingles = append(s.freeSingles, (*[1]Tx)(c[:1]))
-	case n > 1 && n <= arenaChunkLen && n&(n-1) == 0:
-		k := bits.TrailingZeros(uint(n))
-		s.freeCells[k] = append(s.freeCells[k], c[:0])
-	}
-}
-
-// txArena hands out small cell carvings from fixed-size chunks. It keeps
-// every chunk it ever allocated: reset rewinds carving to the first chunk,
-// so a schedule recycled through Reset re-carves the same memory instead of
-// growing its footprint by one arena per scheduling cycle.
-type txArena struct {
-	chunks [][]Tx
-	cur    int // chunk currently being carved
-	off    int // next free element within chunks[cur]
-}
-
-// carve returns a zero-length slice with capacity n backed by arena memory.
-// n must be ≤ arenaChunkLen.
-func (a *txArena) carve(n int) []Tx {
-	if len(a.chunks) > 0 && a.off+n > arenaChunkLen {
-		a.cur++
-		a.off = 0
-	}
-	for a.cur >= len(a.chunks) {
-		a.chunks = append(a.chunks, make([]Tx, arenaChunkLen))
-	}
-	c := a.chunks[a.cur][a.off : a.off : a.off+n]
-	a.off += n
-	return c
-}
-
-// reset rewinds carving to the start of the first chunk. Previously carved
-// slices must no longer be referenced.
-func (a *txArena) reset() { a.cur, a.off = 0, 0 }
 
 // New creates an empty schedule covering numSlots slots, numOffsets channel
 // offsets, and nodes 0..numNodes-1.
@@ -260,7 +175,7 @@ func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
 		nodeBusy:   make([]uint64, numNodes*words),
 		occ:        make([]uint64, numSlots*offWords),
 		slotFull:   make([]uint64, words),
-		cells:      make([][]Tx, numSlots*numOffsets),
+		head:       make([]int32, numSlots*numOffsets),
 		cellLink:   cellLink,
 		nodeVer:    nodeVer,
 		busyCnt:    make([]int32, numNodes),
@@ -293,8 +208,8 @@ func gridWords(numSlots, numOffsets, numNodes int) (words, offWords int, err err
 
 // Reset clears the schedule in place to an empty grid with the given
 // dimensions, recycling every backing allocation the previous contents used:
-// the busy/occupancy bitsets, the cell table, the transmission list, and the
-// cell arenas all keep their storage. Hot loops that schedule many same-shaped
+// the busy/occupancy bitsets, the cell table and the transmission list keep
+// their storage. Hot loops that schedule many same-shaped
 // workloads (experiment trials, full-reschedule scratch grids) Reset one
 // schedule instead of paying New's allocations per run.
 //
@@ -316,11 +231,11 @@ func (s *Schedule) Reset(numSlots, numOffsets, numNodes int) error {
 	s.occ = clearGrown(s.occ, numSlots*offWords)
 	s.slotFull = clearGrown(s.slotFull, words)
 	nCells := numSlots * numOffsets
-	if cap(s.cells) < nCells {
-		s.cells = make([][]Tx, nCells)
+	if cap(s.head) < nCells {
+		s.head = make([]int32, nCells)
 	} else {
-		s.cells = s.cells[:nCells]
-		clear(s.cells)
+		s.head = s.head[:nCells]
+		clear(s.head)
 	}
 	switch {
 	case numNodes > maxPackedNodes:
@@ -355,17 +270,8 @@ func (s *Schedule) Reset(numSlots, numOffsets, numNodes int) error {
 	s.ver++
 	s.numSlots, s.numOffsets, s.numNodes = numSlots, numOffsets, numNodes
 	s.words, s.offWords = words, offWords
-	s.txs = s.txs[:0]
+	s.txs, s.next = s.txs[:0], s.next[:0]
 	s.flowPos = nil
-	s.arena.reset()
-	s.pairArena.reset()
-	// The released carvings alias the rewound chunks.
-	clear(s.freeSingles)
-	s.freeSingles = s.freeSingles[:0]
-	for k := range s.freeCells {
-		clear(s.freeCells[k])
-		s.freeCells[k] = s.freeCells[k][:0]
-	}
 	return nil
 }
 
@@ -384,12 +290,16 @@ func clearGrown(buf []uint64, n int) []uint64 {
 // without reallocating — schedulers that know the workload size up front call
 // it once instead of paying the append growth copies on the hot path.
 func (s *Schedule) Reserve(n int) {
-	if n <= 0 || cap(s.txs)-len(s.txs) >= n {
-		return
+	if n > 0 && cap(s.txs)-len(s.txs) < n {
+		s.resize(len(s.txs) + n)
 	}
-	grown := make([]Tx, len(s.txs), len(s.txs)+n)
-	copy(grown, s.txs)
-	s.txs = grown
+}
+
+// resize moves the transmission list and its next links to storage of
+// capacity c ≥ Len, keeping the two capacities equal.
+func (s *Schedule) resize(c int) {
+	s.txs = append(make([]Tx, 0, c), s.txs...)
+	s.next = append(make([]int32, 0, c), s.next...)
 }
 
 // NumSlots returns the schedule length in slots.
@@ -404,7 +314,8 @@ func (s *Schedule) NumNodes() int { return s.numNodes }
 // Len returns the number of placed transmissions.
 func (s *Schedule) Len() int { return len(s.txs) }
 
-// Txs returns all placed transmissions. The list is in placement order
+// Txs returns all placed transmissions, each stored once: Cell lists a
+// cell's occupants as positions into it. The list is in placement order
 // until the first removal (Remove compacts by moving the latest placement
 // into the vacated position); new placements always append. The slice is
 // owned by the schedule; callers must not modify it.
@@ -441,13 +352,23 @@ func (s *Schedule) NodeBusyCount(node int) int {
 	return int(s.busyCnt[node])
 }
 
-// Cell returns the transmissions already assigned to (slot, offset). The
-// slice is owned by the schedule; callers must not modify it.
-func (s *Schedule) Cell(slot, offset int) []Tx {
+// Cell appends to buf the positions in Txs of the transmissions assigned to
+// (slot, offset), in placement order, and returns the extended slice; an
+// out-of-range cell appends nothing. The positions hold until the next
+// mutation of s.
+func (s *Schedule) Cell(slot, offset int, buf []int32) []int32 {
 	if slot < 0 || slot >= s.numSlots || offset < 0 || offset >= s.numOffsets {
-		return nil
+		return buf
 	}
-	return s.cells[slot*s.numOffsets+offset]
+	return s.appendCell(buf, slot*s.numOffsets+offset)
+}
+
+// appendCell appends cell idx's positions to buf in cell order.
+func (s *Schedule) appendCell(buf []int32, idx int) []int32 {
+	for p := s.head[idx]; p != 0; p = s.next[p-1] {
+		buf = append(buf, p-1)
+	}
+	return buf
 }
 
 // CellLinks returns the slot's row of the packed link column, indexed by
@@ -486,35 +407,22 @@ func (s *Schedule) Place(tx Tx) error {
 	s.markBusy(u, tx.Slot)
 	s.markBusy(v, tx.Slot)
 	idx := tx.Slot*s.numOffsets + tx.Offset
-	c := s.cells[idx]
-	if len(c) == 0 {
+	if s.head[idx] == 0 {
 		s.occ[tx.Slot*s.offWords+tx.Offset/64] |= 1 << uint(tx.Offset%64)
 		if s.OccupiedCount(tx.Slot) == s.numOffsets {
 			s.slotFull[tx.Slot/64] |= 1 << uint(tx.Slot%64)
 		}
 	}
-	switch {
-	case cap(c) == 0:
-		c = s.carveCell(1)
-	case len(c) == cap(c) && 2*len(c) <= arenaChunkLen:
-		// Full cell: carve a doubled chunk instead of letting append hit
-		// the heap allocator. A grid that removes transmissions (its
-		// per-flow index exists) keeps the old carving for reuse; a
-		// from-scratch build (Run, Clone, Decode) leaves it, as Reset
-		// rewinds the arenas whole and the free lists' growth would cost
-		// every build.
-		grown := s.carveCell(2 * len(c))
-		grown = append(grown, c...)
-		if s.flowPos != nil {
-			s.releaseCell(c)
-		}
-		c = grown
-	}
-	s.cells[idx] = append(c, tx)
-	if s.cellLink != nil {
-		s.cellLink[idx] = packLink(s.cells[idx])
-	}
 	s.txs = append(s.txs, tx)
+	if cap(s.next) != cap(s.txs) {
+		// txs grew by append; next follows it to the same capacity.
+		s.next = append(make([]int32, 0, cap(s.txs)), s.next...)
+	}
+	s.next = append(s.next, 0)
+	*s.linkTo(idx, -1) = int32(len(s.txs)) // append at the cell's tail
+	if s.cellLink != nil {
+		s.cellLink[idx] = s.packLink(idx)
+	}
 	if s.flowPos != nil {
 		pos, ok := s.flowPos[tx.FlowID]
 		if n := len(s.freePos); !ok && n > 0 {
@@ -554,25 +462,24 @@ func (s *Schedule) Remove(tx Tx) error {
 		return fmt.Errorf("remove tx flow %d: not placed", tx.FlowID)
 	}
 	s.ver++
-	idx := int(pos[i])
+	idx := pos[i]
 	if pos = slices.Delete(pos, i, i+1); len(pos) == 0 {
 		delete(s.flowPos, tx.FlowID)
 		s.freeFlowPos(pos)
 	} else {
 		s.flowPos[tx.FlowID] = pos
 	}
-	if last := len(s.txs) - 1; idx != last {
-		moved := s.txs[last]
-		s.txs[idx] = moved
+	s.unplace(idx)
+	if last := int32(len(s.txs) - 1); idx != last {
+		s.move(last, idx)
 		// last is the largest position, so it ends its flow's list; it
 		// moves to idx, re-inserted in order.
-		mp := s.flowPos[moved.FlowID]
-		mp = mp[:len(mp)-1]
-		at, _ := slices.BinarySearch(mp, int32(idx))
-		s.flowPos[moved.FlowID] = slices.Insert(mp, at, int32(idx))
+		id := s.txs[idx].FlowID
+		mp := s.flowPos[id][:len(s.flowPos[id])-1]
+		at, _ := slices.BinarySearch(mp, idx)
+		s.flowPos[id] = slices.Insert(mp, at, idx)
 	}
-	s.txs = s.txs[:len(s.txs)-1]
-	s.unplace(&tx)
+	s.txs, s.next = s.txs[:len(s.txs)-1], s.next[:len(s.next)-1]
 	return nil
 }
 
@@ -592,9 +499,9 @@ func (s *Schedule) RemoveFlow(flowID int, out []Tx) []Tx {
 		return out
 	}
 	delete(s.flowPos, flowID)
-	base := len(out)
 	for _, p := range pos {
 		out = append(out, s.txs[p])
+		s.unplace(p)
 	}
 	s.ver += uint64(len(pos))
 	n := int32(len(s.txs))
@@ -606,10 +513,10 @@ func (s *Schedule) RemoveFlow(flowID int, out []Tx) []Tx {
 			if idx == n {
 				continue
 			}
-			moved := s.txs[n]
-			s.txs[idx] = moved
-			if moved.FlowID == flowID {
-				// One of the flow's later transmissions fills the hole.
+			if s.txs[n].FlowID == flowID {
+				// One of the flow's later transmissions, already unlinked,
+				// fills the hole.
+				s.txs[idx] = s.txs[n]
 				k := len(pos) - 1
 				for pos[k] != n {
 					k--
@@ -617,97 +524,62 @@ func (s *Schedule) RemoveFlow(flowID int, out []Tx) []Tx {
 				pos[k] = idx
 				continue
 			}
+			s.move(n, idx)
 			// n is the largest position, so it ends its flow's list; idx
 			// takes its place in order, within the list's own storage.
-			mp := s.flowPos[moved.FlowID]
+			mp := s.flowPos[s.txs[idx].FlowID]
 			at, _ := slices.BinarySearch(mp[:len(mp)-1], idx)
 			copy(mp[at+1:], mp[at:len(mp)-1])
 			mp[at] = idx
 		}
 	}
-	s.txs = s.txs[:len(s.txs)-len(pos)]
+	s.txs, s.next = s.txs[:len(s.txs)-len(pos)], s.next[:len(s.next)-len(pos)]
 	s.freeFlowPos(pos)
-	for i := base; i < len(out); i++ {
-		s.unplace(&out[i])
-	}
 	if 3*len(s.txs) < 2*cap(s.txs) {
 		// The list swings with the flow mix under churn: give a trough's
 		// slack back, keeping an eighth of headroom. It must then regrow by
 		// append (to ~1.4× this length) and fall below ~0.94× it before it
 		// is copied again.
-		s.txs = append(make([]Tx, 0, len(s.txs)+len(s.txs)/8), s.txs...)
-	}
-	if s.freeCarved() >= 2*arenaChunkLen {
-		s.compactCells()
+		s.resize(len(s.txs) + len(s.txs)/8)
 	}
 	return out
 }
 
-// freeCarved counts the transmission slots held by free carvings.
-func (s *Schedule) freeCarved() int {
-	n := len(s.freeSingles)
-	for k, free := range s.freeCells {
-		n += len(free) << k
+// linkTo returns the entry of cell idx's list that holds p+1: the head
+// entry or the next entry of p's predecessor. p = -1 finds the entry that
+// ends the list.
+func (s *Schedule) linkTo(idx int, p int32) *int32 {
+	link := &s.head[idx]
+	for *link != p+1 {
+		link = &s.next[*link-1]
 	}
-	return n
+	return link
 }
 
-// compactCells re-carves every arena-backed cell from fresh arenas, each at
-// the smallest capacity that holds its occupants (a lone occupant in a
-// single-entry carving), and drops the old chunks and the free lists.
-// RemoveFlow calls it once the free carvings hold two chunks' worth: a
-// live grid's cell storage then follows its current occupancy, not its
-// peak. Cells grown on the heap past any carving keep their storage.
-func (s *Schedule) compactCells() {
-	var single, multi txArena
-	for idx, c := range s.cells {
-		if len(c) == 0 || cap(c) > arenaChunkLen {
-			continue
-		}
-		var nc []Tx
-		if len(c) == 1 {
-			nc = single.carve(1)
-		} else {
-			nc = multi.carve(1 << bits.Len(uint(len(c)-1)))
-		}
-		s.cells[idx] = append(nc, c...)
-	}
-	s.arena, s.pairArena = single, multi
-	s.freeSingles, s.freeCells = nil, [maxCarveLog + 1][][]Tx{}
-}
-
-// unplace frees a removed transmission's cell entry and its endpoints' busy
-// bits. Removal from a cell keeps the order of its other occupants. The
-// occupant is matched on its identity fields first, so the whole-value
-// compare, which keeps a malformed grid from losing the wrong occupant,
-// runs only on the one identity match.
-func (s *Schedule) unplace(tx *Tx) {
-	cellIdx := tx.Slot*s.numOffsets + tx.Offset
-	cell := s.cells[cellIdx]
-	for i := range cell {
-		c := &cell[i]
-		if c.FlowID == tx.FlowID && c.Instance == tx.Instance && c.Hop == tx.Hop &&
-			c.Attempt == tx.Attempt && *c == *tx {
-			s.cells[cellIdx] = append(cell[:i], cell[i+1:]...)
-			break
-		}
-	}
+// unplace unlinks the transmission at position p from its cell, keeping the
+// order of the cell's other occupants, and frees its endpoints' busy bits.
+// The caller then refills or drops position p.
+func (s *Schedule) unplace(p int32) {
+	tx := &s.txs[p]
+	idx := tx.Slot*s.numOffsets + tx.Offset
+	*s.linkTo(idx, p) = s.next[p]
 	if s.cellLink != nil {
-		s.cellLink[cellIdx] = packLink(s.cells[cellIdx]) // a last occupant is re-packed
+		s.cellLink[idx] = s.packLink(idx) // a last occupant is re-packed
 	}
-	switch c := s.cells[cellIdx]; {
-	case len(c) == 0:
+	if s.head[idx] == 0 {
 		s.occ[tx.Slot*s.offWords+tx.Offset/64] &^= 1 << uint(tx.Offset%64)
 		s.slotFull[tx.Slot/64] &^= 1 << uint(tx.Slot%64)
-		s.releaseCell(c)
-		s.cells[cellIdx] = nil
-	case len(c) == 1 && cap(c) == 2:
-		// Back to one occupant: move it to a single-entry carving.
-		s.cells[cellIdx] = append(s.carveCell(1), c[0])
-		s.releaseCell(c)
 	}
 	s.clearBusy(tx.Link.From, tx.Slot)
 	s.clearBusy(tx.Link.To, tx.Slot)
+}
+
+// move refills the vacant position to with the linked transmission at
+// position from, repointing the one list entry that held from+1.
+func (s *Schedule) move(from, to int32) {
+	tx := &s.txs[from]
+	*s.linkTo(tx.Slot*s.numOffsets+tx.Offset, from) = to + 1
+	s.txs[to], s.next[to] = *tx, s.next[from]
 }
 
 // FlowTxs appends the flow's placed transmissions to buf, in Txs order —

@@ -74,7 +74,7 @@ func TestPlaceAndQuery(t *testing.T) {
 	if s.NodeBusy(3, 5) || s.NodeBusy(1, 6) {
 		t.Error("unrelated node/slot should be idle")
 	}
-	if got := len(s.Cell(5, 0)); got != 1 {
+	if got := len(s.Cell(5, 0, nil)); got != 1 {
 		t.Errorf("Cell len = %d, want 1", got)
 	}
 	if s.Len() != 1 {
@@ -208,7 +208,7 @@ func TestRemove(t *testing.T) {
 	if !s.NodeBusy(2, 3) {
 		t.Error("remaining transmission lost its busy bits")
 	}
-	if got := len(s.Cell(3, 0)); got != 0 {
+	if got := len(s.Cell(3, 0, nil)); got != 0 {
 		t.Errorf("cell load = %d, want 0", got)
 	}
 	// The slot is free again for a conflicting placement.

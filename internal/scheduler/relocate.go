@@ -22,9 +22,12 @@ func (d *deltaOp) repair(links []flow.Link) error {
 		degraded[l] = true
 	}
 	var victims []schedule.Tx
+	var cell []int32
 	for _, tx := range d.sched.Txs() {
-		if degraded[tx.Link] && len(d.sched.Cell(tx.Slot, tx.Offset)) > 1 {
-			victims = append(victims, tx)
+		if degraded[tx.Link] {
+			if cell = d.sched.Cell(tx.Slot, tx.Offset, cell[:0]); len(cell) > 1 {
+				victims = append(victims, tx)
+			}
 		}
 	}
 	slices.SortFunc(victims, func(a, b schedule.Tx) int {

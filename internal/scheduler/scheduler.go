@@ -268,11 +268,13 @@ type engine struct {
 	// Index-path state. routePairs holds the current flow's per-hop
 	// conflict-count handles so laxity issues zero map lookups; hopAtt is
 	// the flow's resolved per-hop attempt count (budgeted or uniform);
-	// occBuf is findSlot's reusable OccupiedOffsets buffer (NR/RA only).
+	// occBuf is findSlot's reusable OccupiedOffsets buffer (NR/RA only);
+	// cellBuf holds the positions of the cell being read (see Cell).
 	curFlow    *flow.Flow
 	routePairs []*schedule.PairCount
 	hopAtt     []int
 	occBuf     []int
+	cellBuf    []int32
 	statsBase  schedule.IndexStats // schedule index stats at engine creation
 
 	// placedShared records, for the placement the engine just returned,
@@ -380,7 +382,7 @@ func newEngine(cfg Config, sched *schedule.Schedule, lambdaR int) engine {
 func (e *engine) recycle(cfg Config, sched *schedule.Schedule, lambdaR int) {
 	clear(e.routePairs[:cap(e.routePairs)])
 	*e = engine{cfg: cfg, sched: sched, lambdaR: lambdaR,
-		routePairs: e.routePairs[:0], hopAtt: e.hopAtt[:0], occBuf: e.occBuf[:0], instD: e.instD[:0],
+		routePairs: e.routePairs[:0], hopAtt: e.hopAtt[:0], occBuf: e.occBuf[:0], cellBuf: e.cellBuf[:0], instD: e.instD[:0],
 		cands: e.cands[:0], candDist: e.candDist[:0], candLoad: e.candLoad[:0]}
 	if sched != nil {
 		e.statsBase = sched.IndexStats()
@@ -965,8 +967,8 @@ func (e *engine) slotDists(u, v, s int, dists, loads []int32) int32 {
 			l := links[off]
 			d, load = min(int32(rowU[l&0xffff]), int32(rowV[l>>16])), 1
 		} else {
-			cell := e.sched.Cell(s, off)
-			d, load = e.cellMinDist(u, v, cell), int32(len(cell))
+			e.cellBuf = e.sched.Cell(s, off, e.cellBuf[:0])
+			d, load = e.cellMinDist(u, v, e.cellBuf), int32(len(e.cellBuf))
 		}
 		dists[off], loads[off] = d, load
 		maxDist = max(maxDist, d)
@@ -1007,15 +1009,18 @@ func (e *engine) rcFind(rho int) (ci, offset int, ok bool) {
 }
 
 // cellMinDist is the memoized ingredient of the channel constraint: the
-// minimum over the cell's occupants of min(d(u, y), d(x, v)) on G_R. The
-// cell is compatible with (u→v) at hop distance ρ iff this is ≥ ρ. The fast
-// path indexes the distance rows bindRows hoisted for the attempt's (u, v);
-// when the matrix does not cover every schedule node the rows are nil and
-// the bounds-checked Dist lookups (out-of-range ⇒ unreachable) apply.
-func (e *engine) cellMinDist(u, v int, cell []schedule.Tx) int32 {
+// minimum over the cell's occupants, given as positions in Txs, of
+// min(d(u, y), d(x, v)) on G_R. The cell is compatible with (u→v) at hop
+// distance ρ iff this is ≥ ρ. The fast path indexes the distance rows
+// bindRows hoisted for the attempt's (u, v); when the matrix does not cover
+// every schedule node the rows are nil and the bounds-checked Dist lookups
+// (out-of-range ⇒ unreachable) apply.
+func (e *engine) cellMinDist(u, v int, cell []int32) int32 {
 	minDist := int32(1) << 30
+	txs := e.sched.Txs()
 	if rowU, rowV := e.rowU, e.rowV; rowU != nil {
-		for _, other := range cell {
+		for _, p := range cell {
+			other := &txs[p]
 			if d := int32(rowU[other.Link.To]); d < minDist {
 				minDist = d
 			}
@@ -1025,7 +1030,8 @@ func (e *engine) cellMinDist(u, v int, cell []schedule.Tx) int32 {
 		}
 		return minDist
 	}
-	for _, other := range cell {
+	for _, p := range cell {
+		other := &txs[p]
 		if d := int32(e.cfg.HopGR.Dist(u, other.Link.To)); d < minDist {
 			minDist = d
 		}
@@ -1257,11 +1263,11 @@ func (e *engine) findSlot(tx *schedule.Tx, earliest, deadline int, rho int) (int
 		e.occBuf = e.sched.OccupiedOffsets(s, e.occBuf[:0])
 		best, bestLoad := -1, 0
 		for _, c := range e.occBuf {
-			cell := e.sched.Cell(s, c)
-			if !e.reuseCompatible(u, v, cell, rho) {
+			e.cellBuf = e.sched.Cell(s, c, e.cellBuf[:0])
+			if !e.reuseCompatible(u, v, e.cellBuf, rho) {
 				continue
 			}
-			load := len(cell)
+			load := len(e.cellBuf)
 			if best < 0 ||
 				(preferLoaded && load > bestLoad) ||
 				(!preferLoaded && load < bestLoad) {
@@ -1300,13 +1306,13 @@ func (e *engine) findSlotScan(tx *schedule.Tx, earliest, deadline int, rho int) 
 		e.mets.slotsExamined++
 		best, bestLoad := -1, 0
 		for c := 0; c < e.sched.NumOffsets(); c++ {
-			cell := e.sched.Cell(s, c)
-			if len(cell) > 0 {
-				if rho == rhoInf || !e.reuseCompatible(u, v, cell, rho) {
+			e.cellBuf = e.sched.Cell(s, c, e.cellBuf[:0])
+			if len(e.cellBuf) > 0 {
+				if rho == rhoInf || !e.reuseCompatible(u, v, e.cellBuf, rho) {
 					continue
 				}
 			}
-			load := len(cell)
+			load := len(e.cellBuf)
 			if best < 0 ||
 				(preferLoaded && load > bestLoad) ||
 				(!preferLoaded && load < bestLoad) {
@@ -1324,18 +1330,21 @@ func (e *engine) findSlotScan(tx *schedule.Tx, earliest, deadline int, rho int) 
 // reuseCompatible applies channel constraint 2(b) of Sec. V-A: the new
 // sender u must be ≥ rho hops from every scheduled receiver y, and every
 // scheduled sender x must be ≥ rho hops from the new receiver v, on G_R.
-func (e *engine) reuseCompatible(u, v int, cell []schedule.Tx, rho int) bool {
+// The cell's occupants are given as positions in Txs.
+func (e *engine) reuseCompatible(u, v int, cell []int32, rho int) bool {
 	// Callers bind the G_R rows of (u, v) first (see bindRows); the hoisted
 	// rows replace two bounds-checked matrix lookups per occupant.
+	txs := e.sched.Txs()
 	if rowU, rowV := e.rowU, e.rowV; rowU != nil {
-		for _, other := range cell {
-			if int(rowU[other.Link.To]) < rho || int(rowV[other.Link.From]) < rho {
+		for _, p := range cell {
+			if other := &txs[p]; int(rowU[other.Link.To]) < rho || int(rowV[other.Link.From]) < rho {
 				return false
 			}
 		}
 		return true
 	}
-	for _, other := range cell {
+	for _, p := range cell {
+		other := &txs[p]
 		if int(e.cfg.HopGR.Dist(u, other.Link.To)) < rho ||
 			int(e.cfg.HopGR.Dist(other.Link.From, v)) < rho {
 			return false

@@ -6,7 +6,7 @@
 //
 // The harness proves and does not time: after thousands of journaled
 // mutations, rollbacks, evictions, and full-reschedule repairs — with
-// recycled arenas and pooled scratch grids underneath — is the live
+// recycled grids and pooled scratch grids underneath — is the live
 // schedule still byte-identical to what a fresh grid fed the same applied
 // operations produces, and does it still satisfy every conflict and
 // reuse-distance constraint? The benchmark's churn-500f workload times the
@@ -19,7 +19,7 @@
 // edits a flow record in place — a reroute or re-budget commits a copy,
 // returned in the post-call workload — and the harness never writes a flow
 // it holds, so the log shares the live flows, routes and budgets without
-// copying them. Any divergence — a stale index, a leaked arena cell, a
+// copying them. Any divergence — a stale index, a leaked cell entry, a
 // journal that rolled back incompletely — fails the run. Because both grids run the same
 // scheduler, each checkpoint also audits the live grid against the
 // harness's own workload record with code that shares nothing with the
@@ -144,8 +144,8 @@ type Result struct {
 
 	// HeapStartBytes/HeapEndBytes are live-heap samples (after two GCs,
 	// which empty the sync.Pools) at the start and end of the churn phase:
-	// with recyclable arenas the delta should stay near zero however long
-	// the soak runs.
+	// with recycled grid storage the delta should stay near zero however
+	// long the soak runs.
 	HeapStartBytes uint64 `json:"heapStartBytes"`
 	HeapEndBytes   uint64 `json:"heapEndBytes"`
 }

@@ -124,11 +124,11 @@ func TestSoakCancellation(t *testing.T) {
 	}
 }
 
-// TestSoakHeapStable is the arena-recycling regression test: once the
-// steady state is warm (25% of the run — every pool, arena, and pair-count
+// TestSoakHeapStable is the grid-recycling regression test: once the
+// steady state is warm (25% of the run — every pool, grid, and pair-count
 // cache has seen its working set), the live heap must not keep growing
-// with churn. Before chunked recyclable arenas, every delta leaked arena
-// segments and the heap grew linearly with the op count. The 25% sample is
+// with churn. Before grids recycled their storage, every delta leaked cell
+// storage and the heap grew linearly with the op count. The 25% sample is
 // the end heap of a same-seed run of a quarter of the ops: the seeded rng
 // is the harness's only source of randomness and the oracle replay draws
 // nothing, so the short run's op stream is a prefix of the full run's.

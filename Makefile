@@ -25,17 +25,18 @@ microbench:
 # pools, and the replay oracle asserting zero schedule drift throughout.
 # The server half is the multi-worker queue sweep (four schedule jobs plus
 # two simulate jobs on a Workers=4 pool, each schedule compared byte for
-# byte against a serial in-process run), and the scheduler half pins the
-# indexed schedulers byte-identical to the reference scans and runs delta
-# churn streams on distinct grids at once, through the shared pooled
-# scratch, each equal to its serial replay. The jobs half
+# byte against a serial in-process run), and the scheduler half holds NR, RA
+# and RC to the paper-literal reference in test code (transmission for
+# transmission, with the verdict and six scheduler.<alg>.* counters) and
+# runs delta churn streams on distinct grids at once, through the shared
+# pooled scratch, each equal to its serial replay. The jobs half
 # runs simulate, converge, manage and reschedule jobs concurrently on one
 # network's shared Testbed and compares every part with a serial run.
 # `wsansim soak` runs the same churn harness at evaluation scale (500 flows);
 # its flag handling (TestSoakRejectsBadConfig, matched by TestSoak) runs here
 # too.
 soak-smoke:
-	$(GO) test -race -count=1 -run 'TestSoak|TestQueueSweepMultiWorker|TestScanVsIndexIdentical|TestConcurrentJobsShareTestbed|TestConcurrentDeltaGrids' \
+	$(GO) test -race -count=1 -run 'TestSoak|TestQueueSweepMultiWorker|TestRunMatchesReference|TestConcurrentJobsShareTestbed|TestConcurrentDeltaGrids' \
 		./internal/soak/ ./internal/server/ ./internal/scheduler/ ./internal/jobs/ ./cmd/wsansim/
 
 # lint runs go vet always, on the root module and on the nested bench/
@@ -122,6 +123,9 @@ e2e:
 # told all or part of the workload, a failed batch
 # leaves the grid as it was, Apply(Invert(Changes)) undoes a successful
 # one, and no flow missing from the workload loses a transmission), in the
+# schedulers themselves (on small random graphs, flow sets, budgets,
+# channel counts and ρ_t, Run gives exactly the paper-literal reference's
+# verdict, transmissions and counters for NR, RA and RC), in the
 # delta journal's netting (on any place/remove journal of a valid grid,
 # with slots anywhere below 2^31 - 1, schedule.NetJournal's net equals the
 # map-and-SortChanges reference byte for byte),
@@ -142,6 +146,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzScheduleOps -fuzztime=$(FUZZTIME) ./internal/schedule
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaOps -fuzztime=$(FUZZTIME) ./internal/scheduler
 	$(GO) test -run=^$$ -fuzz=FuzzJournalNet -fuzztime=$(FUZZTIME) ./internal/scheduler
+	$(GO) test -run=^$$ -fuzz=FuzzRunMatchesReference -fuzztime=$(FUZZTIME) ./internal/scheduler
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -run=^$$ -fuzz=FuzzShortestPathAvoiding -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run=^$$ -fuzz=FuzzSurveyPRR -fuzztime=$(FUZZTIME) ./internal/topology

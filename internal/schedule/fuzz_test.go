@@ -89,7 +89,8 @@ func FuzzDecode(f *testing.F) {
 // reads four bytes: the op kind and three operands. Placements share three
 // flow IDs, so removals move transmissions within and across flows'
 // position lists. A whole-flow removal must leave exactly what a loop of
-// Remove leaves on an exact copy (checkRemoveFlow).
+// Remove leaves on an exact copy (checkRemoveFlow). Only the first
+// maxScheduleOps ops of an input run (see there).
 func FuzzScheduleOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 3, 4, 0, 0, 5, 6, 1, 1, 0, 0, 0})
 	f.Add([]byte{0, 1, 2, 65, 0, 3, 4, 65, 1, 1, 0, 0, 3, 0, 0, 0, 2, 70, 2, 9})
@@ -130,7 +131,7 @@ func FuzzScheduleOps(f *testing.F) {
 		}
 		// model lists each cell's occupants in the order Cell must give.
 		model := make(map[[2]int][]Tx)
-		for i := 0; i+4 <= len(data); i += 4 {
+		for i := 0; i+4 <= len(data) && i < 4*maxScheduleOps; i += 4 {
 			op, a, b, c := data[i]%5, int(data[i+1]), int(data[i+2]), int(data[i+3])
 			switch op {
 			case 0: // place; rejections (conflicts, bad links) are fine
@@ -176,6 +177,16 @@ func FuzzScheduleOps(f *testing.F) {
 		checkDiff(t, s, base)
 	})
 }
+
+// maxScheduleOps bounds the ops FuzzScheduleOps runs per input. Every op
+// runs the full set of checks, about 30 µs, and the fuzzing engine
+// minimizes each new interesting input by re-running it on candidates
+// with bytes removed, one pass of which tries every removable range: a
+// number of runs quadratic in the input's length. Unbounded, or at 64 ops,
+// minimizing one long input kept both workers busy for most of a 10 s
+// budget while no exec was counted; at 16 ops it takes a fraction of a
+// second. The longest seed is 9 ops.
+const maxScheduleOps = 16
 
 // checkRemoveFlow removes flowID from s with RemoveFlow and fails t unless
 // it returned the flow's transmissions in FlowTxs order, after the prefix

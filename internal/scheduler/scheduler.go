@@ -91,10 +91,6 @@ type Config struct {
 	// returned Result.Schedule is the same object. Placement decisions are
 	// identical either way.
 	Scratch *schedule.Schedule
-	// scanPaths routes findSlot and laxity through the pre-index reference
-	// scans instead of the bitset/prefix-sum fast paths. Unexported: only
-	// in-package tests can set it, to prove both paths place identically.
-	scanPaths bool
 }
 
 func (c Config) attempts() int {
@@ -268,7 +264,7 @@ type engine struct {
 	// Index-path state. routePairs holds the current flow's per-hop
 	// conflict-count handles so laxity issues zero map lookups; hopAtt is
 	// the flow's resolved per-hop attempt count (budgeted or uniform);
-	// occBuf is findSlot's reusable OccupiedOffsets buffer (NR/RA only);
+	// occBuf is findSlot's reusable OccupiedOffsets buffer (RA only);
 	// cellBuf holds the positions of the cell being read (see Cell).
 	curFlow    *flow.Flow
 	routePairs []*schedule.PairCount
@@ -571,8 +567,8 @@ func (e *engine) placeOne(f *flow.Flow, tx *schedule.Tx, earliest, deadline, rem
 // evalCands). A cold attempt first tests ρ=∞ alone — the first non-full
 // endpoint-free slot, where the common RC outcome, a laxity pass, places —
 // and lists the candidates only when that test fails. Three regimes shortcut
-// the level-by-level loop without changing any placement relative to
-// placeRCRef:
+// the level-by-level loop of Algorithm 1 without changing any placement
+// (TestPlanPointMatchesReference holds placeRC to a paper-literal descent):
 //
 //   - when even the earliest schedulable slot's deadline budget is negative,
 //     no level can pass the laxity test (the conflict sum only subtracts
@@ -592,9 +588,6 @@ func (e *engine) placeOne(f *flow.Flow, tx *schedule.Tx, earliest, deadline, rem
 // traffic) as one exhausted descent rather than replaying every level — see
 // placeRCFallback.
 func (e *engine) placeRC(f *flow.Flow, tx *schedule.Tx, earliest, deadline, remaining int) (int, int, bool) {
-	if e.cfg.scanPaths {
-		return e.placeRCRef(f, tx, earliest, deadline, remaining)
-	}
 	u, v := tx.Link.From, tx.Link.To
 	rhoT := e.cfg.RhoT
 	nLevels := 0
@@ -1042,59 +1035,12 @@ func (e *engine) cellMinDist(u, v int, cell []int32) int32 {
 	return minDist
 }
 
-// placeRCRef is the reference formulation of Algorithm 1's inner loop, used
-// under scanPaths: each ρ level re-runs a full findSlot/laxity pass through
-// the pre-index reference implementations, with no cross-level caching.
-func (e *engine) placeRCRef(f *flow.Flow, tx *schedule.Tx, earliest, deadline, remaining int) (int, int, bool) {
-	rho := rhoInf
-	fbSlot, fbOffset, fbOK, fbShared := 0, 0, false, false
-	for {
-		slot, offset, ok := e.findSlot(tx, earliest, deadline, rho)
-		if ok {
-			if e.laxity(f, tx, slot, deadline, remaining) >= 0 {
-				e.mets.laxityPass++
-				return slot, offset, true
-			}
-			e.mets.laxityFail++
-			if !fbOK || slot < fbSlot {
-				// Strictly earlier only: on a slot tie the earlier-tried
-				// (higher-ρ) placement stands.
-				fbSlot, fbOffset, fbOK, fbShared = slot, offset, true, e.placedShared
-			}
-		}
-		if rho == rhoInf {
-			if e.lambdaR < e.cfg.RhoT {
-				break // reuse impossible on this G_R; keep the ρ=∞ result
-			}
-			if e.cfg.FixedRho {
-				rho = e.cfg.RhoT // ablation: no hop-distance maximization
-			} else {
-				rho = e.lambdaR
-			}
-		} else {
-			rho--
-			if rho < e.cfg.RhoT {
-				break
-			}
-		}
-		e.mets.rhoSteps++
-	}
-	if fbOK {
-		e.mets.laxityFallbacks++
-		e.placedShared = fbShared
-	}
-	return fbSlot, fbOffset, fbOK
-}
-
 // laxity evaluates Eq. 1 for scheduling tx at slot s: the number of slots
 // left before the deadline, minus the slots already known to conflict with
 // each remaining transmission, minus the count of remaining transmissions.
 // The conflict sum is served by the per-pair prefix-popcount handles bound
 // in setFlow — O(1) per remaining transmission instead of a bitset scan.
 func (e *engine) laxity(f *flow.Flow, tx *schedule.Tx, s, deadline, remaining int) int {
-	if e.cfg.scanPaths {
-		return e.laxityScan(f, tx, s, deadline, remaining)
-	}
 	lax := deadline - s - remaining
 	if lax < 0 {
 		return lax // cheap exit: conflict sum can only decrease it
@@ -1196,50 +1142,20 @@ func (e *engine) bumpInstD(f *flow.Flow, hop int, placed flow.Link, p int) {
 	}
 }
 
-// laxityScan is the pre-index reference implementation of laxity, summing
-// BusyUnionCount word scans per remaining transmission.
-func (e *engine) laxityScan(f *flow.Flow, tx *schedule.Tx, s, deadline, remaining int) int {
-	lax := deadline - s - remaining
-	if lax < 0 {
-		return lax
-	}
-	conflictSum := 0
-	for h := tx.Hop; h < len(f.Route); h++ {
-		cnt := e.hopAttempts(f, h)
-		if h == tx.Hop {
-			cnt -= tx.Attempt + 1 // only the hop's leftover attempts remain
-		}
-		if cnt <= 0 {
-			continue
-		}
-		link := f.Route[h]
-		conflictSum += cnt * e.sched.BusyUnionCount(link.From, link.To, s+1, deadline)
-	}
-	return lax - conflictSum
-}
-
 // findSlot returns the earliest slot in [earliest, deadline] and a channel
-// offset satisfying the channel-reuse constraints at hop distance rho
-// (rhoInf = no reuse allowed). Offset tie-breaking encodes the policies:
-// least-loaded for NR/RC (reduce channel contention), most-loaded for RA
-// (aggressive packing).
+// offset for tx: at rho = rhoInf (NR, and relocation without reuse) the
+// lowest free offset, and at a finite rho (RA) the most-loaded cell
+// compatible at hop distance rho, the lowest offset on a tie, else the lowest
+// free offset. RC resolves its descent in placeRC and never calls it.
 //
-// The index path resolves the offset choice from the occupancy bitset,
-// exploiting two facts the reference scan rediscovers every call: under
-// least-loaded tie-breaking an empty cell (load 0, earliest offset) beats
-// every occupied one, and under most-loaded tie-breaking only occupied cells
-// can win, with the first free offset as fallback. At ρ=∞ only a slot with a
-// free cell can host at all, so the whole query fuses into one
-// NextSharedNonFullSlot word scan over the endpoint-busy and slot-full
-// bitsets — full-slot runs cost one popword, not one occupancy scan each
-// (slotsExamined then counts the accepted slot only). Finite-ρ levels
-// iterate via NextSharedFreeSlot, using the slot-full bit to skip the
-// free-offset scan on saturated slots. The scan and index paths choose
-// identical placements (see TestScanVsIndexIdentical).
+// At ρ=∞ only a slot with a free cell can host at all, so the whole query
+// fuses into one NextSharedNonFullSlot word scan over the endpoint-busy and
+// slot-full bitsets — full-slot runs cost one popword, not one occupancy
+// scan each (slotsExamined then counts the accepted slot only). RA iterates
+// via NextSharedFreeSlot over the slot's occupied offsets only, taking the
+// first free offset as its fallback. TestRunMatchesReference holds both to
+// the paper-literal reference.
 func (e *engine) findSlot(tx *schedule.Tx, earliest, deadline int, rho int) (int, int, bool) {
-	if e.cfg.scanPaths {
-		return e.findSlotScan(tx, earliest, deadline, rho)
-	}
 	u, v := tx.Link.From, tx.Link.To
 	if rho == rhoInf {
 		s := e.sched.NextSharedNonFullSlot(u, v, earliest, deadline)
@@ -1250,27 +1166,16 @@ func (e *engine) findSlot(tx *schedule.Tx, earliest, deadline int, rho int) (int
 		e.placedShared = false
 		return s, e.sched.FirstFreeOffset(s), true
 	}
-	preferLoaded := e.cfg.Algorithm == RA
 	e.bindRows(u, v)
 	for s := e.sched.NextSharedFreeSlot(u, v, earliest, deadline); s >= 0; s = e.sched.NextSharedFreeSlot(u, v, s+1, deadline) {
 		e.mets.slotsExamined++
-		full := e.sched.SlotFull(s)
-		if !preferLoaded && !full {
-			// least-loaded: an empty cell always wins
-			e.placedShared = false
-			return s, e.sched.FirstFreeOffset(s), true
-		}
 		e.occBuf = e.sched.OccupiedOffsets(s, e.occBuf[:0])
 		best, bestLoad := -1, 0
 		for _, c := range e.occBuf {
 			e.cellBuf = e.sched.Cell(s, c, e.cellBuf[:0])
-			if !e.reuseCompatible(u, v, e.cellBuf, rho) {
-				continue
-			}
-			load := len(e.cellBuf)
-			if best < 0 ||
-				(preferLoaded && load > bestLoad) ||
-				(!preferLoaded && load < bestLoad) {
+			// An occupied cell's load is at least 1, so the first compatible
+			// one always beats best = -1.
+			if load := len(e.cellBuf); load > bestLoad && e.reuseCompatible(u, v, e.cellBuf, rho) {
 				best, bestLoad = c, load
 			}
 		}
@@ -1278,50 +1183,9 @@ func (e *engine) findSlot(tx *schedule.Tx, earliest, deadline int, rho int) (int
 			e.placedShared = true
 			return s, best, true
 		}
-		if preferLoaded && !full {
-			// most-loaded: free offsets only as fallback
+		if !e.sched.SlotFull(s) {
 			e.placedShared = false
 			return s, e.sched.FirstFreeOffset(s), true
-		}
-	}
-	return 0, 0, false
-}
-
-// findSlotScan is the pre-index reference implementation of findSlot: walk
-// every slot, check both endpoints' busy bits, scan every offset.
-func (e *engine) findSlotScan(tx *schedule.Tx, earliest, deadline int, rho int) (int, int, bool) {
-	if earliest < 0 {
-		earliest = 0
-	}
-	if deadline >= e.sched.NumSlots() {
-		deadline = e.sched.NumSlots() - 1
-	}
-	u, v := tx.Link.From, tx.Link.To
-	preferLoaded := e.cfg.Algorithm == RA
-	e.bindRows(u, v)
-	for s := earliest; s <= deadline; s++ {
-		if e.sched.NodeBusy(u, s) || e.sched.NodeBusy(v, s) {
-			continue
-		}
-		e.mets.slotsExamined++
-		best, bestLoad := -1, 0
-		for c := 0; c < e.sched.NumOffsets(); c++ {
-			e.cellBuf = e.sched.Cell(s, c, e.cellBuf[:0])
-			if len(e.cellBuf) > 0 {
-				if rho == rhoInf || !e.reuseCompatible(u, v, e.cellBuf, rho) {
-					continue
-				}
-			}
-			load := len(e.cellBuf)
-			if best < 0 ||
-				(preferLoaded && load > bestLoad) ||
-				(!preferLoaded && load < bestLoad) {
-				best, bestLoad = c, load
-			}
-		}
-		if best >= 0 {
-			e.placedShared = bestLoad > 0
-			return s, best, true
 		}
 	}
 	return 0, 0, false

@@ -53,7 +53,7 @@ var goldenCases = []goldenCase{
 	{"scheduler/budget", "b9502549a496e474", goldenBudgetSchedule},
 	{"churn/soak_200f_1500ops", "8aeaf9bb9704b470", goldenChurn},
 	{"analysis/delay-fig6", "a191938568eaeaa3", goldenDelayBounds},
-	{"scheduler/rc-plan-counters", "7312527f36294f1d", goldenRCCounters("")},
+	{"scheduler/rc-plan-counters", "afc551221750fdae", goldenRCCounters("")},
 	{"scheduler/rc-descent-counters", "a048b086ad327d7b", goldenRCCounters("scheduler.rc.")},
 	{"jobs/reschedule-chain", "6b8f48c0873f8091", goldenRescheduleChain},
 }
@@ -402,8 +402,8 @@ func goldenDelayBounds(tb testing.TB) func() ([]byte, error) {
 // budgeted to a 0.99 delivery target, each scheduled with and without the
 // FixedRho ablation. The checksum covers the flushed counters whose names
 // start with prefix. With prefix "" that is every counter a run flushes,
-// the index layer's work counters (memo and pair-index traffic) included;
-// with "scheduler.rc." it is the descent's own ledger — slots examined,
+// the index layer's reuse-memo work counters included; with
+// "scheduler.rc." it is the descent's own ledger — slots examined,
 // laxity outcomes, ρ steps, fallbacks, misses — which a change to the RC
 // descent must keep exact, not only its placements.
 func goldenRCCounters(prefix string) func(testing.TB) func() ([]byte, error) {

@@ -193,8 +193,7 @@ const maxScheduleOps = 16
 // it was given, and left s exactly as a loop of Remove in that order leaves
 // an exact copy: the Txs order, each cell's occupants in order, the packed
 // link column, the busy, occupancy and slot-full bitsets, the busy counts,
-// the node stamps, the cell lists' head and next links, the per-flow
-// positions and Version.
+// the cell lists' head and next links, the per-flow positions and Version.
 func checkRemoveFlow(t *testing.T, s *Schedule, flowID int) {
 	t.Helper()
 	ref := exactCopy(s)
@@ -215,9 +214,8 @@ func checkRemoveFlow(t *testing.T, s *Schedule, flowID int) {
 	case s.Version() != ref.Version():
 		t.Fatalf("RemoveFlow(%d): Version %d, Remove loop %d", flowID, s.Version(), ref.Version())
 	case !slices.Equal(s.nodeBusy, ref.nodeBusy) || !slices.Equal(s.occ, ref.occ) ||
-		!slices.Equal(s.slotFull, ref.slotFull) || !slices.Equal(s.busyCnt, ref.busyCnt) ||
-		!slices.Equal(s.nodeVer, ref.nodeVer):
-		t.Fatalf("RemoveFlow(%d): bitsets, busy counts or node stamps differ from the Remove loop's", flowID)
+		!slices.Equal(s.slotFull, ref.slotFull) || !slices.Equal(s.busyCnt, ref.busyCnt):
+		t.Fatalf("RemoveFlow(%d): bitsets or busy counts differ from the Remove loop's", flowID)
 	case !slices.Equal(s.cellLink, ref.cellLink):
 		t.Fatalf("RemoveFlow(%d): packed link column differs from the Remove loop's", flowID)
 	case !slices.Equal(s.head, ref.head) || !slices.Equal(s.next, ref.next):
@@ -234,14 +232,13 @@ func checkRemoveFlow(t *testing.T, s *Schedule, flowID int) {
 }
 
 // exactCopy deep-copies s field by field, keeping what Clone rebuilds
-// instead: each cell's occupant order, the node stamps and Version.
+// instead: each cell's occupant order and Version.
 func exactCopy(s *Schedule) *Schedule {
 	cp := *s
 	cp.nodeBusy, cp.occ, cp.slotFull = slices.Clone(s.nodeBusy), slices.Clone(s.occ), slices.Clone(s.slotFull)
 	cp.cellLink, cp.txs = slices.Clone(s.cellLink), slices.Clone(s.txs)
 	cp.head, cp.next = slices.Clone(s.head), slices.Clone(s.next)
-	cp.nodeVer, cp.busyCnt = slices.Clone(s.nodeVer), slices.Clone(s.busyCnt)
-	cp.pairs, cp.freePos = nil, nil
+	cp.busyCnt, cp.freePos = slices.Clone(s.busyCnt), nil
 	if s.flowPos != nil {
 		cp.flowPos = make(map[int][]int32, len(s.flowPos))
 		for id, pos := range s.flowPos {

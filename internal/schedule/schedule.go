@@ -96,12 +96,6 @@ type Schedule struct {
 	// list, so churn that removes and re-adds flows stops allocating them.
 	freePos [][]int32
 
-	// nodeVer stamps each node's busy-bitset state; marking or clearing a
-	// busy bit bumps the node's stamp, so the pair counters below can tell a
-	// stale cache from a fresh one without rebuilding on mutations that
-	// touched neither of their endpoints. Stamps start at 1 so a zero-stamped
-	// counter is always rebuilt.
-	nodeVer []uint64
 	// ver counts every mutation — each Place, Remove, and Reset bumps it
 	// once. Callers that cache derived state across calls (the scheduler's
 	// candidate-cache warm start) compare Version stamps to detect grid
@@ -113,23 +107,7 @@ type Schedule struct {
 	// markBusy/clearBusy. NodeBusyCount serves it in O(1); the schedulers
 	// use it as a cheap upper bound on any pair's busy-union count.
 	busyCnt []int32
-	// pairs caches the PairCount handles by normalized (u,v) key so repeated
-	// Pair calls share one index per node pair.
-	pairs map[uint64]*PairCount
-
-	stats IndexStats
 }
-
-// IndexStats counts the index machinery's work for observability: how many
-// O(1) pair queries were served and how many cache rebuilds (each O(slots/64))
-// they cost. The scheduler surfaces them as "sched.index.*" counters.
-type IndexStats struct {
-	PairQueries  int64
-	PairRebuilds int64
-}
-
-// IndexStats returns the accumulated index counters.
-func (s *Schedule) IndexStats() IndexStats { return s.stats }
 
 // SharedCell is the CellLinks entry of a cell with two or more occupants.
 // No packed link equals it: node IDs below maxPackedNodes leave the high
@@ -158,10 +136,6 @@ func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodeVer := make([]uint64, numNodes)
-	for i := range nodeVer {
-		nodeVer[i] = 1
-	}
 	var cellLink []uint32
 	if numNodes <= maxPackedNodes {
 		cellLink = make([]uint32, numSlots*numOffsets)
@@ -177,7 +151,6 @@ func New(numSlots, numOffsets, numNodes int) (*Schedule, error) {
 		slotFull:   make([]uint64, words),
 		head:       make([]int32, numSlots*numOffsets),
 		cellLink:   cellLink,
-		nodeVer:    nodeVer,
 		busyCnt:    make([]int32, numNodes),
 	}, nil
 }
@@ -212,20 +185,10 @@ func gridWords(numSlots, numOffsets, numNodes int) (words, offWords int, err err
 // their storage. Hot loops that schedule many same-shaped
 // workloads (experiment trials, full-reschedule scratch grids) Reset one
 // schedule instead of paying New's allocations per run.
-//
-// The per-node version stamps are bumped, never rewound, so PairCount caches
-// from before the Reset can never be mistaken for fresh; still, outstanding
-// PairCount handles are bound to the old geometry and must not be used after
-// a Reset that changes the slot or node dimensions.
 func (s *Schedule) Reset(numSlots, numOffsets, numNodes int) error {
 	words, offWords, err := gridWords(numSlots, numOffsets, numNodes)
 	if err != nil {
 		return err
-	}
-	if words != s.words || numNodes != s.numNodes {
-		// The cached pair counters' word geometry or key space no longer
-		// matches the grid; drop them rather than refresh into the wrong shape.
-		s.pairs = nil
 	}
 	s.nodeBusy = clearGrown(s.nodeBusy, numNodes*words)
 	s.occ = clearGrown(s.occ, numSlots*offWords)
@@ -244,22 +207,6 @@ func (s *Schedule) Reset(numSlots, numOffsets, numNodes int) error {
 		s.cellLink = make([]uint32, nCells)
 	default:
 		s.cellLink = s.cellLink[:nCells] // empty cells' entries are never read
-	}
-	if numNodes <= cap(s.nodeVer) {
-		// Reslice instead of reallocating: after a shrink, the backing array
-		// still holds the tail nodes' old stamps, so growing back within
-		// capacity keeps every stamp monotone. A fresh allocation would
-		// restart the tail at zero and could collide with a stamp an
-		// outstanding PairCount cached before the shrink, letting it serve
-		// stale words as fresh.
-		s.nodeVer = s.nodeVer[:numNodes]
-	} else {
-		grown := make([]uint64, numNodes)
-		copy(grown, s.nodeVer)
-		s.nodeVer = grown
-	}
-	for i := range s.nodeVer {
-		s.nodeVer[i]++ // move every stamp past any cache built before the Reset
 	}
 	if cap(s.busyCnt) < numNodes {
 		s.busyCnt = make([]int32, numNodes)
@@ -331,7 +278,6 @@ func (s *Schedule) NodeBusy(node, slot int) bool {
 
 func (s *Schedule) markBusy(node, slot int) {
 	s.nodeBusy[node*s.words+slot/64] |= 1 << uint(slot%64)
-	s.nodeVer[node]++
 	s.busyCnt[node]++
 }
 
@@ -627,7 +573,6 @@ func (s *Schedule) buildFlowPos() {
 
 func (s *Schedule) clearBusy(node, slot int) {
 	s.nodeBusy[node*s.words+slot/64] &^= 1 << uint(slot%64)
-	s.nodeVer[node]++
 	s.busyCnt[node]--
 }
 
@@ -636,10 +581,10 @@ func (s *Schedule) clearBusy(node, slot int) {
 // the laxity equation for a link t = (u,v). Out-of-range bounds are clamped;
 // an empty range returns 0.
 //
-// This is the straight word-level scan, O((to-from)/64) per call; hot loops
-// that ask repeatedly about the same pair should hold a Pair handle, whose
-// UnionCount answers in O(1) from a prefix index. The scan stays as the
-// reference implementation the index is property-tested against.
+// It is a word-level scan, O((to-from)/64) per call. RC's laxity asks it
+// once per remaining hop with the window (s, deadline], a few words at
+// real periods; a cached prefix index lost to its own upkeep, since each
+// placement dirtied the very pairs the next query read.
 func (s *Schedule) BusyUnionCount(u, v, from, to int) int {
 	if from < 0 {
 		from = 0

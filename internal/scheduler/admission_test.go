@@ -213,14 +213,14 @@ func TestFullRungKeepsUnlistedFlows(t *testing.T) {
 }
 
 // planPoint generates one flow set of the paper's Fig. 6 operating point on
-// gc: n peer-to-peer flows, budgeted to a 0.99 delivery target when
-// budgeted.
+// gc: n peer-to-peer flows with periods 2^0–2^maxPeriodExp s (the paper
+// uses 2), budgeted to a 0.99 delivery target when budgeted.
 func planPoint(t testing.TB, tb *topology.Testbed, chs []int, gc *graph.Graph, aps []int,
-	seed int64, n int, budgeted bool) []*flow.Flow {
+	seed int64, n, maxPeriodExp int, budgeted bool) []*flow.Flow {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	fs, err := flow.Generate(rng, gc, flow.GenConfig{
-		NumFlows: n, MinPeriodExp: 0, MaxPeriodExp: 2, Exclude: aps,
+		NumFlows: n, MinPeriodExp: 0, MaxPeriodExp: maxPeriodExp, Exclude: aps,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +356,7 @@ func TestAddFlowMatchesFullReschedule(t *testing.T) {
 		applied, misses := 0, 0
 		for seed := int64(1); seed <= seeds; seed++ {
 			n := point.base + int(seed)%point.spread
-			fs := planPoint(t, tb, chs, gc, aps, seed, n, seed%2 == 0)
+			fs := planPoint(t, tb, chs, gc, aps, seed, n, 2, seed%2 == 0)
 			for _, alg := range []Algorithm{NR, RA, RC} {
 				cfg := Config{Algorithm: alg, NumChannels: point.nch, RhoT: 2, HopGR: hop, Retransmit: true}
 				name := fmt.Sprintf("%v %dch seed %d", alg, point.nch, seed)

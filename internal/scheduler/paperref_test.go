@@ -364,7 +364,7 @@ func TestPlanPointMatchesReference(t *testing.T) {
 		for seed := w.first; seed <= w.last; seed++ {
 			n := 60 + int(seed%61)
 			budgeted := seed%2 == 0
-			fs := scheduler.PlanPoint(t, tb, chs, gc, aps, seed, n, budgeted)
+			fs := scheduler.PlanPoint(t, tb, chs, gc, aps, seed, n, 2, budgeted)
 			for _, fixed := range []bool{false, true} {
 				cfg := scheduler.Config{Algorithm: scheduler.RC, NumChannels: w.nch, RhoT: 2,
 					HopGR: hop, Retransmit: true, FixedRho: fixed}
@@ -394,6 +394,13 @@ func FuzzRunMatchesReference(f *testing.F) {
 	// without its laxity test passes more often here.
 	f.Add([]byte("00010000110000010A017"))
 	f.Add([]byte("(0000000070070011000700X017"))
+	// flags&8: four flows with periods of 64–256 slots whose windows cross
+	// the bitset word at slot 64, with retransmissions on two channels, then
+	// with FixedRho on one. RC fails Eq. 1 on some attempts in both.
+	f.Add([]byte{8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 2, 0, 5, 3, 8, 1, 2, 6, 9,
+		3, 0, 9, 1, 29, 50, 0, 9, 0, 2, 39, 40, 0, 4, 7, 1, 19, 55, 0, 1, 8, 0, 29, 30, 0, 1, 1})
+	f.Add([]byte{8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 2, 0, 5, 3, 8, 1, 2, 6, 11,
+		3, 0, 9, 1, 29, 50, 0, 9, 0, 2, 39, 40, 0, 4, 7, 1, 19, 55, 0, 1, 8, 0, 29, 30, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs, cfg := fuzzInstance(data)
 		for _, alg := range []scheduler.Algorithm{scheduler.NR, scheduler.RA, scheduler.RC} {
@@ -404,7 +411,9 @@ func FuzzRunMatchesReference(f *testing.F) {
 }
 
 // fuzzInstance decodes one small scheduling instance from data, one byte
-// per choice; an exhausted input reads as zeros.
+// per choice; an exhausted input reads as zeros. Periods are 4, 8 or 16
+// slots, or 64, 128 or 256 when flags&8 is set, so that Eq. 1's windows
+// and the free-slot scans cross 64-slot bitset words.
 func fuzzInstance(data []byte) ([]*flow.Flow, scheduler.Config) {
 	next := func(n int) int { // a choice in [0, n)
 		if len(data) == 0 {
@@ -445,6 +454,9 @@ func fuzzInstance(data []byte) ([]*flow.Flow, scheduler.Config) {
 			dst = (dst + 1) % nodes
 		}
 		period := 4 << next(3)
+		if flags&8 != 0 {
+			period *= 16
+		}
 		deadline := 1 + next(period)
 		fl := &flow.Flow{ID: id, Src: src, Dst: dst, Period: period, Deadline: deadline,
 			Phase: next(period - deadline + 1)}

@@ -261,17 +261,14 @@ type engine struct {
 	lambdaR int
 	mets    schedCounters
 
-	// Index-path state. routePairs holds the current flow's per-hop
-	// conflict-count handles so laxity issues zero map lookups; hopAtt is
-	// the flow's resolved per-hop attempt count (budgeted or uniform);
-	// occBuf is findSlot's reusable OccupiedOffsets buffer (RA only);
-	// cellBuf holds the positions of the cell being read (see Cell).
-	curFlow    *flow.Flow
-	routePairs []*schedule.PairCount
-	hopAtt     []int
-	occBuf     []int
-	cellBuf    []int32
-	statsBase  schedule.IndexStats // schedule index stats at engine creation
+	// hopAtt is the current flow's resolved per-hop attempt count
+	// (budgeted or uniform), bound by setFlow; occBuf is findSlot's
+	// reusable OccupiedOffsets buffer (RA only); cellBuf holds the
+	// positions of the cell being read (see Cell).
+	curFlow *flow.Flow
+	hopAtt  []int
+	occBuf  []int
+	cellBuf []int32
 
 	// placedShared records, for the placement the engine just returned,
 	// whether the chosen cell already held a transmission — every placement
@@ -313,33 +310,15 @@ type engine struct {
 	// of warm-adopted.
 	candsVer uint64
 
-	// instD[h] is CountThrough(deadline) of routePairs[h] for the instance
-	// being scheduled — the deadline term of Eq. 1 per hop pair. It is built
-	// once per instance on first use and then maintained incrementally: each
-	// committed placement can only change the busy-union of pairs that share
-	// one of its two endpoints, and only at the placed slot, so the update is
-	// a handful of integer compares per remaining hop instead of a prefix
-	// query per pair per attempt. Valid only while instDOK and within one
-	// scheduleInstance call (the deadline is fixed there).
-	instD   []int32
-	instDOK bool
-
-	// laxDeadSum memoizes the deadline term of the attempt's laxity sums:
-	// Σ CountThrough(deadline) over the remaining route pairs. It is fixed for
-	// one placement attempt (the schedule is unmutated and the deadline and
-	// remaining set don't change), so each candidate's conflict sum needs only
-	// the CountThrough(slot) subtractions. Reset at the start of every
-	// attempt that reaches the candidate cache (placeRC, warmCands).
-	laxDeadSum int
-	laxDeadOK  bool
-
 	// laxBound memoizes a constant-time upper bound on the attempt's conflict
 	// sum: Σ multiplicity × (NodeBusyCount(u) + NodeBusyCount(v)) over the
-	// remaining route pairs. Any pair's busy-union count over any slot range
+	// remaining route links. Any link's busy-union count over any slot range
 	// is at most the two endpoints' total busy-slot counts, so a candidate
-	// with slack ≥ laxBound passes Eq. 1 without touching the prefix index —
-	// the common case in uncongested regions of a sweep. Like laxDeadSum it
-	// is fixed for one placement attempt; reset alongside it.
+	// with slack ≥ laxBound passes Eq. 1 without scanning a busy bitset —
+	// the common case in uncongested regions of a sweep. It is fixed for one
+	// placement attempt (the schedule is unmutated and the remaining set
+	// does not change) and reset at the start of every attempt that reaches
+	// the candidate cache (placeRC, warmCands).
 	laxBound   int
 	laxBoundOK bool
 }
@@ -365,44 +344,30 @@ type slotCand struct {
 
 // newEngine prepares the scheduling state for one run over sched.
 func newEngine(cfg Config, sched *schedule.Schedule, lambdaR int) engine {
-	return engine{cfg: cfg, sched: sched, lambdaR: lambdaR,
-		statsBase: sched.IndexStats()}
+	return engine{cfg: cfg, sched: sched, lambdaR: lambdaR}
 }
 
 // recycle turns e into newEngine(cfg, sched, lambdaR) that keeps e's
-// buffers: the per-hop handles and attempt counts, the occupancy buffer,
-// the RC candidate tables and the per-instance deadline terms. Every
-// placement path fills these before reading them, as it does across a run's
-// flows. A nil sched unbinds e for pooling, dropping every pointer into a
-// grid, a workload or a config.
+// buffers: the per-hop attempt counts, the occupancy and cell buffers and
+// the RC candidate tables. Every placement path fills these before reading
+// them, as it does across a run's flows. A nil sched unbinds e for pooling,
+// dropping every pointer into a grid, a workload or a config.
 func (e *engine) recycle(cfg Config, sched *schedule.Schedule, lambdaR int) {
-	clear(e.routePairs[:cap(e.routePairs)])
 	*e = engine{cfg: cfg, sched: sched, lambdaR: lambdaR,
-		routePairs: e.routePairs[:0], hopAtt: e.hopAtt[:0], occBuf: e.occBuf[:0], cellBuf: e.cellBuf[:0], instD: e.instD[:0],
+		hopAtt: e.hopAtt[:0], occBuf: e.occBuf[:0], cellBuf: e.cellBuf[:0],
 		cands: e.cands[:0], candDist: e.candDist[:0], candLoad: e.candLoad[:0]}
-	if sched != nil {
-		e.statsBase = sched.IndexStats()
-	}
 }
 
-// setFlow binds the engine's per-flow index state (the route's conflict-count
-// handles and resolved per-hop attempt counts) to f. Instances of the same
-// flow share the binding.
+// setFlow binds the engine's per-flow state (the route's resolved per-hop
+// attempt counts) to f. Instances of the same flow share the binding.
 func (e *engine) setFlow(f *flow.Flow) {
 	if e.curFlow == f {
 		return
 	}
 	e.curFlow = f
-	e.routePairs = e.routePairs[:0]
 	e.hopAtt = e.hopAtt[:0]
 	base := e.cfg.attempts()
-	// Only RC's laxity consults the pair handles; NR and RA skip the per-hop
-	// map lookups entirely.
-	needPairs := e.cfg.Algorithm == RC
-	for hop, l := range f.Route {
-		if needPairs {
-			e.routePairs = append(e.routePairs, e.sched.Pair(l.From, l.To))
-		}
+	for hop := range f.Route {
 		e.hopAtt = append(e.hopAtt, f.HopAttempts(hop, base))
 	}
 }
@@ -473,14 +438,11 @@ func (e *engine) flushMetrics(elapsed time.Duration) {
 	m.Observe(p+"elapsed_seconds", elapsed.Seconds())
 }
 
-// flushIndexMetrics pushes the index-layer work counters — how hard the
-// O(1) structures worked since the engine was bound to its grid — to m.
-// Unlike the per-algorithm ledger they are work counters: an optimization
-// may move them without changing any placement.
+// flushIndexMetrics pushes the index-layer work counters — how many RC
+// reuse verdicts the engine served from its candidate memo and how many it
+// computed fresh — to m. Unlike the per-algorithm ledger they are work
+// counters: an optimization may move them without changing any placement.
 func (e *engine) flushIndexMetrics(m obs.Sink) {
-	st := e.sched.IndexStats()
-	m.Count("sched.index.pair_queries", st.PairQueries-e.statsBase.PairQueries)
-	m.Count("sched.index.pair_rebuilds", st.PairRebuilds-e.statsBase.PairRebuilds)
 	m.Count("sched.index.reuse_memo_hits", e.mets.memoHits)
 	m.Count("sched.index.reuse_memo_misses", e.mets.memoMisses)
 }
@@ -499,7 +461,6 @@ func (e *engine) hopAttempts(f *flow.Flow, hop int) int {
 // engine, returned as an error rather than counted as a miss.
 func (e *engine) scheduleInstance(f *flow.Flow, inst int) (bool, error) {
 	e.setFlow(f)
-	e.instDOK = false // the deadline term cache is per instance
 	release := f.Release(inst)
 	deadline := release + f.Deadline - 1 // last usable slot index
 	prevSlot := release - 1
@@ -524,7 +485,6 @@ func (e *engine) scheduleInstance(f *flow.Flow, inst int) (bool, error) {
 				return false, fmt.Errorf("scheduler: engine proposed a rejected cell: %w", err)
 			}
 			e.notePlaced(link.From, link.To, slot)
-			e.bumpInstD(f, hop, link, slot)
 			e.mets.placements++
 			if e.placedShared {
 				e.mets.reusePlacements++
@@ -611,7 +571,7 @@ func (e *engine) placeRC(f *flow.Flow, tx *schedule.Tx, earliest, deadline, rema
 		// non-full endpoint-free slot, the list's terminal candidate. On a
 		// pass the list is never needed; slotsExamined still counts the
 		// endpoint-free slots of [s0, sf] that buildCands would have listed.
-		e.laxDeadOK, e.laxBoundOK = false, false
+		e.laxBoundOK = false
 		sf := e.sched.NextSharedNonFullSlot(u, v, s0, deadline)
 		if sf >= 0 {
 			lax := e.laxity(f, tx, sf, deadline, remaining)
@@ -749,7 +709,7 @@ func (e *engine) warmCands(u, v, s0, deadline int) bool {
 		e.cands = e.cands[:n]
 	}
 	e.candsPlaced = -1
-	e.laxDeadOK, e.laxBoundOK = false, false
+	e.laxBoundOK = false
 	maxAll := int32(-1)
 	for i := range e.cands {
 		c := &e.cands[i]
@@ -1038,26 +998,19 @@ func (e *engine) cellMinDist(u, v int, cell []int32) int32 {
 // laxity evaluates Eq. 1 for scheduling tx at slot s: the number of slots
 // left before the deadline, minus the slots already known to conflict with
 // each remaining transmission, minus the count of remaining transmissions.
-// The conflict sum is served by the per-pair prefix-popcount handles bound
-// in setFlow — O(1) per remaining transmission instead of a bitset scan.
 func (e *engine) laxity(f *flow.Flow, tx *schedule.Tx, s, deadline, remaining int) int {
 	lax := deadline - s - remaining
 	if lax < 0 {
 		return lax // cheap exit: conflict sum can only decrease it
 	}
-	// Remaining transmissions of the same hop share their conflict pair, so
-	// each pair is queried once and weighted by its multiplicity: the current
-	// hop's leftover attempts, then a full per-hop attempt count per later
-	// hop.
-	curCnt := e.hopAttempts(f, tx.Hop) - tx.Attempt - 1
-	// Constant-time certificate first: a pair's busy-union count over any
+	// Constant-time certificate first: a link's busy-union count over any
 	// range is at most the endpoints' total busy-slot counts, so slack ≥ the
-	// memoized sum of those bounds proves the laxity non-negative without a
-	// single prefix-index query. The returned magnitude is then a lower bound
-	// on Eq. 1; every caller branches on the sign only.
+	// memoized sum of those bounds proves the laxity non-negative without
+	// scanning a bitset. The returned magnitude is then a lower bound on
+	// Eq. 1; every caller branches on the sign only.
 	if !e.laxBoundOK {
 		bound := 0
-		if curCnt > 0 {
+		if curCnt := e.hopAttempts(f, tx.Hop) - tx.Attempt - 1; curCnt > 0 {
 			bound = curCnt * (e.sched.NodeBusyCount(tx.Link.From) + e.sched.NodeBusyCount(tx.Link.To))
 		}
 		for h := tx.Hop + 1; h < len(f.Route); h++ {
@@ -1074,72 +1027,22 @@ func (e *engine) laxity(f *flow.Flow, tx *schedule.Tx, s, deadline, remaining in
 
 // conflicts is Eq. 1's conflict term C(s): over the transmissions of the
 // instance still to place after tx, the slots of (s, deadline] where the
-// transmission's link has a busy endpoint, weighted by multiplicity. It is
-// read from the per-pair prefix counts as UnionCount(s+1, deadline) per
-// pair, split so the deadline term is paid once per attempt (laxDeadSum)
-// rather than once per candidate slot. C never increases as s grows.
+// transmission's link has a busy endpoint. Remaining transmissions of the
+// same hop share their link, so each link is scanned once and weighted by
+// its multiplicity: the current hop's leftover attempts, then a full
+// per-hop attempt count per later hop. Each scan reads the two endpoints'
+// busy words over the window — a handful at real periods. C never
+// increases as s grows.
 func (e *engine) conflicts(f *flow.Flow, tx *schedule.Tx, s, deadline int) int {
-	curCnt := e.hopAttempts(f, tx.Hop) - tx.Attempt - 1
-	if !e.laxDeadOK {
-		if !e.instDOK {
-			e.buildInstD(f, deadline)
-		}
-		sum := 0
-		if curCnt > 0 {
-			sum = curCnt * int(e.instD[tx.Hop])
-		}
-		for h := tx.Hop + 1; h < len(f.Route); h++ {
-			sum += e.hopAttempts(f, h) * int(e.instD[h])
-		}
-		e.laxDeadSum, e.laxDeadOK = sum, true
-	}
-	conflictSum := e.laxDeadSum
-	if curCnt > 0 {
-		conflictSum -= curCnt * e.routePairs[tx.Hop].CountThrough(s)
+	sum := 0
+	if curCnt := e.hopAttempts(f, tx.Hop) - tx.Attempt - 1; curCnt > 0 {
+		sum = curCnt * e.sched.BusyUnionCount(tx.Link.From, tx.Link.To, s+1, deadline)
 	}
 	for h := tx.Hop + 1; h < len(f.Route); h++ {
-		conflictSum -= e.hopAttempts(f, h) * e.routePairs[h].CountThrough(s)
+		link := f.Route[h]
+		sum += e.hopAttempts(f, h) * e.sched.BusyUnionCount(link.From, link.To, s+1, deadline)
 	}
-	return conflictSum
-}
-
-// buildInstD snapshots the deadline term of Eq. 1 for the current instance:
-// one CountThrough(deadline) per hop pair. bumpInstD keeps the snapshot
-// exact across the instance's own placements, so later attempts reuse it
-// without further prefix queries.
-func (e *engine) buildInstD(f *flow.Flow, deadline int) {
-	e.instD = e.instD[:0]
-	for h := range f.Route {
-		e.instD = append(e.instD, int32(e.routePairs[h].CountThrough(deadline)))
-	}
-	e.instDOK = true
-}
-
-// bumpInstD folds one committed placement into the instance's deadline-term
-// snapshot. Placing at slot p busies exactly the placed link's two endpoints
-// there, so a pair's busy-union count changes — by at most one, at slot p —
-// only if the pair shares an endpoint with the placed link and the union bit
-// at p was previously clear. The pre-placement union bit is reconstructible
-// after the fact: the placed endpoints were necessarily free at p, and every
-// other node's busy bit is untouched. Hops before the placed one are never
-// queried again within the instance and are skipped.
-func (e *engine) bumpInstD(f *flow.Flow, hop int, placed flow.Link, p int) {
-	if !e.instDOK {
-		return
-	}
-	a, b := placed.From, placed.To
-	for h := hop; h < len(f.Route); h++ {
-		x, y := f.Route[h].From, f.Route[h].To
-		xIn := x == a || x == b
-		yIn := y == a || y == b
-		if !xIn && !yIn {
-			continue
-		}
-		before := (!xIn && e.sched.NodeBusy(x, p)) || (!yIn && e.sched.NodeBusy(y, p))
-		if !before {
-			e.instD[h]++
-		}
-	}
+	return sum
 }
 
 // findSlot returns the earliest slot in [earliest, deadline] and a channel
